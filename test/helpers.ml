@@ -62,3 +62,26 @@ let alco_float ?(eps = 1e-9) name expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s (expected %g, got %g)" name expected actual)
     true (float_eq ~eps expected actual)
+
+(* The 200-instance equivalence corpus shared by test_scale and the
+   checker golden: the paper's regimes plus a few mid-size trees,
+   deterministic in the loop index, nothing drawn from a global PRNG. *)
+let corpus_size = 200
+
+let corpus_instance idx =
+  let n = 4 + (idx * 13 mod 77) + if idx mod 10 = 0 then 150 else 0 in
+  let alpha = [| 0.9; 1.1; 1.5; 1.7 |].(idx mod 4) in
+  let sizes =
+    if idx mod 7 = 3 then Insp.Config.Large
+    else if idx mod 5 = 2 then Insp.Config.Custom_sizes (0.01, 0.05)
+    else Insp.Config.Small
+  in
+  let rho = if sizes = Insp.Config.Large then 0.1 else 1.0 in
+  Insp.Instance.generate
+    (Insp.Config.make ~alpha ~sizes ~rho ~seed:(1000 + idx) ~n_operators:n ())
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -457,6 +457,197 @@ let lower_bound_sound =
           | Error _ -> true)
         (Insp.Solve.run_all ~seed:1 app platform))
 
+(* ------------------------------------------------------------------ *)
+(* Check.check pinned bit for bit                                      *)
+
+module Servers = Insp.Servers
+
+(* A deterministic allocation no heuristic chose: operators in
+   consecutive id chunks, the best configuration everywhere, and every
+   needed object from the lowest-indexed server holding it. *)
+let chunked_procs app platform ~chunk =
+  let n = App.n_operators app in
+  let servers = platform.Platform.servers in
+  let best = Catalog.best platform.Platform.catalog in
+  Array.init
+    ((n + chunk - 1) / chunk)
+    (fun u ->
+      let operators = List.init (min chunk (n - (u * chunk))) (fun j -> (u * chunk) + j) in
+      let downloads =
+        List.filter_map
+          (fun k ->
+            match Servers.providers servers k with
+            | l :: _ -> Some (k, l)
+            | [] -> None)
+          (Demand.distinct_objects app operators)
+      in
+      { Alloc.config = best; operators; downloads })
+
+let map_first_download f (p : Alloc.proc) =
+  match p.Alloc.downloads with
+  | [] -> p
+  | d :: rest -> { p with Alloc.downloads = f d @ rest }
+
+(* The allocation perturbations, each aimed at some of the ten violation
+   constructors; "links" shrinks the platform's link and card capacities
+   instead of editing the allocation. *)
+let perturbations platform =
+  let servers = platform.Platform.servers in
+  let n_servers = Servers.n_servers servers in
+  let cheapest = Catalog.cheapest platform.Platform.catalog in
+  let not_holding k l =
+    let rec go j =
+      if j >= n_servers then n_servers
+      else if not (Servers.holds servers ((l + j) mod n_servers) k) then
+        (l + j) mod n_servers
+      else go (j + 1)
+    in
+    go 1
+  in
+  let shrunk =
+    let n_types = Servers.n_object_types servers in
+    {
+      platform with
+      Platform.servers =
+        Servers.make
+          ~cards:(Array.init n_servers (fun l -> 0.02 *. Servers.card servers l))
+          ~holds:
+            (Array.init n_servers (fun l ->
+                 Array.init n_types (fun k -> Servers.holds servers l k)));
+      server_link = 0.05 *. platform.Platform.server_link;
+      proc_link = 0.05 *. platform.Platform.proc_link;
+    }
+  in
+  [
+    ("base", platform, Fun.id);
+    ( "cheapest",
+      platform,
+      Array.map (fun (p : Alloc.proc) -> { p with Alloc.config = cheapest }) );
+    ( "moved",
+      platform,
+      fun procs ->
+        let procs = Array.copy procs in
+        for u = 0 to Array.length procs - 2 do
+          if u mod 2 = 0 then
+            match List.rev procs.(u).Alloc.operators with
+            | last :: (_ :: _ as keep) ->
+              procs.(u) <- { (procs.(u)) with Alloc.operators = List.rev keep };
+              procs.(u + 1) <-
+                { (procs.(u + 1)) with
+                  Alloc.operators = last :: procs.(u + 1).Alloc.operators }
+            | _ -> ()
+        done;
+        procs );
+    ( "dropped",
+      platform,
+      fun procs ->
+        Array.mapi
+          (fun u (p : Alloc.proc) ->
+            let p = if u mod 2 = 1 then map_first_download (fun _ -> []) p else p in
+            if u = 0 then { p with Alloc.operators = List.tl p.Alloc.operators }
+            else p)
+          procs );
+    ( "duplicate",
+      platform,
+      Array.map
+        (map_first_download (fun (k, l) -> [ (k, l); (k, (l + 1) mod n_servers) ]))
+    );
+    ( "wrong_server",
+      platform,
+      Array.map (map_first_download (fun (k, l) -> [ (k, not_holding k l) ])) );
+    ("links", shrunk, Fun.id);
+  ]
+
+let kind_letter = function
+  | Check.Unassigned_operator _ -> 'U'
+  | Check.Missing_download _ -> 'M'
+  | Check.Extraneous_download _ -> 'E'
+  | Check.Duplicate_download _ -> 'D'
+  | Check.Not_held _ -> 'H'
+  | Check.Compute_overload _ -> 'C'
+  | Check.Nic_overload _ -> 'N'
+  | Check.Server_card_overload _ -> 'K'
+  | Check.Server_link_overload _ -> 'S'
+  | Check.Proc_link_overload _ -> 'P'
+
+(* Every field of a violation, loads and capacities in %h so a change in
+   the last bit of a float sum shows. *)
+let render_violation v =
+  let c = kind_letter v in
+  match v with
+  | Check.Unassigned_operator i -> Printf.sprintf "%c %d" c i
+  | Check.Missing_download { proc; object_type }
+  | Check.Extraneous_download { proc; object_type }
+  | Check.Duplicate_download { proc; object_type } ->
+    Printf.sprintf "%c %d %d" c proc object_type
+  | Check.Not_held { proc; object_type; server } ->
+    Printf.sprintf "%c %d %d %d" c proc object_type server
+  | Check.Compute_overload { proc; load; capacity }
+  | Check.Nic_overload { proc; load; capacity } ->
+    Printf.sprintf "%c %d %h %h" c proc load capacity
+  | Check.Server_card_overload { server; load; capacity } ->
+    Printf.sprintf "%c %d %h %h" c server load capacity
+  | Check.Server_link_overload { server; proc; load; capacity } ->
+    Printf.sprintf "%c %d %d %h %h" c server proc load capacity
+  | Check.Proc_link_overload { proc_a; proc_b; load; capacity } ->
+    Printf.sprintf "%c %d %d %h %h" c proc_a proc_b load capacity
+
+(* One line per (case, perturbation): the count of each violation kind
+   and the digest of the full ordered rendering. *)
+let check_golden_lines () =
+  let seen = Hashtbl.create 10 in
+  let lines =
+    List.concat_map
+      (fun idx ->
+        let inst = Helpers.corpus_instance idx in
+        let app = inst.Insp.Instance.app in
+        let platform = inst.Insp.Instance.platform in
+        let procs = chunked_procs app platform ~chunk:(1 + (idx mod 6)) in
+        List.map
+          (fun (name, platform, perturb) ->
+            let vs = Check.check app platform (Alloc.make (perturb procs)) in
+            let kinds =
+              String.concat ""
+                (List.filter_map
+                   (fun c ->
+                     match List.length (List.filter (fun v -> kind_letter v = c) vs) with
+                     | 0 -> None
+                     | n -> Some (Printf.sprintf " %c%d" c n))
+                   [ 'U'; 'M'; 'E'; 'D'; 'H'; 'C'; 'N'; 'K'; 'S'; 'P' ])
+            in
+            List.iter (fun v -> Hashtbl.replace seen (kind_letter v) ()) vs;
+            Printf.sprintf "%d %s%s %s\n" idx name kinds
+              (Digest.to_hex
+                 (Digest.string (String.concat "\n" (List.map render_violation vs)))))
+          (perturbations platform))
+      (List.init Helpers.corpus_size Fun.id)
+  in
+  (String.concat "" lines, Hashtbl.length seen)
+
+(* The violation lists of the 200-instance corpus and its perturbations,
+   against test/check_violations.golden.  On a mismatch the full actual
+   rendering is written to check_violations.actual next to the test
+   binary, ready to replace the golden when a change means it. *)
+let test_check_violations_golden () =
+  let actual, kinds = check_golden_lines () in
+  Alcotest.(check int) "the corpus reaches all ten violation kinds" 10 kinds;
+  let expected = Helpers.read_file "check_violations.golden" in
+  if not (String.equal expected actual) then begin
+    let oc = open_out_bin "check_violations.actual" in
+    output_string oc actual;
+    close_out oc;
+    let el = String.split_on_char '\n' expected
+    and al = String.split_on_char '\n' actual in
+    let rec first = function
+      | e :: er, a :: ar -> if String.equal e a then first (er, ar) else (e, a)
+      | e :: _, [] -> (e, "<end>")
+      | [], a :: _ -> ("<end>", a)
+      | [], [] -> ("", "")
+    in
+    let e, a = first (el, al) in
+    Alcotest.failf "Check.check drifted from check_violations.golden:\n  expected %s\n  actual   %s" e a
+  end
+
 let () =
   Alcotest.run "mapping"
     [
@@ -497,6 +688,8 @@ let () =
           Alcotest.test_case "pp_violation golden" `Quick
             test_pp_violation_golden;
           Alcotest.test_case "pair flow" `Quick test_pair_flow;
+          Alcotest.test_case "violations golden" `Quick
+            test_check_violations_golden;
         ] );
       ( "cost",
         [

@@ -403,11 +403,7 @@ let test_chrome_trace_escaping () =
 (* ------------------------------------------------------------------ *)
 (* Solver probe-count regression                                       *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Helpers.read_file
 
 (* Snapshots the solver's probe/outcome counters on a fixed 20-operator
    instance against a golden file.  A change in the probing strategy (or

@@ -36,23 +36,9 @@ let solve key inst =
       (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app
          inst.Insp.Instance.platform)
 
-(* 200 instances spanning the paper's regimes and a few mid-size trees:
-   deterministic in the loop index, nothing drawn from a global PRNG. *)
-let instance_of_case idx =
-  let n = 4 + (idx * 13 mod 77) + if idx mod 10 = 0 then 150 else 0 in
-  let alpha = [| 0.9; 1.1; 1.5; 1.7 |].(idx mod 4) in
-  let sizes =
-    if idx mod 7 = 3 then Insp.Config.Large
-    else if idx mod 5 = 2 then Insp.Config.Custom_sizes (0.01, 0.05)
-    else Insp.Config.Small
-  in
-  let rho = if sizes = Insp.Config.Large then 0.1 else 1.0 in
-  Insp.Instance.generate
-    (Insp.Config.make ~alpha ~sizes ~rho ~seed:(1000 + idx) ~n_operators:n ())
-
 let test_comp_queue_equivalence () =
-  for idx = 0 to 199 do
-    let inst = instance_of_case idx in
+  for idx = 0 to Helpers.corpus_size - 1 do
+    let inst = Helpers.corpus_instance idx in
     let queue = H_comp.with_candidate_queue true (fun () -> solve "comp" inst) in
     let scan = H_comp.with_candidate_queue false (fun () -> solve "comp" inst) in
     Alcotest.(check string)
@@ -61,8 +47,8 @@ let test_comp_queue_equivalence () =
   done
 
 let test_comm_cache_equivalence () =
-  for idx = 0 to 199 do
-    let inst = instance_of_case idx in
+  for idx = 0 to Helpers.corpus_size - 1 do
+    let inst = Helpers.corpus_instance idx in
     let cached = H_comm.with_probe_cache true (fun () -> solve "comm" inst) in
     let fresh = H_comm.with_probe_cache false (fun () -> solve "comm" inst) in
     Alcotest.(check string)
