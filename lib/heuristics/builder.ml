@@ -82,8 +82,17 @@ let demand t gid =
 let tolerance = 1e-9
 let leq value capacity = value <= (capacity *. (1.0 +. tolerance)) +. tolerance
 
-let flows_ok t flows =
-  List.for_all (fun (_, f) -> leq f t.platform.Platform.proc_link) flows
+let rec flows_ok t = function
+  | [] -> true
+  | (_, f) :: rest -> leq f t.platform.Platform.proc_link && flows_ok t rest
+
+(* [verdict_of] for a ledger probe, without the flows thunk. *)
+let probe_verdict t config (probe : Ledger.probe) =
+  if not (Demand.fits config probe.Ledger.demand) then
+    (false, Some Journal.Demand_exceeded)
+  else if not (flows_ok t probe.Ledger.pair_flows) then
+    (false, Some Journal.Link_exceeded)
+  else (true, None)
 
 (* Pairwise flows of a hypothetical member set towards existing groups,
    grouped by group.  Only groups adjacent to [members] through a tree
@@ -204,11 +213,7 @@ let try_add t gid op =
   check_live t gid;
   Obs.prof_enter "ledger.try_add";
   let probe = Ledger.probe_add t.ledger gid op in
-  let ok, reject =
-    verdict_of
-      (Demand.fits (Ledger.config t.ledger gid) probe.Ledger.demand)
-      (fun () -> flows_ok t probe.Ledger.pair_flows)
-  in
+  let ok, reject = probe_verdict t (Ledger.config t.ledger gid) probe in
   ignore (count_probe ok);
   if Obs.journaling () then
     Obs.event
@@ -238,11 +243,7 @@ let try_absorb t winner loser =
   check_live t loser;
   Obs.prof_enter "ledger.try_absorb";
   let probe = Ledger.probe_merge t.ledger ~winner ~loser in
-  let ok, reject =
-    verdict_of
-      (Demand.fits (Ledger.config t.ledger winner) probe.Ledger.demand)
-      (fun () -> flows_ok t probe.Ledger.pair_flows)
-  in
+  let ok, reject = probe_verdict t (Ledger.config t.ledger winner) probe in
   ignore (count_probe ok);
   if Obs.journaling () then
     Obs.event

@@ -1,5 +1,5 @@
 module App = Insp_tree.App
-module Demand = Insp_mapping.Demand
+module Ledger = Insp_mapping.Ledger
 module Catalog = Insp_platform.Catalog
 
 (* Ablation knob: fall back to the legacy scan-everything loop (resort
@@ -105,7 +105,7 @@ let run_queue _rng app platform =
     let speed = (Builder.config b gid).Catalog.cpu.Catalog.speed in
     let pos = ref 0 in
     while !pos < n do
-      let c = (Builder.demand b gid).Demand.compute in
+      let c = Ledger.compute_load (Builder.ledger b) gid in
       let p = Cand_queue.Rank.first rank ~alive (first_fit c speed !pos) in
       if p >= n then pos := n
       else begin

@@ -82,10 +82,17 @@ let run _rng app platform =
         (fun acc m -> max acc (Optree.depth tree m))
         0 (Builder.members b gid)
     in
+    (* Each sort key computed once per group, not per comparison; the
+       stable sort keeps the order of the direct comparator. *)
+    let sort_by key cmp ids =
+      List.map (fun g -> (key g, g)) ids
+      |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
+      |> List.map snd
+    in
     let rec merge_rounds () =
       let by_depth =
-        List.sort
-          (fun ga gb -> compare (deepest_member gb) (deepest_member ga))
+        sort_by deepest_member
+          (fun da db -> compare db da)
           (Builder.group_ids b)
       in
       let changed =
@@ -125,12 +132,9 @@ let run _rng app platform =
       in
       let rec pass () =
         let by_size =
-          List.sort
-            (fun ga gb ->
-              compare
-                (List.length (Builder.members b ga))
-                (List.length (Builder.members b gb)))
-            (Builder.group_ids b)
+          sort_by
+            (fun g -> List.length (Builder.members b g))
+            compare (Builder.group_ids b)
         in
         let merged =
           List.exists

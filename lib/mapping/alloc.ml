@@ -4,10 +4,26 @@ type proc = {
   downloads : (int * int) list;
 }
 
-type t = { procs : proc array; assign : (int, int) Hashtbl.t }
+(* [host.(i)] is the processor of operator [i], -1 when unassigned;
+   operators beyond the array are unassigned. *)
+type t = { procs : proc array; host : int array; n_assigned : int }
+
+let compare_download (k, l) (k', l') =
+  let c = Int.compare k k' in
+  if c <> 0 then c else Int.compare l l'
+
+(* [List.sort_uniq cmp l] without the copy when [l] is already strictly
+   increasing — the common case, since every producer emits sorted
+   lists. *)
+let sort_uniq cmp l =
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && sorted rest
+    | [ _ ] | [] -> true
+  in
+  if sorted l then l else List.sort_uniq cmp l
 
 let normalize_proc p =
-  let operators = List.sort_uniq compare p.operators in
+  let operators = sort_uniq Int.compare p.operators in
   if List.length operators <> List.length p.operators then
     invalid_arg "Alloc.make: duplicate operator on one processor";
   (* Exact duplicate (object, server) entries are collapsed: they would
@@ -15,22 +31,33 @@ let normalize_proc p =
      different servers are kept — the checker flags them as
      [Duplicate_download] so the NIC double-count is visible instead of
      silently rejected here. *)
-  let downloads = List.sort_uniq compare p.downloads in
-  { p with operators; downloads }
+  let downloads = sort_uniq compare_download p.downloads in
+  if operators == p.operators && downloads == p.downloads then p
+  else { p with operators; downloads }
 
 let make procs =
   let procs = Array.map normalize_proc procs in
-  let assign = Hashtbl.create 64 in
+  let n =
+    Array.fold_left
+      (fun acc p ->
+        match p.operators with
+        | i :: _ when i < 0 -> invalid_arg "Alloc.make: negative operator id"
+        | ops -> List.fold_left (fun acc i -> max acc (i + 1)) acc ops)
+      0 procs
+  in
+  let host = Array.make n (-1) in
+  let n_assigned = ref 0 in
   Array.iteri
     (fun u p ->
       List.iter
         (fun i ->
-          if Hashtbl.mem assign i then
+          if host.(i) >= 0 then
             invalid_arg "Alloc.make: operator assigned to two processors";
-          Hashtbl.add assign i u)
+          host.(i) <- u;
+          incr n_assigned)
         p.operators)
     procs;
-  { procs; assign }
+  { procs; host; n_assigned = !n_assigned }
 
 let of_groups ~configs ~groups ~downloads =
   let n = Array.length configs in
@@ -43,10 +70,15 @@ let of_groups ~configs ~groups ~downloads =
 let n_procs t = Array.length t.procs
 let proc t u = t.procs.(u)
 let procs t = Array.copy t.procs
-let assignment t i = Hashtbl.find_opt t.assign i
+let host t i = if i >= 0 && i < Array.length t.host then t.host.(i) else -1
+
+let assignment t i =
+  let u = host t i in
+  if u < 0 then None else Some u
+
 let operators_of t u = t.procs.(u).operators
 let downloads_of t u = t.procs.(u).downloads
-let n_operators_assigned t = Hashtbl.length t.assign
+let n_operators_assigned t = t.n_assigned
 
 let all_downloads t =
   let acc = ref [] in

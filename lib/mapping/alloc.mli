@@ -16,7 +16,8 @@ type t
 
 val make : proc array -> t
 (** Builds an allocation from processor descriptions.  Raises
-    [Invalid_argument] when an operator appears on two processors.
+    [Invalid_argument] when an operator appears on two processors or
+    has a negative id.
     Exact duplicate download entries are deduplicated. *)
 
 val of_groups :
@@ -35,6 +36,10 @@ val procs : t -> proc array
 val assignment : t -> int -> int option
 (** [assignment t i] is the processor index hosting operator [i], if
     assigned. *)
+
+val host : t -> int -> int
+(** [host t i] is {!assignment} as a dense index, [-1] when [i] is
+    unassigned; allocation-free. *)
 
 val operators_of : t -> int -> int list
 (** Operators on processor [u] (a-bar(u)). *)

@@ -29,7 +29,18 @@ let tolerance = 1e-9
 
 let exceeds load capacity = load > capacity *. (1.0 +. tolerance) +. tolerance
 
-let proc_demand app alloc u = Demand.of_group app (Alloc.operators_of alloc u)
+(* [Demand.of_group] of processor [u]'s (sorted) group given its
+   distinct needed objects; membership is a lookup in the alloc's dense
+   assignment instead of a list scan, so the cost is O(|group| * degree)
+   rather than O(|group|^2). *)
+let group_demand app alloc u ~needed =
+  Demand.sum app (Alloc.operators_of alloc u)
+    ~in_group:(fun j -> Alloc.host alloc j = u)
+    ~needed
+
+let proc_demand app alloc u =
+  group_demand app alloc u
+    ~needed:(Demand.distinct_objects app (Alloc.operators_of alloc u))
 
 let proc_download_rate app alloc u =
   List.fold_left
@@ -46,7 +57,7 @@ let pair_flow app alloc u v =
       (fun acc i ->
         List.fold_left
           (fun acc j ->
-            if Alloc.assignment alloc j = Some other then
+            if Alloc.host alloc j = other then
               acc +. (rho *. App.output_size app j)
             else acc)
           acc (Optree.children tree i))
@@ -55,25 +66,48 @@ let pair_flow app alloc u v =
   in
   flow_into u v +. flow_into v u
 
+(* Distinct object types of processor [u]'s group, ascending: [stamp.(k)
+   = u] marks the types already collected for [u]. *)
+let distinct_objects tree stamp alloc u =
+  let acc = ref [] in
+  let mark k =
+    if stamp.(k) <> u then begin
+      stamp.(k) <- u;
+      acc := k :: !acc
+    end
+  in
+  List.iter (fun i -> List.iter mark (Optree.leaves tree i)) (Alloc.operators_of alloc u);
+  List.sort Int.compare !acc
+
+(* Structural violations, plus each processor's distinct needed objects
+   (ascending) for the capacity pass. *)
 let structural_violations app platform alloc =
   let servers = platform.Platform.servers in
+  let tree = App.tree app in
+  let n_types = Optree.n_object_types tree in
+  let n_procs = Alloc.n_procs alloc in
+  let needed_of = Array.make n_procs [] in
+  let need_stamp = Array.make n_types (-1) in
+  let plan_stamp = Array.make n_types (-1) in
+  let stamped stamp u k = k >= 0 && k < n_types && stamp.(k) = u in
   let acc = ref [] in
   let add v = acc := v :: !acc in
   for i = 0 to App.n_operators app - 1 do
-    if Alloc.assignment alloc i = None then add (Unassigned_operator i)
+    if Alloc.host alloc i < 0 then add (Unassigned_operator i)
   done;
-  for u = 0 to Alloc.n_procs alloc - 1 do
-    let needed = Demand.distinct_objects app (Alloc.operators_of alloc u) in
+  for u = 0 to n_procs - 1 do
+    let needed = distinct_objects tree need_stamp alloc u in
+    needed_of.(u) <- needed;
     let planned = Alloc.downloads_of alloc u in
-    let planned_types = List.map fst planned in
+    List.iter (fun (k, _) -> if k >= 0 && k < n_types then plan_stamp.(k) <- u) planned;
     List.iter
       (fun k ->
-        if not (List.mem k planned_types) then
+        if not (stamped plan_stamp u k) then
           add (Missing_download { proc = u; object_type = k }))
       needed;
     List.iter
       (fun (k, l) ->
-        if not (List.mem k needed) then
+        if not (stamped need_stamp u k) then
           add (Extraneous_download { proc = u; object_type = k });
         if
           l < 0
@@ -82,16 +116,108 @@ let structural_violations app platform alloc =
         then add (Not_held { proc = u; object_type = k; server = l }))
       planned;
     (* The same object type downloaded from several servers doubles its
-       NIC load; the plan is malformed even when each entry is valid. *)
-    List.iter
-      (fun k ->
-        if List.length (List.filter (fun k' -> k' = k) planned_types) > 1
-        then add (Duplicate_download { proc = u; object_type = k }))
-      (List.sort_uniq compare planned_types)
+       NIC load; the plan is malformed even when each entry is valid.
+       The plan is sorted, so one type's entries are adjacent. *)
+    let rec skip k = function
+      | (k', _) :: rest when k' = k -> skip k rest
+      | rest -> rest
+    in
+    let rec duplicates = function
+      | (k, _) :: (k', _) :: rest when k = k' ->
+        add (Duplicate_download { proc = u; object_type = k });
+        duplicates (skip k rest)
+      | _ :: rest -> duplicates rest
+      | [] -> ()
+    in
+    duplicates planned
   done;
-  List.rev !acc
+  (List.rev !acc, needed_of)
 
-let capacity_violations app platform alloc =
+(* Constraint (5), per processor pair, in one pass over the tree edges
+   instead of probing all O(procs^2) pairs through [pair_flow].  Host
+   [u]'s directed flows into each neighbour [v] (children on [v] of
+   operators on [u]) all arrive while [u] is visited — members in list
+   order, children in tree order, exactly the order [pair_flow u v]
+   sums them — and are stored as row [u] of a CSR table sorted by [v].
+   The transposed table lists each processor's incoming flows by
+   ascending source, so merging row [a] with column [a] visits the
+   pairs [(a, b)], [b > a], in ascending order and sums
+   [into (a, b) +. into (b, a)] like [pair_flow a b]: the reported
+   loads are bit-identical.  Pairs no edge touches carry zero flow and
+   can never exceed the non-negative capacity. *)
+let proc_link_violations app platform alloc add =
+  let tree = App.tree app in
+  let rho = App.rho app in
+  let output = App.output_sizes app in
+  let n_procs = Alloc.n_procs alloc in
+  let cap = max 1 (App.n_operators app) in
+  let row = Array.make (n_procs + 1) 0 in
+  let dst = Array.make cap 0 and out_w = Array.make cap 0.0 in
+  let stamp = Array.make n_procs (-1) and into = Array.make n_procs 0.0 in
+  let m = ref 0 in
+  for u = 0 to n_procs - 1 do
+    row.(u) <- !m;
+    let child j =
+      let v = Alloc.host alloc j in
+      if v >= 0 && v <> u then begin
+        if stamp.(v) <> u then begin
+          (* first flow towards [v]: insert it into the sorted row *)
+          stamp.(v) <- u;
+          into.(v) <- 0.0;
+          let e = ref !m in
+          while !e > row.(u) && dst.(!e - 1) > v do
+            dst.(!e) <- dst.(!e - 1);
+            decr e
+          done;
+          dst.(!e) <- v;
+          incr m
+        end;
+        into.(v) <- into.(v) +. (rho *. output.(j))
+      end
+    in
+    List.iter (fun i -> List.iter child (Optree.children tree i)) (Alloc.operators_of alloc u);
+    for e = row.(u) to !m - 1 do
+      out_w.(e) <- into.(dst.(e))
+    done
+  done;
+  row.(n_procs) <- !m;
+  let col = Array.make (n_procs + 1) 0 in
+  for e = 0 to !m - 1 do
+    col.(dst.(e) + 1) <- col.(dst.(e) + 1) + 1
+  done;
+  for v = 0 to n_procs - 1 do
+    col.(v + 1) <- col.(v + 1) + col.(v)
+  done;
+  let fill = Array.sub col 0 n_procs in
+  let src = Array.make cap 0 and in_w = Array.make cap 0.0 in
+  for u = 0 to n_procs - 1 do
+    for e = row.(u) to row.(u + 1) - 1 do
+      let v = dst.(e) in
+      src.(fill.(v)) <- u;
+      in_w.(fill.(v)) <- out_w.(e);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  let capacity = platform.Platform.proc_link in
+  for a = 0 to n_procs - 1 do
+    let o = ref row.(a) and c = ref col.(a) in
+    while !o < row.(a + 1) && dst.(!o) < a do incr o done;
+    while !c < col.(a + 1) && src.(!c) < a do incr c done;
+    while !o < row.(a + 1) || !c < col.(a + 1) do
+      let bo = if !o < row.(a + 1) then dst.(!o) else max_int in
+      let bc = if !c < col.(a + 1) then src.(!c) else max_int in
+      let b = min bo bc in
+      let fo = if bo = b then out_w.(!o) else 0.0 in
+      let fc = if bc = b then in_w.(!c) else 0.0 in
+      if bo = b then incr o;
+      if bc = b then incr c;
+      let load = fo +. fc in
+      if exceeds load capacity then
+        add (Proc_link_overload { proc_a = a; proc_b = b; load; capacity })
+    done
+  done
+
+let capacity_violations app platform alloc ~needed_of =
   let servers = platform.Platform.servers in
   let n_procs = Alloc.n_procs alloc in
   let acc = ref [] in
@@ -101,7 +227,7 @@ let capacity_violations app platform alloc =
      object set once the plan is structurally valid. *)
   for u = 0 to n_procs - 1 do
     let p = Alloc.proc alloc u in
-    let d = proc_demand app alloc u in
+    let d = group_demand app alloc u ~needed:needed_of.(u) in
     let config = p.Alloc.config in
     if exceeds d.Demand.compute config.cpu.speed then
       add
@@ -143,65 +269,12 @@ let capacity_violations app platform alloc =
         (Server_card_overload
            { server = l; load = !total; capacity = Servers.card servers l })
   done;
-  (* Constraint (5), per processor pair: one pass over the tree edges
-     instead of probing all O(procs²) pairs through [pair_flow].  Each
-     directed accumulator receives its contributions in exactly the
-     order [pair_flow u v] summed them (hosts in ascending index order,
-     members in list order, children in tree order), so the reported
-     loads are bit-identical; pairs no edge touches carry zero flow and
-     can never exceed the non-negative capacity. *)
-  let tree = App.tree app in
-  let rho = App.rho app in
-  (* Directed pairs are encoded as [u * n_procs + v]: the encoding is
-     monotone in lexicographic (u, v) order (v < n_procs), so sorting
-     the encoded undirected pairs visits them in the same order as
-     sorting the tuples — and int keys keep the hot inner loop free of
-     tuple allocation and polymorphic-hash traversal. *)
-  let enc u v = (u * n_procs) + v in
-  let into : (int, float) Hashtbl.t = Hashtbl.create (4 * n_procs) in
-  let pairs = ref [] in
-  for u = 0 to n_procs - 1 do
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            match Alloc.assignment alloc j with
-            | Some v when v <> u ->
-              if
-                (not (Hashtbl.mem into (enc u v)))
-                && not (Hashtbl.mem into (enc v u))
-              then pairs := enc (min u v) (max u v) :: !pairs;
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt into (enc u v))
-              in
-              Hashtbl.replace into (enc u v)
-                (prev +. (rho *. App.output_size app j))
-            | _ -> ())
-          (Optree.children tree i))
-      (Alloc.operators_of alloc u)
-  done;
-  List.iter
-    (fun key ->
-      let u = key / n_procs and v = key mod n_procs in
-      let directed a b =
-        Option.value ~default:0.0 (Hashtbl.find_opt into (enc a b))
-      in
-      let flow = directed u v +. directed v u in
-      if exceeds flow platform.Platform.proc_link then
-        add
-          (Proc_link_overload
-             {
-               proc_a = u;
-               proc_b = v;
-               load = flow;
-               capacity = platform.Platform.proc_link;
-             }))
-    (List.sort_uniq compare !pairs);
+  proc_link_violations app platform alloc add;
   List.rev !acc
 
 let check app platform alloc =
-  let structural = structural_violations app platform alloc in
-  structural @ capacity_violations app platform alloc
+  let structural, needed_of = structural_violations app platform alloc in
+  structural @ capacity_violations app platform alloc ~needed_of
 
 let is_feasible app platform alloc = check app platform alloc = []
 

@@ -17,38 +17,45 @@ let distinct_objects app group =
   let tree = App.tree app in
   List.concat_map (Optree.leaves tree) group |> List.sort_uniq compare
 
-let of_group app group =
-  let group = List.sort_uniq compare group in
+(* Accumulators for [sum]: an all-float record is stored flat, so the
+   closures below update it without boxing. *)
+type acc = {
+  mutable a_compute : float;
+  mutable a_download : float;
+  mutable a_comm_in : float;
+  mutable a_comm_out : float;
+}
+
+let sum app group ~in_group ~needed =
   let tree = App.tree app in
-  let in_group i = List.mem i group in
   let rho = App.rho app in
-  let compute =
-    List.fold_left (fun acc i -> acc +. (rho *. App.work app i)) 0.0 group
+  let work = App.works app and output = App.output_sizes app in
+  let s = { a_compute = 0.0; a_download = 0.0; a_comm_in = 0.0; a_comm_out = 0.0 } in
+  let child j =
+    if not (in_group j) then s.a_comm_in <- s.a_comm_in +. (rho *. output.(j))
   in
-  let download =
-    List.fold_left
-      (fun acc k -> acc +. App.download_rate app k)
-      0.0
-      (distinct_objects app group)
-  in
-  let comm_in =
-    List.fold_left
-      (fun acc i ->
-        List.fold_left
-          (fun acc j ->
-            if in_group j then acc else acc +. (rho *. App.output_size app j))
-          acc (Optree.children tree i))
-      0.0 group
-  in
-  let comm_out =
-    List.fold_left
-      (fun acc i ->
-        match Optree.parent tree i with
-        | Some p when not (in_group p) -> acc +. (rho *. App.output_size app i)
-        | Some _ | None -> acc)
-      0.0 group
-  in
-  { compute; download; comm_in; comm_out }
+  List.iter
+    (fun i ->
+      s.a_compute <- s.a_compute +. (rho *. work.(i));
+      List.iter child (Optree.children tree i);
+      match Optree.parent tree i with
+      | Some p when not (in_group p) ->
+        s.a_comm_out <- s.a_comm_out +. (rho *. output.(i))
+      | Some _ | None -> ())
+    group;
+  List.iter (fun k -> s.a_download <- s.a_download +. App.download_rate app k) needed;
+  {
+    compute = s.a_compute;
+    download = s.a_download;
+    comm_in = s.a_comm_in;
+    comm_out = s.a_comm_out;
+  }
+
+let of_group app group =
+  let group = List.sort_uniq Int.compare group in
+  sum app group
+    ~in_group:(fun i -> List.mem i group)
+    ~needed:(distinct_objects app group)
 
 let of_operator app i = of_group app [ i ]
 
@@ -60,7 +67,7 @@ let fits (config : Catalog.config) t =
   leq t.compute config.cpu.speed && leq (nic t) config.nic.bandwidth
 
 let max_crossing_edge app group =
-  let group = List.sort_uniq compare group in
+  let group = List.sort_uniq Int.compare group in
   let tree = App.tree app in
   let in_group i = List.mem i group in
   let rho = App.rho app in

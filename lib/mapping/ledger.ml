@@ -1,86 +1,297 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 module Arena = Insp_util.Arena
 module Obs = Insp_obs.Obs
-module Imap = Map.Make (Int)
 
 (* Commit-path allocation attribution (DESIGN.md §17): every mutation
    and probe below brackets its body with Obs.prof_enter/prof_exit —
    explicit pairs, not a closure wrapper, so the unprofiled hot path
    (millions of probes per 100k solve) allocates nothing extra.
    Argument guards raise before the enter; each function has a single
-   exit point after its last mutation. *)
+   exit point after its last mutation.
+
+   The state is one flat representation (DESIGN.md §16.1): per-processor
+   sorted rows of plain arrays, mutated in place.  The hot path reads
+   every float from a float array — the application's own work and
+   output arrays, shared — because a float returned from or passed to a
+   function of another compilation unit is boxed; helpers take an
+   operator index rather than a float weight for the same reason. *)
 
 type proc_id = int
 
-(* Directional flow over one processor pair.  [out_w] sums rho*delta of
-   tree edges whose child lives on the owning processor and whose parent
-   lives on the neighbour; [in_w] is the opposite direction.  [edges]
-   counts contributing tree edges so the entry can be dropped exactly
-   when it empties (killing float drift). *)
-type flow = { out_w : float; in_w : float; edges : int }
+(* Rows live in per-ledger slabs.  A row is the region
+   [off, off + capacity) of its slab's columns with [len] entries in
+   use, sorted by [key], ties broken by [aux]; [fa]/[fb] are float
+   payload columns, empty in the int-only slab.  Capacities come in
+   power-of-two size classes.  A row that outgrows its region moves to
+   one of the next class and frees the old one onto its class's free
+   list (chained through [key]), where the next row of that size reuses
+   it: rows recycle each other's regions instead of leaving garbage, so
+   a steady-state commit allocates nothing. *)
+type slab = {
+  mutable key : int array;
+  mutable aux : int array;
+  mutable fa : float array;
+  mutable fb : float array;
+  mutable top : int;  (* first never-used index *)
+  mutable free : int array;  (* per size class: first free region, -1 if none *)
+}
 
-let no_flow = { out_w = 0.0; in_w = 0.0; edges = 0 }
+type row = {
+  s : slab;
+  mutable off : int;
+  mutable cls : int;  (* size class, -1 while the row owns no region *)
+  mutable len : int;
+}
 
-(* Structure-of-arrays processor state: every per-processor quantity is
-   an [Arena] column keyed by the processor id.  Scalar loads live in
-   unboxed float columns; the keyed interior tables (needed objects,
-   download plan, pair flows) are int-keyed persistent maps whose
-   ascending-key iteration replaces the old sort-a-Hashtbl-snapshot
-   sweeps — same observable order, no per-query sort. *)
+(* One processor's state, created when it first receives an operator or
+   a download; until then (and once removed) its slot holds the shared,
+   never-mutated [empty].  [loads] holds the scalar loads at the indices
+   below, then the link load from each server; [link_entries] counts the
+   download entries behind each link load. *)
+type proc = {
+  some : proc_id option;  (* [Some id], shared by every [assignment] answer *)
+  mutable ops : int list;  (* [members] as a list, valid while [ops_fresh] *)
+  mutable ops_fresh : bool;
+  loads : float array;
+  link_entries : int array;
+  members : row;  (* operators; aux unused *)
+  needs : row;  (* needed object types; aux = #hosted operators needing it *)
+  dls : row;  (* download plan (object type, server); aux = server *)
+  flows : row;
+      (* neighbour processors; aux = #tree edges, fa = out_w (edges whose
+         child lives here and whose parent lives on the neighbour),
+         fb = in_w (the opposite direction) *)
+}
+
+let compute_ = 0
+let comm_in_ = 1
+let comm_out_ = 2
+let need_rate_ = 3  (* download rate of the distinct needed objects *)
+let dl_rate_ = 4  (* total planned download rate (MB/s) *)
+let link_ = 5
+
 type t = {
   app : App.t;
   platform : Platform.t;
+  n_servers : int;
+  ints : slab;  (* members, needs and download rows *)
+  floats : slab;  (* flow rows *)
+  rho : float;
+  work : float array;  (* w_i, App's array *)
+  output : float array;  (* delta_i, App's array *)
+  rate : float array;  (* download rate per object type *)
   arena : Arena.t;  (* processor id allocator + generation stamps *)
-  config : Catalog.config Arena.col;
-  members : int list Arena.col;  (* sorted *)
-  compute : Arena.fcol;
-  comm_in : Arena.fcol;
-  comm_out : Arena.fcol;
-  needs : int Imap.t Arena.col;  (* object type -> #hosted operators needing it *)
-  need_rate : Arena.fcol;  (* download rate of the distinct needed objects *)
-  dls : int list Imap.t Arena.col;  (* object type -> sorted distinct servers *)
-  dl_rate : Arena.fcol;  (* total planned download rate (MB/s) *)
-  dl_entries : int Arena.col;
-  flows : flow Imap.t Arena.col;
-  assign : proc_id option array;
+  host : int array;  (* operator -> processor, -1 when unassigned *)
+  mutable configs : Catalog.config array;  (* by id *)
+  mutable procs : proc array;  (* by id *)
+  empty : proc;
+  mutable moved : int array;  (* merge scratch *)
   card_load : float array;  (* per-server aggregate download load *)
   card_entries : int array;
-  link_load : Arena.fcol array;  (* per server: processor -> link load *)
-  link_entries : int Arena.col array;
+  (* probe_add scratch: pair-flow deltas towards [pv.(j)], j < [pn],
+     ascending, weights in [pw.(j)]; would-be comm_in, comm_out and
+     download in [ps] *)
+  pv : int array;
+  pw : float array;
+  mutable pn : int;
+  ps : float array;
 }
 
 type probe = { demand : Demand.t; pair_flows : (proc_id * float) list }
 
+let slab ~floats =
+  let f = if floats then Array.make 8 0.0 else [||] in
+  {
+    key = Array.make 8 0;
+    aux = Array.make 8 0;
+    fa = f;
+    fb = Array.copy f;
+    top = 0;
+    free = Array.make 8 (-1);
+  }
+
+let row s = { s; off = 0; cls = -1; len = 0 }
+
+let new_proc ~ints ~floats ~n_servers id =
+  {
+    some = Some id;
+    ops = [];
+    ops_fresh = true;
+    loads = Array.make (link_ + n_servers) 0.0;
+    link_entries = Array.make n_servers 0;
+    members = row ints;
+    needs = row ints;
+    dls = row ints;
+    flows = row floats;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Sorted rows                                                         *)
+
+let capacity cls = 1 lsl cls
+
+(* [a] grown to length [n], padded with [z]. *)
+let extend a n z =
+  let b = Array.make n z in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A free region of size class [c]: recycled, or carved from the top. *)
+let region s c =
+  if c >= Array.length s.free then s.free <- extend s.free (c + 1) (-1);
+  let off = s.free.(c) in
+  if off >= 0 then begin
+    s.free.(c) <- s.key.(off);
+    off
+  end
+  else begin
+    let off = s.top in
+    s.top <- off + capacity c;
+    if s.top > Array.length s.key then begin
+      let n = max s.top (2 * Array.length s.key) in
+      s.key <- extend s.key n 0;
+      s.aux <- extend s.aux n 0;
+      if Array.length s.fa > 0 then begin
+        s.fa <- extend s.fa n 0.0;
+        s.fb <- extend s.fb n 0.0
+      end
+    end;
+    off
+  end
+
+let release r =
+  if r.cls >= 0 then begin
+    r.s.key.(r.off) <- r.s.free.(r.cls);
+    r.s.free.(r.cls) <- r.off;
+    r.off <- 0;
+    r.cls <- -1;
+    r.len <- 0
+  end
+
+(* Positions are absolute slab indices.  First position whose entry is
+   >= (k, v); [v = min_int] searches by key alone. *)
+let search r k v =
+  let lo = ref r.off and hi = ref (r.off + r.len) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let km = r.s.key.(mid) in
+    if km < k || (km = k && r.s.aux.(mid) < v) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let at r p k = p < r.off + r.len && r.s.key.(p) = k
+
+let has r k = at r (search r k min_int) k
+
+(* Inserts (k, v) at position [p] (from [search]) with zero float
+   payload and returns the entry's position, which moves when the row
+   does.  Shifts are explicit loops: a statically typed int/float array
+   store needs no write barrier. *)
+let insert r p k v =
+  let s = r.s in
+  let floats = Array.length s.fa > 0 in
+  let p =
+    if r.cls >= 0 && r.len < capacity r.cls then p
+    else begin
+      let off = region s (r.cls + 1) in
+      for j = 0 to r.len - 1 do
+        s.key.(off + j) <- s.key.(r.off + j);
+        s.aux.(off + j) <- s.aux.(r.off + j);
+        if floats then begin
+          s.fa.(off + j) <- s.fa.(r.off + j);
+          s.fb.(off + j) <- s.fb.(r.off + j)
+        end
+      done;
+      let p = off + (p - r.off) and len = r.len and cls = r.cls + 1 in
+      release r;
+      r.off <- off;
+      r.cls <- cls;
+      r.len <- len;
+      p
+    end
+  in
+  for j = r.off + r.len downto p + 1 do
+    s.key.(j) <- s.key.(j - 1);
+    s.aux.(j) <- s.aux.(j - 1);
+    if floats then begin
+      s.fa.(j) <- s.fa.(j - 1);
+      s.fb.(j) <- s.fb.(j - 1)
+    end
+  done;
+  if floats then begin
+    s.fa.(p) <- 0.0;
+    s.fb.(p) <- 0.0
+  end;
+  s.key.(p) <- k;
+  s.aux.(p) <- v;
+  r.len <- r.len + 1;
+  p
+
+let delete r p =
+  let s = r.s in
+  let floats = Array.length s.fa > 0 in
+  for j = p to r.off + r.len - 2 do
+    s.key.(j) <- s.key.(j + 1);
+    s.aux.(j) <- s.aux.(j + 1);
+    if floats then begin
+      s.fa.(j) <- s.fa.(j + 1);
+      s.fb.(j) <- s.fb.(j + 1)
+    end
+  done;
+  r.len <- r.len - 1
+
+let keys r = List.init r.len (fun j -> r.s.key.(r.off + j))
+
+(* ------------------------------------------------------------------ *)
+(* Processors                                                          *)
+
 let create app platform =
   let n_servers = Servers.n_servers platform.Platform.servers in
+  let ints = slab ~floats:false and floats = slab ~floats:true in
+  let n_types = Objects.count (App.objects app) in
+  let rate = Array.make n_types 0.0 in
+  for k = 0 to n_types - 1 do
+    rate.(k) <- App.download_rate app k
+  done;
+  let empty = new_proc ~ints ~floats ~n_servers (-1) in
   {
     app;
     platform;
+    n_servers;
+    ints;
+    floats;
+    rho = App.rho app;
+    work = App.works app;
+    output = App.output_sizes app;
+    rate;
     arena = Arena.create ();
-    config = Arena.col (Catalog.cheapest platform.Platform.catalog);
-    members = Arena.col [];
-    compute = Arena.fcol 0.0;
-    comm_in = Arena.fcol 0.0;
-    comm_out = Arena.fcol 0.0;
-    needs = Arena.col Imap.empty;
-    need_rate = Arena.fcol 0.0;
-    dls = Arena.col Imap.empty;
-    dl_rate = Arena.fcol 0.0;
-    dl_entries = Arena.col 0;
-    flows = Arena.col Imap.empty;
-    assign = Array.make (App.n_operators app) None;
+    host = Array.make (App.n_operators app) (-1);
+    configs = Array.make 16 (Catalog.cheapest platform.Platform.catalog);
+    procs = Array.make 16 empty;
+    empty;
+    moved = [||];
     card_load = Array.make n_servers 0.0;
     card_entries = Array.make n_servers 0;
-    link_load = Array.init n_servers (fun _ -> Arena.fcol 0.0);
-    link_entries = Array.init n_servers (fun _ -> Arena.col 0);
+    pv = Array.make 3 0;
+    pw = Array.make 3 0.0;
+    pn = 0;
+    ps = Array.make 3 0.0;
   }
+
+(* [rho * delta_c], the flow of tree edge (c -> parent). *)
+let[@inline] flow t c = t.rho *. t.output.(c)
 
 let check_live t u =
   if not (Arena.is_live t.arena u) then invalid_arg "Ledger: dead processor id"
+
+let proc t u =
+  check_live t u;
+  t.procs.(u)
 
 let n_procs t = Arena.n_live t.arena
 let proc_ids t = Arena.live_ids t.arena
@@ -95,231 +306,256 @@ let bump t u = Arena.touch t.arena u
 
 let config t u =
   check_live t u;
-  Arena.get t.config u
+  t.configs.(u)
 
 let set_config t u cfg =
   check_live t u;
-  Arena.set t.config u cfg;
+  t.configs.(u) <- cfg;
   bump t u
 
+(* [u]'s state, created on its first mutation. *)
+let materialize t u =
+  let p = t.procs.(u) in
+  if p != t.empty then p
+  else begin
+    let p = new_proc ~ints:t.ints ~floats:t.floats ~n_servers:t.n_servers u in
+    t.procs.(u) <- p;
+    p
+  end
+
+(* Built once per membership change: callers may read a group's members
+   many times between edits. *)
 let operators_of t u =
-  check_live t u;
-  Arena.get t.members u
+  let p = proc t u in
+  if not p.ops_fresh then begin
+    p.ops <- keys p.members;
+    p.ops_fresh <- true
+  end;
+  p.ops
 
-let assignment t i = t.assign.(i)
+let assignment t i =
+  let u = t.host.(i) in
+  if u < 0 then None else t.procs.(u).some
 
-let downloads_list t u =
-  List.concat_map
-    (fun (k, ls) -> List.map (fun l -> (k, l)) ls)
-    (Imap.bindings (Arena.get t.dls u))
-
-let downloads_of t u =
-  check_live t u;
-  downloads_list t u
+let downloads_list p =
+  let r = p.dls in
+  List.init r.len (fun j -> (r.s.key.(r.off + j), r.s.aux.(r.off + j)))
+let downloads_of t u = downloads_list (proc t u)
 
 let add_proc t cfg =
   let id = Arena.alloc t.arena in
-  Arena.set t.config id cfg;
-  Arena.set t.members id [];
-  Arena.fset t.compute id 0.0;
-  Arena.fset t.comm_in id 0.0;
-  Arena.fset t.comm_out id 0.0;
-  Arena.set t.needs id Imap.empty;
-  Arena.fset t.need_rate id 0.0;
-  Arena.set t.dls id Imap.empty;
-  Arena.fset t.dl_rate id 0.0;
-  Arena.set t.dl_entries id 0;
-  Arena.set t.flows id Imap.empty;
+  if id >= Array.length t.procs then begin
+    let n = 2 * id in
+    t.procs <- extend t.procs n t.empty;
+    t.configs <- extend t.configs n cfg
+  end;
+  t.procs.(id) <- t.empty;
+  t.configs.(id) <- cfg;
   id
-
-(* ------------------------------------------------------------------ *)
-(* Sorted member-list helpers                                          *)
-
-let rec insert_sorted i = function
-  | [] -> [ i ]
-  | x :: rest when x < i -> x :: insert_sorted i rest
-  | l -> i :: l
-
-let uniq_leaves tree i = List.sort_uniq compare (Optree.leaves tree i)
 
 (* ------------------------------------------------------------------ *)
 (* Pair-flow bookkeeping                                               *)
 
-let flow_of t u v =
-  match Imap.find_opt v (Arena.get t.flows u) with
-  | Some f -> f
-  | None -> no_flow
+(* Position of neighbour [v] in row [r], inserted empty when absent. *)
+let slot r v =
+  let p = search r v min_int in
+  if at r p v then p else insert r p v 0
 
-(* Record one tree edge whose child lives on [child_proc] and whose
-   parent lives on [parent_proc], carrying [w] MB/s. *)
-let add_edge_flow t ~child_proc ~parent_proc w =
-  let fc = flow_of t child_proc parent_proc in
-  let fp = flow_of t parent_proc child_proc in
-  Arena.set t.flows child_proc
-    (Imap.add parent_proc
-       { fc with out_w = fc.out_w +. w; edges = fc.edges + 1 }
-       (Arena.get t.flows child_proc));
-  Arena.set t.flows parent_proc
-    (Imap.add child_proc
-       { fp with in_w = fp.in_w +. w; edges = fp.edges + 1 }
-       (Arena.get t.flows parent_proc));
+(* Record tree edge (c -> parent), [c] living on [child_proc] and its
+   parent on [parent_proc]. *)
+let add_edge_flow t ~child_proc ~parent_proc c =
+  let w = flow t c in
+  let s = t.floats in
+  let p = slot t.procs.(child_proc).flows parent_proc in
+  s.fa.(p) <- s.fa.(p) +. w;
+  s.aux.(p) <- s.aux.(p) + 1;
+  let p = slot t.procs.(parent_proc).flows child_proc in
+  s.fb.(p) <- s.fb.(p) +. w;
+  s.aux.(p) <- s.aux.(p) + 1;
   bump t child_proc;
   bump t parent_proc
 
-let remove_edge_flow t ~child_proc ~parent_proc w =
-  let fc = flow_of t child_proc parent_proc in
-  let fp = flow_of t parent_proc child_proc in
-  let fc = { fc with out_w = fc.out_w -. w; edges = fc.edges - 1 } in
-  let fp = { fp with in_w = fp.in_w -. w; edges = fp.edges - 1 } in
-  Arena.set t.flows child_proc
-    (if fc.edges <= 0 then Imap.remove parent_proc (Arena.get t.flows child_proc)
-     else Imap.add parent_proc fc (Arena.get t.flows child_proc));
-  Arena.set t.flows parent_proc
-    (if fp.edges <= 0 then Imap.remove child_proc (Arena.get t.flows parent_proc)
-     else Imap.add child_proc fp (Arena.get t.flows parent_proc));
+(* The entry is dropped exactly when its edge count empties, which kills
+   float drift. *)
+let remove_edge_flow t ~child_proc ~parent_proc c =
+  let w = flow t c in
+  let s = t.floats in
+  let r = t.procs.(child_proc).flows in
+  let p = search r parent_proc min_int in
+  if at r p parent_proc then begin
+    s.fa.(p) <- s.fa.(p) -. w;
+    s.aux.(p) <- s.aux.(p) - 1;
+    if s.aux.(p) <= 0 then delete r p
+  end;
+  let r = t.procs.(parent_proc).flows in
+  let p = search r child_proc min_int in
+  if at r p child_proc then begin
+    s.fb.(p) <- s.fb.(p) -. w;
+    s.aux.(p) <- s.aux.(p) - 1;
+    if s.aux.(p) <= 0 then delete r p
+  end;
   bump t child_proc;
   bump t parent_proc
 
 let pair_flow t u v =
-  match Imap.find_opt v (Arena.get t.flows u) with
-  | Some f -> f.out_w +. f.in_w
-  | None -> 0.0
+  let r = t.procs.(u).flows in
+  let p = search r v min_int in
+  if at r p v then r.s.fa.(p) +. r.s.fb.(p) else 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Operator placement deltas                                           *)
 
+(* [f] on the distinct leaves of an operator, ascending.  A validated
+   tree gives an operator at most two leaves. *)
+let iter_leaves f t p = function
+  | [] -> ()
+  | [ k ] -> f t p k
+  | [ a; b ] ->
+    if a < b then (f t p a; f t p b)
+    else if b < a then (f t p b; f t p a)
+    else f t p a
+  | ks -> List.iter (f t p) (List.sort_uniq Int.compare ks)
+
+let add_need t p k =
+  let r = p.needs in
+  let pos = search r k min_int in
+  if at r pos k then r.s.aux.(pos) <- r.s.aux.(pos) + 1
+  else begin
+    p.loads.(need_rate_) <- p.loads.(need_rate_) +. t.rate.(k);
+    ignore (insert r pos k 1)
+  end
+
+let remove_need t p k =
+  let r = p.needs in
+  let pos = search r k min_int in
+  if r.s.aux.(pos) > 1 then r.s.aux.(pos) <- r.s.aux.(pos) - 1
+  else begin
+    delete r pos;
+    p.loads.(need_rate_) <-
+      (if r.len = 0 then 0.0 else p.loads.(need_rate_) -. t.rate.(k))
+  end
+
+let rec attach_children t u p = function
+  | [] -> ()
+  | c :: rest ->
+    let v = t.host.(c) in
+    if v = u then
+      (* edge (c -> i) becomes internal: c no longer sends out *)
+      p.loads.(comm_out_) <- p.loads.(comm_out_) -. flow t c
+    else begin
+      p.loads.(comm_in_) <- p.loads.(comm_in_) +. flow t c;
+      if v >= 0 then add_edge_flow t ~child_proc:v ~parent_proc:u c
+    end;
+    attach_children t u p rest
+
 let add_operator t u i =
-  if t.assign.(i) <> None then
+  if t.host.(i) >= 0 then
     invalid_arg "Ledger.add_operator: operator already assigned";
   check_live t u;
   Obs.prof_enter "ledger.add_op";
-  let app = t.app in
-  let tree = App.tree app in
-  let rho = App.rho app in
-  Arena.fset t.compute u
-    (Arena.fget t.compute u +. (rho *. App.work app i));
-  List.iter
-    (fun c ->
-      let w = rho *. App.output_size app c in
-      match t.assign.(c) with
-      | Some v when v = u ->
-        (* edge (c -> i) becomes internal: c no longer sends out *)
-        Arena.fset t.comm_out u (Arena.fget t.comm_out u -. w)
-      | other -> (
-        Arena.fset t.comm_in u (Arena.fget t.comm_in u +. w);
-        match other with
-        | Some v -> add_edge_flow t ~child_proc:v ~parent_proc:u w
-        | None -> ()))
-    (Optree.children tree i);
+  let tree = App.tree t.app in
+  let p = materialize t u in
+  p.loads.(compute_) <- p.loads.(compute_) +. (t.rho *. t.work.(i));
+  attach_children t u p (Optree.children tree i);
   (match Optree.parent tree i with
   | None -> ()
-  | Some pr -> (
-    let w = rho *. App.output_size app i in
-    match t.assign.(pr) with
-    | Some v when v = u -> Arena.fset t.comm_in u (Arena.fget t.comm_in u -. w)
-    | other -> (
-      Arena.fset t.comm_out u (Arena.fget t.comm_out u +. w);
-      match other with
-      | Some v -> add_edge_flow t ~child_proc:u ~parent_proc:v w
-      | None -> ())));
-  let needs = ref (Arena.get t.needs u) in
-  List.iter
-    (fun k ->
-      let c = Option.value ~default:0 (Imap.find_opt k !needs) in
-      if c = 0 then
-        Arena.fset t.need_rate u
-          (Arena.fget t.need_rate u +. App.download_rate app k);
-      needs := Imap.add k (c + 1) !needs)
-    (uniq_leaves tree i);
-  Arena.set t.needs u !needs;
-  Arena.set t.members u (insert_sorted i (Arena.get t.members u));
-  t.assign.(i) <- Some u;
+  | Some pr ->
+    let v = t.host.(pr) in
+    if v = u then p.loads.(comm_in_) <- p.loads.(comm_in_) -. flow t i
+    else begin
+      p.loads.(comm_out_) <- p.loads.(comm_out_) +. flow t i;
+      if v >= 0 then add_edge_flow t ~child_proc:u ~parent_proc:v i
+    end);
+  iter_leaves add_need t p (Optree.leaves tree i);
+  ignore (insert p.members (search p.members i min_int) i 0);
+  p.ops_fresh <- false;
+  t.host.(i) <- u;
+  bump t u;
+  Obs.prof_exit ()
+
+let rec detach_children t u p = function
+  | [] -> ()
+  | c :: rest ->
+    let v = t.host.(c) in
+    if v = u then
+      (* edge (c -> i) becomes crossing again: c sends out *)
+      p.loads.(comm_out_) <- p.loads.(comm_out_) +. flow t c
+    else begin
+      p.loads.(comm_in_) <- p.loads.(comm_in_) -. flow t c;
+      if v >= 0 then remove_edge_flow t ~child_proc:v ~parent_proc:u c
+    end;
+    detach_children t u p rest
+
+(* Everything [remove_operator] does except dropping [i] from the member
+   row, which keeps [remaining] operators: bulk removals clear the row
+   once instead of shifting it per operator. *)
+let detach t u i ~remaining =
+  Obs.prof_enter "ledger.remove_op";
+  let tree = App.tree t.app in
+  let p = t.procs.(u) in
+  p.loads.(compute_) <- p.loads.(compute_) -. (t.rho *. t.work.(i));
+  detach_children t u p (Optree.children tree i);
+  (match Optree.parent tree i with
+  | None -> ()
+  | Some pr ->
+    let v = t.host.(pr) in
+    if v = u then p.loads.(comm_in_) <- p.loads.(comm_in_) +. flow t i
+    else begin
+      p.loads.(comm_out_) <- p.loads.(comm_out_) -. flow t i;
+      if v >= 0 then remove_edge_flow t ~child_proc:u ~parent_proc:v i
+    end);
+  iter_leaves remove_need t p (Optree.leaves tree i);
+  t.host.(i) <- -1;
+  if remaining = 0 then begin
+    (* Exact reset: an empty group carries exactly zero load, so any
+       accumulated float drift dies here. *)
+    p.loads.(compute_) <- 0.0;
+    p.loads.(comm_in_) <- 0.0;
+    p.loads.(comm_out_) <- 0.0
+  end;
   bump t u;
   Obs.prof_exit ()
 
 let remove_operator t i =
-  match t.assign.(i) with
-  | None -> invalid_arg "Ledger.remove_operator: operator not assigned"
-  | Some u ->
-    Obs.prof_enter "ledger.remove_op";
-    let app = t.app in
-    let tree = App.tree app in
-    let rho = App.rho app in
-    Arena.fset t.compute u
-      (Arena.fget t.compute u -. (rho *. App.work app i));
-    List.iter
-      (fun c ->
-        let w = rho *. App.output_size app c in
-        match t.assign.(c) with
-        | Some v when v = u ->
-          (* edge (c -> i) becomes crossing again: c sends out *)
-          Arena.fset t.comm_out u (Arena.fget t.comm_out u +. w)
-        | other -> (
-          Arena.fset t.comm_in u (Arena.fget t.comm_in u -. w);
-          match other with
-          | Some v -> remove_edge_flow t ~child_proc:v ~parent_proc:u w
-          | None -> ()))
-      (Optree.children tree i);
-    (match Optree.parent tree i with
-    | None -> ()
-    | Some pr -> (
-      let w = rho *. App.output_size app i in
-      match t.assign.(pr) with
-      | Some v when v = u ->
-        Arena.fset t.comm_in u (Arena.fget t.comm_in u +. w)
-      | other -> (
-        Arena.fset t.comm_out u (Arena.fget t.comm_out u -. w);
-        match other with
-        | Some v -> remove_edge_flow t ~child_proc:u ~parent_proc:v w
-        | None -> ())));
-    let needs = ref (Arena.get t.needs u) in
-    List.iter
-      (fun k ->
-        match Imap.find_opt k !needs with
-        | Some 1 ->
-          needs := Imap.remove k !needs;
-          Arena.fset t.need_rate u
-            (if Imap.is_empty !needs then 0.0
-             else Arena.fget t.need_rate u -. App.download_rate app k)
-        | Some c -> needs := Imap.add k (c - 1) !needs
-        | None -> assert false)
-      (uniq_leaves tree i);
-    Arena.set t.needs u !needs;
-    Arena.set t.members u
-      (List.filter (fun x -> x <> i) (Arena.get t.members u));
-    t.assign.(i) <- None;
-    if Arena.get t.members u = [] then begin
-      (* Exact reset: an empty group carries exactly zero load, so any
-         accumulated float drift dies here. *)
-      Arena.fset t.compute u 0.0;
-      Arena.fset t.comm_in u 0.0;
-      Arena.fset t.comm_out u 0.0
-    end;
-    bump t u;
-    Obs.prof_exit ()
+  let u = t.host.(i) in
+  if u < 0 then invalid_arg "Ledger.remove_operator: operator not assigned";
+  let m = t.procs.(u).members in
+  delete m (search m i min_int);
+  t.procs.(u).ops_fresh <- false;
+  detach t u i ~remaining:m.len
+
+(* Detaches every member, ascending, and empties the row. *)
+let detach_all t u =
+  let m = t.procs.(u).members in
+  let n = m.len in
+  if n > 0 then begin
+    m.len <- 0;
+    t.procs.(u).ops_fresh <- false
+  end;
+  for j = 0 to n - 1 do
+    detach t u m.s.key.(m.off + j) ~remaining:(n - 1 - j)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Download-plan deltas                                                *)
 
-let valid_server t l =
-  l >= 0 && l < Servers.n_servers t.platform.Platform.servers
+let valid_server t l = l >= 0 && l < t.n_servers
 
 let add_download t u ~obj:k ~server:l =
   check_live t u;
   Obs.prof_enter "ledger.add_download";
-  let dls = Arena.get t.dls u in
-  let servers = Option.value ~default:[] (Imap.find_opt k dls) in
-  if not (List.mem l servers) then begin
-    (* exact duplicate (k, l) entries are collapsed, mirroring Alloc *)
-    Arena.set t.dls u (Imap.add k (List.sort compare (l :: servers)) dls);
-    let rate = App.download_rate t.app k in
-    Arena.fset t.dl_rate u (Arena.fget t.dl_rate u +. rate);
-    Arena.set t.dl_entries u (Arena.get t.dl_entries u + 1);
+  let p = materialize t u in
+  let pos = search p.dls k l in
+  (* exact duplicate (k, l) entries are collapsed, mirroring Alloc *)
+  if not (at p.dls pos k && t.ints.aux.(pos) = l) then begin
+    let rate = t.rate.(k) in
+    ignore (insert p.dls pos k l);
+    p.loads.(dl_rate_) <- p.loads.(dl_rate_) +. rate;
     if valid_server t l then begin
       t.card_load.(l) <- t.card_load.(l) +. rate;
       t.card_entries.(l) <- t.card_entries.(l) + 1;
-      Arena.fset t.link_load.(l) u (Arena.fget t.link_load.(l) u +. rate);
-      Arena.set t.link_entries.(l) u (Arena.get t.link_entries.(l) u + 1)
+      p.loads.(link_ + l) <- p.loads.(link_ + l) +. rate;
+      p.link_entries.(l) <- p.link_entries.(l) + 1
     end;
     bump t u
   end;
@@ -328,124 +564,149 @@ let add_download t u ~obj:k ~server:l =
 let remove_download t u ~obj:k ~server:l =
   check_live t u;
   Obs.prof_enter "ledger.remove_download";
-  let dls = Arena.get t.dls u in
-  (match Imap.find_opt k dls with
-  | Some servers when List.mem l servers ->
-    let servers' = List.filter (fun x -> x <> l) servers in
-    Arena.set t.dls u
-      (if servers' = [] then Imap.remove k dls else Imap.add k servers' dls);
-    let rate = App.download_rate t.app k in
-    Arena.set t.dl_entries u (Arena.get t.dl_entries u - 1);
-    Arena.fset t.dl_rate u
-      (if Arena.get t.dl_entries u = 0 then 0.0
-       else Arena.fget t.dl_rate u -. rate);
+  let p = t.procs.(u) in
+  let pos = search p.dls k l in
+  if at p.dls pos k && t.ints.aux.(pos) = l then begin
+    let rate = t.rate.(k) in
+    delete p.dls pos;
+    p.loads.(dl_rate_) <-
+      (if p.dls.len = 0 then 0.0 else p.loads.(dl_rate_) -. rate);
     if valid_server t l then begin
       t.card_entries.(l) <- t.card_entries.(l) - 1;
       t.card_load.(l) <-
         (if t.card_entries.(l) = 0 then 0.0 else t.card_load.(l) -. rate);
-      let entries = Arena.get t.link_entries.(l) u - 1 in
-      Arena.set t.link_entries.(l) u entries;
-      Arena.fset t.link_load.(l) u
-        (if entries <= 0 then 0.0 else Arena.fget t.link_load.(l) u -. rate)
+      p.link_entries.(l) <- p.link_entries.(l) - 1;
+      p.loads.(link_ + l) <-
+        (if p.link_entries.(l) <= 0 then 0.0 else p.loads.(link_ + l) -. rate)
     end;
     bump t u
-  | Some _ | None -> ());
+  end;
   Obs.prof_exit ()
 
 let remove_proc t u =
   check_live t u;
-  List.iter (fun i -> remove_operator t i) (Arena.get t.members u);
-  List.iter
-    (fun (k, l) -> remove_download t u ~obj:k ~server:l)
-    (downloads_list t u);
+  detach_all t u;
+  let p = t.procs.(u) in
+  let dls = p.dls in
+  while dls.len > 0 do
+    remove_download t u ~obj:t.ints.key.(dls.off) ~server:t.ints.aux.(dls.off)
+  done;
+  if p != t.empty then begin
+    release p.members;
+    release p.needs;
+    release p.dls;
+    release p.flows
+  end;
   Arena.free t.arena u;
-  Arena.reset t.config u;
-  Arena.reset t.members u;
-  Arena.set t.needs u Imap.empty;
-  Arena.set t.dls u Imap.empty;
-  Arena.set t.flows u Imap.empty
+  t.procs.(u) <- t.empty
+
+let merge t ~winner ~loser =
+  if winner = loser then invalid_arg "Ledger.merge: same processor";
+  check_live t loser;
+  Obs.prof_enter "ledger.merge";
+  let m = t.procs.(loser).members in
+  let n = m.len in
+  if Array.length t.moved < n then t.moved <- Array.make (max 16 (2 * n)) 0;
+  Array.blit m.s.key m.off t.moved 0 n;
+  detach_all t loser;
+  remove_proc t loser;
+  for j = 0 to n - 1 do
+    add_operator t winner t.moved.(j)
+  done;
+  Obs.prof_exit ()
 
 (* ------------------------------------------------------------------ *)
 (* Demand queries and probes                                           *)
 
-let needed_objects t u =
-  List.map fst (Imap.bindings (Arena.get t.needs u))
-
 let demand t u =
-  check_live t u;
+  let p = proc t u in
   {
-    Demand.compute = Arena.fget t.compute u;
-    download = Arena.fget t.need_rate u;
-    comm_in = Arena.fget t.comm_in u;
-    comm_out = Arena.fget t.comm_out u;
+    Demand.compute = p.loads.(compute_);
+    download = p.loads.(need_rate_);
+    comm_in = p.loads.(comm_in_);
+    comm_out = p.loads.(comm_out_);
   }
 
 let nic_load t u =
-  check_live t u;
-  Arena.fget t.dl_rate u +. Arena.fget t.comm_in u +. Arena.fget t.comm_out u
+  let p = proc t u in
+  p.loads.(dl_rate_) +. p.loads.(comm_in_) +. p.loads.(comm_out_)
 
-let compute_load t u =
-  check_live t u;
-  Arena.fget t.compute u
+let compute_load t u = (proc t u).loads.(compute_)
 
 let card_load t l =
   if not (valid_server t l) then invalid_arg "Ledger.card_load: bad server";
   t.card_load.(l)
 
-(* Accumulate [w] against key [v] in a tiny assoc list. *)
-let acc_flow acc v w =
-  (* lint: allow p3 — probe deltas touch O(degree) neighbours, not O(procs) *)
-  let prev = Option.value ~default:0.0 (List.assoc_opt v acc) in
-  (v, prev +. w) :: List.remove_assoc v acc
-[@@lint.allow "p3"]
+(* Adds tree edge [c]'s weight to the scratch delta towards [v]. *)
+let add_delta t v c =
+  let j = ref 0 in
+  while !j < t.pn && t.pv.(!j) < v do incr j done;
+  if not (!j < t.pn && t.pv.(!j) = v) then begin
+    for k = t.pn downto !j + 1 do
+      t.pv.(k) <- t.pv.(k - 1);
+      t.pw.(k) <- t.pw.(k - 1)
+    done;
+    t.pv.(!j) <- v;
+    t.pw.(!j) <- 0.0;
+    t.pn <- t.pn + 1
+  end;
+  t.pw.(!j) <- t.pw.(!j) +. flow t c
+
+let probe_in_ = 0
+let probe_out_ = 1
+let probe_dl_ = 2
+
+let rec probe_children t u = function
+  | [] -> ()
+  | c :: rest ->
+    let v = t.host.(c) in
+    if v = u then t.ps.(probe_out_) <- t.ps.(probe_out_) -. flow t c
+    else begin
+      t.ps.(probe_in_) <- t.ps.(probe_in_) +. flow t c;
+      if v >= 0 then add_delta t v c
+    end;
+    probe_children t u rest
+
+let probe_need t p k =
+  if not (has p.needs k) then t.ps.(probe_dl_) <- t.ps.(probe_dl_) +. t.rate.(k)
 
 let probe_add t u i =
-  if t.assign.(i) <> None then
+  if t.host.(i) >= 0 then
     invalid_arg "Ledger.probe_add: operator already assigned";
   check_live t u;
   Obs.prof_enter "ledger.probe_add";
-  let app = t.app in
-  let tree = App.tree app in
-  let rho = App.rho app in
-  let compute = Arena.fget t.compute u +. (rho *. App.work app i) in
-  let comm_in = ref (Arena.fget t.comm_in u) in
-  let comm_out = ref (Arena.fget t.comm_out u) in
-  let deltas = ref [] in
-  List.iter
-    (fun c ->
-      let w = rho *. App.output_size app c in
-      match t.assign.(c) with
-      | Some v when v = u -> comm_out := !comm_out -. w
-      | other -> (
-        comm_in := !comm_in +. w;
-        match other with
-        | Some v -> deltas := acc_flow !deltas v w
-        | None -> ()))
-    (Optree.children tree i);
+  let tree = App.tree t.app in
+  let p = t.procs.(u) in
+  t.pn <- 0;
+  t.ps.(probe_in_) <- p.loads.(comm_in_);
+  t.ps.(probe_out_) <- p.loads.(comm_out_);
+  t.ps.(probe_dl_) <- p.loads.(need_rate_);
+  probe_children t u (Optree.children tree i);
   (match Optree.parent tree i with
   | None -> ()
-  | Some pr -> (
-    let w = rho *. App.output_size app i in
-    match t.assign.(pr) with
-    | Some v when v = u -> comm_in := !comm_in -. w
-    | other -> (
-      comm_out := !comm_out +. w;
-      match other with
-      | Some v -> deltas := acc_flow !deltas v w
-      | None -> ())));
-  let needs = Arena.get t.needs u in
-  let download =
-    List.fold_left
-      (fun acc k ->
-        if Imap.mem k needs then acc else acc +. App.download_rate app k)
-      (Arena.fget t.need_rate u)
-      (uniq_leaves tree i)
-  in
+  | Some pr ->
+    let v = t.host.(pr) in
+    if v = u then t.ps.(probe_in_) <- t.ps.(probe_in_) -. flow t i
+    else begin
+      t.ps.(probe_out_) <- t.ps.(probe_out_) +. flow t i;
+      if v >= 0 then add_delta t v i
+    end);
+  iter_leaves probe_need t p (Optree.leaves tree i);
+  let pair_flows = ref [] in
+  for j = t.pn - 1 downto 0 do
+    let v = t.pv.(j) in
+    pair_flows := (v, pair_flow t u v +. t.pw.(j)) :: !pair_flows
+  done;
   let r =
     {
       demand =
-        { Demand.compute; download; comm_in = !comm_in; comm_out = !comm_out };
-      pair_flows = List.map (fun (v, dw) -> (v, pair_flow t u v +. dw)) !deltas;
+        {
+          Demand.compute = p.loads.(compute_) +. (t.rho *. t.work.(i));
+          download = t.ps.(probe_dl_);
+          comm_in = t.ps.(probe_in_);
+          comm_out = t.ps.(probe_out_);
+        };
+      pair_flows = !pair_flows;
     }
   in
   Obs.prof_exit ();
@@ -453,68 +714,66 @@ let probe_add t u i =
 
 let probe_merge t ~winner ~loser =
   if winner = loser then invalid_arg "Ledger.probe_merge: same processor";
-  check_live t winner;
-  check_live t loser;
+  let pw = proc t winner and pl = proc t loser in
   Obs.prof_enter "ledger.probe_merge";
-  let out_wl, in_wl =
-    match Imap.find_opt loser (Arena.get t.flows winner) with
-    | Some f -> (f.out_w, f.in_w)
-    | None -> (0.0, 0.0)
-  in
-  let compute = Arena.fget t.compute winner +. Arena.fget t.compute loser in
+  let wf = pw.flows and lf = pl.flows and s = t.floats in
+  let x = search wf loser min_int in
+  let linked = at wf x loser in
+  let out_wl = if linked then s.fa.(x) else 0.0 in
+  let in_wl = if linked then s.fb.(x) else 0.0 in
   (* Edges between winner and loser become internal: subtract each
      direction from the side that counted it. *)
   let comm_in =
-    Arena.fget t.comm_in winner -. in_wl
-    +. (Arena.fget t.comm_in loser -. out_wl)
+    pw.loads.(comm_in_) -. in_wl +. (pl.loads.(comm_in_) -. out_wl)
   in
   let comm_out =
-    Arena.fget t.comm_out winner -. out_wl
-    +. (Arena.fget t.comm_out loser -. in_wl)
+    pw.loads.(comm_out_) -. out_wl +. (pl.loads.(comm_out_) -. in_wl)
   in
-  (* Ascending-key map iteration keeps the float sum and the pair_flows
+  (* Ascending-key iteration keeps the float sums and the pair_flows
      order independent of construction history — a probe must hash
      identically across runs and across ledgers that reached the same
      state differently. *)
-  let winner_needs = Arena.get t.needs winner in
-  let download =
-    Imap.fold
-      (fun k _ acc ->
-        if Imap.mem k winner_needs then acc
-        else acc +. App.download_rate t.app k)
-      (Arena.get t.needs loser)
-      (Arena.fget t.need_rate winner)
-  in
-  let third_party =
-    let acc = ref [] in
-    let collect u =
-      Imap.iter
-        (fun v f ->
-          if v <> winner && v <> loser then
-            acc := acc_flow !acc v (f.out_w +. f.in_w))
-        (Arena.get t.flows u)
-    in
-    collect winner;
-    collect loser;
-    !acc
-  in
+  let download = ref pw.loads.(need_rate_) in
+  let wn = pw.needs and ln = pl.needs and keys = t.ints.key in
+  let j = ref wn.off in
+  for y = ln.off to ln.off + ln.len - 1 do
+    let k = keys.(y) in
+    while !j < wn.off + wn.len && keys.(!j) < k do incr j done;
+    if not (at wn !j k) then download := !download +. t.rate.(k)
+  done;
+  (* Merged totals towards every third party: a descending merge of the
+     two sorted rows, consed into an ascending list. *)
+  let pair_flows = ref [] in
+  let a = ref (wf.off + wf.len - 1) and b = ref (lf.off + lf.len - 1) in
+  while !a >= wf.off || !b >= lf.off do
+    let ka = if !a >= wf.off then s.key.(!a) else -1 in
+    let kb = if !b >= lf.off then s.key.(!b) else -1 in
+    let v = max ka kb in
+    let total = ref 0.0 in
+    if ka = v then begin
+      total := 0.0 +. (s.fa.(!a) +. s.fb.(!a));
+      decr a
+    end;
+    if kb = v then begin
+      total := !total +. (s.fa.(!b) +. s.fb.(!b));
+      decr b
+    end;
+    if v <> winner && v <> loser then pair_flows := (v, !total) :: !pair_flows
+  done;
   let r =
     {
-      demand = { Demand.compute; download; comm_in; comm_out };
-      pair_flows = third_party;
+      demand =
+        {
+          Demand.compute = pw.loads.(compute_) +. pl.loads.(compute_);
+          download = !download;
+          comm_in;
+          comm_out;
+        };
+      pair_flows = !pair_flows;
     }
   in
   Obs.prof_exit ();
   r
-
-let merge t ~winner ~loser =
-  if winner = loser then invalid_arg "Ledger.merge: same processor";
-  Obs.prof_enter "ledger.merge";
-  let moved = operators_of t loser in
-  List.iter (fun i -> remove_operator t i) moved;
-  remove_proc t loser;
-  List.iter (fun i -> add_operator t winner i) moved;
-  Obs.prof_exit ()
 
 (* ------------------------------------------------------------------ *)
 (* Violations                                                          *)
@@ -528,144 +787,113 @@ let exceeds load capacity = load > (capacity *. (1.0 +. tolerance)) +. tolerance
 let proc_violations t u acc =
   let servers = t.platform.Platform.servers in
   let add v = acc := v :: !acc in
-  let needs = Arena.get t.needs u in
-  let dls = Arena.get t.dls u in
-  List.iter
-    (fun k ->
-      if not (Imap.mem k dls) then
-        add (Check.Missing_download { proc = u; object_type = k }))
-    (needed_objects t u);
-  List.iter
-    (fun (k, l) ->
-      if not (Imap.mem k needs) then
-        add (Check.Extraneous_download { proc = u; object_type = k });
-      if not (valid_server t l) || not (Servers.holds servers l k) then
-        add (Check.Not_held { proc = u; object_type = k; server = l }))
-    (downloads_list t u);
-  Imap.iter
-    (fun k ls ->
-      if List.length ls > 1 then
-        add (Check.Duplicate_download { proc = u; object_type = k }))
-    dls;
-  let config = Arena.get t.config u in
-  let compute = Arena.fget t.compute u in
-  if exceeds compute config.Catalog.cpu.Catalog.speed then
+  let p = t.procs.(u) in
+  let dls = p.dls and key = t.ints.key and aux = t.ints.aux in
+  let first = dls.off and last = dls.off + dls.len - 1 in
+  for j = p.needs.off to p.needs.off + p.needs.len - 1 do
+    let k = key.(j) in
+    if not (has dls k) then
+      add (Check.Missing_download { proc = u; object_type = k })
+  done;
+  for j = first to last do
+    let k = key.(j) and l = aux.(j) in
+    if not (has p.needs k) then
+      add (Check.Extraneous_download { proc = u; object_type = k });
+    if not (valid_server t l) || not (Servers.holds servers l k) then
+      add (Check.Not_held { proc = u; object_type = k; server = l })
+  done;
+  for j = first + 1 to last do
+    let k = key.(j) in
+    if k = key.(j - 1) && (j = first + 1 || key.(j - 2) <> k) then
+      add (Check.Duplicate_download { proc = u; object_type = k })
+  done;
+  let config = t.configs.(u) in
+  let speed = config.Catalog.cpu.Catalog.speed in
+  if exceeds p.loads.(compute_) speed then
     add
       (Check.Compute_overload
-         { proc = u; load = compute; capacity = config.Catalog.cpu.Catalog.speed });
-  let nic =
-    Arena.fget t.dl_rate u +. Arena.fget t.comm_in u +. Arena.fget t.comm_out u
-  in
-  if exceeds nic config.Catalog.nic.Catalog.bandwidth then
-    add
-      (Check.Nic_overload
-         { proc = u; load = nic; capacity = config.Catalog.nic.Catalog.bandwidth });
-  Imap.iter
-    (fun _ ls ->
-      List.iter
-        (fun l ->
-          if valid_server t l && Arena.get t.link_entries.(l) u > 0 then begin
-            let load = Arena.fget t.link_load.(l) u in
-            if exceeds load t.platform.Platform.server_link then
-              add
-                (Check.Server_link_overload
-                   {
-                     server = l;
-                     proc = u;
-                     load;
-                     capacity = t.platform.Platform.server_link;
-                   })
-          end)
-        ls)
-    dls
+         { proc = u; load = p.loads.(compute_); capacity = speed });
+  let nic = p.loads.(dl_rate_) +. p.loads.(comm_in_) +. p.loads.(comm_out_) in
+  let bandwidth = config.Catalog.nic.Catalog.bandwidth in
+  if exceeds nic bandwidth then
+    add (Check.Nic_overload { proc = u; load = nic; capacity = bandwidth });
+  (* One report per link, at the server's first entry in the plan. *)
+  for j = first to last do
+    let l = aux.(j) in
+    let seen = ref false in
+    for y = first to j - 1 do
+      if aux.(y) = l then seen := true
+    done;
+    if (not !seen) && valid_server t l && p.link_entries.(l) > 0 then begin
+      let load = p.loads.(link_ + l) in
+      let capacity = t.platform.Platform.server_link in
+      if exceeds load capacity then
+        add (Check.Server_link_overload { server = l; proc = u; load; capacity })
+    end
+  done
 
 let server_card_violations t servers_touched acc =
-  let add v = acc := v :: !acc in
   List.iter
     (fun l ->
-      if exceeds t.card_load.(l) (Servers.card t.platform.Platform.servers l)
-      then
-        add
-          (Check.Server_card_overload
-             {
-               server = l;
-               load = t.card_load.(l);
-               capacity = Servers.card t.platform.Platform.servers l;
-             }))
+      let capacity = Servers.card t.platform.Platform.servers l in
+      if exceeds t.card_load.(l) capacity then
+        acc :=
+          Check.Server_card_overload
+            { server = l; load = t.card_load.(l); capacity }
+          :: !acc)
     servers_touched
 
+(* Constraint (5) for every pair with an endpoint in the ascending list
+   [us], each pair once: from its smaller endpoint when that endpoint is
+   in [us], else from the larger one. *)
 let pair_violations t us acc =
-  let add v = acc := v :: !acc in
-  let seen = Hashtbl.create 16 in
   List.iter
     (fun u ->
-      if mem_proc t u then
-        Imap.iter
-          (fun v f ->
-            let a = min u v and b = max u v in
-            if not (Hashtbl.mem seen (a, b)) then begin
-              Hashtbl.replace seen (a, b) ();
-              let total = f.out_w +. f.in_w in
-              if exceeds total t.platform.Platform.proc_link then
-                add
-                  (Check.Proc_link_overload
-                     {
-                       proc_a = a;
-                       proc_b = b;
-                       load = total;
-                       capacity = t.platform.Platform.proc_link;
-                     })
-            end)
-          (Arena.get t.flows u))
+      if mem_proc t u then begin
+        let r = t.procs.(u).flows and s = t.floats in
+        for j = r.off to r.off + r.len - 1 do
+          let v = s.key.(j) in
+          if u < v || not (List.mem v us) then begin
+            let load = s.fa.(j) +. s.fb.(j) in
+            let capacity = t.platform.Platform.proc_link in
+            if exceeds load capacity then
+              acc :=
+                Check.Proc_link_overload
+                  { proc_a = min u v; proc_b = max u v; load; capacity }
+                :: !acc
+          end
+        done
+      end)
     us
-
-(* Duplicate-entry-free: Server_link_overload for (l, u) is only emitted
-   once per pair because the dls table maps each object type once. *)
-let dedup_link_overloads vs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (function
-      | Check.Server_link_overload { server; proc; _ } ->
-        if Hashtbl.mem seen (server, proc) then false
-        else begin
-          Hashtbl.replace seen (server, proc) ();
-          true
-        end
-      | _ -> true)
-    vs
+[@@lint.allow "p3"]
 
 let violations_touching t us =
-  let us = List.sort_uniq compare us in
+  let us = List.sort_uniq Int.compare us in
   let acc = ref [] in
   List.iter (fun u -> if mem_proc t u then proc_violations t u acc) us;
   let servers_touched =
     List.concat_map
       (fun u ->
         if mem_proc t u then
-          List.concat_map
-            (fun (_, ls) -> List.filter (valid_server t) ls)
-            (Imap.bindings (Arena.get t.dls u))
+          List.filter (valid_server t) (List.map snd (downloads_of t u))
         else [])
       us
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
   in
   server_card_violations t servers_touched acc;
   pair_violations t us acc;
-  dedup_link_overloads (List.rev !acc)
+  List.rev !acc
 
 let violations t =
   let acc = ref [] in
   for i = 0 to App.n_operators t.app - 1 do
-    if t.assign.(i) = None then acc := Check.Unassigned_operator i :: !acc
+    if t.host.(i) < 0 then acc := Check.Unassigned_operator i :: !acc
   done;
   let ids = proc_ids t in
   List.iter (fun u -> proc_violations t u acc) ids;
-  let all_servers =
-    List.init (Servers.n_servers t.platform.Platform.servers) Fun.id
-  in
-  server_card_violations t all_servers acc;
+  server_card_violations t (List.init t.n_servers Fun.id) acc;
   pair_violations t ids acc;
-  dedup_link_overloads (List.rev !acc)
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Conversions and the oracle cross-check                              *)
@@ -689,17 +917,17 @@ let of_alloc app platform alloc =
   t
 
 let to_alloc t =
-  let ids = proc_ids t in
   Alloc.make
     (Array.of_list
        (List.map
           (fun u ->
+            let p = t.procs.(u) in
             {
-              Alloc.config = Arena.get t.config u;
-              operators = Arena.get t.members u;
-              downloads = downloads_list t u;
+              Alloc.config = t.configs.(u);
+              operators = keys p.members;
+              downloads = downloads_list p;
             })
-          ids))
+          (proc_ids t)))
 
 (* Multiset comparison of violation lists: identical constructors and
    integer sites; float loads equal within a relative tolerance (the
@@ -761,10 +989,9 @@ let assert_consistent t =
   let oracle = Check.check t.app t.platform alloc in
   (* Translate ledger processor ids to the dense indices [to_alloc]
      assigned them. *)
-  let ids = proc_ids t in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun idx id -> Hashtbl.replace index id idx) ids;
-  let tr u = match Hashtbl.find_opt index u with Some i -> i | None -> u in
+  let index = Array.make (Arena.n_ids t.arena) (-1) in
+  List.iteri (fun idx id -> index.(id) <- idx) (proc_ids t);
+  let tr u = if u >= 0 && u < Array.length index && index.(u) >= 0 then index.(u) else u in
   let translate = function
     | Check.Missing_download { proc; object_type } ->
       Check.Missing_download { proc = tr proc; object_type }

@@ -48,6 +48,8 @@ let rho t = t.rho
 let n_operators t = Optree.n_operators t.tree
 let work t i = t.work.(i)
 let output_size t i = t.output.(i)
+let works t = t.work
+let output_sizes t = t.output
 let input_size t i = t.output.(i)
 let comm_volume t i = t.rho *. t.output.(i)
 let download_rate t k = Objects.rate t.objects k

@@ -46,6 +46,12 @@ val work : t -> int -> float
 val output_size : t -> int -> float
 (** [output_size t i] = [delta_i] in MB per result. *)
 
+val works : t -> float array
+val output_sizes : t -> float array
+(** Every operator's {!work} / {!output_size}, indexed by operator: the
+    application's own arrays, shared so that hot loops read them without
+    boxing a float per call.  Callers must not mutate them. *)
+
 (* lint: allow t3 — model accessor completing the App API *)
 val input_size : t -> int -> float
 (** Sum of the operator's input sizes (equals [delta_i] under the paper's

@@ -64,48 +64,3 @@ let live_ids t =
     if t.live.(id) then acc := id :: !acc
   done;
   !acc
-
-(* ------------------------------------------------------------------ *)
-(* Columns                                                             *)
-
-type 'a col = { mutable data : 'a array; default : 'a }
-
-let col ?(capacity = 16) default =
-  { data = Array.make (max 1 capacity) default; default }
-
-let col_ensure c id =
-  let cap = Array.length c.data in
-  if id >= cap then begin
-    let data = Array.make (max (id + 1) (2 * cap)) c.default in
-    Array.blit c.data 0 data 0 cap;
-    c.data <- data
-  end
-
-let get c id = if id < Array.length c.data then c.data.(id) else c.default
-
-let set c id v =
-  col_ensure c id;
-  c.data.(id) <- v
-
-let reset c id = if id < Array.length c.data then c.data.(id) <- c.default
-
-(* Float columns: a monomorphic wrapper so the backing array is an
-   unboxed float array. *)
-type fcol = { mutable fdata : float array; fdefault : float }
-
-let fcol ?(capacity = 16) fdefault =
-  { fdata = Array.make (max 1 capacity) fdefault; fdefault }
-
-let fcol_ensure c id =
-  let cap = Array.length c.fdata in
-  if id >= cap then begin
-    let data = Array.make (max (id + 1) (2 * cap)) c.fdefault in
-    Array.blit c.fdata 0 data 0 cap;
-    c.fdata <- data
-  end
-
-let fget c id = if id < Array.length c.fdata then c.fdata.(id) else c.fdefault
-
-let fset c id v =
-  fcol_ensure c id;
-  c.fdata.(id) <- v

@@ -1,12 +1,11 @@
-(** Dense id allocator with structure-of-arrays column views.
+(** Dense id allocator.
 
     The hot data model of the solver keys everything by small integer
     ids (operators, processors, servers).  An arena hands out ids
     monotonically — ids are {e never reused}, so a freed processor id
     stays dead forever and journals referring to it stay unambiguous —
-    and owns the per-id bookkeeping the columns index into.  A column
-    ([col]/[fcol]) is a growable flat array defaulted on first touch;
-    [fcol] is monomorphic so OCaml unboxes the backing float array.
+    and owns the per-id liveness and generation bookkeeping; callers
+    keep their per-id state in their own arrays indexed by the id.
 
     Each id carries a {e generation stamp}, bumped by {!touch} and
     {!free}.  Cached derived state (a feasibility probe, a scored
@@ -46,23 +45,3 @@ val generation : t -> int -> int
 val touch : t -> int -> unit
 (** Bump the stamp: the id's associated state changed and any cached
     view of it is now stale. *)
-
-(** {1 Columns} *)
-
-type 'a col
-
-val col : ?capacity:int -> 'a -> 'a col
-(** [col default] — every id reads [default] until written. *)
-
-val get : 'a col -> int -> 'a
-val set : 'a col -> int -> 'a -> unit
-
-val reset : 'a col -> int -> unit
-(** Write the default back (used when an id dies). *)
-
-type fcol
-(** Unboxed float column. *)
-
-val fcol : ?capacity:int -> float -> fcol
-val fget : fcol -> int -> float
-val fset : fcol -> int -> float -> unit
