@@ -7,19 +7,14 @@ module Servers = Insp_platform.Servers
 module Arena = Insp_util.Arena
 module Obs = Insp_obs.Obs
 
-(* Commit-path allocation attribution (DESIGN.md §17): every mutation
-   and probe below brackets its body with Obs.prof_enter/prof_exit —
-   explicit pairs, not a closure wrapper, so the unprofiled hot path
-   (millions of probes per 100k solve) allocates nothing extra.
-   Argument guards raise before the enter; each function has a single
-   exit point after its last mutation.
-
-   The state is one flat representation (DESIGN.md §16.1): per-processor
-   sorted rows of plain arrays, mutated in place.  The hot path reads
-   every float from a float array — the application's own work and
-   output arrays, shared — because a float returned from or passed to a
-   function of another compilation unit is boxed; helpers take an
-   operator index rather than a float weight for the same reason. *)
+(* One flat mutable state (DESIGN.md §16.1): per-processor sorted rows
+   of plain arrays, edited in place.  The hot path reads every float
+   from a float array (the application's own work and output arrays,
+   shared) because a float returned from or passed to a function of
+   another compilation unit is boxed; helpers take an operator index
+   rather than a float weight for the same reason.  Mutations and probes
+   bracket their bodies with explicit Obs.prof_enter/prof_exit pairs
+   (DESIGN.md §17), free without a profiling sink. *)
 
 type proc_id = int
 
@@ -41,12 +36,8 @@ type slab = {
   mutable free : int array;  (* per size class: first free region, -1 if none *)
 }
 
-type row = {
-  s : slab;
-  mutable off : int;
-  mutable cls : int;  (* size class, -1 while the row owns no region *)
-  mutable len : int;
-}
+(* [cls]: size class, -1 while the row owns no region. *)
+type row = { s : slab; mutable off : int; mutable cls : int; mutable len : int }
 
 (* One processor's state, created when it first receives an operator or
    a download; until then (and once removed) its slot holds the shared,
@@ -90,45 +81,30 @@ type t = {
   mutable configs : Catalog.config array;  (* by id *)
   mutable procs : proc array;  (* by id *)
   empty : proc;
-  mutable moved : int array;  (* merge scratch *)
   card_load : float array;  (* per-server aggregate download load *)
   card_entries : int array;
-  (* probe_add scratch: pair-flow deltas towards [pv.(j)], j < [pn],
-     ascending, weights in [pw.(j)]; would-be comm_in, comm_out and
-     download in [ps] *)
+  (* probe_add scratch: the would-be loads in [would]; pair-flow deltas
+     towards [pv.(j)], j < [pn], ascending, weights in [pw.(j)] *)
+  would : proc;
   pv : int array;
   pw : float array;
   mutable pn : int;
-  ps : float array;
 }
 
 type probe = { demand : Demand.t; pair_flows : (proc_id * float) list }
 
 let slab ~floats =
   let f = if floats then Array.make 8 0.0 else [||] in
-  {
-    key = Array.make 8 0;
-    aux = Array.make 8 0;
-    fa = f;
-    fb = Array.copy f;
-    top = 0;
-    free = Array.make 8 (-1);
-  }
+  let key = Array.make 8 0 and aux = Array.make 8 0 in
+  { key; aux; fa = f; fb = Array.copy f; top = 0; free = Array.make 8 (-1) }
 
 let row s = { s; off = 0; cls = -1; len = 0 }
 
 let new_proc ~ints ~floats ~n_servers id =
-  {
-    some = Some id;
-    ops = [];
-    ops_fresh = true;
+  { some = Some id; ops = []; ops_fresh = true;
     loads = Array.make (link_ + n_servers) 0.0;
     link_entries = Array.make n_servers 0;
-    members = row ints;
-    needs = row ints;
-    dls = row ints;
-    flows = row floats;
-  }
+    members = row ints; needs = row ints; dls = row ints; flows = row floats }
 
 (* ------------------------------------------------------------------ *)
 (* Sorted rows                                                         *)
@@ -188,24 +164,28 @@ let at r p k = p < r.off + r.len && r.s.key.(p) = k
 
 let has r k = at r (search r k min_int) k
 
+(* Copies entry [src] over entry [dst] — explicit stores rather than
+   [Array.blit]: a statically typed int/float array store needs no write
+   barrier. *)
+let copy s src dst =
+  s.key.(dst) <- s.key.(src);
+  s.aux.(dst) <- s.aux.(src);
+  if Array.length s.fa > 0 then begin
+    s.fa.(dst) <- s.fa.(src);
+    s.fb.(dst) <- s.fb.(src)
+  end
+
 (* Inserts (k, v) at position [p] (from [search]) with zero float
    payload and returns the entry's position, which moves when the row
-   does.  Shifts are explicit loops: a statically typed int/float array
-   store needs no write barrier. *)
+   does. *)
 let insert r p k v =
   let s = r.s in
-  let floats = Array.length s.fa > 0 in
   let p =
     if r.cls >= 0 && r.len < capacity r.cls then p
     else begin
       let off = region s (r.cls + 1) in
       for j = 0 to r.len - 1 do
-        s.key.(off + j) <- s.key.(r.off + j);
-        s.aux.(off + j) <- s.aux.(r.off + j);
-        if floats then begin
-          s.fa.(off + j) <- s.fa.(r.off + j);
-          s.fb.(off + j) <- s.fb.(r.off + j)
-        end
+        copy s (r.off + j) (off + j)
       done;
       let p = off + (p - r.off) and len = r.len and cls = r.cls + 1 in
       release r;
@@ -216,14 +196,9 @@ let insert r p k v =
     end
   in
   for j = r.off + r.len downto p + 1 do
-    s.key.(j) <- s.key.(j - 1);
-    s.aux.(j) <- s.aux.(j - 1);
-    if floats then begin
-      s.fa.(j) <- s.fa.(j - 1);
-      s.fb.(j) <- s.fb.(j - 1)
-    end
+    copy s (j - 1) j
   done;
-  if floats then begin
+  if Array.length s.fa > 0 then begin
     s.fa.(p) <- 0.0;
     s.fb.(p) <- 0.0
   end;
@@ -233,15 +208,8 @@ let insert r p k v =
   p
 
 let delete r p =
-  let s = r.s in
-  let floats = Array.length s.fa > 0 in
   for j = p to r.off + r.len - 2 do
-    s.key.(j) <- s.key.(j + 1);
-    s.aux.(j) <- s.aux.(j + 1);
-    if floats then begin
-      s.fa.(j) <- s.fa.(j + 1);
-      s.fb.(j) <- s.fb.(j + 1)
-    end
+    copy r.s (j + 1) j
   done;
   r.len <- r.len - 1
 
@@ -260,27 +228,18 @@ let create app platform =
   done;
   let empty = new_proc ~ints ~floats ~n_servers (-1) in
   {
-    app;
-    platform;
-    n_servers;
-    ints;
-    floats;
+    app; platform; n_servers; ints; floats; rate; empty;
     rho = App.rho app;
     work = App.works app;
     output = App.output_sizes app;
-    rate;
     arena = Arena.create ();
     host = Array.make (App.n_operators app) (-1);
     configs = Array.make 16 (Catalog.cheapest platform.Platform.catalog);
     procs = Array.make 16 empty;
-    empty;
-    moved = [||];
     card_load = Array.make n_servers 0.0;
     card_entries = Array.make n_servers 0;
-    pv = Array.make 3 0;
-    pw = Array.make 3 0.0;
-    pn = 0;
-    ps = Array.make 3 0.0;
+    would = new_proc ~ints ~floats ~n_servers (-1);
+    pv = Array.make 3 0; pw = Array.make 3 0.0; pn = 0;
   }
 
 (* [rho * delta_c], the flow of tree edge (c -> parent). *)
@@ -361,39 +320,23 @@ let slot r v =
   let p = search r v min_int in
   if at r p v then p else insert r p v 0
 
-(* Record tree edge (c -> parent), [c] living on [child_proc] and its
-   parent on [parent_proc]. *)
-let add_edge_flow t ~child_proc ~parent_proc c =
-  let w = flow t c in
-  let s = t.floats in
-  let p = slot t.procs.(child_proc).flows parent_proc in
-  s.fa.(p) <- s.fa.(p) +. w;
-  s.aux.(p) <- s.aux.(p) + 1;
-  let p = slot t.procs.(parent_proc).flows child_proc in
-  s.fb.(p) <- s.fb.(p) +. w;
-  s.aux.(p) <- s.aux.(p) + 1;
-  bump t child_proc;
-  bump t parent_proc
-
-(* The entry is dropped exactly when its edge count empties, which kills
-   float drift. *)
-let remove_edge_flow t ~child_proc ~parent_proc c =
-  let w = flow t c in
+(* Adds ([d = 1]) or removes ([d = -1]) tree edge (c -> parent), [c]
+   living on [child_proc] and its parent on [parent_proc].  Adding
+   [-w] is bit-identical to subtracting [w].  An entry is dropped
+   exactly when its edge count empties, which kills float drift. *)
+let edge_flow t ~child_proc ~parent_proc c d =
+  let w = float_of_int d *. flow t c in
   let s = t.floats in
   let r = t.procs.(child_proc).flows in
-  let p = search r parent_proc min_int in
-  if at r p parent_proc then begin
-    s.fa.(p) <- s.fa.(p) -. w;
-    s.aux.(p) <- s.aux.(p) - 1;
-    if s.aux.(p) <= 0 then delete r p
-  end;
+  let p = slot r parent_proc in
+  s.fa.(p) <- s.fa.(p) +. w;
+  s.aux.(p) <- s.aux.(p) + d;
+  if s.aux.(p) <= 0 then delete r p;
   let r = t.procs.(parent_proc).flows in
-  let p = search r child_proc min_int in
-  if at r p child_proc then begin
-    s.fb.(p) <- s.fb.(p) -. w;
-    s.aux.(p) <- s.aux.(p) - 1;
-    if s.aux.(p) <= 0 then delete r p
-  end;
+  let p = slot r child_proc in
+  s.fb.(p) <- s.fb.(p) +. w;
+  s.aux.(p) <- s.aux.(p) + d;
+  if s.aux.(p) <= 0 then delete r p;
   bump t child_proc;
   bump t parent_proc
 
@@ -407,104 +350,113 @@ let pair_flow t u v =
 
 (* [f] on the distinct leaves of an operator, ascending.  A validated
    tree gives an operator at most two leaves. *)
-let iter_leaves f t p = function
+let iter_leaves f t p q = function
   | [] -> ()
-  | [ k ] -> f t p k
+  | [ k ] -> f t p q k
   | [ a; b ] ->
-    if a < b then (f t p a; f t p b)
-    else if b < a then (f t p b; f t p a)
-    else f t p a
-  | ks -> List.iter (f t p) (List.sort_uniq Int.compare ks)
+    if a < b then (f t p q a; f t p q b)
+    else if b < a then (f t p q b; f t p q a)
+    else f t p q a
+  | ks -> List.iter (f t p q) (List.sort_uniq Int.compare ks)
 
-let add_need t p k =
+(* Needed-object edits: [p]'s needs row, [q]'s need rate. *)
+let add_need t p q k =
   let r = p.needs in
   let pos = search r k min_int in
   if at r pos k then r.s.aux.(pos) <- r.s.aux.(pos) + 1
   else begin
-    p.loads.(need_rate_) <- p.loads.(need_rate_) +. t.rate.(k);
+    q.loads.(need_rate_) <- q.loads.(need_rate_) +. t.rate.(k);
     ignore (insert r pos k 1)
   end
 
-let remove_need t p k =
+let remove_need t p q k =
   let r = p.needs in
   let pos = search r k min_int in
   if r.s.aux.(pos) > 1 then r.s.aux.(pos) <- r.s.aux.(pos) - 1
   else begin
     delete r pos;
-    p.loads.(need_rate_) <-
-      (if r.len = 0 then 0.0 else p.loads.(need_rate_) -. t.rate.(k))
+    q.loads.(need_rate_) <-
+      (if r.len = 0 then 0.0 else q.loads.(need_rate_) -. t.rate.(k))
   end
 
-let rec attach_children t u p = function
+let probe_need t p q k =
+  if not (has p.needs k) then q.loads.(need_rate_) <- q.loads.(need_rate_) +. t.rate.(k)
+
+(* Adds tree edge [c]'s weight to the scratch delta towards [v]. *)
+let add_delta t v c =
+  let j = ref 0 in
+  while !j < t.pn && t.pv.(!j) < v do incr j done;
+  if not (!j < t.pn && t.pv.(!j) = v) then begin
+    for k = t.pn downto !j + 1 do
+      t.pv.(k) <- t.pv.(k - 1);
+      t.pw.(k) <- t.pw.(k - 1)
+    done;
+    t.pv.(!j) <- v;
+    t.pw.(!j) <- 0.0;
+    t.pn <- t.pn + 1
+  end;
+  t.pw.(!j) <- t.pw.(!j) +. flow t c
+
+(* Operator [i] joins ([d = 1]) or leaves ([d = -1]) processor [u] with
+   state [p]: every load moves by [d] times the operator's contribution,
+   in the same order either way.  The loads land in [q] — [p] itself, or
+   the [would] scratch of a probe, for which crossing edges become
+   pair-flow deltas instead of flow-row edits. *)
+let rec shift_children t u p q d = function
   | [] -> ()
   | c :: rest ->
-    let v = t.host.(c) in
+    let v = t.host.(c) and w = float_of_int d *. flow t c in
     if v = u then
-      (* edge (c -> i) becomes internal: c no longer sends out *)
-      p.loads.(comm_out_) <- p.loads.(comm_out_) -. flow t c
+      (* edge (c -> i) turns internal (or crossing again): c's output
+         leaves (or re-enters) comm_out *)
+      q.loads.(comm_out_) <- q.loads.(comm_out_) -. w
     else begin
-      p.loads.(comm_in_) <- p.loads.(comm_in_) +. flow t c;
-      if v >= 0 then add_edge_flow t ~child_proc:v ~parent_proc:u c
+      q.loads.(comm_in_) <- q.loads.(comm_in_) +. w;
+      if v >= 0 then
+        if q == p then edge_flow t ~child_proc:v ~parent_proc:u c d
+        else add_delta t v c
     end;
-    attach_children t u p rest
+    shift_children t u p q d rest
+
+let shift t u p q i d =
+  let tree = App.tree t.app and sign = float_of_int d in
+  q.loads.(compute_) <- q.loads.(compute_) +. (sign *. (t.rho *. t.work.(i)));
+  shift_children t u p q d (Optree.children tree i);
+  (match Optree.parent tree i with
+  | None -> ()
+  | Some pr ->
+    let v = t.host.(pr) and w = sign *. flow t i in
+    if v = u then q.loads.(comm_in_) <- q.loads.(comm_in_) -. w
+    else begin
+      q.loads.(comm_out_) <- q.loads.(comm_out_) +. w;
+      if v >= 0 then
+        if q == p then edge_flow t ~child_proc:u ~parent_proc:v i d
+        else add_delta t v i
+    end);
+  iter_leaves
+    (if q != p then probe_need else if d > 0 then add_need else remove_need)
+    t p q (Optree.leaves tree i)
 
 let add_operator t u i =
   if t.host.(i) >= 0 then
     invalid_arg "Ledger.add_operator: operator already assigned";
   check_live t u;
   Obs.prof_enter "ledger.add_op";
-  let tree = App.tree t.app in
   let p = materialize t u in
-  p.loads.(compute_) <- p.loads.(compute_) +. (t.rho *. t.work.(i));
-  attach_children t u p (Optree.children tree i);
-  (match Optree.parent tree i with
-  | None -> ()
-  | Some pr ->
-    let v = t.host.(pr) in
-    if v = u then p.loads.(comm_in_) <- p.loads.(comm_in_) -. flow t i
-    else begin
-      p.loads.(comm_out_) <- p.loads.(comm_out_) +. flow t i;
-      if v >= 0 then add_edge_flow t ~child_proc:u ~parent_proc:v i
-    end);
-  iter_leaves add_need t p (Optree.leaves tree i);
+  shift t u p p i 1;
   ignore (insert p.members (search p.members i min_int) i 0);
   p.ops_fresh <- false;
   t.host.(i) <- u;
   bump t u;
   Obs.prof_exit ()
 
-let rec detach_children t u p = function
-  | [] -> ()
-  | c :: rest ->
-    let v = t.host.(c) in
-    if v = u then
-      (* edge (c -> i) becomes crossing again: c sends out *)
-      p.loads.(comm_out_) <- p.loads.(comm_out_) +. flow t c
-    else begin
-      p.loads.(comm_in_) <- p.loads.(comm_in_) -. flow t c;
-      if v >= 0 then remove_edge_flow t ~child_proc:v ~parent_proc:u c
-    end;
-    detach_children t u p rest
-
 (* Everything [remove_operator] does except dropping [i] from the member
    row, which keeps [remaining] operators: bulk removals clear the row
    once instead of shifting it per operator. *)
 let detach t u i ~remaining =
   Obs.prof_enter "ledger.remove_op";
-  let tree = App.tree t.app in
   let p = t.procs.(u) in
-  p.loads.(compute_) <- p.loads.(compute_) -. (t.rho *. t.work.(i));
-  detach_children t u p (Optree.children tree i);
-  (match Optree.parent tree i with
-  | None -> ()
-  | Some pr ->
-    let v = t.host.(pr) in
-    if v = u then p.loads.(comm_in_) <- p.loads.(comm_in_) +. flow t i
-    else begin
-      p.loads.(comm_out_) <- p.loads.(comm_out_) -. flow t i;
-      if v >= 0 then remove_edge_flow t ~child_proc:u ~parent_proc:v i
-    end);
-  iter_leaves remove_need t p (Optree.leaves tree i);
+  shift t u p p i (-1);
   t.host.(i) <- -1;
   if remaining = 0 then begin
     (* Exact reset: an empty group carries exactly zero load, so any
@@ -541,47 +493,35 @@ let detach_all t u =
 
 let valid_server t l = l >= 0 && l < t.n_servers
 
-let add_download t u ~obj:k ~server:l =
+(* Adds ([d = 1]) or removes ([d = -1]) the plan entry (k, l); a no-op
+   when it is already present (resp. absent): exact duplicates are
+   collapsed, mirroring Alloc.  Loads reset to exact zero with their
+   entry counts. *)
+let edit_download t u k l d =
   check_live t u;
-  Obs.prof_enter "ledger.add_download";
-  let p = materialize t u in
+  Obs.prof_enter (if d > 0 then "ledger.add_download" else "ledger.remove_download");
+  let p = if d > 0 then materialize t u else t.procs.(u) in
   let pos = search p.dls k l in
-  (* exact duplicate (k, l) entries are collapsed, mirroring Alloc *)
-  if not (at p.dls pos k && t.ints.aux.(pos) = l) then begin
-    let rate = t.rate.(k) in
-    ignore (insert p.dls pos k l);
-    p.loads.(dl_rate_) <- p.loads.(dl_rate_) +. rate;
+  let present = at p.dls pos k && t.ints.aux.(pos) = l in
+  if present <> (d > 0) then begin
+    let rate = float_of_int d *. t.rate.(k) in
+    if d > 0 then ignore (insert p.dls pos k l) else delete p.dls pos;
+    p.loads.(dl_rate_) <-
+      (if p.dls.len = 0 then 0.0 else p.loads.(dl_rate_) +. rate);
     if valid_server t l then begin
-      t.card_load.(l) <- t.card_load.(l) +. rate;
-      t.card_entries.(l) <- t.card_entries.(l) + 1;
-      p.loads.(link_ + l) <- p.loads.(link_ + l) +. rate;
-      p.link_entries.(l) <- p.link_entries.(l) + 1
+      t.card_entries.(l) <- t.card_entries.(l) + d;
+      t.card_load.(l) <-
+        (if t.card_entries.(l) = 0 then 0.0 else t.card_load.(l) +. rate);
+      p.link_entries.(l) <- p.link_entries.(l) + d;
+      p.loads.(link_ + l) <-
+        (if p.link_entries.(l) <= 0 then 0.0 else p.loads.(link_ + l) +. rate)
     end;
     bump t u
   end;
   Obs.prof_exit ()
 
-let remove_download t u ~obj:k ~server:l =
-  check_live t u;
-  Obs.prof_enter "ledger.remove_download";
-  let p = t.procs.(u) in
-  let pos = search p.dls k l in
-  if at p.dls pos k && t.ints.aux.(pos) = l then begin
-    let rate = t.rate.(k) in
-    delete p.dls pos;
-    p.loads.(dl_rate_) <-
-      (if p.dls.len = 0 then 0.0 else p.loads.(dl_rate_) -. rate);
-    if valid_server t l then begin
-      t.card_entries.(l) <- t.card_entries.(l) - 1;
-      t.card_load.(l) <-
-        (if t.card_entries.(l) = 0 then 0.0 else t.card_load.(l) -. rate);
-      p.link_entries.(l) <- p.link_entries.(l) - 1;
-      p.loads.(link_ + l) <-
-        (if p.link_entries.(l) <= 0 then 0.0 else p.loads.(link_ + l) -. rate)
-    end;
-    bump t u
-  end;
-  Obs.prof_exit ()
+let add_download t u ~obj ~server = edit_download t u obj server 1
+let remove_download t u ~obj ~server = edit_download t u obj server (-1)
 
 let remove_proc t u =
   check_live t u;
@@ -591,12 +531,7 @@ let remove_proc t u =
   while dls.len > 0 do
     remove_download t u ~obj:t.ints.key.(dls.off) ~server:t.ints.aux.(dls.off)
   done;
-  if p != t.empty then begin
-    release p.members;
-    release p.needs;
-    release p.dls;
-    release p.flows
-  end;
+  if p != t.empty then List.iter release [ p.members; p.needs; p.dls; p.flows ];
   Arena.free t.arena u;
   t.procs.(u) <- t.empty
 
@@ -604,28 +539,20 @@ let merge t ~winner ~loser =
   if winner = loser then invalid_arg "Ledger.merge: same processor";
   check_live t loser;
   Obs.prof_enter "ledger.merge";
-  let m = t.procs.(loser).members in
-  let n = m.len in
-  if Array.length t.moved < n then t.moved <- Array.make (max 16 (2 * n)) 0;
-  Array.blit m.s.key m.off t.moved 0 n;
-  detach_all t loser;
+  let moved = operators_of t loser in
   remove_proc t loser;
-  for j = 0 to n - 1 do
-    add_operator t winner t.moved.(j)
-  done;
+  List.iter (fun i -> add_operator t winner i) moved;
   Obs.prof_exit ()
 
 (* ------------------------------------------------------------------ *)
 (* Demand queries and probes                                           *)
 
-let demand t u =
-  let p = proc t u in
-  {
-    Demand.compute = p.loads.(compute_);
-    download = p.loads.(need_rate_);
-    comm_in = p.loads.(comm_in_);
-    comm_out = p.loads.(comm_out_);
-  }
+let demand_of p =
+  let l = p.loads in
+  { Demand.compute = l.(compute_); download = l.(need_rate_);
+    comm_in = l.(comm_in_); comm_out = l.(comm_out_) }
+
+let demand t u = demand_of (proc t u)
 
 let nic_load t u =
   let p = proc t u in
@@ -637,78 +564,23 @@ let card_load t l =
   if not (valid_server t l) then invalid_arg "Ledger.card_load: bad server";
   t.card_load.(l)
 
-(* Adds tree edge [c]'s weight to the scratch delta towards [v]. *)
-let add_delta t v c =
-  let j = ref 0 in
-  while !j < t.pn && t.pv.(!j) < v do incr j done;
-  if not (!j < t.pn && t.pv.(!j) = v) then begin
-    for k = t.pn downto !j + 1 do
-      t.pv.(k) <- t.pv.(k - 1);
-      t.pw.(k) <- t.pw.(k - 1)
-    done;
-    t.pv.(!j) <- v;
-    t.pw.(!j) <- 0.0;
-    t.pn <- t.pn + 1
-  end;
-  t.pw.(!j) <- t.pw.(!j) +. flow t c
-
-let probe_in_ = 0
-let probe_out_ = 1
-let probe_dl_ = 2
-
-let rec probe_children t u = function
-  | [] -> ()
-  | c :: rest ->
-    let v = t.host.(c) in
-    if v = u then t.ps.(probe_out_) <- t.ps.(probe_out_) -. flow t c
-    else begin
-      t.ps.(probe_in_) <- t.ps.(probe_in_) +. flow t c;
-      if v >= 0 then add_delta t v c
-    end;
-    probe_children t u rest
-
-let probe_need t p k =
-  if not (has p.needs k) then t.ps.(probe_dl_) <- t.ps.(probe_dl_) +. t.rate.(k)
-
 let probe_add t u i =
   if t.host.(i) >= 0 then
     invalid_arg "Ledger.probe_add: operator already assigned";
   check_live t u;
   Obs.prof_enter "ledger.probe_add";
-  let tree = App.tree t.app in
-  let p = t.procs.(u) in
+  let p = t.procs.(u) and q = t.would in
+  for x = compute_ to need_rate_ do
+    q.loads.(x) <- p.loads.(x)
+  done;
   t.pn <- 0;
-  t.ps.(probe_in_) <- p.loads.(comm_in_);
-  t.ps.(probe_out_) <- p.loads.(comm_out_);
-  t.ps.(probe_dl_) <- p.loads.(need_rate_);
-  probe_children t u (Optree.children tree i);
-  (match Optree.parent tree i with
-  | None -> ()
-  | Some pr ->
-    let v = t.host.(pr) in
-    if v = u then t.ps.(probe_in_) <- t.ps.(probe_in_) -. flow t i
-    else begin
-      t.ps.(probe_out_) <- t.ps.(probe_out_) +. flow t i;
-      if v >= 0 then add_delta t v i
-    end);
-  iter_leaves probe_need t p (Optree.leaves tree i);
+  shift t u p q i 1;
   let pair_flows = ref [] in
   for j = t.pn - 1 downto 0 do
     let v = t.pv.(j) in
     pair_flows := (v, pair_flow t u v +. t.pw.(j)) :: !pair_flows
   done;
-  let r =
-    {
-      demand =
-        {
-          Demand.compute = p.loads.(compute_) +. (t.rho *. t.work.(i));
-          download = t.ps.(probe_dl_);
-          comm_in = t.ps.(probe_in_);
-          comm_out = t.ps.(probe_out_);
-        };
-      pair_flows = !pair_flows;
-    }
-  in
+  let r = { demand = demand_of q; pair_flows = !pair_flows } in
   Obs.prof_exit ();
   r
 
@@ -733,13 +605,10 @@ let probe_merge t ~winner ~loser =
      order independent of construction history — a probe must hash
      identically across runs and across ledgers that reached the same
      state differently. *)
-  let download = ref pw.loads.(need_rate_) in
-  let wn = pw.needs and ln = pl.needs and keys = t.ints.key in
-  let j = ref wn.off in
+  let download = ref pw.loads.(need_rate_) and ln = pl.needs in
   for y = ln.off to ln.off + ln.len - 1 do
-    let k = keys.(y) in
-    while !j < wn.off + wn.len && keys.(!j) < k do incr j done;
-    if not (at wn !j k) then download := !download +. t.rate.(k)
+    let k = t.ints.key.(y) in
+    if not (has pw.needs k) then download := !download +. t.rate.(k)
   done;
   (* Merged totals towards every third party: a descending merge of the
      two sorted rows, consed into an ascending list. *)
@@ -810,9 +679,7 @@ let proc_violations t u acc =
   let config = t.configs.(u) in
   let speed = config.Catalog.cpu.Catalog.speed in
   if exceeds p.loads.(compute_) speed then
-    add
-      (Check.Compute_overload
-         { proc = u; load = p.loads.(compute_); capacity = speed });
+    add (Check.Compute_overload { proc = u; load = p.loads.(compute_); capacity = speed });
   let nic = p.loads.(dl_rate_) +. p.loads.(comm_in_) +. p.loads.(comm_out_) in
   let bandwidth = config.Catalog.nic.Catalog.bandwidth in
   if exceeds nic bandwidth then
@@ -872,13 +739,8 @@ let violations_touching t us =
   let acc = ref [] in
   List.iter (fun u -> if mem_proc t u then proc_violations t u acc) us;
   let servers_touched =
-    List.concat_map
-      (fun u ->
-        if mem_proc t u then
-          List.filter (valid_server t) (List.map snd (downloads_of t u))
-        else [])
-      us
-    |> List.sort_uniq Int.compare
+    List.concat_map (fun u -> if mem_proc t u then downloads_of t u else []) us
+    |> List.map snd |> List.filter (valid_server t) |> List.sort_uniq Int.compare
   in
   server_card_violations t servers_touched acc;
   pair_violations t us acc;
@@ -896,7 +758,7 @@ let violations t =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Conversions and the oracle cross-check                              *)
+(* Conversions                                                         *)
 
 let of_alloc app platform alloc =
   Obs.prof_enter "ledger.of_alloc";
@@ -917,108 +779,9 @@ let of_alloc app platform alloc =
   t
 
 let to_alloc t =
-  Alloc.make
-    (Array.of_list
-       (List.map
-          (fun u ->
-            let p = t.procs.(u) in
-            {
-              Alloc.config = t.configs.(u);
-              operators = keys p.members;
-              downloads = downloads_list p;
-            })
-          (proc_ids t)))
-
-(* Multiset comparison of violation lists: identical constructors and
-   integer sites; float loads equal within a relative tolerance (the
-   incremental sums may differ from the oracle's in the last bits). *)
-let rank = function
-  | Check.Unassigned_operator _ -> 0
-  | Check.Missing_download _ -> 1
-  | Check.Extraneous_download _ -> 2
-  | Check.Duplicate_download _ -> 3
-  | Check.Not_held _ -> 4
-  | Check.Compute_overload _ -> 5
-  | Check.Nic_overload _ -> 6
-  | Check.Server_card_overload _ -> 7
-  | Check.Server_link_overload _ -> 8
-  | Check.Proc_link_overload _ -> 9
-
-let site = function
-  | Check.Unassigned_operator i -> (i, 0, 0)
-  | Check.Missing_download { proc; object_type } -> (proc, object_type, 0)
-  | Check.Extraneous_download { proc; object_type } -> (proc, object_type, 0)
-  | Check.Duplicate_download { proc; object_type } -> (proc, object_type, 0)
-  | Check.Not_held { proc; object_type; server } -> (proc, object_type, server)
-  | Check.Compute_overload { proc; _ } -> (proc, 0, 0)
-  | Check.Nic_overload { proc; _ } -> (proc, 0, 0)
-  | Check.Server_card_overload { server; _ } -> (server, 0, 0)
-  | Check.Server_link_overload { server; proc; _ } -> (server, proc, 0)
-  | Check.Proc_link_overload { proc_a; proc_b; _ } -> (proc_a, proc_b, 0)
-
-let loads = function
-  | Check.Compute_overload { load; capacity; _ }
-  | Check.Nic_overload { load; capacity; _ }
-  | Check.Server_card_overload { load; capacity; _ }
-  | Check.Server_link_overload { load; capacity; _ }
-  | Check.Proc_link_overload { load; capacity; _ } -> Some (load, capacity)
-  | _ -> None
-
-let float_close a b =
-  Float.abs (a -. b)
-  <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let same_violation a b =
-  rank a = rank b
-  && site a = site b
-  &&
-  match (loads a, loads b) with
-  | Some (la, ca), Some (lb, cb) -> float_close la lb && float_close ca cb
-  | None, None -> true
-  | _ -> false
-
-let sort_violations vs =
-  List.sort (fun a b -> compare (rank a, site a) (rank b, site b)) vs
-
-let equal_violations va vb =
-  List.length va = List.length vb
-  && List.for_all2 same_violation (sort_violations va) (sort_violations vb)
-
-let assert_consistent t =
-  let alloc = to_alloc t in
-  let oracle = Check.check t.app t.platform alloc in
-  (* Translate ledger processor ids to the dense indices [to_alloc]
-     assigned them. *)
-  let index = Array.make (Arena.n_ids t.arena) (-1) in
-  List.iteri (fun idx id -> index.(id) <- idx) (proc_ids t);
-  let tr u = if u >= 0 && u < Array.length index && index.(u) >= 0 then index.(u) else u in
-  let translate = function
-    | Check.Missing_download { proc; object_type } ->
-      Check.Missing_download { proc = tr proc; object_type }
-    | Check.Extraneous_download { proc; object_type } ->
-      Check.Extraneous_download { proc = tr proc; object_type }
-    | Check.Duplicate_download { proc; object_type } ->
-      Check.Duplicate_download { proc = tr proc; object_type }
-    | Check.Not_held { proc; object_type; server } ->
-      Check.Not_held { proc = tr proc; object_type; server }
-    | Check.Compute_overload r ->
-      Check.Compute_overload { r with proc = tr r.proc }
-    | Check.Nic_overload r -> Check.Nic_overload { r with proc = tr r.proc }
-    | Check.Server_link_overload r ->
-      Check.Server_link_overload { r with proc = tr r.proc }
-    | Check.Proc_link_overload r ->
-      let a = tr r.proc_a and b = tr r.proc_b in
-      Check.Proc_link_overload
-        { r with proc_a = min a b; proc_b = max a b }
-    | (Check.Unassigned_operator _ | Check.Server_card_overload _) as v -> v
+  let proc u =
+    let p = t.procs.(u) in
+    { Alloc.config = t.configs.(u); operators = keys p.members;
+      downloads = downloads_list p }
   in
-  let mine = List.map translate (violations t) in
-  if not (equal_violations mine oracle) then
-    failwith
-      (Printf.sprintf
-         "Ledger.assert_consistent: divergence from Check.check\n\
-          ledger (%d):\n%s\noracle (%d):\n%s"
-         (List.length mine)
-         (Check.explain (sort_violations mine))
-         (List.length oracle)
-         (Check.explain (sort_violations oracle)))
+  Alloc.make (Array.of_list (List.map proc (proc_ids t)))

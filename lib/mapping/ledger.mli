@@ -8,12 +8,12 @@
     of tree edges and object leaves touching the edited operator — where
     the from-scratch path recomputes O(|group|²) sums per probe.
 
-    {!Check.check} remains the oracle: {!assert_consistent} materialises
-    the ledger as an {!Alloc.t}, runs the oracle, and fails loudly if
-    the two violation sets diverge (float loads compared within 1e-6
-    relative tolerance — incremental sums may differ from the oracle's
-    in the last bits).  Aggregates are reset to exact zero whenever
-    their contributing-entry count drops to zero, so float drift cannot
+    {!Check.check} remains the oracle: the test suite materialises the
+    ledger with {!to_alloc}, runs the oracle and requires the same
+    violation set as {!violations} (float loads within 1e-6 relative
+    tolerance — incremental sums may differ from the oracle's in the
+    last bits).  Aggregates are reset to exact zero whenever their
+    contributing-entry count drops to zero, so float drift cannot
     accumulate across long edit sequences.
 
     Processor ids are ledger-assigned and stable; they are *not*
@@ -26,8 +26,9 @@ type proc_id = int
 
 (** Result of a hypothetical edit: the would-be demand of the probed
     processor and the would-be *total* flow of every processor pair the
-    edit changes (only changed pairs are listed; unchanged pairs keep
-    their already-validated totals). *)
+    edit changes, in ascending order of the other processor (only
+    changed pairs are listed; unchanged pairs keep their
+    already-validated totals). *)
 type probe = { demand : Demand.t; pair_flows : (proc_id * float) list }
 
 val create : Insp_tree.App.t -> Insp_platform.Platform.t -> t
@@ -45,7 +46,7 @@ val mem_proc : t -> proc_id -> bool
 val config : t -> proc_id -> Insp_platform.Catalog.config
 val set_config : t -> proc_id -> Insp_platform.Catalog.config -> unit
 val operators_of : t -> proc_id -> int list
-(** Sorted. *)
+(** Sorted.  Built once per membership change, then shared. *)
 
 val downloads_of : t -> proc_id -> (int * int) list
 (** Sorted (object type, server) pairs; one entry per distinct pair. *)
@@ -123,12 +124,6 @@ val violations_touching : t -> proc_id list -> Check.violation list
 val of_alloc : Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> t
 (** Replays an allocation; processor ids coincide with [Alloc] indices. *)
 
-(* lint: allow t3 — documented bridge to the allocation view *)
+(* lint: allow t3 — the allocation view the test-suite oracle checks *)
 val to_alloc : t -> Alloc.t
 (** Live processors in increasing id order. *)
-
-val assert_consistent : t -> unit
-(** Cross-validates against the {!Check.check} oracle on {!to_alloc};
-    raises [Failure] with both violation lists rendered on divergence.
-    Intended for tests and debugging — it runs the full from-scratch
-    check. *)

@@ -1,6 +1,6 @@
 (* Tests for the incremental demand/feasibility ledger.  The heart is
    the randomized consistency test: after *every* edit of a random edit
-   sequence, [Ledger.assert_consistent] cross-validates the incremental
+   sequence, [assert_consistent] cross-validates the incremental
    state against the from-scratch [Check.check] oracle. *)
 
 module App = Insp.App
@@ -23,6 +23,105 @@ let cfg ?(cpu = 4) ?(nic = 4) () =
 let tiny_env () = (Helpers.tiny_app (), Helpers.tiny_platform ())
 
 (* ------------------------------------------------------------------ *)
+(* Oracle cross-check                                                  *)
+
+(* Multiset comparison of violation lists: identical constructors and
+   integer sites; float loads equal within a relative tolerance (the
+   incremental sums may differ from the oracle's in the last bits). *)
+let rank = function
+  | Check.Unassigned_operator _ -> 0
+  | Check.Missing_download _ -> 1
+  | Check.Extraneous_download _ -> 2
+  | Check.Duplicate_download _ -> 3
+  | Check.Not_held _ -> 4
+  | Check.Compute_overload _ -> 5
+  | Check.Nic_overload _ -> 6
+  | Check.Server_card_overload _ -> 7
+  | Check.Server_link_overload _ -> 8
+  | Check.Proc_link_overload _ -> 9
+
+let site = function
+  | Check.Unassigned_operator i -> (i, 0, 0)
+  | Check.Missing_download { proc; object_type } -> (proc, object_type, 0)
+  | Check.Extraneous_download { proc; object_type } -> (proc, object_type, 0)
+  | Check.Duplicate_download { proc; object_type } -> (proc, object_type, 0)
+  | Check.Not_held { proc; object_type; server } -> (proc, object_type, server)
+  | Check.Compute_overload { proc; _ } -> (proc, 0, 0)
+  | Check.Nic_overload { proc; _ } -> (proc, 0, 0)
+  | Check.Server_card_overload { server; _ } -> (server, 0, 0)
+  | Check.Server_link_overload { server; proc; _ } -> (server, proc, 0)
+  | Check.Proc_link_overload { proc_a; proc_b; _ } -> (proc_a, proc_b, 0)
+
+let loads = function
+  | Check.Compute_overload { load; capacity; _ }
+  | Check.Nic_overload { load; capacity; _ }
+  | Check.Server_card_overload { load; capacity; _ }
+  | Check.Server_link_overload { load; capacity; _ }
+  | Check.Proc_link_overload { load; capacity; _ } -> Some (load, capacity)
+  | _ -> None
+
+let float_close a b =
+  Float.abs (a -. b)
+  <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+
+let same_violation a b =
+  rank a = rank b
+  && site a = site b
+  &&
+  match (loads a, loads b) with
+  | Some (la, ca), Some (lb, cb) -> float_close la lb && float_close ca cb
+  | None, None -> true
+  | _ -> false
+
+let sort_violations vs =
+  List.sort (fun a b -> compare (rank a, site a) (rank b, site b)) vs
+
+let equal_violations va vb =
+  List.length va = List.length vb
+  && List.for_all2 same_violation (sort_violations va) (sort_violations vb)
+
+(* The ledger against the from-scratch oracle: [Check.check] on
+   [Ledger.to_alloc] must report the same violations as
+   [Ledger.violations]; raises [Failure] with both lists rendered on
+   divergence. *)
+let assert_consistent app platform t =
+  let oracle = Check.check app platform (Ledger.to_alloc t) in
+  (* Translate ledger processor ids to the dense indices [to_alloc]
+     assigned them. *)
+  let ids = Ledger.proc_ids t in
+  let index = Array.make (List.fold_left max 0 ids + 1) (-1) in
+  List.iteri (fun idx id -> index.(id) <- idx) ids;
+  let tr u = if u >= 0 && u < Array.length index && index.(u) >= 0 then index.(u) else u in
+  let translate = function
+    | Check.Missing_download { proc; object_type } ->
+      Check.Missing_download { proc = tr proc; object_type }
+    | Check.Extraneous_download { proc; object_type } ->
+      Check.Extraneous_download { proc = tr proc; object_type }
+    | Check.Duplicate_download { proc; object_type } ->
+      Check.Duplicate_download { proc = tr proc; object_type }
+    | Check.Not_held { proc; object_type; server } ->
+      Check.Not_held { proc = tr proc; object_type; server }
+    | Check.Compute_overload r ->
+      Check.Compute_overload { r with proc = tr r.proc }
+    | Check.Nic_overload r -> Check.Nic_overload { r with proc = tr r.proc }
+    | Check.Server_link_overload r ->
+      Check.Server_link_overload { r with proc = tr r.proc }
+    | Check.Proc_link_overload r ->
+      let a = tr r.proc_a and b = tr r.proc_b in
+      Check.Proc_link_overload { r with proc_a = min a b; proc_b = max a b }
+    | (Check.Unassigned_operator _ | Check.Server_card_overload _) as v -> v
+  in
+  let mine = List.map translate (Ledger.violations t) in
+  if not (equal_violations mine oracle) then
+    failwith
+      (Printf.sprintf
+         "ledger diverges from Check.check\nledger (%d):\n%s\noracle (%d):\n%s"
+         (List.length mine)
+         (Check.explain (sort_violations mine))
+         (List.length oracle)
+         (Check.explain (sort_violations oracle)))
+
+(* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
 
 let test_of_alloc_matches_oracle () =
@@ -43,7 +142,7 @@ let test_of_alloc_matches_oracle () =
       |]
   in
   let t = Ledger.of_alloc app platform alloc in
-  Ledger.assert_consistent t;
+  assert_consistent app platform t;
   Alcotest.(check int) "two procs" 2 (Ledger.n_procs t);
   let d = Ledger.demand t 0 and d' = Demand.of_group app [ 0; 1 ] in
   Helpers.alco_float "compute" d'.Demand.compute d.Demand.compute;
@@ -72,7 +171,7 @@ let test_exact_zero_after_undo () =
     (Ledger.compute_load t u = 0.0);
   (* lint: allow f1 — exact-zero reset is the property under test *)
   Alcotest.(check bool) "nic is exact zero" true (Ledger.nic_load t u = 0.0);
-  Ledger.assert_consistent t
+  assert_consistent app platform t
 
 let test_probe_add_predicts_commit () =
   let app, platform = tiny_env () in
@@ -99,7 +198,7 @@ let test_probe_add_predicts_commit () =
     Helpers.alco_float "pair flow" (Ledger.pair_flow t u v) f
   | l ->
     Alcotest.failf "expected one changed pair, got %d" (List.length l));
-  Ledger.assert_consistent t
+  assert_consistent app platform t
 
 let test_violations_touching_anchored () =
   let app, platform = tiny_env () in
@@ -127,7 +226,7 @@ let test_violations_touching_anchored () =
          | Check.Duplicate_download { object_type = 0; _ } -> true
          | _ -> false)
        (Ledger.violations_touching t [ u ]));
-  Ledger.assert_consistent t
+  assert_consistent app platform t
 
 let test_merge_consistent () =
   let app, platform = tiny_env () in
@@ -142,12 +241,12 @@ let test_merge_consistent () =
   Helpers.alco_float "internal edges cancel" 0.0
     (let d = Ledger.demand t u in
      d.Demand.comm_in +. d.Demand.comm_out);
-  Ledger.assert_consistent t
+  assert_consistent app platform t
 
 (* ------------------------------------------------------------------ *)
 (* Randomized edit-sequence consistency vs the oracle                  *)
 
-let apply_random_edit t rng ~n_ops ~n_types ~n_servers ~configs =
+let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~n_types ~n_servers ~configs =
   let live = Ledger.proc_ids t in
   let unassigned =
     List.filter (fun i -> Ledger.assignment t i = None) (List.init n_ops Fun.id)
@@ -156,7 +255,7 @@ let apply_random_edit t rng ~n_ops ~n_types ~n_servers ~configs =
     List.filter (fun i -> Ledger.assignment t i <> None) (List.init n_ops Fun.id)
   in
   match Prng.int rng 10 with
-  | 0 when List.length live < 6 ->
+  | 0 when List.length live < max_procs ->
     ignore (Ledger.add_proc t (Prng.choose_list rng configs))
   | 1 when live <> [] -> Ledger.remove_proc t (Prng.choose_list rng live)
   | (2 | 3 | 4) when live <> [] && unassigned <> [] ->
@@ -184,7 +283,15 @@ let apply_random_edit t rng ~n_ops ~n_types ~n_servers ~configs =
     match Prng.shuffle_list rng live with
     | winner :: loser :: _ ->
       if Prng.bool rng then Ledger.merge t ~winner ~loser
-      else Ledger.set_config t winner (Prng.choose_list rng configs)
+      else begin
+        (* always a different configuration, so the edit is observable *)
+        let current = Catalog.label (Ledger.config t winner) in
+        match
+          List.filter (fun c -> Catalog.label c <> current) configs
+        with
+        | [] -> ()
+        | others -> Ledger.set_config t winner (Prng.choose_list rng others)
+      end
     | _ -> ())
   | _ -> ()
 
@@ -207,10 +314,89 @@ let ledger_matches_oracle =
          done;
          for _ = 1 to 30 do
            apply_random_edit t rng ~n_ops ~n_types ~n_servers ~configs;
-           Ledger.assert_consistent t
+           assert_consistent app platform t
          done
        with Failure msg -> QCheck.Test.fail_report msg);
       true)
+
+(* Everything a caller can observe about one live processor. *)
+let observe t u =
+  let d = Ledger.demand t u in
+  let flows =
+    List.filter_map
+      (fun v ->
+        let f = Ledger.pair_flow t u v in
+        if v = u || Float.compare f 0.0 = 0 then None else Some (v, f))
+      (Ledger.proc_ids t)
+  in
+  ( (Catalog.label (Ledger.config t u), Ledger.operators_of t u,
+     Ledger.downloads_of t u),
+    [ d.Demand.compute; d.Demand.download; d.Demand.comm_in;
+      d.Demand.comm_out; Ledger.nic_load t u ],
+    flows )
+
+(* probe_merge of [winner] with every other live processor: pair flows
+   strictly ascending in the third party, each the sum of the two
+   processors' flows towards it. *)
+let check_probe_merge t winner =
+  List.iter
+    (fun loser ->
+      if loser <> winner then begin
+        let flows = (Ledger.probe_merge t ~winner ~loser).Ledger.pair_flows in
+        let vs = List.map fst flows in
+        if vs <> List.sort_uniq Int.compare vs then
+          failwith (Printf.sprintf "probe_merge %d<-%d: pair_flows not ascending" winner loser);
+        List.iter
+          (fun (v, f) ->
+            let expected = Ledger.pair_flow t winner v +. Ledger.pair_flow t loser v in
+            if not (Helpers.float_eq f expected) then
+              failwith
+                (Printf.sprintf "probe_merge %d<-%d: flow to %d is %g, not %g"
+                   winner loser v f expected))
+          flows
+      end)
+    (Ledger.proc_ids t)
+
+(* Long mixed edit sequences on 500-operator trees: after every step the
+   ledger agrees with the oracle, probe_merge lists its pair flows in
+   ascending order, and exactly the processors whose observable state
+   changed have a new generation stamp. *)
+let test_long_edit_sequences () =
+  List.iter
+    (fun seed ->
+      let inst = Helpers.instance ~n:500 ~seed () in
+      let app = inst.Insp.Instance.app in
+      let platform = inst.Insp.Instance.platform in
+      let rng = Prng.create seed in
+      let n_ops = App.n_operators app in
+      let n_types = Objects.count (App.objects app) in
+      let n_servers = Servers.n_servers platform.Platform.servers in
+      let configs = Catalog.configs platform.Platform.catalog in
+      let t = Ledger.create app platform in
+      for step = 1 to 1200 do
+        let before =
+          List.map
+            (fun u -> (u, Ledger.generation t u, observe t u))
+            (Ledger.proc_ids t)
+        in
+        apply_random_edit ~max_procs:24 t rng ~n_ops ~n_types ~n_servers
+          ~configs;
+        assert_consistent app platform t;
+        List.iter
+          (fun (u, generation, seen) ->
+            if Ledger.mem_proc t u then begin
+              let bumped = Ledger.generation t u <> generation in
+              let changed = compare (observe t u) seen <> 0 in
+              if bumped <> changed then
+                Alcotest.failf "seed %d step %d: P%d bumped=%b changed=%b" seed
+                  step u bumped changed
+            end)
+          before;
+        match Ledger.proc_ids t with
+        | [] -> ()
+        | live -> check_probe_merge t (Prng.choose_list rng live)
+      done)
+    [ 11; 12 ]
 
 let () =
   Alcotest.run "ledger"
@@ -227,5 +413,10 @@ let () =
             test_violations_touching_anchored;
           Alcotest.test_case "merge" `Quick test_merge_consistent;
         ] );
-      ("random", [ ledger_matches_oracle ]);
+      ( "random",
+        [
+          ledger_matches_oracle;
+          Alcotest.test_case "long edit sequences" `Quick
+            test_long_edit_sequences;
+        ] );
     ]
