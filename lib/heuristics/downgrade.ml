@@ -24,9 +24,10 @@ let run app platform alloc =
      instead of one O(procs) copy per step.  Journal events and counters
      fire in the same per-processor order as the stepwise version. *)
   let chosen = Array.init n (fun u -> (Alloc.proc alloc u).Alloc.config) in
+  let demands = Check.proc_demands app alloc in
   for u = 0 to n - 1 do
     Obs.incr "heur.downgrade.step";
-    let d = Check.proc_demand app alloc u in
+    let d = demands.(u) in
     let nic_load =
       Check.proc_download_rate app alloc u
       +. d.Demand.comm_in +. d.Demand.comm_out

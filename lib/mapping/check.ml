@@ -29,18 +29,63 @@ let tolerance = 1e-9
 
 let exceeds load capacity = load > capacity *. (1.0 +. tolerance) +. tolerance
 
-(* [Demand.of_group] of processor [u]'s (sorted) group given its
-   distinct needed objects; membership is a lookup in the alloc's dense
-   assignment instead of a list scan, so the cost is O(|group| * degree)
-   rather than O(|group|^2). *)
-let group_demand app alloc u ~needed =
-  Demand.sum app (Alloc.operators_of alloc u)
-    ~in_group:(fun j -> Alloc.host alloc j = u)
-    ~needed
+(* Every processor's distinct needed object types, ascending: [stamp.(k)
+   = u] marks the types already collected for [u]. *)
+let distinct_objects app alloc =
+  let tree = App.tree app in
+  let stamp = Array.make (Optree.n_object_types tree) (-1) in
+  Array.init (Alloc.n_procs alloc) (fun u ->
+      let acc = ref [] in
+      let mark k =
+        if stamp.(k) <> u then begin
+          stamp.(k) <- u;
+          acc := k :: !acc
+        end
+      in
+      List.iter (fun i -> List.iter mark (Optree.leaves tree i)) (Alloc.operators_of alloc u);
+      List.sort Int.compare !acc)
 
-let proc_demand app alloc u =
-  group_demand app alloc u
-    ~needed:(Demand.distinct_objects app (Alloc.operators_of alloc u))
+(* The sweeps below visit the operators in id order.  Each processor's
+   members are then met in their sorted list order, children in tree
+   order, so every per-processor (and per-pair) sum is accumulated term
+   for term in the order of its per-group definition ([Demand.of_group],
+   [pair_flow]) while the tree is read sequentially; membership is a
+   lookup in the alloc's dense assignment, not a list scan. *)
+
+let rec comm_in_of alloc rho output sums u = function
+  | [] -> ()
+  | j :: rest ->
+    if Alloc.host alloc j <> u then sums.(u) <- sums.(u) +. (rho *. output.(j));
+    comm_in_of alloc rho output sums u rest
+
+let demands app alloc ~needed_of =
+  let tree = App.tree app and rho = App.rho app in
+  let work = App.works app and output = App.output_sizes app in
+  let n_procs = Alloc.n_procs alloc in
+  let compute = Array.make n_procs 0.0 in
+  let comm_in = Array.make n_procs 0.0 and comm_out = Array.make n_procs 0.0 in
+  for i = 0 to App.n_operators app - 1 do
+    let u = Alloc.host alloc i in
+    if u >= 0 then begin
+      compute.(u) <- compute.(u) +. (rho *. work.(i));
+      comm_in_of alloc rho output comm_in u (Optree.children tree i);
+      match Optree.parent tree i with
+      | Some p when Alloc.host alloc p <> u ->
+        comm_out.(u) <- comm_out.(u) +. (rho *. output.(i))
+      | Some _ | None -> ()
+    end
+  done;
+  Array.init n_procs (fun u ->
+      {
+        Demand.compute = compute.(u);
+        download =
+          List.fold_left (fun acc k -> acc +. App.download_rate app k) 0.0 needed_of.(u);
+        comm_in = comm_in.(u);
+        comm_out = comm_out.(u);
+      })
+
+let proc_demands app alloc =
+  demands app alloc ~needed_of:(distinct_objects app alloc)
 
 let proc_download_rate app alloc u =
   List.fold_left
@@ -66,27 +111,9 @@ let pair_flow app alloc u v =
   in
   flow_into u v +. flow_into v u
 
-(* Distinct object types of processor [u]'s group, ascending: [stamp.(k)
-   = u] marks the types already collected for [u]. *)
-let distinct_objects tree stamp alloc u =
-  let acc = ref [] in
-  let mark k =
-    if stamp.(k) <> u then begin
-      stamp.(k) <- u;
-      acc := k :: !acc
-    end
-  in
-  List.iter (fun i -> List.iter mark (Optree.leaves tree i)) (Alloc.operators_of alloc u);
-  List.sort Int.compare !acc
-
-(* Structural violations, plus each processor's distinct needed objects
-   (ascending) for the capacity pass. *)
-let structural_violations app platform alloc =
+let structural_violations app platform alloc ~needed_of =
   let servers = platform.Platform.servers in
-  let tree = App.tree app in
-  let n_types = Optree.n_object_types tree in
-  let n_procs = Alloc.n_procs alloc in
-  let needed_of = Array.make n_procs [] in
+  let n_types = Optree.n_object_types (App.tree app) in
   let need_stamp = Array.make n_types (-1) in
   let plan_stamp = Array.make n_types (-1) in
   let stamped stamp u k = k >= 0 && k < n_types && stamp.(k) = u in
@@ -95,10 +122,10 @@ let structural_violations app platform alloc =
   for i = 0 to App.n_operators app - 1 do
     if Alloc.host alloc i < 0 then add (Unassigned_operator i)
   done;
-  for u = 0 to n_procs - 1 do
-    let needed = distinct_objects tree need_stamp alloc u in
-    needed_of.(u) <- needed;
+  for u = 0 to Alloc.n_procs alloc - 1 do
+    let needed = needed_of.(u) in
     let planned = Alloc.downloads_of alloc u in
+    List.iter (fun k -> need_stamp.(k) <- u) needed;
     List.iter (fun (k, _) -> if k >= 0 && k < n_types then plan_stamp.(k) <- u) planned;
     List.iter
       (fun k ->
@@ -131,67 +158,86 @@ let structural_violations app platform alloc =
     in
     duplicates planned
   done;
-  (List.rev !acc, needed_of)
+  List.rev !acc
 
-(* Constraint (5), per processor pair, in one pass over the tree edges
-   instead of probing all O(procs^2) pairs through [pair_flow].  Host
-   [u]'s directed flows into each neighbour [v] (children on [v] of
-   operators on [u]) all arrive while [u] is visited — members in list
-   order, children in tree order, exactly the order [pair_flow u v]
-   sums them — and are stored as row [u] of a CSR table sorted by [v].
-   The transposed table lists each processor's incoming flows by
-   ascending source, so merging row [a] with column [a] visits the
-   pairs [(a, b)], [b > a], in ascending order and sums
-   [into (a, b) +. into (b, a)] like [pair_flow a b]: the reported
-   loads are bit-identical.  Pairs no edge touches carry zero flow and
-   can never exceed the non-negative capacity. *)
+(* Constraint (5), per processor pair, in one sweep over the tree edges
+   instead of probing all O(procs^2) pairs through [pair_flow].  The
+   sweep lists each host's crossing child edges in operator order; the
+   host's directed flow into each neighbour [v] is then summed in that
+   order — exactly the order [pair_flow u v] sums it — into row [u] of a
+   CSR table sorted by [v].  The transposed table lists each
+   processor's incoming flows by ascending source, so merging row [a]
+   with column [a] visits the pairs [(a, b)], [b > a], in ascending
+   order and sums [into (a, b) +. into (b, a)] like [pair_flow a b]: the
+   reported loads are bit-identical.  Pairs no edge touches carry zero
+   flow and can never exceed the non-negative capacity. *)
+let rec crossing alloc f u = function
+  | [] -> ()
+  | j :: rest ->
+    let v = Alloc.host alloc j in
+    if v >= 0 && v <> u then f u v j;
+    crossing alloc f u rest
+
 let proc_link_violations app platform alloc add =
-  let tree = App.tree app in
-  let rho = App.rho app in
+  let tree = App.tree app and rho = App.rho app in
   let output = App.output_sizes app in
   let n_procs = Alloc.n_procs alloc in
-  let cap = max 1 (App.n_operators app) in
+  let sweep f =
+    for i = 0 to App.n_operators app - 1 do
+      let u = Alloc.host alloc i in
+      if u >= 0 then crossing alloc f u (Optree.children tree i)
+    done
+  in
   let row = Array.make (n_procs + 1) 0 in
-  let dst = Array.make cap 0 and out_w = Array.make cap 0.0 in
-  let stamp = Array.make n_procs (-1) and into = Array.make n_procs 0.0 in
-  let m = ref 0 in
+  sweep (fun u _ _ -> row.(u + 1) <- row.(u + 1) + 1);
   for u = 0 to n_procs - 1 do
-    row.(u) <- !m;
-    let child j =
-      let v = Alloc.host alloc j in
-      if v >= 0 && v <> u then begin
-        if stamp.(v) <> u then begin
-          (* first flow towards [v]: insert it into the sorted row *)
-          stamp.(v) <- u;
-          into.(v) <- 0.0;
-          let e = ref !m in
-          while !e > row.(u) && dst.(!e - 1) > v do
-            dst.(!e) <- dst.(!e - 1);
-            decr e
-          done;
-          dst.(!e) <- v;
-          incr m
-        end;
-        into.(v) <- into.(v) +. (rho *. output.(j))
-      end
-    in
-    List.iter (fun i -> List.iter child (Optree.children tree i)) (Alloc.operators_of alloc u);
-    for e = row.(u) to !m - 1 do
+    row.(u + 1) <- row.(u + 1) + row.(u)
+  done;
+  let m = max 1 row.(n_procs) in
+  let edge_v = Array.make m 0 and edge_w = Array.make m 0.0 in
+  let fill = Array.sub row 0 n_procs in
+  sweep (fun u v j ->
+      edge_v.(fill.(u)) <- v;
+      edge_w.(fill.(u)) <- rho *. output.(j);
+      fill.(u) <- fill.(u) + 1);
+  (* Aggregate each host's edges into its sorted row. *)
+  let start = Array.make (n_procs + 1) 0 in
+  let dst = Array.make m 0 and out_w = Array.make m 0.0 in
+  let stamp = Array.make n_procs (-1) and into = Array.make n_procs 0.0 in
+  let k = ref 0 in
+  for u = 0 to n_procs - 1 do
+    start.(u) <- !k;
+    for e = row.(u) to row.(u + 1) - 1 do
+      let v = edge_v.(e) in
+      if stamp.(v) <> u then begin
+        stamp.(v) <- u;
+        into.(v) <- 0.0;
+        let x = ref !k in
+        while !x > start.(u) && dst.(!x - 1) > v do
+          dst.(!x) <- dst.(!x - 1);
+          decr x
+        done;
+        dst.(!x) <- v;
+        incr k
+      end;
+      into.(v) <- into.(v) +. edge_w.(e)
+    done;
+    for e = start.(u) to !k - 1 do
       out_w.(e) <- into.(dst.(e))
     done
   done;
-  row.(n_procs) <- !m;
+  start.(n_procs) <- !k;
   let col = Array.make (n_procs + 1) 0 in
-  for e = 0 to !m - 1 do
+  for e = 0 to !k - 1 do
     col.(dst.(e) + 1) <- col.(dst.(e) + 1) + 1
   done;
   for v = 0 to n_procs - 1 do
     col.(v + 1) <- col.(v + 1) + col.(v)
   done;
-  let fill = Array.sub col 0 n_procs in
-  let src = Array.make cap 0 and in_w = Array.make cap 0.0 in
+  Array.blit col 0 fill 0 n_procs;
+  let src = Array.make m 0 and in_w = Array.make m 0.0 in
   for u = 0 to n_procs - 1 do
-    for e = row.(u) to row.(u + 1) - 1 do
+    for e = start.(u) to start.(u + 1) - 1 do
       let v = dst.(e) in
       src.(fill.(v)) <- u;
       in_w.(fill.(v)) <- out_w.(e);
@@ -200,11 +246,11 @@ let proc_link_violations app platform alloc add =
   done;
   let capacity = platform.Platform.proc_link in
   for a = 0 to n_procs - 1 do
-    let o = ref row.(a) and c = ref col.(a) in
-    while !o < row.(a + 1) && dst.(!o) < a do incr o done;
+    let o = ref start.(a) and c = ref col.(a) in
+    while !o < start.(a + 1) && dst.(!o) < a do incr o done;
     while !c < col.(a + 1) && src.(!c) < a do incr c done;
-    while !o < row.(a + 1) || !c < col.(a + 1) do
-      let bo = if !o < row.(a + 1) then dst.(!o) else max_int in
+    while !o < start.(a + 1) || !c < col.(a + 1) do
+      let bo = if !o < start.(a + 1) then dst.(!o) else max_int in
       let bc = if !c < col.(a + 1) then src.(!c) else max_int in
       let b = min bo bc in
       let fo = if bo = b then out_w.(!o) else 0.0 in
@@ -220,6 +266,7 @@ let proc_link_violations app platform alloc add =
 let capacity_violations app platform alloc ~needed_of =
   let servers = platform.Platform.servers in
   let n_procs = Alloc.n_procs alloc in
+  let demand = demands app alloc ~needed_of in
   let acc = ref [] in
   let add v = acc := v :: !acc in
   (* Constraints (1) and (2), per processor.  The NIC download term uses
@@ -227,7 +274,7 @@ let capacity_violations app platform alloc ~needed_of =
      object set once the plan is structurally valid. *)
   for u = 0 to n_procs - 1 do
     let p = Alloc.proc alloc u in
-    let d = group_demand app alloc u ~needed:needed_of.(u) in
+    let d = demand.(u) in
     let config = p.Alloc.config in
     if exceeds d.Demand.compute config.cpu.speed then
       add
@@ -273,8 +320,9 @@ let capacity_violations app platform alloc ~needed_of =
   List.rev !acc
 
 let check app platform alloc =
-  let structural, needed_of = structural_violations app platform alloc in
-  structural @ capacity_violations app platform alloc ~needed_of
+  let needed_of = distinct_objects app alloc in
+  structural_violations app platform alloc ~needed_of
+  @ capacity_violations app platform alloc ~needed_of
 
 let is_feasible app platform alloc = check app platform alloc = []
 

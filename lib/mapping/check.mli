@@ -47,9 +47,10 @@ val check :
 val is_feasible :
   Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> bool
 
-val proc_demand : Insp_tree.App.t -> Alloc.t -> int -> Demand.t
-(** Demand of processor [u]'s operator group (same arithmetic the
-    heuristics use). *)
+val proc_demands : Insp_tree.App.t -> Alloc.t -> Demand.t array
+(** Demand of every processor's operator group, indexed by processor:
+    bit-identical to {!Demand.of_group} on each group, computed in one
+    linear sweep over the operators. *)
 
 val proc_download_rate : Insp_tree.App.t -> Alloc.t -> int -> float
 (** MB/s of basic-object downloads entering processor [u] according to

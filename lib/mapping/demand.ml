@@ -17,8 +17,8 @@ let distinct_objects app group =
   let tree = App.tree app in
   List.concat_map (Optree.leaves tree) group |> List.sort_uniq compare
 
-(* Accumulators for [sum]: an all-float record is stored flat, so the
-   closures below update it without boxing. *)
+(* Accumulators for [of_group]: an all-float record is stored flat, so
+   the closures below update it without boxing. *)
 type acc = {
   mutable a_compute : float;
   mutable a_download : float;
@@ -26,7 +26,9 @@ type acc = {
   mutable a_comm_out : float;
 }
 
-let sum app group ~in_group ~needed =
+let of_group app group =
+  let group = List.sort_uniq Int.compare group in
+  let in_group i = List.mem i group in
   let tree = App.tree app in
   let rho = App.rho app in
   let work = App.works app and output = App.output_sizes app in
@@ -43,19 +45,15 @@ let sum app group ~in_group ~needed =
         s.a_comm_out <- s.a_comm_out +. (rho *. output.(i))
       | Some _ | None -> ())
     group;
-  List.iter (fun k -> s.a_download <- s.a_download +. App.download_rate app k) needed;
+  List.iter
+    (fun k -> s.a_download <- s.a_download +. App.download_rate app k)
+    (distinct_objects app group);
   {
     compute = s.a_compute;
     download = s.a_download;
     comm_in = s.a_comm_in;
     comm_out = s.a_comm_out;
   }
-
-let of_group app group =
-  let group = List.sort_uniq Int.compare group in
-  sum app group
-    ~in_group:(fun i -> List.mem i group)
-    ~needed:(distinct_objects app group)
 
 let of_operator app i = of_group app [ i ]
 

@@ -35,18 +35,6 @@ val of_group : Insp_tree.App.t -> int list -> t
 (** Demand of a set of operators placed together.  Duplicate ids are
     ignored. *)
 
-val sum :
-  Insp_tree.App.t ->
-  int list ->
-  in_group:(int -> bool) ->
-  needed:int list ->
-  t
-(** [sum app group ~in_group ~needed] is {!of_group} of a sorted,
-    duplicate-free [group] whose membership test and distinct needed
-    objects ({!distinct_objects}) the caller supplies; every term is
-    summed in the same order as {!of_group}, so the results are
-    bit-identical. *)
-
 val of_operator : Insp_tree.App.t -> int -> t
 (** Demand of a singleton group. *)
 
