@@ -4,9 +4,12 @@
     {!Check.check} derives from an allocation: per-processor compute,
     communication and download loads, per-server card and link loads,
     and per-processor-pair flows.  Mutations ({!add_operator},
-    {!remove_operator}, {!add_download}, …) cost O(degree) — the number
-    of tree edges and object leaves touching the edited operator — where
-    the from-scratch path recomputes O(|group|²) sums per probe.
+    {!remove_operator}, {!add_download}, …) cost O(degree) row edits —
+    the number of tree edges and object leaves touching the edited
+    operator — where the from-scratch path recomputes O(|group|²) sums
+    per probe.  The state is flat sorted rows edited in place
+    (DESIGN.md §16.1): once its rows have grown, a commit allocates
+    nothing, and a probe allocates only its result.
 
     {!Check.check} remains the oracle: the test suite materialises the
     ledger with {!to_alloc}, runs the oracle and requires the same
