@@ -85,3 +85,25 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Compare a rendering against a committed golden file.  On a mismatch
+   the full actual rendering is written to [<stem>.actual] next to the
+   test binary, ready to replace the golden when a change means it, and
+   the first differing line is reported. *)
+let check_golden ~what file actual =
+  let expected = read_file file in
+  if not (String.equal expected actual) then begin
+    let oc = open_out_bin (Filename.remove_extension file ^ ".actual") in
+    output_string oc actual;
+    close_out oc;
+    let rec first = function
+      | e :: er, a :: ar -> if String.equal e a then first (er, ar) else (e, a)
+      | e :: _, [] -> (e, "<end>")
+      | [], a :: _ -> ("<end>", a)
+      | [], [] -> ("", "")
+    in
+    let e, a =
+      first (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+    in
+    Alcotest.failf "%s drifted from %s:\n  expected %s\n  actual   %s" what file e a
+  end

@@ -625,28 +625,11 @@ let check_golden_lines () =
   (String.concat "" lines, Hashtbl.length seen)
 
 (* The violation lists of the 200-instance corpus and its perturbations,
-   against test/check_violations.golden.  On a mismatch the full actual
-   rendering is written to check_violations.actual next to the test
-   binary, ready to replace the golden when a change means it. *)
+   against test/check_violations.golden (see Helpers.check_golden). *)
 let test_check_violations_golden () =
   let actual, kinds = check_golden_lines () in
   Alcotest.(check int) "the corpus reaches all ten violation kinds" 10 kinds;
-  let expected = Helpers.read_file "check_violations.golden" in
-  if not (String.equal expected actual) then begin
-    let oc = open_out_bin "check_violations.actual" in
-    output_string oc actual;
-    close_out oc;
-    let el = String.split_on_char '\n' expected
-    and al = String.split_on_char '\n' actual in
-    let rec first = function
-      | e :: er, a :: ar -> if String.equal e a then first (er, ar) else (e, a)
-      | e :: _, [] -> (e, "<end>")
-      | [], a :: _ -> ("<end>", a)
-      | [], [] -> ("", "")
-    in
-    let e, a = first (el, al) in
-    Alcotest.failf "Check.check drifted from check_violations.golden:\n  expected %s\n  actual   %s" e a
-  end
+  Helpers.check_golden ~what:"Check.check" "check_violations.golden" actual
 
 let () =
   Alcotest.run "mapping"

@@ -18,23 +18,26 @@ module Cand_queue = Insp_heuristics.Cand_queue
 (* ------------------------------------------------------------------ *)
 (* Queue greedy vs legacy scan greedy: byte-identical solutions        *)
 
-(* Everything observable about a solve outcome except probe noise: the
-   exact cost bits, the processor count and the full allocation
-   rendering (configs, operator groups, download plans). *)
+(* Everything observable about a solve outcome except probe noise, on
+   one line: the exact cost bits, the processor count and a digest of
+   the full allocation rendering (configs, operator groups, download
+   plans). *)
 let render_outcome = function
   | Ok (o : Insp.Solve.outcome) ->
-    Printf.sprintf "ok cost=%h procs=%d\n%s" o.Insp.Solve.cost
+    Printf.sprintf "ok cost=%h procs=%d alloc=%s" o.Insp.Solve.cost
       o.Insp.Solve.n_procs
-      (Format.asprintf "%a" Insp.Alloc.pp o.Insp.Solve.alloc)
+      (Digest.to_hex
+         (Digest.string (Format.asprintf "%a" Insp.Alloc.pp o.Insp.Solve.alloc)))
   | Error f -> "fail " ^ Insp.Solve.failure_message f
+
+let run_outcome h inst =
+  render_outcome
+    (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app inst.Insp.Instance.platform)
 
 let solve key inst =
   match Insp.Solve.find key with
   | None -> Alcotest.failf "unknown heuristic %s" key
-  | Some h ->
-    render_outcome
-      (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app
-         inst.Insp.Instance.platform)
+  | Some h -> run_outcome h inst
 
 let test_comp_queue_equivalence () =
   for idx = 0 to Helpers.corpus_size - 1 do
@@ -55,6 +58,20 @@ let test_comm_cache_equivalence () =
       (Printf.sprintf "case %d: cached and fresh Comm-Greedy agree" idx)
       fresh cached
   done
+
+(* Every heuristic's solution on every corpus instance, one line per
+   (instance, heuristic), against test/solutions.golden: a refactor of
+   any placement loop must leave the committed solutions unchanged. *)
+let test_solutions_golden () =
+  let buf = Buffer.create (64 * 1024) in
+  for idx = 0 to Helpers.corpus_size - 1 do
+    let inst = Helpers.corpus_instance idx in
+    List.iter
+      (fun (h : Insp.Solve.heuristic) ->
+        Printf.bprintf buf "%d %s %s\n" idx h.Insp.Solve.key (run_outcome h inst))
+      Insp.Solve.all
+  done;
+  Helpers.check_golden ~what:"Solve.run" "solutions.golden" (Buffer.contents buf)
 
 (* The scale preset end to end at a mid size: the queue path must
    produce a checker-approved allocation (the bench rows assert the
@@ -225,6 +242,11 @@ let () =
             test_comm_cache_equivalence;
           Alcotest.test_case "scale preset solves at 2k" `Quick
             test_scale_preset_solves;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "solutions: 200 instances x 6 heuristics" `Slow
+            test_solutions_golden;
         ] );
       ( "arena",
         [ Alcotest.test_case "id stability" `Quick test_arena_id_stability ] );
