@@ -1,6 +1,6 @@
 # Development entry points.  `make check` is the tier-1 gate.
 
-.PHONY: check build test bench bench-json bench-compare lint lint-quick lint-deep prof clean
+.PHONY: check build test bench bench-json bench-compare lint lint-quick lint-deep prof loc clean
 
 check:
 	dune build && dune runtest && $(MAKE) lint
@@ -53,6 +53,11 @@ prof:
 	dune build bin/insp_cli.exe
 	mkdir -p _build/prof
 	dune exec bin/insp_cli.exe -- solve --scale -n 10000 -H comp --seed 1 --profile _build/prof/prof
+
+# Total line count of the library sources (lib/**/*.ml and *.mli), the
+# size figure tracked next to the bench rows.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 clean:
 	dune clean

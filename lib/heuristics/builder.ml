@@ -75,10 +75,6 @@ let all_assigned t =
   let rec go i = i >= n || (Ledger.assignment t.ledger i <> None && go (i + 1)) in
   go 0
 
-let demand t gid =
-  check_live t gid;
-  Ledger.demand t.ledger gid
-
 let tolerance = 1e-9
 let leq value capacity = value <= (capacity *. (1.0 +. tolerance)) +. tolerance
 
@@ -324,23 +320,6 @@ let try_absorb_upgrade t winner loser =
         (Journal.Merge_groups
            { winner; loser; upgrade = Some (Catalog.label cfg) });
     count_absorb true
-
-let sell_if_empty t gid =
-  if Ledger.mem_proc t.ledger gid && Ledger.operators_of t.ledger gid = []
-  then sell t gid
-
-let release_operator t op =
-  match Ledger.assignment t.ledger op with
-  | None -> ()
-  | Some gid ->
-    Ledger.remove_operator t.ledger op;
-    sell_if_empty t gid
-
-let set_config t gid cfg =
-  check_live t gid;
-  Ledger.set_config t.ledger gid cfg;
-  if Obs.journaling () then
-    Obs.event (Journal.Reconfig { gid; config = Catalog.label cfg })
 
 let finalize t =
   if not (all_assigned t) then

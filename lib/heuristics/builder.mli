@@ -26,7 +26,6 @@ val create : Insp_tree.App.t -> Insp_platform.Platform.t -> t
 val app : t -> Insp_tree.App.t
 val platform : t -> Insp_platform.Platform.t
 
-(* lint: allow t3 — accessor completing the builder record API *)
 val ledger : t -> Insp_mapping.Ledger.t
 (** The backing ledger (group ids = ledger processor ids).  Exposed for
     diagnostics and consistency tests; mutate through the builder. *)
@@ -35,16 +34,12 @@ val group_ids : t -> group_id list
 (** Live groups, in acquisition order. *)
 
 val members : t -> group_id -> int list
-(* lint: allow t3 — accessor completing the builder record API *)
 val config : t -> group_id -> Insp_platform.Catalog.config
 val assignment : t -> int -> group_id option
 val unassigned : t -> int list
 (** Operators not yet placed, increasing id order. *)
 
 val all_assigned : t -> bool
-
-(* lint: allow t3 — accessor completing the builder record API *)
-val demand : t -> group_id -> Insp_mapping.Demand.t
 
 val can_host :
   t ->
@@ -89,21 +84,9 @@ val try_absorb_upgrade : t -> group_id -> group_id -> bool
 (** Like {!try_absorb}, but the winner may be exchanged for the cheapest
     configuration hosting the merged group. *)
 
-(* lint: allow t3 — mutator completing the builder API surface *)
-val release_operator : t -> int -> unit
-(** Unassigns one operator; sells its group if that leaves it empty. *)
-
 val sell : t -> group_id -> unit
 (** Returns the processor to the store; all its operators become
     unassigned again. *)
-
-(* lint: allow t3 — mutator completing the builder API surface *)
-val sell_if_empty : t -> group_id -> unit
-
-(* lint: allow t3 — mutator completing the builder API surface *)
-val set_config : t -> group_id -> Insp_platform.Catalog.config -> unit
-(** Unchecked configuration swap (used by tests); prefer
-    {!Downgrade.run} on finished allocations. *)
 
 val finalize : t -> (int list array * Insp_platform.Catalog.config array, string) result
 (** Compacted groups and configurations, in acquisition order.  Fails if

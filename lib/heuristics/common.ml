@@ -5,28 +5,6 @@ module Platform = Insp_platform.Platform
 
 type style = [ `Best | `Cheapest ]
 
-let comm_partner app op =
-  let tree = App.tree app in
-  let rho = App.rho app in
-  let candidates =
-    List.map
-      (fun c -> (c, rho *. App.output_size app c))
-      (Optree.children tree op)
-    @
-    match Optree.parent tree op with
-    | None -> []
-    | Some p -> [ (p, rho *. App.output_size app op) ]
-  in
-  match candidates with
-  | [] -> None
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun (bi, bw) (i, w) -> if w > bw then (i, w) else (bi, bw))
-        first rest
-    in
-    Some (fst best)
-
 let by_work_desc app ops =
   List.sort
     (fun a b ->

@@ -5,12 +5,6 @@ type style = [ `Best | `Cheapest ]
     the catalog's most expensive one (later downgraded) or the cheapest
     one that can host the operators. *)
 
-(* lint: allow t3 — mirrors the paper's operator-pairing notation; kept for parity *)
-val comm_partner : Insp_tree.App.t -> int -> int option
-(** The neighbour (operator child or parent) of an operator with the most
-    demanding communication requirement on the connecting tree edge;
-    [None] for an isolated root with no operator children. *)
-
 val by_work_desc : Insp_tree.App.t -> int list -> int list
 (** Sort operators by non-increasing [w_i] (ties by id for
     determinism). *)
@@ -36,9 +30,8 @@ val acquire_with_grouping :
     rounds.  Iteration (vs the paper's single pairing) is required when a
     chain of tree edges each exceeds the processor-link bandwidth.
     [on_release] is called once per operator returned to the unassigned
-    pool by a sell, after the sell committed — the candidate-queue
-    heuristics use it to re-stamp and re-enqueue resurrected
-    candidates. *)
+    pool by a sell, after the sell committed — Comp-Greedy uses it to
+    learn that its rank walker must be reset. *)
 
 val object_set : Insp_tree.App.t -> int -> int list
 (** Distinct object types operator [i] downloads. *)

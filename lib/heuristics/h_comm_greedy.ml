@@ -47,16 +47,6 @@ let with_merge_sweeps enabled f =
   merge_sweeps_enabled := enabled;
   Fun.protect ~finally:(fun () -> merge_sweeps_enabled := saved) f
 
-(* Ablation knob: disable the per-edge failed-probe cache below and
-   re-probe every cross-processor edge on every sweep, like the legacy
-   implementation.  Not thread-safe. *)
-let probe_cache_enabled = ref true
-
-let with_probe_cache enabled f =
-  let saved = !probe_cache_enabled in
-  probe_cache_enabled := enabled;
-  Fun.protect ~finally:(fun () -> probe_cache_enabled := saved) f
-
 (* Case (iii) of the paper: for edges whose endpoints ended up on two
    different processors, try to accommodate both groups on one processor
    and sell the other.  Processing edges heaviest-first means both
@@ -75,7 +65,6 @@ let merge_sweeps b app edges =
   let led = Builder.ledger b in
   let edges = Array.of_list edges in
   let failed = Array.make (Array.length edges) (-1, -1, -1, -1) in
-  let use_cache = !probe_cache_enabled in
   let rec sweep budget =
     if budget > 0 then begin
       let changed = ref false in
@@ -86,7 +75,7 @@ let merge_sweeps b app edges =
             let key =
               (gi, Ledger.generation led gi, gp, Ledger.generation led gp)
             in
-            if use_cache && failed.(idx) = key then ()
+            if failed.(idx) = key then ()
             else if
               Builder.try_absorb_upgrade b gi gp
               || Builder.try_absorb_upgrade b gp gi

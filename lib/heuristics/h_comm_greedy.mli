@@ -22,10 +22,3 @@ val with_merge_sweeps : bool -> (unit -> 'a) -> 'a
 (** Run a thunk with the case-(iii) merge sweeps toggled (false = the
     paper's literal one-pass edge processing).  For the ablation bench;
     restores the previous value on exit.  Not thread-safe. *)
-
-val with_probe_cache : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with the merge sweeps' generation-stamped failed-probe
-    cache toggled (false = re-probe every cross-processor edge on every
-    sweep, the legacy behaviour; the committed merges are identical
-    either way).  For the equivalence suite and the ablation bench;
-    restores the previous value on exit.  Not thread-safe. *)

@@ -6,23 +6,17 @@
     it does not fit), then fills the remaining capacity with further
     unassigned operators in non-increasing [w_i] order.
 
-    The default implementation drives both the round seeds and the fill
-    walk from candidate queues (DESIGN.md §16): a lazy-deletion heap
-    with generation stamps picks each round's heaviest unassigned
-    operator, and the fill walk follows the static work-descending rank
-    with a path-compressed dead-skip plus a binary-search fast-forward
-    past compute-infeasible candidates.  The placement it commits is
-    identical to the legacy scan (same probes accepted, same order);
-    only probes that are certain to be rejected are skipped. *)
+    Both the round seeds and the fill walk come from one {!Rank} walker
+    over the static work-descending order (DESIGN.md §16): the seed is
+    the first unassigned operator of the order, and the fill follows the
+    order with a path-compressed dead-skip plus a binary-search
+    fast-forward past compute-infeasible candidates.  Only probes that
+    are certain to be rejected are skipped, so the placement equals
+    re-sorting the unassigned pool every round and probing every
+    candidate. *)
 
 val run :
   Insp_util.Prng.t ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   (Builder.t, string) result
-
-val with_candidate_queue : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with the candidate-queue implementation toggled (false =
-    the legacy scan-everything loop).  For the equivalence suite and the
-    ablation bench; restores the previous value on exit.  Not
-    thread-safe. *)

@@ -8,10 +8,10 @@
     keep their per-id state in their own arrays indexed by the id.
 
     Each id carries a {e generation stamp}, bumped by {!touch} and
-    {!free}.  Cached derived state (a feasibility probe, a scored
-    candidate) records the stamp it was computed at; a stale stamp means
-    the cache entry must be dropped (the lazy-deletion discipline of
-    [Insp_heuristics.Cand_queue]).  See DESIGN.md §16. *)
+    {!free}.  Cached derived state (a failed feasibility probe)
+    records the stamps it was computed at; a stale stamp means the
+    cache entry must be dropped (Comm-Greedy's failed-merge cache reads
+    them through [Ledger.generation]).  See DESIGN.md §16. *)
 
 type t
 

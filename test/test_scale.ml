@@ -1,22 +1,22 @@
 (* 100k-operator scale machinery (DESIGN.md §16):
 
-   - the candidate-queue Comp-Greedy and the probe-cache Comm-Greedy
-     must commit byte-identical solutions to their legacy
-     scan-everything twins on a batch of random small/mid instances
-     (the queues may only skip probes that were certain to fail);
+   - Comp-Greedy's rank-walker loop must commit byte-identical
+     solutions to the scan-everything oracle below on a batch of random
+     small/mid instances (the walker may only skip probes that were
+     certain to fail), and every heuristic's solutions on the same
+     corpus are pinned by test/solutions.golden;
+   - the rank walker itself, against a naive linear scan;
    - the arena id discipline (dense ids, never reused, generation
-     stamps) that the lazy-deletion queues rely on;
-   - the lazy-deletion heap itself: a stale candidate can never win a
-     pop;
+     stamps);
    - the typed generator errors for operator counts the platform
      catalog cannot host. *)
 
-module H_comp = Insp_heuristics.H_comp_greedy
-module H_comm = Insp_heuristics.H_comm_greedy
-module Cand_queue = Insp_heuristics.Cand_queue
+module Builder = Insp.Builder
+module Common = Insp_heuristics.Common
+module Rank = Insp_heuristics.Rank
 
 (* ------------------------------------------------------------------ *)
-(* Queue greedy vs legacy scan greedy: byte-identical solutions        *)
+(* Rank-walker Comp-Greedy vs the scan oracle: identical solutions     *)
 
 (* Everything observable about a solve outcome except probe noise, on
    one line: the exact cost bits, the processor count and a digest of
@@ -34,30 +34,78 @@ let run_outcome h inst =
   render_outcome
     (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app inst.Insp.Instance.platform)
 
-let solve key inst =
-  match Insp.Solve.find key with
-  | None -> Alcotest.failf "unknown heuristic %s" key
-  | Some h -> run_outcome h inst
+(* The reference Comp-Greedy over the public Builder/Common API:
+   re-sort the unassigned pool every round, seed with its heaviest
+   operator and probe every other one during the fill. *)
+let scan_comp_greedy _rng app platform =
+  let b = Builder.create app platform in
+  let budget = ref ((Insp.App.n_operators app * Insp.App.n_operators app) + 16) in
+  let rec loop () =
+    match Common.by_work_desc app (Builder.unassigned b) with
+    | [] -> Ok b
+    | heaviest :: _ -> (
+      decr budget;
+      if !budget <= 0 then
+        Error "placement did not converge (grouping fallback oscillates)"
+      else
+        match Common.acquire_with_grouping b ~style:`Best heaviest with
+        | Error e -> Error e
+        | Ok gid ->
+          Common.fill b gid (Common.by_work_desc app (Builder.unassigned b));
+          loop ())
+  in
+  loop ()
+
+(* Instances on which Comp-Greedy's grouping fallback sells a processor
+   (resurrecting operators the rank walker had skipped) and the solve
+   still succeeds.  The corpus reaches a sell only on instances that
+   fail anyway, so without these the walker reset after a sell would go
+   unchecked. *)
+let sell_instances () =
+  List.map
+    (fun (n, sizes, seed) ->
+      let rho = if sizes = Insp.Config.Large then 0.1 else 1.0 in
+      Insp.Instance.generate
+        (Insp.Config.make ~alpha:1.5 ~sizes ~rho ~seed ~n_operators:n ()))
+    [
+      (100, Insp.Config.Small, 29);
+      (20, Insp.Config.Large, 5);
+      (20, Insp.Config.Large, 17);
+      (20, Insp.Config.Large, 42);
+      (20, Insp.Config.Large, 47);
+    ]
 
 let test_comp_queue_equivalence () =
-  for idx = 0 to Helpers.corpus_size - 1 do
-    let inst = Helpers.corpus_instance idx in
-    let queue = H_comp.with_candidate_queue true (fun () -> solve "comp" inst) in
-    let scan = H_comp.with_candidate_queue false (fun () -> solve "comp" inst) in
+  let comp =
+    match Insp.Solve.find "comp" with
+    | Some h -> h
+    | None -> Alcotest.fail "comp heuristic missing"
+  in
+  let scan = { comp with Insp.Solve.run = scan_comp_greedy } in
+  let agree name inst =
     Alcotest.(check string)
-      (Printf.sprintf "case %d: queue and scan Comp-Greedy agree" idx)
-      scan queue
-  done
-
-let test_comm_cache_equivalence () =
+      (name ^ ": Comp-Greedy and the scan oracle agree")
+      (run_outcome scan inst) (run_outcome comp inst)
+  in
   for idx = 0 to Helpers.corpus_size - 1 do
-    let inst = Helpers.corpus_instance idx in
-    let cached = H_comm.with_probe_cache true (fun () -> solve "comm" inst) in
-    let fresh = H_comm.with_probe_cache false (fun () -> solve "comm" inst) in
-    Alcotest.(check string)
-      (Printf.sprintf "case %d: cached and fresh Comm-Greedy agree" idx)
-      fresh cached
-  done
+    agree (Printf.sprintf "case %d" idx) (Helpers.corpus_instance idx)
+  done;
+  List.iteri
+    (fun k inst ->
+      let outcome, recorder =
+        Insp.Obs.with_sink (fun () ->
+            Insp.Solve.run ~seed:1 comp inst.Insp.Instance.app
+              inst.Insp.Instance.platform)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "sell case %d: Comp-Greedy sells and succeeds" k)
+        true
+        (Result.is_ok outcome
+        && Option.value ~default:0
+             (Insp.Obs_metrics.counter recorder.Insp.Obs.metrics "heur.sell")
+           > 0);
+      agree (Printf.sprintf "sell case %d" k) inst)
+    (sell_instances ())
 
 (* Every heuristic's solution on every corpus instance, one line per
    (instance, heuristic), against test/solutions.golden: a refactor of
@@ -128,69 +176,48 @@ let test_arena_id_stability () =
     (Insp.Arena.generation a fresh > g0)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy-deletion heap: a stale candidate can never win a pop           *)
+(* Rank walker vs a naive linear scan                                  *)
 
-let test_stale_candidate_never_wins () =
-  let n = 60 in
-  let ver = Array.make n 0 in
-  let q = Cand_queue.create () in
-  let score i = float_of_int ((i * 37 mod 19) - (i mod 5)) in
-  for i = 0 to n - 1 do
-    Cand_queue.push q ~score:(score i) ~tie:i ~gen:0 i
-  done;
-  Alcotest.(check int) "size counts pushes" n (Cand_queue.size q);
-  (* Invalidate some candidates; re-push half of them with the fresh
-     stamp (the other half must never surface again). *)
-  for i = 0 to n - 1 do
-    if i mod 3 = 0 then begin
-      ver.(i) <- ver.(i) + 1;
-      if i mod 6 = 0 then
-        Cand_queue.push q ~score:(score i) ~tie:i ~gen:ver.(i) i
-    end
-  done;
-  let expected =
-    List.init n Fun.id
-    |> List.filter (fun i -> i mod 3 <> 0 || i mod 6 = 0)
-    |> List.sort (fun a b ->
-           let c = compare (score b) (score a) in
-           if c <> 0 then c else compare a b)
-  in
-  let popped = ref [] in
-  let rec drain () =
-    match Cand_queue.pop_valid q ~gen_of:(fun i -> ver.(i)) with
-    | Some i ->
-      (* pop_valid's contract: anything it yields carries the current
-         stamp, so a stale candidate (bumped, not re-pushed) is
-         impossible here — the expected list below encodes that. *)
-      popped := i :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int))
-    "pop_valid yields exactly the live candidates in priority order"
-    expected (List.rev !popped);
-  Alcotest.(check bool) "queue drained" true (Cand_queue.is_empty q)
-
-(* pop (the raw variant) surfaces stale entries with their stored
-   stamp — the caller's generation check is what drops them. *)
-let test_raw_pop_reports_stamp () =
-  let q = Cand_queue.create () in
-  Cand_queue.push q ~score:1.0 ~tie:0 ~gen:7 "a";
-  Cand_queue.push q ~score:2.0 ~tie:1 ~gen:3 "b";
-  (match Cand_queue.pop q with
-  | Some (v, stamp) ->
-    Alcotest.(check string) "max first" "b" v;
-    Alcotest.(check int) "stored stamp" 3 stamp
-  | None -> Alcotest.fail "pop on non-empty queue");
-  (match Cand_queue.pop q with
-  | Some (v, stamp) ->
-    Alcotest.(check string) "then the other" "a" v;
-    Alcotest.(check int) "stored stamp" 7 stamp
-  | None -> Alcotest.fail "pop on non-empty queue");
-  Alcotest.(check bool) "empty after both" true (Cand_queue.is_empty q);
-  Alcotest.(check (option (pair string int))) "pop on empty" None
-    (Cand_queue.pop q)
+(* Random permutations under random interleavings of [first] from
+   position 0 (the round seed), [first] from arbitrary positions (the
+   fill walk), deaths, and resurrections each followed by [reset]: every
+   answer must equal the first alive position a linear scan finds. *)
+let test_rank_walker_vs_scan () =
+  let rng = Insp.Prng.create 17 in
+  for trial = 0 to 199 do
+    let n = 1 + Insp.Prng.int rng 40 in
+    let order = Array.init n Fun.id in
+    Insp.Prng.shuffle_in_place rng order;
+    let rank = Rank.of_order order in
+    Alcotest.(check int) "length" n (Rank.length rank);
+    Array.iteri
+      (fun pos i -> Alcotest.(check int) "element" i (Rank.element rank pos))
+      order;
+    let alive = Array.make n true in
+    let naive pos =
+      let p = ref pos in
+      while !p < n && not alive.(order.(!p)) do incr p done;
+      !p
+    in
+    let check_first step pos =
+      Alcotest.(check int)
+        (Printf.sprintf "trial %d step %d: first from %d" trial step pos)
+        (naive pos)
+        (Rank.first rank ~alive:(fun i -> alive.(i)) pos)
+    in
+    for step = 0 to 299 do
+      match Insp.Prng.int rng 8 with
+      | 0 | 1 -> check_first step 0
+      | 2 | 3 -> check_first step (Insp.Prng.int rng (n + 1))
+      | 4 | 5 | 6 -> alive.(Insp.Prng.int rng n) <- false
+      | _ ->
+        let i = Insp.Prng.int rng n in
+        if not alive.(i) then begin
+          alive.(i) <- true;
+          Rank.reset rank
+        end
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Typed generator errors                                              *)
@@ -238,8 +265,6 @@ let () =
         [
           Alcotest.test_case "comp: queue = scan on 200 instances" `Slow
             test_comp_queue_equivalence;
-          Alcotest.test_case "comm: cache = fresh on 200 instances" `Slow
-            test_comm_cache_equivalence;
           Alcotest.test_case "scale preset solves at 2k" `Quick
             test_scale_preset_solves;
         ] );
@@ -250,12 +275,10 @@ let () =
         ] );
       ( "arena",
         [ Alcotest.test_case "id stability" `Quick test_arena_id_stability ] );
-      ( "cand-queue",
+      ( "rank",
         [
-          Alcotest.test_case "stale candidate never wins" `Quick
-            test_stale_candidate_never_wins;
-          Alcotest.test_case "raw pop reports the stored stamp" `Quick
-            test_raw_pop_reports_stamp;
+          Alcotest.test_case "first = linear scan under deaths and resets"
+            `Quick test_rank_walker_vs_scan;
         ] );
       ( "workload",
         [
