@@ -305,9 +305,8 @@ let scale_entry ~n ~budget_s name () =
    function of the (deterministic) solve, so unlike wall gauges the
    value is byte-stable run-to-run and any change is a code change. *)
 let prof_totals recorder =
-  match recorder.Insp.Obs.prof with
-  | Some p -> (Insp.Obs_prof.totals p, Insp.Obs_prof.rows p)
-  | None -> failwith "alloc row: sink has no profiler"
+  let p = recorder.Insp.Obs.prof in
+  (Insp.Obs_prof.totals p, Insp.Obs_prof.rows p)
 
 (* Self minor words of the commit path's "ledger.*" frames (probes and
    commits inside the placement phase) — the quantity test_obs caps per

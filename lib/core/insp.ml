@@ -66,7 +66,6 @@ module Runtime = Insp_sim.Runtime
 (* Observability *)
 module Obs = Insp_obs.Obs
 module Obs_metrics = Insp_obs.Metrics
-module Obs_span = Insp_obs.Span
 module Obs_export = Insp_obs.Export
 module Obs_journal = Insp_obs.Journal
 module Obs_jsonc = Insp_obs.Jsonc

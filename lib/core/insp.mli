@@ -73,11 +73,10 @@ module Runtime = Insp_sim.Runtime
 (** {1 Observability}
 
     Deterministic tracing, metrics and profiling ({!Obs} is the guarded
-    facade; install a sink to start recording).  See DESIGN.md §10. *)
+    facade; [Obs.with_sink] starts recording).  See DESIGN.md §10. *)
 
 module Obs = Insp_obs.Obs
 module Obs_metrics = Insp_obs.Metrics
-module Obs_span = Insp_obs.Span
 module Obs_export = Insp_obs.Export
 module Obs_journal = Insp_obs.Journal
 module Obs_jsonc = Insp_obs.Jsonc

@@ -21,19 +21,18 @@ let map ?jobs f items =
   let n = Array.length items in
   let jobs = max 1 (min jobs n) in
   (* Every cell runs under its own fresh sink regardless of [jobs]:
-     sequential and parallel runs record the exact same metrics, and
-     workers never share a registry.  Cell spans are dropped by
-     [Obs.absorb] (timing-only contract). *)
+     sequential and parallel runs record the exact same metrics and
+     frame tree, and workers never share a registry or a tree. *)
   (* Journal inheritance must be captured here, on the calling domain:
      worker domains have no enclosing sink in their DLS, so [with_sink]'s
      inherit-from-prev default would silently disable journaling for
      every cell a spawned worker runs. *)
   let journal = Obs.journaling () in
   let journal_depth = Obs.journal_depth () in
-  (* Profiling is captured here for the same reason; workers get their
-     own fresh Prof.t (explicit [~profile], never shared across
-     domains), and [Obs.absorb] folds worker rows back in canonical
-     cell order, keeping the merged profile independent of [jobs]. *)
+  (* Profiling is captured here for the same reason; every cell gets
+     its own fresh tree (explicit [~profile], never shared across
+     domains), and [Obs.absorb] folds the cell trees back in canonical
+     cell order, keeping the merged tree independent of [jobs]. *)
   let profile = Obs.profiling () in
   let run_cell i =
     try Ok (Obs.with_sink ~journal ~journal_depth ~profile (fun () -> f items.(i)))

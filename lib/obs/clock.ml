@@ -27,5 +27,3 @@ let elapsed_us () =
   let c = Domain.DLS.get last in
   if t > c.v then c.v <- t;
   c.v
-
-let elapsed_s () = elapsed_us () /. 1e6

@@ -10,7 +10,3 @@ val elapsed_us : unit -> float
 (** Monotonic elapsed time in microseconds since the process's first
     clock read.  Timing-only: never compare or persist these values in
     deterministic outputs. *)
-
-(* lint: allow t3 — convenience over the sanctioned clock, kept for bench scripts *)
-val elapsed_s : unit -> float
-(** [elapsed_us () /. 1e6]. *)

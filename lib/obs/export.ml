@@ -1,9 +1,10 @@
 (* Exporters over a filled sink: human-readable text report, metrics
-   CSV, and Chrome trace_event JSON (load in chrome://tracing or
-   https://ui.perfetto.dev).  The text and CSV forms order everything by
-   registry insertion / span completion, so deterministic work exports
-   deterministic values; durations and timestamps are timing-only
-   (DESIGN.md §10). *)
+   CSV, allocation profiles, and Chrome trace_event JSON (load in
+   chrome://tracing or https://ui.perfetto.dev).  Span exports read the
+   sink's frame tree (Prof) and its trace ring; the text and CSV forms
+   order everything by registry insertion / tree order, so
+   deterministic work exports deterministic values; durations and
+   timestamps are timing-only (DESIGN.md §10). *)
 
 let fmt_float v = Printf.sprintf "%.6g" v
 
@@ -90,27 +91,36 @@ let metrics_csv (o : Obs.t) =
 (* ------------------------------------------------------------------ *)
 (* Text report                                                         *)
 
+(* The frame tree depth-first, children in first-enter order: rows
+   come parents-first, so consing them in reverse leaves every child
+   list in row order. *)
 let text_report (o : Obs.t) =
   let buf = Buffer.create 1024 in
-  let spans = Span.aggregate o.Obs.spans in
-  if spans <> [] then begin
+  let rows = Array.of_list (Prof.rows o.Obs.prof) in
+  let children = Array.make (Array.length rows) [] in
+  let roots = ref [] in
+  for id = Array.length rows - 1 downto 0 do
+    let p = rows.(id).Prof.parent in
+    if p < 0 then roots := id :: !roots
+    else children.(p) <- id :: children.(p)
+  done;
+  let rec emit id =
+    let r = rows.(id) in
+    let indent = String.make (2 * (r.Prof.depth - 1)) ' ' in
+    Buffer.add_string buf
+      (match r.Prof.kind with
+      | Prof.Mark ->
+        Printf.sprintf "%s@%-24s x%d\n" indent r.Prof.name r.Prof.count
+      | Prof.Fine ->
+        Printf.sprintf "%s%-25s x%d\n" indent r.Prof.name r.Prof.count
+      | Prof.Span ->
+        Printf.sprintf "%s%-25s x%-6d %10.2f ms\n" indent r.Prof.name
+          r.Prof.count (r.Prof.cum_us /. 1e3));
+    List.iter emit children.(id)
+  in
+  if !roots <> [] then begin
     Buffer.add_string buf "-- spans (count, total ms) --\n";
-    List.iter
-      (fun s ->
-        let indent = String.make (2 * (s.Span.s_depth - 1)) ' ' in
-        let leaf =
-          match List.rev (String.split_on_char '/' s.Span.s_path) with
-          | leaf :: _ -> leaf
-          | [] -> s.Span.s_path
-        in
-        if s.Span.s_is_mark then
-          Buffer.add_string buf
-            (Printf.sprintf "%s@%-24s x%d\n" indent leaf s.Span.s_count)
-        else
-          Buffer.add_string buf
-            (Printf.sprintf "%s%-25s x%-6d %10.2f ms\n" indent leaf
-               s.Span.s_count (s.Span.s_total_us /. 1e3)))
-      spans
+    List.iter emit !roots
   end;
   let metrics = Metrics.snapshot o.Obs.metrics in
   let section title keep render =
@@ -160,9 +170,9 @@ let text_report (o : Obs.t) =
 let fold_sep path = String.map (fun c -> if c = '/' then ';' else c) path
 
 let prof_report ?(top = 20) (o : Obs.t) =
-  match o.Obs.prof with
-  | None -> ""
-  | Some p ->
+  let p = o.Obs.prof in
+  if not (Prof.profiling p) then ""
+  else
     let rows = Prof.rows p in
     let t = Prof.totals p in
     let buf = Buffer.create 1024 in
@@ -196,9 +206,9 @@ let prof_csv_header =
   "path,depth,count,self_minor,cum_minor,self_promoted,cum_promoted,self_major,cum_major,self_minor_col,cum_minor_col,self_major_col,cum_major_col"
 
 let prof_csv (o : Obs.t) =
-  match o.Obs.prof with
-  | None -> ""
-  | Some p ->
+  let p = o.Obs.prof in
+  if not (Prof.profiling p) then ""
+  else
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (prof_csv_header ^ "\n");
     List.iter
@@ -214,62 +224,22 @@ let prof_csv (o : Obs.t) =
     Buffer.contents buf
 
 (* Folded-stack flamegraph lines ([a;b;c weight]) — feed to inferno,
-   speedscope or flamegraph.pl.  Alloc flavor weights by self minor
-   words; time flavor weights by self microseconds recomputed from the
-   span recorder's completion-order (= postorder) event stream. *)
-let prof_folded_alloc (o : Obs.t) =
-  match o.Obs.prof with
-  | None -> ""
-  | Some p ->
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun (r : Prof.row) ->
-        if r.Prof.self_minor > 0.0 then
-          Buffer.add_string buf
-            (Printf.sprintf "%s %.0f\n" (fold_sep r.Prof.path) r.Prof.self_minor))
-      (Prof.rows p);
-    Buffer.contents buf
-
-let prof_folded_time (o : Obs.t) =
-  (* postorder walk with a depth-indexed child accumulator: when a
-     span at depth d completes, child.(d+1) holds exactly the summed
-     durations of its direct children (each deeper node consumed its
-     own children's cell on exit), so self = dur - child.(d+1) *)
-  let child = ref (Array.make 16 0.0) in
-  let ensure d =
-    if d >= Array.length !child then begin
-      let b = Array.make (2 * (d + 1)) 0.0 in
-      Array.blit !child 0 b 0 (Array.length !child);
-      child := b
-    end
-  in
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span.Mark _ -> ()
-      | Span.Span { path; depth; dur_us; _ } ->
-        ensure (depth + 1);
-        let self = dur_us -. !child.(depth + 1) in
-        !child.(depth + 1) <- 0.0;
-        !child.(depth) <- !child.(depth) +. dur_us;
-        let cur =
-          try Hashtbl.find tbl path
-          with Not_found ->
-            order := path :: !order;
-            0.0
-        in
-        Hashtbl.replace tbl path (cur +. self))
-    (Span.events o.Obs.spans);
+   speedscope or flamegraph.pl — one per tree row with a positive
+   weight: self minor words, or self microseconds. *)
+let folded weight (o : Obs.t) =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun path ->
-      let v = Hashtbl.find tbl path in
-      if v > 0.0 then
-        Buffer.add_string buf (Printf.sprintf "%s %.0f\n" (fold_sep path) v))
-    (List.rev !order);
+    (fun (r : Prof.row) ->
+      let w = weight r in
+      if w > 0.0 then
+        Buffer.add_string buf
+          (Printf.sprintf "%s %.0f\n" (fold_sep r.Prof.path) w))
+    (Prof.rows o.Obs.prof);
   Buffer.contents buf
+
+let prof_folded_alloc = folded (fun r -> r.Prof.self_minor)
+
+let prof_folded_time = folded (fun r -> r.Prof.self_us)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON                                             *)
@@ -279,8 +249,9 @@ let prof_folded_time (o : Obs.t) =
 let json_ts v = Printf.sprintf "%.3f" v
 
 (* The JSON Array Format of the trace_event spec: one "X" (complete)
-   event per span, one "i" (instant) event per mark, and a final "C"
-   (counter) event per counter so headline totals show up as tracks. *)
+   event per span and one "i" (instant) event per mark in the tree's
+   trace ring, and a final "C" (counter) event per counter so headline
+   totals show up as tracks. *)
 let chrome_trace (o : Obs.t) =
   let buf = Buffer.create 4096 in
   let first = ref true in
@@ -297,28 +268,28 @@ let chrome_trace (o : Obs.t) =
       num "ts" "0"; "\"args\":{\"name\":\"insp\"}";
     ];
   let end_ts = ref 0.0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span.Span { name; path; start_us; dur_us; _ } ->
-        if start_us +. dur_us > !end_ts then end_ts := start_us +. dur_us;
+  let rows = Array.of_list (Prof.rows o.Obs.prof) in
+  Prof.iter_trace o.Obs.prof (fun id start_us dur_us ->
+      let r = rows.(id) in
+      if start_us +. dur_us > !end_ts then end_ts := start_us +. dur_us;
+      let args =
+        Printf.sprintf "\"args\":{\"path\":%s}" (Jsonc.string r.Prof.path)
+      in
+      match r.Prof.kind with
+      | Prof.Span | Prof.Fine ->
         event
           [
-            str "name" name; str "cat" "span"; str "ph" "X";
+            str "name" r.Prof.name; str "cat" "span"; str "ph" "X";
             num "ts" (json_ts start_us); num "dur" (json_ts dur_us);
-            num "pid" "0"; num "tid" "0";
-            Printf.sprintf "\"args\":{\"path\":%s}" (Jsonc.string path);
+            num "pid" "0"; num "tid" "0"; args;
           ]
-      | Span.Mark { name; path; ts_us; _ } ->
-        if ts_us > !end_ts then end_ts := ts_us;
+      | Prof.Mark ->
         event
           [
-            str "name" name; str "cat" "mark"; str "ph" "i";
-            num "ts" (json_ts ts_us); num "pid" "0"; num "tid" "0";
-            str "s" "t";
-            Printf.sprintf "\"args\":{\"path\":%s}" (Jsonc.string path);
-          ])
-    (Span.events o.Obs.spans);
+            str "name" r.Prof.name; str "cat" "mark"; str "ph" "i";
+            num "ts" (json_ts start_us); num "pid" "0"; num "tid" "0";
+            str "s" "t"; args;
+          ]);
   List.iter
     (fun (name, v) ->
       match v with

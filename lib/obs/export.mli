@@ -1,15 +1,14 @@
 (** Exporters over a filled {!Obs.t} sink (DESIGN.md §10).
 
-    Text and CSV order everything by registry insertion / span
-    completion, so deterministic instrumented work yields deterministic
-    recorded values; durations and timestamps are timing-only. *)
-
-(* lint: allow t3 — CSV schema kept documented next to the exporter *)
-val metrics_csv_header : string
-(** ["kind,name,value"]. *)
+    Every span export reads the sink's {!Prof} frame tree (and, for the
+    Chrome trace, its trace ring).  Text and CSV order everything by
+    registry insertion / tree order, so deterministic instrumented work
+    yields deterministic recorded values; durations and timestamps are
+    timing-only. *)
 
 val metrics_csv : Obs.t -> string
-(** One row per counter and gauge; histograms expand to one row per
+(** Header ["kind,name,value"], then one row per counter and gauge;
+    histograms expand to one row per
     bucket ([name.le.EDGE], [name.overflow]) plus [name.count],
     [name.sum] and interpolated [name.p50]/[name.p90]/[name.p99]
     summary rows (see {!percentile}). *)
@@ -21,7 +20,8 @@ val percentile : Metrics.histogram -> float -> float
     overflow bucket pins to the last finite edge. *)
 
 val text_report : Obs.t -> string
-(** Aggregated span tree (count + total ms per path) followed by
+(** The frame tree depth-first, parents before children (count and
+    cumulative ms per span, count per mark or fine frame), followed by
     counters, gauges and histograms (each with p50/p90/p99).  Empty
     sections are omitted. *)
 
@@ -30,16 +30,13 @@ val prof_report : ?top:int -> Obs.t -> string
     self minor words, with counts, %% of the run's total and
     cumulative words.  Keyed on minor words only, so the output is
     byte-identical across same-seed runs (DESIGN.md §17).  [""] when
-    the sink carries no profiler. *)
-
-(* lint: allow t3 — CSV schema kept documented next to the exporter *)
-val prof_csv_header : string
+    the sink is not profiling. *)
 
 val prof_csv : Obs.t -> string
 (** Every profile row (first-enter order) with all five GC metrics,
     self and cumulative.  Promoted/major words and collection counts
     are {e not} run-to-run reproducible; this export makes no
-    byte-identity promise. *)
+    byte-identity promise.  [""] when the sink is not profiling. *)
 
 val prof_folded_alloc : Obs.t -> string
 (** Folded-stack flamegraph lines ([a;b;c weight], one per span path
@@ -48,15 +45,15 @@ val prof_folded_alloc : Obs.t -> string
     across same-seed runs. *)
 
 val prof_folded_time : Obs.t -> string
-(** Folded-stack lines weighted by self wall-time in microseconds,
-    recomputed from the span recorder; timing-only, so {e not}
-    byte-reproducible.  Works on any sink with spans, profiled or
-    not. *)
+(** Folded-stack lines weighted by the tree's self wall-time column in
+    microseconds; timing-only, so {e not} byte-reproducible.  Works on
+    any sink, profiling or not. *)
 
 val chrome_trace : Obs.t -> string
 (** Chrome [trace_event] JSON Array Format: one ["X"] complete event
-    per span, one ["i"] instant event per mark, one final ["C"] counter
-    event per counter.  Load in [chrome://tracing] or Perfetto. *)
+    per span and one ["i"] instant event per mark among the latest
+    {!Prof.trace_capacity} completions, then one ["C"] counter event per
+    counter.  Load in [chrome://tracing] or Perfetto. *)
 
 val save : string -> string -> unit
 (** [save path contents] writes [contents] to [path]. *)

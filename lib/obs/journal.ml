@@ -124,8 +124,6 @@ let enable ?depth t =
 
 let set_manifest t m = t.manifest <- Some m
 
-let manifest t = t.manifest
-
 let record t ev =
   if t.on then begin
     t.events <- ev :: t.events;

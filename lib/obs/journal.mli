@@ -1,7 +1,7 @@
 (** Deterministic decision journal (DESIGN.md §12).
 
     The third pillar of the observability sink beside {!Metrics} and
-    {!Span}: a typed, ordered log of every allocation decision —
+    {!Prof}: a typed, ordered log of every allocation decision —
     processor purchases, upgrades, merges, downgrades, feasibility probe
     verdicts with rejection reasons, download-plan choices, LP
     branch-and-bound steps and (depth-bounded) DES scheduling events.
@@ -129,9 +129,6 @@ val record_bounded : t -> category:string -> event -> unit
     first dropped event of a category records {!Truncated} instead. *)
 
 val set_manifest : t -> manifest -> unit
-
-(* lint: allow t3 — manifest accessor for external tooling over journal files *)
-val manifest : t -> manifest option
 
 val events : t -> event list
 (** In record order. *)

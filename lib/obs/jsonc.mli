@@ -6,12 +6,9 @@
     contract ({!Journal}) and the Chrome trace's well-formedness both
     rest on. *)
 
-(* lint: allow t3 — escaping primitive exposed for custom serializers *)
-val escape : string -> string
-(** JSON string-body escaping: quote, backslash, control characters. *)
-
 val string : string -> string
-(** Quoted, escaped JSON string literal. *)
+(** Quoted JSON string literal; escapes quote, backslash and control
+    characters. *)
 
 val int : int -> string
 

@@ -92,11 +92,6 @@ let counter t name =
   | Some (Counter c) -> Some c.count
   | Some (Gauge _ | Histogram _) | None -> None
 
-let gauge t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge g) -> Some g.value
-  | Some (Counter _ | Histogram _) | None -> None
-
 (* Merge is what makes domain-parallel sweeps equivalent to sequential
    ones: each cell records into its own registry and the runner absorbs
    them in canonical cell order, so the merged registry's insertion

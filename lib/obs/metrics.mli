@@ -25,11 +25,6 @@ type t
 
 val create : unit -> t
 
-(* lint: allow t3 — documented default histogram edges *)
-val default_edges : float array
-(** Buckets used when [observe] is not given explicit edges:
-    1, 2, 5, 10, 20, 50, 100, 500 (plus overflow). *)
-
 val incr : ?by:int -> t -> string -> unit
 (** Bump a monotonic counter (created at 0). *)
 
@@ -39,11 +34,10 @@ val set_gauge : t -> string -> float -> unit
 val observe : ?edges:float array -> t -> string -> float -> unit
 (** Add one observation to a histogram.  [edges] is consulted only on
     the histogram's first observation and must be strictly ascending
-    and non-empty. *)
+    and non-empty; it defaults to 1, 2, 5, 10, 20, 50, 100, 500 (plus
+    overflow). *)
 
 val counter : t -> string -> int option
-(* lint: allow t3 — metrics API completeness (counter/gauge pair) *)
-val gauge : t -> string -> float option
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every metric of [src] into [into], in

@@ -12,25 +12,17 @@
    with no sharing; recorders are merged on the spawning domain via
    [absorb]. *)
 
-type t = {
-  metrics : Metrics.t;
-  spans : Span.t;
-  journal : Journal.t;
-  prof : Prof.t option;
-}
+type t = { metrics : Metrics.t; journal : Journal.t; prof : Prof.t }
 
 let create ?(profile = false) () =
   {
     metrics = Metrics.create ();
-    spans = Span.create ();
     journal = Journal.create ();
-    prof = (if profile then Some (Prof.create ()) else None);
+    prof = Prof.create ~profile ();
   }
 
 let sink_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let install s = Domain.DLS.set sink_key (Some s)
-let uninstall () = Domain.DLS.set sink_key None
 let active () = Domain.DLS.get sink_key
 let enabled () = Option.is_some (active ())
 
@@ -41,24 +33,17 @@ let enabled () = Option.is_some (active ())
    and passes it explicitly. *)
 let with_sink ?journal ?journal_depth ?profile f =
   let prev = active () in
-  (* [?profile] omitted: inherit the enclosing sink's profiler — the
+  (* [?profile] omitted: inherit the enclosing sink's frame tree — the
      same [Prof.t], not a fresh one, so frames opened inside nested
-     scopes (serve admissions, fault repairs, the solver under a
-     profiled CLI run) accumulate into the run's single profile. *)
+     scopes (serve admissions, fault repairs, the solver under a CLI
+     run) accumulate into the run's single tree. *)
   let prof =
-    match profile with
-    | Some true -> Some (Prof.create ())
-    | Some false -> None
-    | None -> ( match prev with Some p -> p.prof | None -> None)
+    match (profile, prev) with
+    | Some profile, _ -> Prof.create ~profile ()
+    | None, Some p -> p.prof
+    | None, None -> Prof.create ~profile:false ()
   in
-  let s =
-    {
-      metrics = Metrics.create ();
-      spans = Span.create ();
-      journal = Journal.create ();
-      prof;
-    }
-  in
+  let s = { metrics = Metrics.create (); journal = Journal.create (); prof } in
   let inherit_on =
     match prev with Some p -> Journal.recording p.journal | None -> false
   in
@@ -75,7 +60,7 @@ let with_sink ?journal ?journal_depth ?profile f =
     in
     Journal.enable ?depth s.journal
   end;
-  install s;
+  Domain.DLS.set sink_key (Some s);
   let result =
     Fun.protect ~finally:(fun () -> Domain.DLS.set sink_key prev) f
   in
@@ -87,12 +72,9 @@ let absorb r =
   | Some s ->
     Metrics.merge ~into:s.metrics r.metrics;
     if Journal.recording s.journal then Journal.merge ~into:s.journal r.journal;
-    (match (s.prof, r.prof) with
-    | Some into, Some src when not (into == src) ->
-      (* a worker's own profile; a nested scope that inherited the
-         run's profiler shares the object and has nothing to fold *)
-      Prof.merge ~into src
-    | _ -> ())
+    (* a worker's own tree; a nested scope that inherited the run's
+       tree shares the object and has nothing to fold *)
+    if not (s.prof == r.prof) then Prof.merge ~into:s.prof r.prof
 
 (* --- guarded instrumentation entry points --- *)
 
@@ -116,34 +98,21 @@ let observe ?edges name v =
 let mark name =
   match active () with
   | None -> ()
-  | Some s -> Span.mark s.spans name (Clock.elapsed_us ())
+  | Some s -> Prof.mark s.prof name
 
 let span name f =
   match active () with
   | None -> f ()
   | Some s ->
-    Span.enter s.spans name (Clock.elapsed_us ());
-    (* Profiled spans open a detailed Prof frame.  The pre-enter depth
-       is what finally unwinds to: that closes our frame AND any fine
-       frame a raise inside [f] leaked, so one exception cannot skew
-       every later attribution. *)
-    let pdepth =
-      match s.prof with
-      | None -> 0
-      | Some p ->
-        let d = Prof.depth p in
-        Prof.enter_detailed p name;
-        d
-    in
-    (* Close over the entered recorder, not the global ref: [f] may
-       swap the sink, and enter/exit must stay balanced regardless. *)
-    Fun.protect
-      ~finally:(fun () ->
-        (match s.prof with
-        | None -> ()
-        | Some p -> Prof.unwind p ~depth:pdepth);
-        Span.exit s.spans (Clock.elapsed_us ()))
-      f
+    (* The pre-enter depth is what finally unwinds to: that closes our
+       frame AND any fine frame a raise inside [f] leaked, so one
+       exception cannot skew every later attribution.  Close over the
+       entered tree, not the global ref: [f] may swap the sink, and
+       enter/exit must stay balanced regardless. *)
+    let p = s.prof in
+    let depth = Prof.depth p in
+    Prof.enter_span p name;
+    Fun.protect ~finally:(fun () -> Prof.unwind p ~depth) f
 
 (* --- profiling entry points --- *)
 
@@ -156,16 +125,16 @@ let span name f =
 let profiling () =
   match active () with
   | None -> false
-  | Some s -> Option.is_some s.prof
+  | Some s -> Prof.profiling s.prof
 
 let prof_enter name =
   match active () with
-  | Some { prof = Some p; _ } -> Prof.enter p name
+  | Some { prof; _ } when Prof.profiling prof -> Prof.enter prof name
   | _ -> ()
 
 let prof_exit () =
   match active () with
-  | Some { prof = Some p; _ } -> Prof.exit p
+  | Some { prof; _ } when Prof.profiling prof -> Prof.exit prof
   | _ -> ()
 
 (* --- journal entry points --- *)

@@ -3,39 +3,24 @@
 
     The engines call the guarded entry points ([incr], [span], …)
     unconditionally.  With no sink installed every call is a no-op
-    costing one domain-local read; [install] (or [with_sink]) makes the
-    same calls record into a {!Metrics} registry and a {!Span} recorder.
-    The sink lives in domain-local storage: each {!Domain} records
+    costing one domain-local read; [with_sink] makes the same calls
+    record into a {!Metrics} registry and a {!Prof} frame tree.  The
+    sink lives in domain-local storage: each {!Domain} records
     independently, and parallel workers hand their recorders back to
     the spawning domain, which folds them in with {!absorb}.
 
     Determinism contract: recorded {e values} (counters, gauges,
-    histogram counts, span paths and order) are deterministic for a
+    histogram counts, frame paths and counts) are deterministic for a
     deterministic computation; span {e durations} and mark timestamps
     are timing-only and must never feed back into results.  Profiled
     minor-word deltas ({!Prof}) are deterministic; promoted/major words
     and collection counts are not (minor-heap phase at run start). *)
 
-type t = {
-  metrics : Metrics.t;
-  spans : Span.t;
-  journal : Journal.t;
-  prof : Prof.t option;
-}
+type t = { metrics : Metrics.t; journal : Journal.t; prof : Prof.t }
 
 val create : ?profile:bool -> unit -> t
 (** Fresh sink; the journal starts disabled (see {!with_sink}) and the
-    allocation profiler is attached only when [~profile:true]. *)
-
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val install : t -> unit
-(** Make [t] the current domain's sink. *)
-
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val uninstall : unit -> unit
-
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val active : unit -> t option
+    frame tree reads GC counters only when [~profile:true]. *)
 
 val enabled : unit -> bool
 
@@ -46,22 +31,22 @@ val with_sink :
     returns [f]'s result and the filled sink.  [?journal] enables
     decision journaling in the fresh sink; when omitted, journaling (and
     its depth) is inherited from the enclosing sink of {e this} domain,
-    so nested scopes under a journaling run keep recording.  [?profile]
-    likewise defaults to the enclosing sink's profiling state — and an
-    inherited profile {e shares} the enclosing sink's {!Prof.t}, so
-    frames opened by nested scopes (serve admissions, fault repairs)
-    keep accumulating into the one profile of the run. *)
+    so nested scopes under a journaling run keep recording.  When
+    [?profile] is omitted the fresh sink {e shares} the enclosing sink's
+    {!Prof.t} (profiling state included), so frames opened by nested
+    scopes (serve admissions, fault repairs) keep accumulating into the
+    one tree of the run; with no enclosing sink it gets a fresh,
+    non-profiling tree.  An explicit [?profile] always gets a fresh
+    tree. *)
 
 val absorb : t -> unit
 (** [absorb r] merges [r]'s metrics into the currently installed sink
     (see {!Metrics.merge}), and — when the installed sink is journaling —
     appends [r]'s journal events (see {!Journal.merge}).  A no-op when
-    none is installed.  [r]'s spans are dropped — they are timing-only
-    by the determinism contract, and a worker's span tree has no stable
-    place in the absorbing domain's.  When both sinks carry a profiler
-    and they are distinct objects (a worker's, not a nested scope
-    sharing the run's), [r]'s profile rows are folded in with
-    {!Prof.merge}. *)
+    none is installed.  When the two sinks hold distinct trees (a
+    worker's, not a nested scope sharing the run's), [r]'s whole tree —
+    counts, times and GC deltas — is folded in at the roots with
+    {!Prof.merge}; its trace ring is not carried over. *)
 
 (** {1 Guarded entry points} — no-ops when no sink is installed. *)
 
@@ -73,13 +58,13 @@ val gauge : string -> float -> unit
 val observe : ?edges:float array -> string -> float -> unit
 
 val mark : string -> unit
-(** Record an instant event under the current span path. *)
+(** Count an instant event under the current frame (see {!Prof.mark}). *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f] inside a span; exception-safe.  When the
-    sink is profiling, the span also opens a {e detailed} {!Prof}
-    frame (all five GC metrics), and on exit unwinds any fine frame a
-    raise inside [f] may have leaked. *)
+(** [span name f] runs [f] inside a timed frame of the sink's tree;
+    exception-safe.  When the sink is profiling the frame also reads
+    all five GC metrics, and on exit it unwinds any fine frame a raise
+    inside [f] may have leaked. *)
 
 (** {1 Profiling entry points}
 
@@ -87,11 +72,11 @@ val span : string -> (unit -> 'a) -> 'a
     [prof_enter]/[prof_exit] pairs rather than a closure-taking
     wrapper: a closure would allocate even with profiling off, and
     these sites run millions of times per 100k-operator solve.  With
-    no sink — or a sink without a profiler — each call is one
+    no sink — or a sink that is not profiling — each call is one
     domain-local read and a match, allocating nothing. *)
 
 val profiling : unit -> bool
-(** The installed sink, if any, carries an allocation profiler. *)
+(** The installed sink, if any, was created with [~profile:true]. *)
 
 val prof_enter : string -> unit
 (** Open a fine profiler frame (minor words only; see

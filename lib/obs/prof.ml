@@ -1,24 +1,42 @@
-(* Span-attributed allocation/GC profiler (DESIGN.md §17).
+(* The frame tree: the one recorder behind Obs.span, Obs.mark and the
+   profiler entry points (DESIGN.md §10, §17).
 
    Structure-of-arrays on both axes, matching the arena idiom of
    DESIGN.md §16: the frame stack and the row table are parallel
-   columns (unboxed float arrays for word counters), so opening and
-   closing a fine frame allocates nothing beyond the boxed float that
-   [Gc.minor_words] itself returns (~3 words), and a row is a dense
-   int id interned once per distinct path.
+   columns (unboxed float arrays for times and word counters), so
+   opening and closing a frame allocates nothing beyond the boxed floats
+   the clock returns, and a row is a dense int id interned once per
+   distinct path.  A row's children form a sibling list in first-enter
+   order; interning scans it with [String.equal], which allocates
+   nothing and usually hits on the first compare (frame names are
+   literals, so the strings are physically equal).
 
-   Snapshot placement: the GC read is the LAST thing enter does and
-   the FIRST thing exit does, so the profiler's own bookkeeping words
-   land in the parent frame's self time, never in the measured span.
+   Snapshot placement: enter reads the clock first and the GC last;
+   exit reads the GC first and the clock last.  The profiler's own
+   bookkeeping words and the clock's boxed floats therefore land in the
+   parent frame's self figures, never in the measured frame.
+
+   Span and mark completions also go to a trace ring of at most
+   [trace_capacity] entries for the Chrome exporter.  The ring starts
+   small and doubles while below capacity, so a tree that records a
+   handful of spans (one per serve admission) stays cheap; at capacity
+   it overwrites the oldest entry.
 
    This module is the one sanctioned reader of GC state outside
    bench/ (lint rule D7); engines must route attribution through
    Obs.prof_enter/prof_exit. *)
 
+type kind = Fine | Span | Mark
+
 type row = {
+  name : string;
+  parent : int;
   path : string;
   depth : int;
+  kind : kind;
   count : int;
+  self_us : float;
+  cum_us : float;
   self_minor : float;
   cum_minor : float;
   self_promoted : float;
@@ -39,14 +57,21 @@ type totals = {
   t_major_collections : int;
 }
 
+let trace_capacity = 4096
+
 type t = {
-  (* row table: one entry per distinct span path, in first-enter order *)
+  gc : bool;
+  (* row table: one entry per distinct path, in first-enter order *)
   mutable rows : int;
+  mutable root : int; (* first root row, -1 for none *)
   mutable r_name : string array;
-  mutable r_parent : int array; (* row id, -1 for roots *)
-  mutable r_path : string array;
-  mutable r_depth : int array;
+  mutable r_parent : int array; (* -1 for roots *)
+  mutable r_child : int array; (* first child, -1 for none *)
+  mutable r_sibling : int array; (* next sibling, -1 for none *)
+  mutable r_kind : kind array;
   mutable r_count : int array;
+  mutable r_self_us : float array;
+  mutable r_cum_us : float array;
   mutable r_self_minor : float array;
   mutable r_cum_minor : float array;
   mutable r_self_promoted : float array;
@@ -57,26 +82,32 @@ type t = {
   mutable r_cum_mcol : int array;
   mutable r_self_jcol : int array;
   mutable r_cum_jcol : int array;
-  mutable r_children : (string, int) Hashtbl.t array;
-  roots : (string, int) Hashtbl.t;
   (* frame stack *)
   mutable depth : int;
   mutable f_row : int array;
-  mutable f_detailed : bool array;
+  mutable f_span : bool array;
+  mutable f_t0 : float array;
   mutable f_minor0 : float array;
   mutable f_promoted0 : float array;
   mutable f_major0 : float array;
   mutable f_mcol0 : int array;
   mutable f_jcol0 : int array;
-  (* per-frame accumulators: direct-child minor deltas, and detailed
-     deltas of detailed descendants not yet claimed by a detailed
-     ancestor (fine frames pass these through at exit) *)
+  (* per-frame accumulators: time of the nearest timed descendants,
+     direct-child minor deltas, and detailed deltas of span descendants
+     not yet claimed by a span ancestor (fine frames pass time and
+     detailed deltas through at exit) *)
+  mutable f_child_us : float array;
   mutable f_child_minor : float array;
   mutable f_child_promoted : float array;
   mutable f_child_major : float array;
   mutable f_child_mcol : int array;
   mutable f_child_jcol : int array;
-  (* deltas accumulated across completed top-level frames *)
+  (* trace ring: entry [j mod length] holds the j-th completion *)
+  mutable ring_row : int array;
+  mutable ring_start : float array;
+  mutable ring_dur : float array;
+  mutable completions : int;
+  (* GC deltas accumulated across completed top-level frames *)
   mutable total_minor : float;
   mutable total_promoted : float;
   mutable total_major : float;
@@ -84,246 +115,262 @@ type t = {
   mutable total_jcol : int;
 }
 
-(* Placeholder for unset [r_children] slots; overwritten by [new_row]
-   before any lookup can reach the slot.  Allocated fresh per slot — a
-   shared top-level table would be cross-domain-reachable mutable state
-   (lint T1) once a sweep worker captures a profiling sink. *)
-let dummy_children () : (string, int) Hashtbl.t = Hashtbl.create 1
+(* A fresh tree's columns are 8-entry literals, which compile to inline
+   allocations.  Every serve admission records into a fresh
+   non-profiling tree, and with one [Array.make] runtime call per column
+   creating the tree cost about as much as recording the admission's
+   spans into it.  Non-profiling trees carry no GC columns at all. *)
+let ints (x : int) = [| x; x; x; x; x; x; x; x |]
+let floats (x : float) = [| x; x; x; x; x; x; x; x |]
+let strings (x : string) = [| x; x; x; x; x; x; x; x |]
+let bools (x : bool) = [| x; x; x; x; x; x; x; x |]
+let kinds (x : kind) = [| x; x; x; x; x; x; x; x |]
 
-let create () =
-  {
-    rows = 0;
-    r_name = Array.make 16 "";
-    r_parent = Array.make 16 (-1);
-    r_path = Array.make 16 "";
-    r_depth = Array.make 16 0;
-    r_count = Array.make 16 0;
-    r_self_minor = Array.make 16 0.0;
-    r_cum_minor = Array.make 16 0.0;
-    r_self_promoted = Array.make 16 0.0;
-    r_cum_promoted = Array.make 16 0.0;
-    r_self_major = Array.make 16 0.0;
-    r_cum_major = Array.make 16 0.0;
-    r_self_mcol = Array.make 16 0;
-    r_cum_mcol = Array.make 16 0;
-    r_self_jcol = Array.make 16 0;
-    r_cum_jcol = Array.make 16 0;
-    r_children = Array.init 16 (fun _ -> dummy_children ());
-    roots = Hashtbl.create 8;
-    depth = 0;
-    f_row = Array.make 64 0;
-    f_detailed = Array.make 64 false;
-    f_minor0 = Array.make 64 0.0;
-    f_promoted0 = Array.make 64 0.0;
-    f_major0 = Array.make 64 0.0;
-    f_mcol0 = Array.make 64 0;
-    f_jcol0 = Array.make 64 0;
-    f_child_minor = Array.make 64 0.0;
-    f_child_promoted = Array.make 64 0.0;
-    f_child_major = Array.make 64 0.0;
-    f_child_mcol = Array.make 64 0;
-    f_child_jcol = Array.make 64 0;
-    total_minor = 0.0;
-    total_promoted = 0.0;
-    total_major = 0.0;
-    total_mcol = 0;
-    total_jcol = 0;
-  }
-
-let grow_i a n =
-  let b = Array.make n 0 in
+let grow a n fill =
+  let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_f a n =
-  let b = Array.make n 0.0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let grow_b a n =
-  let b = Array.make n false in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let grow_s a n =
-  let b = Array.make n "" in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let grow_h a n =
-  let b = Array.init n (fun _ -> dummy_children ()) in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let ensure_rows t =
-  let cap = Array.length t.r_count in
-  if t.rows = cap then begin
-    let n = cap * 2 in
-    t.r_name <- grow_s t.r_name n;
-    t.r_parent <- grow_i t.r_parent n;
-    t.r_path <- grow_s t.r_path n;
-    t.r_depth <- grow_i t.r_depth n;
-    t.r_count <- grow_i t.r_count n;
-    t.r_self_minor <- grow_f t.r_self_minor n;
-    t.r_cum_minor <- grow_f t.r_cum_minor n;
-    t.r_self_promoted <- grow_f t.r_self_promoted n;
-    t.r_cum_promoted <- grow_f t.r_cum_promoted n;
-    t.r_self_major <- grow_f t.r_self_major n;
-    t.r_cum_major <- grow_f t.r_cum_major n;
-    t.r_self_mcol <- grow_i t.r_self_mcol n;
-    t.r_cum_mcol <- grow_i t.r_cum_mcol n;
-    t.r_self_jcol <- grow_i t.r_self_jcol n;
-    t.r_cum_jcol <- grow_i t.r_cum_jcol n;
-    t.r_children <- grow_h t.r_children n
+let grow_rows t =
+  let n = 2 * Array.length t.r_count in
+  t.r_name <- grow t.r_name n "";
+  t.r_parent <- grow t.r_parent n (-1);
+  t.r_child <- grow t.r_child n (-1);
+  t.r_sibling <- grow t.r_sibling n (-1);
+  t.r_kind <- grow t.r_kind n Fine;
+  t.r_count <- grow t.r_count n 0;
+  t.r_self_us <- grow t.r_self_us n 0.0;
+  t.r_cum_us <- grow t.r_cum_us n 0.0;
+  if t.gc then begin
+    t.r_self_minor <- grow t.r_self_minor n 0.0;
+    t.r_cum_minor <- grow t.r_cum_minor n 0.0;
+    t.r_self_promoted <- grow t.r_self_promoted n 0.0;
+    t.r_cum_promoted <- grow t.r_cum_promoted n 0.0;
+    t.r_self_major <- grow t.r_self_major n 0.0;
+    t.r_cum_major <- grow t.r_cum_major n 0.0;
+    t.r_self_mcol <- grow t.r_self_mcol n 0;
+    t.r_cum_mcol <- grow t.r_cum_mcol n 0;
+    t.r_self_jcol <- grow t.r_self_jcol n 0;
+    t.r_cum_jcol <- grow t.r_cum_jcol n 0
   end
 
-let ensure_stack t =
-  let cap = Array.length t.f_row in
-  if t.depth = cap then begin
-    let n = cap * 2 in
-    t.f_row <- grow_i t.f_row n;
-    t.f_detailed <- grow_b t.f_detailed n;
-    t.f_minor0 <- grow_f t.f_minor0 n;
-    t.f_promoted0 <- grow_f t.f_promoted0 n;
-    t.f_major0 <- grow_f t.f_major0 n;
-    t.f_mcol0 <- grow_i t.f_mcol0 n;
-    t.f_jcol0 <- grow_i t.f_jcol0 n;
-    t.f_child_minor <- grow_f t.f_child_minor n;
-    t.f_child_promoted <- grow_f t.f_child_promoted n;
-    t.f_child_major <- grow_f t.f_child_major n;
-    t.f_child_mcol <- grow_i t.f_child_mcol n;
-    t.f_child_jcol <- grow_i t.f_child_jcol n
+let grow_stack t =
+  let n = 2 * Array.length t.f_row in
+  t.f_row <- grow t.f_row n 0;
+  t.f_span <- grow t.f_span n false;
+  t.f_t0 <- grow t.f_t0 n 0.0;
+  t.f_child_us <- grow t.f_child_us n 0.0;
+  if t.gc then begin
+    t.f_minor0 <- grow t.f_minor0 n 0.0;
+    t.f_promoted0 <- grow t.f_promoted0 n 0.0;
+    t.f_major0 <- grow t.f_major0 n 0.0;
+    t.f_mcol0 <- grow t.f_mcol0 n 0;
+    t.f_jcol0 <- grow t.f_jcol0 n 0;
+    t.f_child_minor <- grow t.f_child_minor n 0.0;
+    t.f_child_promoted <- grow t.f_child_promoted n 0.0;
+    t.f_child_major <- grow t.f_child_major n 0.0;
+    t.f_child_mcol <- grow t.f_child_mcol n 0;
+    t.f_child_jcol <- grow t.f_child_jcol n 0
   end
 
-let new_row t name parent =
-  ensure_rows t;
+let create ~profile () =
+  let t =
+    {
+      gc = profile;
+      rows = 0;
+      root = -1;
+      r_name = strings "";
+      r_parent = ints (-1);
+      r_child = ints (-1);
+      r_sibling = ints (-1);
+      r_kind = kinds Fine;
+      r_count = ints 0;
+      r_self_us = floats 0.0;
+      r_cum_us = floats 0.0;
+      r_self_minor = [||];
+      r_cum_minor = [||];
+      r_self_promoted = [||];
+      r_cum_promoted = [||];
+      r_self_major = [||];
+      r_cum_major = [||];
+      r_self_mcol = [||];
+      r_cum_mcol = [||];
+      r_self_jcol = [||];
+      r_cum_jcol = [||];
+      depth = 0;
+      f_row = ints 0;
+      f_span = bools false;
+      f_t0 = floats 0.0;
+      f_minor0 = [||];
+      f_promoted0 = [||];
+      f_major0 = [||];
+      f_mcol0 = [||];
+      f_jcol0 = [||];
+      f_child_us = floats 0.0;
+      f_child_minor = [||];
+      f_child_promoted = [||];
+      f_child_major = [||];
+      f_child_mcol = [||];
+      f_child_jcol = [||];
+      ring_row = ints 0;
+      ring_start = floats 0.0;
+      ring_dur = floats 0.0;
+      completions = 0;
+      total_minor = 0.0;
+      total_promoted = 0.0;
+      total_major = 0.0;
+      total_mcol = 0;
+      total_jcol = 0;
+    }
+  in
+  (* Growing adds the GC columns.  Profiling trees start at twice the
+     size: column growth is charged to the frame whose entry triggers
+     it, and a small profiled solve should not pay for it. *)
+  if profile then begin
+    grow_rows t;
+    grow_stack t
+  end;
+  t
+
+let profiling t = t.gc
+
+let new_row t parent name kind =
+  if t.rows = Array.length t.r_count then grow_rows t;
   let id = t.rows in
   t.rows <- id + 1;
   t.r_name.(id) <- name;
   t.r_parent.(id) <- parent;
-  if parent < 0 then begin
-    t.r_path.(id) <- name;
-    t.r_depth.(id) <- 1
-  end
-  else begin
-    t.r_path.(id) <- t.r_path.(parent) ^ "/" ^ name;
-    t.r_depth.(id) <- t.r_depth.(parent) + 1
-  end;
-  t.r_children.(id) <- Hashtbl.create 8;
+  t.r_kind.(id) <- kind;
   id
 
-(* [try ... with Not_found] rather than [find_opt]: the hit path (the
-   overwhelmingly common one) must not allocate a [Some]. *)
-let row_for t name =
-  let parent = if t.depth = 0 then -1 else t.f_row.(t.depth - 1) in
-  let tbl = if parent < 0 then t.roots else t.r_children.(parent) in
-  try Hashtbl.find tbl name
-  with Not_found ->
-    let id = new_row t name parent in
-    Hashtbl.add tbl name id;
-    id
+(* Walk [parent]'s sibling list from [c], appending a new row on a
+   miss.  Top-level recursion: a local closure would allocate on every
+   lookup. *)
+let rec scan t parent name kind c =
+  if String.equal t.r_name.(c) name then c
+  else
+    let s = t.r_sibling.(c) in
+    if s >= 0 then scan t parent name kind s
+    else begin
+      let id = new_row t parent name kind in
+      t.r_sibling.(c) <- id;
+      id
+    end
 
-let open_frame t name ~detailed =
-  let id = row_for t name in
-  ensure_stack t;
+(* The row of [name] under [parent] (-1: a root), created on first use
+   with [kind]. *)
+let intern t parent name kind =
+  let first = if parent < 0 then t.root else t.r_child.(parent) in
+  if first >= 0 then scan t parent name kind first
+  else begin
+    let id = new_row t parent name kind in
+    if parent < 0 then t.root <- id else t.r_child.(parent) <- id;
+    id
+  end
+
+let top t = if t.depth = 0 then -1 else t.f_row.(t.depth - 1)
+
+let open_frame t name kind =
+  let id = intern t (top t) name kind in
+  if t.depth = Array.length t.f_row then grow_stack t;
   let k = t.depth in
   t.f_row.(k) <- id;
-  t.f_detailed.(k) <- detailed;
-  t.f_child_minor.(k) <- 0.0;
-  t.f_child_promoted.(k) <- 0.0;
-  t.f_child_major.(k) <- 0.0;
-  t.f_child_mcol.(k) <- 0;
-  t.f_child_jcol.(k) <- 0;
+  t.f_span.(k) <- (match kind with Span -> true | Fine | Mark -> false);
+  t.f_child_us.(k) <- 0.0;
+  if t.gc then begin
+    t.f_child_minor.(k) <- 0.0;
+    t.f_child_promoted.(k) <- 0.0;
+    t.f_child_major.(k) <- 0.0;
+    t.f_child_mcol.(k) <- 0;
+    t.f_child_jcol.(k) <- 0
+  end;
   t.depth <- k + 1;
   k
 
 let enter t name =
-  let k = open_frame t name ~detailed:false in
+  let k = open_frame t name Fine in
   (* lint: allow d7 — the profiler is the sanctioned GC reader *)
   t.f_minor0.(k) <- Gc.minor_words ()
 
-let enter_detailed t name =
-  let k = open_frame t name ~detailed:true in
-  (* lint: allow d7 — the profiler is the sanctioned GC reader *)
-  let s = Gc.quick_stat () in
-  t.f_promoted0.(k) <- s.Gc.promoted_words;
-  t.f_major0.(k) <- s.Gc.major_words;
-  t.f_mcol0.(k) <- s.Gc.minor_collections;
-  t.f_jcol0.(k) <- s.Gc.major_collections;
-  (* Minor words come from [Gc.minor_words], NOT [s.Gc.minor_words]: on
-     OCaml 5 the quick_stat/counters figure only advances at minor
-     collections (the live young-area fill is not added in), which
-     quantizes span deltas to whole minor heaps — a phase allocating
-     under one heap's worth reads as zero, and self words can go
-     negative against precise child frames.  [Gc.minor_words] reads the
-     live allocation pointer and is allocation-exact, which is what the
-     determinism contract needs; read it last so the quick_stat words
-     land in this frame's self, not the span body's measurement. *)
-  (* lint: allow d7 — the profiler is the sanctioned GC reader *)
-  t.f_minor0.(k) <- Gc.minor_words ()
+let enter_span t name =
+  let now = Clock.elapsed_us () in
+  let k = open_frame t name Span in
+  t.f_t0.(k) <- now;
+  if t.gc then begin
+    (* lint: allow d7 — the profiler is the sanctioned GC reader *)
+    let s = Gc.quick_stat () in
+    t.f_promoted0.(k) <- s.Gc.promoted_words;
+    t.f_major0.(k) <- s.Gc.major_words;
+    t.f_mcol0.(k) <- s.Gc.minor_collections;
+    t.f_jcol0.(k) <- s.Gc.major_collections;
+    (* Minor words come from [Gc.minor_words], NOT [s.Gc.minor_words]:
+       on OCaml 5 the quick_stat/counters figure only advances at minor
+       collections (the live young-area fill is not added in), which
+       quantizes span deltas to whole minor heaps — a phase allocating
+       under one heap's worth reads as zero, and self words can go
+       negative against precise child frames.  [Gc.minor_words] reads
+       the live allocation pointer and is allocation-exact, which is
+       what the determinism contract needs; read it last so the
+       quick_stat words land in the parent's self, not this frame's. *)
+    (* lint: allow d7 — the profiler is the sanctioned GC reader *)
+    t.f_minor0.(k) <- Gc.minor_words ()
+  end
+
+(* Next trace-ring slot; a full ring below capacity doubles. *)
+let ring_slot t =
+  let len = Array.length t.ring_row in
+  if t.completions = len && len < trace_capacity then begin
+    let n = min trace_capacity (2 * len) in
+    t.ring_row <- grow t.ring_row n 0;
+    t.ring_start <- grow t.ring_start n 0.0;
+    t.ring_dur <- grow t.ring_dur n 0.0
+  end;
+  let slot = t.completions mod Array.length t.ring_row in
+  t.completions <- t.completions + 1;
+  slot
 
 let exit t =
-  if t.depth > 0 then
-    if t.f_detailed.(t.depth - 1) then begin
-      (* precise minor words first (see enter_detailed), quick_stat for
-         the collection-grained metrics after *)
+  if t.depth > 0 then begin
+    let k = t.depth - 1 in
+    let id = t.f_row.(k) in
+    let span = t.f_span.(k) in
+    if t.gc then begin
       (* lint: allow d7 — the profiler is the sanctioned GC reader *)
       let minor1 = Gc.minor_words () in
-      (* lint: allow d7 — the profiler is the sanctioned GC reader *)
-      let s = Gc.quick_stat () in
-      let k = t.depth - 1 in
-      t.depth <- k;
-      let id = t.f_row.(k) in
       let d_minor = minor1 -. t.f_minor0.(k) in
-      let d_prom = s.Gc.promoted_words -. t.f_promoted0.(k) in
-      let d_major = s.Gc.major_words -. t.f_major0.(k) in
-      let d_mcol = s.Gc.minor_collections - t.f_mcol0.(k) in
-      let d_jcol = s.Gc.major_collections - t.f_jcol0.(k) in
-      t.r_count.(id) <- t.r_count.(id) + 1;
       t.r_cum_minor.(id) <- t.r_cum_minor.(id) +. d_minor;
       t.r_self_minor.(id) <-
         t.r_self_minor.(id) +. (d_minor -. t.f_child_minor.(k));
-      t.r_cum_promoted.(id) <- t.r_cum_promoted.(id) +. d_prom;
-      t.r_self_promoted.(id) <-
-        t.r_self_promoted.(id) +. (d_prom -. t.f_child_promoted.(k));
-      t.r_cum_major.(id) <- t.r_cum_major.(id) +. d_major;
-      t.r_self_major.(id) <-
-        t.r_self_major.(id) +. (d_major -. t.f_child_major.(k));
-      t.r_cum_mcol.(id) <- t.r_cum_mcol.(id) + d_mcol;
-      t.r_self_mcol.(id) <- t.r_self_mcol.(id) + (d_mcol - t.f_child_mcol.(k));
-      t.r_cum_jcol.(id) <- t.r_cum_jcol.(id) + d_jcol;
-      t.r_self_jcol.(id) <- t.r_self_jcol.(id) + (d_jcol - t.f_child_jcol.(k));
+      if span then begin
+        (* precise minor words first (see enter_span), quick_stat for
+           the collection-grained metrics after *)
+        (* lint: allow d7 — the profiler is the sanctioned GC reader *)
+        let s = Gc.quick_stat () in
+        let d_prom = s.Gc.promoted_words -. t.f_promoted0.(k) in
+        let d_major = s.Gc.major_words -. t.f_major0.(k) in
+        let d_mcol = s.Gc.minor_collections - t.f_mcol0.(k) in
+        let d_jcol = s.Gc.major_collections - t.f_jcol0.(k) in
+        t.r_cum_promoted.(id) <- t.r_cum_promoted.(id) +. d_prom;
+        t.r_self_promoted.(id) <-
+          t.r_self_promoted.(id) +. (d_prom -. t.f_child_promoted.(k));
+        t.r_cum_major.(id) <- t.r_cum_major.(id) +. d_major;
+        t.r_self_major.(id) <-
+          t.r_self_major.(id) +. (d_major -. t.f_child_major.(k));
+        t.r_cum_mcol.(id) <- t.r_cum_mcol.(id) + d_mcol;
+        t.r_self_mcol.(id) <- t.r_self_mcol.(id) + (d_mcol - t.f_child_mcol.(k));
+        t.r_cum_jcol.(id) <- t.r_cum_jcol.(id) + d_jcol;
+        t.r_self_jcol.(id) <- t.r_self_jcol.(id) + (d_jcol - t.f_child_jcol.(k));
+        (* claimed: from here on the accumulators carry this frame's own
+           detailed deltas *)
+        t.f_child_promoted.(k) <- d_prom;
+        t.f_child_major.(k) <- d_major;
+        t.f_child_mcol.(k) <- d_mcol;
+        t.f_child_jcol.(k) <- d_jcol
+      end;
       if k > 0 then begin
-        let j = k - 1 in
-        t.f_child_minor.(j) <- t.f_child_minor.(j) +. d_minor;
-        t.f_child_promoted.(j) <- t.f_child_promoted.(j) +. d_prom;
-        t.f_child_major.(j) <- t.f_child_major.(j) +. d_major;
-        t.f_child_mcol.(j) <- t.f_child_mcol.(j) + d_mcol;
-        t.f_child_jcol.(j) <- t.f_child_jcol.(j) + d_jcol
-      end
-      else begin
-        t.total_minor <- t.total_minor +. d_minor;
-        t.total_promoted <- t.total_promoted +. d_prom;
-        t.total_major <- t.total_major +. d_major;
-        t.total_mcol <- t.total_mcol + d_mcol;
-        t.total_jcol <- t.total_jcol + d_jcol
-      end
-    end
-    else begin
-      (* lint: allow d7 — the profiler is the sanctioned GC reader *)
-      let minor1 = Gc.minor_words () in
-      let k = t.depth - 1 in
-      t.depth <- k;
-      let id = t.f_row.(k) in
-      let d_minor = minor1 -. t.f_minor0.(k) in
-      t.r_count.(id) <- t.r_count.(id) + 1;
-      t.r_cum_minor.(id) <- t.r_cum_minor.(id) +. d_minor;
-      t.r_self_minor.(id) <-
-        t.r_self_minor.(id) +. (d_minor -. t.f_child_minor.(k));
-      if k > 0 then begin
-        (* detailed accumulators pass through to the nearest enclosing
-           detailed ancestor untouched: a fine frame measures minor
-           words only *)
+        (* detailed accumulators go up as they stand: a fine frame
+           measures minor words only, so it passes its span
+           descendants' deltas through untouched *)
         let j = k - 1 in
         t.f_child_minor.(j) <- t.f_child_minor.(j) +. d_minor;
         t.f_child_promoted.(j) <- t.f_child_promoted.(j) +. t.f_child_promoted.(k);
@@ -338,7 +385,33 @@ let exit t =
         t.total_mcol <- t.total_mcol + t.f_child_mcol.(k);
         t.total_jcol <- t.total_jcol + t.f_child_jcol.(k)
       end
+    end;
+    t.depth <- k;
+    t.r_count.(id) <- t.r_count.(id) + 1;
+    if span then begin
+      let now = Clock.elapsed_us () in
+      let start = t.f_t0.(k) in
+      let dur = now -. start in
+      t.r_cum_us.(id) <- t.r_cum_us.(id) +. dur;
+      t.r_self_us.(id) <- t.r_self_us.(id) +. (dur -. t.f_child_us.(k));
+      if k > 0 then t.f_child_us.(k - 1) <- t.f_child_us.(k - 1) +. dur;
+      let slot = ring_slot t in
+      t.ring_row.(slot) <- id;
+      t.ring_start.(slot) <- start;
+      t.ring_dur.(slot) <- dur
     end
+    else if k > 0 then
+      t.f_child_us.(k - 1) <- t.f_child_us.(k - 1) +. t.f_child_us.(k)
+  end
+
+let mark t name =
+  let now = Clock.elapsed_us () in
+  let id = intern t (top t) name Mark in
+  t.r_count.(id) <- t.r_count.(id) + 1;
+  let slot = ring_slot t in
+  t.ring_row.(slot) <- id;
+  t.ring_start.(slot) <- now;
+  t.ring_dur.(slot) <- 0.0
 
 let depth t = t.depth
 
@@ -348,21 +421,37 @@ let unwind t ~depth =
   done
 
 let rows t =
+  let path = Array.make t.rows "" and depth = Array.make t.rows 1 in
+  for id = 0 to t.rows - 1 do
+    let p = t.r_parent.(id) in
+    if p < 0 then path.(id) <- t.r_name.(id)
+    else begin
+      path.(id) <- path.(p) ^ "/" ^ t.r_name.(id);
+      depth.(id) <- depth.(p) + 1
+    end
+  done;
   List.init t.rows (fun id ->
+      let f a = if t.gc then a.(id) else 0.0 in
+      let i a = if t.gc then a.(id) else 0 in
       {
-        path = t.r_path.(id);
-        depth = t.r_depth.(id);
+        name = t.r_name.(id);
+        parent = t.r_parent.(id);
+        path = path.(id);
+        depth = depth.(id);
+        kind = t.r_kind.(id);
         count = t.r_count.(id);
-        self_minor = t.r_self_minor.(id);
-        cum_minor = t.r_cum_minor.(id);
-        self_promoted = t.r_self_promoted.(id);
-        cum_promoted = t.r_cum_promoted.(id);
-        self_major = t.r_self_major.(id);
-        cum_major = t.r_cum_major.(id);
-        self_minor_collections = t.r_self_mcol.(id);
-        cum_minor_collections = t.r_cum_mcol.(id);
-        self_major_collections = t.r_self_jcol.(id);
-        cum_major_collections = t.r_cum_jcol.(id);
+        self_us = t.r_self_us.(id);
+        cum_us = t.r_cum_us.(id);
+        self_minor = f t.r_self_minor;
+        cum_minor = f t.r_cum_minor;
+        self_promoted = f t.r_self_promoted;
+        cum_promoted = f t.r_cum_promoted;
+        self_major = f t.r_self_major;
+        cum_major = f t.r_cum_major;
+        self_minor_collections = i t.r_self_mcol;
+        cum_minor_collections = i t.r_cum_mcol;
+        self_major_collections = i t.r_self_jcol;
+        cum_major_collections = i t.r_cum_jcol;
       })
 
 let totals t =
@@ -374,36 +463,42 @@ let totals t =
     t_major_collections = t.total_jcol;
   }
 
+let iter_trace t f =
+  let len = Array.length t.ring_row in
+  for j = max 0 (t.completions - len) to t.completions - 1 do
+    let s = j mod len in
+    f t.ring_row.(s) t.ring_start.(s) t.ring_dur.(s)
+  done
+
 let merge ~into src =
   let map = Array.make (max 1 src.rows) (-1) in
   for id = 0 to src.rows - 1 do
     (* a parent row is always created before its children, so
        [map.(parent)] is already resolved when we reach [id] *)
     let parent = src.r_parent.(id) in
-    let dparent = if parent < 0 then -1 else map.(parent) in
-    let tbl = if dparent < 0 then into.roots else into.r_children.(dparent) in
-    let name = src.r_name.(id) in
     let did =
-      try Hashtbl.find tbl name
-      with Not_found ->
-        let d = new_row into name dparent in
-        Hashtbl.add tbl name d;
-        d
+      intern into
+        (if parent < 0 then -1 else map.(parent))
+        src.r_name.(id) src.r_kind.(id)
     in
     map.(id) <- did;
     into.r_count.(did) <- into.r_count.(did) + src.r_count.(id);
-    into.r_self_minor.(did) <- into.r_self_minor.(did) +. src.r_self_minor.(id);
-    into.r_cum_minor.(did) <- into.r_cum_minor.(did) +. src.r_cum_minor.(id);
-    into.r_self_promoted.(did) <-
-      into.r_self_promoted.(did) +. src.r_self_promoted.(id);
-    into.r_cum_promoted.(did) <-
-      into.r_cum_promoted.(did) +. src.r_cum_promoted.(id);
-    into.r_self_major.(did) <- into.r_self_major.(did) +. src.r_self_major.(id);
-    into.r_cum_major.(did) <- into.r_cum_major.(did) +. src.r_cum_major.(id);
-    into.r_self_mcol.(did) <- into.r_self_mcol.(did) + src.r_self_mcol.(id);
-    into.r_cum_mcol.(did) <- into.r_cum_mcol.(did) + src.r_cum_mcol.(id);
-    into.r_self_jcol.(did) <- into.r_self_jcol.(did) + src.r_self_jcol.(id);
-    into.r_cum_jcol.(did) <- into.r_cum_jcol.(did) + src.r_cum_jcol.(id)
+    into.r_self_us.(did) <- into.r_self_us.(did) +. src.r_self_us.(id);
+    into.r_cum_us.(did) <- into.r_cum_us.(did) +. src.r_cum_us.(id);
+    if into.gc && src.gc then begin
+      into.r_self_minor.(did) <- into.r_self_minor.(did) +. src.r_self_minor.(id);
+      into.r_cum_minor.(did) <- into.r_cum_minor.(did) +. src.r_cum_minor.(id);
+      into.r_self_promoted.(did) <-
+        into.r_self_promoted.(did) +. src.r_self_promoted.(id);
+      into.r_cum_promoted.(did) <-
+        into.r_cum_promoted.(did) +. src.r_cum_promoted.(id);
+      into.r_self_major.(did) <- into.r_self_major.(did) +. src.r_self_major.(id);
+      into.r_cum_major.(did) <- into.r_cum_major.(did) +. src.r_cum_major.(id);
+      into.r_self_mcol.(did) <- into.r_self_mcol.(did) + src.r_self_mcol.(id);
+      into.r_cum_mcol.(did) <- into.r_cum_mcol.(did) + src.r_cum_mcol.(id);
+      into.r_self_jcol.(did) <- into.r_self_jcol.(did) + src.r_self_jcol.(id);
+      into.r_cum_jcol.(did) <- into.r_cum_jcol.(did) + src.r_cum_jcol.(id)
+    end
   done;
   into.total_minor <- into.total_minor +. src.total_minor;
   into.total_promoted <- into.total_promoted +. src.total_promoted;

@@ -1,34 +1,50 @@
-(** Span-attributed allocation/GC profiler (DESIGN.md §17).
+(** The frame tree of the observability layer (DESIGN.md §10, §17).
 
-    A [t] is a mutable call-tree keyed on span names, mirroring
-    [Span]'s aggregation but weighted by GC counters instead of wall
-    time.  Frames snapshot GC state at enter/exit and roll the deltas
-    into per-path self and cumulative totals.  Two frame flavors keep
-    hot paths cheap:
+    A [t] is a mutable call tree keyed on frame names: one row per
+    distinct path, carrying the completed-frame count, self and
+    cumulative wall time and — on a profiling tree — GC deltas.  It is
+    the only recorder behind [Obs.span]/[Obs.mark]; every span export
+    reads it.  Three row kinds:
 
-    - {b fine} frames ([enter]/[exit]) read only [Gc.minor_words] —
-      a few words of profiler overhead per frame — and are what the
-      ledger commit path opens around every mutation;
-    - {b detailed} frames ([enter_detailed], opened by [Obs.span])
-      additionally read [Gc.quick_stat] for promoted/major words and
-      collection counts.
+    - {b span} rows ([enter_span]) read [Clock.elapsed_us] on both
+      edges; on a profiling tree they also snapshot [Gc.quick_stat]
+      (promoted/major words, collection counts) and [Gc.minor_words];
+    - {b fine} rows ([enter]) read only [Gc.minor_words] — a few words
+      of profiler overhead per frame — and are what the ledger commit
+      path opens around every mutation.  They are untimed and only
+      opened on profiling trees;
+    - {b mark} rows ([mark]) are zero-duration rows with a count.
 
-    Detailed deltas recorded by a detailed frame attribute to the
-    nearest enclosing detailed span: fine frames pass their detailed
-    child accumulators through to their parent untouched.
+    Time and detailed GC deltas of a span attribute to the nearest
+    enclosing span: fine frames pass their children's accumulators
+    through to their parent untouched.
 
-    Determinism contract: minor-word deltas are a deterministic
-    function of a deterministic execution and are golden-testable.
-    Promoted/major words and collection counts depend on the minor
-    heap's phase at run start and are {e not} reproducible run-to-run;
-    exporters that promise byte-identity key on minor words only. *)
+    Span and mark completions also land in a trace ring of fixed
+    capacity ({!trace_capacity}): the latest completions, each a row id,
+    a start and a duration.  The recorder's size depends on the number
+    of distinct paths, never on the number of completed frames.
+
+    Determinism contract: counts, paths and minor-word deltas are a
+    deterministic function of a deterministic execution and are
+    golden-testable.  Times, promoted/major words and collection counts
+    are {e not} reproducible run-to-run; exporters that promise
+    byte-identity key on counts and minor words only. *)
 
 type t
 
+type kind = Fine | Span | Mark
+
 type row = {
-  path : string;  (** '/'-joined span names from the root *)
+  name : string;
+  parent : int;  (** index of the parent row in {!rows}; -1 for roots *)
+  path : string;  (** '/'-joined frame names from the root *)
   depth : int;  (** 1 for root frames *)
-  count : int;  (** completed frames at this path *)
+  kind : kind;
+  count : int;  (** completed frames (or marks) at this path *)
+  self_us : float;
+  cum_us : float;
+      (** wall time (timing-only): self excludes the nearest timed
+          descendants *)
   self_minor : float;
   cum_minor : float;  (** minor words: self excludes direct children *)
   self_promoted : float;
@@ -49,19 +65,28 @@ type totals = {
   t_major_collections : int;
 }
 
-val create : unit -> t
+val create : profile:bool -> unit -> t
+(** Fresh tree; [~profile:true] makes frames read GC counters. *)
+
+val profiling : t -> bool
+
+val enter_span : t -> string -> unit
+(** Open a timed span frame under the current frame: reads the clock,
+    then (when profiling) snapshots the GC. *)
 
 val enter : t -> string -> unit
-(** Open a fine frame named [name] under the current frame.  Reads
-    [Gc.minor_words] only. *)
-
-val enter_detailed : t -> string -> unit
-(** Open a detailed frame: additionally snapshots [Gc.quick_stat]. *)
+(** Open a fine frame.  Reads [Gc.minor_words] only; call it on
+    profiling trees. *)
 
 val exit : t -> unit
 (** Close the innermost frame, folding its deltas into its row and its
-    parent's child accumulators.  A no-op on an empty stack, so an
+    parent's child accumulators; a span frame reads the GC before the
+    clock and records a trace entry.  A no-op on an empty stack, so an
     unbalanced [exit] cannot raise out of instrumented code. *)
+
+val mark : t -> string -> unit
+(** Count an instant event under the current frame and record it in
+    the trace ring with zero duration. *)
 
 val depth : t -> int
 (** Current open-frame count (0 when idle). *)
@@ -69,24 +94,33 @@ val depth : t -> int
 val unwind : t -> depth:int -> unit
 (** [unwind t ~depth:d] exits frames until [depth t <= d].  Exception
     cleanup for scoped spans: a frame leaked by a raise inside the span
-    body is closed (with whatever was allocated up to the raise) rather
+    body is closed (with whatever was recorded up to the raise) rather
     than skewing every later attribution. *)
 
 val rows : t -> row list
-(** All rows in first-enter order — deterministic for a deterministic
-    execution. *)
+(** All rows in first-enter order, so a parent precedes its children —
+    deterministic for a deterministic execution. *)
 
 val totals : t -> totals
-(** Deltas accumulated across completed top-level frames. *)
+(** GC deltas accumulated across completed top-level frames. *)
+
+val trace_capacity : int
+(** Entries the trace ring keeps. *)
+
+val iter_trace : t -> (int -> float -> float -> unit) -> unit
+(** [iter_trace t f] calls [f row start_us dur_us] on the latest
+    [min completions trace_capacity] span and mark completions, oldest
+    first; [row] indexes {!rows}. *)
 
 val merge : into:t -> t -> unit
-(** Fold every row of the source profile into [into], matching rows by
+(** Fold every row of the source tree into [into], matching rows by
     tree position and creating missing ones in the source's row order.
-    Totals add.  The source's open frames (if any) are ignored. *)
+    Counts and times add, and GC deltas when both trees profile.  The
+    source's open frames and trace ring are ignored. *)
 
 val allocated_minor_words : (unit -> unit) -> float
 (** Minor words allocated while running the thunk, measured with the
     same [Gc.minor_words] read the profiler uses.  The reported delta
-    includes the constant cost of the snapshot reads themselves (the
-    returned float of [Gc.minor_words] is boxed), so callers comparing
-    against "zero" must calibrate against an empty thunk. *)
+    includes the constant cost of the snapshot reads themselves, so
+    callers comparing against "zero" must calibrate against an empty
+    thunk. *)

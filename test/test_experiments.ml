@@ -256,14 +256,24 @@ let test_run_by_id_jobs_invariant () =
       Insp.Obs.with_sink (fun () ->
           Suite.run_by_id ~quick:true ~jobs "fig2a")
     in
+    (* absorbed cell trees fold into the caller's in canonical cell
+       order, so the (path, count) rows are jobs-invariant too *)
+    let rows =
+      List.map
+        (fun (r : Insp.Obs_prof.row) ->
+          Printf.sprintf "%s x%d" r.Insp.Obs_prof.path r.Insp.Obs_prof.count)
+        (Insp.Obs_prof.rows sink.Insp.Obs.prof)
+    in
     match out with
-    | Some s -> (s, Insp.Obs_export.metrics_csv sink)
+    | Some s -> (s, Insp.Obs_export.metrics_csv sink, rows)
     | None -> Alcotest.fail "fig2a unknown"
   in
-  let text1, csv1 = run 1 in
-  let text4, csv4 = run 4 in
+  let text1, csv1, rows1 = run 1 in
+  let text4, csv4, rows4 = run 4 in
   Alcotest.(check string) "rendered figure identical" text1 text4;
-  Alcotest.(check string) "merged metrics identical" csv1 csv4
+  Alcotest.(check string) "merged metrics identical" csv1 csv4;
+  Alcotest.(check bool) "cell spans absorbed" true (List.length rows1 > 1);
+  Alcotest.(check (list string)) "merged tree rows identical" rows1 rows4
 
 let test_simcheck_sustains () =
   let s = Suite.sim_validation ~seeds:[ 1 ] ~ns:[ 20 ] () in

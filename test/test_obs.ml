@@ -1,11 +1,12 @@
-(* Tests for the insp_obs observability layer: registry determinism
-   under interleaved spans, histogram bucket edges, exporter
-   well-formedness (Chrome trace JSON, metrics CSV), and a counter
-   regression pinning the solver's feasibility-probe count. *)
+(* Tests for the insp_obs observability layer: registry and frame-tree
+   determinism under interleaved spans, the tree's time columns,
+   histogram bucket edges, exporter well-formedness (Chrome trace JSON
+   and its bounded ring, metrics CSV), and counter and allocation
+   regressions pinning the solver's feasibility probes. *)
 
 module Obs = Insp.Obs
 module Metrics = Insp.Obs_metrics
-module Span = Insp.Obs_span
+module Prof = Insp.Obs_prof
 module Export = Insp.Obs_export
 
 (* A deterministic instrumented workload mixing nested spans, marks,
@@ -20,6 +21,19 @@ let workload () =
       done;
       Obs.span "tail" (fun () -> Obs.incr ~by:4 "n"));
   Obs.gauge "g" 2.5
+
+(* The deterministic projection of a sink's frame tree: one line per
+   row (path, depth, count, kind), in row order. *)
+let tree_rows (r : Obs.t) =
+  List.map
+    (fun (row : Prof.row) ->
+      Printf.sprintf "%s d%d x%d%s" row.Prof.path row.Prof.depth
+        row.Prof.count
+        (match row.Prof.kind with
+        | Prof.Mark -> " mark"
+        | Prof.Fine -> " fine"
+        | Prof.Span -> ""))
+    (Prof.rows r.Obs.prof)
 
 (* ------------------------------------------------------------------ *)
 (* Facade guarding                                                     *)
@@ -47,9 +61,8 @@ let test_span_exception_safe () =
         try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> 42)
   in
   Alcotest.(check int) "exception propagated" 42 value;
-  Alcotest.(check int) "span closed" 0 (Span.open_depth r.Obs.spans);
-  Alcotest.(check (list (pair string int)))
-    "span recorded" [ ("boom", 1) ] (Span.paths r.Obs.spans)
+  Alcotest.(check int) "frame closed" 0 (Prof.depth r.Obs.prof);
+  Alcotest.(check (list string)) "span recorded" [ "boom d1 x1" ] (tree_rows r)
 
 (* ------------------------------------------------------------------ *)
 (* Registry determinism                                                *)
@@ -61,17 +74,76 @@ let test_registry_deterministic () =
      timestamps (not exported by metrics_csv/paths) may differ. *)
   Alcotest.(check string) "identical CSV" (Export.metrics_csv a)
     (Export.metrics_csv b);
-  Alcotest.(check (list (pair string int)))
-    "identical span paths" (Span.paths a.Obs.spans) (Span.paths b.Obs.spans);
-  (* Events appear in completion order: a mark records immediately, so
-     it precedes its enclosing span; children precede parents. *)
-  Alcotest.(check (list (pair string int)))
-    "span structure"
-    (List.concat
-       (List.init 5 (fun _ ->
-            [ ("outer/inner/tick", 3); ("outer/inner", 2) ]))
-    @ [ ("outer/tail", 2); ("outer", 1) ])
-    (Span.paths a.Obs.spans)
+  Alcotest.(check (list string)) "identical tree rows" (tree_rows a)
+    (tree_rows b);
+  (* One row per path, in first-enter order: parents precede children,
+     and a mark is a counted row of its own. *)
+  Alcotest.(check (list string))
+    "tree structure"
+    [
+      "outer d1 x1"; "outer/inner d2 x5"; "outer/inner/tick d3 x5 mark";
+      "outer/tail d2 x1";
+    ]
+    (tree_rows a);
+  Alcotest.(check int) "no frame left open" 0 (Prof.depth a.Obs.prof)
+
+(* Time is a tree column: on a nested workload every span's cumulative
+   time is its self time plus the cumulative time of its nearest timed
+   descendants — fine frames pass their children's time through, and
+   marks and fine frames carry none of their own. *)
+let test_tree_time_columns () =
+  let busy () = ignore (Sys.opaque_identity (List.init 2000 Fun.id)) in
+  let (), r =
+    Obs.with_sink ~profile:true (fun () ->
+        for _ = 1 to 3 do
+          Obs.span "a" (fun () ->
+              busy ();
+              Obs.span "b" (fun () ->
+                  busy ();
+                  Obs.span "c" busy;
+                  Obs.mark "m");
+              Obs.prof_enter "fine";
+              Obs.span "d" busy;
+              busy ();
+              Obs.prof_exit ())
+        done)
+  in
+  let rows = Array.of_list (Prof.rows r.Obs.prof) in
+  let rec timed_below id =
+    Array.fold_left ( +. ) 0.0
+      (Array.mapi
+         (fun c (row : Prof.row) ->
+           if row.Prof.parent <> id then 0.0
+           else
+             match row.Prof.kind with
+             | Prof.Fine -> timed_below c
+             | Prof.Span | Prof.Mark -> row.Prof.cum_us)
+         rows)
+  in
+  let tol = 1e-6 in
+  Alcotest.(check (list string))
+    "rows"
+    [
+      "a d1 x3"; "a/b d2 x3"; "a/b/c d3 x3"; "a/b/m d3 x3 mark";
+      "a/fine d2 x3 fine"; "a/fine/d d3 x3";
+    ]
+    (tree_rows r);
+  Array.iteri
+    (fun id (row : Prof.row) ->
+      match row.Prof.kind with
+      | Prof.Span ->
+        if row.Prof.self_us < -.tol then
+          Alcotest.failf "%s: negative self time %g" row.Prof.path
+            row.Prof.self_us;
+        let want = row.Prof.self_us +. timed_below id in
+        if Float.abs (row.Prof.cum_us -. want) > tol *. Float.max 1.0 want
+        then
+          Alcotest.failf "%s: cum %g <> self + children %g" row.Prof.path
+            row.Prof.cum_us want
+      | Prof.Fine | Prof.Mark ->
+        Helpers.alco_float (row.Prof.path ^ " self") 0.0 row.Prof.self_us;
+        Helpers.alco_float (row.Prof.path ^ " cum") 0.0 row.Prof.cum_us)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -376,6 +448,50 @@ let test_chrome_trace_wellformed () =
       [ "X"; "i"; "C" ]
   | _ -> Alcotest.fail "trace is not a JSON array"
 
+(* More completions than the trace ring holds: the trace stays
+   well-formed and keeps exactly the latest [trace_capacity] spans and
+   marks, the tree's counts stay exact, and the recorder does not grow
+   with further completions. *)
+let test_chrome_trace_ring_bounded () =
+  let cap = Prof.trace_capacity in
+  let record completions =
+    let (), r =
+      Obs.with_sink (fun () ->
+          Obs.span "first" ignore;
+          for i = 1 to completions do
+            if i mod 2 = 0 then Obs.mark "m" else Obs.span "s" ignore
+          done)
+    in
+    r
+  in
+  let r = record cap in
+  (match parse_json (Export.chrome_trace r) with
+  | exception Bad_json msg -> Alcotest.fail ("trace is not valid JSON: " ^ msg)
+  | J_arr events ->
+    let named name =
+      List.length
+        (List.filter (fun ev -> str_field ev "name" = Some name) events)
+    in
+    let timeline =
+      List.filter
+        (fun ev ->
+          match str_field ev "ph" with Some ("X" | "i") -> true | _ -> false)
+        events
+    in
+    Alcotest.(check int) "exactly capacity events" cap (List.length timeline);
+    Alcotest.(check int) "oldest completion dropped" 0 (named "first");
+    Alcotest.(check int) "latest spans kept" (cap / 2) (named "s");
+    Alcotest.(check int) "latest marks kept" (cap / 2) (named "m")
+  | _ -> Alcotest.fail "trace is not a JSON array");
+  Alcotest.(check (list string))
+    "row counts exact"
+    [ "first d1 x1"; Printf.sprintf "s d1 x%d" (cap / 2);
+      Printf.sprintf "m d1 x%d mark" (cap / 2) ]
+    (tree_rows r);
+  let size r = Obj.reachable_words (Obj.repr r.Obs.prof) in
+  Alcotest.(check int) "recorder size independent of completions" (size r)
+    (size (record (3 * cap)))
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace escaping                                                *)
 
@@ -443,8 +559,6 @@ let test_probe_count_regression () =
 (* ------------------------------------------------------------------ *)
 (* Allocation profiler (Obs.Prof)                                      *)
 
-module Prof = Insp.Obs_prof
-
 (* One profiled comp-greedy solve of the scale preset (small N keeps the
    test quick; the bench alloc.100k row covers the full size). *)
 let profiled_operators = 2000
@@ -492,7 +606,7 @@ let ledger_words_per_operator_cap = 60.0
 
 let test_prof_commit_path_attribution () =
   let r = profiled_scale_solve () in
-  let p = Option.get r.Obs.prof in
+  let p = r.Obs.prof in
   let segs (row : Prof.row) = String.split_on_char '/' row.Prof.path in
   let is_ledger row =
     match List.rev (segs row) with
@@ -576,6 +690,8 @@ let () =
         [
           Alcotest.test_case "deterministic across runs" `Quick
             test_registry_deterministic;
+          Alcotest.test_case "tree time columns add up" `Quick
+            test_tree_time_columns;
           Alcotest.test_case "histogram bucket edges" `Quick
             test_histogram_bucket_edges;
           Alcotest.test_case "percentile interpolation" `Quick
@@ -593,6 +709,8 @@ let () =
             test_chrome_trace_wellformed;
           Alcotest.test_case "Chrome trace escaping round-trip" `Quick
             test_chrome_trace_escaping;
+          Alcotest.test_case "Chrome trace ring bounded" `Quick
+            test_chrome_trace_ring_bounded;
         ] );
       ( "prof",
         [
