@@ -255,6 +255,40 @@ let test_single_app_dag_close_to_tree_sbu () =
       true
       (ratio > 0.5 && ratio < 2.0)
 
+(* Every Dag_place solution on a fixed corpus, one line per (instance,
+   sharing mode), against test/dag_solutions.golden: the exact cost
+   bits, the processor count and a digest of the allocation rendering,
+   or the failure message.  A refactor of the DAG placer must leave the
+   committed solutions unchanged. *)
+let test_dag_solutions_golden () =
+  let buf = Buffer.create (16 * 1024) in
+  for seed = 0 to 39 do
+    List.iter
+      (fun n_apps ->
+        List.iter
+          (fun n_operators ->
+            let apps, platform = MW.instance ~seed ~n_apps ~n_operators in
+            List.iter
+              (fun (mode, dag) ->
+                let rendered =
+                  match Dag_place.run dag platform with
+                  | Ok o ->
+                    Printf.sprintf "ok cost=%h procs=%d alloc=%s"
+                      o.Dag_place.cost o.Dag_place.n_procs
+                      (Digest.to_hex
+                         (Digest.string
+                            (Format.asprintf "%a" Alloc.pp o.Dag_place.alloc)))
+                  | Error f -> "fail " ^ Dag_place.failure_message f
+                in
+                Printf.bprintf buf "%d %d %d %s %s\n" seed n_apps n_operators
+                  mode rendered)
+              [ ("cse", Cse.share_apps apps); ("of_apps", Dag.of_apps apps) ])
+          [ 15; 60 ])
+      [ 1; 3; 6 ]
+  done;
+  Helpers.check_golden ~what:"Dag_place.run" "dag_solutions.golden"
+    (Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* Dag_runtime                                                         *)
 
@@ -365,6 +399,8 @@ let () =
             test_single_app_dag_close_to_tree_sbu;
           place_outcomes_feasible;
           sharing_never_costs_more_often;
+          Alcotest.test_case "solutions golden" `Slow
+            test_dag_solutions_golden;
         ] );
       ( "dag_runtime",
         [
