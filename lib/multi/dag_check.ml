@@ -25,8 +25,7 @@ let distinct_objects dag group =
 
 (* Producers outside the group feeding members, with the fastest
    consuming rate inside the group. *)
-let external_sources dag group =
-  let in_group i = List.mem i group in
+let external_sources dag ~in_group group =
   List.fold_left
     (fun acc i ->
       let rate_i = (Dag.node dag i).Dag.rate in
@@ -42,9 +41,7 @@ let external_sources dag group =
         acc (Dag.inputs dag i))
     [] group
 
-let group_demand dag group =
-  let group = List.sort_uniq compare group in
-  let in_group i = List.mem i group in
+let group_demand dag ~in_group group =
   let objects = Dag.objects dag in
   let compute =
     List.fold_left
@@ -61,7 +58,7 @@ let group_demand dag group =
   let comm_in =
     List.fold_left
       (fun acc (j, rate) -> acc +. ((Dag.node dag j).Dag.output *. rate))
-      0.0 (external_sources dag group)
+      0.0 (external_sources dag ~in_group group)
   in
   (* Conservative: one stream per external consumer. *)
   let comm_out =
@@ -98,25 +95,67 @@ let outgoing_streams dag alloc u =
     (Alloc.operators_of alloc u)
 
 let proc_demand dag alloc u =
-  let group = Alloc.operators_of alloc u in
-  let d = group_demand dag group in
+  let d =
+    group_demand dag
+      ~in_group:(fun i -> Alloc.host alloc i = u)
+      (Alloc.operators_of alloc u)
+  in
   let comm_out =
     List.fold_left (fun acc (_, _, f) -> acc +. f) 0.0
       (outgoing_streams dag alloc u)
   in
   { d with comm_out }
 
-let pair_flow dag alloc u v =
-  let one_way src dst =
-    List.fold_left
-      (fun acc (_, dest, f) -> if dest = dst then acc +. f else acc)
-      0.0
-      (outgoing_streams dag alloc src)
-  in
-  one_way u v +. one_way v u
-
 let tolerance = 1e-9
 let exceeds load cap = load > cap *. (1.0 +. tolerance) +. tolerance
+
+(* Constraint (5) in one sweep over each processor's outgoing streams
+   instead of probing all O(procs^2) pairs.  Processor [u]'s flow into
+   [v] is summed over its streams in list (operator) order — the order a
+   per-pair walk of the same list sums it.  A pair's load is [into (a, b)
+   +. into (b, a)]; float addition commutes, so the reported loads are
+   bit-identical to the all-pairs sum, and pairs are visited in
+   ascending [(a, b)] order.  Pairs no stream crosses carry zero flow
+   and never exceed the non-negative capacity. *)
+let proc_link_violations dag platform alloc add =
+  let n_procs = Alloc.n_procs alloc in
+  let capacity = platform.Platform.proc_link in
+  (* [into.(v)] is [u]'s flow into [v] while [touched.(v) = u];
+     [pairs.(a)] lists [(b, directed flow)] for the pairs [a < b]. *)
+  let touched = Array.make n_procs (-1) and into = Array.make n_procs 0.0 in
+  let pairs = Array.make n_procs [] in
+  for u = 0 to n_procs - 1 do
+    let streams = outgoing_streams dag alloc u in
+    List.iter
+      (fun (_, v, f) ->
+        if touched.(v) <> u then begin
+          touched.(v) <- u;
+          into.(v) <- 0.0
+        end;
+        into.(v) <- into.(v) +. f)
+      streams;
+    List.iter
+      (fun (_, v, _) ->
+        if touched.(v) = u then begin
+          touched.(v) <- -1;
+          let a = min u v and b = max u v in
+          pairs.(a) <- (b, into.(v)) :: pairs.(a)
+        end)
+      streams
+  done;
+  for a = 0 to n_procs - 1 do
+    let rec walk = function
+      | [] -> ()
+      | (b, f) :: (b', f') :: rest when b = b' -> report b (f +. f') rest
+      | (b, f) :: rest -> report b f rest
+    and report b load rest =
+      if exceeds load capacity then
+        add
+          (Check.Proc_link_overload { proc_a = a; proc_b = b; load; capacity });
+      walk rest
+    in
+    walk (List.sort compare pairs.(a))
+  done
 
 let check dag platform alloc =
   let servers = platform.Platform.servers in
@@ -199,21 +238,5 @@ let check dag platform alloc =
         (Check.Server_card_overload
            { server = l; load = !total; capacity = Servers.card servers l })
   done;
-  (* (5) *)
-  for u = 0 to n_procs - 1 do
-    for v = u + 1 to n_procs - 1 do
-      let flow = pair_flow dag alloc u v in
-      if exceeds flow platform.Platform.proc_link then
-        add
-          (Check.Proc_link_overload
-             {
-               proc_a = u;
-               proc_b = v;
-               load = flow;
-               capacity = platform.Platform.proc_link;
-             })
-    done
-  done;
+  proc_link_violations dag platform alloc add;
   List.rev !acc
-
-let is_feasible dag platform alloc = check dag platform alloc = []

@@ -25,19 +25,18 @@ type demand = {
 
 val nic : demand -> float
 
-val group_demand : Dag.t -> int list -> demand
+val group_demand : Dag.t -> in_group:(int -> bool) -> int list -> demand
 (** Conservative demand of co-locating the given nodes: external
     consumers are each assumed to live on distinct processors.  Only
     decreases when other nodes join neighbouring groups, making it safe
-    for incremental placement. *)
+    for incremental placement.  The member list must be sorted and
+    duplicate-free, and [in_group] must answer membership of exactly
+    those nodes — in O(1) for callers that keep a marker, such as
+    {!Dag_place}'s stamped node arrays. *)
 
 val proc_demand : Dag.t -> Insp_mapping.Alloc.t -> int -> demand
 (** Exact demand of processor [u] under a complete allocation
     (per-destination stream dedup). *)
-
-val pair_flow : Dag.t -> Insp_mapping.Alloc.t -> int -> int -> float
-(** MB/s over the link between two processors (both directions, one
-    stream per (producer, destination) pair). *)
 
 val distinct_objects : Dag.t -> int list -> int list
 (** Distinct object types the group downloads. *)
@@ -47,7 +46,9 @@ val check :
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   Insp_mapping.Check.violation list
+(** Every violated constraint, in the tree checker's order.  Constraint
+    (5) is one sweep over the stream edges: each processor's outgoing
+    streams are summed per destination once, and only the processor
+    pairs a stream crosses are visited, in ascending order, with loads
+    bit-identical to summing every pair's two directions separately. *)
 
-(* lint: allow t3 — documented oracle entry point for external validity checks *)
-val is_feasible :
-  Dag.t -> Insp_platform.Platform.t -> Insp_mapping.Alloc.t -> bool

@@ -23,6 +23,7 @@ let leq v cap = v <= cap *. (1.0 +. tolerance) +. tolerance
 (* ------------------------------------------------------------------ *)
 (* Mutable placement state (the DAG analogue of Insp.Builder)          *)
 
+(* [members] is kept sorted. *)
 type group = { mutable members : int list; mutable cfg : Catalog.config }
 
 type state = {
@@ -32,63 +33,93 @@ type state = {
   mutable order : int list;  (* reversed acquisition order *)
   mutable next_id : int;
   assign : int option array;
+  (* Stamped node markers: a set is marked by writing a fresh [stamp]
+     into its members' slots, so a probe clears no array and allocates
+     none.  [in_a] holds the probed member set, [in_b] the group its
+     flow is measured against. *)
+  in_a : int array;
+  in_b : int array;
+  mutable stamp : int;
 }
 
 let create dag platform =
+  let n = Dag.n_nodes dag in
   {
     dag;
     platform;
     groups = Hashtbl.create 32;
     order = [];
     next_id = 0;
-    assign = Array.make (Dag.n_nodes dag) None;
+    assign = Array.make n None;
+    in_a = Array.make n 0;
+    in_b = Array.make n 0;
+    stamp = 0;
   }
 
 let group_ids st = List.rev st.order
 let members st gid = (Hashtbl.find st.groups gid).members
 
-let demand_fits st config members =
-  let d = Dag_check.group_demand st.dag members in
-  leq d.Dag_check.compute config.Catalog.cpu.Catalog.speed
-  && leq (Dag_check.nic d) config.Catalog.nic.Catalog.bandwidth
+let rec stamp_all marks s = function
+  | [] -> ()
+  | i :: rest ->
+    marks.(i) <- s;
+    stamp_all marks s rest
 
-(* Flow between two member sets: one stream per (producer, consuming
-   set) at the fastest consuming rate.  Membership is answered through a
-   marker array instead of [List.mem] per consumer. *)
-let flow_between dag g h =
-  let in_h = Array.make (Dag.n_nodes dag) false in
-  List.iter (fun i -> in_h.(i) <- true) h;
-  let in_g = Array.make (Dag.n_nodes dag) false in
-  List.iter (fun i -> in_g.(i) <- true) g;
-  let one_way src in_dst =
+let mark st marks nodes =
+  st.stamp <- st.stamp + 1;
+  stamp_all marks st.stamp nodes;
+  st.stamp
+
+(* Compute load of a sorted member list, summed in ascending order as in
+   [Dag_check.group_demand]. *)
+let rec compute_load dag acc = function
+  | [] -> acc
+  | i :: rest ->
+    let n = Dag.node dag i in
+    compute_load dag (acc +. (n.Dag.rate *. n.Dag.work)) rest
+
+(* Most probes fail on compute alone, so the download and communication
+   terms are only built once compute fits.  [s] marks [members] in
+   [in_a]. *)
+let demand_fits st config ~s members =
+  leq (compute_load st.dag 0.0 members) config.Catalog.cpu.Catalog.speed
+  &&
+  let d =
+    Dag_check.group_demand st.dag ~in_group:(fun i -> st.in_a.(i) = s) members
+  in
+  leq (Dag_check.nic d) config.Catalog.nic.Catalog.bandwidth
+
+(* Flow between the member set [g] (marked [s] in [in_a]) and [h]: one
+   stream per (producer, consuming set) at the fastest consuming rate. *)
+let flow_between st ~s g h =
+  let dag = st.dag in
+  let sh = mark st st.in_b h in
+  let one_way src marks stamp =
     List.fold_left
       (fun acc j ->
         let rate =
           List.fold_left
             (fun m c ->
-              if in_dst.(c) then Float.max m (Dag.node dag c).Dag.rate else m)
+              if marks.(c) = stamp then Float.max m (Dag.node dag c).Dag.rate
+              else m)
             0.0 (Dag.consumers dag j)
         in
         acc +. ((Dag.node dag j).Dag.output *. rate))
       0.0 src
   in
-  one_way g in_h +. one_way h in_g
+  one_way g st.in_b sh +. one_way h st.in_a s
 
-(* Groups reachable from [members] through one stream edge, read off the
-   assignment array.  Only these can carry flow towards [members], so
-   constraint (5) is checked against them alone — the previous
-   implementation recomputed the flow towards every live group per
-   probe.  (DAG flow semantics — one stream per producer at the fastest
-   consuming rate — make exact incremental pair-flow maintenance à la
-   [Insp_mapping.Ledger] impractical; restricting the recomputation to
-   adjacent groups gives the same decisions, since non-adjacent groups
-   carry zero flow.) *)
-let adjacent_groups st ~members ~ignore_groups =
-  let marked = Array.make (Dag.n_nodes st.dag) false in
-  List.iter (fun i -> marked.(i) <- true) members;
+(* Groups reachable from [members] (marked [s] in [in_a]) through one
+   stream edge, read off the assignment array.  Only these can carry
+   flow towards [members]: every other group's flow is exactly 0.0.
+   (DAG flow semantics — one stream per producer at the fastest
+   consuming rate — keep exact incremental pair flows à la
+   [Insp_mapping.Ledger] future work, so each probe recomputes the flow
+   towards its adjacent groups.) *)
+let adjacent_groups st ~s members ~ignore_groups =
   let adj = ref [] in
   let note i =
-    if not marked.(i) then
+    if st.in_a.(i) <> s then
       match st.assign.(i) with
       | Some gid when (not (List.mem gid ignore_groups))
                       && not (List.mem gid !adj) ->
@@ -104,21 +135,23 @@ let adjacent_groups st ~members ~ignore_groups =
     members;
   !adj
 
-let can_host st ~config ~members ?(ignore_groups = []) () =
-  demand_fits st config members
+(* [members] must be sorted. *)
+let can_host st ~config ~members ~ignore_groups =
+  let s = mark st st.in_a members in
+  demand_fits st config ~s members
   && List.for_all
        (fun gid ->
          leq
-           (flow_between st.dag members (Hashtbl.find st.groups gid).members)
+           (flow_between st ~s members (Hashtbl.find st.groups gid).members)
            st.platform.Platform.proc_link)
-       (adjacent_groups st ~members ~ignore_groups)
+       (adjacent_groups st ~s members ~ignore_groups)
 
 let acquire st ~config ~members =
-  if can_host st ~config ~members () then begin
+  let members = List.sort compare members in
+  if can_host st ~config ~members ~ignore_groups:[] then begin
     let gid = st.next_id in
     st.next_id <- st.next_id + 1;
-    Hashtbl.replace st.groups gid
-      { members = List.sort compare members; cfg = config };
+    Hashtbl.replace st.groups gid { members; cfg = config };
     st.order <- gid :: st.order;
     List.iter (fun i -> st.assign.(i) <- Some gid) members;
     Some gid
@@ -133,8 +166,8 @@ let sell st gid =
 
 let try_add st gid node =
   let g = Hashtbl.find st.groups gid in
-  let candidate = List.sort compare (node :: g.members) in
-  if can_host st ~config:g.cfg ~members:candidate ~ignore_groups:[ gid ] ()
+  let candidate = List.merge compare [ node ] g.members in
+  if can_host st ~config:g.cfg ~members:candidate ~ignore_groups:[ gid ]
   then begin
     g.members <- candidate;
     st.assign.(node) <- Some gid;
@@ -145,10 +178,10 @@ let try_add st gid node =
 let try_absorb st winner loser =
   let gw = Hashtbl.find st.groups winner in
   let gl = Hashtbl.find st.groups loser in
-  let candidate = List.sort compare (gw.members @ gl.members) in
+  let candidate = List.merge compare gw.members gl.members in
   if
     can_host st ~config:gw.cfg ~members:candidate
-      ~ignore_groups:[ winner; loser ] ()
+      ~ignore_groups:[ winner; loser ]
   then begin
     let absorbed = gl.members in
     sell st loser;
@@ -248,10 +281,10 @@ let acquire_with_grouping st node =
   in
   grow [ node ] 8
 
+(* Fold small groups into others, smallest first.  Each loser tries its
+   flow-adjacent groups before the rest, both in acquisition (ascending
+   id) order; the adjacent ones are read off the loser's edges. *)
 let consolidate st =
-  let adjacent ga gb =
-    flow_between st.dag (members st ga) (members st gb) > 0.0
-  in
   let rec pass () =
     let by_size =
       List.sort
@@ -264,8 +297,18 @@ let consolidate st =
         (fun loser ->
           Hashtbl.mem st.groups loser
           &&
-          let hosts = List.filter (fun g -> g <> loser) (group_ids st) in
-          let adj, rest = List.partition (fun g -> adjacent g loser) hosts in
+          let lm = members st loser in
+          let s = mark st st.in_a lm in
+          let adj =
+            adjacent_groups st ~s lm ~ignore_groups:[]
+            |> List.filter (fun g -> flow_between st ~s lm (members st g) > 0.0)
+            |> List.sort compare
+          in
+          let rest =
+            List.filter
+              (fun g -> g <> loser && not (List.mem g adj))
+              (group_ids st)
+          in
           List.exists (fun winner -> try_absorb st winner loser) (adj @ rest))
         by_size
     in

@@ -9,7 +9,14 @@
     processors with an iterative grouping fallback; a final
     consolidation pass folds small processors into neighbours; then
     server selection (the paper's three-loop heuristic over the DAG's
-    needs), downgrade, and full validation. *)
+    needs), downgrade, and full validation.
+
+    Each feasibility probe checks compute first, over the sorted
+    candidate member list, and builds the download and communication
+    terms only when compute fits.  Group membership is answered through
+    stamped per-node markers, and constraint (5) is measured only
+    against the groups adjacent to the candidate; no probe allocates a
+    node-sized array. *)
 
 type outcome = {
   alloc : Insp_mapping.Alloc.t;

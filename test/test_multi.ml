@@ -133,6 +133,52 @@ let cfg ?(cpu = 4) ?(nic = 4) () =
   let c = Insp.Catalog.dell_2008 in
   { Insp.Catalog.cpu = (Insp.Catalog.cpus c).(cpu); nic = (Insp.Catalog.nics c).(nic) }
 
+(* The all-pairs constraint (5) oracle: for every processor pair, list
+   both processors' outgoing streams from scratch — one per (producer,
+   destination processor) at the fastest consuming rate there — and sum
+   those crossing the pair. *)
+let outgoing_streams dag alloc u =
+  List.concat_map
+    (fun i ->
+      let out = (Dag.node dag i).Dag.output in
+      let per_dest =
+        List.fold_left
+          (fun acc c ->
+            match Alloc.assignment alloc c with
+            | Some v when v <> u ->
+              let rate = (Dag.node dag c).Dag.rate in
+              let prev = try List.assoc v acc with Not_found -> 0.0 in
+              (v, Float.max rate prev) :: List.remove_assoc v acc
+            | Some _ | None -> acc)
+          [] (Dag.consumers dag i)
+      in
+      List.map (fun (v, rate) -> (i, v, out *. rate)) per_dest)
+    (Alloc.operators_of alloc u)
+
+let pair_flow dag alloc u v =
+  let one_way src dst =
+    List.fold_left
+      (fun acc (_, dest, f) -> if dest = dst then acc +. f else acc)
+      0.0
+      (outgoing_streams dag alloc src)
+  in
+  one_way u v +. one_way v u
+
+let oracle_proc_link dag platform alloc =
+  let capacity = platform.Insp.Platform.proc_link in
+  let n = Alloc.n_procs alloc in
+  let acc = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let load = pair_flow dag alloc u v in
+      if load > (capacity *. (1.0 +. 1e-9)) +. 1e-9 then
+        acc :=
+          Check.Proc_link_overload { proc_a = u; proc_b = v; load; capacity }
+          :: !acc
+    done
+  done;
+  List.rev !acc
+
 let test_dag_check_feasible () =
   let dag, a, c = two_proc_dag () in
   let platform = Helpers.tiny_platform () in
@@ -146,7 +192,7 @@ let test_dag_check_feasible () =
   Alcotest.(check string) "feasible" "feasible"
     (Check.explain (Dag_check.check dag platform alloc));
   (* a's output (30 MB at rate 1) crosses the pair link *)
-  Helpers.alco_float "pair flow" 30.0 (Dag_check.pair_flow dag alloc 0 1)
+  Helpers.alco_float "pair flow" 30.0 (pair_flow dag alloc 0 1)
 
 let test_dag_check_stream_dedup () =
   (* Node a consumed by two nodes on the SAME remote processor: one
@@ -171,11 +217,11 @@ let test_dag_check_stream_dedup () =
   Alcotest.(check string) "feasible" "feasible"
     (Check.explain (Dag_check.check dag platform alloc));
   (* one stream at the fastest consuming rate: 30 MB * max(1,2) = 60 *)
-  Helpers.alco_float "dedup at max rate" 60.0 (Dag_check.pair_flow dag alloc 0 1);
+  Helpers.alco_float "dedup at max rate" 60.0 (pair_flow dag alloc 0 1);
   let d = Dag_check.proc_demand dag alloc 0 in
   Helpers.alco_float "comm_out deduped" 60.0 d.Dag_check.comm_out;
   (* conservative group demand counts both consumers *)
-  let g = Dag_check.group_demand dag [ a ] in
+  let g = Dag_check.group_demand dag ~in_group:(fun i -> i = a) [ a ] in
   Helpers.alco_float "conservative comm_out" 90.0 g.Dag_check.comm_out
 
 let test_dag_check_rate_weighted_compute () =
@@ -199,6 +245,63 @@ let test_dag_check_rate_weighted_compute () =
   Helpers.alco_float "compute" 100.0 d.Dag_check.compute;
   Alcotest.(check string) "fits cheapest" "feasible"
     (Check.explain (Dag_check.check dag platform alloc))
+
+(* Dag_check.check's constraint (5) sweep against the all-pairs oracle:
+   the same Proc_link_overload list, in the same order, with bit-equal
+   loads, after every other violation.  Run on Dag_place outputs under
+   the real link and under shrunken ones, so that (5) really fires. *)
+let test_dag_check_proc_link_oracle () =
+  let fired = ref 0 in
+  let agree what dag platform alloc =
+    let vs = Dag_check.check dag platform alloc in
+    let is_link = function Check.Proc_link_overload _ -> true | _ -> false in
+    let links, others = List.partition is_link vs in
+    Alcotest.(check bool) (what ^ ": (5) reported last") true
+      (vs = others @ links);
+    let expected = oracle_proc_link dag platform alloc in
+    Alcotest.(check int) (what ^ ": (5) count") (List.length expected)
+      (List.length links);
+    List.iter2
+      (fun e a ->
+        match (e, a) with
+        | ( Check.Proc_link_overload { proc_a; proc_b; load; capacity },
+            Check.Proc_link_overload
+              { proc_a = a'; proc_b = b'; load = l'; capacity = c' } ) ->
+          Alcotest.(check (pair int int)) (what ^ ": pair") (proc_a, proc_b) (a', b');
+          Alcotest.(check int64) (what ^ ": load bits")
+            (Int64.bits_of_float load) (Int64.bits_of_float l');
+          Alcotest.(check int64) (what ^ ": capacity bits")
+            (Int64.bits_of_float capacity) (Int64.bits_of_float c')
+        | _ -> Alcotest.fail (what ^ ": not a Proc_link_overload"))
+      expected links;
+    fired := !fired + List.length links
+  in
+  for seed = 0 to 11 do
+    let apps, platform = MW.instance ~seed ~n_apps:(1 + (seed mod 6)) ~n_operators:30 in
+    List.iter
+      (fun dag ->
+        match Dag_place.run dag platform with
+        | Error _ -> ()
+        | Ok o ->
+          let alloc = o.Dag_place.alloc in
+          let n = Alloc.n_procs alloc in
+          let max_flow = ref 0.0 in
+          for u = 0 to n - 1 do
+            for v = u + 1 to n - 1 do
+              max_flow := Float.max !max_flow (pair_flow dag alloc u v)
+            done
+          done;
+          List.iter
+            (fun proc_link ->
+              agree
+                (Printf.sprintf "seed %d, proc_link %g" seed proc_link)
+                dag
+                { platform with Insp.Platform.proc_link }
+                alloc)
+            [ platform.Insp.Platform.proc_link; !max_flow /. 2.0; 0.0 ])
+      [ Cse.share_apps apps; Dag.of_apps apps ]
+  done;
+  Alcotest.(check bool) "constraint (5) fired" true (!fired > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Dag_place                                                           *)
@@ -392,6 +495,8 @@ let () =
           Alcotest.test_case "stream dedup" `Quick test_dag_check_stream_dedup;
           Alcotest.test_case "rate-weighted compute" `Quick
             test_dag_check_rate_weighted_compute;
+          Alcotest.test_case "(5) matches the all-pairs oracle" `Quick
+            test_dag_check_proc_link_oracle;
         ] );
       ( "dag_place",
         [
