@@ -26,7 +26,6 @@ let node t i = t.nodes.(i)
 let inputs t i = t.nodes.(i).inputs
 let consumers t i = t.consumers.(i)
 let roots t = t.roots
-let n_object_types t = t.n_object_types
 
 let object_users t k =
   let acc = ref [] in
@@ -231,21 +230,3 @@ let of_apps apps =
       roots = List.rev !roots;
       consumers = compute_consumers nodes;
     }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>DAG: %d nodes, %d applications@ " (n_nodes t)
-    (List.length t.roots);
-  Array.iter
-    (fun n ->
-      let show = function
-        | Object k -> Printf.sprintf "o%d" k
-        | Node j -> Printf.sprintf "n%d" j
-      in
-      Format.fprintf ppf "n%d <- [%s]  rate=%.2f w=%.1f out=%.1f@ " n.id
-        (String.concat ", " (List.map show n.inputs))
-        n.rate n.work n.output)
-    t.nodes;
-  List.iter
-    (fun (r, rho) -> Format.fprintf ppf "sink: n%d @ %.2f/s@ " r rho)
-    t.roots;
-  Format.fprintf ppf "@]"

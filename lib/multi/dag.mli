@@ -45,9 +45,6 @@ val roots : t -> (int * float) list
 val object_users : t -> int -> int list
 (** Nodes that download object type [k] directly. *)
 
-(* lint: allow t3 — cardinality accessor completing the DAG API *)
-val n_object_types : t -> int
-
 val topological : t -> int list
 (** All ids, inputs before consumers. *)
 
@@ -88,6 +85,3 @@ val of_apps : Insp_tree.App.t list -> t
     sharing (each tree keeps its own nodes).  All applications must use
     the same object catalog, alpha and work constants.  Baseline for the
     CSE comparison. *)
-
-(* lint: allow t3 — debugging printer *)
-val pp : Format.formatter -> t -> unit

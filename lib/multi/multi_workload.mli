@@ -22,19 +22,12 @@ val correlated_trees :
     grafts, hence sharable).  Each graft counts towards the tree's
     operator budget. *)
 
-(* lint: allow t3 — workload preset kept for manual experiments *)
-val correlated_apps :
-  Insp_util.Prng.t ->
-  config:Insp_workload.Config.t ->
-  n_apps:int ->
-  Insp_tree.App.t list
-(** Trees from {!correlated_trees} with sizes, frequencies, alpha, work
-    constants and rho taken from [config]. *)
-
 val instance :
   seed:int ->
   n_apps:int ->
   n_operators:int ->
   (Insp_tree.App.t list * Insp_platform.Platform.t)
 (** Paper-default platform plus a correlated application set, all
-    deterministic in [seed]. *)
+    deterministic in [seed]: trees from {!correlated_trees} with sizes,
+    frequencies, alpha, work constants and rho taken from
+    [Insp_workload.Config.make ~n_operators ~seed ()]. *)
