@@ -401,6 +401,38 @@ let alloc_serve_entry ~quick () =
     (minor /. float_of_int (max 1 n_events));
   ("alloc.serve_1k", wall_s, recorder)
 
+(* The DAG path (Cse sharing, then Dag_place with its final Dag_check)
+   on a fixed set of 6-app x 60-operator correlated sets: wall time and
+   the minor-word delta across the placements, gated exactly like the
+   other alloc rows.  Instances are generated outside the window. *)
+let alloc_multi_entry () =
+  line "alloc.multi (minor words, CSE + DAG placement, 8 sets of 6 x 60)";
+  let sets =
+    List.init 8 (fun seed ->
+        Insp.Multi_workload.instance ~seed:(seed + 1) ~n_apps:6
+          ~n_operators:60)
+  in
+  let t0 = Unix.gettimeofday () in
+  let minor, recorder =
+    Insp.Obs.with_sink (fun () ->
+        let w0 = Gc.minor_words () in
+        List.iter
+          (fun (apps, platform) ->
+            match Insp.Dag_place.run (Insp.Cse.share_apps apps) platform with
+            | Ok _ -> ()
+            | Error f -> failwith (Insp.Dag_place.failure_message f))
+          sets;
+        Gc.minor_words () -. w0)
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let m = recorder.Insp.Obs.metrics in
+  Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
+  (* 5.39M words measured, ~1.35x headroom *)
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 7_280_000.0;
+  Printf.printf "%d sets: %.0f minor words, %.3f s\n%!" (List.length sets)
+    minor wall_s;
+  ("alloc.multi", wall_s, recorder)
+
 (* Ledger probe throughput at scale, as a tracked JSON row
    (run_probe_bench below prints the ledger-vs-naive comparison on a
    paper-sized instance; this row sizes the ledger path alone on a
@@ -803,6 +835,7 @@ let () =
            rank-walker seeds, ~1.35x headroom *)
         alloc_entry ~n:100_000 ~budget_words:13_550_000.0 "alloc.100k" ();
         alloc_serve_entry ~quick ();
+        alloc_multi_entry ();
       ]
   in
   (match json_file with
