@@ -384,6 +384,86 @@ let runtime_kernels_agree_randomized =
              (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
              a.Runtime.proc_busy b.Runtime.proc_busy)
 
+(* Tree DES reports on a fixed corpus, one line per run, against
+   test/des_reports.golden: the completed-result and event counts and
+   the exact bits of throughput, delivered download volume and every
+   processor's busy fraction.  The corpus spreads the paper grid (N x
+   alpha x seeds, Comp-Greedy and SBU mappings) at a short horizon, plus
+   disruption runs that drive [set_capacity] on every scope kind.  A
+   refactor of the simulator must leave the committed reports
+   unchanged. *)
+let des_report_line buf label (r : Runtime.report) =
+  Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n" label
+    r.Runtime.results_completed r.Runtime.events r.Runtime.achieved_throughput
+    r.Runtime.download_delivered
+    (String.concat ","
+       (Array.to_list (Array.map (Printf.sprintf "%h") r.Runtime.proc_busy)))
+
+let test_des_reports_golden () =
+  let buf = Buffer.create (16 * 1024) in
+  let solve key seed inst =
+    Solve.run ~seed
+      (Option.get (Solve.find key))
+      inst.Insp.Instance.app inst.Insp.Instance.platform
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun alpha ->
+          List.iter
+            (fun seed ->
+              let inst = Helpers.instance ~n ~alpha ~seed () in
+              List.iter
+                (fun key ->
+                  let label = Printf.sprintf "%d %g %d %s" n alpha seed key in
+                  match solve key seed inst with
+                  | Error f ->
+                    Printf.bprintf buf "%s fail %s\n" label
+                      (Solve.failure_message f)
+                  | Ok o ->
+                    des_report_line buf label
+                      (Runtime.run ~horizon:16.0 inst.Insp.Instance.app
+                         inst.Insp.Instance.platform o.Solve.alloc))
+                [ "comp"; "sbu" ])
+            [ 1; 2 ])
+        [ 0.9; 1.5; 1.7 ])
+    [ 20; 40; 60; 100 ];
+  List.iter
+    (fun seed ->
+      let inst = Helpers.instance ~n:60 ~alpha:0.9 ~seed () in
+      match solve "comp" seed inst with
+      | Error f ->
+        Printf.bprintf buf "disrupt %d fail %s\n" seed (Solve.failure_message f)
+      | Ok o ->
+        let u0, _, l0 = List.hd (Alloc.all_downloads o.Solve.alloc) in
+        let d scope from until factor =
+          {
+            Runtime.d_scope = scope;
+            d_from = from;
+            d_until = until;
+            d_factor = factor;
+          }
+        in
+        let card = d (Runtime.Proc_card 0) 4.0 10.0 0.5 in
+        let outage = d (Runtime.Server_card l0) 5.0 8.0 0.0 in
+        let link = d (Runtime.Proc_link (0, 1)) 3.0 12.0 0.2 in
+        let slink = d (Runtime.Server_link (l0, u0)) 6.0 14.0 0.5 in
+        List.iter
+          (fun (name, disruptions) ->
+            des_report_line buf
+              (Printf.sprintf "disrupt %d %s" seed name)
+              (Runtime.run ~horizon:16.0 ~disruptions inst.Insp.Instance.app
+                 inst.Insp.Instance.platform o.Solve.alloc))
+          [
+            ("card", [ card ]);
+            ("outage", [ outage ]);
+            ("link", [ link ]);
+            ("all", [ card; outage; link; slink ]);
+          ])
+    [ 1; 2; 3 ];
+  Helpers.check_golden ~what:"Runtime.run" "des_reports.golden"
+    (Buffer.contents buf)
+
 (* The headline cross-validation: checker-feasible => simulator
    sustains the target throughput. *)
 let feasible_mappings_sustain_rho =
@@ -437,5 +517,6 @@ let () =
             test_runtime_rejects_partial_alloc;
           runtime_kernels_agree_randomized;
           feasible_mappings_sustain_rho;
+          Alcotest.test_case "reports golden" `Slow test_des_reports_golden;
         ] );
     ]
