@@ -11,13 +11,12 @@
     Two kernels sit behind the same interface:
 
     - [`Full] — the oracle: every {!refresh} rebuilds the dense
-      caps/membership arrays over all active flows and calls
+      caps/membership lists over all active flows and calls
       {!Fair_share.compute}.
-    - [`Incremental] — tracks connected components of the incidence
-      graph with {!Insp_util.Union_find} and re-waterfills only the dirty
-      components, selecting each round's bottleneck through a
-      lazy-deletion {!Insp_util.Heap} keyed by fair share with the
-      constraint index as tie-break.
+    - [`Incremental] — re-waterfills only the exact connected
+      components of the incidence graph that hold a constraint touched
+      since the last refresh, found by a generation-stamped
+      breadth-first search over the incidence arrays.
 
     Both kernels are deterministic and produce {e bit-identical} rates:
     max-min water-filling decomposes over connected components, and the
@@ -34,22 +33,15 @@ type stats = {
   components_recomputed : int;  (** components re-waterfilled *)
   flows_recomputed : int;  (** flow rates recomputed across those *)
   rounds : int;  (** water-filling rounds executed *)
-  rebuilds : int;  (** union-find rebuilds (after removals/growth) *)
 }
 
 val create : ?kernel:kernel -> unit -> t
 (** Fresh empty kernel.  [kernel] defaults to [`Incremental]. *)
 
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val kernel : t -> kernel
-
 val add_constraint : t -> float -> int
 (** [add_constraint t cap] registers a capacity and returns its
     constraint index.  Indices are dense, starting at 0, and never
     recycled.  Raises [Invalid_argument] on a negative cap. *)
-
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val n_constraints : t -> int
 
 val set_capacity : t -> int -> float -> unit
 (** [set_capacity t cid cap] replaces the registered capacity of
@@ -59,10 +51,11 @@ val set_capacity : t -> int -> float -> unit
     constraint's component, the full oracle recomputes as always.
     Raises [Invalid_argument] on an unknown index or a negative cap. *)
 
-val add_flow : t -> int list -> int
-(** [add_flow t ms] registers a flow crossing constraints [ms] (in the
-    order the caller wants capacity subtracted, normally as built) and
-    returns its flow id.  Ids are reused LIFO after {!remove_flow}.  The
+val add_flow : t -> int array -> int
+(** [add_flow t ms] registers a flow crossing constraints [ms] and
+    returns its flow id.  The kernel keeps [ms] for the flow's lifetime
+    without copying it, so the caller must not mutate it; flows with the
+    same route may share one array.  Ids are reused LIFO after {!remove_flow}.  The
     new flow's rate is 0 until the next {!refresh}.  Raises
     [Invalid_argument] if [ms] is empty or contains an unknown
     constraint index. *)
@@ -83,28 +76,31 @@ val rate : t -> int -> float
 (** Current max-min rate of an active flow, as of the last {!refresh}.
     Raises [Invalid_argument] on an inactive id. *)
 
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val n_active : t -> int
-
 val active_flows : t -> int list
 (** Active flow ids, ascending. *)
 
-val iter_active : t -> (int -> float -> unit) -> unit
-(** [iter_active t f] calls [f fid rate] for every active flow in
-    ascending id order. *)
+(** {1 Read-only views for the event loop}
 
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val membership : t -> int -> int list
-(** Constraint indices of an active flow, as given to {!add_flow}. *)
+    The simulator's per-step passes read every active flow's rate.  A
+    per-fid call or closure into this module is never inlined when
+    modules compile [-opaque] (dune's dev profile), so the loop reads
+    the kernel's own arrays instead: for [fid < n_slots t],
+    [(active_view t).(fid)] tells whether the slot holds an active flow
+    and [(rates_view t).(fid)] is its rate as of the last {!refresh}.
+    The arrays may be reallocated by {!add_flow}, so fetch them again
+    after adding a flow, and never write to them. *)
+
+val n_slots : t -> int
+(** One past the highest flow id ever handed out. *)
+
+val rates_view : t -> float array
+val active_view : t -> bool array
 
 val components : t -> int list list
-(** Connected components of the constraint graph, each a sorted list of
-    constraint indices, ordered by smallest member — the
-    {!Insp_util.Union_find.groups} canonical order.  Constraints with no
-    active flows appear as singletons.  Forces a rebuild if the
-    component structure is stale, so this is a test/debug helper, not a
-    hot-path call.  Raises [Invalid_argument] on a [`Full] kernel, which
-    does not track components. *)
+(** Exact connected components of the constraint graph, each a sorted
+    list of constraint indices, ordered by smallest member.  Constraints
+    with no active flows appear as singletons.  A full traversal, so
+    this is a test/debug helper, not a hot-path call. *)
 
 val stats : t -> stats
 (** Cumulative counters since {!create}.  The simulator flushes these

@@ -25,20 +25,6 @@ type report = {
 let sustains_target r =
   r.achieved_throughput >= 0.95 *. r.target_throughput
 
-type endpoint = Proc of int | Server of int
-
-type flow_kind =
-  | Message of { child : int }  (* result of operator [child] to parent *)
-  | Download of { proc : int; object_type : int }
-
-type flow = {
-  kind : flow_kind;
-  src : endpoint;
-  dst : int;  (* processor *)
-  size : float;
-  mutable remaining : float;
-}
-
 type scope =
   | Proc_card of int
   | Server_card of int
@@ -54,8 +40,18 @@ type disruption = {
 
 type event =
   | Compute_done of { op : int; result : int }
-  | Download_due of { proc : int; object_type : int; server : int }
+  | Download_due of int  (* index into the mapping's download list *)
   | Disrupt of { index : int; on : bool }
+
+(* Per-fid flow payload, parallel arrays grown with the kernel's slots.
+   [child] is the sending operator of a result message, or -1 for an
+   object download; [src] is then a processor or a server. *)
+type flows = {
+  mutable child : int array;
+  mutable src : int array;
+  mutable dst : int array;  (* processor *)
+  mutable remaining : float array;
+}
 
 let epsilon = 1e-9
 
@@ -72,6 +68,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
   let tree = App.tree app in
+  let root = Optree.root tree in
   let n_ops = App.n_operators app in
   let n_procs = Alloc.n_procs alloc in
   let proc_of = Array.make n_ops (-1) in
@@ -87,10 +84,23 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let servers = platform.Platform.servers in
   (* --- operator pipeline state --- *)
   let completed = Array.make n_ops (-1) in
-  (* arrived.(i) maps each remote operator-child of i to its arrival
-     count *)
+  let duration = Array.init n_ops (fun i -> App.work app i /. speed proc_of.(i)) in
+  let ops_of = Array.init n_procs (fun u -> Array.of_list (Alloc.operators_of alloc u)) in
+  (* arrived.(i).(k) counts the results of i's k-th child that have
+     arrived at i's processor; parent.(c) and slot.(c) locate child c's
+     counter ([parent.(root)] = -1). *)
   let children = Array.init n_ops (fun i -> Array.of_list (Optree.children tree i)) in
-  let arrived = Array.map (fun cs -> Array.map (fun _ -> 0) cs) children in
+  let arrived = Array.map (fun cs -> Array.make (Array.length cs) 0) children in
+  let parent = Array.make n_ops (-1) in
+  let slot = Array.make n_ops 0 in
+  Array.iteri
+    (fun p cs ->
+      Array.iteri
+        (fun k c ->
+          parent.(c) <- p;
+          slot.(c) <- k)
+        cs)
+    children;
   let computing = Array.make n_procs false in
   let busy_until_accum = Array.make n_procs 0.0 in
   let n_root_completions = ref 0 in
@@ -117,12 +127,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
         invalid_arg "Runtime.run: disruption ends before it starts")
     disr;
   let disr_active = Array.make (max 1 n_disr) false in
+  (* [key] names one registered constraint; its [Proc_link] is the
+     directed (sender, receiver) link. *)
   let scope_matches scope key =
     match (scope, key) with
-    | Proc_card u, `Proc_card v -> u = v
-    | Server_card l, `Server_card m -> l = m
-    | Proc_link (a, b), `Plink (u, v) -> (a = u && b = v) || (a = v && b = u)
-    | Server_link (l, p), `Slink (m, q) -> l = m && p = q
+    | Proc_card u, Proc_card v -> u = v
+    | Server_card l, Server_card m -> l = m
+    | Proc_link (a, b), Proc_link (u, v) -> (a = u && b = v) || (a = v && b = u)
+    | Server_link (l, p), Server_link (m, q) -> l = m && p = q
     | _ -> false
   in
   let eff_factor key =
@@ -134,28 +146,83 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     !f
   in
   (* Constraints: proc cards (in+out), server cards, pair links.
-     Registered once, on the first flow that crosses them.  With live
-     disruptions the registration list is kept (in registration order,
-     most recent first) so boundary events can re-derive every affected
-     effective capacity from the nominal one — no drift from repeated
-     multiply/divide. *)
-  let cap_index = Hashtbl.create 16 in
+     Registered once, on the first flow that crosses them, and resolved
+     through dense per-processor and per-server tables; links are keyed
+     by their flat pair index.  With live disruptions the registration
+     list is kept (in registration order, most recent first) so
+     boundary events can re-derive every affected effective capacity
+     from the nominal one — no drift from repeated multiply/divide. *)
   let registered = ref [] in
-  let constraint_of key cap =
-    match Hashtbl.find_opt cap_index key with
+  let register key cap =
+    let eff = if n_disr = 0 then cap else cap *. eff_factor key in
+    let cid = Fair_share_inc.add_constraint fs eff in
+    if n_disr > 0 then registered := (key, cap, cid) :: !registered;
+    cid
+  in
+  let proc_card = Array.make n_procs (-1) in
+  let server_card = Array.make (Servers.n_servers servers) (-1) in
+  let links = Hashtbl.create 16 in
+  let proc_card_of u =
+    if proc_card.(u) < 0 then proc_card.(u) <- register (Proc_card u) (nic u);
+    proc_card.(u)
+  in
+  let server_card_of l =
+    if server_card.(l) < 0 then
+      server_card.(l) <- register (Server_card l) (Servers.card servers l);
+    server_card.(l)
+  in
+  let link_of key index cap =
+    match Hashtbl.find_opt links index with
     | Some cid -> cid
     | None ->
-      let eff = if n_disr = 0 then cap else cap *. eff_factor key in
-      let cid = Fair_share_inc.add_constraint fs eff in
-      Hashtbl.replace cap_index key cid;
-      if n_disr > 0 then registered := (key, cap, cid) :: !registered;
+      let cid = register key cap in
+      Hashtbl.replace links index cid;
       cid
   in
-  (* fid -> flow payload; fids are slot-reused, so this stays sized by
-     the concurrently active flows. *)
-  let flow_by_fid = ref (Array.make 16 None) in
-  let flow_at fid =
-    match !flow_by_fid.(fid) with Some f -> f | None -> assert false
+  (* A flow's route, [src card; dst card; link], resolved on the first
+     flow along it (destination card first, the registration order) and
+     shared by every later flow: one per sending operator, one per
+     periodic download. *)
+  let route dst src_card link =
+    let dst_card = proc_card_of dst in
+    let src_card = src_card () in
+    [| src_card; dst_card; link () |]
+  in
+  let msg_route = Array.make n_ops [||] in
+  let message_route op =
+    if Array.length msg_route.(op) = 0 then begin
+      let u = proc_of.(op) and v = proc_of.(parent.(op)) in
+      msg_route.(op) <-
+        route v
+          (fun () -> proc_card_of u)
+          (fun () ->
+            link_of (Proc_link (u, v)) ((u * n_procs) + v)
+              platform.Platform.proc_link)
+    end;
+    msg_route.(op)
+  in
+  let downloads = Array.of_list (Alloc.all_downloads alloc) in
+  let dl_route = Array.make (Array.length downloads) [||] in
+  let download_route d =
+    if Array.length dl_route.(d) = 0 then begin
+      let u, _, l = downloads.(d) in
+      dl_route.(d) <-
+        route u
+          (fun () -> server_card_of l)
+          (fun () ->
+            link_of (Server_link (l, u))
+              (-1 - ((l * n_procs) + u))
+              platform.Platform.server_link)
+    end;
+    dl_route.(d)
+  in
+  let fl =
+    {
+      child = Array.make 16 0;
+      src = Array.make 16 0;
+      dst = Array.make 16 0;
+      remaining = Array.make 16 0.0;
+    }
   in
   let events = Heap.create () in
   let n_events = ref 0 in
@@ -195,114 +262,98 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
      bounded (--journal-depth): only the opening of a run is recorded. *)
   let jn = Obs.journaling () in
   let now = ref 0.0 in
-  let flow_labels f =
-    ( (match f.kind with Message _ -> "msg" | Download _ -> "dl"),
-      match f.src with
-      | Proc u -> Printf.sprintf "p%d" u
-      | Server l -> Printf.sprintf "s%d" l )
+  let flow_labels child src =
+    if child >= 0 then ("msg", Printf.sprintf "p%d" src)
+    else ("dl", Printf.sprintf "s%d" src)
   in
-  let start_flow f =
+  let start_flow ~child ~src ~dst ~size ms =
     incr n_flows_started;
     if jn then begin
-      let kind, src = flow_labels f in
+      let kind, src = flow_labels child src in
       Obs.event_bounded ~category:"sim"
-        (Journal.Sim_flow_start
-           { t = !now; kind; src; dst = f.dst; size = f.size })
+        (Journal.Sim_flow_start { t = !now; kind; src; dst; size })
     end;
     rates_dirty := true;
-    let dst_card = constraint_of (`Proc_card f.dst) (nic f.dst) in
-    let ms =
-      match f.src with
-      | Proc u ->
-        let src_card = constraint_of (`Proc_card u) (nic u) in
-        let link =
-          constraint_of (`Plink (u, f.dst)) platform.Platform.proc_link
-        in
-        [ src_card; dst_card; link ]
-      | Server l ->
-        let src_card = constraint_of (`Server_card l) (Servers.card servers l) in
-        let link =
-          constraint_of (`Slink (l, f.dst)) platform.Platform.server_link
-        in
-        [ src_card; dst_card; link ]
-    in
     let fid = Fair_share_inc.add_flow fs ms in
-    if fid >= Array.length !flow_by_fid then begin
-      let b = Array.make (max (fid + 1) (2 * Array.length !flow_by_fid)) None in
-      Array.blit !flow_by_fid 0 b 0 (Array.length !flow_by_fid);
-      flow_by_fid := b
+    if fid >= Array.length fl.remaining then begin
+      let n = 2 * Array.length fl.remaining in
+      let grow a v =
+        let b = Array.make n v in
+        Array.blit a 0 b 0 (Array.length a);
+        b
+      in
+      fl.child <- grow fl.child 0;
+      fl.src <- grow fl.src 0;
+      fl.dst <- grow fl.dst 0;
+      fl.remaining <- grow fl.remaining 0.0
     end;
-    !flow_by_fid.(fid) <- Some f;
-    if f.remaining <= epsilon then push_tiny fid
+    fl.child.(fid) <- child;
+    fl.src.(fid) <- src;
+    fl.dst.(fid) <- dst;
+    fl.remaining.(fid) <- size;
+    if size <= epsilon then push_tiny fid
   in
   let recompute_rates () =
     incr n_recomputes;
     Fair_share_inc.refresh fs
   in
   (* --- pipeline readiness --- *)
-  let child_slot i c =
-    let cs = children.(i) in
-    let rec find k = if cs.(k) = c then k else find (k + 1) in
-    find 0
-  in
   let ready op =
     let t = completed.(op) + 1 in
-    t <= completed.(0) + window
-    && Array.for_all
-         (fun c ->
-           if proc_of.(c) = proc_of.(op) then completed.(c) >= t
-           else arrived.(op).(child_slot op c) > t)
-         children.(op)
+    t <= completed.(root) + window
+    &&
+    let cs = children.(op) in
+    let ok = ref true and k = ref 0 in
+    while !ok && !k < Array.length cs do
+      let c = cs.(!k) in
+      (ok :=
+         if proc_of.(c) = proc_of.(op) then completed.(c) >= t
+         else arrived.(op).(!k) > t);
+      incr k
+    done;
+    !ok
   in
   let dispatch () =
     (* Start an evaluation on every idle processor that has a ready
        operator (lowest pending result first, then operator id). *)
     for u = 0 to n_procs - 1 do
       if not computing.(u) then begin
-        let best = ref None in
-        List.iter
-          (fun op ->
-            if ready op then
-              match !best with
-              | Some b
-                when (completed.(b), b) <= (completed.(op), op) -> ()
-              | _ -> best := Some op)
-          (Alloc.operators_of alloc u);
-        match !best with
-        | None -> ()
-        | Some op ->
+        let best = ref (-1) in
+        let ops = ops_of.(u) in
+        for j = 0 to Array.length ops - 1 do
+          let op = ops.(j) in
+          if
+            ready op
+            && (!best < 0
+               || completed.(op) < completed.(!best)
+               || (completed.(op) = completed.(!best) && op < !best))
+          then best := op
+        done;
+        let op = !best in
+        if op >= 0 then begin
           computing.(u) <- true;
           if jn then
             Obs.event_bounded ~category:"sim"
               (Journal.Sim_dispatch
                  { t = !now; proc = u; op; result = completed.(op) + 1 });
-          let duration = App.work app op /. speed u in
-          busy_until_accum.(u) <- busy_until_accum.(u) +. duration;
-          Heap.push events (!now +. duration)
+          busy_until_accum.(u) <- busy_until_accum.(u) +. duration.(op);
+          Heap.push events (!now +. duration.(op))
             (Compute_done { op; result = completed.(op) + 1 })
+        end
       end
     done
   in
   let finish_compute op result =
     completed.(op) <- result;
     computing.(proc_of.(op)) <- false;
-    if op = Optree.root tree then begin
+    if op = root then begin
       incr n_root_completions;
       root_times := !now :: !root_times;
       if !now >= warmup then incr n_after_warmup
-    end;
-    match Optree.parent tree op with
-    | Some p when proc_of.(p) <> proc_of.(op) ->
-      let size = App.output_size app op in
-      start_flow
-        {
-          kind = Message { child = op };
-          src = Proc proc_of.(op);
-          dst = proc_of.(p);
-          size;
-          remaining = size;
-        }
-    | Some _ | None -> ()
+    end
+    else if proc_of.(parent.(op)) <> proc_of.(op) then
+      start_flow ~child:op ~src:proc_of.(op) ~dst:proc_of.(parent.(op))
+        ~size:(App.output_size app op) (message_route op)
   in
   (* Set when a finished Message flow bumped an arrival count — the
      only way a flow completion can make an operator ready.  Download
@@ -312,51 +363,34 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
      find nothing to start. *)
   let arrival_bumped = ref false in
   let finish_flow fid =
-    let f = flow_at fid in
-    (match f.kind with
-    | Message { child } ->
-      let p =
-        match Optree.parent tree child with
-        | Some p -> p
-        | None -> assert false (* no Message flow is ever sent for the root *)
-      in
-      let slot = child_slot p child in
-      arrived.(p).(slot) <- arrived.(p).(slot) + 1;
+    let c = fl.child.(fid) in
+    if c >= 0 then begin
+      let a = arrived.(parent.(c)) in
+      a.(slot.(c)) <- a.(slot.(c)) + 1;
       arrival_bumped := true
-    | Download _ -> ());
+    end;
     incr n_flows_completed;
     if jn then begin
-      let kind, src = flow_labels f in
+      let kind, src = flow_labels c fl.src.(fid) in
       Obs.event_bounded ~category:"sim"
-        (Journal.Sim_flow_done { t = !now; kind; src; dst = f.dst })
+        (Journal.Sim_flow_done { t = !now; kind; src; dst = fl.dst.(fid) })
     end;
-    !flow_by_fid.(fid) <- None;
     rates_dirty := true;
     Fair_share_inc.remove_flow fs fid
   in
   (* Seed periodic downloads. *)
-  List.iter
-    (fun (u, k, l) ->
-      Heap.push events 0.0 (Download_due { proc = u; object_type = k; server = l }))
-    (Alloc.all_downloads alloc);
+  Array.iteri (fun d _ -> Heap.push events 0.0 (Download_due d)) downloads;
   dispatch ();
   let handle_event = function
     | Compute_done { op; result } ->
       finish_compute op result;
       dispatch ()
-    | Download_due { proc; object_type; server } ->
+    | Download_due d ->
+      let proc, object_type, server = downloads.(d) in
       let size = Insp_tree.Objects.size (App.objects app) object_type in
       let freq = Insp_tree.Objects.freq (App.objects app) object_type in
-      start_flow
-        {
-          kind = Download { proc; object_type };
-          src = Server server;
-          dst = proc;
-          size;
-          remaining = size;
-        };
-      Heap.push events (!now +. (1.0 /. freq))
-        (Download_due { proc; object_type; server })
+      start_flow ~child:(-1) ~src:server ~dst:proc ~size (download_route d);
+      Heap.push events (!now +. (1.0 /. freq)) (Download_due d)
       (* No dispatch: starting a download cannot make an operator
          ready, so the scan would be a guaranteed no-op. *)
     | Disrupt { index; on } ->
@@ -381,7 +415,10 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       Heap.push events disr.(i).d_until (Disrupt { index = i; on = false })
     end
   done;
-  (* --- main loop --- *)
+  (* --- main loop ---
+     The two per-step passes over the active flows are plain loops over
+     the kernel's read-only rate/activity views and the local payload
+     arrays: no per-flow call or closure crosses a module boundary. *)
   let t_flow_cache = ref infinity in
   let t_flow_valid = ref false in
   let continue_ = ref true in
@@ -408,6 +445,10 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
         (* Rates moved under the cached prediction's feet. *)
         t_flow_valid := false
       end;
+      let n_slots = Fair_share_inc.n_slots fs in
+      let rates = Fair_share_inc.rates_view fs in
+      let active = Fair_share_inc.active_view fs in
+      let remaining = fl.remaining in
       (* Next flow completion.  [now +. (remaining /. r)] depends only
          on each flow's rate and residual size, both unchanged since
          the advance pass that cached it (any start/finish or refresh
@@ -417,11 +458,13 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
         if !t_flow_valid then !t_flow_cache
         else begin
           let tf = ref infinity in
-          Fair_share_inc.iter_active fs (fun fid r ->
-              if r > epsilon then begin
-                let f = flow_at fid in
-                tf := Float.min !tf (!now +. (f.remaining /. r))
-              end);
+          for fid = 0 to n_slots - 1 do
+            if active.(fid) then begin
+              let r = rates.(fid) in
+              if r > epsilon then
+                tf := Float.min !tf (!now +. (remaining.(fid) /. r))
+            end
+          done;
           !tf
         end
       in
@@ -433,17 +476,21 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       let dt = t_next -. !now in
       if dt > 0.0 then begin
         let tf = ref infinity in
-        Fair_share_inc.iter_active fs (fun fid r ->
-            let f = flow_at fid in
-            let before = f.remaining in
-            let moved = Float.min f.remaining (r *. dt) in
-            f.remaining <- f.remaining -. moved;
-            if before > epsilon && f.remaining <= epsilon then push_tiny fid;
-            if r > epsilon then
-              tf := Float.min !tf (t_next +. (f.remaining /. r));
-            match f.kind with
-            | Download _ -> download_delivered := !download_delivered +. moved
-            | Message _ -> ());
+        let delivered = ref !download_delivered in
+        let child = fl.child in
+        for fid = 0 to n_slots - 1 do
+          if active.(fid) then begin
+            let r = rates.(fid) in
+            let before = remaining.(fid) in
+            let moved = Float.min before (r *. dt) in
+            let after = before -. moved in
+            remaining.(fid) <- after;
+            if before > epsilon && after <= epsilon then push_tiny fid;
+            if r > epsilon then tf := Float.min !tf (t_next +. (after /. r));
+            if child.(fid) < 0 then delivered := !delivered +. moved
+          end
+        done;
+        download_delivered := !delivered;
         t_flow_cache := !tf;
         t_flow_valid := true
       end;
@@ -485,10 +532,9 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   (* --- measurement --- *)
   let achieved = float_of_int !n_after_warmup /. (horizon -. warmup) in
   let ideal =
-    List.fold_left
+    Array.fold_left
       (fun acc (_, k, _) -> acc +. (App.download_rate app k *. horizon))
-      0.0
-      (Alloc.all_downloads alloc)
+      0.0 downloads
   in
   let report =
     {
@@ -514,8 +560,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     let ks = Fair_share_inc.stats fs in
     Obs.add "sim.component.recompute" ks.Fair_share_inc.components_recomputed;
     Obs.add "sim.component.flow" ks.Fair_share_inc.flows_recomputed;
-    Obs.add "sim.component.round" ks.Fair_share_inc.rounds;
-    Obs.add "sim.component.rebuild" ks.Fair_share_inc.rebuilds
+    Obs.add "sim.component.round" ks.Fair_share_inc.rounds
   | `Full -> ());
   Obs.gauge "sim.throughput.achieved" report.achieved_throughput;
   let busy = report.proc_busy in

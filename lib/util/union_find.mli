@@ -1,15 +1,9 @@
-(** Union–find (disjoint sets) with path compression and union by rank.
-
-    Used by the Comm-Greedy heuristic to track which operators have been
-    merged onto the same processor group. *)
+(** Union–find (disjoint sets) with path compression and union by rank. *)
 
 type t
 
 val create : int -> t
 (** [create n] makes [n] singleton sets labelled [0 .. n-1]. *)
-
-val find : t -> int -> int
-(** Canonical representative of the element's set. *)
 
 val union : t -> int -> int -> int
 (** [union t a b] merges the two sets and returns the representative of

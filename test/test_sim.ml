@@ -156,8 +156,8 @@ let test_fsi_component_merge_split () =
   let c2 = FSI.add_constraint t 8.0 in
   let c3 = FSI.add_constraint t 20.0 in
   Alcotest.(check int) "dense indices" 3 c3;
-  let f0 = FSI.add_flow t [ c0; c1 ] in
-  let f1 = FSI.add_flow t [ c2; c3 ] in
+  let f0 = FSI.add_flow t [| c0; c1 |] in
+  let f1 = FSI.add_flow t [| c2; c3 |] in
   FSI.refresh t;
   Alcotest.(check (list (list int))) "two components"
     [ [ 0; 1 ]; [ 2; 3 ] ] (FSI.components t);
@@ -166,7 +166,7 @@ let test_fsi_component_merge_split () =
   (* Bridge flow across c1 and c2 merges the components.  Water-fill:
      c1 serves {f0, bridge} -> share 3 freezes both; c2's remaining
      8 - 3 = 5 then goes entirely to f1. *)
-  let bridge = FSI.add_flow t [ c1; c2 ] in
+  let bridge = FSI.add_flow t [| c1; c2 |] in
   FSI.refresh t;
   Alcotest.(check (list (list int))) "merged"
     [ [ 0; 1; 2; 3 ] ] (FSI.components t);
@@ -174,22 +174,36 @@ let test_fsi_component_merge_split () =
   check_bits "bridge" 3.0 (FSI.rate t bridge);
   check_bits "f1 gets the rest" 5.0 (FSI.rate t f1);
   (* Removing the bridge splits the component again and restores the
-     original rates. *)
+     original rates.  Components are exact, so the refresh fills the
+     two halves separately and a later change on one half re-fills that
+     half alone. *)
+  let recomputed before =
+    let s = FSI.stats t in
+    ( s.FSI.components_recomputed - before.FSI.components_recomputed,
+      s.FSI.flows_recomputed - before.FSI.flows_recomputed )
+  in
+  let before = FSI.stats t in
   FSI.remove_flow t bridge;
   FSI.refresh t;
   Alcotest.(check (list (list int))) "split back"
     [ [ 0; 1 ]; [ 2; 3 ] ] (FSI.components t);
   check_bits "f0 restored" 6.0 (FSI.rate t f0);
   check_bits "f1 restored" 8.0 (FSI.rate t f1);
-  let s = FSI.stats t in
-  Alcotest.(check bool) "removal forced a rebuild" true (s.FSI.rebuilds >= 1);
-  Alcotest.(check bool) "did component work" true
-    (s.FSI.components_recomputed >= 3)
+  Alcotest.(check (pair int int)) "split: two components, one flow each"
+    (2, 2) (recomputed before);
+  let before = FSI.stats t in
+  let g = FSI.add_flow t [| c3 |] in
+  FSI.refresh t;
+  Alcotest.(check (pair int int)) "only the dirty half: f1 and g" (1, 2)
+    (recomputed before);
+  check_bits "f1 capped by c2" 8.0 (FSI.rate t f1);
+  check_bits "g takes c3's rest" 12.0 (FSI.rate t g);
+  check_bits "f0 untouched" 6.0 (FSI.rate t f0)
 
 let test_fsi_refresh_no_op () =
   let t = FSI.create () in
   let c = FSI.add_constraint t 4.0 in
-  ignore (FSI.add_flow t [ c ]);
+  ignore (FSI.add_flow t [| c |]);
   FSI.refresh t;
   let before = (FSI.stats t).FSI.refreshes in
   FSI.refresh t;
@@ -200,12 +214,12 @@ let test_fsi_refresh_no_op () =
 let test_fsi_fid_reuse_lifo () =
   let t = FSI.create () in
   let c = FSI.add_constraint t 4.0 in
-  let a = FSI.add_flow t [ c ] in
-  let b = FSI.add_flow t [ c ] in
+  let a = FSI.add_flow t [| c |] in
+  let b = FSI.add_flow t [| c |] in
   FSI.remove_flow t a;
   FSI.remove_flow t b;
-  Alcotest.(check int) "last freed first" b (FSI.add_flow t [ c ]);
-  Alcotest.(check int) "then the older slot" a (FSI.add_flow t [ c ]);
+  Alcotest.(check int) "last freed first" b (FSI.add_flow t [| c |]);
+  Alcotest.(check int) "then the older slot" a (FSI.add_flow t [| c |]);
   FSI.refresh t;
   Alcotest.(check (list int)) "ascending ids" [ a; b ] (FSI.active_flows t)
 
@@ -217,9 +231,8 @@ let fsi_gen =
 
 (* The headline equivalence suite: replay an identical randomized
    add/remove/refresh history against both kernels and demand
-   bit-identical rates after every refresh.  Removals force union-find
-   rebuilds and component splits; batches of 1-3 ops exercise merged
-   dirty sets. *)
+   bit-identical rates after every refresh.  Removals split
+   components; batches of 1-3 ops exercise merged dirty sets. *)
 let fsi_matches_oracle =
   qtest ~count:500 "incremental kernel bit-identical to full oracle" fsi_gen
     (fun (seed, n_caps, n_steps) ->
@@ -246,7 +259,9 @@ let fsi_matches_oracle =
           end
           else begin
             let k = Insp.Prng.int_range rng 1 n_caps in
-            let ms = Insp.Prng.sample_without_replacement rng k n_caps in
+            let ms =
+              Array.of_list (Insp.Prng.sample_without_replacement rng k n_caps)
+            in
             if FSI.add_flow inc ms <> FSI.add_flow full ms then ok := false
           end
         done;
@@ -254,9 +269,13 @@ let fsi_matches_oracle =
         FSI.refresh full;
         if FSI.active_flows inc <> FSI.active_flows full then ok := false
         else
-          FSI.iter_active inc (fun fid r ->
-              if Int64.bits_of_float r <> Int64.bits_of_float (FSI.rate full fid)
+          List.iter
+            (fun fid ->
+              if
+                Int64.bits_of_float (FSI.rate inc fid)
+                <> Int64.bits_of_float (FSI.rate full fid)
               then ok := false)
+            (FSI.active_flows inc)
       done;
       !ok)
 
