@@ -147,11 +147,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   in
   (* Constraints: proc cards (in+out), server cards, pair links.
      Registered once, on the first flow that crosses them, and resolved
-     through dense per-processor and per-server tables; links are keyed
-     by their flat pair index.  With live disruptions the registration
-     list is kept (in registration order, most recent first) so
-     boundary events can re-derive every affected effective capacity
-     from the nominal one — no drift from repeated multiply/divide. *)
+     through dense per-processor and per-server tables.  Links go
+     through a table keyed by their flat pair index: a dense pair table
+     would grow with the square of the processor count, and the table
+     is only consulted when a route is first built.  With live
+     disruptions the registration list is kept (in registration order,
+     most recent first) so boundary events can re-derive every affected
+     effective capacity from the nominal one — no drift from repeated
+     multiply/divide. *)
   let registered = ref [] in
   let register key cap =
     let eff = if n_disr = 0 then cap else cap *. eff_factor key in
@@ -179,25 +182,21 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       Hashtbl.replace links index cid;
       cid
   in
-  (* A flow's route, [src card; dst card; link], resolved on the first
-     flow along it (destination card first, the registration order) and
-     shared by every later flow: one per sending operator, one per
-     periodic download. *)
-  let route dst src_card link =
-    let dst_card = proc_card_of dst in
-    let src_card = src_card () in
-    [| src_card; dst_card; link () |]
-  in
+  (* A flow's route, [src card; dst card; link], is resolved on the
+     first flow along it and shared by every later one: one per sending
+     operator, one per periodic download.  The [let]s fix the
+     registration order: destination card, source card, link. *)
   let msg_route = Array.make n_ops [||] in
   let message_route op =
     if Array.length msg_route.(op) = 0 then begin
       let u = proc_of.(op) and v = proc_of.(parent.(op)) in
-      msg_route.(op) <-
-        route v
-          (fun () -> proc_card_of u)
-          (fun () ->
-            link_of (Proc_link (u, v)) ((u * n_procs) + v)
-              platform.Platform.proc_link)
+      let dst_card = proc_card_of v in
+      let src_card = proc_card_of u in
+      let link =
+        link_of (Proc_link (u, v)) ((u * n_procs) + v)
+          platform.Platform.proc_link
+      in
+      msg_route.(op) <- [| src_card; dst_card; link |]
     end;
     msg_route.(op)
   in
@@ -206,13 +205,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let download_route d =
     if Array.length dl_route.(d) = 0 then begin
       let u, _, l = downloads.(d) in
-      dl_route.(d) <-
-        route u
-          (fun () -> server_card_of l)
-          (fun () ->
-            link_of (Server_link (l, u))
-              (-1 - ((l * n_procs) + u))
-              platform.Platform.server_link)
+      let dst_card = proc_card_of u in
+      let src_card = server_card_of l in
+      let link =
+        link_of (Server_link (l, u))
+          (-1 - ((l * n_procs) + u))
+          platform.Platform.server_link
+      in
+      dl_route.(d) <- [| src_card; dst_card; link |]
     end;
     dl_route.(d)
   in
