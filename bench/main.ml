@@ -442,14 +442,18 @@ let sim_scale_entry () =
   line (Printf.sprintf "sim.3k (DES, %d-operator scale instance, 10 s)" n);
   let inst =
     match
-      Insp.Instance.generate_checked (Insp.Config.scale ~seed:1 ~n_operators:n ())
+      Insp.Instance.generate_checked
+        (Insp.Config.scale ~seed:1 ~n_operators:n ())
     with
     | Ok t -> t
     | Error e -> failwith (Insp.Instance.gen_error_message e)
   in
-  let app = inst.Insp.Instance.app and platform = inst.Insp.Instance.platform in
+  let app = inst.Insp.Instance.app
+  and platform = inst.Insp.Instance.platform in
   let alloc =
-    match Insp.Solve.run ~seed:1 (Option.get (Insp.Solve.find "comp")) app platform with
+    match
+      Insp.Solve.run ~seed:1 (Option.get (Insp.Solve.find "comp")) app platform
+    with
     | Ok o -> o.Insp.Solve.alloc
     | Error f -> failwith (Insp.Solve.failure_message f)
   in

@@ -55,9 +55,9 @@ val add_flow : t -> int array -> int
 (** [add_flow t ms] registers a flow crossing constraints [ms] and
     returns its flow id.  The kernel keeps [ms] for the flow's lifetime
     without copying it, so the caller must not mutate it; flows with the
-    same route may share one array.  Ids are reused LIFO after {!remove_flow}.  The
-    new flow's rate is 0 until the next {!refresh}.  Raises
-    [Invalid_argument] if [ms] is empty or contains an unknown
+    same route may share one array.  Ids are reused LIFO after
+    {!remove_flow}.  The new flow's rate is 0 until the next {!refresh}.
+    Raises [Invalid_argument] if [ms] is empty or contains an unknown
     constraint index. *)
 
 val remove_flow : t -> int -> unit

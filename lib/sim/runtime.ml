@@ -84,8 +84,12 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let servers = platform.Platform.servers in
   (* --- operator pipeline state --- *)
   let completed = Array.make n_ops (-1) in
-  let duration = Array.init n_ops (fun i -> App.work app i /. speed proc_of.(i)) in
-  let ops_of = Array.init n_procs (fun u -> Array.of_list (Alloc.operators_of alloc u)) in
+  let duration =
+    Array.init n_ops (fun i -> App.work app i /. speed proc_of.(i))
+  in
+  let ops_of =
+    Array.init n_procs (fun u -> Array.of_list (Alloc.operators_of alloc u))
+  in
   (* arrived.(i).(k) counts the results of i's k-th child that have
      arrived at i's processor; parent.(c) and slot.(c) locate child c's
      counter ([parent.(root)] = -1). *)
