@@ -467,8 +467,8 @@ let sim_scale_entry () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let m = recorder.Insp.Obs.metrics in
   Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
-  (* 1.30M words and 0.92 s measured (2-vCPU VM); ~1.35x and ~1.5x headroom *)
-  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 1_760_000.0;
+  (* 1.25M words and 0.92 s measured (2-vCPU VM); ~1.35x and ~1.5x headroom *)
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 1_690_000.0;
   Insp.Obs_metrics.set_gauge m "wall_budget_s" 1.4;
   Printf.printf "%d processors: %d events, %.0f minor words, %.2f s\n%!"
     (Insp.Alloc.n_procs alloc) report.Insp.Runtime.events minor wall_s;
