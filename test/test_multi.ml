@@ -431,6 +431,44 @@ let dag_mappings_sustain_in_execution =
         && r.Insp.Runtime.download_delivered
            >= 0.9 *. r.Insp.Runtime.download_ideal)
 
+(* DAG DES reports on a fixed corpus, one line per run, against
+   test/dag_des_reports.golden, in the line format of
+   test/des_reports.golden: the completed-result and event counts and
+   the exact bits of throughput, delivered download volume and every
+   processor's busy fraction.  Correlated sets (seeds 1-8, 1-3 apps of
+   15 operators) are placed with and without CSE sharing and run at a
+   60 s horizon. *)
+let test_dag_des_reports_golden () =
+  let buf = Buffer.create (16 * 1024) in
+  for seed = 1 to 8 do
+    List.iter
+      (fun n_apps ->
+        let apps, platform = MW.instance ~seed ~n_apps ~n_operators:15 in
+        List.iter
+          (fun (mode, dag) ->
+            let label = Printf.sprintf "%d %d 15 %s" seed n_apps mode in
+            match Dag_place.run dag platform with
+            | Error f ->
+              Printf.bprintf buf "%s fail %s\n" label
+                (Dag_place.failure_message f)
+            | Ok o ->
+              let r =
+                Insp.Dag_runtime.run ~horizon:60.0 dag platform
+                  o.Dag_place.alloc
+              in
+              Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n"
+                label r.Insp.Runtime.results_completed r.Insp.Runtime.events
+                r.Insp.Runtime.achieved_throughput
+                r.Insp.Runtime.download_delivered
+                (String.concat ","
+                   (Array.to_list
+                      (Array.map (Printf.sprintf "%h") r.Insp.Runtime.proc_busy))))
+          [ ("cse", Cse.share_apps apps); ("of_apps", Dag.of_apps apps) ])
+      [ 1; 2; 3 ]
+  done;
+  Helpers.check_golden ~what:"DAG DES" "dag_des_reports.golden"
+    (Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 
@@ -512,6 +550,7 @@ let () =
           Alcotest.test_case "mixed rates rejected" `Quick
             test_dag_runtime_rejects_mixed_rates;
           dag_mappings_sustain_in_execution;
+          Alcotest.test_case "reports golden" `Slow test_dag_des_reports_golden;
         ] );
       ( "workload",
         [
