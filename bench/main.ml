@@ -474,6 +474,45 @@ let sim_scale_entry () =
     (Insp.Alloc.n_procs alloc) report.Insp.Runtime.events minor wall_s;
   ("sim.3k", wall_s, recorder)
 
+(* DES validation of a shared DAG: a 240 s run of the Dag_place mapping
+   of the seed-82 CSE set (3 apps x 15 operators, 9 processors), the
+   case where the DAG DES falls short of rho (ROADMAP item 1).  Gated
+   like sim.3k; the mapping is built outside the window. *)
+let sim_dag_entry () =
+  line "sim.dag (DES, seed-82 CSE set of 3 x 15 operators, 240 s)";
+  let apps, platform =
+    Insp.Multi_workload.instance ~seed:82 ~n_apps:3 ~n_operators:15
+  in
+  let dag = Insp.Cse.share_apps apps in
+  let alloc =
+    match Insp.Dag_place.run dag platform with
+    | Ok o -> o.Insp.Dag_place.alloc
+    | Error f -> failwith (Insp.Dag_place.failure_message f)
+  in
+  let t0 = Unix.gettimeofday () in
+  let (report, minor), recorder =
+    Insp.Obs.with_sink (fun () ->
+        let w0 = Gc.minor_words () in
+        let r = Insp.Dag_runtime.run ~horizon:240.0 dag platform alloc in
+        (r, Gc.minor_words () -. w0))
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let m = recorder.Insp.Obs.metrics in
+  Insp.Obs_metrics.incr ~by:report.Insp.Runtime.events m "sim.event";
+  Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
+  (* 36.09M words and 0.35 s measured (2-vCPU VM); ~1.35x and ~1.6x headroom *)
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 48_700_000.0;
+  Insp.Obs_metrics.set_gauge m "wall_budget_s" 0.55;
+  Insp.Obs_metrics.set_gauge m "sim.throughput.achieved"
+    report.Insp.Runtime.achieved_throughput;
+  Printf.printf
+    "%d processors: %d events, %.3f of rho, %.0f minor words, %.2f s\n%!"
+    (Insp.Alloc.n_procs alloc) report.Insp.Runtime.events
+    (report.Insp.Runtime.achieved_throughput
+    /. report.Insp.Runtime.target_throughput)
+    minor wall_s;
+  ("sim.dag", wall_s, recorder)
+
 (* Ledger probe throughput at scale, as a tracked JSON row
    (run_probe_bench below prints the ledger-vs-naive comparison on a
    paper-sized instance; this row sizes the ledger path alone on a
@@ -878,6 +917,7 @@ let () =
         alloc_serve_entry ~quick ();
         alloc_multi_entry ();
         sim_scale_entry ();
+        sim_dag_entry ();
       ]
   in
   (match json_file with
