@@ -59,7 +59,6 @@ module Ilp_model = Insp_lp.Ilp_model
 module Exact = Insp_lp.Exact
 
 (* Simulation *)
-module Fair_share = Insp_sim.Fair_share
 module Fair_share_inc = Insp_sim.Fair_share_inc
 module Runtime = Insp_sim.Runtime
 
@@ -77,7 +76,6 @@ module Cse = Insp_multi.Cse
 module Dag_check = Insp_multi.Dag_check
 module Dag_place = Insp_multi.Dag_place
 module Multi_workload = Insp_multi.Multi_workload
-module Dag_runtime = Insp_multi.Dag_runtime
 
 (* Mutable-application extension (paper §6 future work) *)
 module Rewrite = Insp_rewrite.Rewrite
@@ -124,6 +122,6 @@ let solve ?(seed = 0) (inst : Instance.t) =
          first rest)
 
 (** Validate then execute a mapping in the discrete-event runtime. *)
-let simulate ?window ?horizon ?warmup ?kernel (inst : Instance.t) alloc =
-  Runtime.run ?window ?horizon ?warmup ?kernel inst.Instance.app
+let simulate ?window ?horizon ?warmup (inst : Instance.t) alloc =
+  Runtime.run ?window ?horizon ?warmup inst.Instance.app
     inst.Instance.platform alloc

@@ -66,7 +66,6 @@ module Exact = Insp_lp.Exact
 
 (** {1 Simulation} *)
 
-module Fair_share = Insp_sim.Fair_share
 module Fair_share_inc = Insp_sim.Fair_share_inc
 module Runtime = Insp_sim.Runtime
 
@@ -89,7 +88,6 @@ module Cse = Insp_multi.Cse
 module Dag_check = Insp_multi.Dag_check
 module Dag_place = Insp_multi.Dag_place
 module Multi_workload = Insp_multi.Multi_workload
-module Dag_runtime = Insp_multi.Dag_runtime
 
 (** {1 Mutable-application extension (paper §6 future work)} *)
 
@@ -128,9 +126,7 @@ val simulate :
   ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
-  ?kernel:Fair_share_inc.kernel ->
   Instance.t ->
   Alloc.t ->
   Runtime.report
-(** Validate then execute a mapping in the discrete-event runtime.
-    [kernel] selects the fair-share solver (default [`Incremental]). *)
+(** Validate then execute a mapping in the discrete-event runtime. *)

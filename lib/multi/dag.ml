@@ -230,3 +230,30 @@ let of_apps apps =
       roots = List.rev !roots;
       consumers = compute_consumers nodes;
     }
+
+let simulate ?window ?horizon ?warmup ?disruptions t platform alloc =
+  let rho = t.nodes.(0).rate in
+  Array.iter
+    (fun n ->
+      if Float.abs (n.rate -. rho) > 1e-9 then
+        invalid_arg "Dag.simulate: mixed node rates are not supported")
+    t.nodes;
+  let graph =
+    {
+      Insp_sim.Runtime.work = Array.map (fun n -> n.work) t.nodes;
+      output = Array.map (fun n -> n.output) t.nodes;
+      inputs =
+        Array.map
+          (fun n ->
+            Array.of_list
+              (List.filter_map
+                 (function Node j -> Some j | Object _ -> None)
+                 n.inputs))
+          t.nodes;
+      roots = Array.of_list (List.map fst t.roots);
+      rho;
+      objects = t.objects;
+    }
+  in
+  Insp_sim.Runtime.run_graph ?window ?horizon ?warmup ?disruptions graph
+    platform alloc

@@ -85,3 +85,29 @@ val of_apps : Insp_tree.App.t list -> t
     sharing (each tree keeps its own nodes).  All applications must use
     the same object catalog, alpha and work constants.  Baseline for the
     CSE comparison. *)
+
+(** {2 Execution} *)
+
+val simulate :
+  ?window:int ->
+  ?horizon:float ->
+  ?warmup:float ->
+  ?disruptions:Insp_sim.Runtime.disruption list ->
+  t ->
+  Insp_platform.Platform.t ->
+  Insp_mapping.Alloc.t ->
+  Insp_sim.Runtime.report
+(** Executes a DAG allocation in the discrete-event runtime
+    ({!Insp_sim.Runtime.run_graph}), with the defaults of
+    {!Insp_sim.Runtime.run}.  A shared node is evaluated once per result
+    and its output streams to each consuming processor once, however
+    many consumers live there, exactly as {!Dag_check} accounts
+    bandwidth.  Every application root is measured, so the report's
+    throughput and completed count are the slowest root's and
+    [Insp_sim.Runtime.sustains_target] means every application meets
+    its rho.
+
+    All node rates must be equal, which {!finish} guarantees whenever
+    all applications share one rho.  Mixed-rate DAGs would need
+    subsampled consumption semantics and are rejected with
+    [Invalid_argument]. *)

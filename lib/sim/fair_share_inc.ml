@@ -1,5 +1,3 @@
-type kernel = [ `Full | `Incremental ]
-
 type stats = {
   refreshes : int;
   components_recomputed : int;
@@ -8,7 +6,6 @@ type stats = {
 }
 
 type t = {
-  kernel : kernel;
   (* Constraints, dense and never recycled: index order is the
      tie-break order, so it must be stable across the kernel's
      lifetime. *)
@@ -30,9 +27,7 @@ type t = {
   mutable n_slots : int;
   mutable free_fids : int array;  (* stack, top at [n_free - 1] *)
   mutable n_free : int;
-  mutable n_active : int;
-  (* cids touched since the last refresh, each pushed once
-     ([`Incremental] only). *)
+  (* cids touched since the last refresh, each pushed once. *)
   mutable dirty : int array;
   mutable n_dirty : int;
   mutable is_dirty : bool array;
@@ -54,9 +49,8 @@ type t = {
   mutable s_rounds : int;
 }
 
-let create ?(kernel = `Incremental) () =
+let create () =
   {
-    kernel;
     caps = [||];
     n_caps = 0;
     flows_of = [||];
@@ -68,7 +62,6 @@ let create ?(kernel = `Incremental) () =
     n_slots = 0;
     free_fids = [||];
     n_free = 0;
-    n_active = 0;
     dirty = [||];
     n_dirty = 0;
     is_dirty = [||];
@@ -115,14 +108,11 @@ let add_constraint t cap =
 
 (* Marks a constraint's component stale until the next refresh. *)
 let touch t c =
-  match t.kernel with
-  | `Full -> ()
-  | `Incremental ->
-    if not t.is_dirty.(c) then begin
-      t.is_dirty.(c) <- true;
-      t.dirty.(t.n_dirty) <- c;
-      t.n_dirty <- t.n_dirty + 1
-    end
+  if not t.is_dirty.(c) then begin
+    t.is_dirty.(c) <- true;
+    t.dirty.(t.n_dirty) <- c;
+    t.n_dirty <- t.n_dirty + 1
+  end
 
 let set_capacity t cid cap =
   if cid < 0 || cid >= t.n_caps then
@@ -183,7 +173,6 @@ let add_flow t ms =
   t.membership.(fid) <- ms;
   t.active.(fid) <- true;
   t.rates.(fid) <- 0.0;
-  t.n_active <- t.n_active + 1;
   for k = 0 to Array.length ms - 1 do
     insert_flow t ms.(k) fid;
     touch t ms.(k)
@@ -201,7 +190,6 @@ let remove_flow t fid =
   t.membership.(fid) <- [||];
   t.active.(fid) <- false;
   t.rates.(fid) <- 0.0;
-  t.n_active <- t.n_active - 1;
   t.free_fids.(t.n_free) <- fid;
   t.n_free <- t.n_free + 1
 
@@ -242,8 +230,9 @@ let collect t gen c0 =
 
 (* Water-fill the component just [collect]ed from scratch.
 
-   Bit-equality with the [`Full] oracle rests on three properties that
-   must not drift (test_sim's randomized suite pins them):
+   Bit-equality with the from-scratch oracle (test/fair_share.ml) rests
+   on three properties that must not drift (test_sim's randomized suite
+   pins them):
    - the bottleneck each round is the constraint with the smallest
      [remaining/unfrozen], ties to the LOWEST constraint index — the
      oracle scans cids in ascending order with strict [<]; the scan
@@ -348,38 +337,25 @@ let active_flows t =
   !fids
 
 let refresh t =
-  match t.kernel with
-  | `Full ->
+  if t.n_dirty > 0 then begin
     t.s_refreshes <- t.s_refreshes + 1;
-    if t.n_active > 0 then begin
-      let fids = Array.of_list (active_flows t) in
-      let membership =
-        Array.map (fun fid -> Array.to_list t.membership.(fid)) fids
-      in
-      let caps = Array.sub t.caps 0 t.n_caps in
-      let r = Fair_share.compute ~caps ~membership in
-      Array.iteri (fun i fid -> t.rates.(fid) <- r.(i)) fids
-    end
-  | `Incremental ->
-    if t.n_dirty > 0 then begin
-      t.s_refreshes <- t.s_refreshes + 1;
-      (* One generation for the whole refresh: a dirty cid already
-         reached from an earlier one shares its component and is
-         skipped.  Fill order across components is free to vary:
-         distinct components share no constraint or flow, so their
-         fills commute bit-for-bit. *)
-      t.mark <- t.mark + 1;
-      let gen = t.mark in
-      for i = 0 to t.n_dirty - 1 do
-        let c = t.dirty.(i) in
-        t.is_dirty.(c) <- false;
-        if t.cap_mark.(c) <> gen then begin
-          collect t gen c;
-          waterfill t
-        end
-      done;
-      t.n_dirty <- 0
-    end
+    (* One generation for the whole refresh: a dirty cid already reached
+       from an earlier one shares its component and is skipped.  Fill
+       order across components is free to vary: distinct components
+       share no constraint or flow, so their fills commute
+       bit-for-bit. *)
+    t.mark <- t.mark + 1;
+    let gen = t.mark in
+    for i = 0 to t.n_dirty - 1 do
+      let c = t.dirty.(i) in
+      t.is_dirty.(c) <- false;
+      if t.cap_mark.(c) <> gen then begin
+        collect t gen c;
+        waterfill t
+      end
+    done;
+    t.n_dirty <- 0
+  end
 
 let rate t fid =
   if fid < 0 || fid >= t.n_slots || not t.active.(fid) then

@@ -8,23 +8,18 @@
     go, with slots reused so the working set stays proportional to the
     number of {e concurrently} active flows.
 
-    Two kernels sit behind the same interface:
+    A {!refresh} re-waterfills only the exact connected components of
+    the incidence graph that hold a constraint touched since the last
+    refresh, found by a generation-stamped breadth-first search over
+    the incidence arrays.
 
-    - [`Full] — the oracle: every {!refresh} rebuilds the dense
-      caps/membership lists over all active flows and calls
-      {!Fair_share.compute}.
-    - [`Incremental] — re-waterfills only the exact connected
-      components of the incidence graph that hold a constraint touched
-      since the last refresh, found by a generation-stamped
-      breadth-first search over the incidence arrays.
-
-    Both kernels are deterministic and produce {e bit-identical} rates:
-    max-min water-filling decomposes over connected components, and the
-    incremental path replicates the oracle's tie-breaking (lowest
-    constraint index) and its flow iteration order (ascending flow id)
-    exactly.  See DESIGN.md §11 for the invariants. *)
-
-type kernel = [ `Full | `Incremental ]
+    Rates are deterministic and {e bit-identical} to a from-scratch
+    progressive filling over all active flows in ascending flow id
+    order (the test suite's oracle): max-min water-filling decomposes
+    over connected components, and the kernel replicates the oracle's
+    tie-breaking (lowest constraint index) and flow iteration order
+    (ascending flow id) exactly.  See DESIGN.md §11 for the
+    invariants. *)
 
 type t
 
@@ -35,8 +30,8 @@ type stats = {
   rounds : int;  (** water-filling rounds executed *)
 }
 
-val create : ?kernel:kernel -> unit -> t
-(** Fresh empty kernel.  [kernel] defaults to [`Incremental]. *)
+val create : unit -> t
+(** Fresh empty kernel. *)
 
 val add_constraint : t -> float -> int
 (** [add_constraint t cap] registers a capacity and returns its
@@ -47,8 +42,8 @@ val set_capacity : t -> int -> float -> unit
 (** [set_capacity t cid cap] replaces the registered capacity of
     constraint [cid] — the fault-injection entry point (processor card
     jitter, link degradation, server outage).  Takes effect on rates at
-    the next {!refresh}: the incremental kernel re-waterfills only the
-    constraint's component, the full oracle recomputes as always.
+    the next {!refresh}, which re-waterfills only the constraint's
+    component.
     Raises [Invalid_argument] on an unknown index or a negative cap. *)
 
 val add_flow : t -> int array -> int
@@ -68,9 +63,8 @@ val remove_flow : t -> int -> unit
 val refresh : t -> unit
 (** Recomputes rates to reflect all {!add_flow} / {!remove_flow} calls
     since the previous refresh.  Batching is free: any number of
-    adds/removals is absorbed by a single refresh.  With the
-    [`Incremental] kernel, a refresh with no pending changes is a
-    no-op. *)
+    adds/removals is absorbed by a single refresh, and a refresh with
+    no pending changes is a no-op. *)
 
 val rate : t -> int -> float
 (** Current max-min rate of an active flow, as of the last {!refresh}.

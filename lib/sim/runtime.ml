@@ -1,5 +1,6 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
@@ -38,16 +39,25 @@ type disruption = {
   d_factor : float;  (* multiplier on the nominal capacity, >= 0 *)
 }
 
+type graph = {
+  work : float array;
+  output : float array;
+  inputs : int array array;
+  roots : int array;
+  rho : float;
+  objects : Objects.t;
+}
+
 type event =
   | Compute_done of { op : int; result : int }
   | Download_due of int  (* index into the mapping's download list *)
   | Disrupt of { index : int; on : bool }
 
 (* Per-fid flow payload, parallel arrays grown with the kernel's slots.
-   [child] is the sending operator of a result message, or -1 for an
+   [stream] is the stream a result message travels on, or -1 for an
    object download; [src] is then a processor or a server. *)
 type flows = {
-  mutable child : int array;
+  mutable stream : int array;
   mutable src : int array;
   mutable dst : int array;  (* processor *)
   mutable remaining : float array;
@@ -55,8 +65,8 @@ type flows = {
 
 let epsilon = 1e-9
 
-let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
-    ?(disruptions = []) app platform alloc =
+let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
+    alloc =
   (* The pipeline needs enough results in flight to cover its depth in
      processor hops, otherwise the work-ahead bound (not a resource)
      throttles throughput. *)
@@ -67,9 +77,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   in
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
-  let tree = App.tree app in
-  let root = Optree.root tree in
-  let n_ops = App.n_operators app in
+  let roots = g.roots in
+  let n_ops = Array.length g.work in
   let n_procs = Alloc.n_procs alloc in
   let proc_of = Array.make n_ops (-1) in
   for i = 0 to n_ops - 1 do
@@ -84,38 +93,82 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let servers = platform.Platform.servers in
   (* --- operator pipeline state --- *)
   let completed = Array.make n_ops (-1) in
-  let duration =
-    Array.init n_ops (fun i -> App.work app i /. speed proc_of.(i))
-  in
+  let duration = Array.init n_ops (fun i -> g.work.(i) /. speed proc_of.(i)) in
   let ops_of =
     Array.init n_procs (fun u -> Array.of_list (Alloc.operators_of alloc u))
   in
-  (* arrived.(i).(k) counts the results of i's k-th child that have
-     arrived at i's processor; parent.(c) and slot.(c) locate child c's
-     counter ([parent.(root)] = -1). *)
-  let children = Array.init n_ops (fun i -> Array.of_list (Optree.children tree i)) in
-  let arrived = Array.map (fun cs -> Array.make (Array.length cs) 0) children in
-  let parent = Array.make n_ops (-1) in
-  let slot = Array.make n_ops 0 in
-  Array.iteri
-    (fun p cs ->
-      Array.iteri
-        (fun k c ->
-          parent.(c) <- p;
-          slot.(c) <- k)
-        cs)
-    children;
+  (* Streams: a node's output travels once to each remote processor
+     hosting one of its consumers, whatever the number of consumers
+     there.  Stream ids are dense, grouped by producer
+     ([first_stream.(p)] up to [first_stream.(p + 1)]) and ascending by
+     destination within a producer; a tree node has at most one. *)
+  let inputs = g.inputs in
+  let dests = Array.make n_ops [] in
+  for j = 0 to n_ops - 1 do
+    let v = proc_of.(j) and ins = inputs.(j) in
+    for k = 0 to Array.length ins - 1 do
+      let p = ins.(k) in
+      if proc_of.(p) <> v && not (List.mem v dests.(p)) then
+        dests.(p) <- v :: dests.(p)
+    done
+  done;
+  let first_stream = Array.make (n_ops + 1) 0 in
+  for p = 0 to n_ops - 1 do
+    first_stream.(p + 1) <- first_stream.(p) + List.length dests.(p)
+  done;
+  let n_streams = first_stream.(n_ops) in
+  let stream_src = Array.make n_streams 0 in
+  let stream_dst = Array.make n_streams 0 in
+  (* Plain loops: a closure per node would dominate the setup's
+     allocation on large trees. *)
+  let rec fill p s = function
+    | [] -> ()
+    | v :: rest ->
+      (* insertion into the producer's ascending segment *)
+      let i = ref s in
+      while !i > first_stream.(p) && stream_dst.(!i - 1) > v do
+        stream_dst.(!i) <- stream_dst.(!i - 1);
+        decr i
+      done;
+      stream_dst.(!i) <- v;
+      stream_src.(s) <- p;
+      fill p (s + 1) rest
+  in
+  for p = 0 to n_ops - 1 do
+    fill p first_stream.(p) dests.(p)
+  done;
+  (* arrived.(s) counts the results of stream [s] that have reached its
+     destination; in_stream.(j).(k) is the stream feeding j's k-th
+     input, or -1 when the producer is co-located. *)
+  let arrived = Array.make n_streams 0 in
+  let in_stream = Array.make n_ops [||] in
+  for j = 0 to n_ops - 1 do
+    let v = proc_of.(j) and ins = inputs.(j) in
+    let ss = Array.make (Array.length ins) (-1) in
+    for k = 0 to Array.length ins - 1 do
+      let p = ins.(k) in
+      if proc_of.(p) <> v then begin
+        let s = ref first_stream.(p) in
+        while stream_dst.(!s) <> v do
+          incr s
+        done;
+        ss.(k) <- !s
+      end
+    done;
+    in_stream.(j) <- ss
+  done;
   let computing = Array.make n_procs false in
   let busy_until_accum = Array.make n_procs 0.0 in
-  let n_root_completions = ref 0 in
-  let n_after_warmup = ref 0 in
+  (* Every root is measured: the work-ahead window trails the slowest
+     root ([root_floor], its last completed result) and the report
+     takes the minimum over roots. *)
+  let is_root = Array.make n_ops false in
+  Array.iter (fun r -> is_root.(r) <- true) roots;
+  let root_floor = ref (-1) in
+  let after_warmup = Array.make n_ops 0 in
   let root_times = ref [] in
-  (* --- flows ---
-     Both kernel variants drive the same persistent registry in
-     [Fair_share_inc], so constraint indices (and therefore bottleneck
-     tie-breaks) coincide and the two paths produce bit-identical
-     rates. *)
-  let fs = Fair_share_inc.create ~kernel () in
+  (* --- flows --- *)
+  let fs = Fair_share_inc.create () in
   (* --- capacity disruptions (fault injection) ---
      Each disruption multiplies the nominal capacity of every matching
      constraint by [d_factor] over [d_from, d_until).  With an empty
@@ -187,22 +240,22 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       cid
   in
   (* A flow's route, [src card; dst card; link], is resolved on the
-     first flow along it and shared by every later one: one per sending
-     operator, one per periodic download.  The [let]s fix the
-     registration order: destination card, source card, link. *)
-  let msg_route = Array.make n_ops [||] in
-  let message_route op =
-    if Array.length msg_route.(op) = 0 then begin
-      let u = proc_of.(op) and v = proc_of.(parent.(op)) in
+     first flow along it and shared by every later one: one per stream,
+     one per periodic download.  The [let]s fix the registration order:
+     destination card, source card, link. *)
+  let msg_route = Array.make n_streams [||] in
+  let message_route s =
+    if Array.length msg_route.(s) = 0 then begin
+      let u = proc_of.(stream_src.(s)) and v = stream_dst.(s) in
       let dst_card = proc_card_of v in
       let src_card = proc_card_of u in
       let link =
         link_of (Proc_link (u, v)) ((u * n_procs) + v)
           platform.Platform.proc_link
       in
-      msg_route.(op) <- [| src_card; dst_card; link |]
+      msg_route.(s) <- [| src_card; dst_card; link |]
     end;
-    msg_route.(op)
+    msg_route.(s)
   in
   let downloads = Array.of_list (Alloc.all_downloads alloc) in
   let dl_route = Array.make (Array.length downloads) [||] in
@@ -222,7 +275,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   in
   let fl =
     {
-      child = Array.make 16 0;
+      stream = Array.make 16 0;
       src = Array.make 16 0;
       dst = Array.make 16 0;
       remaining = Array.make 16 0.0;
@@ -266,14 +319,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
      bounded (--journal-depth): only the opening of a run is recorded. *)
   let jn = Obs.journaling () in
   let now = ref 0.0 in
-  let flow_labels child src =
-    if child >= 0 then ("msg", Printf.sprintf "p%d" src)
+  let flow_labels stream src =
+    if stream >= 0 then ("msg", Printf.sprintf "p%d" src)
     else ("dl", Printf.sprintf "s%d" src)
   in
-  let start_flow ~child ~src ~dst ~size ms =
+  let start_flow ~stream ~src ~dst ~size ms =
     incr n_flows_started;
     if jn then begin
-      let kind, src = flow_labels child src in
+      let kind, src = flow_labels stream src in
       Obs.event_bounded ~category:"sim"
         (Journal.Sim_flow_start { t = !now; kind; src; dst; size })
     end;
@@ -286,12 +339,12 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
         Array.blit a 0 b 0 (Array.length a);
         b
       in
-      fl.child <- grow fl.child 0;
+      fl.stream <- grow fl.stream 0;
       fl.src <- grow fl.src 0;
       fl.dst <- grow fl.dst 0;
       fl.remaining <- grow fl.remaining 0.0
     end;
-    fl.child.(fid) <- child;
+    fl.stream.(fid) <- stream;
     fl.src.(fid) <- src;
     fl.dst.(fid) <- dst;
     fl.remaining.(fid) <- size;
@@ -304,15 +357,13 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   (* --- pipeline readiness --- *)
   let ready op =
     let t = completed.(op) + 1 in
-    t <= completed.(root) + window
+    t <= !root_floor + window
     &&
-    let cs = children.(op) in
+    let ins = inputs.(op) and ss = in_stream.(op) in
     let ok = ref true and k = ref 0 in
-    while !ok && !k < Array.length cs do
-      let c = cs.(!k) in
-      (ok :=
-         if proc_of.(c) = proc_of.(op) then completed.(c) >= t
-         else arrived.(op).(!k) > t);
+    while !ok && !k < Array.length ins do
+      let s = ss.(!k) in
+      (ok := if s < 0 then completed.(ins.(!k)) >= t else arrived.(s) > t);
       incr k
     done;
     !ok
@@ -350,14 +401,16 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let finish_compute op result =
     completed.(op) <- result;
     computing.(proc_of.(op)) <- false;
-    if op = root then begin
-      incr n_root_completions;
+    if is_root.(op) then begin
+      root_floor :=
+        Array.fold_left (fun acc r -> min acc completed.(r)) max_int roots;
       root_times := !now :: !root_times;
-      if !now >= warmup then incr n_after_warmup
-    end
-    else if proc_of.(parent.(op)) <> proc_of.(op) then
-      start_flow ~child:op ~src:proc_of.(op) ~dst:proc_of.(parent.(op))
-        ~size:(App.output_size app op) (message_route op)
+      if !now >= warmup then after_warmup.(op) <- after_warmup.(op) + 1
+    end;
+    for s = first_stream.(op) to first_stream.(op + 1) - 1 do
+      start_flow ~stream:s ~src:proc_of.(op) ~dst:stream_dst.(s)
+        ~size:g.output.(op) (message_route s)
+    done
   in
   (* Set when a finished Message flow bumped an arrival count — the
      only way a flow completion can make an operator ready.  Download
@@ -367,15 +420,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
      find nothing to start. *)
   let arrival_bumped = ref false in
   let finish_flow fid =
-    let c = fl.child.(fid) in
-    if c >= 0 then begin
-      let a = arrived.(parent.(c)) in
-      a.(slot.(c)) <- a.(slot.(c)) + 1;
+    let s = fl.stream.(fid) in
+    if s >= 0 then begin
+      arrived.(s) <- arrived.(s) + 1;
       arrival_bumped := true
     end;
     incr n_flows_completed;
     if jn then begin
-      let kind, src = flow_labels c fl.src.(fid) in
+      let kind, src = flow_labels s fl.src.(fid) in
       Obs.event_bounded ~category:"sim"
         (Journal.Sim_flow_done { t = !now; kind; src; dst = fl.dst.(fid) })
     end;
@@ -391,9 +443,9 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       dispatch ()
     | Download_due d ->
       let proc, object_type, server = downloads.(d) in
-      let size = Insp_tree.Objects.size (App.objects app) object_type in
-      let freq = Insp_tree.Objects.freq (App.objects app) object_type in
-      start_flow ~child:(-1) ~src:server ~dst:proc ~size (download_route d);
+      let size = Objects.size g.objects object_type in
+      let freq = Objects.freq g.objects object_type in
+      start_flow ~stream:(-1) ~src:server ~dst:proc ~size (download_route d);
       Heap.push events (!now +. (1.0 /. freq)) (Download_due d)
       (* No dispatch: starting a download cannot make an operator
          ready, so the scan would be a guaranteed no-op. *)
@@ -481,7 +533,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       if dt > 0.0 then begin
         let tf = ref infinity in
         let delivered = ref !download_delivered in
-        let child = fl.child in
+        let stream = fl.stream in
         for fid = 0 to n_slots - 1 do
           if active.(fid) then begin
             let r = rates.(fid) in
@@ -491,7 +543,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
             remaining.(fid) <- after;
             if before > epsilon && after <= epsilon then push_tiny fid;
             if r > epsilon then tf := Float.min !tf (t_next +. (after /. r));
-            if child.(fid) < 0 then delivered := !delivered +. moved
+            if stream.(fid) < 0 then delivered := !delivered +. moved
           end
         done;
         download_delivered := !delivered;
@@ -534,18 +586,22 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     end
   done;
   (* --- measurement --- *)
-  let achieved = float_of_int !n_after_warmup /. (horizon -. warmup) in
+  let min_over_roots f = Array.fold_left (fun acc r -> min acc (f r)) max_int roots in
+  let achieved =
+    float_of_int (min_over_roots (fun r -> after_warmup.(r)))
+    /. (horizon -. warmup)
+  in
   let ideal =
     Array.fold_left
-      (fun acc (_, k, _) -> acc +. (App.download_rate app k *. horizon))
+      (fun acc (_, k, _) -> acc +. (Objects.rate g.objects k *. horizon))
       0.0 downloads
   in
   let report =
     {
       sim_time = horizon;
-      results_completed = !n_root_completions;
+      results_completed = min_over_roots (fun r -> completed.(r) + 1);
       achieved_throughput = achieved;
-      target_throughput = App.rho app;
+      target_throughput = g.rho;
       proc_busy =
         Array.map (fun b -> Float.min 1.0 (b /. horizon)) busy_until_accum;
       download_delivered = !download_delivered;
@@ -559,13 +615,10 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   Obs.add "sim.flow.started" !n_flows_started;
   Obs.add "sim.flow.completed" !n_flows_completed;
   Obs.add "sim.result" report.results_completed;
-  (match kernel with
-  | `Incremental ->
-    let ks = Fair_share_inc.stats fs in
-    Obs.add "sim.component.recompute" ks.Fair_share_inc.components_recomputed;
-    Obs.add "sim.component.flow" ks.Fair_share_inc.flows_recomputed;
-    Obs.add "sim.component.round" ks.Fair_share_inc.rounds
-  | `Full -> ());
+  let ks = Fair_share_inc.stats fs in
+  Obs.add "sim.component.recompute" ks.Fair_share_inc.components_recomputed;
+  Obs.add "sim.component.flow" ks.Fair_share_inc.flows_recomputed;
+  Obs.add "sim.component.round" ks.Fair_share_inc.rounds;
   Obs.gauge "sim.throughput.achieved" report.achieved_throughput;
   let busy = report.proc_busy in
   if Array.length busy > 0 then begin
@@ -575,9 +628,25 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   end;
   report
 
-let run ?window ?horizon ?warmup ?kernel ?disruptions app platform alloc =
+let run_graph ?window ?horizon ?warmup ?disruptions g platform alloc =
   Obs.span "sim.run" (fun () ->
-      run_impl ?window ?horizon ?warmup ?kernel ?disruptions app platform alloc)
+      run_impl ?window ?horizon ?warmup ?disruptions g platform alloc)
+
+let run ?window ?horizon ?warmup ?disruptions app platform alloc =
+  let tree = App.tree app in
+  let g =
+    {
+      work = App.works app;
+      output = App.output_sizes app;
+      inputs =
+        Array.init (App.n_operators app) (fun i ->
+            Array.of_list (Optree.children tree i));
+      roots = [| Optree.root tree |];
+      rho = App.rho app;
+      objects = App.objects app;
+    }
+  in
+  run_graph ?window ?horizon ?warmup ?disruptions g platform alloc
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -6,13 +6,14 @@
 
     - each processor runs its operators' evaluations one at a time
       (evaluation of operator [i] takes [w_i / s_u] seconds);
-    - an evaluation of result [t] starts once every operator-child's
-      result [t] is available locally (co-located children) or has
-      arrived over the network (remote children);
+    - an evaluation of result [t] starts once every input operator's
+      result [t] is available locally (co-located producers) or has
+      arrived over the network (remote producers);
     - cross-processor results travel as flows of [delta_i] MB sharing
       bandwidth max-min fairly under the bounded multi-port model
-      ({!Fair_share}): sender card, receiver card and the point-to-point
-      link constrain each flow;
+      ({!Fair_share_inc}): sender card, receiver card and the
+      point-to-point link constrain each flow.  A result crosses to a
+      processor once, however many of its consumers live there;
     - every processor re-downloads each basic object in its plan from its
       chosen server once per refresh period ([1/f_k]), as competing
       flows;
@@ -20,15 +21,21 @@
       measured completion rate at the root converges to the deployment's
       maximum sustainable throughput.
 
+    The same core executes operator DAGs shared by several applications
+    ({!run_graph}); a tree is the case with one consumer per node and
+    one root.
+
     A mapping accepted by {!Insp_mapping.Check} sustains at least the
     target [rho]; an overloaded mapping falls measurably short — tests
     assert both directions. *)
 
 type report = {
   sim_time : float;  (** simulated seconds *)
-  results_completed : int;  (** root results over the whole run *)
+  results_completed : int;
+      (** root results over the whole run (the minimum over roots) *)
   achieved_throughput : float;
-      (** root results per second over the post-warmup window *)
+      (** root results per second over the post-warmup window (the
+          minimum over roots) *)
   target_throughput : float;  (** the application's rho *)
   proc_busy : float array;  (** per-processor busy fraction *)
   download_delivered : float;  (** MB of basic-object refresh delivered *)
@@ -36,9 +43,9 @@ type report = {
       (** MB that would be delivered at the nominal refresh rates *)
   events : int;  (** discrete events processed *)
   root_completions : float array;
-      (** ascending timestamps of every root-result completion — the
-          raw signal the fault engine turns into throughput dips and
-          recovery times *)
+      (** ascending timestamps of every root-result completion, all
+          roots merged — the raw signal the fault engine turns into
+          throughput dips and recovery times *)
 }
 
 val sustains_target : report -> bool
@@ -75,7 +82,6 @@ val run :
   ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
-  ?kernel:Fair_share_inc.kernel ->
   ?disruptions:disruption list ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
@@ -86,12 +92,35 @@ val run :
     processors ([max 8 (2 * n_procs)]) so the bound never throttles a
     deep pipeline.  [horizon] (default 80 simulated seconds) and
     [warmup] (default a quarter of the horizon) frame the measurement.
-    [kernel] selects the fair-share solver (default [`Incremental]);
-    both kernels are deterministic and produce identical reports — the
-    [`Full] oracle exists for equivalence testing and debugging (see
-    {!Fair_share_inc}).  [disruptions] (default none) injects capacity
-    faults mid-run; see {!disruption}.  Requires every operator
-    assigned (checker-valid structure); capacity violations are allowed
-    and simply show up as reduced throughput. *)
+    [disruptions] (default none) injects capacity faults mid-run; see
+    {!disruption}.  Requires every operator assigned (checker-valid
+    structure); capacity violations are allowed and simply show up as
+    reduced throughput. *)
+
+(** {1 Operator graphs} *)
+
+type graph = {
+  work : float array;  (** Mops per evaluation, by node *)
+  output : float array;  (** MB per evaluation, by node *)
+  inputs : int array array;  (** producer nodes, in input-slot order *)
+  roots : int array;  (** measured nodes, at least one *)
+  rho : float;  (** target results per second at every root *)
+  objects : Insp_tree.Objects.t;
+}
+(** An operator graph evaluated at one rate: every node computes each
+    result once and its output reaches each consumer's processor once.
+    The arrays are read, never written. *)
+
+val run_graph :
+  ?window:int ->
+  ?horizon:float ->
+  ?warmup:float ->
+  ?disruptions:disruption list ->
+  graph ->
+  Insp_platform.Platform.t ->
+  Insp_mapping.Alloc.t ->
+  report
+(** {!run} on an operator graph whose node [i] is the allocation's
+    operator [i].  The work-ahead window trails the slowest root. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,5 +1,21 @@
+(* Reference max-min fair bandwidth allocation under the bounded
+   multi-port model (paper §2.2): the from-scratch oracle the
+   incremental kernel ([Insp.Fair_share_inc]) is tested against.
+
+   Each flow crosses a set of capacity constraints (its sender's network
+   card, its receiver's network card, the point-to-point link).  The
+   allocation is computed by progressive filling: repeatedly find the
+   constraint with the smallest fair share among its unfrozen flows,
+   freeze those flows at that share, and continue — the classic max-min
+   fixpoint.  A resource can serve many flows at once (multi-port), but
+   the sum of its flows' rates never exceeds its capacity (bounded). *)
+
+(* [compute ~caps ~membership] returns one rate per flow.
+   [membership.(f)] lists the constraint indices flow [f] crosses (at
+   least one, each a valid index into [caps]; capacities must be
+   non-negative).  Rates are non-negative and saturate at least one
+   constraint of every flow. *)
 let compute ~caps ~membership =
-  Insp_obs.Obs.incr "sim.fair_share.call";
   let n_flows = Array.length membership in
   let n_caps = Array.length caps in
   Array.iter
@@ -27,9 +43,7 @@ let compute ~caps ~membership =
       List.iter (fun c -> unfrozen_count.(c) <- unfrozen_count.(c) + 1) ms)
     membership;
   let n_frozen = ref 0 in
-  let rounds = ref 0 in
   while !n_frozen < n_flows do
-    incr rounds;
     (* Bottleneck constraint: smallest fair share among its unfrozen
        flows. *)
     let best_c = ref (-1) in
@@ -63,10 +77,14 @@ let compute ~caps ~membership =
         end)
       membership
   done;
-  Insp_obs.Obs.add "sim.fair_share.round" !rounds;
   rates
 
 let tolerance = 1e-6
+
+(* Independent verifier for the property tests: every constraint is
+   respected (tolerance 1e-6) and every flow is bottlenecked — it
+   crosses at least one constraint that is saturated and where the flow
+   has a maximal rate among the constraint's flows. *)
 
 let is_max_min ~caps ~membership ~rates =
   let n_caps = Array.length caps in

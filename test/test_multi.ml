@@ -393,7 +393,7 @@ let test_dag_solutions_golden () =
     (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* Dag_runtime                                                         *)
+(* DAG execution (Dag.simulate)                                        *)
 
 let test_dag_runtime_rejects_mixed_rates () =
   let b = Dag.create_builder ~n_object_types:3 in
@@ -409,9 +409,8 @@ let test_dag_runtime_rejects_mixed_rates () =
   | Error f -> Alcotest.fail (Insp.Dag_place.failure_message f)
   | Ok o ->
     Alcotest.check_raises "mixed rates rejected"
-      (Invalid_argument "Dag_runtime.run: mixed node rates are not supported")
-      (fun () ->
-        ignore (Insp.Dag_runtime.run dag platform o.Insp.Dag_place.alloc))
+      (Invalid_argument "Dag.simulate: mixed node rates are not supported")
+      (fun () -> ignore (Dag.simulate dag platform o.Insp.Dag_place.alloc))
 
 let dag_mappings_sustain_in_execution =
   qtest ~count:12 "feasible DAG mappings sustain every application's rho"
@@ -423,13 +422,41 @@ let dag_mappings_sustain_in_execution =
       | Error _ -> true
       | Ok o ->
         let r =
-          Insp.Dag_runtime.run ~horizon:240.0 dag platform
-            o.Insp.Dag_place.alloc
+          Dag.simulate ~horizon:240.0 dag platform o.Insp.Dag_place.alloc
         in
-        Insp.Dag_runtime.sustains_target r
+        Insp.Runtime.sustains_target r
         && r.Insp.Runtime.results_completed > 0
         && r.Insp.Runtime.download_delivered
            >= 0.9 *. r.Insp.Runtime.download_ideal)
+
+(* Capacity disruptions reach DAG runs too.  While a data server is
+   down its refresh downloads stall; once it comes back, the backlog of
+   stalled downloads competes with result streams on the processor
+   cards, and the applications fall behind the undisrupted run. *)
+let test_dag_server_outage_lowers_throughput () =
+  let apps, platform = MW.instance ~seed:2 ~n_apps:2 ~n_operators:15 in
+  let dag = Cse.share_apps apps in
+  match Dag_place.run dag platform with
+  | Error f -> Alcotest.fail (Dag_place.failure_message f)
+  | Ok o ->
+    let alloc = o.Dag_place.alloc in
+    let _, _, server = List.hd (Alloc.all_downloads alloc) in
+    let run disruptions =
+      (Dag.simulate ~horizon:60.0 ~disruptions dag platform alloc)
+        .Insp.Runtime.achieved_throughput
+    in
+    let outage =
+      {
+        Insp.Runtime.d_scope = Insp.Runtime.Server_card server;
+        d_from = 20.0;
+        d_until = 40.0;
+        d_factor = 0.0;
+      }
+    in
+    let base = run [] and disrupted = run [ outage ] in
+    Alcotest.(check bool)
+      (Printf.sprintf "outage lowers throughput (%g < %g)" disrupted base)
+      true (disrupted < base)
 
 (* DAG DES reports on a fixed corpus, one line per run, against
    test/dag_des_reports.golden, in the line format of
@@ -452,10 +479,7 @@ let test_dag_des_reports_golden () =
               Printf.bprintf buf "%s fail %s\n" label
                 (Dag_place.failure_message f)
             | Ok o ->
-              let r =
-                Insp.Dag_runtime.run ~horizon:60.0 dag platform
-                  o.Dag_place.alloc
-              in
+              let r = Dag.simulate ~horizon:60.0 dag platform o.Dag_place.alloc in
               Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n"
                 label r.Insp.Runtime.results_completed r.Insp.Runtime.events
                 r.Insp.Runtime.achieved_throughput
@@ -550,6 +574,8 @@ let () =
           Alcotest.test_case "mixed rates rejected" `Quick
             test_dag_runtime_rejects_mixed_rates;
           dag_mappings_sustain_in_execution;
+          Alcotest.test_case "server outage lowers throughput" `Quick
+            test_dag_server_outage_lowers_throughput;
           Alcotest.test_case "reports golden" `Slow test_dag_des_reports_golden;
         ] );
       ( "workload",

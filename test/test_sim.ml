@@ -2,7 +2,6 @@
    discrete-event runtime, including cross-validation against the
    analytic constraint checker. *)
 
-module Fair_share = Insp.Fair_share
 module FSI = Insp.Fair_share_inc
 module Runtime = Insp.Runtime
 module Solve = Insp.Solve
@@ -229,53 +228,77 @@ let fsi_gen =
       Printf.sprintf "seed=%d caps=%d steps=%d" seed nc ns)
     QCheck.Gen.(triple (0 -- 10000) (1 -- 8) (1 -- 25))
 
-(* The headline equivalence suite: replay an identical randomized
-   add/remove/refresh history against both kernels and demand
-   bit-identical rates after every refresh.  Removals split
-   components; batches of 1-3 ops exercise merged dirty sets. *)
+(* The headline equivalence suite: drive the kernel through a
+   randomized add/remove/set_capacity/refresh history while the test
+   keeps its own model of every capacity and active route, and demand
+   after every refresh that each active flow's rate equal, bit for bit,
+   the from-scratch oracle's over the active fids in ascending order.
+   Removals split components, capacity changes dirty a component
+   without any flow churn, and batches of 1-3 steps exercise merged
+   dirty sets. *)
 let fsi_matches_oracle =
   qtest ~count:500 "incremental kernel bit-identical to full oracle" fsi_gen
     (fun (seed, n_caps, n_steps) ->
       let rng = Insp.Prng.create seed in
-      let inc = FSI.create ~kernel:`Incremental () in
-      let full = FSI.create ~kernel:`Full () in
-      for _ = 1 to n_caps do
-        let cap = Insp.Prng.float_range rng 0.0 20.0 in
-        ignore (FSI.add_constraint inc cap);
-        ignore (FSI.add_constraint full cap)
-      done;
+      let t = FSI.create () in
+      let caps =
+        Array.init n_caps (fun _ -> Insp.Prng.float_range rng 0.0 20.0)
+      in
+      Array.iter (fun cap -> ignore (FSI.add_constraint t cap)) caps;
+      (* routes.(fid) is the active flow's route, [||] for a free id;
+         ids never exceed the number of adds. *)
+      let routes = Array.make ((3 * n_steps) + 1) [||] in
+      let active () =
+        List.filter
+          (fun fid -> Array.length routes.(fid) > 0)
+          (List.init (Array.length routes) Fun.id)
+      in
       let ok = ref true in
       for _ = 1 to n_steps do
         let n_ops = Insp.Prng.int_range rng 1 3 in
         for _ = 1 to n_ops do
-          let actives = FSI.active_flows inc in
+          let actives = active () in
           let n_active = List.length actives in
-          if n_active > 0 && Insp.Prng.int_range rng 0 99 < 35 then begin
+          let roll = Insp.Prng.int_range rng 0 99 in
+          if roll < 15 then begin
+            let c = Insp.Prng.int_range rng 0 (n_caps - 1) in
+            let cap = Insp.Prng.float_range rng 0.0 20.0 in
+            caps.(c) <- cap;
+            FSI.set_capacity t c cap
+          end
+          else if n_active > 0 && roll < 50 then begin
             let victim =
               List.nth actives (Insp.Prng.int_range rng 0 (n_active - 1))
             in
-            FSI.remove_flow inc victim;
-            FSI.remove_flow full victim
+            FSI.remove_flow t victim;
+            routes.(victim) <- [||]
           end
           else begin
             let k = Insp.Prng.int_range rng 1 n_caps in
             let ms =
               Array.of_list (Insp.Prng.sample_without_replacement rng k n_caps)
             in
-            if FSI.add_flow inc ms <> FSI.add_flow full ms then ok := false
+            let fid = FSI.add_flow t ms in
+            if Array.length routes.(fid) > 0 then ok := false;
+            routes.(fid) <- ms
           end
         done;
-        FSI.refresh inc;
-        FSI.refresh full;
-        if FSI.active_flows inc <> FSI.active_flows full then ok := false
-        else
-          List.iter
-            (fun fid ->
+        FSI.refresh t;
+        let fids = active () in
+        if FSI.active_flows t <> fids then ok := false
+        else if fids <> [] then begin
+          let membership =
+            Array.of_list (List.map (fun fid -> Array.to_list routes.(fid)) fids)
+          in
+          let expected = Fair_share.compute ~caps:(Array.copy caps) ~membership in
+          List.iteri
+            (fun i fid ->
               if
-                Int64.bits_of_float (FSI.rate inc fid)
-                <> Int64.bits_of_float (FSI.rate full fid)
+                Int64.bits_of_float (FSI.rate t fid)
+                <> Int64.bits_of_float expected.(i)
               then ok := false)
-            (FSI.active_flows inc)
+            fids
+        end
       done;
       !ok)
 
@@ -345,63 +368,6 @@ let test_runtime_rejects_partial_alloc () =
   Alcotest.check_raises "unassigned rejected"
     (Invalid_argument "Runtime.run: unassigned operator") (fun () ->
       ignore (Runtime.run app platform partial))
-
-let check_reports_identical a b =
-  Alcotest.(check int) "events" a.Runtime.events b.Runtime.events;
-  Alcotest.(check int) "completions" a.Runtime.results_completed
-    b.Runtime.results_completed;
-  check_bits "sim_time" a.Runtime.sim_time b.Runtime.sim_time;
-  check_bits "achieved" a.Runtime.achieved_throughput
-    b.Runtime.achieved_throughput;
-  check_bits "target" a.Runtime.target_throughput b.Runtime.target_throughput;
-  check_bits "download" a.Runtime.download_delivered
-    b.Runtime.download_delivered;
-  Alcotest.(check int) "proc_busy length"
-    (Array.length a.Runtime.proc_busy)
-    (Array.length b.Runtime.proc_busy);
-  Array.iteri
-    (fun u busy ->
-      check_bits (Printf.sprintf "proc_busy.(%d)" u) busy
-        b.Runtime.proc_busy.(u))
-    a.Runtime.proc_busy
-
-let test_runtime_kernels_agree () =
-  let inst = Helpers.instance ~n:15 ~seed:5 () in
-  match
-    Solve.run ~seed:5 sbu inst.Insp.Instance.app inst.Insp.Instance.platform
-  with
-  | Error f -> Alcotest.fail (Solve.failure_message f)
-  | Ok o ->
-    let run kernel =
-      Runtime.run ~kernel inst.Insp.Instance.app inst.Insp.Instance.platform
-        o.Solve.alloc
-    in
-    check_reports_identical (run `Full) (run `Incremental)
-
-(* Same property across the whole randomized instance space, including
-   overloaded mappings (capacity violations stress flow churn). *)
-let runtime_kernels_agree_randomized =
-  qtest ~count:15 "full and incremental kernels produce identical reports"
-    Helpers.instance_case (fun case ->
-      let inst = Helpers.instance_of_case case in
-      let app = inst.Insp.Instance.app in
-      let platform = inst.Insp.Instance.platform in
-      match Solve.run ~seed:3 sbu app platform with
-      | Error _ -> true
-      | Ok o ->
-        let run kernel =
-          Runtime.run ~horizon:60.0 ~kernel app platform o.Solve.alloc
-        in
-        let a = run `Full and b = run `Incremental in
-        a.Runtime.events = b.Runtime.events
-        && a.Runtime.results_completed = b.Runtime.results_completed
-        && Int64.bits_of_float a.Runtime.achieved_throughput
-           = Int64.bits_of_float b.Runtime.achieved_throughput
-        && Int64.bits_of_float a.Runtime.download_delivered
-           = Int64.bits_of_float b.Runtime.download_delivered
-        && Array.for_all2
-             (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-             a.Runtime.proc_busy b.Runtime.proc_busy)
 
 (* Tree DES reports on a fixed corpus, one line per run, against
    test/des_reports.golden: the completed-result and event counts and
@@ -529,12 +495,10 @@ let () =
           Alcotest.test_case "tiny feasible sustains" `Quick
             test_runtime_tiny_feasible;
           Alcotest.test_case "deterministic" `Quick test_runtime_deterministic;
-          Alcotest.test_case "kernels agree" `Quick test_runtime_kernels_agree;
           Alcotest.test_case "detects overload" `Quick
             test_runtime_detects_compute_overload;
           Alcotest.test_case "rejects partial alloc" `Quick
             test_runtime_rejects_partial_alloc;
-          runtime_kernels_agree_randomized;
           feasible_mappings_sustain_rho;
           Alcotest.test_case "reports golden" `Slow test_des_reports_golden;
         ] );
