@@ -499,7 +499,7 @@ let sim_dag_entry () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let m = recorder.Insp.Obs.metrics in
   Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
-  (* 0.39M words and 0.04-0.05 s measured (2-vCPU VM); ~1.35x headroom
+  (* 0.38M words and 0.04-0.06 s measured (2-vCPU VM); ~1.35x headroom
      on words, ~3x on a wall time short enough for phase noise to show *)
   Insp.Obs_metrics.set_gauge m "alloc_budget_words" 521_000.0;
   Insp.Obs_metrics.set_gauge m "wall_budget_s" 0.15;

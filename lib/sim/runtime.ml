@@ -166,6 +166,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   Array.iter (fun r -> is_root.(r) <- true) roots;
   let root_floor = ref (-1) in
   let after_warmup = Array.make n_ops 0 in
+  let min_over_roots (count : int array) =
+    let m = ref max_int in
+    for i = 0 to Array.length roots - 1 do
+      let c = count.(roots.(i)) in
+      if c < !m then m := c
+    done;
+    !m
+  in
   let root_times = ref [] in
   (* --- flows --- *)
   let fs = Fair_share_inc.create () in
@@ -402,8 +410,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
     completed.(op) <- result;
     computing.(proc_of.(op)) <- false;
     if is_root.(op) then begin
-      root_floor :=
-        Array.fold_left (fun acc r -> min acc completed.(r)) max_int roots;
+      root_floor := min_over_roots completed;
       root_times := !now :: !root_times;
       if !now >= warmup then after_warmup.(op) <- after_warmup.(op) + 1
     end;
@@ -586,10 +593,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
     end
   done;
   (* --- measurement --- *)
-  let min_over_roots f = Array.fold_left (fun acc r -> min acc (f r)) max_int roots in
   let achieved =
-    float_of_int (min_over_roots (fun r -> after_warmup.(r)))
-    /. (horizon -. warmup)
+    float_of_int (min_over_roots after_warmup) /. (horizon -. warmup)
   in
   let ideal =
     Array.fold_left
@@ -599,7 +604,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   let report =
     {
       sim_time = horizon;
-      results_completed = min_over_roots (fun r -> completed.(r) + 1);
+      results_completed = !root_floor + 1;
       achieved_throughput = achieved;
       target_throughput = g.rho;
       proc_busy =

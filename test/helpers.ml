@@ -107,3 +107,14 @@ let check_golden ~what file actual =
     in
     Alcotest.failf "%s drifted from %s:\n  expected %s\n  actual   %s" what file e a
   end
+
+(* One DES report as a golden line: the completed-result and event
+   counts and the exact bits of throughput, delivered download volume
+   and every processor's busy fraction. *)
+let des_report_line buf label (r : Insp.Runtime.report) =
+  Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n" label
+    r.Insp.Runtime.results_completed r.Insp.Runtime.events
+    r.Insp.Runtime.achieved_throughput r.Insp.Runtime.download_delivered
+    (String.concat ","
+       (Array.to_list
+          (Array.map (Printf.sprintf "%h") r.Insp.Runtime.proc_busy)))

@@ -458,13 +458,10 @@ let test_dag_server_outage_lowers_throughput () =
       (Printf.sprintf "outage lowers throughput (%g < %g)" disrupted base)
       true (disrupted < base)
 
-(* DAG DES reports on a fixed corpus, one line per run, against
-   test/dag_des_reports.golden, in the line format of
-   test/des_reports.golden: the completed-result and event counts and
-   the exact bits of throughput, delivered download volume and every
-   processor's busy fraction.  Correlated sets (seeds 1-8, 1-3 apps of
-   15 operators) are placed with and without CSE sharing and run at a
-   60 s horizon. *)
+(* DAG DES reports on a fixed corpus, one [Helpers.des_report_line]
+   per run, against test/dag_des_reports.golden.  Correlated sets
+   (seeds 1-8, 1-3 apps of 15 operators) are placed with and without
+   CSE sharing and run at a 60 s horizon. *)
 let test_dag_des_reports_golden () =
   let buf = Buffer.create (16 * 1024) in
   for seed = 1 to 8 do
@@ -479,14 +476,8 @@ let test_dag_des_reports_golden () =
               Printf.bprintf buf "%s fail %s\n" label
                 (Dag_place.failure_message f)
             | Ok o ->
-              let r = Dag.simulate ~horizon:60.0 dag platform o.Dag_place.alloc in
-              Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n"
-                label r.Insp.Runtime.results_completed r.Insp.Runtime.events
-                r.Insp.Runtime.achieved_throughput
-                r.Insp.Runtime.download_delivered
-                (String.concat ","
-                   (Array.to_list
-                      (Array.map (Printf.sprintf "%h") r.Insp.Runtime.proc_busy))))
+              Helpers.des_report_line buf label
+                (Dag.simulate ~horizon:60.0 dag platform o.Dag_place.alloc))
           [ ("cse", Cse.share_apps apps); ("of_apps", Dag.of_apps apps) ])
       [ 1; 2; 3 ]
   done;

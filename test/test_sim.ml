@@ -377,13 +377,6 @@ let test_runtime_rejects_partial_alloc () =
    disruption runs that drive [set_capacity] on every scope kind.  A
    refactor of the simulator must leave the committed reports
    unchanged. *)
-let des_report_line buf label (r : Runtime.report) =
-  Printf.bprintf buf "%s completed=%d events=%d thr=%h dl=%h busy=%s\n" label
-    r.Runtime.results_completed r.Runtime.events r.Runtime.achieved_throughput
-    r.Runtime.download_delivered
-    (String.concat ","
-       (Array.to_list (Array.map (Printf.sprintf "%h") r.Runtime.proc_busy)))
-
 let test_des_reports_golden () =
   let buf = Buffer.create (16 * 1024) in
   let solve key seed inst =
@@ -406,7 +399,7 @@ let test_des_reports_golden () =
                     Printf.bprintf buf "%s fail %s\n" label
                       (Solve.failure_message f)
                   | Ok o ->
-                    des_report_line buf label
+                    Helpers.des_report_line buf label
                       (Runtime.run ~horizon:16.0 inst.Insp.Instance.app
                          inst.Insp.Instance.platform o.Solve.alloc))
                 [ "comp"; "sbu" ])
@@ -435,7 +428,7 @@ let test_des_reports_golden () =
         let slink = d (Runtime.Server_link (l0, u0)) 6.0 14.0 0.5 in
         List.iter
           (fun (name, disruptions) ->
-            des_report_line buf
+            Helpers.des_report_line buf
               (Printf.sprintf "disrupt %d %s" seed name)
               (Runtime.run ~horizon:16.0 ~disruptions inst.Insp.Instance.app
                  inst.Insp.Instance.platform o.Solve.alloc))
