@@ -467,8 +467,9 @@ let sim_scale_entry () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let m = recorder.Insp.Obs.metrics in
   Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
-  (* 1.25M words and 0.92 s measured (2-vCPU VM); ~1.35x and ~1.5x headroom *)
-  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 1_690_000.0;
+  (* 1.09M words and 0.6-0.9 s measured (2-vCPU VM); ~1.37x and at least
+     ~1.5x headroom *)
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 1_500_000.0;
   Insp.Obs_metrics.set_gauge m "wall_budget_s" 1.4;
   Printf.printf "%d processors: %d events, %.0f minor words, %.2f s\n%!"
     (Insp.Alloc.n_procs alloc) report.Insp.Runtime.events minor wall_s;
@@ -499,9 +500,9 @@ let sim_dag_entry () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let m = recorder.Insp.Obs.metrics in
   Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
-  (* 0.38M words and 0.04-0.06 s measured (2-vCPU VM); ~1.35x headroom
+  (* 0.35M words and 0.04-0.06 s measured (2-vCPU VM); ~1.37x headroom
      on words, ~3x on a wall time short enough for phase noise to show *)
-  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 521_000.0;
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 483_000.0;
   Insp.Obs_metrics.set_gauge m "wall_budget_s" 0.15;
   Printf.printf
     "%d processors: %d events, %.3f of rho, %.0f minor words, %.2f s\n%!"

@@ -1,6 +1,7 @@
 type stats = {
   refreshes : int;
   components_recomputed : int;
+  routes_recomputed : int;
   flows_recomputed : int;
   rounds : int;
 }
@@ -11,19 +12,26 @@ type t = {
      lifetime. *)
   mutable caps : float array;
   mutable n_caps : int;
-  (* Reverse incidence: the active fids crossing constraint [c] are
-     [flows_of.(c).(0 .. deg.(c) - 1)], ascending.  Keeping them sorted
-     on insert makes a water-fill round's freeze order (ascending fid,
-     the oracle's) a plain walk of the bottleneck's row. *)
-  mutable flows_of : int array array;
+  (* Reverse incidence: the routes with at least one active flow that
+     cross constraint [c] are [routes_of.(c).(0 .. deg.(c) - 1)], in no
+     particular order (every flow frozen in a round gets the same
+     share, so freeze order cannot move a float).  [load.(c)] counts
+     the active flows behind them. *)
+  mutable routes_of : int array array;
   mutable deg : int array;
+  mutable load : int array;
+  (* Routes, dense and never recycled.  [count.(r)] active flows run
+     along [route_caps.(r)] and all of them get [rates.(r)]. *)
+  mutable route_caps : int array array;
+  mutable count : int array;
+  mutable rates : float array;
+  mutable frozen : bool array;  (* water-fill scratch *)
+  mutable n_routes : int;
   (* Flows, indexed by fid.  Slots are reused LIFO so the arrays stay
      sized by the number of concurrently active flows, not the total
      ever started. *)
-  mutable membership : int array array;
+  mutable route_of : int array;
   mutable active : bool array;
-  mutable rates : float array;
-  mutable frozen : bool array;  (* water-fill scratch *)
   mutable n_slots : int;
   mutable free_fids : int array;  (* stack, top at [n_free - 1] *)
   mutable n_free : int;
@@ -34,17 +42,18 @@ type t = {
   (* Water-fill scratch.  Flat, reused across refreshes and grown on
      demand: the hot path must not allocate. *)
   mutable remaining : float array;  (* by cid *)
-  mutable unfrozen : int array;  (* by cid *)
+  mutable unfrozen : int array;  (* by cid: flows, not routes *)
   mutable share : float array;  (* by cid: remaining / unfrozen *)
   mutable comp_caps : int array;  (* BFS queue, then the live caps *)
   mutable n_comp_caps : int;
-  mutable comp_flows : int array;  (* component fids, any order *)
-  mutable n_comp_flows : int;
-  mutable flow_mark : int array;  (* by fid: generation stamp *)
+  mutable comp_routes : int array;  (* component routes, any order *)
+  mutable n_comp_routes : int;
+  mutable route_mark : int array;  (* by route: generation stamp *)
   mutable cap_mark : int array;  (* by cid: generation stamp *)
   mutable mark : int;
   mutable s_refreshes : int;
   mutable s_components : int;
+  mutable s_routes : int;
   mutable s_flows : int;
   mutable s_rounds : int;
 }
@@ -53,12 +62,16 @@ let create () =
   {
     caps = [||];
     n_caps = 0;
-    flows_of = [||];
+    routes_of = [||];
     deg = [||];
-    membership = [||];
-    active = [||];
+    load = [||];
+    route_caps = [||];
+    count = [||];
     rates = [||];
     frozen = [||];
+    n_routes = 0;
+    route_of = [||];
+    active = [||];
     n_slots = 0;
     free_fids = [||];
     n_free = 0;
@@ -70,13 +83,14 @@ let create () =
     share = [||];
     comp_caps = [||];
     n_comp_caps = 0;
-    comp_flows = [||];
-    n_comp_flows = 0;
-    flow_mark = [||];
+    comp_routes = [||];
+    n_comp_routes = 0;
+    route_mark = [||];
     cap_mark = [||];
     mark = 0;
     s_refreshes = 0;
     s_components = 0;
+    s_routes = 0;
     s_flows = 0;
     s_rounds = 0;
   }
@@ -95,8 +109,9 @@ let add_constraint t cap =
   t.n_caps <- cid + 1;
   t.caps <- grown t.caps t.n_caps 0.0;
   t.caps.(cid) <- cap;
-  t.flows_of <- grown t.flows_of t.n_caps [||];
+  t.routes_of <- grown t.routes_of t.n_caps [||];
   t.deg <- grown t.deg t.n_caps 0;
+  t.load <- grown t.load t.n_caps 0;
   t.dirty <- grown t.dirty t.n_caps 0;
   t.is_dirty <- grown t.is_dirty t.n_caps false;
   t.remaining <- grown t.remaining t.n_caps 0.0;
@@ -121,37 +136,33 @@ let set_capacity t cid cap =
   t.caps.(cid) <- cap;
   touch t cid
 
-(* Inserts [fid] into constraint [c]'s ascending row. *)
-let insert_flow t c fid =
-  let d = t.deg.(c) in
-  let row = grown t.flows_of.(c) (d + 1) 0 in
-  t.flows_of.(c) <- row;
-  let i = ref d in
-  while !i > 0 && row.(!i - 1) > fid do
-    row.(!i) <- row.(!i - 1);
-    decr i
+let add_route t ms =
+  let k = Array.length ms in
+  if k = 0 then
+    invalid_arg "Fair_share_inc.add_route: route with no constraint";
+  for i = 0 to k - 1 do
+    let c = ms.(i) in
+    if c < 0 || c >= t.n_caps then
+      invalid_arg "Fair_share_inc.add_route: bad constraint index";
+    for j = 0 to i - 1 do
+      if ms.(j) = c then
+        invalid_arg "Fair_share_inc.add_route: repeated constraint index"
+    done
   done;
-  row.(!i) <- fid;
-  t.deg.(c) <- d + 1
+  let rid = t.n_routes in
+  t.n_routes <- rid + 1;
+  t.route_caps <- grown t.route_caps t.n_routes [||];
+  t.count <- grown t.count t.n_routes 0;
+  t.rates <- grown t.rates t.n_routes 0.0;
+  t.frozen <- grown t.frozen t.n_routes false;
+  t.comp_routes <- grown t.comp_routes t.n_routes 0;
+  t.route_mark <- grown t.route_mark t.n_routes 0;
+  t.route_caps.(rid) <- ms;
+  rid
 
-let delete_flow t c fid =
-  let row = t.flows_of.(c) in
-  let d = t.deg.(c) - 1 in
-  let i = ref 0 in
-  while row.(!i) <> fid do
-    incr i
-  done;
-  Array.blit row (!i + 1) row !i (d - !i);
-  t.deg.(c) <- d
-
-let add_flow t ms =
-  if Array.length ms = 0 then
-    invalid_arg "Fair_share_inc.add_flow: flow with no constraint";
-  Array.iter
-    (fun c ->
-      if c < 0 || c >= t.n_caps then
-        invalid_arg "Fair_share_inc.add_flow: bad constraint index")
-    ms;
+let add_flow t rid =
+  if rid < 0 || rid >= t.n_routes then
+    invalid_arg "Fair_share_inc.add_flow: unknown route";
   let fid =
     if t.n_free > 0 then begin
       t.n_free <- t.n_free - 1;
@@ -160,60 +171,80 @@ let add_flow t ms =
     else begin
       let fid = t.n_slots in
       t.n_slots <- fid + 1;
-      t.membership <- grown t.membership t.n_slots [||];
+      t.route_of <- grown t.route_of t.n_slots 0;
       t.active <- grown t.active t.n_slots false;
-      t.rates <- grown t.rates t.n_slots 0.0;
-      t.frozen <- grown t.frozen t.n_slots false;
-      t.comp_flows <- grown t.comp_flows t.n_slots 0;
-      t.flow_mark <- grown t.flow_mark t.n_slots 0;
       t.free_fids <- grown t.free_fids t.n_slots 0;
       fid
     end
   in
-  t.membership.(fid) <- ms;
+  t.route_of.(fid) <- rid;
   t.active.(fid) <- true;
-  t.rates.(fid) <- 0.0;
+  let n = t.count.(rid) + 1 in
+  t.count.(rid) <- n;
+  let ms = t.route_caps.(rid) in
   for k = 0 to Array.length ms - 1 do
-    insert_flow t ms.(k) fid;
-    touch t ms.(k)
+    let c = ms.(k) in
+    t.load.(c) <- t.load.(c) + 1;
+    if n = 1 then begin
+      let d = t.deg.(c) in
+      let row = grown t.routes_of.(c) (d + 1) 0 in
+      t.routes_of.(c) <- row;
+      row.(d) <- rid;
+      t.deg.(c) <- d + 1
+    end;
+    touch t c
   done;
   fid
 
 let remove_flow t fid =
   if fid < 0 || fid >= t.n_slots || not t.active.(fid) then
     invalid_arg "Fair_share_inc.remove_flow: inactive flow";
-  let ms = t.membership.(fid) in
+  let rid = t.route_of.(fid) in
+  let n = t.count.(rid) - 1 in
+  t.count.(rid) <- n;
+  let ms = t.route_caps.(rid) in
   for k = 0 to Array.length ms - 1 do
-    delete_flow t ms.(k) fid;
-    touch t ms.(k)
+    let c = ms.(k) in
+    t.load.(c) <- t.load.(c) - 1;
+    if n = 0 then begin
+      (* swap-remove: rows carry no order *)
+      let row = t.routes_of.(c) in
+      let d = t.deg.(c) - 1 in
+      let i = ref 0 in
+      while row.(!i) <> rid do
+        incr i
+      done;
+      row.(!i) <- row.(d);
+      t.deg.(c) <- d
+    end;
+    touch t c
   done;
-  t.membership.(fid) <- [||];
+  if n = 0 then t.rates.(rid) <- 0.0;
   t.active.(fid) <- false;
-  t.rates.(fid) <- 0.0;
   t.free_fids.(t.n_free) <- fid;
   t.n_free <- t.n_free + 1
 
 (* Breadth-first search of the exact connected component of constraint
-   [c0] in the flow/constraint incidence graph: its cids land in
+   [c0] in the route/constraint incidence graph: its cids land in
    [comp_caps.(0 .. n_comp_caps - 1)] (BFS order, [c0] first) and its
-   active fids in [comp_flows].  Visits are stamped with [gen], so
-   components explored under one generation are disjoint and a cid
-   already reached is skipped by the caller. *)
+   routes with an active flow in [comp_routes].  Visits are stamped
+   with [gen], so components explored under one generation are disjoint
+   and a cid already reached is skipped by the caller. *)
 let collect t gen c0 =
   t.cap_mark.(c0) <- gen;
   t.comp_caps.(0) <- c0;
-  let nq = ref 1 and head = ref 0 and nf = ref 0 in
+  let nq = ref 1 and head = ref 0 and nr = ref 0 in
   while !head < !nq do
     let c = t.comp_caps.(!head) in
     incr head;
-    let row = t.flows_of.(c) in
+    let row = t.routes_of.(c) in
     for j = 0 to t.deg.(c) - 1 do
-      let f = row.(j) in
-      if t.flow_mark.(f) <> gen then begin
-        t.flow_mark.(f) <- gen;
-        t.comp_flows.(!nf) <- f;
-        incr nf;
-        let ms = t.membership.(f) in
+      let r = row.(j) in
+      if t.route_mark.(r) <> gen then begin
+        t.route_mark.(r) <- gen;
+        t.comp_routes.(!nr) <- r;
+        incr nr;
+        let ms = t.route_caps.(r) in
         for k = 0 to Array.length ms - 1 do
           let c' = ms.(k) in
           if t.cap_mark.(c') <> gen then begin
@@ -226,13 +257,14 @@ let collect t gen c0 =
     done
   done;
   t.n_comp_caps <- !nq;
-  t.n_comp_flows <- !nf
+  t.n_comp_routes <- !nr
 
-(* Water-fill the component just [collect]ed from scratch.
+(* Water-fill the component just [collect]ed from scratch, one route at
+   a time.
 
-   Bit-equality with the from-scratch oracle (test/fair_share.ml) rests
-   on three properties that must not drift (test_sim's randomized suite
-   pins them):
+   Bit-equality with the from-scratch per-flow oracle
+   (test/fair_share.ml) rests on three properties that must not drift
+   (test_sim's randomized suite pins them):
    - the bottleneck each round is the constraint with the smallest
      [remaining/unfrozen], ties to the LOWEST constraint index — the
      oracle scans cids in ascending order with strict [<]; the scan
@@ -240,9 +272,13 @@ let collect t gen c0 =
      lexicographically, which picks the same winner.  Water-filling
      decomposes over connected components, so the component's winner
      sequence is the oracle's restricted to it;
-   - flows freeze in ascending fid order (the bottleneck's row is
-     sorted), so each constraint sees the same float subtractions;
-   - shares clamp at 0 exactly like the oracle ([Float.max 0.0]).
+   - every flow frozen in a round gets that round's share, so each
+     constraint sees the same run of identical subtractions whatever
+     the order.  A route stands for [count] flows: it subtracts the
+     share [count] times, never [share *. count] (one rounding instead
+     of [count] would drift from the oracle);
+   - shares and remaining capacities clamp at 0 exactly like the
+     oracle ([Float.max 0.0]).
 
    [share.(c)] caches the oracle's [remaining/unfrozen] quotient and is
    re-divided only when a freeze changes one of its operands, so it is
@@ -253,29 +289,31 @@ let collect t gen c0 =
    platforms), where a heap's sift traffic costs more than rescanning a
    flat array (measured; see DESIGN.md §11). *)
 let waterfill t =
-  let nf = t.n_comp_flows in
-  if nf > 0 then begin
+  let nr = t.n_comp_routes in
+  if nr > 0 then begin
     t.s_components <- t.s_components + 1;
-    t.s_flows <- t.s_flows + nf;
+    t.s_routes <- t.s_routes + nr;
     (* Live caps: the component's constraints some active flow crosses.
        Only [c0] can have none; it then cannot bottleneck anything. *)
     let live = ref 0 in
     for i = 0 to t.n_comp_caps - 1 do
       let c = t.comp_caps.(i) in
-      let d = t.deg.(c) in
-      if d > 0 then begin
+      let n = t.load.(c) in
+      if n > 0 then begin
         t.comp_caps.(!live) <- c;
         incr live;
         t.remaining.(c) <- t.caps.(c);
-        t.unfrozen.(c) <- d;
-        t.share.(c) <- t.caps.(c) /. float_of_int d
+        t.unfrozen.(c) <- n;
+        t.share.(c) <- t.caps.(c) /. float_of_int n
       end
     done;
-    for i = 0 to nf - 1 do
-      t.frozen.(t.comp_flows.(i)) <- false
+    for i = 0 to nr - 1 do
+      let r = t.comp_routes.(i) in
+      t.frozen.(r) <- false;
+      t.s_flows <- t.s_flows + t.count.(r)
     done;
     let n_frozen = ref 0 in
-    while !n_frozen < nf do
+    while !n_frozen < nr do
       t.s_rounds <- t.s_rounds + 1;
       let best_c = ref (-1) in
       let best_share = ref infinity in
@@ -304,25 +342,29 @@ let waterfill t =
       assert (!best_c >= 0);
       let share = Float.max 0.0 !best_share in
       let bc = !best_c in
-      (* Freeze the unfrozen flows crossing [bc] — exactly the flows
-         the oracle's whole-set scan freezes this round — in ascending
-         fid order.  Freezing one flow never freezes another, so
-         walking the row while freezing sees the same set. *)
-      let row = t.flows_of.(bc) in
+      (* Freeze the unfrozen routes crossing [bc]: their flows are
+         exactly the flows the oracle's whole-set scan freezes this
+         round.  Freezing one route never freezes another, so walking
+         the row while freezing sees the same set. *)
+      let row = t.routes_of.(bc) in
       for j = 0 to t.deg.(bc) - 1 do
-        let f = row.(j) in
-        if not t.frozen.(f) then begin
-          t.rates.(f) <- share;
-          t.frozen.(f) <- true;
+        let r = row.(j) in
+        if not t.frozen.(r) then begin
+          t.rates.(r) <- share;
+          t.frozen.(r) <- true;
           incr n_frozen;
-          let ms = t.membership.(f) in
+          let n = t.count.(r) in
+          let ms = t.route_caps.(r) in
           for k = 0 to Array.length ms - 1 do
             let c = ms.(k) in
-            let r = Float.max 0.0 (t.remaining.(c) -. share) in
-            let u = t.unfrozen.(c) - 1 in
-            t.remaining.(c) <- r;
+            let rem = ref t.remaining.(c) in
+            for _ = 1 to n do
+              rem := Float.max 0.0 (!rem -. share)
+            done;
+            let u = t.unfrozen.(c) - n in
+            t.remaining.(c) <- !rem;
             t.unfrozen.(c) <- u;
-            if u > 0 then t.share.(c) <- r /. float_of_int u
+            if u > 0 then t.share.(c) <- !rem /. float_of_int u
           done
         end
       done
@@ -342,7 +384,7 @@ let refresh t =
     (* One generation for the whole refresh: a dirty cid already reached
        from an earlier one shares its component and is skipped.  Fill
        order across components is free to vary: distinct components
-       share no constraint or flow, so their fills commute
+       share no constraint or route, so their fills commute
        bit-for-bit. *)
     t.mark <- t.mark + 1;
     let gen = t.mark in
@@ -360,10 +402,11 @@ let refresh t =
 let rate t fid =
   if fid < 0 || fid >= t.n_slots || not t.active.(fid) then
     invalid_arg "Fair_share_inc.rate: inactive flow";
-  t.rates.(fid)
+  t.rates.(t.route_of.(fid))
 
 let n_slots t = t.n_slots
 let rates_view t = t.rates
+let route_view t = t.route_of
 let active_view t = t.active
 
 let components t =
@@ -384,6 +427,7 @@ let stats t =
   {
     refreshes = t.s_refreshes;
     components_recomputed = t.s_components;
+    routes_recomputed = t.s_routes;
     flows_recomputed = t.s_flows;
     rounds = t.s_rounds;
   }

@@ -215,11 +215,11 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
      through dense per-processor and per-server tables.  Links go
      through a table keyed by their flat pair index: a dense pair table
      would grow with the square of the processor count, and the table
-     is only consulted when a route is first built.  With live
-     disruptions the registration list is kept (in registration order,
-     most recent first) so boundary events can re-derive every affected
-     effective capacity from the nominal one — no drift from repeated
-     multiply/divide. *)
+     is only consulted when a stream or download first resolves its
+     route.  With live disruptions the registration list is kept (in
+     registration order, most recent first) so boundary events can
+     re-derive every affected effective capacity from the nominal one —
+     no drift from repeated multiply/divide. *)
   let registered = ref [] in
   let register key cap =
     let eff = if n_disr = 0 then cap else cap *. eff_factor key in
@@ -239,45 +239,47 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
       server_card.(l) <- register (Server_card l) (Servers.card servers l);
     server_card.(l)
   in
-  let link_of key index cap =
+  (* One route per link, [| src card; dst card; link |], built on the
+     first flow along it and shared by every later one: all streams
+     between two processors and all downloads from one server to one
+     processor.  [links] maps the link's flat pair index to the route
+     id.  The card [let]s below fix the registration order: destination
+     card, source card, then the link on its first flow.  Streams and
+     downloads cache their route id, so the table is consulted once per
+     stream or download. *)
+  let route_of key index src_card dst_card cap =
     match Hashtbl.find_opt links index with
-    | Some cid -> cid
+    | Some rid -> rid
     | None ->
-      let cid = register key cap in
-      Hashtbl.replace links index cid;
-      cid
+      let rid =
+        Fair_share_inc.add_route fs [| src_card; dst_card; register key cap |]
+      in
+      Hashtbl.replace links index rid;
+      rid
   in
-  (* A flow's route, [src card; dst card; link], is resolved on the
-     first flow along it and shared by every later one: one per stream,
-     one per periodic download.  The [let]s fix the registration order:
-     destination card, source card, link. *)
-  let msg_route = Array.make n_streams [||] in
+  let msg_route = Array.make n_streams (-1) in
   let message_route s =
-    if Array.length msg_route.(s) = 0 then begin
+    if msg_route.(s) < 0 then begin
       let u = proc_of.(stream_src.(s)) and v = stream_dst.(s) in
       let dst_card = proc_card_of v in
       let src_card = proc_card_of u in
-      let link =
-        link_of (Proc_link (u, v)) ((u * n_procs) + v)
+      msg_route.(s) <-
+        route_of (Proc_link (u, v)) ((u * n_procs) + v) src_card dst_card
           platform.Platform.proc_link
-      in
-      msg_route.(s) <- [| src_card; dst_card; link |]
     end;
     msg_route.(s)
   in
   let downloads = Array.of_list (Alloc.all_downloads alloc) in
-  let dl_route = Array.make (Array.length downloads) [||] in
+  let dl_route = Array.make (Array.length downloads) (-1) in
   let download_route d =
-    if Array.length dl_route.(d) = 0 then begin
+    if dl_route.(d) < 0 then begin
       let u, _, l = downloads.(d) in
       let dst_card = proc_card_of u in
       let src_card = server_card_of l in
-      let link =
-        link_of (Server_link (l, u))
+      dl_route.(d) <-
+        route_of (Server_link (l, u))
           (-1 - ((l * n_procs) + u))
-          platform.Platform.server_link
-      in
-      dl_route.(d) <- [| src_card; dst_card; link |]
+          src_card dst_card platform.Platform.server_link
     end;
     dl_route.(d)
   in
@@ -331,7 +333,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
     if stream >= 0 then ("msg", Printf.sprintf "p%d" src)
     else ("dl", Printf.sprintf "s%d" src)
   in
-  let start_flow ~stream ~src ~dst ~size ms =
+  let start_flow ~stream ~src ~dst ~size rid =
     incr n_flows_started;
     if jn then begin
       let kind, src = flow_labels stream src in
@@ -339,7 +341,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
         (Journal.Sim_flow_start { t = !now; kind; src; dst; size })
     end;
     rates_dirty := true;
-    let fid = Fair_share_inc.add_flow fs ms in
+    let fid = Fair_share_inc.add_flow fs rid in
     if fid >= Array.length fl.remaining then begin
       let n = 2 * Array.length fl.remaining in
       let grow a v =
@@ -480,8 +482,9 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   done;
   (* --- main loop ---
      The two per-step passes over the active flows are plain loops over
-     the kernel's read-only rate/activity views and the local payload
-     arrays: no per-flow call or closure crosses a module boundary. *)
+     the kernel's read-only rate/route/activity views and the local
+     payload arrays: no per-flow call or closure crosses a module
+     boundary. *)
   let t_flow_cache = ref infinity in
   let t_flow_valid = ref false in
   let continue_ = ref true in
@@ -511,6 +514,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
       let n_slots = Fair_share_inc.n_slots fs in
       let rates = Fair_share_inc.rates_view fs in
       let active = Fair_share_inc.active_view fs in
+      let route = Fair_share_inc.route_view fs in
       let remaining = fl.remaining in
       (* Next flow completion.  [now +. (remaining /. r)] depends only
          on each flow's rate and residual size, both unchanged since
@@ -523,7 +527,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
           let tf = ref infinity in
           for fid = 0 to n_slots - 1 do
             if active.(fid) then begin
-              let r = rates.(fid) in
+              let r = rates.(route.(fid)) in
               if r > epsilon then
                 tf := Float.min !tf (!now +. (remaining.(fid) /. r))
             end
@@ -543,7 +547,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
         let stream = fl.stream in
         for fid = 0 to n_slots - 1 do
           if active.(fid) then begin
-            let r = rates.(fid) in
+            let r = rates.(route.(fid)) in
             let before = remaining.(fid) in
             let moved = Float.min before (r *. dt) in
             let after = before -. moved in
@@ -622,6 +626,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   Obs.add "sim.result" report.results_completed;
   let ks = Fair_share_inc.stats fs in
   Obs.add "sim.component.recompute" ks.Fair_share_inc.components_recomputed;
+  Obs.add "sim.component.route" ks.Fair_share_inc.routes_recomputed;
   Obs.add "sim.component.flow" ks.Fair_share_inc.flows_recomputed;
   Obs.add "sim.component.round" ks.Fair_share_inc.rounds;
   Obs.gauge "sim.throughput.achieved" report.achieved_throughput;

@@ -146,6 +146,9 @@ let fair_share_conserves =
 let check_bits name a b =
   Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* A flow on a route of its own. *)
+let flow t ms = FSI.add_flow t (FSI.add_route t ms)
+
 (* Component tracking through a merge (bridge flow) and the split when
    the bridge is removed, with hand-computed water-filling rates. *)
 let test_fsi_component_merge_split () =
@@ -155,8 +158,8 @@ let test_fsi_component_merge_split () =
   let c2 = FSI.add_constraint t 8.0 in
   let c3 = FSI.add_constraint t 20.0 in
   Alcotest.(check int) "dense indices" 3 c3;
-  let f0 = FSI.add_flow t [| c0; c1 |] in
-  let f1 = FSI.add_flow t [| c2; c3 |] in
+  let f0 = flow t [| c0; c1 |] in
+  let f1 = flow t [| c2; c3 |] in
   FSI.refresh t;
   Alcotest.(check (list (list int))) "two components"
     [ [ 0; 1 ]; [ 2; 3 ] ] (FSI.components t);
@@ -165,7 +168,7 @@ let test_fsi_component_merge_split () =
   (* Bridge flow across c1 and c2 merges the components.  Water-fill:
      c1 serves {f0, bridge} -> share 3 freezes both; c2's remaining
      8 - 3 = 5 then goes entirely to f1. *)
-  let bridge = FSI.add_flow t [| c1; c2 |] in
+  let bridge = flow t [| c1; c2 |] in
   FSI.refresh t;
   Alcotest.(check (list (list int))) "merged"
     [ [ 0; 1; 2; 3 ] ] (FSI.components t);
@@ -191,7 +194,7 @@ let test_fsi_component_merge_split () =
   Alcotest.(check (pair int int)) "split: two components, one flow each"
     (2, 2) (recomputed before);
   let before = FSI.stats t in
-  let g = FSI.add_flow t [| c3 |] in
+  let g = flow t [| c3 |] in
   FSI.refresh t;
   Alcotest.(check (pair int int)) "only the dirty half: f1 and g" (1, 2)
     (recomputed before);
@@ -199,10 +202,98 @@ let test_fsi_component_merge_split () =
   check_bits "g takes c3's rest" 12.0 (FSI.rate t g);
   check_bits "f0 untouched" 6.0 (FSI.rate t f0)
 
+(* Several flows on one route: the route fills as one class that
+   subtracts its share once per flow.  Route [a] = {c0, c2} carries
+   three flows, route [b] = {c0, c1} one.  Water-fill: c1 (share 1)
+   freezes b; c0 keeps 12 - 1 = 11 for a's three flows, under c2's
+   30 / 3. *)
+let test_fsi_shared_route () =
+  let t = FSI.create () in
+  let c0 = FSI.add_constraint t 12.0 in
+  let c1 = FSI.add_constraint t 1.0 in
+  let c2 = FSI.add_constraint t 30.0 in
+  let a = FSI.add_route t [| c0; c2 |] in
+  let b = FSI.add_route t [| c0; c1 |] in
+  let a1 = FSI.add_flow t a in
+  let a2 = FSI.add_flow t a in
+  let a3 = FSI.add_flow t a in
+  let b1 = FSI.add_flow t b in
+  let before = FSI.stats t in
+  FSI.refresh t;
+  let s = FSI.stats t in
+  Alcotest.(check (list int)) "routes, flows, rounds recomputed" [ 2; 4; 2 ]
+    [
+      s.FSI.routes_recomputed - before.FSI.routes_recomputed;
+      s.FSI.flows_recomputed - before.FSI.flows_recomputed;
+      s.FSI.rounds - before.FSI.rounds;
+    ];
+  check_bits "b capped by c1" 1.0 (FSI.rate t b1);
+  List.iter
+    (fun f -> check_bits "a splits c0's rest" (11.0 /. 3.0) (FSI.rate t f))
+    [ a1; a2; a3 ];
+  Alcotest.(check int) "one route for a's flows" a (FSI.route_view t).(a2);
+  check_bits "views agree" (FSI.rate t a2)
+    (FSI.rates_view t).((FSI.route_view t).(a2));
+  FSI.remove_flow t a1;
+  FSI.refresh t;
+  check_bits "two left on a" 5.5 (FSI.rate t a2);
+  FSI.remove_flow t a3;
+  FSI.refresh t;
+  check_bits "one left on a" 11.0 (FSI.rate t a2);
+  check_bits "b unchanged" 1.0 (FSI.rate t b1);
+  (* A flow joining a live route reads the route's rate until the next
+     refresh; one joining a dead route reads 0. *)
+  let a4 = FSI.add_flow t a in
+  check_bits "joins live a" 11.0 (FSI.rate t a4);
+  FSI.refresh t;
+  check_bits "a4 shares c0's rest" 5.5 (FSI.rate t a4);
+  FSI.remove_flow t a2;
+  FSI.remove_flow t a4;
+  FSI.refresh t;
+  let a5 = FSI.add_flow t a in
+  check_bits "joins dead a" 0.0 (FSI.rate t a5);
+  FSI.refresh t;
+  check_bits "a back to count 1" 11.0 (FSI.rate t a5)
+
+(* A route of three flows subtracts its share three times, as the
+   per-flow oracle does: with s = 0.3 / 3, 1 - s - s - s rounds to
+   0.7000000000000001 where 1 - 3s gives 0.7.  Route a = {c0, c1}
+   freezes first at c1's share; b = {c0} then gets c0's rest. *)
+let test_fsi_route_subtracts_per_flow () =
+  let t = FSI.create () in
+  let c0 = FSI.add_constraint t 1.0 in
+  let c1 = FSI.add_constraint t 0.3 in
+  let a = FSI.add_route t [| c0; c1 |] in
+  let b = FSI.add_route t [| c0 |] in
+  let fa = List.init 3 (fun _ -> FSI.add_flow t a) in
+  let fb = FSI.add_flow t b in
+  FSI.refresh t;
+  let s = 0.3 /. 3.0 in
+  List.iter (fun f -> check_bits "a at c1's share" s (FSI.rate t f)) fa;
+  check_bits "b gets c0's rest" (1.0 -. s -. s -. s) (FSI.rate t fb)
+
+let test_fsi_add_route_rejects () =
+  let t = FSI.create () in
+  let c0 = FSI.add_constraint t 1.0 in
+  let c1 = FSI.add_constraint t 2.0 in
+  let raises name ms =
+    match FSI.add_route t ms with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "empty route" [||];
+  raises "unknown cid" [| c0; 2 |];
+  raises "negative cid" [| -1 |];
+  raises "repeated cid" [| c0; c1; c0 |];
+  Alcotest.(check int) "rejects register nothing" 0 (FSI.add_route t [| c1 |]);
+  match FSI.add_flow t 1 with
+  | _ -> Alcotest.fail "unknown route: accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_fsi_refresh_no_op () =
   let t = FSI.create () in
   let c = FSI.add_constraint t 4.0 in
-  ignore (FSI.add_flow t [| c |]);
+  ignore (flow t [| c |]);
   FSI.refresh t;
   let before = (FSI.stats t).FSI.refreshes in
   FSI.refresh t;
@@ -213,12 +304,13 @@ let test_fsi_refresh_no_op () =
 let test_fsi_fid_reuse_lifo () =
   let t = FSI.create () in
   let c = FSI.add_constraint t 4.0 in
-  let a = FSI.add_flow t [| c |] in
-  let b = FSI.add_flow t [| c |] in
+  let r = FSI.add_route t [| c |] in
+  let a = FSI.add_flow t r in
+  let b = FSI.add_flow t r in
   FSI.remove_flow t a;
   FSI.remove_flow t b;
-  Alcotest.(check int) "last freed first" b (FSI.add_flow t [| c |]);
-  Alcotest.(check int) "then the older slot" a (FSI.add_flow t [| c |]);
+  Alcotest.(check int) "last freed first" b (FSI.add_flow t r);
+  Alcotest.(check int) "then the older slot" a (FSI.add_flow t r);
   FSI.refresh t;
   Alcotest.(check (list int)) "ascending ids" [ a; b ] (FSI.active_flows t)
 
@@ -230,9 +322,12 @@ let fsi_gen =
 
 (* The headline equivalence suite: drive the kernel through a
    randomized add/remove/set_capacity/refresh history while the test
-   keeps its own model of every capacity and active route, and demand
-   after every refresh that each active flow's rate equal, bit for bit,
-   the from-scratch oracle's over the active fids in ascending order.
+   keeps its own model of every capacity and active flow's route, and
+   demand after every refresh that each active flow's rate equal, bit
+   for bit, the from-scratch per-flow oracle's.  Flows draw from a
+   small per-case pool of routes whose last entry repeats the first
+   one's constraint set under its own id, so routes carry several
+   flows, go 1 -> 0 -> 1, and freed fids come back on other routes.
    Removals split components, capacity changes dirty a component
    without any flow churn, and batches of 1-3 steps exercise merged
    dirty sets. *)
@@ -245,13 +340,23 @@ let fsi_matches_oracle =
         Array.init n_caps (fun _ -> Insp.Prng.float_range rng 0.0 20.0)
       in
       Array.iter (fun cap -> ignore (FSI.add_constraint t cap)) caps;
-      (* routes.(fid) is the active flow's route, [||] for a free id;
+      let draw_route () =
+        let k = Insp.Prng.int_range rng 1 n_caps in
+        Array.of_list (Insp.Prng.sample_without_replacement rng k n_caps)
+      in
+      let pool =
+        Array.init (Insp.Prng.int_range rng 1 4) (fun _ -> draw_route ())
+      in
+      let twin = Array.of_list (List.rev (Array.to_list pool.(0))) in
+      let pool = Array.append pool [| twin |] in
+      let rids = Array.map (FSI.add_route t) pool in
+      (* route.(fid) is the active flow's pool index, -1 for a free id;
          ids never exceed the number of adds. *)
-      let routes = Array.make ((3 * n_steps) + 1) [||] in
+      let route = Array.make ((3 * n_steps) + 1) (-1) in
       let active () =
         List.filter
-          (fun fid -> Array.length routes.(fid) > 0)
-          (List.init (Array.length routes) Fun.id)
+          (fun fid -> route.(fid) >= 0)
+          (List.init (Array.length route) Fun.id)
       in
       let ok = ref true in
       for _ = 1 to n_steps do
@@ -271,16 +376,13 @@ let fsi_matches_oracle =
               List.nth actives (Insp.Prng.int_range rng 0 (n_active - 1))
             in
             FSI.remove_flow t victim;
-            routes.(victim) <- [||]
+            route.(victim) <- -1
           end
           else begin
-            let k = Insp.Prng.int_range rng 1 n_caps in
-            let ms =
-              Array.of_list (Insp.Prng.sample_without_replacement rng k n_caps)
-            in
-            let fid = FSI.add_flow t ms in
-            if Array.length routes.(fid) > 0 then ok := false;
-            routes.(fid) <- ms
+            let i = Insp.Prng.int_range rng 0 (Array.length pool - 1) in
+            let fid = FSI.add_flow t rids.(i) in
+            if route.(fid) >= 0 then ok := false;
+            route.(fid) <- i
           end
         done;
         FSI.refresh t;
@@ -288,7 +390,8 @@ let fsi_matches_oracle =
         if FSI.active_flows t <> fids then ok := false
         else if fids <> [] then begin
           let membership =
-            Array.of_list (List.map (fun fid -> Array.to_list routes.(fid)) fids)
+            Array.of_list
+              (List.map (fun fid -> Array.to_list pool.(route.(fid))) fids)
           in
           let expected = Fair_share.compute ~caps:(Array.copy caps) ~membership in
           List.iteri
@@ -481,6 +584,11 @@ let () =
           Alcotest.test_case "clean refresh is a no-op" `Quick
             test_fsi_refresh_no_op;
           Alcotest.test_case "fid reuse is LIFO" `Quick test_fsi_fid_reuse_lifo;
+          Alcotest.test_case "flows share a route" `Quick test_fsi_shared_route;
+          Alcotest.test_case "route subtracts once per flow" `Quick
+            test_fsi_route_subtracts_per_flow;
+          Alcotest.test_case "add_route rejects bad routes" `Quick
+            test_fsi_add_route_rejects;
           fsi_matches_oracle;
         ] );
       ( "runtime",
