@@ -32,6 +32,7 @@ module Arena = Insp_util.Arena
 module Objects = Insp_tree.Objects
 module Optree = Insp_tree.Optree
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Generate = Insp_tree.Generate
 module Tree_metrics = Insp_tree.Metrics
 module Dot = Insp_tree.Dot

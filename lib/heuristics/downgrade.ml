@@ -6,7 +6,7 @@ module Demand = Insp_mapping.Demand
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
-let run app platform alloc =
+let run_graph g platform alloc =
   let catalog = platform.Platform.catalog in
   (* Catalog.cheapest_satisfying rebuilds and sorts the config list on
      every call; the list is invariant across processors, so build it
@@ -24,12 +24,12 @@ let run app platform alloc =
      instead of one O(procs) copy per step.  Journal events and counters
      fire in the same per-processor order as the stepwise version. *)
   let chosen = Array.init n (fun u -> (Alloc.proc alloc u).Alloc.config) in
-  let demands = Check.proc_demands app alloc in
+  let demands = Check.proc_demands g alloc in
   for u = 0 to n - 1 do
     Obs.incr "heur.downgrade.step";
     let d = demands.(u) in
     let nic_load =
-      Check.proc_download_rate app alloc u
+      Check.proc_download_rate g alloc u
       +. d.Demand.comm_in +. d.Demand.comm_out
     in
     match cheapest_satisfying ~speed:d.Demand.compute ~bandwidth:nic_load with
@@ -53,3 +53,6 @@ let run app platform alloc =
              { proc = u; config = Catalog.label chosen.(u) })
   done;
   Alloc.with_configs alloc chosen
+
+let run app platform alloc =
+  run_graph (Insp_tree.Graph.of_app app) platform alloc

@@ -10,3 +10,12 @@ val run :
   Insp_mapping.Alloc.t
 (** Never changes the operator assignment or the download plan; never
     increases cost; preserves feasibility. *)
+
+val run_graph :
+  Insp_tree.Graph.t ->
+  Insp_platform.Platform.t ->
+  Insp_mapping.Alloc.t ->
+  Insp_mapping.Alloc.t
+(** {!run} on an operator graph whose node [i] is the allocation's
+    operator [i]: the DAG placer's downgrade, with the same demands as
+    {!Insp_mapping.Check.check_graph}. *)

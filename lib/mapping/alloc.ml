@@ -71,6 +71,7 @@ let n_procs t = Array.length t.procs
 let proc t u = t.procs.(u)
 let procs t = Array.copy t.procs
 let host t i = if i >= 0 && i < Array.length t.host then t.host.(i) else -1
+let hosts t = t.host
 
 let assignment t i =
   let u = host t i in

@@ -41,6 +41,11 @@ val host : t -> int -> int
 (** [host t i] is {!assignment} as a dense index, [-1] when [i] is
     unassigned; allocation-free. *)
 
+val hosts : t -> int array
+(** The dense assignment behind {!host}, shared for hot loops: entry [i]
+    is operator [i]'s processor or [-1]; operators beyond its length are
+    unassigned.  Callers must not mutate it. *)
+
 val operators_of : t -> int -> int list
 (** Operators on processor [u] (a-bar(u)). *)
 

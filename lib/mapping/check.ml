@@ -1,5 +1,5 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
+module Objects = Insp_tree.Objects
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 
@@ -29,97 +29,143 @@ let tolerance = 1e-9
 
 let exceeds load capacity = load > capacity *. (1.0 +. tolerance) +. tolerance
 
+(* MB/s of a download-plan entry.  An entry naming an object type
+   outside the catalog is reported as [Not_held] and loads nothing. *)
+let plan_rate objects k =
+  if k >= 0 && k < Objects.count objects then Objects.rate objects k else 0.0
+
 (* Every processor's distinct needed object types, ascending: [stamp.(k)
    = u] marks the types already collected for [u]. *)
-let distinct_objects app alloc =
-  let tree = App.tree app in
-  let stamp = Array.make (Optree.n_object_types tree) (-1) in
-  Array.init (Alloc.n_procs alloc) (fun u ->
-      let acc = ref [] in
-      let mark k =
-        if stamp.(k) <> u then begin
-          stamp.(k) <- u;
-          acc := k :: !acc
-        end
-      in
-      List.iter (fun i -> List.iter mark (Optree.leaves tree i)) (Alloc.operators_of alloc u);
-      List.sort Int.compare !acc)
+let distinct_objects g alloc =
+  let stamp = Array.make (Objects.count g.Graph.objects) (-1) in
+  let needed = Array.make (Alloc.n_procs alloc) [] in
+  for u = 0 to Alloc.n_procs alloc - 1 do
+    let acc = ref [] in
+    let mark k =
+      if stamp.(k) <> u then begin
+        stamp.(k) <- u;
+        acc := k :: !acc
+      end
+    in
+    List.iter (fun i -> List.iter mark (Graph.leaves g i)) (Alloc.operators_of alloc u);
+    needed.(u) <- List.sort Int.compare !acc
+  done;
+  needed
 
-(* The sweeps below visit the operators in id order.  Each processor's
-   members are then met in their sorted list order, children in tree
-   order, so every per-processor (and per-pair) sum is accumulated term
-   for term in the order of its per-group definition ([Demand.of_group],
-   [pair_flow]) while the tree is read sequentially; membership is a
-   lookup in the alloc's dense assignment, not a list scan. *)
+(* Streams.  Node [j]'s output reaches processor [v] as one stream, at
+   the fastest rate of [j]'s consumers on [v], charged at the first of
+   them in id order, in its first input slot reading [j].  The sweeps
+   visit nodes in id order and producers in slot order, so each sum is
+   accumulated in the order DESIGN.md §8 fixes (on a tree, the order of
+   the per-group definitions), and membership is a lookup in the
+   alloc's dense assignment. *)
 
-let rec comm_in_of alloc rho output sums u = function
+(* Operator [i]'s processor, [-1] when unassigned (see [Alloc.hosts]). *)
+let[@inline] host hosts i = if i < Array.length hosts then hosts.(i) else -1
+
+(* Whether [j] is among the first [k] entries of [ps]. *)
+let rec read_before j ps k =
+  k > 0 && match ps with p :: ps -> p = j || read_before j ps (k - 1) | [] -> false
+
+(* The rate of [j]'s stream to processor [v] if consumer [c] is where it
+   is charged, else [0.0]. *)
+let shared_rate g hosts j v c =
+  let first = ref (-1) and r = ref 0.0 in
+  for k = 0 to Graph.n_consumers g j - 1 do
+    let c' = Graph.consumer g j k in
+    if host hosts c' = v then begin
+      if !first < 0 then first := c';
+      r := Float.max !r g.Graph.rates.(c' * g.Graph.rate_stride)
+    end
+  done;
+  if !first = c then !r else 0.0
+
+(* Inlined, so an unshared graph (every tree) reads the consumer's rate
+   without boxing a float. *)
+let[@inline] stream_rate g hosts ~unshared j v c =
+  if unshared then g.Graph.rates.(c * g.Graph.rate_stride)
+  else shared_rate g hosts j v c
+
+(* The rate of the stream from producer [j] on [v], read in slot [k] of
+   [ps], if consumer [c] on [u] is where it is charged, else [0.0]. *)
+let[@inline] charged_rate g hosts ~unshared ps k j v u c =
+  if v <> u && (k = 0 || not (read_before j ps k)) then
+    stream_rate g hosts ~unshared j u c
+  else 0.0
+
+let rec comm_in_of g hosts ~unshared sums u c ps k = function
   | [] -> ()
   | j :: rest ->
-    if Alloc.host alloc j <> u then sums.(u) <- sums.(u) +. (rho *. output.(j));
-    comm_in_of alloc rho output sums u rest
+    let r = charged_rate g hosts ~unshared ps k j (host hosts j) u c in
+    if r > 0.0 then sums.(u) <- sums.(u) +. (r *. g.Graph.output.(j));
+    comm_in_of g hosts ~unshared sums u c ps (k + 1) rest
 
-let demands app alloc ~needed_of =
-  let tree = App.tree app and rho = App.rho app in
-  let work = App.works app and output = App.output_sizes app in
+(* [f u v c j] for every stream charged at consumer [c] on [u] from an
+   assigned producer [j] on [v]. *)
+let rec streams_into g hosts ~unshared f u c ps k = function
+  | [] -> ()
+  | j :: rest ->
+    let v = host hosts j in
+    if v >= 0 && charged_rate g hosts ~unshared ps k j v u c > 0.0 then f u v c j;
+    streams_into g hosts ~unshared f u c ps (k + 1) rest
+
+(* Placeholder for [demands]' result array; every slot is overwritten. *)
+let no_demand = { Demand.compute = 0.0; download = 0.0; comm_in = 0.0; comm_out = 0.0 }
+
+let demands g alloc ~needed_of =
+  let { Graph.rates; rate_stride; work; output; objects; _ } = g in
   let n_procs = Alloc.n_procs alloc in
   let compute = Array.make n_procs 0.0 in
   let comm_in = Array.make n_procs 0.0 and comm_out = Array.make n_procs 0.0 in
-  for i = 0 to App.n_operators app - 1 do
-    let u = Alloc.host alloc i in
+  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
+  for i = 0 to Graph.n_nodes g - 1 do
+    let u = host hosts i in
     if u >= 0 then begin
-      compute.(u) <- compute.(u) +. (rho *. work.(i));
-      comm_in_of alloc rho output comm_in u (Optree.children tree i);
-      match Optree.parent tree i with
-      | Some p when Alloc.host alloc p <> u ->
-        comm_out.(u) <- comm_out.(u) +. (rho *. output.(i))
-      | Some _ | None -> ()
+      compute.(u) <- compute.(u) +. (rates.(i * rate_stride) *. work.(i));
+      let ps = Graph.producers g i in
+      comm_in_of g hosts ~unshared comm_in u i ps 0 ps;
+      (* destinations in the order [i]'s ascending consumers first
+         reach them *)
+      for k = 0 to Graph.n_consumers g i - 1 do
+        let c = Graph.consumer g i k in
+        let v = host hosts c in
+        if v <> u then begin
+          let r = stream_rate g hosts ~unshared i v c in
+          if r > 0.0 then comm_out.(u) <- comm_out.(u) +. (r *. output.(i))
+        end
+      done
     end
   done;
-  Array.init n_procs (fun u ->
+  let demand = Array.make n_procs no_demand in
+  for u = 0 to n_procs - 1 do
+    demand.(u) <-
       {
         Demand.compute = compute.(u);
         download =
-          List.fold_left (fun acc k -> acc +. App.download_rate app k) 0.0 needed_of.(u);
+          List.fold_left (fun acc k -> acc +. Objects.rate objects k) 0.0 needed_of.(u);
         comm_in = comm_in.(u);
         comm_out = comm_out.(u);
-      })
+      }
+  done;
+  demand
 
-let proc_demands app alloc =
-  demands app alloc ~needed_of:(distinct_objects app alloc)
+let proc_demands g alloc = demands g alloc ~needed_of:(distinct_objects g alloc)
 
-let proc_download_rate app alloc u =
+let proc_download_rate g alloc u =
   List.fold_left
-    (fun acc (k, _) -> acc +. App.download_rate app k)
+    (fun acc (k, _) -> acc +. plan_rate g.Graph.objects k)
     0.0
     (Alloc.downloads_of alloc u)
 
-let pair_flow app alloc u v =
-  let tree = App.tree app in
-  let rho = App.rho app in
-  let flow_into host other =
-    (* Children of operators on [host] that live on [other]. *)
-    List.fold_left
-      (fun acc i ->
-        List.fold_left
-          (fun acc j ->
-            if Alloc.host alloc j = other then
-              acc +. (rho *. App.output_size app j)
-            else acc)
-          acc (Optree.children tree i))
-      0.0
-      (Alloc.operators_of alloc host)
-  in
-  flow_into u v +. flow_into v u
-
-let structural_violations app platform alloc ~needed_of =
+let structural_violations g platform alloc ~needed_of =
   let servers = platform.Platform.servers in
-  let n_types = Optree.n_object_types (App.tree app) in
+  let n_types = Objects.count g.Graph.objects in
   let need_stamp = Array.make n_types (-1) in
   let plan_stamp = Array.make n_types (-1) in
   let stamped stamp u k = k >= 0 && k < n_types && stamp.(k) = u in
   let acc = ref [] in
   let add v = acc := v :: !acc in
-  for i = 0 to App.n_operators app - 1 do
+  for i = 0 to Graph.n_nodes g - 1 do
     if Alloc.host alloc i < 0 then add (Unassigned_operator i)
   done;
   for u = 0 to Alloc.n_procs alloc - 1 do
@@ -139,6 +185,8 @@ let structural_violations app platform alloc ~needed_of =
         if
           l < 0
           || l >= Servers.n_servers servers
+          || k < 0
+          || k >= Servers.n_object_types servers
           || not (Servers.holds servers l k)
         then add (Not_held { proc = u; object_type = k; server = l }))
       planned;
@@ -160,45 +208,42 @@ let structural_violations app platform alloc ~needed_of =
   done;
   List.rev !acc
 
-(* Constraint (5), per processor pair, in one sweep over the tree edges
-   instead of probing all O(procs^2) pairs through [pair_flow].  The
-   sweep lists each host's crossing child edges in operator order; the
-   host's directed flow into each neighbour [v] is then summed in that
-   order — exactly the order [pair_flow u v] sums it — into row [u] of a
-   CSR table sorted by [v].  The transposed table lists each
-   processor's incoming flows by ascending source, so merging row [a]
-   with column [a] visits the pairs [(a, b)], [b > a], in ascending
-   order and sums [into (a, b) +. into (b, a)] like [pair_flow a b]: the
-   reported loads are bit-identical.  Pairs no edge touches carry zero
-   flow and can never exceed the non-negative capacity. *)
-let rec crossing alloc f u = function
-  | [] -> ()
-  | j :: rest ->
-    let v = Alloc.host alloc j in
-    if v >= 0 && v <> u then f u v j;
-    crossing alloc f u rest
-
-let proc_link_violations app platform alloc add =
-  let tree = App.tree app and rho = App.rho app in
-  let output = App.output_sizes app in
+(* Constraint (5), per processor pair, in one sweep over the charged
+   streams instead of probing all O(procs^2) pairs.  The sweep lists
+   each consumer host's incoming streams in (consumer id, input slot)
+   order; the host's flow from each neighbour [v] is then summed in
+   that order into row [u] of a CSR table sorted by [v].  The
+   transposed table lists each processor's outgoing flows by ascending
+   destination, so merging row [a] with column [a] visits the pairs
+   [(a, b)], [b > a], in ascending order and sums [into (a, b) +. into
+   (b, a)].  Pairs no stream crosses carry zero flow and can never
+   exceed the non-negative capacity. *)
+let proc_link_violations g platform alloc add =
+  let output = g.Graph.output in
   let n_procs = Alloc.n_procs alloc in
+  let hosts = Alloc.hosts alloc in
   let sweep f =
-    for i = 0 to App.n_operators app - 1 do
-      let u = Alloc.host alloc i in
-      if u >= 0 then crossing alloc f u (Optree.children tree i)
+    let unshared = Graph.unshared g in
+    for c = 0 to Graph.n_nodes g - 1 do
+      let u = host hosts c in
+      if u >= 0 then begin
+        let ps = Graph.producers g c in
+        streams_into g hosts ~unshared f u c ps 0 ps
+      end
     done
   in
   let row = Array.make (n_procs + 1) 0 in
-  sweep (fun u _ _ -> row.(u + 1) <- row.(u + 1) + 1);
+  sweep (fun u _ _ _ -> row.(u + 1) <- row.(u + 1) + 1);
   for u = 0 to n_procs - 1 do
     row.(u + 1) <- row.(u + 1) + row.(u)
   done;
   let m = max 1 row.(n_procs) in
   let edge_v = Array.make m 0 and edge_w = Array.make m 0.0 in
   let fill = Array.sub row 0 n_procs in
-  sweep (fun u v j ->
+  sweep (fun u v c j ->
       edge_v.(fill.(u)) <- v;
-      edge_w.(fill.(u)) <- rho *. output.(j);
+      edge_w.(fill.(u)) <-
+        stream_rate g hosts ~unshared:(Graph.unshared g) j u c *. output.(j);
       fill.(u) <- fill.(u) + 1);
   (* Aggregate each host's edges into its sorted row. *)
   let start = Array.make (n_procs + 1) 0 in
@@ -263,10 +308,11 @@ let proc_link_violations app platform alloc add =
     done
   done
 
-let capacity_violations app platform alloc ~needed_of =
+let capacity_violations g platform alloc ~needed_of =
   let servers = platform.Platform.servers in
+  let objects = g.Graph.objects in
   let n_procs = Alloc.n_procs alloc in
-  let demand = demands app alloc ~needed_of in
+  let demand = demands g alloc ~needed_of in
   let acc = ref [] in
   let add v = acc := v :: !acc in
   (* Constraints (1) and (2), per processor.  The NIC download term uses
@@ -281,7 +327,7 @@ let capacity_violations app platform alloc ~needed_of =
         (Compute_overload
            { proc = u; load = d.Demand.compute; capacity = config.cpu.speed });
     let nic_load =
-      proc_download_rate app alloc u +. d.Demand.comm_in +. d.Demand.comm_out
+      proc_download_rate g alloc u +. d.Demand.comm_in +. d.Demand.comm_out
     in
     if exceeds nic_load config.nic.bandwidth then
       add
@@ -295,8 +341,7 @@ let capacity_violations app platform alloc ~needed_of =
     for u = 0 to n_procs - 1 do
       let link_load =
         List.fold_left
-          (fun acc (k, l') ->
-            if l' = l then acc +. App.download_rate app k else acc)
+          (fun acc (k, l') -> if l' = l then acc +. plan_rate objects k else acc)
           0.0
           (Alloc.downloads_of alloc u)
       in
@@ -316,15 +361,15 @@ let capacity_violations app platform alloc ~needed_of =
         (Server_card_overload
            { server = l; load = !total; capacity = Servers.card servers l })
   done;
-  proc_link_violations app platform alloc add;
+  proc_link_violations g platform alloc add;
   List.rev !acc
 
-let check app platform alloc =
-  let needed_of = distinct_objects app alloc in
-  structural_violations app platform alloc ~needed_of
-  @ capacity_violations app platform alloc ~needed_of
+let check_graph g platform alloc =
+  let needed_of = distinct_objects g alloc in
+  structural_violations g platform alloc ~needed_of
+  @ capacity_violations g platform alloc ~needed_of
 
-let is_feasible app platform alloc = check app platform alloc = []
+let check app platform alloc = check_graph (Graph.of_app app) platform alloc
 
 let pp_violation ppf = function
   | Unassigned_operator i -> Format.fprintf ppf "operator n%d is unassigned" i

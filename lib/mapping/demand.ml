@@ -9,8 +9,6 @@ type t = {
   comm_out : float;
 }
 
-let zero = { compute = 0.0; download = 0.0; comm_in = 0.0; comm_out = 0.0 }
-
 let nic t = t.download +. t.comm_in +. t.comm_out
 
 let distinct_objects app group =
@@ -83,8 +81,3 @@ let max_crossing_edge app group =
         Float.max acc (rho *. App.output_size app i)
       | Some _ | None -> acc)
     0.0 group
-
-let pp ppf t =
-  Format.fprintf ppf
-    "compute %.1f Mops/s, nic %.1f MB/s (dl %.1f, in %.1f, out %.1f)" t.compute
-    (nic t) t.download t.comm_in t.comm_out

@@ -25,9 +25,6 @@ type t = {
   comm_out : float;
 }
 
-(* lint: allow t3 — identity element of the demand monoid *)
-val zero : t
-
 val nic : t -> float
 (** [download + comm_in + comm_out]. *)
 
@@ -50,6 +47,3 @@ val max_crossing_edge : Insp_tree.App.t -> int list -> float
 (** Largest single tree-edge flow (MB/s) crossing the group boundary —
     a necessary lower bound on the processor-to-processor link bandwidth
     (constraint (5)). *)
-
-(* lint: allow t3 — debugging printer *)
-val pp : Format.formatter -> t -> unit

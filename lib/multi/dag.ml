@@ -1,6 +1,7 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
 module Objects = Insp_tree.Objects
+module Graph = Insp_tree.Graph
 
 type input = Object of int | Node of int
 
@@ -18,6 +19,7 @@ type t = {
   n_object_types : int;
   roots : (int * float) list;
   consumers : int list array;
+  graph : Graph.t;
 }
 
 let n_nodes t = Array.length t.nodes
@@ -26,6 +28,7 @@ let node t i = t.nodes.(i)
 let inputs t i = t.nodes.(i).inputs
 let consumers t i = t.consumers.(i)
 let roots t = t.roots
+let graph t = t.graph
 
 let object_users t k =
   let acc = ref [] in
@@ -50,6 +53,25 @@ let compute_consumers nodes =
         n.inputs)
     nodes;
   Array.map (List.sort_uniq compare) consumers
+
+(* The operator-graph view, built once with the DAG: node inputs split
+   into producers (slot order) and leaves, consumers ascending. *)
+let view nodes ~objects ~roots ~consumers =
+  let producers n =
+    List.filter_map (function Node j -> Some j | Object _ -> None) n.inputs
+  in
+  let leaves n =
+    List.filter_map (function Object k -> Some k | Node _ -> None) n.inputs
+  in
+  Graph.make
+    ~rates:(Array.map (fun n -> n.rate) nodes)
+    ~work:(Array.map (fun n -> n.work) nodes)
+    ~output:(Array.map (fun n -> n.output) nodes)
+    ~producers:(Array.map producers nodes)
+    ~consumers:(Array.map Array.of_list consumers)
+    ~leaves:(Array.map leaves nodes)
+    ~roots:(Array.of_list (List.map fst roots))
+    ~objects
 
 let validate t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
@@ -165,13 +187,15 @@ let finish b ~objects ~alpha ?(base_work = 0.0) ?(work_factor = 1.0) ~roots () =
           output = output.(i);
         })
   in
+  let consumers = compute_consumers nodes in
   let t =
     {
       nodes;
       objects;
       n_object_types = b.b_n_object_types;
       roots;
-      consumers = compute_consumers nodes;
+      consumers;
+      graph = view nodes ~objects ~roots ~consumers;
     }
   in
   (match validate t with
@@ -223,12 +247,15 @@ let of_apps apps =
           | None -> assert false (* every id is filled by the postorder pass *))
         nodes
     in
+    let objects = App.objects first and roots = List.rev !roots in
+    let consumers = compute_consumers nodes in
     {
       nodes;
-      objects = App.objects first;
+      objects;
       n_object_types;
-      roots = List.rev !roots;
-      consumers = compute_consumers nodes;
+      roots;
+      consumers;
+      graph = view nodes ~objects ~roots ~consumers;
     }
 
 let simulate ?window ?horizon ?warmup ?disruptions t platform alloc =
@@ -238,22 +265,5 @@ let simulate ?window ?horizon ?warmup ?disruptions t platform alloc =
       if Float.abs (n.rate -. rho) > 1e-9 then
         invalid_arg "Dag.simulate: mixed node rates are not supported")
     t.nodes;
-  let graph =
-    {
-      Insp_sim.Runtime.work = Array.map (fun n -> n.work) t.nodes;
-      output = Array.map (fun n -> n.output) t.nodes;
-      inputs =
-        Array.map
-          (fun n ->
-            Array.of_list
-              (List.filter_map
-                 (function Node j -> Some j | Object _ -> None)
-                 n.inputs))
-          t.nodes;
-      roots = Array.of_list (List.map fst t.roots);
-      rho;
-      objects = t.objects;
-    }
-  in
-  Insp_sim.Runtime.run_graph ?window ?horizon ?warmup ?disruptions graph
+  Insp_sim.Runtime.run_graph ?window ?horizon ?warmup ?disruptions t.graph
     platform alloc

@@ -50,6 +50,14 @@ val topological : t -> int list
 
 val is_al_node : t -> int -> bool
 
+val graph : t -> Insp_tree.Graph.t
+(** The DAG as an operator-graph view (built once with the DAG): node
+    [i]'s producers are its [Node] inputs in slot order, its leaves its
+    [Object] inputs, and the roots the applications' sinks.  The
+    checker ({!Insp_mapping.Check.check_graph}), the downgrade step and
+    the runtime read it, so a DAG allocation is judged and executed by
+    the same code as a tree's. *)
+
 val validate : t -> (unit, string) result
 (** Checks arity, topological id order, rate consistency (every node's
     rate equals the max over its consumers' rates and the rhos of the
@@ -98,10 +106,10 @@ val simulate :
   Insp_mapping.Alloc.t ->
   Insp_sim.Runtime.report
 (** Executes a DAG allocation in the discrete-event runtime
-    ({!Insp_sim.Runtime.run_graph}), with the defaults of
+    ({!Insp_sim.Runtime.run_graph} on {!graph}), with the defaults of
     {!Insp_sim.Runtime.run}.  A shared node is evaluated once per result
     and its output streams to each consuming processor once, however
-    many consumers live there, exactly as {!Dag_check} accounts
+    many consumers live there, exactly as the checker accounts
     bandwidth.  Every application root is measured, so the report's
     throughput and completed count are the slowest root's and
     [Insp_sim.Runtime.sustains_target] means every application meets

@@ -3,6 +3,9 @@ module Platform = Insp_platform.Platform
 module Alloc = Insp_mapping.Alloc
 module Cost = Insp_mapping.Cost
 module Server_select = Insp_heuristics.Server_select
+module Downgrade = Insp_heuristics.Downgrade
+module Demand = Insp_mapping.Demand
+module Graph = Insp_tree.Graph
 module Objects = Insp_tree.Objects
 
 type outcome = { alloc : Alloc.t; cost : float; n_procs : int }
@@ -87,7 +90,7 @@ let demand_fits st config ~s members =
   let d =
     Dag_check.group_demand st.dag ~in_group:(fun i -> st.in_a.(i) = s) members
   in
-  leq (Dag_check.nic d) config.Catalog.nic.Catalog.bandwidth
+  leq (Demand.nic d) config.Catalog.nic.Catalog.bandwidth
 
 (* Flow between the member set [g] (marked [s] in [in_a]) and [h]: one
    stream per (producer, consuming set) at the fastest consuming rate. *)
@@ -402,43 +405,17 @@ let place dag platform =
       Ok (groups, configs))
 
 (* ------------------------------------------------------------------ *)
-(* Downgrade and full pipeline                                         *)
-
-let downgrade dag platform alloc =
-  let catalog = platform.Platform.catalog in
-  let objects = Dag.objects dag in
-  let n = Alloc.n_procs alloc in
-  let rec shrink alloc u =
-    if u >= n then alloc
-    else begin
-      let d = Dag_check.proc_demand dag alloc u in
-      let planned_rate =
-        List.fold_left
-          (fun acc (k, _) -> acc +. Objects.rate objects k)
-          0.0 (Alloc.downloads_of alloc u)
-      in
-      let nic_load = planned_rate +. d.Dag_check.comm_in +. d.Dag_check.comm_out in
-      let alloc =
-        match
-          Catalog.cheapest_satisfying catalog ~speed:d.Dag_check.compute
-            ~bandwidth:nic_load
-        with
-        | Some config -> Alloc.with_config alloc u config
-        | None -> alloc
-      in
-      shrink alloc (u + 1)
-    end
-  in
-  shrink alloc 0
+(* Full pipeline                                                       *)
 
 let run dag platform =
   match place dag platform with
   | Error e -> Error (Placement e)
   | Ok (groups, configs) -> (
+    let graph = Dag.graph dag in
     let needs =
       Array.to_list
         (Array.mapi
-           (fun u g -> List.map (fun k -> (u, k)) (Dag_check.distinct_objects dag g))
+           (fun u g -> List.map (fun k -> (u, k)) (Graph.distinct_objects graph g))
            groups)
       |> List.concat
     in
@@ -451,7 +428,7 @@ let run dag platform =
     | Error e -> Error (Server_selection e)
     | Ok downloads -> (
       let alloc = Alloc.of_groups ~configs ~groups ~downloads in
-      let alloc = downgrade dag platform alloc in
+      let alloc = Downgrade.run_graph graph platform alloc in
       match Dag_check.check dag platform alloc with
       | [] ->
         Ok

@@ -1,5 +1,4 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
@@ -39,15 +38,6 @@ type disruption = {
   d_factor : float;  (* multiplier on the nominal capacity, >= 0 *)
 }
 
-type graph = {
-  work : float array;
-  output : float array;
-  inputs : int array array;
-  roots : int array;
-  rho : float;
-  objects : Objects.t;
-}
-
 type event =
   | Compute_done of { op : int; result : int }
   | Download_due of int  (* index into the mapping's download list *)
@@ -77,8 +67,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   in
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
-  let roots = g.roots in
-  let n_ops = Array.length g.work in
+  let { Graph.roots; work; output; objects; _ } = g in
+  let n_ops = Graph.n_nodes g in
   let n_procs = Alloc.n_procs alloc in
   let proc_of = Array.make n_ops (-1) in
   for i = 0 to n_ops - 1 do
@@ -93,7 +83,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   let servers = platform.Platform.servers in
   (* --- operator pipeline state --- *)
   let completed = Array.make n_ops (-1) in
-  let duration = Array.init n_ops (fun i -> g.work.(i) /. speed proc_of.(i)) in
+  let duration = Array.init n_ops (fun i -> work.(i) /. speed proc_of.(i)) in
   let ops_of =
     Array.init n_procs (fun u -> Array.of_list (Alloc.operators_of alloc u))
   in
@@ -102,7 +92,9 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
      there.  Stream ids are dense, grouped by producer
      ([first_stream.(p)] up to [first_stream.(p + 1)]) and ascending by
      destination within a producer; a tree node has at most one. *)
-  let inputs = g.inputs in
+  let inputs =
+    Array.init n_ops (fun j -> Array.of_list (Graph.producers g j))
+  in
   let dests = Array.make n_ops [] in
   for j = 0 to n_ops - 1 do
     let v = proc_of.(j) and ins = inputs.(j) in
@@ -418,7 +410,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
     end;
     for s = first_stream.(op) to first_stream.(op + 1) - 1 do
       start_flow ~stream:s ~src:proc_of.(op) ~dst:stream_dst.(s)
-        ~size:g.output.(op) (message_route s)
+        ~size:output.(op) (message_route s)
     done
   in
   (* Set when a finished Message flow bumped an arrival count — the
@@ -452,8 +444,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
       dispatch ()
     | Download_due d ->
       let proc, object_type, server = downloads.(d) in
-      let size = Objects.size g.objects object_type in
-      let freq = Objects.freq g.objects object_type in
+      let size = Objects.size objects object_type in
+      let freq = Objects.freq objects object_type in
       start_flow ~stream:(-1) ~src:server ~dst:proc ~size (download_route d);
       Heap.push events (!now +. (1.0 /. freq)) (Download_due d)
       (* No dispatch: starting a download cannot make an operator
@@ -602,7 +594,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   in
   let ideal =
     Array.fold_left
-      (fun acc (_, k, _) -> acc +. (Objects.rate g.objects k *. horizon))
+      (fun acc (_, k, _) -> acc +. (Objects.rate objects k *. horizon))
       0.0 downloads
   in
   let report =
@@ -610,7 +602,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
       sim_time = horizon;
       results_completed = !root_floor + 1;
       achieved_throughput = achieved;
-      target_throughput = g.rho;
+      target_throughput = g.Graph.rates.(roots.(0) * g.Graph.rate_stride);
       proc_busy =
         Array.map (fun b -> Float.min 1.0 (b /. horizon)) busy_until_accum;
       download_delivered = !download_delivered;
@@ -643,20 +635,8 @@ let run_graph ?window ?horizon ?warmup ?disruptions g platform alloc =
       run_impl ?window ?horizon ?warmup ?disruptions g platform alloc)
 
 let run ?window ?horizon ?warmup ?disruptions app platform alloc =
-  let tree = App.tree app in
-  let g =
-    {
-      work = App.works app;
-      output = App.output_sizes app;
-      inputs =
-        Array.init (App.n_operators app) (fun i ->
-            Array.of_list (Optree.children tree i));
-      roots = [| Optree.root tree |];
-      rho = App.rho app;
-      objects = App.objects app;
-    }
-  in
-  run_graph ?window ?horizon ?warmup ?disruptions g platform alloc
+  run_graph ?window ?horizon ?warmup ?disruptions (Graph.of_app app) platform
+    alloc
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -22,8 +22,9 @@
       maximum sustainable throughput.
 
     The same core executes operator DAGs shared by several applications
-    ({!run_graph}); a tree is the case with one consumer per node and
-    one root.
+    ({!run_graph}, on the operator-graph view {!Insp_tree.Graph} that
+    the checker reads); a tree is the case with one consumer per node
+    and one root.
 
     A mapping accepted by {!Insp_mapping.Check} sustains at least the
     target [rho]; an overloaded mapping falls measurably short — tests
@@ -99,28 +100,20 @@ val run :
 
 (** {1 Operator graphs} *)
 
-type graph = {
-  work : float array;  (** Mops per evaluation, by node *)
-  output : float array;  (** MB per evaluation, by node *)
-  inputs : int array array;  (** producer nodes, in input-slot order *)
-  roots : int array;  (** measured nodes, at least one *)
-  rho : float;  (** target results per second at every root *)
-  objects : Insp_tree.Objects.t;
-}
-(** An operator graph evaluated at one rate: every node computes each
-    result once and its output reaches each consumer's processor once.
-    The arrays are read, never written. *)
-
 val run_graph :
   ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
   ?disruptions:disruption list ->
-  graph ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   report
-(** {!run} on an operator graph whose node [i] is the allocation's
-    operator [i].  The work-ahead window trails the slowest root. *)
+(** {!run} on an operator graph ({!Insp_tree.Graph}) whose node [i] is
+    the allocation's operator [i]; {!run} is this on
+    {!Insp_tree.Graph.of_app}.  The work-ahead window trails the slowest
+    root, and the target is the first root's rate.  Every node must run
+    at that one rate: mixed rates would need subsampled consumption
+    ([Insp_multi.Dag.simulate] rejects them). *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,0 +1,80 @@
+type links =
+  | Tree of Optree.node array
+  | Shared of {
+      producers : int list array;
+      consumers : int array array;
+      leaves : int list array;
+      unshared : bool;
+    }
+
+type t = {
+  rates : float array;
+  rate_stride : int;
+  work : float array;
+  output : float array;
+  roots : int array;
+  objects : Objects.t;
+  links : links;
+}
+
+let of_app app =
+  {
+    rates = [| App.rho app |];
+    rate_stride = 0;
+    work = App.works app;
+    output = App.output_sizes app;
+    roots = [| Optree.root (App.tree app) |];
+    objects = App.objects app;
+    links = Tree (Optree.nodes (App.tree app));
+  }
+
+let make ~rates ~work ~output ~producers ~consumers ~leaves ~roots ~objects =
+  {
+    rates;
+    rate_stride = 1;
+    work;
+    output;
+    roots;
+    objects;
+    links =
+      Shared
+        {
+          producers;
+          consumers;
+          leaves;
+          unshared = Array.for_all (fun cs -> Array.length cs <= 1) consumers;
+        };
+  }
+
+let n_nodes g = Array.length g.work
+
+(* A tree's accessors read its node records directly: one call per
+   access, not one per field. *)
+let producers g i =
+  match g.links with
+  | Tree nodes -> nodes.(i).Optree.children
+  | Shared s -> s.producers.(i)
+
+let unshared g =
+  match g.links with Tree _ -> true | Shared s -> s.unshared
+
+let n_consumers g i =
+  match g.links with
+  | Tree nodes -> ( match nodes.(i).Optree.parent with Some _ -> 1 | None -> 0)
+  | Shared s -> Array.length s.consumers.(i)
+
+let consumer g i k =
+  match g.links with
+  | Tree nodes -> (
+    match nodes.(i).Optree.parent with
+    | Some p when k = 0 -> p
+    | Some _ | None -> invalid_arg "Graph.consumer: no such consumer")
+  | Shared s -> s.consumers.(i).(k)
+
+let leaves g i =
+  match g.links with
+  | Tree nodes -> nodes.(i).Optree.leaves
+  | Shared s -> s.leaves.(i)
+
+let distinct_objects g nodes =
+  List.concat_map (leaves g) nodes |> List.sort_uniq Int.compare

@@ -71,7 +71,7 @@ let of_spec ~n_object_types spec =
 let n_operators t = Array.length t.nodes
 let n_object_types t = t.n_object_types
 let root _ = 0
-let node t i = t.nodes.(i)
+let nodes t = t.nodes
 let parent t i = t.nodes.(i).parent
 let children t i = t.nodes.(i).children
 let leaves t i = t.nodes.(i).leaves

@@ -47,8 +47,10 @@ val n_object_types : t -> int
 val root : t -> int
 (** Always [0]. *)
 
-(* lint: allow t3 — constructor completing the tree-building API *)
-val node : t -> int -> node
+val nodes : t -> node array
+(** Every operator's node, indexed by id: the tree's own array, shared
+    so that hot loops read a node without a call per field.  Callers
+    must not mutate it. *)
 
 val parent : t -> int -> int option
 

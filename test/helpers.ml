@@ -118,3 +118,25 @@ let des_report_line buf label (r : Insp.Runtime.report) =
     (String.concat ","
        (Array.to_list
           (Array.map (Printf.sprintf "%h") r.Insp.Runtime.proc_busy)))
+
+(* The tree pair-flow oracle: total MB/s exchanged between two distinct
+   processors over their link, child-to-parent flows in both directions
+   (constraint (5)'s left-hand side), summed from scratch over each
+   processor's operator list. *)
+let pair_flow app alloc u v =
+  let tree = Insp.App.tree app in
+  let rho = Insp.App.rho app in
+  let flow_into host other =
+    (* Children of operators on [host] that live on [other]. *)
+    List.fold_left
+      (fun acc i ->
+        List.fold_left
+          (fun acc j ->
+            if Insp.Alloc.host alloc j = other then
+              acc +. (rho *. Insp.App.output_size app j)
+            else acc)
+          acc (Insp.Optree.children tree i))
+      0.0
+      (Insp.Alloc.operators_of alloc host)
+  in
+  flow_into u v +. flow_into v u

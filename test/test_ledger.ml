@@ -149,7 +149,7 @@ let test_of_alloc_matches_oracle () =
   Helpers.alco_float "download" d'.Demand.download d.Demand.download;
   Helpers.alco_float "comm in" d'.Demand.comm_in d.Demand.comm_in;
   Helpers.alco_float "comm out" d'.Demand.comm_out d.Demand.comm_out;
-  Helpers.alco_float "pair flow" (Check.pair_flow app alloc 0 1)
+  Helpers.alco_float "pair flow" (Helpers.pair_flow app alloc 0 1)
     (Ledger.pair_flow t 0 1)
 
 let test_exact_zero_after_undo () =

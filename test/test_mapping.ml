@@ -248,6 +248,34 @@ let test_check_extraneous_and_not_held () =
          | _ -> false)
        violations)
 
+(* A plan entry naming an object type outside the catalog is a download
+   from a server that cannot hold it, not an exception. *)
+let test_check_unknown_object_type () =
+  let app, platform = tiny_env () in
+  let alloc =
+    Alloc.make
+      [|
+        {
+          Alloc.config = cfg ();
+          operators = [ 0; 1; 2; 3 ];
+          downloads = [ (-1, 0); (0, 0); (1, 0); (2, 1); (7, 0) ];
+        };
+      |]
+  in
+  let violations = Check.check app platform alloc in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "o%d not held" k)
+        true
+        (has_violation
+           (function
+             | Check.Not_held { proc = 0; object_type; server = 0 } ->
+               object_type = k
+             | _ -> false)
+           violations))
+    [ -1; 7 ]
+
 let test_check_compute_overload () =
   let app, platform = tiny_env () in
   (* The tiny app is light (170 Mops/s); raise rho to overload the
@@ -386,7 +414,7 @@ let test_check_duplicate_download () =
      deduplicated download term by one extra o0 stream (5 MB/s). *)
   let d = Demand.of_group app [ 0; 1; 2; 3 ] in
   Helpers.alco_float "double-counted NIC" (d.Demand.download +. 5.0)
-    (Check.proc_download_rate app alloc 0)
+    (Check.proc_download_rate (Insp.Graph.of_app app) alloc 0)
 
 (* One golden string per violation constructor: the renderings are part
    of the CLI/diagnostic surface. *)
@@ -431,8 +459,8 @@ let test_pp_violation_golden () =
 let test_pair_flow () =
   let app = Helpers.tiny_app () in
   let a = tiny_alloc_two () in
-  Helpers.alco_float "pair flow" 50.0 (Check.pair_flow app a 0 1);
-  Helpers.alco_float "symmetric" 50.0 (Check.pair_flow app a 1 0)
+  Helpers.alco_float "pair flow" 50.0 (Helpers.pair_flow app a 0 1);
+  Helpers.alco_float "symmetric" 50.0 (Helpers.pair_flow app a 1 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cost                                                                *)
@@ -657,6 +685,8 @@ let () =
             test_check_missing_download;
           Alcotest.test_case "extraneous + not held" `Quick
             test_check_extraneous_and_not_held;
+          Alcotest.test_case "unknown object type" `Quick
+            test_check_unknown_object_type;
           Alcotest.test_case "compute overload" `Quick
             test_check_compute_overload;
           Alcotest.test_case "nic overload" `Quick test_check_nic_overload;

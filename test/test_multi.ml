@@ -11,6 +11,7 @@ module Objects = Insp.Objects
 module App = Insp.App
 module Alloc = Insp.Alloc
 module Check = Insp.Check
+module Demand = Insp.Demand
 module Prng = Insp.Prng
 
 let qtest = Helpers.qtest
@@ -218,11 +219,11 @@ let test_dag_check_stream_dedup () =
     (Check.explain (Dag_check.check dag platform alloc));
   (* one stream at the fastest consuming rate: 30 MB * max(1,2) = 60 *)
   Helpers.alco_float "dedup at max rate" 60.0 (pair_flow dag alloc 0 1);
-  let d = Dag_check.proc_demand dag alloc 0 in
-  Helpers.alco_float "comm_out deduped" 60.0 d.Dag_check.comm_out;
+  let d = (Check.proc_demands (Dag.graph dag) alloc).(0) in
+  Helpers.alco_float "comm_out deduped" 60.0 d.Demand.comm_out;
   (* conservative group demand counts both consumers *)
   let g = Dag_check.group_demand dag ~in_group:(fun i -> i = a) [ a ] in
-  Helpers.alco_float "conservative comm_out" 90.0 g.Dag_check.comm_out
+  Helpers.alco_float "conservative comm_out" 90.0 g.Demand.comm_out
 
 let test_dag_check_rate_weighted_compute () =
   let dag, a, c = two_proc_dag () in
@@ -240,11 +241,169 @@ let test_dag_check_rate_weighted_compute () =
       |]
   in
   ignore a;
-  let d = Dag_check.proc_demand dag alloc 0 in
+  let d = (Check.proc_demands (Dag.graph dag) alloc).(0) in
   (* w_a = 30, w_c = 70, rates 1 -> 100 Mops/s *)
-  Helpers.alco_float "compute" 100.0 d.Dag_check.compute;
+  Helpers.alco_float "compute" 100.0 d.Demand.compute;
   Alcotest.(check string) "fits cheapest" "feasible"
     (Check.explain (Dag_check.check dag platform alloc))
+
+(* A plan entry naming an object type outside the catalog is reported
+   as Not_held, not raised. *)
+let test_dag_check_unknown_object_type () =
+  let app = Helpers.tiny_app () in
+  let dag = Dag.of_apps [ app ] in
+  let platform = Helpers.tiny_platform () in
+  let alloc =
+    Alloc.make
+      [|
+        {
+          Alloc.config = cfg ();
+          operators = [ 0; 1; 2; 3 ];
+          downloads = [ (-1, 0); (0, 0); (1, 0); (2, 1); (7, 0) ];
+        };
+      |]
+  in
+  let vs = Dag_check.check dag platform alloc in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "o%d not held" k)
+        true
+        (List.exists
+           (function
+             | Check.Not_held { proc = 0; object_type; server = 0 } ->
+               object_type = k
+             | _ -> false)
+           vs))
+    [ -1; 7 ]
+
+(* The per-processor DAG demand from scratch: one stream per (producer,
+   destination processor) at the fastest consuming rate there.  compute
+   sums the members in id order; comm_in sums by (consumer id, input
+   slot), each stream at its first consumer on the processor; comm_out
+   sums by producer id, destinations in the order the producer's
+   ascending consumers first reach them. *)
+let oracle_proc_demand dag alloc u =
+  let host i = Alloc.host alloc i in
+  let stream_rate j v =
+    List.fold_left
+      (fun m c -> if host c = v then Float.max m (Dag.node dag c).Dag.rate else m)
+      0.0 (Dag.consumers dag j)
+  in
+  let members = Alloc.operators_of alloc u in
+  let compute =
+    List.fold_left
+      (fun acc i -> acc +. ((Dag.node dag i).Dag.rate *. (Dag.node dag i).Dag.work))
+      0.0 members
+  in
+  let objects =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (function Dag.Object k -> Some k | Dag.Node _ -> None)
+          (Dag.inputs dag i))
+      members
+    |> List.sort_uniq compare
+  in
+  let download =
+    List.fold_left
+      (fun acc k -> acc +. Objects.rate (Dag.objects dag) k)
+      0.0 objects
+  in
+  let comm_in, _ =
+    List.fold_left
+      (fun (acc, seen) c ->
+        List.fold_left
+          (fun (acc, seen) input ->
+            match input with
+            | Dag.Node j when host j <> u && not (List.mem j seen) ->
+              (acc +. ((Dag.node dag j).Dag.output *. stream_rate j u), j :: seen)
+            | Dag.Node _ | Dag.Object _ -> (acc, seen))
+          (acc, seen) (Dag.inputs dag c))
+      (0.0, []) members
+  in
+  let comm_out =
+    List.fold_left
+      (fun acc i ->
+        let dests =
+          List.fold_left
+            (fun ds c ->
+              let v = host c in
+              if v = u || List.mem v ds then ds else ds @ [ v ])
+            [] (Dag.consumers dag i)
+        in
+        List.fold_left
+          (fun acc v -> acc +. ((Dag.node dag i).Dag.output *. stream_rate i v))
+          acc dests)
+      0.0 members
+  in
+  { Demand.compute; download; comm_in; comm_out }
+
+let check_demands_bits what dag alloc =
+  let demands = Check.proc_demands (Dag.graph dag) alloc in
+  Array.iteri
+    (fun u (d : Demand.t) ->
+      let e = oracle_proc_demand dag alloc u in
+      List.iter
+        (fun (field, e, a) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: P%d %s bits" what u field)
+            (Int64.bits_of_float e) (Int64.bits_of_float a))
+        [
+          ("compute", e.Demand.compute, d.Demand.compute);
+          ("download", e.Demand.download, d.Demand.download);
+          ("comm_in", e.Demand.comm_in, d.Demand.comm_in);
+          ("comm_out", e.Demand.comm_out, d.Demand.comm_out);
+        ])
+    demands
+
+let test_dag_demand_oracle () =
+  let checked = ref 0 in
+  for seed = 0 to 11 do
+    let apps, platform = MW.instance ~seed ~n_apps:(1 + (seed mod 6)) ~n_operators:30 in
+    List.iter
+      (fun (mode, dag) ->
+        match Dag_place.run dag platform with
+        | Error _ -> ()
+        | Ok o ->
+          incr checked;
+          check_demands_bits (Printf.sprintf "seed %d %s" seed mode) dag
+            o.Dag_place.alloc)
+      [ ("cse", Cse.share_apps apps); ("of_apps", Dag.of_apps apps) ]
+  done;
+  Alcotest.(check bool) "placements checked" true (!checked > 0)
+
+(* A producer with two consumers at rates 2 and 1 on one remote
+   processor and a third, at rate 0.5, on another: one stream per
+   destination, at the fastest consumer there (here the first; the
+   stream dedup case above has it last).  The first consumer reads the
+   producer in both slots, still one stream. *)
+let test_dag_demand_mixed_rates () =
+  let b = Dag.create_builder ~n_object_types:3 in
+  let a = Dag.add_node b ~inputs:[ Dag.Object 0; Dag.Object 1 ] in
+  let c1 = Dag.add_node b ~inputs:[ Dag.Node a; Dag.Node a ] in
+  let c2 = Dag.add_node b ~inputs:[ Dag.Node a; Dag.Object 2 ] in
+  let c3 = Dag.add_node b ~inputs:[ Dag.Node a ] in
+  let dag =
+    Dag.finish b ~objects:(objects3 ()) ~alpha:1.0
+      ~roots:[ (c1, 2.0); (c2, 1.0); (c3, 0.5) ]
+      ()
+  in
+  let alloc =
+    Alloc.make
+      [|
+        { Alloc.config = cfg (); operators = [ a ]; downloads = [ (0, 0); (1, 0) ] };
+        { Alloc.config = cfg (); operators = [ c1; c2 ]; downloads = [ (2, 1) ] };
+        { Alloc.config = cfg (); operators = [ c3 ]; downloads = [] };
+      |]
+  in
+  check_demands_bits "mixed rates" dag alloc;
+  let d = Check.proc_demands (Dag.graph dag) alloc in
+  (* a's output is 30 MB: 30 * 2 to P1, 30 * 0.5 to P2 *)
+  Helpers.alco_float "P0 comm_out" 75.0 d.(0).Demand.comm_out;
+  Helpers.alco_float "P1 comm_in" 60.0 d.(1).Demand.comm_in;
+  Helpers.alco_float "P2 comm_in" 15.0 d.(2).Demand.comm_in;
+  Helpers.alco_float "P0 compute at a's rate" 60.0 d.(0).Demand.compute
 
 (* Dag_check.check's constraint (5) sweep against the all-pairs oracle:
    the same Proc_link_overload list, in the same order, with bit-equal
@@ -548,6 +707,12 @@ let () =
           Alcotest.test_case "stream dedup" `Quick test_dag_check_stream_dedup;
           Alcotest.test_case "rate-weighted compute" `Quick
             test_dag_check_rate_weighted_compute;
+          Alcotest.test_case "unknown object type" `Quick
+            test_dag_check_unknown_object_type;
+          Alcotest.test_case "demands match the from-scratch oracle" `Quick
+            test_dag_demand_oracle;
+          Alcotest.test_case "mixed-rate streams" `Quick
+            test_dag_demand_mixed_rates;
           Alcotest.test_case "(5) matches the all-pairs oracle" `Quick
             test_dag_check_proc_link_oracle;
         ] );
