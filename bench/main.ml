@@ -126,83 +126,13 @@ let run_ablations ~quick () =
     Insp_experiments.Ablations.all
 
 (* ------------------------------------------------------------------ *)
-(* Feasibility-probe throughput: ledger vs from-scratch                *)
+(* Feasibility-probe throughput of the ledger                          *)
 
-(* The pre-ledger prober, kept here as the baseline: every probe
-   recomputes [Demand.of_group] over the candidate member set and the
-   pairwise flow towards *every* live group with [List.mem] membership
-   scans. *)
-module Naive_probe = struct
-  module App = Insp.App
-  module Optree = Insp.Optree
-
-  type group = { mutable members : int list; cfg : Insp.Catalog.config }
-
-  let tolerance = 1e-9
-  let leq v cap = v <= (cap *. (1.0 +. tolerance)) +. tolerance
-
-  let flow_between app g h =
-    let tree = App.tree app and rho = App.rho app in
-    List.fold_left
-      (fun acc m ->
-        let acc =
-          List.fold_left
-            (fun acc c ->
-              if List.mem c h then acc +. (rho *. App.output_size app c)
-              else acc)
-            acc (Optree.children tree m)
-        in
-        match Optree.parent tree m with
-        | Some p when List.mem p h -> acc +. (rho *. App.output_size app m)
-        | Some _ | None -> acc)
-      0.0 g
-
-  let can_host app platform groups ~self ~cfg ~members =
-    Insp.Demand.fits cfg (Insp.Demand.of_group app members)
-    && List.for_all
-         (fun g ->
-           g == self
-           || leq (flow_between app members g.members)
-                platform.Insp.Platform.proc_link)
-         groups
-end
-
-(* Identical greedy first-fit constructions, one per prober, counting
+(* Greedy first-fit construction through the Builder, counting
    feasibility probes.  Returns (probes, groups built). *)
-let greedy_naive app platform =
-  let best = Insp.Catalog.best platform.Insp.Platform.catalog in
-  let dummy = { Naive_probe.members = []; cfg = best } in
-  let groups = ref [] in
-  let probes = ref 0 in
-  for i = 0 to Insp.App.n_operators app - 1 do
-    let placed =
-      List.exists
-        (fun g ->
-          incr probes;
-          if
-            Naive_probe.can_host app platform !groups ~self:g
-              ~cfg:g.Naive_probe.cfg
-              ~members:(i :: g.Naive_probe.members)
-          then begin
-            g.Naive_probe.members <- i :: g.Naive_probe.members;
-            true
-          end
-          else false)
-        !groups
-    in
-    if not placed then begin
-      incr probes;
-      if
-        Naive_probe.can_host app platform !groups ~self:dummy ~cfg:best
-          ~members:[ i ]
-      then groups := !groups @ [ { Naive_probe.members = [ i ]; cfg = best } ]
-    end
-  done;
-  (!probes, List.length !groups)
-
 let greedy_ledger app platform =
   let best = Insp.Catalog.best platform.Insp.Platform.catalog in
-  let b = Insp.Builder.create app platform in
+  let b = Insp.Builder.create (Insp.Graph.of_app app) platform in
   let probes = ref 0 in
   for i = 0 to Insp.App.n_operators app - 1 do
     let placed =
@@ -220,37 +150,23 @@ let greedy_ledger app platform =
   (!probes, List.length (Insp.Builder.group_ids b))
 
 let run_probe_bench ~quick () =
-  line "feasibility-probe throughput (ledger vs from-scratch)";
+  line "feasibility-probe throughput (ledger)";
   let inst =
     Insp.Instance.generate
       (Insp.Config.make ~n_operators:100 ~alpha:0.9 ~seed:1 ())
   in
-  let app = inst.Insp.Instance.app in
-  let platform = inst.Insp.Instance.platform in
   let reps = if quick then 5 else 30 in
-  let time f =
-    let t0 = Sys.time () in
-    let probes = ref 0 and groups = ref 0 in
-    for _ = 1 to reps do
-      let p, g = f app platform in
-      probes := p;
-      groups := g
-    done;
-    let dt = Sys.time () -. t0 in
-    (float_of_int (!probes * reps) /. Float.max dt 1e-9, !probes, !groups)
-  in
-  let tput_naive, probes_n, groups_n = time greedy_naive in
-  let tput_ledger, probes_l, groups_l = time greedy_ledger in
-  Printf.printf
-    "from-scratch: %9.0f probes/s  (%d probes, %d groups per build)\n\
-     ledger:       %9.0f probes/s  (%d probes, %d groups per build)\n\
-     speedup:      %9.1fx\n%!"
-    tput_naive probes_n groups_n tput_ledger probes_l groups_l
-    (tput_ledger /. tput_naive);
-  if groups_n <> groups_l || probes_n <> probes_l then
-    Printf.printf
-      "WARNING: probers diverged (probes %d vs %d, groups %d vs %d)\n%!"
-      probes_n probes_l groups_n groups_l
+  let t0 = Sys.time () in
+  let probes = ref 0 and groups = ref 0 in
+  for _ = 1 to reps do
+    let p, g = greedy_ledger inst.Insp.Instance.app inst.Insp.Instance.platform in
+    probes := p;
+    groups := g
+  done;
+  let dt = Sys.time () -. t0 in
+  Printf.printf "ledger: %9.0f probes/s  (%d probes, %d groups per build)\n%!"
+    (float_of_int (!probes * reps) /. Float.max dt 1e-9)
+    !probes !groups
 
 (* ------------------------------------------------------------------ *)
 (* Scale rows: the candidate-queue greedy on 10k/100k-operator trees    *)
@@ -427,8 +343,8 @@ let alloc_multi_entry () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let m = recorder.Insp.Obs.metrics in
   Insp.Obs_metrics.set_gauge m "alloc.minor_words" minor;
-  (* 4.72M words measured, ~1.35x headroom *)
-  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 6_370_000.0;
+  (* 3.19M words measured, ~1.35x headroom *)
+  Insp.Obs_metrics.set_gauge m "alloc_budget_words" 4_310_000.0;
   Printf.printf "%d sets: %.0f minor words, %.3f s\n%!" (List.length sets)
     minor wall_s;
   ("alloc.multi", wall_s, recorder)
@@ -513,9 +429,8 @@ let sim_dag_entry () =
   ("sim.dag", wall_s, recorder)
 
 (* Ledger probe throughput at scale, as a tracked JSON row
-   (run_probe_bench below prints the ledger-vs-naive comparison on a
-   paper-sized instance; this row sizes the ledger path alone on a
-   scale-preset tree). *)
+   (run_probe_bench below prints the same greedy's throughput on a
+   paper-sized instance). *)
 let probe_throughput_entry ~quick () =
   line "probe throughput (ledger greedy first-fit, scale preset)";
   let n = if quick then 500 else 2000 in

@@ -84,7 +84,7 @@ let run ?max_procs ?(allow_rebuy = true) app platform alloc ~failed =
      a journal-suppressed sink — only the Repair_* decisions below are
      journaled, mirroring the Serve solve_quietly pattern. *)
   let work () =
-    let b = Builder.create app platform in
+    let b = Builder.create (Insp_tree.Graph.of_app app) platform in
     let actions = ref [] in
     let survivors_ok = ref None in
     for u = 0 to n_procs - 1 do

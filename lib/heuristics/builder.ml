@@ -1,5 +1,4 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Demand = Insp_mapping.Demand
@@ -34,16 +33,16 @@ type group_id = int
    [Demand.of_group] (O(|group|²)) and pairwise flows against every
    group (O(P·|group|)) per probe. *)
 type t = {
-  app : App.t;
+  graph : Graph.t;
   platform : Platform.t;
   ledger : Ledger.t;
   mutable order : group_id list;  (* acquisition order, reversed *)
 }
 
-let create app platform =
-  { app; platform; ledger = Ledger.create app platform; order = [] }
+let create graph platform =
+  { graph; platform; ledger = Ledger.create graph platform; order = [] }
 
-let app t = t.app
+let graph t = t.graph
 let platform t = t.platform
 let ledger t = t.ledger
 
@@ -65,13 +64,13 @@ let assignment t i = Ledger.assignment t.ledger i
 
 let unassigned t =
   let acc = ref [] in
-  for i = App.n_operators t.app - 1 downto 0 do
+  for i = Graph.n_nodes t.graph - 1 downto 0 do
     if Ledger.assignment t.ledger i = None then acc := i :: !acc
   done;
   !acc
 
 let all_assigned t =
-  let n = App.n_operators t.app in
+  let n = Graph.n_nodes t.graph in
   let rec go i = i >= n || (Ledger.assignment t.ledger i <> None && go (i + 1)) in
   go 0
 
@@ -90,39 +89,53 @@ let probe_verdict t config (probe : Ledger.probe) =
     (false, Some Journal.Link_exceeded)
   else (true, None)
 
+(* What [candidate_flows] accumulates: the flow towards each adjacent
+   group, an assoc list. *)
+type flows = { b : t; members : int list; mutable acc : (group_id * float) list }
+
 (* Pairwise flows of a hypothetical member set towards existing groups,
-   grouped by group.  Only groups adjacent to [members] through a tree
-   edge can carry flow, so only those are visited — the previous
-   implementation recomputed the flow against every live group. *)
+   grouped by group: one stream per (producer, consuming group), at the
+   fastest consumer there.  Only groups adjacent to [members] through a
+   graph edge can carry flow, so only those are visited.  On a tree,
+   the closures' sizes and the boxed floats are what
+   test/alloc_counts.golden pins. *)
 let candidate_flows t ~members ~ignore_groups =
-  let tree = App.tree t.app in
-  let rho = App.rho t.app in
-  let acc = ref [] in
+  let st = { b = t; members; acc = [] } in
   (* lint: allow p3 — the delta assoc list holds the O(degree) groups
      adjacent to [members], never all live groups *)
   let bump v w =
     if not (List.mem v ignore_groups) then begin
-      let prev = Option.value ~default:0.0 (List.assoc_opt v !acc) in
-      acc := (v, prev +. w) :: List.remove_assoc v !acc
+      let prev = Option.value ~default:0.0 (List.assoc_opt v st.acc) in
+      st.acc <- (v, prev +. w) :: List.remove_assoc v st.acc
     end
   [@@lint.allow "p3"]
   in
   List.iter
     (fun m ->
+      (* a producer's stream, charged at its fastest member consumer *)
       List.iter
-        (fun c ->
-          match Ledger.assignment t.ledger c with
-          | Some v -> bump v (rho *. App.output_size t.app c)
-          | None -> ())
-        (Optree.children tree m);
-      match Optree.parent tree m with
-      | Some p -> (
-        match Ledger.assignment t.ledger p with
-        | Some v -> bump v (rho *. App.output_size t.app m)
-        | None -> ())
-      | None -> ())
+        (fun j ->
+          let g = st.b.graph in
+          match Ledger.assignment st.b.ledger j with
+          | Some v
+            when Graph.n_consumers g j = 1
+                 || Graph.fastest g j (fun c -> List.mem c st.members) = m ->
+            bump v (Graph.rate g m *. g.Graph.output.(j))
+          | Some _ | None -> ())
+        (Graph.distinct_producers st.b.graph m);
+      (* [m]'s stream to a group, charged at its fastest consumer there *)
+      let g = st.b.graph and led = st.b.ledger in
+      for k = 0 to Graph.n_consumers g m - 1 do
+        let c = Graph.consumer g m k in
+        match Ledger.assignment led c with
+        | Some v as host
+          when Graph.n_consumers g m = 1
+               || Graph.fastest g m (fun c' -> Ledger.assignment led c' = host) = c ->
+          bump v (Graph.rate g c *. g.Graph.output.(m))
+        | Some _ | None -> ()
+      done)
     members;
-  !acc
+  st.acc
 
 (* The probe/commit wrappers below carry "ledger."-tier profiling
    frames (Obs.prof_enter/prof_exit, free without a profiling sink):
@@ -132,7 +145,7 @@ let candidate_flows t ~members ~ignore_groups =
 
 let can_host t ~config ~members ?(ignore_groups = []) () =
   Obs.prof_enter "ledger.probe_host";
-  let d = Demand.of_group t.app members in
+  let d = Demand.of_group t.graph members in
   let ok, reject =
     verdict_of (Demand.fits config d) (fun () ->
         flows_ok t (candidate_flows t ~members ~ignore_groups))
@@ -147,7 +160,7 @@ let cheapest_hosting t ~members ?(ignore_groups = []) () =
   Obs.prof_enter "ledger.catalog_scan";
   (* Demand and flows are config-independent: compute them once and scan
      the catalog with the cheap capacity test only. *)
-  let d = Demand.of_group t.app members in
+  let d = Demand.of_group t.graph members in
   let flows_fit = flows_ok t (candidate_flows t ~members ~ignore_groups) in
   let found =
     if not flows_fit then None

@@ -1,12 +1,16 @@
-(** Mutable placement state shared by all operator-placement heuristics.
+(** Mutable placement state shared by all operator-placement heuristics
+    and by the DAG placer ([Insp_multi.Dag_place]).
 
-    A builder tracks a set of {e groups} — processors being provisioned,
-    each with a configuration and a set of operators — plus the
-    operator-to-group assignment.  Every mutation is guarded by the exact
-    final-state capacity test: a group's demand ({!Insp_mapping.Demand})
-    only decreases when other operators join their neighbours later, so a
-    check that passes during construction still passes at validation
-    time.
+    A builder reads an operator-graph view ({!Insp_tree.Graph}): one
+    tree, or a DAG shared by several applications.  It tracks a set of
+    {e groups} — processors being provisioned, each with a configuration
+    and a set of operators — plus the operator-to-group assignment.
+    Every mutation is guarded by the exact final-state capacity test: a
+    group's demand ({!Insp_mapping.Demand}) only decreases when other
+    operators join their neighbours later (on a DAG, a stream towards a
+    group that gains a slower consumer keeps its rate, and a producer's
+    host sends fewer streams), so a check that passes during
+    construction still passes at validation time.
 
     Groups are backed by an {!Insp_mapping.Ledger}: probes
     ({!try_add}, {!try_absorb} and the upgrade variants) are answered
@@ -21,9 +25,11 @@ type t
 
 type group_id = int
 
-val create : Insp_tree.App.t -> Insp_platform.Platform.t -> t
+val create : Insp_tree.Graph.t -> Insp_platform.Platform.t -> t
+(** Node [i] of the view is operator [i]; a tree passes
+    [Graph.of_app app], a DAG [Dag.graph dag]. *)
 
-val app : t -> Insp_tree.App.t
+val graph : t -> Insp_tree.Graph.t
 val platform : t -> Insp_platform.Platform.t
 
 val ledger : t -> Insp_mapping.Ledger.t

@@ -1,5 +1,6 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 
@@ -35,11 +36,10 @@ let acquire_for b ~style members =
       (Printf.sprintf "no processor can host operators {%s}"
          (String.concat ", " (List.map string_of_int members)))
 
-(* Most communication-demanding neighbour (over tree edges) of a member
-   set, excluding the members themselves. *)
-let heaviest_outside_neighbor app members =
-  let tree = App.tree app in
-  let rho = App.rho app in
+(* Most communication-demanding neighbour (over graph edges) of a
+   member set, excluding the members themselves: an edge weighs its
+   producer's output at its consumer's rate. *)
+let heaviest_outside_neighbor g members =
   let in_set i = List.mem i members in
   let best = ref None in
   let consider cand weight =
@@ -50,12 +50,12 @@ let heaviest_outside_neighbor app members =
   List.iter
     (fun m ->
       List.iter
-        (fun c ->
-          if not (in_set c) then consider c (rho *. App.output_size app c))
-        (Optree.children tree m);
-      match Optree.parent tree m with
-      | Some p when not (in_set p) -> consider p (rho *. App.output_size app m)
-      | Some _ | None -> ())
+        (fun j -> if not (in_set j) then consider j (Graph.rate g m *. g.Graph.output.(j)))
+        (Graph.producers g m);
+      for k = 0 to Graph.n_consumers g m - 1 do
+        let c = Graph.consumer g m k in
+        if not (in_set c) then consider c (Graph.rate g c *. g.Graph.output.(m))
+      done)
     members;
   Option.map fst !best
 
@@ -76,14 +76,14 @@ let with_collapse_rounds n f =
   Fun.protect ~finally:(fun () -> collapse_rounds := saved) f
 
 let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
-  let app = Builder.app b in
+  let g = Builder.graph b in
   let rec grow members rounds =
     match acquire_for b ~style members with
     | Ok gid -> Ok gid
     | Error e ->
       if rounds <= 0 then Error e
       else (
-        match heaviest_outside_neighbor app members with
+        match heaviest_outside_neighbor g members with
         | None -> Error e
         | Some neighbor ->
           (match Builder.assignment b neighbor with

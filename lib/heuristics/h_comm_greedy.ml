@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Optree = Insp_tree.Optree
 module Ledger = Insp_mapping.Ledger
 
@@ -89,7 +90,7 @@ let merge_sweeps b app edges =
   sweep (App.n_operators app)
 
 let run _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   let rec handle = function
     | [] -> Ok ()
     | (i, p, _) :: rest -> (

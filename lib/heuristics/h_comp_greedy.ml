@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Ledger = Insp_mapping.Ledger
 module Catalog = Insp_platform.Catalog
 
@@ -21,7 +22,7 @@ let leq value capacity = value <= (capacity *. (1.0 +. tolerance)) +. tolerance
    sequence is that of re-sorting the unassigned pool every round and
    probing every candidate. *)
 let run _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   let n = App.n_operators app in
   let rho = App.rho app in
   (* Static fill order: work desc, id asc — Common.by_work_desc's

@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Optree = Insp_tree.Optree
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
@@ -24,7 +25,7 @@ let place_rest b app =
   loop ()
 
 let run _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   let tree = App.tree app in
   let servers = platform.Platform.servers in
   let used_objects =

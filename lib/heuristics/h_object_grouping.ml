@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Optree = Insp_tree.Optree
 
 let popularity_sum pop app i =
@@ -30,7 +31,7 @@ let place_rest b app =
   loop ()
 
 let run _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   let tree = App.tree app in
   let pop = Optree.object_popularity tree in
   let by_popularity_desc ops =

@@ -1,8 +1,9 @@
 module Prng = Insp_util.Prng
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 
 let run rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   (* The grouping fallback can sell a processor and release its
      operators, so bound the number of rounds to guarantee
      termination. *)

@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Optree = Insp_tree.Optree
 
 (* Children groups ordered by decreasing edge weight towards [op]; a
@@ -55,7 +56,7 @@ let absorb_parents b app gid =
   !progressed
 
 let run _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Graph.of_app app) platform in
   let tree = App.tree app in
   let rec assign_al = function
     | [] -> Ok ()

@@ -31,7 +31,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
     let config = Catalog.cheapest catalog in
     let speed = config.Catalog.cpu.Catalog.speed in
     let proc_cost = Catalog.config_cost catalog config in
-    let tree = App.tree app in
+    let tree = App.tree app and graph = Insp_tree.Graph.of_app app in
     let n = App.n_operators app in
     let order = Array.of_list (Optree.preorder tree) in
     let max_groups = match max_groups with Some m -> m | None -> n in
@@ -60,7 +60,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
     in
     let fits_with op gid =
       let candidate = op :: groups.(gid) in
-      Demand.fits config (Demand.of_group app candidate)
+      Demand.fits config (Demand.of_group graph candidate)
       &&
       let ok = ref true in
       for other = 0 to max_groups - 1 do

@@ -63,10 +63,6 @@ let distinct_objects g alloc =
 (* Operator [i]'s processor, [-1] when unassigned (see [Alloc.hosts]). *)
 let[@inline] host hosts i = if i < Array.length hosts then hosts.(i) else -1
 
-(* Whether [j] is among the first [k] entries of [ps]. *)
-let rec read_before j ps k =
-  k > 0 && match ps with p :: ps -> p = j || read_before j ps (k - 1) | [] -> false
-
 (* The rate of [j]'s stream to processor [v] if consumer [c] is where it
    is charged, else [0.0]. *)
 let shared_rate g hosts j v c =
@@ -89,7 +85,7 @@ let[@inline] stream_rate g hosts ~unshared j v c =
 (* The rate of the stream from producer [j] on [v], read in slot [k] of
    [ps], if consumer [c] on [u] is where it is charged, else [0.0]. *)
 let[@inline] charged_rate g hosts ~unshared ps k j v u c =
-  if v <> u && (k = 0 || not (read_before j ps k)) then
+  if v <> u && (k = 0 || not (Graph.read_before j ps k)) then
     stream_rate g hosts ~unshared j u c
   else 0.0
 
@@ -125,12 +121,12 @@ let demands g alloc ~needed_of =
       let ps = Graph.producers g i in
       comm_in_of g hosts ~unshared comm_in u i ps 0 ps;
       (* destinations in the order [i]'s ascending consumers first
-         reach them *)
+         reach them; an unassigned consumer is its own stream *)
       for k = 0 to Graph.n_consumers g i - 1 do
         let c = Graph.consumer g i k in
         let v = host hosts c in
         if v <> u then begin
-          let r = stream_rate g hosts ~unshared i v c in
+          let r = stream_rate g hosts ~unshared:(unshared || v < 0) i v c in
           if r > 0.0 then comm_out.(u) <- comm_out.(u) +. (r *. output.(i))
         end
       done

@@ -8,8 +8,9 @@
     verdicts.  It reads an operator-graph view ({!Insp_tree.Graph}): a
     node's compute load is its rate times its work, and its output
     crosses to another processor as one stream per destination
-    processor, at the fastest rate of its consumers there.  On a tree
-    these are the paper's constraints verbatim.
+    processor, at the fastest rate of its consumers there, and to each
+    unassigned consumer as a stream of its own.  On a tree these are
+    the paper's constraints verbatim.
 
     Loads are summed in a fixed order, which keeps tree results
     bit-identical to the per-group definitions ({!Demand.of_group}):

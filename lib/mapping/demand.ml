@@ -1,5 +1,7 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
+module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 
 type t = {
@@ -24,28 +26,41 @@ type acc = {
   mutable a_comm_out : float;
 }
 
-let of_group app group =
+let of_group g group =
   let group = List.sort_uniq Int.compare group in
   let in_group i = List.mem i group in
-  let tree = App.tree app in
-  let rho = App.rho app in
-  let work = App.works app and output = App.output_sizes app in
+  let { Graph.rates; work; output; _ } = g in
   let s = { a_compute = 0.0; a_download = 0.0; a_comm_in = 0.0; a_comm_out = 0.0 } in
-  let child j =
-    if not (in_group j) then s.a_comm_in <- s.a_comm_in +. (rho *. output.(j))
+  (* one stream per outside producer, charged at the fastest member
+     reading it, in its first slot there; on a tree, the closures' sizes
+     are what test/alloc_counts.golden pins *)
+  let rec producers i ps k = function
+    | [] -> ()
+    | j :: rest ->
+      if
+        (not (in_group j))
+        && (not (Graph.read_before j ps k))
+        && (Graph.n_consumers g j = 1 || Graph.fastest g j in_group = i)
+      then
+        s.a_comm_in <-
+          s.a_comm_in +. (g.Graph.rates.(i * g.Graph.rate_stride) *. g.Graph.output.(j));
+      producers i ps (k + 1) rest
   in
   List.iter
     (fun i ->
-      s.a_compute <- s.a_compute +. (rho *. work.(i));
-      List.iter child (Optree.children tree i);
-      match Optree.parent tree i with
-      | Some p when not (in_group p) ->
-        s.a_comm_out <- s.a_comm_out +. (rho *. output.(i))
-      | Some _ | None -> ())
+      let stride = g.Graph.rate_stride in
+      s.a_compute <- s.a_compute +. (rates.(i * stride) *. work.(i));
+      let ps = Graph.producers g i in
+      producers i ps 0 ps;
+      for k = 0 to Graph.n_consumers g i - 1 do
+        let c = Graph.consumer g i k in
+        if not (in_group c) then
+          s.a_comm_out <- s.a_comm_out +. (rates.(c * stride) *. output.(i))
+      done)
     group;
   List.iter
-    (fun k -> s.a_download <- s.a_download +. App.download_rate app k)
-    (distinct_objects app group);
+    (fun k -> s.a_download <- s.a_download +. Objects.rate g.Graph.objects k)
+    (Graph.distinct_objects g group);
   {
     compute = s.a_compute;
     download = s.a_download;
@@ -53,7 +68,7 @@ let of_group app group =
     comm_out = s.a_comm_out;
   }
 
-let of_operator app i = of_group app [ i ]
+let of_operator g i = of_group g [ i ]
 
 let tolerance = 1e-9
 

@@ -1,5 +1,4 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
@@ -11,10 +10,18 @@ module Obs = Insp_obs.Obs
    of plain arrays, edited in place.  The hot path reads every float
    from a float array (the application's own work and output arrays,
    shared) because a float returned from or passed to a function of
-   another compilation unit is boxed; helpers take an operator index
-   rather than a float weight for the same reason.  Mutations and probes
+   another compilation unit is boxed; for the same reason, helpers take
+   operator indices, and the few that take a float weight are inlined.  Mutations and probes
    bracket their bodies with explicit Obs.prof_enter/prof_exit pairs
-   (DESIGN.md §17), free without a profiling sink. *)
+   (DESIGN.md §17), free without a profiling sink.
+
+   The ledger reads an operator-graph view (DESIGN.md §8): a producer's
+   output reaches each other processor as one stream, at the fastest
+   rate of its consumers there.  That maximum is recomputed by scanning
+   the producer's consumers, O(out-degree), so no per-stream state is
+   kept.  An unassigned neighbour counts as its own stream at its own
+   rate.  A tree is the case where every stream has one consumer: a
+   stream appears at the rate its edge brings and vanishes with it. *)
 
 type proc_id = int
 
@@ -54,9 +61,9 @@ type proc = {
   needs : row;  (* needed object types; aux = #hosted operators needing it *)
   dls : row;  (* download plan (object type, server); aux = server *)
   flows : row;
-      (* neighbour processors; aux = #tree edges, fa = out_w (edges whose
-         child lives here and whose parent lives on the neighbour),
-         fb = in_w (the opposite direction) *)
+      (* neighbour processors; aux = #edges crossing the pair, fa = out_w
+         (streams from producers living here to the neighbour), fb = in_w
+         (the opposite direction) *)
 }
 
 let compute_ = 0
@@ -67,14 +74,15 @@ let dl_rate_ = 4  (* total planned download rate (MB/s) *)
 let link_ = 5
 
 type t = {
-  app : App.t;
+  g : Graph.t;
+  unshared : bool;  (* no node has two consumers: every stream has one *)
   platform : Platform.t;
-  n_servers : int;
   ints : slab;  (* members, needs and download rows *)
   floats : slab;  (* flow rows *)
-  rho : float;
-  work : float array;  (* w_i, App's array *)
-  output : float array;  (* delta_i, App's array *)
+  rates : float array;  (* node i runs at rates.(i * stride), the view's *)
+  stride : int;
+  work : float array;  (* the view's *)
+  output : float array;  (* the view's *)
   rate : float array;  (* download rate per object type *)
   arena : Arena.t;  (* processor id allocator + generation stamps *)
   host : int array;  (* operator -> processor, -1 when unassigned *)
@@ -83,11 +91,11 @@ type t = {
   empty : proc;
   card_load : float array;  (* per-server aggregate download load *)
   card_entries : int array;
-  (* probe_add scratch: the would-be loads in [would]; pair-flow deltas
+  (* probe scratch: the would-be loads in [would]; pair-flow deltas
      towards [pv.(j)], j < [pn], ascending, weights in [pw.(j)] *)
-  would : proc;
-  pv : int array;
-  pw : float array;
+  would : float array;
+  mutable pv : int array;
+  mutable pw : float array;
   mutable pn : int;
 }
 
@@ -101,7 +109,7 @@ let slab ~floats =
 let row s = { s; off = 0; cls = -1; len = 0 }
 
 let new_proc ~ints ~floats ~n_servers id =
-  { some = Some id; ops = []; ops_fresh = true;
+  { some = (if id < 0 then None else Some id); ops = []; ops_fresh = true;
     loads = Array.make (link_ + n_servers) 0.0;
     link_entries = Array.make n_servers 0;
     members = row ints; needs = row ints; dls = row ints; flows = row floats }
@@ -218,32 +226,34 @@ let keys r = List.init r.len (fun j -> r.s.key.(r.off + j))
 (* ------------------------------------------------------------------ *)
 (* Processors                                                          *)
 
-let create app platform =
+let create g platform =
   let n_servers = Servers.n_servers platform.Platform.servers in
   let ints = slab ~floats:false and floats = slab ~floats:true in
-  let n_types = Objects.count (App.objects app) in
-  let rate = Array.make n_types 0.0 in
-  for k = 0 to n_types - 1 do
-    rate.(k) <- App.download_rate app k
+  let objects = g.Graph.objects in
+  let rate = Array.make (Objects.count objects) 0.0 in
+  for k = 0 to Array.length rate - 1 do
+    rate.(k) <- Objects.rate objects k
   done;
   let empty = new_proc ~ints ~floats ~n_servers (-1) in
   {
-    app; platform; n_servers; ints; floats; rate; empty;
-    rho = App.rho app;
-    work = App.works app;
-    output = App.output_sizes app;
+    g; platform; ints; floats; rate; empty;
+    unshared = Graph.unshared g;
+    rates = g.Graph.rates;
+    stride = g.Graph.rate_stride;
+    work = g.Graph.work;
+    output = g.Graph.output;
     arena = Arena.create ();
-    host = Array.make (App.n_operators app) (-1);
+    host = Array.make (Graph.n_nodes g) (-1);
     configs = Array.make 16 (Catalog.cheapest platform.Platform.catalog);
     procs = Array.make 16 empty;
     card_load = Array.make n_servers 0.0;
     card_entries = Array.make n_servers 0;
-    would = new_proc ~ints ~floats ~n_servers (-1);
-    pv = Array.make 3 0; pw = Array.make 3 0.0; pn = 0;
+    would = Array.make (link_ + n_servers) 0.0;
+    pv = Array.make 16 0; pw = Array.make 16 0.0; pn = 0;
   }
 
-(* [rho * delta_c], the flow of tree edge (c -> parent). *)
-let[@inline] flow t c = t.rho *. t.output.(c)
+(* Evaluations/s of node [i]. *)
+let[@inline] rate t i = t.rates.(i * t.stride)
 
 let check_live t u =
   if not (Arena.is_live t.arena u) then invalid_arg "Ledger: dead processor id"
@@ -277,7 +287,8 @@ let materialize t u =
   let p = t.procs.(u) in
   if p != t.empty then p
   else begin
-    let p = new_proc ~ints:t.ints ~floats:t.floats ~n_servers:t.n_servers u in
+    let n_servers = Array.length t.card_load in
+    let p = new_proc ~ints:t.ints ~floats:t.floats ~n_servers u in
     t.procs.(u) <- p;
     p
   end
@@ -320,30 +331,52 @@ let slot r v =
   let p = search r v min_int in
   if at r p v then p else insert r p v 0
 
-(* Adds ([d = 1]) or removes ([d = -1]) tree edge (c -> parent), [c]
-   living on [child_proc] and its parent on [parent_proc].  Adding
-   [-w] is bit-identical to subtracting [w].  An entry is dropped
-   exactly when its edge count empties, which kills float drift. *)
-let edge_flow t ~child_proc ~parent_proc c d =
-  let w = float_of_int d *. flow t c in
+(* Adds [w] to the stream flow from [src] to [dst] and [d] to the
+   number of edges crossing the pair: [d = 1] when an edge starts
+   crossing, [-1] when it stops.  [w] is the stream's change, signed, so
+   adding it on a leave is bit-identical to subtracting the join's.  An
+   entry is dropped exactly when its edge count empties, which kills
+   float drift. *)
+let[@inline] edge_flow t ~src ~dst w d =
   let s = t.floats in
-  let r = t.procs.(child_proc).flows in
-  let p = slot r parent_proc in
+  let r = t.procs.(src).flows in
+  let p = slot r dst in
   s.fa.(p) <- s.fa.(p) +. w;
   s.aux.(p) <- s.aux.(p) + d;
   if s.aux.(p) <= 0 then delete r p;
-  let r = t.procs.(parent_proc).flows in
-  let p = slot r child_proc in
+  let r = t.procs.(dst).flows in
+  let p = slot r src in
   s.fb.(p) <- s.fb.(p) +. w;
   s.aux.(p) <- s.aux.(p) + d;
   if s.aux.(p) <= 0 then delete r p;
-  bump t child_proc;
-  bump t parent_proc
+  bump t src;
+  bump t dst
 
 let pair_flow t u v =
   let r = t.procs.(u).flows in
   let p = search r v min_int in
   if at r p v then r.s.fa.(p) +. r.s.fb.(p) else 0.0
+
+(* ------------------------------------------------------------------ *)
+(* Streams                                                             *)
+
+(* The consumer of [j] hosted on [u], other than [skip], that sets the
+   stream's rate: the fastest, the first in id order among equals; [-1]
+   when none.  O(out-degree).  [Graph.fastest] without its closure, so
+   a commit allocates nothing. *)
+let top t j u ~skip =
+  let best = ref (-1) in
+  for k = 0 to Graph.n_consumers t.g j - 1 do
+    let c = Graph.consumer t.g j k in
+    if c <> skip && t.host.(c) = u && (!best < 0 || rate t c > rate t !best) then
+      best := c
+  done;
+  !best
+
+(* Whether one of [j]'s first [k] consumers is hosted on [u]: a stream
+   is charged at its first consumer on the destination. *)
+let rec hosted_before t j u k =
+  k > 0 && (t.host.(Graph.consumer t.g j (k - 1)) = u || hosted_before t j u (k - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Operator placement deltas                                           *)
@@ -359,13 +392,13 @@ let iter_leaves f t p q = function
     else f t p q a
   | ks -> List.iter (f t p q) (List.sort_uniq Int.compare ks)
 
-(* Needed-object edits: [p]'s needs row, [q]'s need rate. *)
+(* Needed-object edits: [p]'s needs row, the need rate in loads [q]. *)
 let add_need t p q k =
   let r = p.needs in
   let pos = search r k min_int in
   if at r pos k then r.s.aux.(pos) <- r.s.aux.(pos) + 1
   else begin
-    q.loads.(need_rate_) <- q.loads.(need_rate_) +. t.rate.(k);
+    q.(need_rate_) <- q.(need_rate_) +. t.rate.(k);
     ignore (insert r pos k 1)
   end
 
@@ -375,18 +408,22 @@ let remove_need t p q k =
   if r.s.aux.(pos) > 1 then r.s.aux.(pos) <- r.s.aux.(pos) - 1
   else begin
     delete r pos;
-    q.loads.(need_rate_) <-
-      (if r.len = 0 then 0.0 else q.loads.(need_rate_) -. t.rate.(k))
+    q.(need_rate_) <-
+      (if r.len = 0 then 0.0 else q.(need_rate_) -. t.rate.(k))
   end
 
 let probe_need t p q k =
-  if not (has p.needs k) then q.loads.(need_rate_) <- q.loads.(need_rate_) +. t.rate.(k)
+  if not (has p.needs k) then q.(need_rate_) <- q.(need_rate_) +. t.rate.(k)
 
-(* Adds tree edge [c]'s weight to the scratch delta towards [v]. *)
-let add_delta t v c =
+(* Adds [w] to the scratch delta towards [v]. *)
+let[@inline] add_delta t v w =
   let j = ref 0 in
   while !j < t.pn && t.pv.(!j) < v do incr j done;
   if not (!j < t.pn && t.pv.(!j) = v) then begin
+    if t.pn = Array.length t.pv then begin
+      t.pv <- extend t.pv (2 * t.pn) 0;
+      t.pw <- extend t.pw (2 * t.pn) 0.0
+    end;
     for k = t.pn downto !j + 1 do
       t.pv.(k) <- t.pv.(k - 1);
       t.pw.(k) <- t.pw.(k - 1)
@@ -395,47 +432,89 @@ let add_delta t v c =
     t.pw.(!j) <- 0.0;
     t.pn <- t.pn + 1
   end;
-  t.pw.(!j) <- t.pw.(!j) +. flow t c
+  t.pw.(!j) <- t.pw.(!j) +. w
 
 (* Operator [i] joins ([d = 1]) or leaves ([d = -1]) processor [u] with
-   state [p]: every load moves by [d] times the operator's contribution,
-   in the same order either way.  The loads land in [q] — [p] itself, or
-   the [would] scratch of a probe, for which crossing edges become
-   pair-flow deltas instead of flow-row edits. *)
-let rec shift_children t u p q d = function
+   state [p]: every load moves by the operator's contribution, in the
+   same order either way.  The loads land in [q] — [p]'s own, or the
+   [would] scratch of a probe, for which crossing edges become pair-flow
+   deltas instead of flow-row edits.  On a leave, [i] is still hosted
+   on [u]. *)
+
+(* [i] as the consumer of producer [j]. *)
+let consume t u p q i d j =
+  let v = t.host.(j) and sign = float_of_int d in
+  let out = t.output.(j) and r = rate t i in
+  if v = u then
+    (* the edge turns internal (or crossing again): [i] leaves (or
+       re-enters) [j]'s unassigned consumers, on [u]'s comm_out *)
+    q.(comm_out_) <- q.(comm_out_) -. (sign *. (out *. r))
+  else begin
+    (* the stream j -> u moves between the rate of [c], its fastest
+       other consumer on [u], and the max of that and [r] *)
+    let c = if t.unshared then -1 else top t j u ~skip:i in
+    let grows = c < 0 || r > rate t c in
+    let w =
+      if c < 0 then sign *. (out *. r)
+      else if grows then sign *. ((out *. r) -. (out *. rate t c))
+      else 0.0
+    in
+    if grows then q.(comm_in_) <- q.(comm_in_) +. w;
+    if v >= 0 then
+      if q == p.loads then begin
+        edge_flow t ~src:v ~dst:u w d;
+        if c >= 0 then begin
+          (* [j]'s host: [i] leaves (re-enters) its unassigned consumers
+             and the stream moves by [w]; with no other consumer on [u]
+             the two cancel, so nothing moves *)
+          let m = if r < rate t c then r else rate t c in
+          let l = t.procs.(v).loads in
+          l.(comm_out_) <- l.(comm_out_) -. (sign *. (out *. m))
+        end
+      end
+      else if grows then add_delta t v w
+  end
+
+let rec consume_all t u p q i d ps k = function
   | [] -> ()
-  | c :: rest ->
-    let v = t.host.(c) and w = float_of_int d *. flow t c in
-    if v = u then
-      (* edge (c -> i) turns internal (or crossing again): c's output
-         leaves (or re-enters) comm_out *)
-      q.loads.(comm_out_) <- q.loads.(comm_out_) -. w
+  | j :: rest ->
+    if k = 0 || not (Graph.read_before j ps k) then consume t u p q i d j;
+    consume_all t u p q i d ps (k + 1) rest
+
+(* [i] as the producer of its [k]-th consumer. *)
+let produce t u p q i d k =
+  let c = Graph.consumer t.g i k in
+  let w = t.host.(c) and sign = float_of_int d in
+  let out = t.output.(i) in
+  if w < 0 then q.(comm_out_) <- q.(comm_out_) +. (sign *. (out *. rate t c))
+  else begin
+    (* the stream i -> w, charged at its first consumer there *)
+    let first = t.unshared || not (hosted_before t i w k) in
+    let f =
+      if not first then 0.0
+      else if t.unshared then sign *. (out *. rate t c)
+      else sign *. (out *. rate t (top t i w ~skip:(-1)))
+    in
+    if w = u then
+      (* the stream turns internal (or crossing again) *)
+      q.(comm_in_) <- q.(comm_in_) -. f
     else begin
-      q.loads.(comm_in_) <- q.loads.(comm_in_) +. w;
-      if v >= 0 then
-        if q == p then edge_flow t ~child_proc:v ~parent_proc:u c d
-        else add_delta t v c
-    end;
-    shift_children t u p q d rest
+      q.(comm_out_) <- q.(comm_out_) +. f;
+      if q == p.loads then edge_flow t ~src:u ~dst:w f d
+      else if first then add_delta t w f
+    end
+  end
 
 let shift t u p q i d =
-  let tree = App.tree t.app and sign = float_of_int d in
-  q.loads.(compute_) <- q.loads.(compute_) +. (sign *. (t.rho *. t.work.(i)));
-  shift_children t u p q d (Optree.children tree i);
-  (match Optree.parent tree i with
-  | None -> ()
-  | Some pr ->
-    let v = t.host.(pr) and w = sign *. flow t i in
-    if v = u then q.loads.(comm_in_) <- q.loads.(comm_in_) -. w
-    else begin
-      q.loads.(comm_out_) <- q.loads.(comm_out_) +. w;
-      if v >= 0 then
-        if q == p then edge_flow t ~child_proc:u ~parent_proc:v i d
-        else add_delta t v i
-    end);
+  q.(compute_) <- q.(compute_) +. (float_of_int d *. (rate t i *. t.work.(i)));
+  let ps = Graph.producers t.g i in
+  consume_all t u p q i d ps 0 ps;
+  for k = 0 to Graph.n_consumers t.g i - 1 do
+    produce t u p q i d k
+  done;
   iter_leaves
-    (if q != p then probe_need else if d > 0 then add_need else remove_need)
-    t p q (Optree.leaves tree i)
+    (if q != p.loads then probe_need else if d > 0 then add_need else remove_need)
+    t p q (Graph.leaves t.g i)
 
 let add_operator t u i =
   if t.host.(i) >= 0 then
@@ -443,7 +522,7 @@ let add_operator t u i =
   check_live t u;
   Obs.prof_enter "ledger.add_op";
   let p = materialize t u in
-  shift t u p p i 1;
+  shift t u p p.loads i 1;
   ignore (insert p.members (search p.members i min_int) i 0);
   p.ops_fresh <- false;
   t.host.(i) <- u;
@@ -456,7 +535,7 @@ let add_operator t u i =
 let detach t u i ~remaining =
   Obs.prof_enter "ledger.remove_op";
   let p = t.procs.(u) in
-  shift t u p p i (-1);
+  shift t u p p.loads i (-1);
   t.host.(i) <- -1;
   if remaining = 0 then begin
     (* Exact reset: an empty group carries exactly zero load, so any
@@ -491,7 +570,7 @@ let detach_all t u =
 (* ------------------------------------------------------------------ *)
 (* Download-plan deltas                                                *)
 
-let valid_server t l = l >= 0 && l < t.n_servers
+let valid_server t l = l >= 0 && l < Array.length t.card_load
 
 (* Adds ([d = 1]) or removes ([d = -1]) the plan entry (k, l); a no-op
    when it is already present (resp. absent): exact duplicates are
@@ -504,7 +583,10 @@ let edit_download t u k l d =
   let pos = search p.dls k l in
   let present = at p.dls pos k && t.ints.aux.(pos) = l in
   if present <> (d > 0) then begin
-    let rate = float_of_int d *. t.rate.(k) in
+    (* an object type outside the catalog loads nothing (Not_held) *)
+    let rate =
+      if k >= 0 && k < Array.length t.rate then float_of_int d *. t.rate.(k) else 0.0
+    in
     if d > 0 then ignore (insert p.dls pos k l) else delete p.dls pos;
     p.loads.(dl_rate_) <-
       (if p.dls.len = 0 then 0.0 else p.loads.(dl_rate_) +. rate);
@@ -547,12 +629,11 @@ let merge t ~winner ~loser =
 (* ------------------------------------------------------------------ *)
 (* Demand queries and probes                                           *)
 
-let demand_of p =
-  let l = p.loads in
+let demand_of l =
   { Demand.compute = l.(compute_); download = l.(need_rate_);
     comm_in = l.(comm_in_); comm_out = l.(comm_out_) }
 
-let demand t u = demand_of (proc t u)
+let demand t u = demand_of (proc t u).loads
 
 let nic_load t u =
   let p = proc t u in
@@ -571,7 +652,7 @@ let probe_add t u i =
   Obs.prof_enter "ledger.probe_add";
   let p = t.procs.(u) and q = t.would in
   for x = compute_ to need_rate_ do
-    q.loads.(x) <- p.loads.(x)
+    q.(x) <- p.loads.(x)
   done;
   t.pn <- 0;
   shift t u p q i 1;
@@ -583,6 +664,43 @@ let probe_add t u i =
   let r = { demand = demand_of q; pair_flows = !pair_flows } in
   Obs.prof_exit ();
   r
+
+(* A producer outside the pair that streams to both winner and loser:
+   the merged group receives one stream, at the faster of the two rates,
+   so the slower one leaves comm_in and the pair flow towards the
+   producer's host.  Collected from the loser's members into the probe
+   scratch: the comm_in change into [would]'s comm_in, the pair-flow
+   changes as deltas.  An unshared graph (every tree) has none. *)
+let rec overlap_from t ~winner ~loser c ps k = function
+  | [] -> ()
+  | j :: rest ->
+    let v = t.host.(j) in
+    if
+      v <> winner && v <> loser && (not (Graph.read_before j ps k))
+      && top t j loser ~skip:(-1) = c
+    then begin
+      let cw = top t j winner ~skip:(-1) in
+      if cw >= 0 then begin
+        let m =
+          t.output.(j) *. (if rate t cw < rate t c then rate t cw else rate t c)
+        in
+        t.would.(comm_in_) <- t.would.(comm_in_) -. m;
+        if v >= 0 then add_delta t v (-.m)
+      end
+    end;
+    overlap_from t ~winner ~loser c ps (k + 1) rest
+
+let overlap t ~winner ~loser =
+  t.would.(comm_in_) <- 0.0;
+  t.pn <- 0;
+  if not t.unshared then begin
+    let m = t.procs.(loser).members in
+    for y = m.off to m.off + m.len - 1 do
+      let c = m.s.key.(y) in
+      let ps = Graph.producers t.g c in
+      overlap_from t ~winner ~loser c ps 0 ps
+    done
+  end
 
 let probe_merge t ~winner ~loser =
   if winner = loser then invalid_arg "Ledger.probe_merge: same processor";
@@ -598,6 +716,8 @@ let probe_merge t ~winner ~loser =
   let comm_in =
     pw.loads.(comm_in_) -. in_wl +. (pl.loads.(comm_in_) -. out_wl)
   in
+  overlap t ~winner ~loser;
+  let comm_in = if t.unshared then comm_in else comm_in +. t.would.(comm_in_) in
   let comm_out =
     pw.loads.(comm_out_) -. out_wl +. (pl.loads.(comm_out_) -. in_wl)
   in
@@ -614,6 +734,7 @@ let probe_merge t ~winner ~loser =
      two sorted rows, consed into an ascending list. *)
   let pair_flows = ref [] in
   let a = ref (wf.off + wf.len - 1) and b = ref (lf.off + lf.len - 1) in
+  let o = ref (t.pn - 1) in
   while !a >= wf.off || !b >= lf.off do
     let ka = if !a >= wf.off then s.key.(!a) else -1 in
     let kb = if !b >= lf.off then s.key.(!b) else -1 in
@@ -626,6 +747,10 @@ let probe_merge t ~winner ~loser =
     if kb = v then begin
       total := !total +. (s.fa.(!b) +. s.fb.(!b));
       decr b
+    end;
+    if !o >= 0 && t.pv.(!o) = v then begin
+      total := !total +. t.pw.(!o);
+      decr o
     end;
     if v <> winner && v <> loser then pair_flows := (v, !total) :: !pair_flows
   done;
@@ -668,7 +793,12 @@ let proc_violations t u acc =
     let k = key.(j) and l = aux.(j) in
     if not (has p.needs k) then
       add (Check.Extraneous_download { proc = u; object_type = k });
-    if not (valid_server t l) || not (Servers.holds servers l k) then
+    if
+      (not (valid_server t l))
+      || k < 0
+      || k >= Servers.n_object_types servers
+      || not (Servers.holds servers l k)
+    then
       add (Check.Not_held { proc = u; object_type = k; server = l })
   done;
   for j = first + 1 to last do
@@ -748,21 +878,21 @@ let violations_touching t us =
 
 let violations t =
   let acc = ref [] in
-  for i = 0 to App.n_operators t.app - 1 do
+  for i = 0 to Graph.n_nodes t.g - 1 do
     if t.host.(i) < 0 then acc := Check.Unassigned_operator i :: !acc
   done;
   let ids = proc_ids t in
   List.iter (fun u -> proc_violations t u acc) ids;
-  server_card_violations t (List.init t.n_servers Fun.id) acc;
+  server_card_violations t (List.init (Array.length t.card_load) Fun.id) acc;
   pair_violations t ids acc;
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
 
-let of_alloc app platform alloc =
+let of_alloc g platform alloc =
   Obs.prof_enter "ledger.of_alloc";
-  let t = create app platform in
+  let t = create g platform in
   for u = 0 to Alloc.n_procs alloc - 1 do
     let id = add_proc t (Alloc.proc alloc u).Alloc.config in
     assert (id = u)

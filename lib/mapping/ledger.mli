@@ -1,18 +1,25 @@
-(** Incremental demand/feasibility ledger.
+(** Incremental demand/feasibility ledger over an operator-graph view
+    ({!Insp_tree.Graph}): one operator tree, or a DAG shared by several
+    applications.
 
     Maintains, as mutable state, every quantity the from-scratch checker
-    {!Check.check} derives from an allocation: per-processor compute,
-    communication and download loads, per-server card and link loads,
-    and per-processor-pair flows.  Mutations ({!add_operator},
-    {!remove_operator}, {!add_download}, …) cost O(degree) row edits —
-    the number of tree edges and object leaves touching the edited
-    operator — where the from-scratch path recomputes O(|group|²) sums
-    per probe.  The state is flat sorted rows edited in place
-    (DESIGN.md §16.1): once its rows have grown, a commit allocates
-    nothing, and a probe allocates only its result.
+    {!Check.check_graph} derives from an allocation: per-processor
+    compute, communication and download loads, per-server card and link
+    loads, and per-processor-pair flows.  A producer's output crosses to
+    another processor as one stream, at the fastest rate of its
+    consumers there; that maximum is recomputed by scanning the
+    producer's consumers.  An unassigned neighbour counts as its own
+    stream at its own rate.  On a tree every stream has one consumer, so
+    its float operations are those of the tree edges.  Mutations
+    ({!add_operator}, {!remove_operator}, {!add_download}, …) cost
+    O(degree) row edits, times the out-degree of the producers on a
+    DAG, where the from-scratch path recomputes O(|group|²) sums per
+    probe.  The state is flat sorted rows edited in place (DESIGN.md
+    §16.1): once its rows have grown, a commit allocates nothing, and a
+    probe allocates only its result.
 
-    {!Check.check} remains the oracle: the test suite materialises the
-    ledger with {!to_alloc}, runs the oracle and requires the same
+    {!Check.check_graph} remains the oracle: the test suite materialises
+    the ledger with {!to_alloc}, runs the oracle and requires the same
     violation set as {!violations} (float loads within 1e-6 relative
     tolerance — incremental sums may differ from the oracle's in the
     last bits).  Aggregates are reset to exact zero whenever their
@@ -34,7 +41,9 @@ type proc_id = int
     already-validated totals). *)
 type probe = { demand : Demand.t; pair_flows : (proc_id * float) list }
 
-val create : Insp_tree.App.t -> Insp_platform.Platform.t -> t
+val create : Insp_tree.Graph.t -> Insp_platform.Platform.t -> t
+(** Node [i] of the view is operator [i]; a tree passes
+    [Graph.of_app app]. *)
 
 val add_proc : t -> Insp_platform.Catalog.config -> proc_id
 val remove_proc : t -> proc_id -> unit
@@ -77,7 +86,8 @@ val add_download : t -> proc_id -> obj:int -> server:int -> unit
     recorded and will surface as [Check.Duplicate_download].  Servers
     outside the platform range are recorded too (they surface as
     [Check.Not_held] and still load the processor's NIC, like the
-    oracle). *)
+    oracle), and so are object types outside the catalog (they surface
+    as [Check.Not_held] and load nothing). *)
 
 val remove_download : t -> proc_id -> obj:int -> server:int -> unit
 (** No-op when the entry is absent. *)
@@ -109,13 +119,17 @@ val probe_add : t -> proc_id -> int -> probe
 
 val probe_merge : t -> winner:proc_id -> loser:proc_id -> probe
 (** Would-be state of [winner] after absorbing [loser].  [pair_flows]
-    lists the merged totals towards every third-party neighbour.
-    O(neighbour count); does not mutate. *)
+    lists the merged totals towards every third-party neighbour.  A
+    producer outside the pair that streams to both sends the merged
+    group one stream, at the larger of the two rates, in comm_in and in
+    the pair flow alike.  O(neighbour count) on a tree, plus the
+    loser's in-edges times the producers' out-degree on a shared DAG;
+    does not mutate. *)
 
 val violations : t -> Check.violation list
-(** Complete violation list, equivalent to running {!Check.check} on
-    {!to_alloc} (processor indices are ledger ids).  O(live state), not
-    O(procs²). *)
+(** Complete violation list, equivalent to running {!Check.check_graph}
+    on {!to_alloc} (processor indices are ledger ids).  O(live state),
+    not O(procs²). *)
 
 val violations_touching : t -> proc_id list -> Check.violation list
 (** Violations anchored at the given processors: their structural
@@ -124,7 +138,7 @@ val violations_touching : t -> proc_id list -> Check.violation list
     pair they participate in.  Does not scan for unassigned operators.
     O(size of the touched state). *)
 
-val of_alloc : Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> t
+val of_alloc : Insp_tree.Graph.t -> Insp_platform.Platform.t -> Alloc.t -> t
 (** Replays an allocation; processor ids coincide with [Alloc] indices. *)
 
 (* lint: allow t3 — the allocation view the test-suite oracle checks *)

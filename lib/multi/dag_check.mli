@@ -1,27 +1,16 @@
 (** Constraint checking for DAG allocations — the paper's constraints
     (1)–(5) generalised to shared operators.
 
-    The checker itself is {!Insp_mapping.Check.check_graph} on the DAG's
+    The checker is {!Insp_mapping.Check.check_graph} on the DAG's
     operator-graph view ({!Dag.graph}): a node's compute load is
     [rate_i * w_i], and its output crosses to another processor as ONE
     stream per destination processor, at the fastest rate any consumer
     there needs.  Download plans and server constraints are those of
-    trees.  This module adds the conservative group demand the DAG
-    placer probes with.
+    trees.  Placement probes the same semantics incrementally, through
+    the ledger behind [Insp_heuristics.Builder] ({!Dag_place}).
 
     Allocations reuse {!Insp_mapping.Alloc} with node ids in place of
     operator ids, and violations reuse {!Insp_mapping.Check.violation}. *)
-
-val group_demand :
-  Dag.t -> in_group:(int -> bool) -> int list -> Insp_mapping.Demand.t
-(** Conservative demand of co-locating the given nodes: external
-    consumers are each assumed to live on distinct processors, so
-    [comm_out] is one stream per external consumer.  Only decreases
-    when other nodes join neighbouring groups, making it safe for
-    incremental placement.  The member list must be sorted and
-    duplicate-free, and [in_group] must answer membership of exactly
-    those nodes — in O(1) for callers that keep a marker, such as
-    {!Dag_place}'s stamped node arrays. *)
 
 val check :
   Dag.t ->

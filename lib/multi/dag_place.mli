@@ -6,17 +6,16 @@
     from the sinks) first; processors then repeatedly absorb the
     consumers of their nodes (adding unassigned consumers, or merging in
     the consumer's whole processor); leftover nodes take fresh
-    processors with an iterative grouping fallback; a final
+    processors with the iterative grouping fallback; a final
     consolidation pass folds small processors into neighbours; then
     server selection (the paper's three-loop heuristic over the DAG's
     needs), downgrade, and full validation.
 
-    Each feasibility probe checks compute first, over the sorted
-    candidate member list, and builds the download and communication
-    terms only when compute fits.  Group membership is answered through
-    stamped per-node markers, and constraint (5) is measured only
-    against the groups adjacent to the candidate; no probe allocates a
-    node-sized array. *)
+    The placement state is the heuristics' own
+    {!Insp_heuristics.Builder} over the DAG's operator-graph view, so
+    every probe is an incremental ledger probe with the checker's
+    stream semantics: one stream per (producer, destination processor),
+    at the fastest consumer there. *)
 
 type outcome = {
   alloc : Insp_mapping.Alloc.t;

@@ -20,8 +20,3 @@ let paper_default rng ?(n_servers = 6) ?(n_object_types = 15) ?(min_copies = 1)
 
 let homogeneous t ~cpu_index ~nic_index =
   { t with catalog = Catalog.homogeneous t.catalog ~cpu_index ~nic_index }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>platform: links server->proc %.0f MB/s, proc<->proc %.0f MB/s@ %a%a@]"
-    t.server_link t.proc_link Servers.pp t.servers Catalog.pp t.catalog

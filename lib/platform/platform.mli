@@ -37,6 +37,3 @@ val paper_default :
 val homogeneous : t -> cpu_index:int -> nic_index:int -> t
 (** Same platform with the catalog restricted to one configuration
     (CONSTR-HOM). *)
-
-(* lint: allow t3 — debugging printer *)
-val pp : Format.formatter -> t -> unit

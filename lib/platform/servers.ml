@@ -79,12 +79,3 @@ let single_object_servers t =
     if List.length (objects_on t l) = 1 then acc := l :: !acc
   done;
   !acc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for l = 0 to n_servers t - 1 do
-    Format.fprintf ppf "S%d (card %.0f MB/s): {%s}@ " l t.cards.(l)
-      (String.concat ", "
-         (List.map (fun k -> Printf.sprintf "o%d" k) (objects_on t l)))
-  done;
-  Format.fprintf ppf "@]"

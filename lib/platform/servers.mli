@@ -51,5 +51,3 @@ val exclusive_objects : t -> (int * int) list
 
 val single_object_servers : t -> int list
 (** Servers that carry exactly one object type (second loop). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,5 @@
 module Prng = Insp_util.Prng
+module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
@@ -110,7 +111,6 @@ let create params =
   }
 
 let params t = t.params
-let platform t = t.platform
 let n_live t = Imap.cardinal t.live
 
 let account t tenant =
@@ -229,7 +229,7 @@ let try_admit t ~tenant ~n_operators ~app_seed =
          ledger against the residual platform and require a clean
          violation set.  The solver has validated already, so this is
          the service trusting the ledger, not the solver. *)
-      let ledger = Ledger.of_alloc app platform o.Solve.alloc in
+      let ledger = Ledger.of_alloc (Graph.of_app app) platform o.Solve.alloc in
       match Ledger.violations ledger with
       | _ :: _ -> Error R_ledger
       | [] ->
@@ -293,7 +293,7 @@ let reoptimize_tenant t ~tenant =
           (cheaper || same_cost)
           && o.Solve.n_procs <= residual_procs ~excluding:id t ~tenant
         then begin
-          let ledger = Ledger.of_alloc app platform o.Solve.alloc in
+          let ledger = Ledger.of_alloc (Graph.of_app app) platform o.Solve.alloc in
           match Ledger.violations ledger with
           | _ :: _ -> ()
           | [] ->

@@ -111,8 +111,6 @@ val crash : t -> procs_lost:int -> crash_outcome
     [Invalid_argument] on a negative [procs_lost]. *)
 
 val params : t -> params
-(* lint: allow t3 — service introspection accessor *)
-val platform : t -> Insp_platform.Platform.t
 val n_live : t -> int
 
 (** {1 Residual capacity}
@@ -133,9 +131,6 @@ val residual_procs : ?excluding:int -> t -> tenant:int -> int
 (** {1 Accounting} *)
 
 type reject_reason = R_placement | R_proc_budget | R_ledger
-
-(* lint: allow t3 — service introspection accessor *)
-val reject_label : reject_reason -> string
 
 type account = {
   mutable purchased : float;

@@ -100,9 +100,3 @@ let events spec =
       :: !acc
   done;
   List.sort (fun a b -> compare (event_key a) (event_key b)) !acc
-
-let pp_event ppf = function
-  | Arrival { app; tenant; n_operators; app_seed; t } ->
-    Format.fprintf ppf "t=%d arrive app=%d tenant=%d ops=%d seed=%d" t app
-      tenant n_operators app_seed
-  | Departure { app; t } -> Format.fprintf ppf "t=%d depart app=%d" t app

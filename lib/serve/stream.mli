@@ -23,11 +23,6 @@ type spec = {
           nothing, keeping legacy streams byte-identical. *)
 }
 
-(* lint: allow t3 — documented default stream configuration *)
-val default : spec
-(** 1000 applications, 4 tenants, 6–24 operators, mean gap 2, mean
-    lifetime 90, no bursts, seed 1. *)
-
 val make :
   ?n_apps:int ->
   ?n_tenants:int ->
@@ -39,7 +34,8 @@ val make :
   seed:int ->
   unit ->
   spec
-(** {!default} with overrides; validates ranges. *)
+(** Defaults: 1000 applications, 4 tenants, 6–24 operators, mean gap
+    2, mean lifetime 90, no bursts; validates ranges. *)
 
 val burst_size : Insp_util.Prng.t -> mean:int -> int
 (** One correlated-burst size draw: uniform over [1, 2*mean - 1] (a
@@ -63,6 +59,3 @@ val events : spec -> event list
     departure at tick [T] frees capacity before an arrival at [T] is
     admitted.  Every application departs exactly once, strictly after
     its arrival. *)
-
-(* lint: allow t3 — debugging printer *)
-val pp_event : Format.formatter -> event -> unit

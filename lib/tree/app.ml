@@ -50,7 +50,6 @@ let work t i = t.work.(i)
 let output_size t i = t.output.(i)
 let works t = t.work
 let output_sizes t = t.output
-let input_size t i = t.output.(i)
 let comm_volume t i = t.rho *. t.output.(i)
 let download_rate t k = Objects.rate t.objects k
 
@@ -71,11 +70,3 @@ let heaviest_operator t =
   let best = ref 0 in
   Array.iteri (fun i w -> if w > t.work.(!best) then best := i) t.work;
   !best
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>application: %d operators, alpha=%.2f, rho=%.2f@ "
-    (n_operators t) t.alpha t.rho;
-  Format.fprintf ppf "total work %.1f Mops, root output %.1f MB@ "
-    (total_work t) t.output.(0);
-  Optree.pp ppf t.tree;
-  Format.fprintf ppf "@]"

@@ -52,11 +52,6 @@ val output_sizes : t -> float array
     application's own arrays, shared so that hot loops read them without
     boxing a float per call.  Callers must not mutate them. *)
 
-(* lint: allow t3 — model accessor completing the App API *)
-val input_size : t -> int -> float
-(** Sum of the operator's input sizes (equals [delta_i] under the paper's
-    additive output model). *)
-
 val comm_volume : t -> int -> float
 (** [comm_volume t i] = [rho * delta_i]: the MB/s that flow from operator
     [i] to its parent when they sit on different processors. *)
@@ -78,6 +73,3 @@ val total_leaf_mass : t -> float
 
 val heaviest_operator : t -> int
 (** Operator id with the largest [w_i]. *)
-
-(* lint: allow t3 — debugging printer *)
-val pp : Format.formatter -> t -> unit

@@ -31,7 +31,6 @@ let emit ?app tree =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let of_tree tree = emit tree
 let of_app app = emit ~app (App.tree app)
 
 let save dot path =

@@ -1,11 +1,8 @@
 (** Graphviz export of operator trees, for documentation and debugging. *)
 
-(* lint: allow t3 — Graphviz export for manual inspection *)
-val of_tree : Optree.t -> string
-(** DOT digraph with operators as boxes and object leaves as ellipses. *)
-
 val of_app : App.t -> string
-(** Same, with each operator annotated by [w_i] and [delta_i]. *)
+(** DOT digraph with operators as boxes, each annotated by [w_i] and
+    [delta_i], and object leaves as ellipses. *)
 
 val save : string -> string -> unit
 (** [save dot path] writes the DOT text to [path]. *)

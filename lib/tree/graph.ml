@@ -71,6 +71,32 @@ let consumer g i k =
     | Some _ | None -> invalid_arg "Graph.consumer: no such consumer")
   | Shared s -> s.consumers.(i).(k)
 
+let rate g i = g.rates.(i * g.rate_stride)
+
+let rec read_before j ps k =
+  k > 0 && match ps with p :: ps -> p = j || read_before j ps (k - 1) | [] -> false
+
+let rec repeats ps k = function
+  | [] -> false
+  | j :: rest -> read_before j ps k || repeats ps (k + 1) rest
+
+let distinct_producers g i =
+  let ps = producers g i in
+  if not (repeats ps 0 ps) then ps
+  else List.rev (List.fold_left (fun acc j -> if List.mem j acc then acc else j :: acc) [] ps)
+
+let fastest g j f =
+  let best = ref (-1) in
+  for k = 0 to n_consumers g j - 1 do
+    let c = consumer g j k in
+    if
+      f c
+      && (!best < 0
+         || g.rates.(c * g.rate_stride) > g.rates.(!best * g.rate_stride))
+    then best := c
+  done;
+  !best
+
 let leaves g i =
   match g.links with
   | Tree nodes -> nodes.(i).Optree.leaves

@@ -60,6 +60,24 @@ val consumer : t -> int -> int -> int
     index, not a list: a tree stores an optional parent, which a list
     would allocate on every read. *)
 
+val rate : t -> int -> float
+(** Evaluations/s of node [i].  Hot loops read [rates] directly: a
+    float returned across compilation units is boxed. *)
+
+val distinct_producers : t -> int -> int list
+(** {!producers}, each once, in first-slot order.  Allocates only for a
+    node that reads one producer twice. *)
+
+val read_before : int -> int list -> int -> bool
+(** [read_before j ps k]: whether [j] is among the first [k] entries of
+    the producer list [ps].  A node reading one producer in two slots
+    has one edge to it, taken at the first slot. *)
+
+val fastest : t -> int -> (int -> bool) -> int
+(** [fastest g j f]: the consumer of [j] accepted by [f] whose rate is
+    that of [j]'s stream to them, i.e. the fastest, the first in id
+    order among equals; [-1] when [f] accepts none.  O(out-degree). *)
+
 val unshared : t -> bool
 (** No node has two consumers (every tree, a DAG without common
     sub-expressions): each crossing edge is its own stream. *)

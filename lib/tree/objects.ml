@@ -23,14 +23,3 @@ let rate t k = t.sizes.(k) *. t.freqs.(k)
 
 let with_freq t freq =
   uniform_freq ~sizes:t.sizes ~freq
-
-let sizes t = Array.copy t.sizes
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun k s ->
-      Format.fprintf ppf "o%d: %.1f MB @ %.3f/s (rate %.2f MB/s)@ " k s
-        t.freqs.(k) (rate t k))
-    t.sizes;
-  Format.fprintf ppf "@]"

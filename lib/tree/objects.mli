@@ -33,9 +33,3 @@ val with_freq : t -> float -> t
 (** Same sizes, new uniform frequency (used by the download-rate sweep
     experiment). *)
 
-(* lint: allow t3 — model accessor completing the Objects API *)
-val sizes : t -> float array
-(** Copy of the size array. *)
-
-(* lint: allow t3 — debugging printer *)
-val pp : Format.formatter -> t -> unit

@@ -34,9 +34,3 @@ let to_string t =
   emit t.header;
   List.iter emit (List.rev t.rows);
   Buffer.contents buf
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))

@@ -17,7 +17,3 @@ val add_floats : t -> float list -> unit
 val to_string : t -> string
 (** Serialises header plus rows, quoting fields that contain commas,
     quotes or newlines. *)
-
-(* lint: allow t3 — file-writing counterpart of to_string, kept for scripts *)
-val save : t -> string -> unit
-(** [save t path] writes {!to_string} to [path]. *)

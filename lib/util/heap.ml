@@ -83,10 +83,6 @@ let pop h =
     Some (e.key, e.value)
   end
 
-let clear h =
-  h.data <- [||];
-  h.length <- 0;
-  h.next_seq <- 0
 
 let to_sorted_list h =
   let entries = Array.sub h.data 0 h.length in

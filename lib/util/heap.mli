@@ -22,9 +22,6 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the entry with the smallest key; among equal keys
     the earliest-inserted entry is returned first. *)
 
-(* lint: allow t3 — container API completeness *)
-val clear : 'a t -> unit
-
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Non-destructive: all entries in ascending key (then insertion)
     order. *)

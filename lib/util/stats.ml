@@ -88,10 +88,6 @@ let summarize samples =
     median = median samples;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.median s.max
-
 let geometric_mean samples =
   nonempty "geometric_mean" samples;
   let log_sum =

@@ -50,9 +50,6 @@ val summarize : float list -> summary
 (** Requires a non-empty, NaN-free list (raises [Invalid_argument]
     otherwise). *)
 
-(* lint: allow t3 — debugging printer *)
-val pp_summary : Format.formatter -> summary -> unit
-
 val geometric_mean : float list -> float
 (** Requires a non-empty list of strictly positive samples; raises
     [Invalid_argument] otherwise. *)

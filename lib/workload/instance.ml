@@ -75,10 +75,11 @@ let generate_checked (config : Config.t) =
        the configured object sizes concentrates the whole stream on the
        root and trips this (the paper's parameters support a few hundred
        operators; the scale preset supports ~300k). *)
+    let g = Insp_tree.Graph.of_app t.app in
     let rec scan i =
       if i >= App.n_operators t.app then Ok t
       else begin
-        let d = Demand.of_operator t.app i in
+        let d = Demand.of_operator g i in
         if Demand.fits best d then scan (i + 1)
         else
           Error

@@ -26,7 +26,7 @@ let tiny_env () = (Helpers.tiny_app (), Helpers.tiny_platform ())
 
 let test_builder_acquire_and_add () =
   let app, platform = tiny_env () in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   Alcotest.(check (list int)) "all unassigned" [ 0; 1; 2; 3 ]
     (Builder.unassigned b);
   let best = Catalog.best platform.Platform.catalog in
@@ -42,7 +42,7 @@ let test_builder_acquire_and_add () =
 
 let test_builder_sell_releases () =
   let app, platform = tiny_env () in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   let best = Catalog.best platform.Platform.catalog in
   let gid = Result.get_ok (Builder.acquire b ~config:best ~members:[ 0; 1 ]) in
   Builder.sell b gid;
@@ -51,7 +51,7 @@ let test_builder_sell_releases () =
 
 let test_builder_absorb () =
   let app, platform = tiny_env () in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   let best = Catalog.best platform.Platform.catalog in
   let g1 = Result.get_ok (Builder.acquire b ~config:best ~members:[ 0; 1 ]) in
   let g2 = Result.get_ok (Builder.acquire b ~config:best ~members:[ 2; 3 ]) in
@@ -68,7 +68,7 @@ let test_builder_rejects_pair_flow () =
   let platform =
     Platform.make ~catalog:Catalog.dell_2008 ~servers ~proc_link:40.0 ()
   in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   let best = Catalog.best platform.Platform.catalog in
   let g1 = Result.get_ok (Builder.acquire b ~config:best ~members:[ 0; 1 ]) in
   (match Builder.acquire b ~config:best ~members:[ 2; 3 ] with
@@ -83,14 +83,14 @@ let test_builder_rejects_pair_flow () =
 
 let test_builder_finalize_incomplete () =
   let app, platform = tiny_env () in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   match Builder.finalize b with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "finalize must fail with unassigned operators"
 
 let test_builder_upgrade_variants () =
   let app, platform = tiny_env () in
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   let cheapest = Catalog.cheapest platform.Platform.catalog in
   let gid = Result.get_ok (Builder.acquire b ~config:cheapest ~members:[ 3 ]) in
   (* tiny app is light: plain add already fits, upgrade keeps it cheap *)

@@ -113,7 +113,7 @@ let test_alloc_updates () =
 
 let test_demand_single_group () =
   let app = Helpers.tiny_app () in
-  let d = Demand.of_group app [ 0; 1; 2; 3 ] in
+  let d = Demand.of_group (Insp.Graph.of_app app) [ 0; 1; 2; 3 ] in
   (* compute = rho * (80+30+50+10) = 170 *)
   Helpers.alco_float "compute" 170.0 d.Demand.compute;
   (* downloads: distinct objects {0,1,2} -> 5 + 10 + 20 *)
@@ -125,13 +125,13 @@ let test_demand_single_group () =
 let test_demand_split_group () =
   let app = Helpers.tiny_app () in
   (* Group {n0, n1}: receives n2's output (50); n1 downloads o0+o1. *)
-  let d = Demand.of_group app [ 0; 1 ] in
+  let d = Demand.of_group (Insp.Graph.of_app app) [ 0; 1 ] in
   Helpers.alco_float "compute" 110.0 d.Demand.compute;
   Helpers.alco_float "download" 15.0 d.Demand.download;
   Helpers.alco_float "comm in" 50.0 d.Demand.comm_in;
   Helpers.alco_float "comm out" 0.0 d.Demand.comm_out;
   (* Group {n2, n3}: sends n2's output up; downloads o0 (shared) + o2. *)
-  let d = Demand.of_group app [ 2; 3 ] in
+  let d = Demand.of_group (Insp.Graph.of_app app) [ 2; 3 ] in
   Helpers.alco_float "compute lower" 60.0 d.Demand.compute;
   Helpers.alco_float "download dedup o0" 25.0 d.Demand.download;
   Helpers.alco_float "comm out up" 50.0 d.Demand.comm_out;
@@ -140,11 +140,11 @@ let test_demand_split_group () =
 let test_demand_duplicates_ignored () =
   let app = Helpers.tiny_app () in
   Alcotest.(check bool) "dup ids ignored" true
-    (Demand.of_group app [ 1; 1; 1 ] = Demand.of_group app [ 1 ])
+    (Demand.of_group (Insp.Graph.of_app app) [ 1; 1; 1 ] = Demand.of_group (Insp.Graph.of_app app) [ 1 ])
 
 let test_demand_fits () =
   let app = Helpers.tiny_app () in
-  let d = Demand.of_group app [ 0; 1; 2; 3 ] in
+  let d = Demand.of_group (Insp.Graph.of_app app) [ 0; 1; 2; 3 ] in
   Alcotest.(check bool) "fits best" true (Demand.fits (cfg ()) d);
   (* compute 170 > nothing; nic 35 MB/s needs the 125 tier. *)
   Alcotest.(check bool) "fits cheapest" true (Demand.fits (cfg ~cpu:0 ~nic:0 ()) d)
@@ -163,8 +163,8 @@ let demand_decomposes =
       let app = inst.Insp.Instance.app in
       let n = App.n_operators app in
       let group = List.init (min 6 n) Fun.id in
-      let whole = Demand.of_group app group in
-      let parts = List.map (Demand.of_operator app) group in
+      let whole = Demand.of_group (Insp.Graph.of_app app) group in
+      let parts = List.map (Demand.of_operator (Insp.Graph.of_app app)) group in
       let sum f = List.fold_left (fun acc d -> acc +. f d) 0.0 parts in
       (* Compute is exactly additive; NIC terms only shrink by grouping. *)
       Helpers.float_eq ~eps:1e-6 whole.Demand.compute
@@ -412,7 +412,7 @@ let test_check_duplicate_download () =
   Alcotest.(check int) "exactly one violation" 1 (List.length violations);
   (* The NIC double-count is real: the plan rate exceeds the demand's
      deduplicated download term by one extra o0 stream (5 MB/s). *)
-  let d = Demand.of_group app [ 0; 1; 2; 3 ] in
+  let d = Demand.of_group (Insp.Graph.of_app app) [ 0; 1; 2; 3 ] in
   Helpers.alco_float "double-counted NIC" (d.Demand.download +. 5.0)
     (Check.proc_download_rate (Insp.Graph.of_app app) alloc 0)
 

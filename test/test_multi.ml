@@ -222,7 +222,7 @@ let test_dag_check_stream_dedup () =
   let d = (Check.proc_demands (Dag.graph dag) alloc).(0) in
   Helpers.alco_float "comm_out deduped" 60.0 d.Demand.comm_out;
   (* conservative group demand counts both consumers *)
-  let g = Dag_check.group_demand dag ~in_group:(fun i -> i = a) [ a ] in
+  let g = Demand.of_group (Dag.graph dag) [ a ] in
   Helpers.alco_float "conservative comm_out" 90.0 g.Demand.comm_out
 
 let test_dag_check_rate_weighted_compute () =

@@ -38,7 +38,7 @@ let run_outcome h inst =
    re-sort the unassigned pool every round, seed with its heaviest
    operator and probe every other one during the fill. *)
 let scan_comp_greedy _rng app platform =
-  let b = Builder.create app platform in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
   let budget = ref ((Insp.App.n_operators app * Insp.App.n_operators app) + 16) in
   let rec loop () =
     match Common.by_work_desc app (Builder.unassigned b) with
