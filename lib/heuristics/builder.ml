@@ -251,8 +251,19 @@ let try_absorb t winner loser =
   check_live t winner;
   check_live t loser;
   Obs.prof_enter "ledger.try_absorb";
-  let probe = Ledger.probe_merge t.ledger ~winner ~loser in
-  let ok, reject = probe_verdict t (Ledger.config t.ledger winner) probe in
+  let config = Ledger.config t.ledger winner in
+  let ok, reject =
+    (* The probe tests the merged compute load first, and most
+       consolidation candidates fail there: answer those from the two
+       loads alone, without the merge probe, with the same verdict. *)
+    if
+      not
+        (leq
+           (Ledger.compute_load t.ledger winner +. Ledger.compute_load t.ledger loser)
+           config.Catalog.cpu.Catalog.speed)
+    then (false, Some Journal.Demand_exceeded)
+    else probe_verdict t config (Ledger.probe_merge t.ledger ~winner ~loser)
+  in
   ignore (count_probe ok);
   if Obs.journaling () then
     Obs.event

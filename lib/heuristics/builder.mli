@@ -1,5 +1,5 @@
-(** Mutable placement state shared by all operator-placement heuristics
-    and by the DAG placer ([Insp_multi.Dag_place]).
+(** Mutable placement state shared by all operator-placement heuristics,
+    on trees and on shared DAGs alike.
 
     A builder reads an operator-graph view ({!Insp_tree.Graph}): one
     tree, or a DAG shared by several applications.  It tracks a set of
@@ -78,7 +78,10 @@ val try_add : t -> group_id -> int -> bool
 val try_absorb : t -> group_id -> group_id -> bool
 (** [try_absorb t winner loser] moves every operator of [loser] onto
     [winner] (keeping [winner]'s configuration) and sells [loser].
-    Returns [false] without mutating when the union does not fit. *)
+    Returns [false] without mutating when the union does not fit.  A
+    union whose compute load alone overflows [winner] is rejected
+    without the merge probe, with the probe's counters and journal
+    event. *)
 
 val try_add_upgrade : t -> group_id -> int -> bool
 (** Like {!try_add}, but allowed to exchange the group's processor for

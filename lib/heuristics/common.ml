@@ -1,15 +1,14 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
 module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 
 type style = [ `Best | `Cheapest ]
 
-let by_work_desc app ops =
+let by_work_desc g ops =
+  let work = g.Graph.work in
   List.sort
     (fun a b ->
-      let c = compare (App.work app b) (App.work app a) in
+      let c = compare work.(b) work.(a) in
       if c <> 0 then c else compare a b)
     ops
 
@@ -96,5 +95,31 @@ let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
   in
   grow [ op ] !collapse_rounds
 
-let object_set app i =
-  List.sort_uniq compare (Optree.leaves (App.tree app) i)
+let round_budget b =
+  let n = Graph.n_nodes (Builder.graph b) in
+  let left = ref ((n * n) + 16) in
+  fun () ->
+    decr left;
+    !left > 0
+
+let not_converged =
+  Error "placement did not converge (grouping fallback oscillates)"
+
+let place_rest b =
+  let g = Builder.graph b in
+  let spend = round_budget b in
+  let rec loop () =
+    match by_work_desc g (Builder.unassigned b) with
+    | [] -> Ok b
+    | heaviest :: _ ->
+      if not (spend ()) then not_converged
+      else (
+        match acquire_with_grouping b ~style:`Best heaviest with
+        | Error e -> Error e
+        | Ok gid ->
+          fill b gid (by_work_desc g (Builder.unassigned b));
+          loop ())
+  in
+  loop ()
+
+let object_set g i = List.sort_uniq compare (Graph.leaves g i)

@@ -5,7 +5,7 @@ type style = [ `Best | `Cheapest ]
     the catalog's most expensive one (later downgraded) or the cheapest
     one that can host the operators. *)
 
-val by_work_desc : Insp_tree.App.t -> int list -> int list
+val by_work_desc : Insp_tree.Graph.t -> int list -> int list
 (** Sort operators by non-increasing [w_i] (ties by id for
     determinism). *)
 
@@ -33,7 +33,23 @@ val acquire_with_grouping :
     pool by a sell, after the sell committed — Comp-Greedy uses it to
     learn that its rank walker must be reset. *)
 
-val object_set : Insp_tree.App.t -> int -> int list
+val round_budget : Builder.t -> unit -> bool
+(** The grouping fallback can sell a processor and release its
+    operators, so every placement loop that buys through it is bounded
+    to guarantee termination: [round_budget b] is a fresh budget of
+    [n² + 16] rounds over [b]'s [n]-node view, and each call spends one
+    round, [false] once the budget is exhausted. *)
+
+val not_converged : ('a, string) result
+(** The failure of a loop that exhausted its {!round_budget}. *)
+
+val place_rest : Builder.t -> (Builder.t, string) result
+(** Places every operator still unassigned Comp-Greedy style: buy a
+    processor for the heaviest ({!by_work_desc}) with the grouping
+    fallback, fill it in the same order, repeat, within one
+    {!round_budget}. *)
+
+val object_set : Insp_tree.Graph.t -> int -> int list
 (** Distinct object types operator [i] downloads. *)
 
 val with_collapse_rounds : int -> (unit -> 'a) -> 'a

@@ -1,21 +1,23 @@
-module App = Insp_tree.App
 module Graph = Insp_tree.Graph
-module Optree = Insp_tree.Optree
 module Ledger = Insp_mapping.Ledger
 
-(* All parent edges, heaviest communication first. *)
-let edges_by_weight_desc app =
-  let tree = App.tree app in
+(* All producer-consumer edges, heaviest communication first: an edge
+   weighs its producer's output at its consumer's rate. *)
+let edges_by_weight_desc g =
   let edges = ref [] in
-  for i = 0 to App.n_operators app - 1 do
-    match Optree.parent tree i with
-    | None -> ()
-    | Some p -> edges := (i, p, App.rho app *. App.output_size app i) :: !edges
+  for i = 0 to Graph.n_nodes g - 1 do
+    for k = 0 to Graph.n_consumers g i - 1 do
+      let c = Graph.consumer g i k in
+      edges := (i, c, Graph.rate g c *. g.Graph.output.(i)) :: !edges
+    done
   done;
   List.sort
-    (fun (a, _, wa) (b, _, wb) ->
+    (fun (a, ca, wa) (b, cb, wb) ->
       let c = compare wb wa in
-      if c <> 0 then c else compare a b)
+      if c <> 0 then c
+      else
+        let c = compare a b in
+        if c <> 0 then c else compare ca cb)
     !edges
 
 let place_pair b i p =
@@ -62,7 +64,7 @@ let with_merge_sweeps enabled f =
    [(group, stamp)] pair per edge therefore skips exactly the probes
    that cannot fire, making each quiescent sweep O(live edges) instead
    of O(edges × probe). *)
-let merge_sweeps b app edges =
+let merge_sweeps b edges =
   let led = Builder.ledger b in
   let edges = Array.of_list edges in
   let failed = Array.make (Array.length edges) (-1, -1, -1, -1) in
@@ -87,10 +89,10 @@ let merge_sweeps b app edges =
       if !changed then sweep (budget - 1)
     end
   in
-  sweep (App.n_operators app)
+  sweep (Graph.n_nodes (Builder.graph b))
 
-let run _rng app platform =
-  let b = Builder.create (Graph.of_app app) platform in
+let run _rng g platform =
+  let b = Builder.create g platform in
   let rec handle = function
     | [] -> Ok ()
     | (i, p, _) :: rest -> (
@@ -108,12 +110,12 @@ let run _rng app platform =
       in
       match step with Error e -> Error e | Ok () -> handle rest)
   in
-  let edges = edges_by_weight_desc app in
+  let edges = edges_by_weight_desc g in
   match handle edges with
   | Error e -> Error e
   | Ok () -> (
-    if !merge_sweeps_enabled then merge_sweeps b app edges;
-    (* Only a single-operator tree has no edges; place any leftover. *)
+    if !merge_sweeps_enabled then merge_sweeps b edges;
+    (* Only a single-operator graph has no edges; place any leftover. *)
     match Builder.unassigned b with
     | [] -> Ok b
     | leftover -> (

@@ -1,7 +1,8 @@
 (** The Comm-Greedy operator-placement heuristic (paper §4.1).
 
-    Tree edges are treated in non-increasing communication weight
-    [rho * delta_child].  For each edge the two endpoint operators are
+    Edges are treated in non-increasing communication weight: the
+    producer's output [delta] at the consumer's rate ([rho * delta_child]
+    on a tree).  For each edge the two endpoint operators are
     grouped on one processor whenever possible:
 
     - both unassigned: buy the cheapest processor hosting both, falling
@@ -14,7 +15,7 @@
 
 val run :
   Insp_util.Prng.t ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   (Builder.t, string) result
 

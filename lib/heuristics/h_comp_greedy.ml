@@ -1,4 +1,3 @@
-module App = Insp_tree.App
 module Graph = Insp_tree.Graph
 module Ledger = Insp_mapping.Ledger
 module Catalog = Insp_platform.Catalog
@@ -11,46 +10,43 @@ let tolerance = 1e-9
 let leq value capacity = value <= (capacity *. (1.0 +. tolerance)) +. tolerance
 
 (* One order drives the whole heuristic: operators by non-increasing
-   work (ties by id), walked through a path-compressed rank walker that
-   skips assigned operators.  Each round's seed is the first unassigned
-   operator from position 0; the fill walk follows the same order from
-   the start, binary-searching past the prefix whose compute demand
-   alone already exceeds the group's remaining CPU capacity (those
-   candidates are rejected by the probe without reading any other
-   state, so skipping them cannot change the placement).  Candidates
-   that pass the fast-forward are probed in order, so the commit
-   sequence is that of re-sorting the unassigned pool every round and
-   probing every candidate. *)
-let run _rng app platform =
-  let b = Builder.create (Graph.of_app app) platform in
-  let n = App.n_operators app in
-  let rho = App.rho app in
-  (* Static fill order: work desc, id asc — Common.by_work_desc's
-     comparator over the full operator set.  Works are prefetched into a
-     float array so the comparator stays unboxed ([Float.compare] on
-     float-array reads compiles to a primitive comparison); the
-     polymorphic-compare version boxed two floats per comparison, which
-     the allocation profile showed as ~10M minor words of anonymous
-     placement self at N=100k.  The order is total, so the merge sort
-     of [Array.stable_sort] gives the same permutation as a heap sort
-     with about half the comparisons. *)
-  let w = Array.init n (App.work app) in
+   compute demand [rate·work] (ties by id), walked through a
+   path-compressed rank walker that skips assigned operators.  Each
+   round's seed is the first unassigned operator from position 0; the
+   fill walk follows the same order from the start, binary-searching
+   past the prefix whose compute demand alone already exceeds the
+   group's remaining CPU capacity (those candidates are rejected by the
+   probe without reading any other state, so skipping them cannot
+   change the placement).  Candidates that pass the fast-forward are
+   probed in order, so the commit sequence is that of re-sorting the
+   unassigned pool every round and probing every candidate.  On a tree
+   every rate is rho and the order is the work order. *)
+let run _rng g platform =
+  let b = Builder.create g platform in
+  let n = Graph.n_nodes g in
+  (* Each operator's probe compute term, the same float expression
+     Ledger.probe_add adds, prefetched into a float array so the
+     comparator stays unboxed ([Float.compare] on float-array reads
+     compiles to a primitive comparison).  The order is total, so the
+     merge sort of [Array.stable_sort] gives the same permutation as a
+     heap sort with about half the comparisons. *)
+  let { Graph.rates; rate_stride; work; _ } = g in
+  let load = Array.init n (fun i -> rates.(i * rate_stride) *. work.(i)) in
   let perm = Array.init n Fun.id in
   Array.stable_sort
     (fun a b ->
-      let c = Float.compare w.(b) w.(a) in
+      let c = Float.compare load.(b) load.(a) in
       if c <> 0 then c else Int.compare a b)
     perm;
-  (* pos_work.(pos) is the probe's compute contribution of the operator
-     at that rank: the same float expression Ledger.probe_add adds. *)
-  let pos_work = Array.map (fun i -> rho *. w.(i)) perm in
+  (* pos_work.(pos) is the compute term of the operator at that rank *)
+  let pos_work = Array.map (fun i -> load.(i)) perm in
   let rank = Rank.of_order perm in
   let alive i = Builder.assignment b i = None in
   let first_fit c speed from =
     if from >= n then n
     else if leq (c +. pos_work.(from)) speed then from
     else begin
-      (* works are non-increasing along the rank, so (c +. work) is
+      (* loads are non-increasing along the rank, so (c +. load) is
          non-increasing and the fit predicate is monotone: binary-search
          the first position that fits. *)
       let lo = ref from and hi = ref n in
@@ -74,32 +70,25 @@ let run _rng app platform =
       end
     done
   in
-  (* The grouping fallback can sell a processor and release its
-     operators, so bound the number of rounds to guarantee
-     termination. *)
-  let budget = ref ((n * n) + 16) in
+  let spend = Common.round_budget b in
   let rec loop () =
     let p = Rank.first rank ~alive 0 in
     if p >= n then Ok b
+    else if not (spend ()) then Common.not_converged
     else begin
-      decr budget;
-      if !budget <= 0 then
-        Error "placement did not converge (grouping fallback oscillates)"
-      else begin
-        let sold = ref false in
-        let on_release _ = sold := true in
-        match
-          Common.acquire_with_grouping ~on_release b ~style:`Best
-            (Rank.element rank p)
-        with
-        | Error e -> Error e
-        | Ok gid ->
-          (* a sell resurrected operators: the rank walker's dead-prefix
-             compression no longer holds. *)
-          if !sold then Rank.reset rank;
-          fill gid;
-          loop ()
-      end
+      let sold = ref false in
+      let on_release _ = sold := true in
+      match
+        Common.acquire_with_grouping ~on_release b ~style:`Best
+          (Rank.element rank p)
+      with
+      | Error e -> Error e
+      | Ok gid ->
+        (* a sell resurrected operators: the rank walker's dead-prefix
+           compression no longer holds. *)
+        if !sold then Rank.reset rank;
+        fill gid;
+        loop ()
     end
   in
   loop ()

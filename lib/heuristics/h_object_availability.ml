@@ -1,36 +1,12 @@
-module App = Insp_tree.App
 module Graph = Insp_tree.Graph
-module Optree = Insp_tree.Optree
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 
-(* Comp-Greedy style placement of whatever operators remain; bounded
-   because the grouping fallback can release operators. *)
-let place_rest b app =
-  let budget = ref ((App.n_operators app * App.n_operators app) + 16) in
-  let rec loop () =
-    match Common.by_work_desc app (Builder.unassigned b) with
-    | [] -> Ok b
-    | heaviest :: _ ->
-      decr budget;
-      if !budget <= 0 then
-        Error "placement did not converge (grouping fallback oscillates)"
-      else (
-        match Common.acquire_with_grouping b ~style:`Best heaviest with
-        | Error e -> Error e
-        | Ok gid ->
-          Common.fill b gid (Common.by_work_desc app (Builder.unassigned b));
-          loop ())
-  in
-  loop ()
-
-let run _rng app platform =
-  let b = Builder.create (Graph.of_app app) platform in
-  let tree = App.tree app in
+let run _rng g platform =
+  let b = Builder.create g platform in
+  let n = Graph.n_nodes g in
   let servers = platform.Platform.servers in
-  let used_objects =
-    Optree.leaf_instances tree |> List.map snd |> List.sort_uniq compare
-  in
+  let used_objects = Graph.distinct_objects g (List.init n Fun.id) in
   let by_availability_asc =
     List.sort
       (fun a b ->
@@ -39,18 +15,16 @@ let run _rng app platform =
         if c <> 0 then c else compare a b)
       used_objects
   in
-  let needs_object i k = List.mem k (Common.object_set app i) in
-  let budget = ref ((App.n_operators app * App.n_operators app) + 16) in
+  let needs_object i k = List.mem k (Common.object_set g i) in
+  let spend = Common.round_budget b in
   let rec pack_object k =
-    decr budget;
-    if !budget <= 0 then
-      Error "placement did not converge (grouping fallback oscillates)"
+    if not (spend ()) then Common.not_converged
     else
     let pending =
       List.filter
-        (fun i -> Optree.is_al_operator tree i && needs_object i k)
+        (fun i -> Graph.leaves g i <> [] && needs_object i k)
         (Builder.unassigned b)
-      |> Common.by_work_desc app
+      |> Common.by_work_desc g
     in
     match pending with
     | [] -> Ok ()
@@ -62,7 +36,7 @@ let run _rng app platform =
         pack_object k)
   in
   let rec objects = function
-    | [] -> place_rest b app
+    | [] -> Common.place_rest b
     | k :: rest -> (
       match pack_object k with Error e -> Error e | Ok () -> objects rest)
   in

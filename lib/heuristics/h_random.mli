@@ -9,6 +9,6 @@
 
 val run :
   Insp_util.Prng.t ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   (Builder.t, string) result

@@ -1,192 +1,217 @@
-module App = Insp_tree.App
 module Graph = Insp_tree.Graph
-module Optree = Insp_tree.Optree
+module Ledger = Insp_mapping.Ledger
 
-(* Children groups ordered by decreasing edge weight towards [op]; a
-   group hosting both children is listed once with the heavier edge. *)
-let child_groups b app op =
-  let tree = App.tree app in
-  let weighted =
-    List.fold_left
-      (fun acc c ->
-        match Builder.assignment b c with
-        | None -> acc
-        | Some gid ->
-          let w = App.rho app *. App.output_size app c in
-          (* the accumulator holds the O(degree) child groups of one
-             operator, not all live groups *)
-          let prev =
-            (try List.assoc gid acc with Not_found -> 0.0) [@lint.allow "p3"]
-          in
-          ((gid, Float.max w prev) :: List.remove_assoc gid acc
-           [@lint.allow "p3"]))
-      []
-      (Optree.children tree op)
+type rules = Tree | Dag
+
+(* Every node after its producers, each once: a depth-first postorder
+   from the roots (in application order) over producers in slot order,
+   the children-first postorder on a tree.  Iterative, so deep chains
+   do not overflow the stack; a node is marked when pushed, which on an
+   acyclic view is when it is first reached. *)
+let postorder g =
+  let seen = Array.make (Graph.n_nodes g) false in
+  let out = ref [] in
+  let rec walk = function
+    | [] -> ()
+    | (i, []) :: rest ->
+      out := i :: !out;
+      walk rest
+    | (i, j :: js) :: rest ->
+      if seen.(j) then walk ((i, js) :: rest)
+      else begin
+        seen.(j) <- true;
+        walk ((j, Graph.producers g j) :: (i, js) :: rest)
+      end
   in
-  List.sort (fun (_, wa) (_, wb) -> compare wb wa) weighted |> List.map fst
+  Array.iter
+    (fun r ->
+      if not seen.(r) then begin
+        seen.(r) <- true;
+        walk [ (r, Graph.producers g r) ]
+      end)
+    g.Graph.roots;
+  List.rev !out
+
+(* Depth of a node: the longest path to a sink (roots have depth 0), its
+   distance from the root on a tree.  Consumers come first in the
+   reversed postorder, so each node's depth is final before it is
+   pushed to its producers. *)
+let depths g order =
+  let depth = Array.make (Graph.n_nodes g) 0 in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun j -> depth.(j) <- max depth.(j) (depth.(i) + 1))
+        (Graph.producers g i))
+    (List.rev order);
+  depth
+
+(* Each sort key computed once per group, not per comparison; the
+   stable sort keeps the order of the direct comparator. *)
+let sort_by key cmp ids =
+  List.map (fun g -> (key g, g)) ids
+  |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
+  |> List.map snd
 
 (* One merge pass over a processor group, in the paper's spirit: "the
    heuristic first tries to allocate as many parent operators of the
-   currently assigned operators to this processor".  An unassigned parent
-   is added directly; a parent already sitting on another processor drags
-   its whole processor in (returning it to the store on success).
-   Returns true when the group changed. *)
-let absorb_parents b app gid =
-  let tree = App.tree app in
-  let progressed = ref false in
-  let rec pass () =
-    let changed =
-      List.exists
-        (fun m ->
-          match Optree.parent tree m with
-          | None -> false
-          | Some p -> (
-            match Builder.assignment b p with
-            | None -> Builder.try_add b gid p
-            | Some other when other <> gid -> Builder.try_absorb b gid other
-            | Some _ -> false))
-        (Builder.members b gid)
-    in
-    if changed then begin
-      progressed := true;
-      pass ()
-    end
+   currently assigned operators to this processor".  An unassigned
+   consumer is added directly; a consumer already sitting on another
+   processor drags its whole processor in (returning it to the store on
+   success).  Returns true when the group changed. *)
+let absorb_consumers b gid =
+  let g = Builder.graph b in
+  let absorbs c =
+    match Builder.assignment b c with
+    | None -> Builder.try_add b gid c
+    | Some other -> other <> gid && Builder.try_absorb b gid other
   in
-  pass ();
-  !progressed
+  let rec consumers m k =
+    k < Graph.n_consumers g m
+    && (absorbs (Graph.consumer g m k) || consumers m (k + 1))
+  in
+  let rec pass progressed =
+    if List.exists (fun m -> consumers m 0) (Builder.members b gid) then
+      pass true
+    else progressed
+  in
+  pass false
 
-let run _rng app platform =
-  let b = Builder.create (Graph.of_app app) platform in
-  let tree = App.tree app in
-  let rec assign_al = function
-    | [] -> Ok ()
-    | op :: rest -> (
-      match Common.acquire_for b ~style:`Best [ op ] with
-      | Ok _ -> assign_al rest
-      | Error e -> Error e)
+(* The groups of [op]'s producers, the hosts a leftover tries before
+   buying.  Tree rules: heaviest edge first, a group hosting two
+   producers listed once with the heavier edge.  DAG rules: in group-id
+   order. *)
+let producer_groups rules b op =
+  let g = Builder.graph b in
+  let hosts =
+    List.filter_map
+      (fun j ->
+        Option.map
+          (fun gid -> (gid, Graph.rate g op *. g.Graph.output.(j)))
+          (Builder.assignment b j))
+      (Graph.producers g op)
   in
+  match rules with
+  | Dag -> List.sort_uniq compare (List.map fst hosts)
+  | Tree ->
+    List.fold_left
+      (fun acc (gid, w) ->
+        (* the accumulator holds the O(degree) producer groups of one
+           operator, not all live groups *)
+        let prev =
+          (try List.assoc gid acc with Not_found -> 0.0) [@lint.allow "p3"]
+        in
+        ((gid, Float.max w prev) :: List.remove_assoc gid acc
+         [@lint.allow "p3"]))
+      [] hosts
+    |> List.sort (fun (_, wa) (_, wb) -> compare wb wa)
+    |> List.map fst
+
+(* Final consolidation ("possibly returning some processors"): fold
+   small groups into others, smallest first.  Each loser tries the
+   groups it exchanges a stream with before the rest, both in
+   acquisition order, so communication stays internal. *)
+let consolidate b =
+  let ledger = Builder.ledger b in
+  let rec pass () =
+    let by_size =
+      sort_by
+        (fun gid -> List.length (Builder.members b gid))
+        compare (Builder.group_ids b)
+    in
+    let merged =
+      List.exists
+        (fun loser ->
+          Ledger.mem_proc ledger loser
+          &&
+          let adj, rest =
+            List.filter (fun gid -> gid <> loser) (Builder.group_ids b)
+            |> List.partition (fun gid -> Ledger.pair_flow ledger loser gid > 0.0)
+          in
+          List.exists (fun winner -> Builder.try_absorb b winner loser) (adj @ rest))
+        by_size
+    in
+    if merged then pass ()
+  in
+  pass ()
+
+let run rules _rng g platform =
+  let b = Builder.create g platform in
+  let order = postorder g in
+  let depth = depths g order in
   (* Deepest al-operators first, so merging proceeds bottom-up. *)
   let al_ops =
-    Optree.al_operators tree
-    |> List.sort (fun a b ->
-           let c = compare (Optree.depth tree b) (Optree.depth tree a) in
-           if c <> 0 then c else compare a b)
+    List.filter (fun i -> Graph.leaves g i <> []) (List.init (Graph.n_nodes g) Fun.id)
+    |> List.sort (fun x y ->
+           let c = compare depth.(y) depth.(x) in
+           if c <> 0 then c else compare x y)
   in
-  match assign_al al_ops with
+  let rec seed = function
+    | [] -> Ok ()
+    | op :: rest when Builder.assignment b op <> None -> seed rest
+    | op :: rest ->
+      let acquired =
+        match rules with
+        | Tree -> Common.acquire_for b ~style:`Best [ op ]
+        | Dag -> Common.acquire_with_grouping b ~style:`Best op
+      in
+      Result.bind acquired (fun _ -> seed rest)
+  in
+  match seed al_ops with
   | Error e -> Error e
   | Ok () ->
     (* Bottom-up merge rounds: visit processors deepest-member-first and
-       let each absorb the parents of its operators; repeat while any
+       let each absorb the consumers of its operators; repeat while any
        processor still grows (a merge can unlock further merges). *)
     let deepest_member gid =
-      List.fold_left
-        (fun acc m -> max acc (Optree.depth tree m))
-        0 (Builder.members b gid)
-    in
-    (* Each sort key computed once per group, not per comparison; the
-       stable sort keeps the order of the direct comparator. *)
-    let sort_by key cmp ids =
-      List.map (fun g -> (key g, g)) ids
-      |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
-      |> List.map snd
+      List.fold_left (fun acc m -> max acc depth.(m)) 0 (Builder.members b gid)
     in
     let rec merge_rounds () =
       let by_depth =
-        sort_by deepest_member
-          (fun da db -> compare db da)
-          (Builder.group_ids b)
+        sort_by deepest_member (fun da db -> compare db da) (Builder.group_ids b)
       in
       let changed =
         List.fold_left
           (fun acc gid ->
             (* A group can have been absorbed earlier in this round. *)
-            if List.mem gid (Builder.group_ids b) then
-              absorb_parents b app gid || acc
+            if Ledger.mem_proc (Builder.ledger b) gid then
+              absorb_consumers b gid || acc
             else acc)
           false by_depth
       in
       if changed then merge_rounds ()
     in
     merge_rounds ();
-    (* Operators whose parents could not be absorbed anywhere get fresh
-       processors, children first so each can join a child's group.  The
-       grouping fallback can sell a processor and release its operators,
-       so loop until the pool drains (bounded to guarantee
-       termination). *)
-    let budget = ref ((App.n_operators app * App.n_operators app) + 16) in
-    (* Final consolidation ("possibly returning some processors"): fold
-       leftover small processors into any processor with spare capacity,
-       smallest first, preferring tree-adjacent hosts so communication
-       stays internal. *)
-    let consolidate () =
-      let adjacent ga gb =
-        let members_a = Builder.members b ga in
-        List.exists
-          (fun m ->
-            (match Optree.parent tree m with
-            | Some p -> Builder.assignment b p = Some gb
-            | None -> false)
-            || List.exists
-                 (fun c -> Builder.assignment b c = Some gb)
-                 (Optree.children tree m))
-          members_a
-      in
-      let rec pass () =
-        let by_size =
-          sort_by
-            (fun g -> List.length (Builder.members b g))
-            compare (Builder.group_ids b)
-        in
-        let merged =
-          List.exists
-            (fun loser ->
-              List.mem loser (Builder.group_ids b)
-              && (let hosts =
-                    List.filter (fun g -> g <> loser) (Builder.group_ids b)
-                  in
-                  let adj, rest =
-                    List.partition (fun g -> adjacent g loser) hosts
-                  in
-                  List.exists
-                    (fun winner -> Builder.try_absorb b winner loser)
-                    (adj @ rest)))
-            by_size
-        in
-        if merged then pass ()
-      in
-      pass ()
-    in
+    (* Operators whose consumers could not be absorbed anywhere get
+       fresh processors, producers first so each can join a producer's
+       group; loop until the pool drains. *)
+    let spend = Common.round_budget b in
     let rec place () =
-      match
-        List.filter
-          (fun i -> Builder.assignment b i = None)
-          (Optree.postorder tree)
-      with
-      | [] ->
-        consolidate ();
+      (* A grouping sell can release operators placed earlier in the
+         order, so each step rescans it from the front. *)
+      (* lint: allow p3 — one O(n) scan per step, within the budget *)
+      match List.find_opt (fun i -> Builder.assignment b i = None) order with
+      | None ->
+        consolidate b;
         Ok b
-      | op :: _ ->
-        decr budget;
-        if !budget <= 0 then
-          Error "placement did not converge (grouping fallback oscillates)"
-        else begin
-          let hosted =
-            List.exists
-              (fun gid -> Builder.try_add b gid op)
-              (child_groups b app op)
-          in
-          if hosted then begin
-            (match Builder.assignment b op with
-            | Some gid -> ignore (absorb_parents b app gid)
-            | None -> assert false (* hosted: try_add just placed op *));
-            place ()
-          end
-          else
-            match Common.acquire_with_grouping b ~style:`Best op with
-            | Ok gid ->
-              ignore (absorb_parents b app gid);
-              place ()
-            | Error e -> Error e
+      | Some op ->
+        if not (spend ()) then Common.not_converged
+        else if
+          List.exists
+            (fun gid -> Builder.try_add b gid op)
+            (producer_groups rules b op)
+        then begin
+          (match (rules, Builder.assignment b op) with
+          | Tree, Some gid -> ignore (absorb_consumers b gid)
+          | Tree, None -> assert false (* try_add just placed op *)
+          | Dag, _ -> ());
+          place ()
         end
+        else
+          match Common.acquire_with_grouping b ~style:`Best op with
+          | Ok gid ->
+            ignore (absorb_consumers b gid);
+            place ()
+          | Error e -> Error e
     in
     place ()

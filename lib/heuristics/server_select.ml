@@ -1,7 +1,7 @@
-module App = Insp_tree.App
+module Graph = Insp_tree.Graph
+module Objects = Insp_tree.Objects
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
-module Demand = Insp_mapping.Demand
 module Prng = Insp_util.Prng
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
@@ -20,30 +20,28 @@ type state = {
   chosen : (int * int) list array;  (* result under construction *)
 }
 
-let init_generic ~n_groups ~rate ~servers ~server_link ~needs =
-  let n_servers = Servers.n_servers servers in
-  {
-    rate;
-    servers;
-    card_left = Array.init n_servers (fun l -> Servers.card servers l);
-    link_left = Array.init n_servers (fun _ -> Array.make n_groups server_link);
-    needs = ref needs;
-    chosen = Array.make n_groups [];
-  }
-
-let init app platform ~groups =
+(* The downloads to source: one (group, object type) per distinct
+   object type a group's operators read, groups in order. *)
+let init g platform ~groups =
   let needs =
     Array.to_list
       (Array.mapi
-         (fun u ops ->
-           List.map (fun k -> (u, k)) (Demand.distinct_objects app ops))
+         (fun u ops -> List.map (fun k -> (u, k)) (Graph.distinct_objects g ops))
          groups)
     |> List.concat
   in
-  init_generic ~n_groups:(Array.length groups)
-    ~rate:(App.download_rate app)
-    ~servers:platform.Platform.servers
-    ~server_link:platform.Platform.server_link ~needs
+  let servers = platform.Platform.servers in
+  let n_servers = Servers.n_servers servers in
+  {
+    rate = Objects.rate g.Graph.objects;
+    servers;
+    card_left = Array.init n_servers (fun l -> Servers.card servers l);
+    link_left =
+      Array.init n_servers (fun _ ->
+          Array.make (Array.length groups) platform.Platform.server_link);
+    needs = ref needs;
+    chosen = Array.make (Array.length groups) [];
+  }
 
 let can_provide st l u k =
   let rate = st.rate k in
@@ -77,8 +75,8 @@ let note_failed u k reason =
     Obs.event
       (Journal.Download_failed { object_type = k; group = Some u; reason })
 
-let random rng app platform ~groups =
-  let st = init app platform ~groups in
+let random_graph rng g platform ~groups =
+  let st = init g platform ~groups in
   let rec loop () =
     match !(st.needs) with
     | [] -> Ok (finish st)
@@ -234,9 +232,11 @@ let sophisticated_core st =
     Ok (finish st)
   with Failed msg -> Error msg
 
-let sophisticated app platform ~groups =
-  sophisticated_core (init app platform ~groups)
+let sophisticated_graph g platform ~groups =
+  sophisticated_core (init g platform ~groups)
 
-let sophisticated_generic ~n_groups ~rate ~servers ~server_link ~needs =
-  sophisticated_core
-    (init_generic ~n_groups ~rate ~servers ~server_link ~needs)
+let random rng app platform ~groups =
+  random_graph rng (Graph.of_app app) platform ~groups
+
+let sophisticated app platform ~groups =
+  sophisticated_graph (Graph.of_app app) platform ~groups

@@ -1,4 +1,5 @@
 module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Platform = Insp_platform.Platform
 module Alloc = Insp_mapping.Alloc
 module Check = Insp_mapping.Check
@@ -7,47 +8,36 @@ module Prng = Insp_util.Prng
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
+type placer = Prng.t -> Graph.t -> Platform.t -> (Builder.t, string) result
+
 type heuristic = {
   name : string;
   key : string;
-  run :
-    Prng.t -> App.t -> Platform.t -> (Builder.t, string) result;
+  place : placer;
+  run : Prng.t -> App.t -> Platform.t -> (Builder.t, string) result;
   randomized : bool;
 }
 
+let make ~name ~key ~randomized place =
+  {
+    name;
+    key;
+    place;
+    run = (fun rng app platform -> place rng (Graph.of_app app) platform);
+    randomized;
+  }
+
 let all =
   [
-    { name = "Random"; key = "random"; run = H_random.run; randomized = true };
-    {
-      name = "Comp-Greedy";
-      key = "comp";
-      run = H_comp_greedy.run;
-      randomized = false;
-    };
-    {
-      name = "Comm-Greedy";
-      key = "comm";
-      run = H_comm_greedy.run;
-      randomized = false;
-    };
-    {
-      name = "Subtree-bottom-up";
-      key = "sbu";
-      run = H_subtree.run;
-      randomized = false;
-    };
-    {
-      name = "Object-Grouping";
-      key = "objgroup";
-      run = H_object_grouping.run;
-      randomized = false;
-    };
-    {
-      name = "Object-Availability";
-      key = "objavail";
-      run = H_object_availability.run;
-      randomized = false;
-    };
+    make ~name:"Random" ~key:"random" ~randomized:true H_random.run;
+    make ~name:"Comp-Greedy" ~key:"comp" ~randomized:false H_comp_greedy.run;
+    make ~name:"Comm-Greedy" ~key:"comm" ~randomized:false H_comm_greedy.run;
+    make ~name:"Subtree-bottom-up" ~key:"sbu" ~randomized:false
+      (H_subtree.run H_subtree.Tree);
+    make ~name:"Object-Grouping" ~key:"objgroup" ~randomized:false
+      H_object_grouping.run;
+    make ~name:"Object-Availability" ~key:"objavail" ~randomized:false
+      H_object_availability.run;
   ]
 
 let find ident =
@@ -69,7 +59,7 @@ let failure_message = function
   | Server_selection m -> "server selection failed: " ^ m
   | Validation m -> "validation failed: " ^ m
 
-let run ?(seed = 0) heuristic app platform =
+let run_graph ?(seed = 0) heuristic g platform =
   (* One span per pipeline stage; the counter pair records the overall
      outcome so sweep-level failure rates show up in metric exports. *)
   let count result =
@@ -98,7 +88,7 @@ let run ?(seed = 0) heuristic app platform =
   Obs.span ("solve." ^ heuristic.key) (fun () ->
       let rng = Prng.create seed in
       phase "placement";
-      match Obs.span "placement" (fun () -> heuristic.run rng app platform) with
+      match Obs.span "placement" (fun () -> heuristic.place rng g platform) with
       | Error msg ->
         failed "placement_failed";
         count (Error (Placement msg))
@@ -112,8 +102,8 @@ let run ?(seed = 0) heuristic app platform =
           let selection =
             Obs.span "server_select" (fun () ->
                 if heuristic.randomized then
-                  Server_select.random rng app platform ~groups
-                else Server_select.sophisticated app platform ~groups)
+                  Server_select.random_graph rng g platform ~groups
+                else Server_select.sophisticated_graph g platform ~groups)
           in
           match selection with
           | Error msg ->
@@ -123,10 +113,10 @@ let run ?(seed = 0) heuristic app platform =
             let alloc = Alloc.of_groups ~configs ~groups ~downloads in
             phase "downgrade";
             let alloc =
-              Obs.span "downgrade" (fun () -> Downgrade.run app platform alloc)
+              Obs.span "downgrade" (fun () -> Downgrade.run_graph g platform alloc)
             in
             phase "check";
-            match Obs.span "check" (fun () -> Check.check app platform alloc) with
+            match Obs.span "check" (fun () -> Check.check_graph g platform alloc) with
             | [] ->
               let cost = Cost.of_alloc platform.Platform.catalog alloc in
               let n_procs = Alloc.n_procs alloc in
@@ -151,6 +141,9 @@ let run ?(seed = 0) heuristic app platform =
             | violations ->
               failed "infeasible";
               count (Error (Validation (Check.explain violations)))))))
+
+let run ?seed heuristic app platform =
+  run_graph ?seed heuristic (Graph.of_app app) platform
 
 let run_all ?(seed = 0) app platform =
   List.map (fun h -> (h, run ~seed h app platform)) all

@@ -1,22 +1,38 @@
 (** End-to-end heuristic solver: operator placement, then server
     selection, then downgrade, then validation (paper §4).
 
-    Every returned {!outcome} has passed the full constraint checker
-    ({!Insp_mapping.Check}); a heuristic that cannot produce a feasible
-    allocation reports a {!failure} with the stage that gave up. *)
+    The pipeline reads an operator-graph view ({!Insp_tree.Graph}): one
+    tree ({!run}) or a DAG shared by several applications ({!run_graph}
+    on [Insp_multi.Dag.graph], as [Insp_multi.Dag_place] does).  Every
+    returned {!outcome} has passed the full constraint checker
+    ({!Insp_mapping.Check.check_graph}); a heuristic that cannot produce
+    a feasible allocation reports a {!failure} with the stage that gave
+    up. *)
 
-type heuristic = {
+type placer =
+  Insp_util.Prng.t ->
+  Insp_tree.Graph.t ->
+  Insp_platform.Platform.t ->
+  (Builder.t, string) result
+(** An operator-placement heuristic over the view. *)
+
+type heuristic = private {
   name : string;  (** paper name, e.g. "Subtree-bottom-up" *)
   key : string;  (** short CLI identifier, e.g. "sbu" *)
+  place : placer;
   run :
     Insp_util.Prng.t ->
     Insp_tree.App.t ->
     Insp_platform.Platform.t ->
     (Builder.t, string) result;
+      (** [place] on [Graph.of_app app]: the placement stage of {!run},
+          for callers that replay the pipeline stage by stage *)
   randomized : bool;
       (** true when results depend on the PRNG (Random heuristic and its
           random server selection) *)
 }
+
+val make : name:string -> key:string -> randomized:bool -> placer -> heuristic
 
 val all : heuristic list
 (** The paper's six heuristics, in the paper's order: Random,
@@ -41,14 +57,23 @@ type failure =
 
 val failure_message : failure -> string
 
+val run_graph :
+  ?seed:int ->
+  heuristic ->
+  Insp_tree.Graph.t ->
+  Insp_platform.Platform.t ->
+  (outcome, failure) result
+(** Runs the full pipeline on a view whose node [i] is the allocation's
+    operator [i].  [seed] (default 0) feeds the PRNG of randomized
+    stages; deterministic heuristics ignore it. *)
+
 val run :
   ?seed:int ->
   heuristic ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   (outcome, failure) result
-(** Runs the full pipeline.  [seed] (default 0) feeds the PRNG of
-    randomized stages; deterministic heuristics ignore it. *)
+(** {!run_graph} on [Graph.of_app app]. *)
 
 val run_all :
   ?seed:int ->

@@ -1,5 +1,3 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
 module Graph = Insp_tree.Graph
 module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
@@ -12,10 +10,6 @@ type t = {
 }
 
 let nic t = t.download +. t.comm_in +. t.comm_out
-
-let distinct_objects app group =
-  let tree = App.tree app in
-  List.concat_map (Optree.leaves tree) group |> List.sort_uniq compare
 
 (* Accumulators for [of_group]: an all-float record is stored flat, so
    the closures below update it without boxing. *)
@@ -76,23 +70,3 @@ let leq value capacity = value <= capacity *. (1.0 +. tolerance) +. tolerance
 
 let fits (config : Catalog.config) t =
   leq t.compute config.cpu.speed && leq (nic t) config.nic.bandwidth
-
-let max_crossing_edge app group =
-  let group = List.sort_uniq Int.compare group in
-  let tree = App.tree app in
-  let in_group i = List.mem i group in
-  let rho = App.rho app in
-  List.fold_left
-    (fun acc i ->
-      let acc =
-        List.fold_left
-          (fun acc j ->
-            if in_group j then acc
-            else Float.max acc (rho *. App.output_size app j))
-          acc (Optree.children tree i)
-      in
-      match Optree.parent tree i with
-      | Some p when not (in_group p) ->
-        Float.max acc (rho *. App.output_size app i)
-      | Some _ | None -> acc)
-    0.0 group

@@ -40,15 +40,7 @@ val of_group : Insp_tree.Graph.t -> int list -> t
 val of_operator : Insp_tree.Graph.t -> int -> t
 (** Demand of a singleton group. *)
 
-val distinct_objects : Insp_tree.App.t -> int list -> int list
-(** Distinct object types in [Leaf(g)], sorted. *)
-
 val fits :
   Insp_platform.Catalog.config -> t -> bool
 (** Capacity test: [compute <= speed] and [nic <= bandwidth], with a
     relative tolerance of 1e-9. *)
-
-val max_crossing_edge : Insp_tree.App.t -> int list -> float
-(** Largest single tree-edge flow (MB/s) crossing the group boundary —
-    a necessary lower bound on the processor-to-processor link bandwidth
-    (constraint (5)). *)

@@ -26,21 +26,8 @@ let n_nodes t = Array.length t.nodes
 let objects t = t.objects
 let node t i = t.nodes.(i)
 let inputs t i = t.nodes.(i).inputs
-let consumers t i = t.consumers.(i)
-let roots t = t.roots
 let graph t = t.graph
-
-let object_users t k =
-  let acc = ref [] in
-  for i = n_nodes t - 1 downto 0 do
-    if List.mem (Object k) t.nodes.(i).inputs then acc := i :: !acc
-  done;
-  !acc
-
 let topological t = List.init (n_nodes t) Fun.id
-
-let is_al_node t i =
-  List.exists (function Object _ -> true | Node _ -> false) t.nodes.(i).inputs
 
 let compute_consumers nodes =
   let consumers = Array.make (Array.length nodes) [] in

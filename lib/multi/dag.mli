@@ -35,20 +35,8 @@ val objects : t -> Insp_tree.Objects.t
 val node : t -> int -> node
 val inputs : t -> int -> input list
 
-val consumers : t -> int -> int list
-(** Node ids consuming this node's output (excluding application
-    sinks). *)
-
-val roots : t -> (int * float) list
-(** One [(node, rho)] per application, in application order. *)
-
-val object_users : t -> int -> int list
-(** Nodes that download object type [k] directly. *)
-
 val topological : t -> int list
 (** All ids, inputs before consumers. *)
-
-val is_al_node : t -> int -> bool
 
 val graph : t -> Insp_tree.Graph.t
 (** The DAG as an operator-graph view (built once with the DAG): node

@@ -1,29 +1,21 @@
-(** Placement of a shared operator DAG onto purchasable processors — the
-    Subtree-Bottom-Up strategy generalised to DAGs.
+(** Placement of a shared operator DAG onto purchasable processors:
+    {!Insp_heuristics.Solve.run_graph} on the DAG's operator-graph view
+    with the Subtree-Bottom-Up heuristic under its DAG rules
+    ({!Insp_heuristics.H_subtree.Dag}).
 
-    Algorithm: every al-node (node downloading at least one basic
-    object) gets its own most-expensive processor, deepest (most remote
-    from the sinks) first; processors then repeatedly absorb the
-    consumers of their nodes (adding unassigned consumers, or merging in
-    the consumer's whole processor); leftover nodes take fresh
-    processors with the iterative grouping fallback; a final
-    consolidation pass folds small processors into neighbours; then
-    server selection (the paper's three-loop heuristic over the DAG's
-    needs), downgrade, and full validation.
-
-    The placement state is the heuristics' own
-    {!Insp_heuristics.Builder} over the DAG's operator-graph view, so
-    every probe is an incremental ledger probe with the checker's
+    Placement is {!Insp_heuristics.H_subtree.run}; server selection,
+    downgrade and validation are the tree pipeline's, over the same
+    view.  Every probe is an incremental ledger probe with the checker's
     stream semantics: one stream per (producer, destination processor),
     at the fastest consumer there. *)
 
-type outcome = {
+type outcome = Insp_heuristics.Solve.outcome = {
   alloc : Insp_mapping.Alloc.t;
   cost : float;
   n_procs : int;
 }
 
-type failure =
+type failure = Insp_heuristics.Solve.failure =
   | Placement of string
   | Server_selection of string
   | Validation of string
@@ -32,4 +24,7 @@ val failure_message : failure -> string
 
 val run :
   Dag.t -> Insp_platform.Platform.t -> (outcome, failure) result
-(** Deterministic.  Every returned outcome passes {!Dag_check.check}. *)
+(** Deterministic.  Every returned outcome passes {!Dag_check.check}.
+    Placement failures name DAG nodes ("no processor can host nodes
+    {…}") and a placement that exhausts its round budget reports
+    "placement did not converge". *)

@@ -149,14 +149,6 @@ let test_demand_fits () =
   (* compute 170 > nothing; nic 35 MB/s needs the 125 tier. *)
   Alcotest.(check bool) "fits cheapest" true (Demand.fits (cfg ~cpu:0 ~nic:0 ()) d)
 
-let test_max_crossing_edge () =
-  let app = Helpers.tiny_app () in
-  Helpers.alco_float "crossing of {n2,n3}" 50.0
-    (Demand.max_crossing_edge app [ 2; 3 ]);
-  Helpers.alco_float "crossing of all" 0.0
-    (Demand.max_crossing_edge app [ 0; 1; 2; 3 ]);
-  Helpers.alco_float "crossing of {n3}" 10.0 (Demand.max_crossing_edge app [ 3 ])
-
 let demand_decomposes =
   qtest "group demand bounded by singleton sums" Helpers.small_instance_gen
     (fun inst ->
@@ -507,7 +499,7 @@ let chunked_procs app platform ~chunk =
             match Servers.providers servers k with
             | l :: _ -> Some (k, l)
             | [] -> None)
-          (Demand.distinct_objects app operators)
+          (Insp.Graph.distinct_objects (Insp.Graph.of_app app) operators)
       in
       { Alloc.config = best; operators; downloads })
 
@@ -674,7 +666,6 @@ let () =
           Alcotest.test_case "split group" `Quick test_demand_split_group;
           Alcotest.test_case "duplicates" `Quick test_demand_duplicates_ignored;
           Alcotest.test_case "fits" `Quick test_demand_fits;
-          Alcotest.test_case "max crossing edge" `Quick test_max_crossing_edge;
           demand_decomposes;
         ] );
       ( "check",

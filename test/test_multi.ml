@@ -16,6 +16,13 @@ module Prng = Insp.Prng
 
 let qtest = Helpers.qtest
 
+(* Structural reads through the DAG's operator-graph view. *)
+let consumers dag i =
+  let g = Dag.graph dag in
+  List.init (Insp.Graph.n_consumers g i) (Insp.Graph.consumer g i)
+
+let n_roots dag = Array.length (Dag.graph dag).Insp.Graph.roots
+
 let objects3 () =
   Objects.uniform_freq ~sizes:[| 10.0; 20.0; 40.0 |] ~freq:0.5
 
@@ -37,10 +44,12 @@ let test_builder_basic () =
   Helpers.alco_float "c work (alpha=1)" 70.0 (Dag.node dag c).Dag.work;
   (* a feeds c (rate 2.0) and a sink at 0.5 -> max 2.0 *)
   Helpers.alco_float "a rate is max of consumers" 2.0 (Dag.node dag a).Dag.rate;
-  Alcotest.(check (list int)) "consumers of a" [ c ] (Dag.consumers dag a);
+  Alcotest.(check (list int)) "consumers of a" [ c ] (consumers dag a);
   Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ());
-  Alcotest.(check bool) "a is al" true (Dag.is_al_node dag a);
-  Alcotest.(check (list int)) "o2 users" [ c ] (Dag.object_users dag 2)
+  let g = Dag.graph dag in
+  Alcotest.(check (list int)) "a downloads o0 and o1" [ 0; 1 ] (Insp.Graph.leaves g a);
+  Alcotest.(check (list int)) "o2 users" [ c ]
+    (List.filter (fun i -> List.mem 2 (Insp.Graph.leaves g i)) [ a; c ])
 
 let test_builder_validation () =
   let b = Dag.create_builder ~n_object_types:1 in
@@ -62,11 +71,11 @@ let test_of_apps () =
   let app = Helpers.tiny_app () in
   let dag = Dag.of_apps [ app; app ] in
   Alcotest.(check int) "nodes duplicated" 8 (Dag.n_nodes dag);
-  Alcotest.(check int) "two roots" 2 (List.length (Dag.roots dag));
+  Alcotest.(check int) "two roots" 2 (n_roots dag);
   Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ());
   (* work/output copied from the tree model *)
-  let (r0, rho0) = List.hd (Dag.roots dag) in
-  Helpers.alco_float "rho" (App.rho app) rho0;
+  let r0 = (Dag.graph dag).Insp.Graph.roots.(0) in
+  Helpers.alco_float "rho" (App.rho app) (Insp.Graph.rate (Dag.graph dag) r0);
   Helpers.alco_float "root output" 80.0 (Dag.node dag r0).Dag.output
 
 (* ------------------------------------------------------------------ *)
@@ -77,7 +86,7 @@ let test_cse_identical_apps_collapse () =
   let dag = Cse.share_apps [ app; app; app ] in
   (* Identical trees share every node. *)
   Alcotest.(check int) "fully shared" (App.n_operators app) (Dag.n_nodes dag);
-  Alcotest.(check int) "three sinks" 3 (List.length (Dag.roots dag));
+  Alcotest.(check int) "three sinks" 3 (n_roots dag);
   Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ())
 
 let test_cse_commutative () =
@@ -116,7 +125,7 @@ let cse_preserves_roots =
       let apps, _ = MW.instance ~seed ~n_apps ~n_operators:15 in
       let dag = Cse.share_apps apps in
       Dag.validate dag = Ok ()
-      && List.length (Dag.roots dag) = n_apps)
+      && n_roots dag = n_apps)
 
 (* ------------------------------------------------------------------ *)
 (* Dag_check                                                           *)
@@ -151,7 +160,7 @@ let outgoing_streams dag alloc u =
               let prev = try List.assoc v acc with Not_found -> 0.0 in
               (v, Float.max rate prev) :: List.remove_assoc v acc
             | Some _ | None -> acc)
-          [] (Dag.consumers dag i)
+          [] (consumers dag i)
       in
       List.map (fun (v, rate) -> (i, v, out *. rate)) per_dest)
     (Alloc.operators_of alloc u)
@@ -288,7 +297,7 @@ let oracle_proc_demand dag alloc u =
   let stream_rate j v =
     List.fold_left
       (fun m c -> if host c = v then Float.max m (Dag.node dag c).Dag.rate else m)
-      0.0 (Dag.consumers dag j)
+      0.0 (consumers dag j)
   in
   let members = Alloc.operators_of alloc u in
   let compute =
@@ -330,7 +339,7 @@ let oracle_proc_demand dag alloc u =
             (fun ds c ->
               let v = host c in
               if v = u || List.mem v ds then ds else ds @ [ v ])
-            [] (Dag.consumers dag i)
+            [] (consumers dag i)
         in
         List.fold_left
           (fun acc v -> acc +. ((Dag.node dag i).Dag.output *. stream_rate i v))
@@ -551,6 +560,80 @@ let test_dag_solutions_golden () =
   Helpers.check_golden ~what:"Dag_place.run" "dag_solutions.golden"
     (Buffer.contents buf)
 
+(* All six heuristics through [Solve.run_graph] on shared and unshared
+   DAG views: each result is a checker-approved outcome or a typed
+   placement / server-selection failure, never a validation failure or
+   an exception, and a second run renders the same. *)
+let test_six_heuristics_on_dags () =
+  let solved = Hashtbl.create 8 in
+  for seed = 0 to 11 do
+    List.iter
+      (fun (n_apps, n_operators) ->
+        let apps, platform = MW.instance ~seed ~n_apps ~n_operators in
+        List.iter
+          (fun (mode, dag) ->
+            let g = Dag.graph dag in
+            List.iter
+              (fun (h : Insp.Solve.heuristic) ->
+                let case =
+                  Printf.sprintf "seed %d, %d x %d %s, %s" seed n_apps
+                    n_operators mode h.Insp.Solve.key
+                in
+                let render () =
+                  match Insp.Solve.run_graph ~seed h g platform with
+                  | exception e ->
+                    Alcotest.failf "%s raised %s" case (Printexc.to_string e)
+                  | Ok o ->
+                    (match Check.check_graph g platform o.Insp.Solve.alloc with
+                    | [] -> ()
+                    | vs -> Alcotest.failf "%s: %s" case (Check.explain vs));
+                    Hashtbl.replace solved h.Insp.Solve.key ();
+                    Printf.sprintf "ok %h %d %s" o.Insp.Solve.cost o.Insp.Solve.n_procs
+                      (Format.asprintf "%a" Alloc.pp o.Insp.Solve.alloc)
+                  | Error (Insp.Solve.Validation m) ->
+                    Alcotest.failf "%s: validation failed: %s" case m
+                  | Error f -> Insp.Solve.failure_message f
+                in
+                let first = render () in
+                Alcotest.(check string) (case ^ ": deterministic") first (render ()))
+              Insp.Solve.all)
+          [ ("cse", Cse.share_apps apps); ("of_apps", Dag.of_apps apps) ])
+      [ (1, 15); (2, 15); (3, 15); (1, 60); (2, 60); (3, 60) ]
+  done;
+  List.iter
+    (fun (h : Insp.Solve.heuristic) ->
+      Alcotest.(check bool)
+        (h.Insp.Solve.key ^ " solves some DAG")
+        true
+        (Hashtbl.mem solved h.Insp.Solve.key))
+    Insp.Solve.all
+
+(* The one decision the SBU seed step makes differently per rule set.
+   Operator 1 downloads o1 and o2 and streams 3000 MB/s to the root,
+   more than the widest NIC: it fits on no processor alone, but fits
+   with the root, which reads the stream internally.  The tree rules
+   fail on it; the DAG rules seed it through the grouping fallback. *)
+let test_sbu_seed_rules () =
+  let tree =
+    Optree.of_spec ~n_object_types:3
+      Optree.(Op (Obj 0, Op (Obj 1, Obj 2)))
+  in
+  let objects = Objects.uniform_freq ~sizes:[| 10.0; 1500.0; 1500.0 |] ~freq:0.01 in
+  let app = App.make ~tree ~objects ~alpha:1.0 () in
+  let servers =
+    Insp.Servers.make ~cards:[| 10000.0 |] ~holds:[| [| true; true; true |] |]
+  in
+  let platform = Insp.Platform.make ~catalog:Insp.Catalog.dell_2008 ~servers () in
+  (match Insp.Solve.run (Option.get (Insp.Solve.find "sbu")) app platform with
+  | Error f ->
+    Alcotest.(check string) "tree rules fail on the seed"
+      "placement failed: no processor can host operators {1}"
+      (Insp.Solve.failure_message f)
+  | Ok _ -> Alcotest.fail "tree rules must not seed operator 1 alone");
+  match Dag_place.run (Dag.of_apps [ app ]) platform with
+  | Error f -> Alcotest.fail (Dag_place.failure_message f)
+  | Ok o -> Alcotest.(check int) "DAG rules group it with the root" 1 o.Dag_place.n_procs
+
 (* ------------------------------------------------------------------ *)
 (* DAG execution (Dag.simulate)                                        *)
 
@@ -724,6 +807,9 @@ let () =
           sharing_never_costs_more_often;
           Alcotest.test_case "solutions golden" `Slow
             test_dag_solutions_golden;
+          Alcotest.test_case "six heuristics on shared DAGs" `Slow
+            test_six_heuristics_on_dags;
+          Alcotest.test_case "SBU seed rules" `Quick test_sbu_seed_rules;
         ] );
       ( "dag_runtime",
         [

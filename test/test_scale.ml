@@ -2,9 +2,9 @@
 
    - Comp-Greedy's rank-walker loop must commit byte-identical
      solutions to the scan-everything oracle below on a batch of random
-     small/mid instances (the walker may only skip probes that were
-     certain to fail), and every heuristic's solutions on the same
-     corpus are pinned by test/solutions.golden;
+     small/mid instances and on mixed-rate shared DAGs (the walker may
+     only skip probes that were certain to fail), and every heuristic's
+     solutions on the same corpus are pinned by test/solutions.golden;
    - the rank walker itself, against a naive linear scan;
    - the arena id discipline (dense ids, never reused, generation
      stamps);
@@ -34,14 +34,24 @@ let run_outcome h inst =
   render_outcome
     (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app inst.Insp.Instance.platform)
 
-(* The reference Comp-Greedy over the public Builder/Common API:
-   re-sort the unassigned pool every round, seed with its heaviest
+(* The reference Comp-Greedy over the public Builder/Common API, on the
+   operator-graph view: re-sort the unassigned pool every round by
+   compute demand [rate·work] (ties by id), seed with its heaviest
    operator and probe every other one during the fill. *)
-let scan_comp_greedy _rng app platform =
-  let b = Builder.create (Insp.Graph.of_app app) platform in
-  let budget = ref ((Insp.App.n_operators app * Insp.App.n_operators app) + 16) in
+let scan_comp_greedy _rng g platform =
+  let b = Builder.create g platform in
+  let load i = Insp.Graph.rate g i *. g.Insp.Graph.work.(i) in
+  let by_load_desc ops =
+    List.sort
+      (fun x y ->
+        let c = Float.compare (load y) (load x) in
+        if c <> 0 then c else Int.compare x y)
+      ops
+  in
+  let n = Insp.Graph.n_nodes g in
+  let budget = ref ((n * n) + 16) in
   let rec loop () =
-    match Common.by_work_desc app (Builder.unassigned b) with
+    match by_load_desc (Builder.unassigned b) with
     | [] -> Ok b
     | heaviest :: _ -> (
       decr budget;
@@ -51,10 +61,19 @@ let scan_comp_greedy _rng app platform =
         match Common.acquire_with_grouping b ~style:`Best heaviest with
         | Error e -> Error e
         | Ok gid ->
-          Common.fill b gid (Common.by_work_desc app (Builder.unassigned b));
+          Common.fill b gid (by_load_desc (Builder.unassigned b));
           loop ())
   in
   loop ()
+
+let comp () =
+  match Insp.Solve.find "comp" with
+  | Some h -> h
+  | None -> Alcotest.fail "comp heuristic missing"
+
+let scan () =
+  Insp.Solve.make ~name:"Comp-Greedy (scan)" ~key:"comp" ~randomized:false
+    scan_comp_greedy
 
 (* Instances on which Comp-Greedy's grouping fallback sells a processor
    (resurrecting operators the rank walker had skipped) and the solve
@@ -76,12 +95,7 @@ let sell_instances () =
     ]
 
 let test_comp_queue_equivalence () =
-  let comp =
-    match Insp.Solve.find "comp" with
-    | Some h -> h
-    | None -> Alcotest.fail "comp heuristic missing"
-  in
-  let scan = { comp with Insp.Solve.run = scan_comp_greedy } in
+  let comp = comp () and scan = scan () in
   let agree name inst =
     Alcotest.(check string)
       (name ^ ": Comp-Greedy and the scan oracle agree")
@@ -106,6 +120,45 @@ let test_comp_queue_equivalence () =
            > 0);
       agree (Printf.sprintf "sell case %d" k) inst)
     (sell_instances ())
+
+(* The same oracle on shared DAGs whose applications demand different
+   rates: the fast-forward's monotone order is [rate·work], not work, so
+   a node's rank follows the rate its consumers impose.  CSE views of
+   correlated sets, each application's rho scaled apart. *)
+let test_comp_scan_mixed_rates () =
+  let comp = comp () and scan = scan () in
+  let ran = ref 0 in
+  for seed = 0 to 11 do
+    List.iter
+      (fun (n_apps, n_operators) ->
+        let apps, platform =
+          Insp.Multi_workload.instance ~seed ~n_apps ~n_operators
+        in
+        let first = List.hd apps in
+        let dag =
+          Insp.Cse.share ~objects:(Insp.App.objects first)
+            ~alpha:(Insp.App.alpha first) ~base_work:(Insp.App.base_work first)
+            ~work_factor:(Insp.App.work_factor first)
+            ~trees:
+              (List.mapi
+                 (fun k a ->
+                   (Insp.App.tree a, Insp.App.rho a *. (1.0 +. (0.35 *. float_of_int k))))
+                 apps)
+            ()
+        in
+        let g = Insp.Dag.graph dag in
+        let render h =
+          render_outcome (Insp.Solve.run_graph ~seed:1 h g platform)
+        in
+        let expected = render scan in
+        if String.starts_with ~prefix:"ok" expected then incr ran;
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d, %d apps x %d ops: comp = scan" seed n_apps
+             n_operators)
+          expected (render comp))
+      [ (2, 15); (3, 15); (2, 60); (3, 60) ]
+  done;
+  Alcotest.(check bool) "some mixed-rate DAGs solve" true (!ran > 0)
 
 (* Every heuristic's solution on every corpus instance, one line per
    (instance, heuristic), against test/solutions.golden: a refactor of
@@ -267,6 +320,8 @@ let () =
             test_comp_queue_equivalence;
           Alcotest.test_case "scale preset solves at 2k" `Quick
             test_scale_preset_solves;
+          Alcotest.test_case "comp: queue = scan on mixed-rate DAGs" `Quick
+            test_comp_scan_mixed_rates;
         ] );
       ( "golden",
         [
