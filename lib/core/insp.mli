@@ -24,7 +24,6 @@ module Stats = Insp_util.Stats
 module Table = Insp_util.Table
 module Csv = Insp_util.Csv
 module Heap = Insp_util.Heap
-module Union_find = Insp_util.Union_find
 module Arena = Insp_util.Arena
 
 (** {1 Application model} *)

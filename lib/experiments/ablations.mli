@@ -10,35 +10,6 @@ val replication : ?seeds:int list -> ?copy_ranges:(int * int) list -> unit -> Fi
     on servers "has little or no effect" on the heuristics' performance.
     Sweeps the number of copies per object. *)
 
-(* lint: allow t3 — ablation entry point, invoked manually when regenerating figure data *)
-val grouping_rounds : ?seeds:int list -> ?ns:int list -> unit -> string
-(** Iterative grouping fallback (DESIGN deviation 2): success rate and
-    SBU cost with 1 round (the paper's single pairing) vs 8 rounds, as N
-    grows.  One round loses feasibility at large N. *)
-
-(* lint: allow t3 — ablation entry point, invoked manually when regenerating figure data *)
-val merge_sweeps :
-  ?seeds:int list ->
-  ?cases:(int * Insp_workload.Config.size_regime) list ->
-  unit ->
-  string
-(** Comm-Greedy merge sweeps (DESIGN deviation 3): cost with and without
-    the case-(iii) re-sweep. *)
-
-(* lint: allow t3 — ablation entry point, invoked manually when regenerating figure data *)
-val downgrade_step : ?seeds:int list -> ?ns:int list -> unit -> string
-(** The paper's downgrade step: cost of each heuristic with and without
-    replacing provisioned processors by the cheapest sufficient model. *)
-
-(* lint: allow t3 — ablation entry point, invoked manually when regenerating figure data *)
-val server_selection :
-  ?seeds:int list ->
-  ?cases:(int * Insp_workload.Config.size_regime) list ->
-  unit ->
-  string
-(** Random vs sophisticated (three-loop) server selection under the SBU
-    placement: success rates and costs. *)
-
 val all : (string * (quick:bool -> string)) list
 (** [(id, render)] for every ablation: replication, grouping-rounds,
     merge-sweeps, downgrade, server-selection. *)

@@ -30,12 +30,6 @@ val cell_of_costs : attempts:int -> float list -> cell
 val render : t -> string
 (** Aligned text table followed by a CSV block. *)
 
-(* lint: allow t3 — alternative CSV export kept alongside the JSON figure path *)
-val to_csv : t -> Insp_util.Csv.t
-
-val series_names : t -> string list
-(** Column order of the first point. *)
-
 val winner_counts : t -> (string * int) list
 (** Per heuristic: at how many x points it achieves the (strictly)
     lowest plotted mean cost.  Used to summarise rankings. *)

@@ -86,10 +86,3 @@ let map ?jobs f items =
   | Some (_, e) -> raise e
   | None ->
     Array.to_list (Array.map (function Some v -> v | None -> assert false) out)
-
-let map_seeded ?jobs ~seed f items =
-  let master = Prng.create seed in
-  (* Split in cell order on the calling domain: stream i is a function
-     of (seed, i) only, never of the worker layout. *)
-  let cells = List.map (fun item -> (Prng.split master, item)) items in
-  map ?jobs (fun (prng, item) -> f prng item) cells

@@ -10,21 +10,13 @@
       {!Insp_obs.Obs} sink (even at [jobs = 1], so the two regimes have
       the same semantics); the recorders are absorbed into the caller's
       sink in canonical cell order after all workers join, making merged
-      metrics independent of the worker count;
-    - {b per-cell PRNG streams} — {!map_seeded} derives one SplitMix64
-      stream per {e cell} (not per worker) by splitting a master
-      generator in cell order on the calling domain.
+      metrics independent of the worker count.
 
     Result lists preserve item order.  This module is the only
     sanctioned [Domain.spawn] site in the library (lint rule D4) —
     route any parallelism through it.
 
     See DESIGN.md §11. *)
-
-(* lint: allow t3 — documented default for manual sweep parallelism *)
-val default_jobs : unit -> int
-(** Ambient worker count for {!map} when [?jobs] is omitted; 1 unless
-    inside {!with_jobs}.  Domain-local. *)
 
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs n f] runs [f] with the ambient worker count set to [n]
@@ -38,10 +30,5 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     on a fresh domain and must not depend on ambient mutable state
     other than the observability sink.  If any cell raises, all workers
     are still joined and the lowest-indexed cell's exception is
-    re-raised.  Defaults to {!default_jobs}. *)
-
-val map_seeded :
-  ?jobs:int -> seed:int -> (Insp_util.Prng.t -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but hands cell [i] its own generator, split from
-    [Prng.create seed] in cell order — streams depend only on [seed]
-    and the cell index, never on [jobs]. *)
+    re-raised.  [jobs] defaults to the count {!with_jobs} set (1
+    outside it). *)

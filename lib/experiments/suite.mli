@@ -6,10 +6,6 @@
     Every experiment averages over several seeds; deterministic given
     the seed list. *)
 
-(* lint: allow t3 — experiment preset kept for manual runs *)
-val default_seeds : int list
-(** [1..5]. *)
-
 val fig2a : ?seeds:int list -> ?ns:int list -> unit -> Figure.t
 (** Figure 2(a): cost vs N, alpha = 0.9, high frequency, small objects. *)
 
@@ -23,53 +19,6 @@ val fig3 : ?seeds:int list -> ?alphas:float list -> ?n:int -> unit -> Figure.t
 val large_objects : ?seeds:int list -> ?ns:int list -> unit -> Figure.t
 (** §5 text: large objects (450-530 MB); feasibility collapses beyond
     N ~ 45. *)
-
-(* lint: allow t3 — experiment preset kept for manual runs *)
-val low_frequency : ?seeds:int list -> ?ns:int list -> unit -> Figure.t
-(** §5 text: low download frequency (1/50 s); mappings mostly unchanged,
-    cheaper network cards. *)
-
-(* lint: allow t3 — experiment preset kept for manual runs *)
-val rate_sweep : ?seeds:int list -> ?periods:float list -> ?n:int -> unit -> Figure.t
-(** §5 text: influence of the download rate; frequencies below 1/10 s
-    stop affecting the solution.  The x axis is the refresh period in
-    seconds; the tree is held fixed per seed across frequencies. *)
-
-val ilp_compare : ?seeds:int list -> ?ns:int list -> unit -> Figure.t
-(** §5 last experiment: heuristics vs the exact optimum (our
-    branch-and-bound standing in for CPLEX) on a homogeneous platform,
-    plus the quick lower bound.  Extra series: "Exact" and "Bound". *)
-
-val rewrite : ?seeds:int list -> ?ns:int list -> ?alpha:float -> unit -> Figure.t
-(** Extension (paper §6 future work): mutable applications.  For the
-    same leaf multiset, provisioning cost (SBU) of the left-deep chain,
-    the original random shape, the balanced tree and a hill-climbed
-    shape; series over tree size. *)
-
-val sharing : ?seeds:int list -> ?n_apps_list:int list -> ?n:int -> unit -> Figure.t
-(** Extension (paper §6 future work): concurrent correlated applications
-    placed with and without common-subexpression sharing; series
-    "No sharing" and "CSE sharing", x = number of applications. *)
-
-(* lint: allow t3 — experiment preset kept for manual runs *)
-val serve_tenancy : ?seeds:int list -> ?n_apps:int -> unit -> string
-(** Extension (online service): static slicing vs shared substrate vs
-    shared-with-reoptimization on the {!Insp_serve} event stream;
-    reports mean admitted/rejected counts, rejection rate and net cost
-    over the seed list.  Rendered as its own table. *)
-
-val sim_validation : ?seeds:int list -> ?ns:int list -> unit -> string
-(** Extra (not in the paper): every feasible Subtree-bottom-up mapping is
-    executed in the discrete-event runtime; reports achieved vs target
-    throughput.  Rendered as its own table. *)
-
-(* lint: allow t3 — experiment preset kept for manual runs *)
-val faults_resilience :
-  ?seeds:int list -> ?n:int -> ?n_events:int -> unit -> string
-(** Extension (fault injection): SBU mappings driven through seeded
-    fault timelines ({!Insp_faults}); reports per-seed downtime,
-    re-allocation cost and worst measured throughput dip, plus the
-    K in {0,1} cost-of-resilience frontier figure. *)
 
 val all_ids : string list
 (** In DESIGN.md order: fig2a fig2b fig3 fig3-n20 large lowfreq rates ilp

@@ -37,24 +37,3 @@ val frontier :
   Insp_mapping.Alloc.t ->
   (int * (hardened, string) result) list
 (** [harden] at every K in [0..k_max] (default 1), ascending. *)
-
-val survives :
-  Insp_tree.App.t ->
-  Insp_platform.Platform.t ->
-  Insp_mapping.Alloc.t ->
-  failed:int list ->
-  bool
-(** Does a migration-only repair of these failures succeed? *)
-
-val subsets : k:int -> int -> int list list
-(** All [k]-subsets of [{0..n-1}], lexicographic.  Exposed for the
-    property tests. *)
-
-(* lint: allow t3 — exhaustive-search probe used by tests and tooling *)
-val first_failing :
-  Insp_tree.App.t ->
-  Insp_platform.Platform.t ->
-  Insp_mapping.Alloc.t ->
-  k:int ->
-  int list option
-(** First (lex) failure set a migration-only repair cannot absorb. *)

@@ -108,17 +108,3 @@ let scope_label = function
   | Server_outage { server; _ } -> Printf.sprintf "server:%d" server
   | Card_jitter { proc; _ } -> Printf.sprintf "card:%d" proc
   | Rho_demand _ -> "rho"
-
-let pp_timed ppf { at; fault } =
-  match fault with
-  | Proc_crash { victim } ->
-    Format.fprintf ppf "t=%.2f crash victim=%d" at victim
-  | Link_degrade { a; b; factor; duration } ->
-    Format.fprintf ppf "t=%.2f degrade plink %d-%d x%.2f for %.1fs" at a b
-      factor duration
-  | Server_outage { server; duration } ->
-    Format.fprintf ppf "t=%.2f outage server=%d for %.1fs" at server duration
-  | Card_jitter { proc; factor; duration } ->
-    Format.fprintf ppf "t=%.2f jitter card=%d x%.2f for %.1fs" at proc factor
-      duration
-  | Rho_demand { factor } -> Format.fprintf ppf "t=%.2f rho x%.2f" at factor

@@ -60,6 +60,3 @@ val generate : spec -> timed list
 val scope_label : fault -> string
 (** Canonical label for journals and tables, e.g. ["plink:2-3"],
     ["server:1"], ["card:0"], ["crash:4"], ["rho"]. *)
-
-(* lint: allow t3 — debugging printer *)
-val pp_timed : Format.formatter -> timed -> unit

@@ -45,8 +45,6 @@ val assignment : t -> int -> group_id option
 val unassigned : t -> int list
 (** Operators not yet placed, increasing id order. *)
 
-val all_assigned : t -> bool
-
 val can_host :
   t ->
   config:Insp_platform.Catalog.config ->

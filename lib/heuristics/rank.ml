@@ -3,7 +3,6 @@ type t = { order : int array; nxt : int array }
 let of_order order =
   { order = Array.copy order; nxt = Array.init (Array.length order) Fun.id }
 
-let length t = Array.length t.order
 let element t pos = t.order.(pos)
 
 let reset t = Array.iteri (fun i _ -> t.nxt.(i) <- i) t.nxt

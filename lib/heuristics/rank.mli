@@ -14,8 +14,6 @@ type t
 val of_order : int array -> t
 (** The elements in priority order (copied). *)
 
-val length : t -> int
-
 val element : t -> int -> int
 (** Element at a position of the order. *)
 

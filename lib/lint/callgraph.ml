@@ -9,7 +9,8 @@
    Resolution is two-phase.  Phase 1 indexes, per unit: every top-level
    value ident by its unique stamp (exact, so local shadowing cannot
    misattribute a reference), and every top-level [module X = Path]
-   alias.  Phase 2 walks each binding body; a [Path.t] whose head is a
+   alias.  Phase 2 walks each binding body, registering each
+   [let module X = Path in] alias before its body is walked; a [Path.t] whose head is a
    persistent ident is chased through the alias tables (dune's generated
    wrapper modules are themselves units full of aliases, so
    [Insp_mapping.Ledger.probe] lands on [Insp_mapping__Ledger.probe]),
@@ -28,11 +29,8 @@ type prim =
   | Hash_iter of string
   | Random_use of string
   | Wall_clock of string
-  | Print of string
-  | Mutate of string
 
-let prim_label = function
-  | Hash_iter s | Random_use s | Wall_clock s | Print s | Mutate s -> s
+let prim_label = function Hash_iter s | Random_use s | Wall_clock s -> s
 
 type event = { prim : prim; at : site; e_allowed : Rule.t list }
 type gref = { target : string; at : site; write : bool; r_allowed : Rule.t list }
@@ -101,12 +99,6 @@ let classify_prim segs =
   | [ "Sys"; "time" ] -> Some (Wall_clock "Sys.time")
   | [ "Unix"; (("time" | "gettimeofday") as fn) ] ->
     Some (Wall_clock ("Unix." ^ fn))
-  | [ ("print_string" | "print_endline" | "print_newline" | "print_char"
-      | "print_bytes" | "print_int" | "print_float" | "prerr_string"
-      | "prerr_endline") ]
-  | [ "Printf"; ("printf" | "eprintf") ]
-  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline") ] ->
-    Some (Print (String.concat "." segs))
   | _ -> None
 
 (* [Random.*] needs its own arm: any value of the module taints. *)
@@ -228,6 +220,25 @@ let root_alias idx path =
       | Some (Self _) | None -> None)
     | _ -> None)
 
+let rec strip_constraints (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_constraint (me, _, _, _) -> strip_constraints me
+  | _ -> me
+
+(* Record [module X = Path] (top-level or [let module]) in the unit's
+   module map, keyed by the binder's unique stamp; the rooted target,
+   if any. *)
+let register_alias idx id me =
+  match (strip_constraints me).Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) ->
+    let segs = root_alias idx p in
+    Option.iter
+      (fun segs ->
+        Hashtbl.replace idx.modules (Ident.unique_name id) (Alias segs))
+      segs;
+    segs
+  | _ -> None
+
 let rec index_structure idx ~prefix (str : Typedtree.structure) =
   let open Typedtree in
   let qualify name = if prefix = "" then name else prefix ^ "." ^ name in
@@ -265,15 +276,10 @@ and index_module idx ~prefix ~qualify (mb : Typedtree.module_binding) =
   | None -> ()
   | Some id -> (
     let name = Ident.name id in
-    let rec strip me =
-      match me.mod_desc with Tmod_constraint (me, _, _, _) -> strip me | _ -> me
-    in
-    match (strip mb.mb_expr).mod_desc with
-    | Tmod_ident (p, _) -> (
-      match root_alias idx p with
-      | Some segs ->
-        Hashtbl.replace idx.modules (Ident.unique_name id) (Alias segs);
-        if prefix = "" then Hashtbl.replace idx.aliases name segs
+    match (strip_constraints mb.mb_expr).mod_desc with
+    | Tmod_ident _ -> (
+      match register_alias idx id mb.mb_expr with
+      | Some segs -> if prefix = "" then Hashtbl.replace idx.aliases name segs
       | None -> ())
     | Tmod_structure str ->
       Hashtbl.replace idx.modules (Ident.unique_name id) (Self (qualify name));
@@ -488,14 +494,14 @@ let rec walk_expr ctx (e : Typedtree.expression) =
           match classify_random segs with
           | Some prim -> if not ctx.rand_ok then ev prim
           | None -> ()))
+      | Texp_letmodule (Some id, _, _, me, _) ->
+        (* registered before the body is walked, so [X.v] resolves *)
+        ignore (register_alias ctx.idx id me)
       | Texp_setfield (target, _, _, _) -> (
         match target.exp_desc with
         | Texp_ident (p, _, _) when resolve_ident ctx p <> None ->
           record_ref ctx ~write:true ~at p
-        | _ ->
-          ctx.w_events <-
-            { prim = Mutate "<- (field set)"; at; e_allowed = allowed_at ctx at.line }
-            :: ctx.w_events)
+        | _ -> ())
       | Texp_apply (f, args) -> (
         match head_path f with
         | None -> ()
@@ -539,14 +545,7 @@ let rec walk_expr ctx (e : Typedtree.expression) =
                 record_ref ctx ~write:true
                   ~at:(site_of_loc ~file:ctx.file first.exp_loc)
                   p
-              | _ ->
-                ctx.w_events <-
-                  {
-                    prim = Mutate (String.concat "." segs);
-                    at;
-                    e_allowed = allowed_at ctx at.line;
-                  }
-                  :: ctx.w_events)
+              | _ -> ())
             | [] -> ()))
       | _ -> ());
       if unresolved_local_fn ctx e then ctx.w_opaque <- true;
@@ -697,5 +696,3 @@ let build ?(read_source = default_read) (loaded : Cmt_loader.t) =
            if c <> 0 then c else String.compare a.e_name b.e_name)
   in
   { decls; exports }
-
-let find t id = List.find_opt (fun d -> d.id = id) t.decls

@@ -25,9 +25,7 @@ type prim =
           canonicalization (mirrors the parsetree D2 exemption) *)
   | Random_use of string  (** any [Random.*] value *)
   | Wall_clock of string  (** [Sys.time], [Unix.gettimeofday], … *)
-  | Print of string  (** stdout/stderr writes *)
-  | Mutate of string
-      (** a mutation primitive applied to non-top-level (local) state *)
+(** The nondeterministic primitives T2 tracks. *)
 
 val prim_label : prim -> string
 (** The primitive's display name, e.g. ["Hashtbl.fold"]. *)
@@ -87,5 +85,3 @@ val build : ?read_source:(string -> string option) -> Cmt_loader.t -> t
     comment-suppression scanning (defaults to reading the file from the
     current directory; returning [None] just disables comment
     directives for that file). *)
-
-val find : t -> string -> decl option

@@ -30,15 +30,10 @@ type t = {
           of date and findings would point at vanished code *)
 }
 
-(* lint: allow t3 — kept exported for symmetry with Driver.normalize and toplevel use *)
 val normalize : string -> string
-(** Drop empty/["."]/[".."] segments, as {!Driver.normalize}. *)
-
-val find_files : string -> string list
-(** Every [.cmt]/[.cmti] under the root, sorted; descends into dune's
-    hidden object directories.  Directories named [*_fixtures] are
-    skipped — they hold the test suite's deliberately-dirty synthetic
-    universes. *)
+(** Drop empty, ["."] and [".."] path segments: ["../lib/x.ml"] →
+    ["lib/x.ml"].  Findings and the baseline key on paths in this
+    form. *)
 
 val load : ?src_root:string -> root:string -> unit -> t
 (** Read every typedtree under [root].  [src_root] (default ["."]) is

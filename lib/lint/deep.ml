@@ -168,29 +168,27 @@ let t2 (cg : Callgraph.t) (eff : Effects.t) =
     cg.Callgraph.exports
 
 (* ------------------------------------------------------------------ *)
-(* T3: dead exports                                                     *)
+(* T3: dead exports — only references from outside [test/] count       *)
 
 let t3 (cg : Callgraph.t) =
-  (* every (target, referencing unit) pair in the graph *)
+  (* every node referenced from another, non-test unit *)
   let referenced =
     List.fold_left
       (fun acc (d : Callgraph.decl) ->
-        List.fold_left
-          (fun acc (r : Callgraph.gref) ->
-            SSet.add (r.Callgraph.target ^ "\x00" ^ d.Callgraph.unit_name) acc)
-          acc d.Callgraph.refs)
+        if Engine.scope_of_file d.Callgraph.at.Callgraph.file = Engine.Test
+        then acc
+        else
+          let own = d.Callgraph.unit_name ^ "." in
+          List.fold_left
+            (fun acc (r : Callgraph.gref) ->
+              if String.starts_with ~prefix:own r.Callgraph.target then acc
+              else SSet.add r.Callgraph.target acc)
+            acc d.Callgraph.refs)
       SSet.empty cg.Callgraph.decls
   in
   let used_elsewhere (e : Callgraph.export) =
-    let id = Callgraph.node_id ~unit_name:e.Callgraph.e_unit e.Callgraph.e_name in
-    SSet.exists
-      (fun key ->
-        match String.index_opt key '\x00' with
-        | None -> false
-        | Some i ->
-          String.sub key 0 i = id
-          && String.sub key (i + 1) (String.length key - i - 1)
-             <> e.Callgraph.e_unit)
+    SSet.mem
+      (Callgraph.node_id ~unit_name:e.Callgraph.e_unit e.Callgraph.e_name)
       referenced
   in
   List.filter_map
@@ -209,9 +207,10 @@ let t3 (cg : Callgraph.t) =
             col = e.Callgraph.e_at.Callgraph.col;
             message =
               Printf.sprintf
-                "%s is exported by the .mli but referenced by no other \
-                 compilation unit: narrow the interface, or keep it with \
-                 (* lint: allow t3 *) and a reason"
+                "%s is exported by the .mli but no non-test compilation \
+                 unit references it: delete it or drop it from the \
+                 interface; a test oracle that needs the module's internals \
+                 keeps an allow-t3 comment naming its test (DESIGN.md §14)"
                 (Callgraph.node_id ~unit_name:e.Callgraph.e_unit
                    e.Callgraph.e_name);
           })

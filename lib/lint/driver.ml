@@ -11,11 +11,6 @@ type config = {
   allow_stale : bool;
 }
 
-let normalize path =
-  String.split_on_char '/' path
-  |> List.filter (fun s -> s <> "" && s <> "." && s <> "..")
-  |> String.concat "/"
-
 (* [e] selects [f] when equal, or when [e] is a directory prefix —
    porcelain reports untracked directories as a single ["dir/"] entry. *)
 let selects e f = f = e || String.starts_with ~prefix:(e ^ "/") f
@@ -43,7 +38,7 @@ let paths_of_porcelain lines =
           then String.sub path 1 (String.length path - 2)
           else path
         in
-        if path = "" then None else Some (normalize path))
+        if path = "" then None else Some (Cmt_loader.normalize path))
     lines
   |> List.sort_uniq String.compare
 
@@ -73,12 +68,12 @@ let lint_roots ?only roots =
     | Some allow ->
       List.filter
         (fun f ->
-          let f = normalize f in
+          let f = Cmt_loader.normalize f in
           List.exists (fun e -> selects e f) allow)
         files
   in
   List.concat_map
-    (fun path -> Engine.lint_file ~display:(normalize path) path)
+    (fun path -> Engine.lint_file ~display:(Cmt_loader.normalize path) path)
     files
   |> List.sort Rule.compare_finding
 
@@ -100,7 +95,7 @@ let deep_findings cfg =
               (String.concat ", " stale)))
     | _ -> ());
     let in_roots =
-      let roots = List.map normalize cfg.roots in
+      let roots = List.map Cmt_loader.normalize cfg.roots in
       fun file -> List.exists (fun r -> selects r file) roots
     in
     let selected file =

@@ -28,32 +28,14 @@ type config = {
           without it staleness is an exit-2 diagnostic) *)
 }
 
-val normalize : string -> string
-(** Drop empty, ["."] and [".."] path segments: ["../lib/x.ml"] →
-    ["lib/x.ml"]. *)
-
 val paths_of_porcelain : string list -> string list
 (** Normalized paths from [git status --porcelain] output: modified,
     added {e and} untracked entries; renames yield their new name;
     untracked directories stay as one entry selecting their subtree.
     Sorted, deduplicated. *)
 
-(* lint: allow t3 — public walking primitive behind lint_roots; useful from the toplevel *)
-val collect : string list -> string list
-(** Every [*.ml] under the given files/directories, depth-first with
-    sorted directory entries (deterministic order); directories whose
-    name starts with ['.'] or ['_'], or ends with [_fixtures] (the test
-    suite's deliberately-dirty corpora), are skipped. *)
-
 val lint_roots : ?only:string list -> string list -> Rule.finding list
 (** Collect and lint; findings carry normalized paths and are sorted. *)
-
-val load_baseline : string -> string list
-(** Baseline keys ({!Rule.baseline_key}) from a file; blank lines and
-    [#] comments are ignored.  A missing file is an empty baseline. *)
-
-val apply_baseline : keys:string list -> Rule.finding list -> Rule.finding list
-(** The findings whose key is not grandfathered. *)
 
 val run : config -> int
 (** Lint (both passes when [deep]), print new findings on stdout in the

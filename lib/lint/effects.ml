@@ -10,24 +10,6 @@
 
 module SMap = Map.Make (String)
 
-type level = Pure | Mutates_local | Mutates_escaping | Nondet | Io
-
-let level_name = function
-  | Pure -> "pure"
-  | Mutates_local -> "mutates-local"
-  | Mutates_escaping -> "mutates-escaping"
-  | Nondet -> "nondet"
-  | Io -> "io"
-
-let level_rank = function
-  | Pure -> 0
-  | Mutates_local -> 1
-  | Mutates_escaping -> 2
-  | Nondet -> 3
-  | Io -> 4
-
-let compare_level a b = Int.compare (level_rank a) (level_rank b)
-
 type touch = {
   g : string;
   g_kind : string;
@@ -44,16 +26,11 @@ type witness = {
   w_allowed : Rule.t list;
 }
 
-type summary = {
-  s_level : level;
-  touched : touch list;
-  nondet : witness option;
-  io : witness option;
-}
+type summary = { touched : touch list; nondet : witness option }
 
 type t = { summaries : summary SMap.t }
 
-let pure_summary = { s_level = Pure; touched = []; nondet = None; io = None }
+let pure_summary = { touched = []; nondet = None }
 
 let summary t id = SMap.find_opt id t.summaries
 
@@ -210,29 +187,10 @@ let analyze (cg : Callgraph.t) =
     in
     let nondet =
       List.fold_left
-        (fun acc (e : Callgraph.event) ->
-          match e.prim with
-          | Callgraph.Hash_iter _ | Callgraph.Random_use _
-          | Callgraph.Wall_clock _ ->
-            merge_witness acc (Some (witness_of e))
-          | _ -> acc)
+        (fun acc e -> merge_witness acc (Some (witness_of e)))
         None d.events
     in
-    let io =
-      List.fold_left
-        (fun acc (e : Callgraph.event) ->
-          match e.prim with
-          | Callgraph.Print _ -> merge_witness acc (Some (witness_of e))
-          | _ -> acc)
-        None d.events
-    in
-    let mut_local =
-      List.exists
-        (fun (e : Callgraph.event) ->
-          match e.prim with Callgraph.Mutate _ -> true | _ -> false)
-        d.events
-    in
-    (touches, nondet, io, mut_local)
+    (touches, nondet)
   in
   List.iter
     (fun component ->
@@ -246,9 +204,9 @@ let analyze (cg : Callgraph.t) =
         List.map
           (fun id ->
             match SMap.find_opt id decls with
-            | None -> (id, ([], None, None, false))
+            | None -> (id, ([], None))
             | Some d ->
-              let touches, nondet, io, mut_local = direct d in
+              let touches, nondet = direct d in
               let inherited =
                 succ id
                 |> List.filter (fun c -> not (in_scc c))
@@ -257,39 +215,29 @@ let analyze (cg : Callgraph.t) =
                        ( List.map (fun t -> { t with via = c :: t.via }) s.touched,
                          Option.map
                            (fun w -> { w with w_via = c :: w.w_via })
-                           s.nondet,
-                         Option.map
-                           (fun w -> { w with w_via = c :: w.w_via })
-                           s.io ))
+                           s.nondet ))
               in
-              let touches =
-                touches @ List.concat_map (fun (t, _, _) -> t) inherited
-              in
+              let touches = touches @ List.concat_map fst inherited in
               let nondet =
                 List.fold_left
-                  (fun acc (_, w, _) -> merge_witness acc w)
+                  (fun acc (_, w) -> merge_witness acc w)
                   nondet inherited
               in
-              let io =
-                List.fold_left
-                  (fun acc (_, _, w) -> merge_witness acc w)
-                  io inherited
-              in
-              (id, (touches, nondet, io, mut_local)))
+              (id, (touches, nondet)))
           members
       in
       List.iter
         (fun id ->
           let touches =
             List.concat_map
-              (fun (owner, (ts, _, _, _)) ->
+              (fun (owner, (ts, _)) ->
                 if owner = id then ts
                 else List.map (fun t -> { t with via = owner :: t.via }) ts)
               owned
           in
           let nondet =
             List.fold_left
-              (fun acc (owner, (_, w, _, _)) ->
+              (fun acc (owner, (_, w)) ->
                 let w =
                   if owner = id then w
                   else Option.map (fun w -> { w with w_via = owner :: w.w_via }) w
@@ -297,31 +245,8 @@ let analyze (cg : Callgraph.t) =
                 merge_witness acc w)
               None owned
           in
-          let io =
-            List.fold_left
-              (fun acc (owner, (_, _, w, _)) ->
-                let w =
-                  if owner = id then w
-                  else Option.map (fun w -> { w with w_via = owner :: w.w_via }) w
-                in
-                merge_witness acc w)
-              None owned
-          in
-          let mut_local =
-            List.exists
-              (fun (owner, (_, _, _, m)) -> owner = id && m)
-              owned
-          in
-          let touched = merge_touches touches in
-          let s_level =
-            if io <> None then Io
-            else if nondet <> None then Nondet
-            else if List.exists (fun t -> t.t_write) touched then
-              Mutates_escaping
-            else if mut_local then Mutates_local
-            else Pure
-          in
-          summaries := SMap.add id { s_level; touched; nondet; io } !summaries)
+          summaries :=
+            SMap.add id { touched = merge_touches touches; nondet } !summaries)
         members)
     components;
   { summaries = !summaries }

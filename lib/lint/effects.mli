@@ -1,32 +1,16 @@
 (** Bottom-up effect inference over the {!Callgraph} (DESIGN.md §14).
 
-    Every top-level declaration is summarized into a point on the
-    effect lattice
-
-    {v pure < mutates-local < mutates-escaping < nondet < io v}
-
-    by a single callees-first pass over the strongly connected
-    components of the call graph (mutual recursion is the fixpoint case:
-    all members of a component share the union of the component's
-    facts).
+    Every top-level declaration is summarized into the two facts the
+    whole-program rules read: the top-level mutable state it touches
+    (T1) and a witness of nondeterminism it reaches (T2).  One
+    callees-first pass over the strongly connected components of the
+    call graph computes them (mutual recursion is the fixpoint case: all
+    members of a component share the union of the component's facts).
 
     Summaries carry {e witnesses} — the concrete primitive occurrence
     and the call chain that reaches it — chosen deterministically
     (shortest chain, ties broken lexicographically), so analysis output
-    is byte-stable across runs.
-
-    Scope notes: [mutates-local] does not propagate to callers (a callee
-    mutating its own state leaves the caller's summary untouched), while
-    touches of top-level mutable state, nondeterminism and IO do. *)
-
-type level = Pure | Mutates_local | Mutates_escaping | Nondet | Io
-
-val level_name : level -> string
-(** ["pure"], ["mutates-local"], ["mutates-escaping"], ["nondet"],
-    ["io"]. *)
-
-val compare_level : level -> level -> int
-(** Lattice order, [Pure] lowest. *)
+    is byte-stable across runs. *)
 
 type touch = {
   g : string;  (** node id of the top-level mutable state *)
@@ -45,10 +29,8 @@ type witness = {
 }
 
 type summary = {
-  s_level : level;
   touched : touch list;  (** deduped per global, sorted by node id *)
   nondet : witness option;
-  io : witness option;
 }
 
 type t

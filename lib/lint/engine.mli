@@ -14,7 +14,6 @@ type scope = Lib | Bin | Bench | Test
     under [lib/util]).  Unknown roots are treated as [Lib] — the
     strictest scope. *)
 
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
 val scope_of_file : string -> scope
 (** From the leading path segment after dropping ["."]/[".."]
     components, so ["../lib/foo.ml"] and ["lib/foo.ml"] agree. *)
@@ -26,10 +25,6 @@ val wall_clock_sanctioned : string -> bool
 (** D3's (and T2's) sanction: wall-clock reads are legitimate exactly in
     [bench/] and the blessed [lib/obs/clock.ml]. *)
 
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
-val domain_spawn_sanctioned : string -> bool
-(** D4's sanction: [lib/experiments/par_sweep.ml] only. *)
-
 val engine_library : string -> bool
 (** The engine libraries whose outputs must be bit-reproducible —
     [lib/{mapping,heuristics,lp,sim,serve,faults}].  Scope of D6 and of
@@ -38,20 +33,8 @@ val engine_library : string -> bool
 exception Parse_error of string
 (** Raised when a file does not lex/parse as an OCaml implementation. *)
 
-val lint_source : file:string -> string -> Rule.finding list
-(** Run every AST rule (D1, D2, D3, D4, F1, P1) on one implementation
-    source.  [file] is the path used for scoping and reporting; the
-    source itself is taken from the string, so tests can lint inline
-    fixtures.  Comment and attribute suppressions are honoured.
-    Findings are sorted by {!Rule.compare_finding}. *)
-
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
-val p2_finding : file:string -> Rule.finding
-(** The finding P2 reports (at line 1) for a [lib/**/*.ml] with no
-    matching [.mli].  Existence checking lives in {!Driver}. *)
-
 val lint_file : ?display:string -> string -> Rule.finding list
 (** Read [path] from disk and lint it; [display] (default the path
     itself) is the name used in findings.  Adds the P2 check: a [Lib]
     implementation with no sibling [.mli] on disk yields
-    {!p2_finding} unless line 1 carries a suppression. *)
+    a P2 finding at line 1 unless that line carries a suppression. *)

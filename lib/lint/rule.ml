@@ -68,8 +68,8 @@ let synopsis = function
     "determinism taint: an engine-library entry point transitively reaches \
      a nondeterministic primitive (hash-order iteration, Random, wall clock)"
   | T3 ->
-    "dead export: an .mli-declared value referenced by no other compilation \
-     unit"
+    "dead export: an .mli-declared value referenced by no other non-test \
+     compilation unit"
 
 type finding = {
   rule : t;

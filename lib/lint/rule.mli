@@ -51,9 +51,9 @@ type t =
           The semantic, interprocedural closure of D1/D3/D6. *)
   | T3
       (** {e typedtree, whole-program}: every [.mli]-declared value under
-          [lib/] must be referenced from at least one other compilation
-          unit (the whole build universe counts: lib, bin, bench, test,
-          examples) *)
+          [lib/] must be referenced from at least one other non-test
+          compilation unit (lib, bin, bench, perfbench and examples
+          count; [test/] does not) *)
 
 val all : t list
 (** In report order: D1, D2, D3, D4, D5, D6, D7, F1, P1, P2, P3, T1,
@@ -87,12 +87,6 @@ val pp_csv : Format.formatter -> finding -> unit
 (** One CSV record [rule,file,line,col,message] with RFC-4180 quoting. *)
 
 val csv_header : string
-
-val to_json : finding -> string
-(** One canonical-JSON object
-    [{"rule":…,"file":…,"line":…,"col":…,"message":…}] per finding
-    ({!Insp_obs.Jsonc} escaping, fixed field order) — the [--format
-    json] line format. *)
 
 val pp_json : Format.formatter -> finding -> unit
 

@@ -20,9 +20,6 @@ type result = {
 
 let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
 
-let lower_bound_procs app platform =
-  max 1 (Cost.lower_bound_processors app platform.Platform.catalog)
-
 let solve ?(node_limit = 2_000_000) ?max_groups app platform =
   let catalog = platform.Platform.catalog in
   if not (Catalog.is_homogeneous catalog) then

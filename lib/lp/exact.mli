@@ -27,7 +27,3 @@ val solve :
 (** [node_limit] defaults to 2_000_000; [max_groups] defaults to the
     number of operators.  Errors when the platform is not homogeneous or
     no feasible solution exists within the limits. *)
-
-val lower_bound_procs : Insp_tree.App.t -> Insp_platform.Platform.t -> int
-(** [ceil(rho * total_work / speed)] combined with the download-traffic
-    bound — a quick valid lower bound on the processor count. *)

@@ -201,19 +201,3 @@ let build app platform ~max_procs =
   }
 
 let lower_bound t = Milp.relaxation_bound t.milp
-
-let solve ?(node_limit = 20_000) t =
-  let result = Milp.solve ~node_limit t.milp in
-  match result.Milp.solution with
-  | None -> None
-  | Some sol ->
-    let groups = Array.make t.max_procs [] in
-    for i = t.n_operators - 1 downto 0 do
-      let u = ref (-1) in
-      for cand = 0 to t.max_procs - 1 do
-        if sol.Simplex.values.(t.x_index i cand) > 0.5 then u := cand
-      done;
-      if !u >= 0 then groups.(!u) <- i :: groups.(!u)
-    done;
-    let used = Array.to_list groups |> List.filter (fun g -> g <> []) in
-    Some (List.length used, Array.of_list used)

@@ -37,7 +37,3 @@ val build :
 
 val lower_bound : t -> float option
 (** LP-relaxation bound on the number of processors. *)
-
-val solve : ?node_limit:int -> t -> (int * int list array) option
-(** Optimal processor count and operator groups (empty groups pruned),
-    or [None] when infeasible within [max_procs] / the node limit. *)

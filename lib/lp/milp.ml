@@ -1,107 +1,9 @@
-module Obs = Insp_obs.Obs
-module Journal = Insp_obs.Journal
-
 type t = {
   problem : Simplex.problem;
   integer_vars : int list;
 }
 
-type status = Proven | NodeLimit
-
-type result = {
-  solution : Simplex.solution option;
-  bound : float;
-  status : status;
-  nodes_explored : int;
-}
-
-let integrality_tolerance = 1e-6
-
-let fractional_var t (sol : Simplex.solution) =
-  List.find_opt
-    (fun j ->
-      let v = sol.values.(j) in
-      Float.abs (v -. Float.round v) > integrality_tolerance)
-    t.integer_vars
-
-let unit_row n j coeff =
-  let coeffs = Array.make n 0.0 in
-  coeffs.(j) <- coeff;
-  coeffs
-
 let relaxation_bound t =
   match Simplex.solve t.problem with
   | Simplex.Optimal s -> Some s.objective_value
   | Simplex.Infeasible | Simplex.Unbounded -> None
-
-let solve ?(node_limit = 100_000) t =
-  let n = Array.length t.problem.objective in
-  let maximize = t.problem.maximize in
-  let better a b = if maximize then a > b else a < b in
-  let best : Simplex.solution option ref = ref None in
-  let nodes = ref 0 in
-  let truncated = ref false in
-  let rec explore extra =
-    if !nodes >= node_limit then truncated := true
-    else begin
-      incr nodes;
-      Obs.incr "lp.bb.node";
-      let problem =
-        { t.problem with Simplex.constraints = t.problem.constraints @ extra }
-      in
-      match Simplex.solve problem with
-      | Simplex.Infeasible -> Obs.incr "lp.bb.pruned.infeasible"
-      | Simplex.Unbounded ->
-        (* An unbounded relaxation cannot be pruned; treat as truncation
-           (only happens on degenerate inputs). *)
-        truncated := true
-      | Simplex.Optimal sol -> (
-        let dominated =
-          match !best with
-          | Some b ->
-            not (better sol.objective_value b.Simplex.objective_value)
-          | None -> false
-        in
-        if dominated then Obs.incr "lp.bb.pruned.bound"
-        else
-          match fractional_var t sol with
-          | None ->
-            best := Some sol;
-            Obs.mark "lp.bb.incumbent";
-            Obs.gauge "lp.bb.incumbent" sol.objective_value;
-            if Obs.journaling () then
-              Obs.event_bounded ~category:"lp"
-                (Journal.Lp_incumbent { objective = sol.objective_value })
-          | Some j ->
-            let v = sol.values.(j) in
-            let lo = Float.floor v in
-            if Obs.journaling () then
-              Obs.event_bounded ~category:"lp"
-                (Journal.Lp_branch { var = j; value = v; floor = lo });
-            explore
-              ({ Simplex.coeffs = unit_row n j 1.0; relation = Simplex.Le;
-                 bound = lo }
-              :: extra);
-            explore
-              ({ Simplex.coeffs = unit_row n j 1.0; relation = Simplex.Ge;
-                 bound = lo +. 1.0 }
-              :: extra))
-    end
-  in
-  explore [];
-  let bound =
-    match (!best, !truncated) with
-    | Some s, false -> s.Simplex.objective_value
-    | _ -> (
-      match relaxation_bound t with
-      | Some b -> b
-      | None -> if maximize then neg_infinity else infinity)
-  in
-  Obs.gauge "lp.bb.bound" bound;
-  if Obs.journaling () then Obs.event (Journal.Lp_bound { bound });
-  {
-    solution = !best;
-    bound;
-    status = (if !truncated then NodeLimit else Proven);
-    nodes_explored = !nodes;
-  }

@@ -1,33 +1,10 @@
-(** Branch-and-bound mixed-integer solver over {!Simplex} relaxations.
-
-    Depth-first branch and bound: each node solves the LP relaxation,
-    prunes on bound or infeasibility, otherwise branches on the first
-    integer-constrained variable with a fractional value by adding
-    [x <= floor(v)] / [x >= ceil(v)] constraints.
-
-    Intended for the small homogeneous instances the paper solves with
-    CPLEX; node and time limits make it safe to call on anything. *)
+(** Mixed-integer programs over {!Simplex}: the LP relaxation that
+    bounds the paper's ILP (§3, {!Ilp_model}). *)
 
 type t = {
   problem : Simplex.problem;
   integer_vars : int list;  (** indices that must be integral *)
 }
-
-type status = Proven | NodeLimit
-
-type result = {
-  solution : Simplex.solution option;
-      (** best integral solution found, if any *)
-  bound : float;
-      (** proven bound on the optimum: lower bound when minimising, upper
-          when maximising (the root relaxation when the search was
-          truncated) *)
-  status : status;
-  nodes_explored : int;
-}
-
-val solve : ?node_limit:int -> t -> result
-(** [node_limit] defaults to 100_000. *)
 
 val relaxation_bound : t -> float option
 (** Objective of the root LP relaxation; [None] when infeasible or

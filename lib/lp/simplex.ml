@@ -219,19 +219,3 @@ let solve problem =
         in
         Optimal { values; objective_value }
     end
-
-let check_feasible problem point =
-  let n = Array.length problem.objective in
-  Array.length point = n
-  && Array.for_all (fun v -> v >= -1e-6) point
-  && List.for_all
-       (fun c ->
-         let lhs = ref 0.0 in
-         for j = 0 to n - 1 do
-           lhs := !lhs +. (c.coeffs.(j) *. point.(j))
-         done;
-         match c.relation with
-         | Le -> !lhs <= c.bound +. 1e-6
-         | Ge -> !lhs >= c.bound -. 1e-6
-         | Eq -> Float.abs (!lhs -. c.bound) <= 1e-6)
-       problem.constraints

@@ -36,7 +36,3 @@ type outcome =
 val solve : problem -> outcome
 (** Raises [Invalid_argument] on ragged input (a constraint row whose
     width differs from the objective). *)
-
-val check_feasible : problem -> float array -> bool
-(** Does the given point satisfy every constraint (tolerance 1e-6) and
-    non-negativity?  Used by tests as an independent oracle. *)

@@ -6,7 +6,7 @@ type proc = {
 
 (* [host.(i)] is the processor of operator [i], -1 when unassigned;
    operators beyond the array are unassigned. *)
-type t = { procs : proc array; host : int array; n_assigned : int }
+type t = { procs : proc array; host : int array }
 
 let compare_download (k, l) (k', l') =
   let c = Int.compare k k' in
@@ -46,18 +46,16 @@ let make procs =
       0 procs
   in
   let host = Array.make n (-1) in
-  let n_assigned = ref 0 in
   Array.iteri
     (fun u p ->
       List.iter
         (fun i ->
           if host.(i) >= 0 then
             invalid_arg "Alloc.make: operator assigned to two processors";
-          host.(i) <- u;
-          incr n_assigned)
+          host.(i) <- u)
         p.operators)
     procs;
-  { procs; host; n_assigned = !n_assigned }
+  { procs; host }
 
 let of_groups ~configs ~groups ~downloads =
   let n = Array.length configs in
@@ -79,8 +77,6 @@ let assignment t i =
 
 let operators_of t u = t.procs.(u).operators
 let downloads_of t u = t.procs.(u).downloads
-let n_operators_assigned t = t.n_assigned
-
 let all_downloads t =
   let acc = ref [] in
   Array.iteri
@@ -97,16 +93,6 @@ let with_configs t configs =
   if Array.length configs <> Array.length t.procs then
     invalid_arg "Alloc.with_configs: array length mismatch";
   let procs = Array.mapi (fun u p -> { p with config = configs.(u) }) t.procs in
-  { t with procs }
-
-let with_downloads t downloads =
-  if Array.length downloads <> Array.length t.procs then
-    invalid_arg "Alloc.with_downloads: array length mismatch";
-  let procs =
-    Array.mapi
-      (fun u p -> normalize_proc { p with downloads = downloads.(u) })
-      t.procs
-  in
   { t with procs }
 
 let pp ppf t =

@@ -51,8 +51,6 @@ val operators_of : t -> int -> int list
 
 val downloads_of : t -> int -> (int * int) list
 
-val n_operators_assigned : t -> int
-
 val all_downloads : t -> (int * int * int) list
 (** All [(proc, object_type, server)] triples. *)
 
@@ -65,9 +63,5 @@ val with_configs : t -> Insp_platform.Catalog.config array -> t
     the downgrade pass over a large allocation would otherwise pay one
     O(procs) array copy per processor.  The array is indexed by
     processor and must cover all of them. *)
-
-val with_downloads : t -> (int * int) list array -> t
-(** Replaces every processor's download plan (server-selection step).
-    The array is indexed by processor. *)
 
 val pp : Format.formatter -> t -> unit

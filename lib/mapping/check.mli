@@ -71,7 +71,5 @@ val proc_download_rate : Insp_tree.Graph.t -> Alloc.t -> int -> float
 (** MB/s of basic-object downloads entering processor [u] according to
     its download plan. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val explain : violation list -> string
 (** Multi-line human-readable report ("feasible" when empty). *)

@@ -6,13 +6,9 @@ val of_alloc : Insp_platform.Catalog.t -> Alloc.t -> float
 
 val per_proc : Insp_platform.Catalog.t -> Alloc.t -> float array
 
-val lower_bound_processors : Insp_tree.App.t -> Insp_platform.Catalog.t -> int
-(** A simple lower bound on the number of processors any feasible
-    solution needs: total compute divided by the fastest CPU, and total
-    mandatory download traffic divided by the widest NIC (each rounded
-    up), whichever is larger.  Used to sanity-check heuristic results
-    and to seed the exact solver. *)
-
 val lower_bound_cost : Insp_tree.App.t -> Insp_platform.Catalog.t -> float
-(** [lower_bound_processors] times the cheapest configuration price — a
-    valid (weak) lower bound on the optimal platform cost. *)
+(** A valid (weak) lower bound on the optimal platform cost: the
+    cheapest configuration's price times a lower bound on the number of
+    processors any feasible solution needs — total compute over the
+    fastest CPU and total mandatory download traffic over the widest
+    NIC (each rounded up), whichever is larger. *)

@@ -262,7 +262,6 @@ let proc t u =
   check_live t u;
   t.procs.(u)
 
-let n_procs t = Arena.n_live t.arena
 let proc_ids t = Arena.live_ids t.arena
 let mem_proc t u = Arena.is_live t.arena u
 let generation t u = Arena.generation t.arena u
@@ -310,8 +309,6 @@ let assignment t i =
 let downloads_list p =
   let r = p.dls in
   List.init r.len (fun j -> (r.s.key.(r.off + j), r.s.aux.(r.off + j)))
-let downloads_of t u = downloads_list (proc t u)
-
 let add_proc t cfg =
   let id = Arena.alloc t.arena in
   if id >= Array.length t.procs then begin
@@ -547,14 +544,6 @@ let detach t u i ~remaining =
   bump t u;
   Obs.prof_exit ()
 
-let remove_operator t i =
-  let u = t.host.(i) in
-  if u < 0 then invalid_arg "Ledger.remove_operator: operator not assigned";
-  let m = t.procs.(u).members in
-  delete m (search m i min_int);
-  t.procs.(u).ops_fresh <- false;
-  detach t u i ~remaining:m.len
-
 (* Detaches every member, ascending, and empties the row. *)
 let detach_all t u =
   let m = t.procs.(u).members in
@@ -634,10 +623,6 @@ let demand_of l =
     comm_in = l.(comm_in_); comm_out = l.(comm_out_) }
 
 let demand t u = demand_of (proc t u).loads
-
-let nic_load t u =
-  let p = proc t u in
-  p.loads.(dl_rate_) +. p.loads.(comm_in_) +. p.loads.(comm_out_)
 
 let compute_load t u = (proc t u).loads.(compute_)
 
@@ -863,18 +848,6 @@ let pair_violations t us acc =
       end)
     us
 [@@lint.allow "p3"]
-
-let violations_touching t us =
-  let us = List.sort_uniq Int.compare us in
-  let acc = ref [] in
-  List.iter (fun u -> if mem_proc t u then proc_violations t u acc) us;
-  let servers_touched =
-    List.concat_map (fun u -> if mem_proc t u then downloads_of t u else []) us
-    |> List.map snd |> List.filter (valid_server t) |> List.sort_uniq Int.compare
-  in
-  server_card_violations t servers_touched acc;
-  pair_violations t us acc;
-  List.rev !acc
 
 let violations t =
   let acc = ref [] in

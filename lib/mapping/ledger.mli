@@ -11,7 +11,7 @@
     producer's consumers.  An unassigned neighbour counts as its own
     stream at its own rate.  On a tree every stream has one consumer, so
     its float operations are those of the tree edges.  Mutations
-    ({!add_operator}, {!remove_operator}, {!add_download}, …) cost
+    ({!add_operator}, {!merge}, {!remove_proc}, …) cost
     O(degree) row edits, times the out-degree of the producers on a
     DAG, where the from-scratch path recomputes O(|group|²) sums per
     probe.  The state is flat sorted rows edited in place (DESIGN.md
@@ -50,18 +50,11 @@ val remove_proc : t -> proc_id -> unit
 (** Releases all hosted operators and download entries, then deletes the
     processor. *)
 
-val n_procs : t -> int
-val proc_ids : t -> proc_id list
-(** Live processors, increasing id order. *)
-
 val mem_proc : t -> proc_id -> bool
 val config : t -> proc_id -> Insp_platform.Catalog.config
 val set_config : t -> proc_id -> Insp_platform.Catalog.config -> unit
 val operators_of : t -> proc_id -> int list
 (** Sorted.  Built once per membership change, then shared. *)
-
-val downloads_of : t -> proc_id -> (int * int) list
-(** Sorted (object type, server) pairs; one entry per distinct pair. *)
 
 val assignment : t -> int -> proc_id option
 
@@ -77,33 +70,16 @@ val generation : t -> proc_id -> int
 val add_operator : t -> proc_id -> int -> unit
 (** O(degree).  Raises [Invalid_argument] if already assigned. *)
 
-val remove_operator : t -> int -> unit
-(** O(degree).  Raises [Invalid_argument] if not assigned. *)
-
-val add_download : t -> proc_id -> obj:int -> server:int -> unit
-(** O(1) amortised.  Exact duplicate (obj, server) entries are collapsed
-    (mirroring {!Alloc.make}); the same object from a second server is
-    recorded and will surface as [Check.Duplicate_download].  Servers
-    outside the platform range are recorded too (they surface as
-    [Check.Not_held] and still load the processor's NIC, like the
-    oracle), and so are object types outside the catalog (they surface
-    as [Check.Not_held] and load nothing). *)
-
-val remove_download : t -> proc_id -> obj:int -> server:int -> unit
-(** No-op when the entry is absent. *)
-
 val merge : t -> winner:proc_id -> loser:proc_id -> unit
 (** Moves every operator of [loser] onto [winner] and deletes [loser].
     O(sum of moved operators' degrees). *)
 
+(* lint: allow t3 — oracle for test/test_ledger.ml probe predicts commit *)
 val demand : t -> proc_id -> Demand.t
 (** Current demand of the processor's operator group (download term =
     distinct needed objects, like {!Demand.of_group}). *)
 
 val compute_load : t -> proc_id -> float
-val nic_load : t -> proc_id -> float
-(** Checker semantics: planned download rate (which may double-count
-    duplicated object types) + comm in + comm out. *)
 
 val card_load : t -> int -> float
 (** Aggregate planned download load (MB/s) against one server's card.
@@ -131,16 +107,9 @@ val violations : t -> Check.violation list
     on {!to_alloc} (processor indices are ledger ids).  O(live state),
     not O(procs²). *)
 
-val violations_touching : t -> proc_id list -> Check.violation list
-(** Violations anchored at the given processors: their structural
-    download problems, constraints (1)/(2)/(4), the card constraint (3)
-    of every server they download from, and constraint (5) for every
-    pair they participate in.  Does not scan for unassigned operators.
-    O(size of the touched state). *)
-
 val of_alloc : Insp_tree.Graph.t -> Insp_platform.Platform.t -> Alloc.t -> t
 (** Replays an allocation; processor ids coincide with [Alloc] indices. *)
 
-(* lint: allow t3 — the allocation view the test-suite oracle checks *)
+(* lint: allow t3 — oracle for test/test_ledger.ml ledger violation set matches Check.check *)
 val to_alloc : t -> Alloc.t
 (** Live processors in increasing id order. *)

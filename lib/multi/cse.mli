@@ -9,18 +9,6 @@
     DAG in which each distinct computation appears once; a shared node
     runs at the fastest consumer's rate. *)
 
-val share :
-  objects:Insp_tree.Objects.t ->
-  alpha:float ->
-  ?base_work:float ->
-  ?work_factor:float ->
-  trees:(Insp_tree.Optree.t * float) list ->
-  unit ->
-  Dag.t
-(** [share ~objects ~alpha ~trees ()] hash-conses the given [(tree,
-    rho)] applications into a shared DAG.  All trees must draw objects
-    from the given catalog. *)
-
 val share_apps : Insp_tree.App.t list -> Dag.t
 (** Convenience wrapper: extracts the catalog, alpha, work constants and
     rho from each application (they must all agree on catalog, alpha and

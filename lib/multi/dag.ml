@@ -23,7 +23,6 @@ type t = {
 }
 
 let n_nodes t = Array.length t.nodes
-let objects t = t.objects
 let node t i = t.nodes.(i)
 let inputs t i = t.nodes.(i).inputs
 let graph t = t.graph

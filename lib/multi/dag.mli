@@ -29,9 +29,6 @@ type t
 
 val n_nodes : t -> int
 
-val objects : t -> Insp_tree.Objects.t
-(** The shared basic-object catalog. *)
-
 val node : t -> int -> node
 val inputs : t -> int -> input list
 
@@ -45,11 +42,6 @@ val graph : t -> Insp_tree.Graph.t
     checker ({!Insp_mapping.Check.check_graph}), the downgrade step and
     the runtime read it, so a DAG allocation is judged and executed by
     the same code as a tree's. *)
-
-val validate : t -> (unit, string) result
-(** Checks arity, topological id order, rate consistency (every node's
-    rate equals the max over its consumers' rates and the rhos of the
-    applications it feeds) and acyclicity. *)
 
 (** {2 Construction} *)
 

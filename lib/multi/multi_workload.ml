@@ -26,12 +26,16 @@ let spec_operators spec =
   in
   count spec
 
-let correlated_trees rng ~n_apps ~n_operators ~n_object_types ?(n_pool = 4)
-    ?(pool_operators = 3) ?(share_prob = 0.5) () =
+(* The shared pool: [n_pool] random sub-expressions of [pool_operators]
+   operators each, grafted with probability [share_prob] wherever a tree
+   needs a subtree of exactly that size. *)
+let n_pool = 4
+let pool_operators = 3
+let share_prob = 0.5
+
+let correlated_trees rng ~n_apps ~n_operators ~n_object_types =
   if n_apps < 1 then invalid_arg "Multi_workload.correlated_trees: n_apps >= 1";
-  if share_prob < 0.0 || share_prob > 1.0 then
-    invalid_arg "Multi_workload.correlated_trees: share_prob in [0,1]";
-  if pool_operators < 1 || pool_operators >= max 2 n_operators then
+  if pool_operators >= max 2 n_operators then
     invalid_arg "Multi_workload.correlated_trees: bad pool_operators";
   let pool =
     Array.init n_pool (fun _ ->
@@ -57,7 +61,7 @@ let correlated_apps rng ~config ~n_apps =
   let trees =
     correlated_trees rng ~n_apps
       ~n_operators:config.Config.n_operators
-      ~n_object_types:config.Config.n_object_types ()
+      ~n_object_types:config.Config.n_object_types
   in
   let lo, hi = Config.size_range config.Config.sizes in
   let sizes =

@@ -10,14 +10,10 @@ val metrics_csv : Obs.t -> string
 (** Header ["kind,name,value"], then one row per counter and gauge;
     histograms expand to one row per
     bucket ([name.le.EDGE], [name.overflow]) plus [name.count],
-    [name.sum] and interpolated [name.p50]/[name.p90]/[name.p99]
-    summary rows (see {!percentile}). *)
-
-val percentile : Metrics.histogram -> float -> float
-(** [percentile h p] estimates the [p]-th percentile (0–100) of a
-    histogram by deterministic linear interpolation over its bucket
-    edges (lower edge of the first bucket is 0); a rank landing in the
-    overflow bucket pins to the last finite edge. *)
+    [name.sum] and [name.p50]/[name.p90]/[name.p99] summary rows:
+    linear interpolation between a bucket's edges (the lower edge of
+    the first bucket is 0), ranks in the overflow bucket pinned to the
+    last finite edge. *)
 
 val text_report : Obs.t -> string
 (** The frame tree depth-first, parents before children (count and
@@ -52,7 +48,7 @@ val prof_folded_time : Obs.t -> string
 val chrome_trace : Obs.t -> string
 (** Chrome [trace_event] JSON Array Format: one ["X"] complete event
     per span and one ["i"] instant event per mark among the latest
-    {!Prof.trace_capacity} completions, then one ["C"] counter event per
+    4096 completions (the trace ring), then one ["C"] counter event per
     counter.  Load in [chrome://tracing] or Perfetto. *)
 
 val save : string -> string -> unit

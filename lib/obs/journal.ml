@@ -59,9 +59,6 @@ type event =
       n_procs : int option;
       procs : (int * int) list;  (* final processor index -> builder gid *)
     }
-  | Lp_branch of { var : int; value : float; floor : float }
-  | Lp_incumbent of { objective : float }
-  | Lp_bound of { bound : float }
   | Exact_incumbent of { n_procs : int; nodes : int }
   | Sim_dispatch of { t : float; proc : int; op : int; result : int }
   | Sim_flow_start of {
@@ -76,7 +73,6 @@ type event =
   | Serve_admit of { app : int; tenant : int; cost : float; n_procs : int }
   | Serve_reject of { app : int; tenant : int; reason : string }
   | Serve_depart of { app : int; tenant : int; refund : float }
-  | Serve_evict of { app : int; tenant : int; refund : float }
   | Serve_unknown_depart of { app : int; t : int }
   | Fault_crash of { t : float; victim : int }
   | Fault_capacity of {
@@ -279,16 +275,6 @@ let event_to_json ev =
                    procs)
             ^ "]" );
         ])
-  | Lp_branch { var; value; floor } ->
-    tag "lp_branch"
-      [
-        ("var", Jsonc.int var);
-        ("value", Jsonc.float value);
-        ("floor", Jsonc.float floor);
-      ]
-  | Lp_incumbent { objective } ->
-    tag "lp_incumbent" [ ("objective", Jsonc.float objective) ]
-  | Lp_bound { bound } -> tag "lp_bound" [ ("bound", Jsonc.float bound) ]
   | Exact_incumbent { n_procs; nodes } ->
     tag "exact_incumbent"
       [ ("procs", Jsonc.int n_procs); ("nodes", Jsonc.int nodes) ]
@@ -342,13 +328,6 @@ let event_to_json ev =
       ]
   | Serve_depart { app; tenant; refund } ->
     tag "serve_depart"
-      [
-        ("app", Jsonc.int app);
-        ("tenant", Jsonc.int tenant);
-        ("refund", Jsonc.float refund);
-      ]
-  | Serve_evict { app; tenant; refund } ->
-    tag "serve_evict"
       [
         ("app", Jsonc.int app);
         ("tenant", Jsonc.int tenant);

@@ -57,9 +57,6 @@ type event =
       procs : (int * int) list;
           (** final processor index -> builder group id *)
     }
-  | Lp_branch of { var : int; value : float; floor : float }
-  | Lp_incumbent of { objective : float }
-  | Lp_bound of { bound : float }
   | Exact_incumbent of { n_procs : int; nodes : int }
   | Sim_dispatch of { t : float; proc : int; op : int; result : int }
   | Sim_flow_start of {
@@ -75,8 +72,6 @@ type event =
   | Serve_admit of { app : int; tenant : int; cost : float; n_procs : int }
   | Serve_reject of { app : int; tenant : int; reason : string }
   | Serve_depart of { app : int; tenant : int; refund : float }
-  | Serve_evict of { app : int; tenant : int; refund : float }
-      (** live application displaced by a capacity loss (crash) *)
   | Serve_unknown_depart of { app : int; t : int }
       (** malformed stream: departure of a never-seen application *)
   | Fault_crash of { t : float; victim : int }
@@ -144,8 +139,6 @@ val merge : into:t -> t -> unit
 val hash_hex : string -> string
 (** FNV-1a 64-bit hash, rendered ["fnv1a:%016x"] — for
     {!manifest.m_config_hash}. *)
-
-val manifest_to_json : manifest -> string
 
 val event_to_json : event -> string
 (** One canonical JSON object per event, fixed field order, tagged

@@ -39,11 +39,13 @@ let register t name metric =
 
 let kind_error name = invalid_arg ("Metrics: kind mismatch for " ^ name)
 
+(* [Hashtbl.find], not [find_opt]: counters sit on hot paths, and the
+   [Some] of a hit would cost two words per call. *)
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> c.count <- c.count + by
-  | Some (Gauge _ | Histogram _) -> kind_error name
-  | None -> register t name (Counter { count = by })
+  match Hashtbl.find t.tbl name with
+  | Counter c -> c.count <- c.count + by
+  | Gauge _ | Histogram _ -> kind_error name
+  | exception Not_found -> register t name (Counter { count = by })
 
 let set_gauge t name v =
   match Hashtbl.find_opt t.tbl name with

@@ -20,7 +20,7 @@
     through to their parent untouched.
 
     Span and mark completions also land in a trace ring of fixed
-    capacity ({!trace_capacity}): the latest completions, each a row id,
+    capacity (4096): the latest completions, each a row id,
     a start and a duration.  The recorder's size depends on the number
     of distinct paths, never on the number of completed frames.
 
@@ -104,9 +104,6 @@ val rows : t -> row list
 val totals : t -> totals
 (** GC deltas accumulated across completed top-level frames. *)
 
-val trace_capacity : int
-(** Entries the trace ring keeps. *)
-
 val iter_trace : t -> (int -> float -> float -> unit) -> unit
 (** [iter_trace t f] calls [f row start_us dur_us] on the latest
     [min completions trace_capacity] span and mark completions, oldest
@@ -118,6 +115,7 @@ val merge : into:t -> t -> unit
     Counts and times add, and GC deltas when both trees profile.  The
     source's open frames and trace ring are ignored. *)
 
+(* lint: allow t3 — oracle for test/test_obs.ml counter hits allocate nothing *)
 val allocated_minor_words : (unit -> unit) -> float
 (** Minor words allocated while running the thunk, measured with the
     same [Gc.minor_words] read the profiler uses.  The reported delta

@@ -53,10 +53,6 @@ let homogeneous t ~cpu_index ~nic_index =
     nics = [| t.nics.(nic_index) |];
   }
 
-let chassis_cost t = t.chassis_cost
-let cpus t = Array.copy t.cpus
-let nics t = Array.copy t.nics
-
 let is_homogeneous t = Array.length t.cpus = 1 && Array.length t.nics = 1
 
 let config_cost t config =

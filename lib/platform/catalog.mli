@@ -16,19 +16,11 @@ type config = { cpu : cpu; nic : nic }
 
 type t
 
-val make : chassis_cost:float -> cpus:cpu array -> nics:nic array -> t
-(** Options must be non-empty, sorted strictly increasing in capacity,
-    and strictly increasing in cost. *)
-
 val dell_2008 : t
 (** The exact Table 1 catalog. *)
 
 val homogeneous : t -> cpu_index:int -> nic_index:int -> t
 (** Restriction of a catalog to a single configuration (CONSTR-HOM). *)
-
-val chassis_cost : t -> float
-val cpus : t -> cpu array
-val nics : t -> nic array
 
 val is_homogeneous : t -> bool
 

@@ -101,55 +101,6 @@ let left_deep_of tree =
 (* ------------------------------------------------------------------ *)
 (* Exhaustive enumeration                                              *)
 
-let enumerate ~n_object_types ~leaves =
-  let n = List.length leaves in
-  if n < 2 || n > 10 then invalid_arg "Rewrite.enumerate: 2-10 leaves";
-  (* All distinct-shape specs over a sorted leaf multiset: split into an
-     unordered pair of non-empty sub-multisets and recurse; dedup by
-     canonical key at every level. *)
-  let table = Hashtbl.create 64 in
-  let rec shapes leaves =
-    match Hashtbl.find_opt table leaves with
-    | Some r -> r
-    | None ->
-      let r =
-        match leaves with
-        | [ k ] -> [ Optree.Obj k ]
-        | _ ->
-          let n = List.length leaves in
-          (* enumerate sub-multisets by bitmask over positions, dedup by
-             the resulting (left, right) leaf multisets *)
-          let arr = Array.of_list leaves in
-          let seen = Hashtbl.create 16 in
-          let acc = ref [] in
-          for mask = 1 to (1 lsl n) - 2 do
-            let left = ref [] and right = ref [] in
-            for i = 0 to n - 1 do
-              if mask land (1 lsl i) <> 0 then left := arr.(i) :: !left
-              else right := arr.(i) :: !right
-            done;
-            let l = List.sort compare !left and r = List.sort compare !right in
-            (* unordered pair: keep l <= r *)
-            let pair = if l <= r then (l, r) else (r, l) in
-            if not (Hashtbl.mem seen pair) then begin
-              Hashtbl.replace seen pair ();
-              let ls, rs = pair in
-              List.iter
-                (fun a ->
-                  List.iter (fun b -> acc := Optree.Op (a, b) :: !acc)
-                    (shapes rs))
-                (shapes ls)
-            end
-          done;
-          dedup !acc
-      in
-      Hashtbl.replace table leaves r;
-      r
-  in
-  shapes (List.sort compare leaves)
-  |> dedup
-  |> List.map (Optree.of_spec ~n_object_types)
-
 (* ------------------------------------------------------------------ *)
 (* Hill climbing                                                       *)
 

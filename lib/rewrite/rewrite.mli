@@ -12,19 +12,6 @@
     intermediate inputs small.  This module searches the shape space for
     the cheapest-to-provision equivalent tree. *)
 
-val leaf_multiset : Insp_tree.Optree.t -> int list
-(** Object types of all leaf instances, sorted (with duplicates). *)
-
-val neighbors : Insp_tree.Optree.t -> Insp_tree.Optree.t list
-(** All trees one associativity rotation away:
-    [(a . b) . c -> a . (b . c)] and its mirror, applied at every
-    binary operator whose child is binary.  Leaf multiset is
-    preserved.  Unary operators are left untouched. *)
-
-val enumerate : n_object_types:int -> leaves:int list -> Insp_tree.Optree.t list
-(** All structurally distinct (up to commutativity) binary trees over
-    the leaf multiset.  Exponential: requires [2 <= |leaves| <= 10]. *)
-
 val balanced_of : Insp_tree.Optree.t -> Insp_tree.Optree.t
 (** The balanced tree over the same leaf multiset. *)
 
@@ -38,7 +25,10 @@ val optimize :
   ?restarts:int ->
   Insp_tree.Optree.t ->
   Insp_tree.Optree.t * float option
-(** Hill-climbing over {!neighbors}: [evaluate] returns the provisioning
+(** Hill-climbing over single associativity rotations
+    ([(a . b) . c -> a . (b . c)] and its mirror, at every binary
+    operator with a binary child; the leaf multiset is preserved):
+    [evaluate] returns the provisioning
     cost of a shape ([None] = infeasible).  Starting from the given tree
     (and [restarts] extra random-rotation starts, default 2), repeatedly
     moves to the best strictly-improving neighbour, up to [steps]

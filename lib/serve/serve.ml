@@ -75,7 +75,6 @@ type t = {
   platform : Platform.t;
   mutable live : admitted Imap.t;
   mutable seen : Iset.t;  (* every application id that ever arrived *)
-  mutable lost_procs : int;  (* processors destroyed by crashes *)
   accounts : account array;  (* indexed by tenant *)
 }
 
@@ -103,7 +102,6 @@ let create params =
     platform = scale_cards inst.Instance.platform params.card_scale;
     live = Imap.empty;
     seen = Iset.empty;
-    lost_procs = 0;
     accounts =
       Array.init params.n_tenants (fun _ ->
           { purchased = 0.0; refunded = 0.0; admitted = 0; rejected = 0;
@@ -112,11 +110,6 @@ let create params =
 
 let params t = t.params
 let n_live t = Imap.cardinal t.live
-
-let account t tenant =
-  if tenant < 0 || tenant >= Array.length t.accounts then
-    invalid_arg "Serve.account: bad tenant";
-  t.accounts.(tenant)
 
 (* ------------------------------------------------------------------ *)
 (* Residual capacity                                                   *)
@@ -139,12 +132,9 @@ let scope_card t l =
   | Static_slicing -> full /. float_of_int t.params.n_tenants
 
 let scope_proc_budget t =
-  (* Crashed processors come off the top of the platform budget before
-     any tenant partitioning. *)
-  let budget = t.params.proc_budget - t.lost_procs in
   match t.params.tenancy with
-  | Shared -> budget
-  | Static_slicing -> budget / t.params.n_tenants
+  | Shared -> t.params.proc_budget
+  | Static_slicing -> t.params.proc_budget / t.params.n_tenants
 
 let residual_cards ?excluding t ~tenant =
   let n = Servers.n_servers t.platform.Platform.servers in
@@ -364,7 +354,7 @@ let handle t event =
   | Stream.Departure { app; t = tick } -> (
     match Imap.find_opt app t.live with
     | None ->
-      (* A departure of a rejected or evicted application is a normal
+      (* A departure of a rejected application is a normal
          stream artefact; one for an id that never arrived is a
          malformed stream and must not be silently swallowed. *)
       if not (Iset.mem app t.seen) then begin
@@ -388,92 +378,6 @@ let run params events =
   let t = create params in
   List.iter (handle t) events;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Crash: capacity loss, eviction, re-admission                        *)
-
-type crash_outcome = { evicted : int list; readmitted : int list }
-
-let newest_in_scope t ~tenant =
-  (* Ascending fold: the last binding kept is the largest (newest) app
-     id in the scope — LIFO eviction keeps the oldest tenants stable. *)
-  Imap.fold
-    (fun id a acc -> if in_scope t ~tenant a then Some (id, a) else acc)
-    t.live None
-
-let crash t ~procs_lost =
-  if procs_lost < 0 then invalid_arg "Serve.crash: negative procs_lost";
-  t.lost_procs <- t.lost_procs + procs_lost;
-  Obs.incr "serve.crash";
-  let scopes =
-    match t.params.tenancy with
-    | Shared -> [ 0 ]
-    | Static_slicing -> List.init t.params.n_tenants Fun.id
-  in
-  let evicted = ref [] in
-  List.iter
-    (fun tenant ->
-      let continue_ = ref true in
-      while !continue_ && residual_procs t ~tenant < 0 do
-        match newest_in_scope t ~tenant with
-        | None -> continue_ := false  (* nothing left to evict *)
-        | Some (id, a) ->
-          t.live <- Imap.remove id t.live;
-          let refund = t.params.resale *. a.a_cost in
-          let acct = t.accounts.(a.a_tenant) in
-          acct.departed <- acct.departed + 1;
-          acct.refunded <- acct.refunded +. refund;
-          Obs.incr "serve.evict";
-          if Obs.journaling () then
-            Obs.event
-              (Journal.Serve_evict { app = id; tenant = a.a_tenant; refund });
-          evicted := (id, a) :: !evicted
-      done)
-    scopes;
-  (* Re-admission in ascending id order against the shrunken pool: an
-     evicted application gets back exactly the solve its parameters
-     deterministically produce on the new residual. *)
-  let evicted = List.sort (fun (a, _) (b, _) -> compare a b) !evicted in
-  let readmitted =
-    List.filter_map
-      (fun (id, a) ->
-        match
-          try_admit t ~tenant:a.a_tenant ~n_operators:a.a_ops
-            ~app_seed:a.a_seed
-        with
-        | Ok adm ->
-          t.live <- Imap.add id adm t.live;
-          let acct = t.accounts.(a.a_tenant) in
-          acct.admitted <- acct.admitted + 1;
-          acct.purchased <- acct.purchased +. adm.a_cost;
-          Obs.incr "serve.readmit";
-          if Obs.journaling () then
-            Obs.event
-              (Journal.Serve_admit
-                 {
-                   app = id;
-                   tenant = a.a_tenant;
-                   cost = adm.a_cost;
-                   n_procs = adm.a_n_procs;
-                 });
-          Some id
-        | Error reason ->
-          let acct = t.accounts.(a.a_tenant) in
-          acct.rejected <- acct.rejected + 1;
-          Obs.incr "serve.reject";
-          Obs.incr ("serve.reject." ^ reject_label reason);
-          if Obs.journaling () then
-            Obs.event
-              (Journal.Serve_reject
-                 {
-                   app = id;
-                   tenant = a.a_tenant;
-                   reason = reject_label reason;
-                 });
-          None)
-      evicted
-  in
-  { evicted = List.map fst evicted; readmitted }
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and canonical dumps                                       *)

@@ -74,7 +74,7 @@ exception Unknown_departure of { app : int; t : int }
 (** Raised (after journaling {!Insp_obs.Journal.Serve_unknown_depart})
     by {!handle} on a departure whose application id never arrived —
     a malformed stream, distinct from the benign departure of a
-    rejected or evicted application. *)
+    rejected application. *)
 
 val create : params -> t
 (** Generates the service platform from [params.base] (deterministic in
@@ -87,28 +87,10 @@ val handle : t -> Stream.event -> unit
 (** Process one event.  Arrivals admit or reject (and count both);
     departures of admitted applications release capacity and refund;
     departures of previously seen but no-longer-live applications
-    (rejected on arrival, or evicted by {!crash}) are no-ops.  Raises
+    (rejected on arrival) are no-ops.  Raises
     [Invalid_argument] on malformed streams (duplicate arrival, tenant
     out of range) and {!Unknown_departure} on a departure of a
     never-seen application id. *)
-
-(** {1 Capacity loss} *)
-
-type crash_outcome = {
-  evicted : int list;  (** ascending app ids displaced by the crash *)
-  readmitted : int list;
-      (** the subset re-admitted against the shrunken pool *)
-}
-
-val crash : t -> procs_lost:int -> crash_outcome
-(** Destroy [procs_lost] processors of the platform budget.  Every
-    scope over its shrunken budget evicts its newest live applications
-    (journaled {!Insp_obs.Journal.Serve_evict}, refunded at the resale
-    fraction) until it fits; evicted applications are then re-admitted
-    in ascending id order where the residual still accommodates them
-    (journaled as ordinary admits/rejects).  Deterministic: equal
-    states and equal [procs_lost] give equal outcomes.  Raises
-    [Invalid_argument] on a negative [procs_lost]. *)
 
 val params : t -> params
 val n_live : t -> int
@@ -140,10 +122,6 @@ type account = {
   mutable departed : int;
 }
 
-(* lint: allow t3 — service introspection accessor *)
-val account : t -> int -> account
-(** The tenant's running account (live view, mutated by {!handle}). *)
-
 type tenant_summary = {
   tenant : int;  (** -1 in {!totals} *)
   purchased : float;
@@ -166,11 +144,6 @@ val rejection_rate : tenant_summary -> float
 
 (** {1 Canonical dumps} *)
 
-val dump_resources : t -> string
-(** Admitted applications and residual capacities, canonically rendered
-    (ordered map iteration, {!Insp_obs.Jsonc} floats).  Byte-identical
-    across runs with equal seeds; restored byte-identically by an
-    admit-then-depart pair. *)
-
 val dump_state : t -> string
-(** {!dump_resources} plus per-tenant account lines. *)
+(** Live applications and residual capacities, then per-tenant account
+    lines. *)

@@ -55,8 +55,6 @@ type event =
     }
   | Departure of { app : int; t : int }
 
-let time = function Arrival { t; _ } -> t | Departure { t; _ } -> t
-
 (* Sort key: time, then departures before arrivals (capacity freed at
    tick T is available to an application arriving at the same tick),
    then app id.  Every component is deterministic, so the order is. *)

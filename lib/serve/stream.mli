@@ -52,8 +52,6 @@ type event =
     }
   | Departure of { app : int; t : int }
 
-val time : event -> int
-
 val events : spec -> event list
 (** The full stream, sorted by (time, departures-first, app id) — a
     departure at tick [T] frees capacity before an arrival at [T] is

@@ -371,13 +371,6 @@ let waterfill t =
     done
   end
 
-let active_flows t =
-  let fids = ref [] in
-  for fid = t.n_slots - 1 downto 0 do
-    if t.active.(fid) then fids := fid :: !fids
-  done;
-  !fids
-
 let refresh t =
   if t.n_dirty > 0 then begin
     t.s_refreshes <- t.s_refreshes + 1;
@@ -398,11 +391,6 @@ let refresh t =
     done;
     t.n_dirty <- 0
   end
-
-let rate t fid =
-  if fid < 0 || fid >= t.n_slots || not t.active.(fid) then
-    invalid_arg "Fair_share_inc.rate: inactive flow";
-  t.rates.(t.route_of.(fid))
 
 let n_slots t = t.n_slots
 let rates_view t = t.rates

@@ -79,13 +79,6 @@ val refresh : t -> unit
     free: any number of changes is absorbed by a single refresh, and a
     refresh with no pending changes is a no-op. *)
 
-val rate : t -> int -> float
-(** Current max-min rate of an active flow: its route's rate as of the
-    last {!refresh}.  Raises [Invalid_argument] on an inactive id. *)
-
-val active_flows : t -> int list
-(** Active flow ids, ascending. *)
-
 (** {1 Read-only views for the event loop}
 
     The simulator's per-step passes read every active flow's rate.  A
@@ -106,6 +99,7 @@ val rates_view : t -> float array
 val route_view : t -> int array
 val active_view : t -> bool array
 
+(* lint: allow t3 — oracle for test/test_sim.ml fair_share_inc component merge and split *)
 val components : t -> int list list
 (** Exact connected components of the constraint graph, each a sorted
     list of constraint indices, ordered by smallest member.  Constraints

@@ -50,21 +50,9 @@ let work t i = t.work.(i)
 let output_size t i = t.output.(i)
 let works t = t.work
 let output_sizes t = t.output
-let comm_volume t i = t.rho *. t.output.(i)
 let download_rate t k = Objects.rate t.objects k
 
-let edge_weight t i =
-  match Optree.parent t.tree i with
-  | None -> 0.0
-  | Some _ -> t.rho *. t.output.(i)
-
 let total_work t = Array.fold_left ( +. ) 0.0 t.work
-
-let total_leaf_mass t =
-  List.fold_left
-    (fun acc (_, k) -> acc +. Objects.size t.objects k)
-    0.0
-    (Optree.leaf_instances t.tree)
 
 let heaviest_operator t =
   let best = ref 0 in

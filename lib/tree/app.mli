@@ -52,24 +52,11 @@ val output_sizes : t -> float array
     application's own arrays, shared so that hot loops read them without
     boxing a float per call.  Callers must not mutate them. *)
 
-val comm_volume : t -> int -> float
-(** [comm_volume t i] = [rho * delta_i]: the MB/s that flow from operator
-    [i] to its parent when they sit on different processors. *)
-
 val download_rate : t -> int -> float
 (** [download_rate t k] = [rate_k] for object type [k] (MB/s). *)
 
-val edge_weight : t -> int -> float
-(** Communication weight of the tree edge between operator [i] and its
-    parent: [rho * delta_i]; the root has weight [0].  Used by heuristics
-    to rank "most demanding communication requirements". *)
-
 val total_work : t -> float
 (** Sum of all [w_i] (Mops per result). *)
-
-val total_leaf_mass : t -> float
-(** Sum over leaf instances of the object sizes (MB); with additive
-    outputs this equals the root's output size. *)
 
 val heaviest_operator : t -> int
 (** Operator id with the largest [w_i]. *)

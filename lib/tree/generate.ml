@@ -90,40 +90,6 @@ let random_shape rng ~n_operators ~n_object_types =
   done;
   Optree.of_arrays ~n_object_types ~parent ~children ~leaves
 
-let balanced_shape ~n_operators ~n_object_types =
-  if n_operators < 1 then invalid_arg "Generate.balanced_shape: n_operators >= 1";
-  if n_object_types < 1 then
-    invalid_arg "Generate.balanced_shape: n_object_types >= 1";
-  let next_obj = ref 0 in
-  let leaf () =
-    let k = !next_obj mod n_object_types in
-    incr next_obj;
-    Optree.Obj k
-  in
-  let rec build n =
-    if n = 0 then leaf ()
-    else begin
-      let left_ops = (n - 1) / 2 in
-      Optree.Op (build left_ops, build (n - 1 - left_ops))
-    end
-  in
-  Optree.of_spec ~n_object_types (build n_operators)
-
-let random_left_deep rng ~n_operators ~n_object_types =
-  if n_operators < 1 then
-    invalid_arg "Generate.random_left_deep: n_operators >= 1";
-  let objects =
-    Array.init (n_operators + 1) (fun _ -> Prng.int rng n_object_types)
-  in
-  (* left_deep infers the object-type count from the labels; rebuild the
-     spec here so the declared catalog keeps its full width. *)
-  let rec build i =
-    if i = n_operators - 1 then
-      Optree.Op (Optree.Obj objects.(i), Optree.Obj objects.(i + 1))
-    else Optree.Op (build (i + 1), Optree.Obj objects.(i))
-  in
-  Optree.of_spec ~n_object_types (build 0)
-
 let random_sizes rng ~n_object_types ~lo ~hi =
   if lo <= 0.0 || hi < lo then invalid_arg "Generate.random_sizes: bad range";
   Array.init n_object_types (fun _ -> Prng.float_range rng lo hi)

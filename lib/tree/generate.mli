@@ -10,13 +10,5 @@ val random_shape : Insp_util.Prng.t -> n_operators:int -> n_object_types:int -> 
     Leaf object types are drawn uniformly.  Requires [n_operators >= 1]
     and [n_object_types >= 1]. *)
 
-val balanced_shape : n_operators:int -> n_object_types:int -> Optree.t
-(** Deterministic near-complete binary tree, leaves labelled round-robin
-    over object types.  Handy for tests and examples. *)
-
-val random_left_deep : Insp_util.Prng.t -> n_operators:int -> n_object_types:int -> Optree.t
-(** Left-deep chain with random leaf types (the shape used in the paper's
-    NP-hardness discussion). *)
-
 val random_sizes : Insp_util.Prng.t -> n_object_types:int -> lo:float -> hi:float -> float array
 (** One uniformly drawn size per object type, in MB. *)

@@ -8,10 +8,6 @@
 
 type t
 
-val make : sizes:float array -> freqs:float array -> t
-(** Arrays must have equal positive length, sizes strictly positive,
-    frequencies strictly positive. *)
-
 val uniform_freq : sizes:float array -> freq:float -> t
 (** All types share one download frequency (the paper's high/low
     regimes). *)

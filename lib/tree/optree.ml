@@ -75,8 +75,6 @@ let nodes t = t.nodes
 let parent t i = t.nodes.(i).parent
 let children t i = t.nodes.(i).children
 let leaves t i = t.nodes.(i).leaves
-let is_al_operator t i = t.nodes.(i).leaves <> []
-
 let al_operators t =
   Array.to_list t.nodes
   |> List.filter_map (fun n -> if n.leaves <> [] then Some n.id else None)
@@ -139,8 +137,6 @@ let object_popularity t =
 let leaf_instances t =
   Array.to_list t.nodes
   |> List.concat_map (fun n -> List.map (fun k -> (n.id, k)) n.leaves)
-
-let subtree t i = preorder_from t i
 
 let to_spec t =
   let rec build i =

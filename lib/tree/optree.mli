@@ -37,8 +37,8 @@ val of_arrays :
   t
 (** Builds a tree directly from per-operator arrays (index = operator
     id), for generators that assemble large trees without a recursive
-    {!spec}.  Runs {!validate} and raises [Invalid_argument] on any
-    structural violation (including non-preorder ids). *)
+    {!spec}.  Re-checks every structural invariant and raises
+    [Invalid_argument] on any violation (including non-preorder ids). *)
 
 val n_operators : t -> int
 
@@ -59,10 +59,6 @@ val children : t -> int -> int list
 val leaves : t -> int -> int list
 (** Object types the operator downloads directly (Leaf(i)). *)
 
-val is_al_operator : t -> int -> bool
-(** True when the operator has at least one object leaf ("almost-leaf"
-    operator, paper §2.1). *)
-
 val al_operators : t -> int list
 (** In increasing id order. *)
 
@@ -71,9 +67,6 @@ val preorder : t -> int list
 
 val postorder : t -> int list
 (** Children before parents; the root is last. *)
-
-val depth : t -> int -> int
-(** Distance from the root (root has depth 0). *)
 
 val height : t -> int
 (** Maximum operator depth. *)
@@ -86,18 +79,10 @@ val object_popularity : t -> int array
 val leaf_instances : t -> (int * int) list
 (** All [(operator, object_type)] leaf pairs, one per leaf occurrence. *)
 
-val subtree : t -> int -> int list
-(** All operator ids in the subtree rooted at the given operator
-    (inclusive), in preorder. *)
-
 val to_spec : t -> spec
 (** Inverse of {!of_spec} up to id assignment and input order (object
     leaves are listed before operator children): rebuilding with
     [of_spec] yields the same computation with the same shape. *)
-
-val validate : t -> (unit, string) result
-(** Re-checks all structural invariants (binary arity, parent/child
-    symmetry, preorder ids, reachability).  Used by tests. *)
 
 val left_deep : n_operators:int -> objects:int array -> t
 (** Builds a left-deep tree (paper Fig. 1(b)): operator [i] has operator

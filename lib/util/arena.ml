@@ -2,16 +2,11 @@ type t = {
   mutable next : int;
   mutable live : bool array;  (* indexed by id, grown geometrically *)
   mutable gen : int array;  (* per-id generation stamp *)
-  mutable n_live : int;
 }
 
 let create ?(capacity = 16) () =
   let capacity = max 1 capacity in
-  { next = 0; live = Array.make capacity false; gen = Array.make capacity 0;
-    n_live = 0 }
-
-let n_ids t = t.next
-let n_live t = t.n_live
+  { next = 0; live = Array.make capacity false; gen = Array.make capacity 0 }
 
 let ensure t id =
   let cap = Array.length t.live in
@@ -30,7 +25,6 @@ let alloc t =
   t.next <- id + 1;
   ensure t id;
   t.live.(id) <- true;
-  t.n_live <- t.n_live + 1;
   id
 
 let check t id =
@@ -42,8 +36,7 @@ let is_live t id = id >= 0 && id < t.next && t.live.(id)
 let free t id =
   check t id;
   t.live.(id) <- false;
-  t.gen.(id) <- t.gen.(id) + 1;
-  t.n_live <- t.n_live - 1
+  t.gen.(id) <- t.gen.(id) + 1
 
 let generation t id =
   check t id;
@@ -52,11 +45,6 @@ let generation t id =
 let touch t id =
   check t id;
   t.gen.(id) <- t.gen.(id) + 1
-
-let iter_live t f =
-  for id = 0 to t.next - 1 do
-    if t.live.(id) then f id
-  done
 
 let live_ids t =
   let acc = ref [] in

@@ -27,17 +27,8 @@ val free : t -> int -> unit
 
 val is_live : t -> int -> bool
 
-val n_ids : t -> int
-(** Total ids ever allocated (the exclusive upper bound of the id
-    space). *)
-
-val n_live : t -> int
-
 val live_ids : t -> int list
 (** Ascending. *)
-
-val iter_live : t -> (int -> unit) -> unit
-(** Ascending id order — safe to feed observable output (lint D6). *)
 
 val generation : t -> int -> int
 (** Current stamp of a live id. *)

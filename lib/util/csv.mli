@@ -8,9 +8,6 @@ type t
 val create : string list -> t
 (** [create header] starts a CSV document with the given column names. *)
 
-val add_row : t -> string list -> unit
-(** Appends a data row; the row may have any width. *)
-
 val add_floats : t -> float list -> unit
 (** Appends a row of floats formatted with ["%.6g"]; NaN renders empty. *)
 

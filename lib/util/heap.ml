@@ -8,10 +8,6 @@ type 'a t = {
 
 let create () = { data = [||]; length = 0; next_seq = 0 }
 
-let is_empty h = h.length = 0
-
-let size h = h.length
-
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
 let swap h i j =
@@ -82,12 +78,3 @@ let pop h =
     end;
     Some (e.key, e.value)
   end
-
-
-let to_sorted_list h =
-  let entries = Array.sub h.data 0 h.length in
-  let copy = Array.to_list entries in
-  let sorted =
-    List.sort (fun a b -> if less a b then -1 else if less b a then 1 else 0) copy
-  in
-  List.map (fun e -> (e.key, e.value)) sorted

@@ -8,10 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int
-
 val push : 'a t -> float -> 'a -> unit
 (** [push h key v] inserts [v] with priority [key]. *)
 
@@ -21,7 +17,3 @@ val peek : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the entry with the smallest key; among equal keys
     the earliest-inserted entry is returned first. *)
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive: all entries in ascending key (then insertion)
-    order. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA'14). *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -42,8 +40,6 @@ let int_range t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
@@ -64,11 +60,6 @@ let shuffle_in_place t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let shuffle_list t l =
-  let arr = Array.of_list l in
-  shuffle_in_place t arr;
-  Array.to_list arr
 
 let sample_without_replacement t k n =
   assert (0 <= k && k <= n);

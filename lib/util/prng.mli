@@ -12,16 +12,9 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] advances [t] once and returns a statistically independent
     generator seeded from the drawn value. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float
 (** [float t] draws uniformly from [\[0, 1)]. *)
@@ -38,9 +31,6 @@ val int_range : t -> int -> int -> int
 (** [int_range t lo hi] draws uniformly from the inclusive range
     [\[lo, hi\]].  Requires [lo <= hi]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val choose : t -> 'a array -> 'a
 (** [choose t arr] picks a uniformly random element.  Requires a
     non-empty array. *)
@@ -48,13 +38,6 @@ val choose : t -> 'a array -> 'a
 val choose_list : t -> 'a list -> 'a
 (** [choose_list t l] picks a uniformly random element.  Requires a
     non-empty list. *)
-
-(* lint: allow t3 — seeded shuffle kept for workload generators *)
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
-val shuffle_list : t -> 'a list -> 'a list
-(** Returns a shuffled copy of the list. *)
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct integers from

@@ -91,10 +91,3 @@ let render t =
 let print t =
   print_string (render t);
   print_newline ()
-
-let cell_float ?(decimals = 2) x =
-  if Float.is_finite x then Printf.sprintf "%.*f" decimals x else "-"
-
-let cell_opt_float ?(decimals = 2) = function
-  | None -> "-"
-  | Some x -> cell_float ~decimals x

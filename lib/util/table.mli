@@ -24,9 +24,3 @@ val render : t -> string
 
 val print : t -> unit
 (** [render] followed by [print_string] and a trailing newline. *)
-
-val cell_float : ?decimals:int -> float -> string
-(** Formats a float for a table cell; non-finite values render as ["-"]. *)
-
-val cell_opt_float : ?decimals:int -> float option -> string
-(** [None] renders as ["-"] (used for infeasible heuristic runs). *)

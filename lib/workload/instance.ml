@@ -96,9 +96,6 @@ let generate_checked (config : Config.t) =
     scan 0
   end
 
-let generate_batch config ~seeds =
-  List.map (fun seed -> generate { config with Config.seed }) seeds
-
 let with_frequency t freq =
   if freq <= 0.0 then invalid_arg "Instance.with_frequency: non-positive";
   let objects = Objects.with_freq (App.objects t.app) freq in

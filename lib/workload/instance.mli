@@ -37,9 +37,6 @@ val generate_checked : Config.t -> (t, gen_error) result
     necessary condition for any feasible allocation).  Deterministic in
     [config.seed] like {!generate}. *)
 
-val generate_batch : Config.t -> seeds:int list -> t list
-(** Same configuration across several seeds (for averaging). *)
-
 val with_frequency : t -> float -> t
 (** Same tree, same sizes, same servers; only the download frequency
     changes (the paper's download-rate sweep). *)

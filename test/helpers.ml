@@ -55,6 +55,32 @@ let small_instance_gen =
 let check_feasible inst alloc =
   Insp.Check.check inst.Insp.Instance.app inst.Insp.Instance.platform alloc
 
+(* A catalog's CPU and NIC options, slowest / narrowest first, read back
+   from its configurations. *)
+let catalog_options c =
+  let configs = Insp.Catalog.configs c in
+  let options cmp field =
+    Array.of_list (List.sort_uniq cmp (List.map field configs))
+  in
+  ( options
+      (fun a b -> Float.compare a.Insp.Catalog.speed b.Insp.Catalog.speed)
+      (fun x -> x.Insp.Catalog.cpu),
+    options
+      (fun a b ->
+        Float.compare a.Insp.Catalog.bandwidth b.Insp.Catalog.bandwidth)
+      (fun x -> x.Insp.Catalog.nic) )
+
+(* The Table 1 configuration with the given CPU and NIC option indices
+   (default: the best). *)
+let cfg ?(cpu = 4) ?(nic = 4) () =
+  let cpus, nics = catalog_options Insp.Catalog.dell_2008 in
+  { Insp.Catalog.cpu = cpus.(cpu); nic = nics.(nic) }
+
+(* Operators the allocation assigns to some processor. *)
+let n_assigned alloc =
+  Array.fold_left (fun n h -> if h >= 0 then n + 1 else n) 0
+    (Insp.Alloc.hosts alloc)
+
 let float_eq ?(eps = 1e-9) a b =
   Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 

@@ -61,7 +61,6 @@ let test_render () =
 
 let test_series_and_winners () =
   let f = sample_figure () in
-  Alcotest.(check (list string)) "series" [ "A"; "B" ] (Figure.series_names f);
   (* A wins at x=20 (10 < 30) and is alone at x=40. *)
   Alcotest.(check (list (pair string int))) "winners" [ ("A", 2); ("B", 0) ]
     (Figure.winner_counts f)
@@ -82,6 +81,42 @@ let test_all_ids_covered () =
 let test_unknown_id () =
   Alcotest.(check bool) "unknown" true (Suite.run_by_id "nope" = None)
 
+let series_names fig = List.map fst (Figure.winner_counts fig)
+
+(* The plotted series of a figure rendered by [Suite.run_by_id], read
+   back from its CSV block: one (x, [(series, mean cost)]) per point,
+   unplotted cells omitted. *)
+let quick_points id =
+  let s =
+    match Suite.run_by_id ~quick:true id with
+    | Some s -> s
+    | None -> Alcotest.fail ("unknown id " ^ id)
+  in
+  let marker = "csv:\n" in
+  let rec find i =
+    if String.sub s i (String.length marker) = marker then
+      i + String.length marker
+    else find (i + 1)
+  in
+  let start = find 0 in
+  match
+    String.split_on_char '\n' (String.sub s start (String.length s - start))
+    |> List.filter (fun l -> l <> "")
+    |> List.map (String.split_on_char ',')
+  with
+  | (_ :: names) :: rows ->
+    List.map
+      (fun row ->
+        match row with
+        | x :: cells ->
+          ( float_of_string x,
+            List.filter_map
+              (fun (n, c) -> if c = "" then None else Some (n, float_of_string c))
+              (List.combine names cells) )
+        | [] -> Alcotest.fail "empty csv row")
+      rows
+  | _ -> Alcotest.fail (id ^ ": no csv block")
+
 let test_fig2a_quick_shape () =
   (* Costs should grow with N for every heuristic, and Random should be
      the most expensive plotted series at every point. *)
@@ -100,7 +135,7 @@ let test_fig2a_quick_shape () =
       | Some a, Some b ->
         Alcotest.(check bool) (name ^ " grows with N") true (b > a)
       | _ -> ())
-    (Figure.series_names fig);
+    (series_names fig);
   match (value "Random" p60, value "Subtree-bottom-up" p60) with
   | Some r, Some s ->
     Alcotest.(check bool) "Random worst at N=60" true (r > s)
@@ -120,66 +155,56 @@ let test_fig3_quick_thresholds () =
       Alcotest.(check bool)
         (name ^ " infeasible at 2.4") true
         ((cell name p_high).Figure.mean_cost = None))
-    (Figure.series_names fig)
+    (series_names fig)
 
 let test_ilp_quick_optimality () =
   (* Exact must be <= every plotted heuristic mean, and >= the bound. *)
-  let fig = Suite.ilp_compare ~seeds:[ 1; 2 ] ~ns:[ 5; 8 ] () in
   List.iter
-    (fun p ->
-      match List.assoc_opt "Exact" p.Figure.cells with
-      | Some { Figure.mean_cost = Some exact; _ } ->
+    (fun (x, cells) ->
+      match List.assoc_opt "Exact" cells with
+      | Some exact ->
         List.iter
-          (fun (name, cell) ->
-            match cell.Figure.mean_cost with
-            | Some c when name <> "Exact" && name <> "Bound" ->
+          (fun (name, c) ->
+            if name <> "Exact" && name <> "Bound" then
               Alcotest.(check bool)
-                (Printf.sprintf "exact <= %s at N=%.0f" name p.Figure.x)
+                (Printf.sprintf "exact <= %s at N=%.0f" name x)
                 true
-                (exact <= c +. 1e-6)
-            | _ -> ())
-          p.Figure.cells;
-        (match List.assoc_opt "Bound" p.Figure.cells with
-        | Some { Figure.mean_cost = Some bound; _ } ->
+                (exact <= c +. 1e-6))
+          cells;
+        (match List.assoc_opt "Bound" cells with
+        | Some bound ->
           Alcotest.(check bool) "bound <= exact" true (bound <= exact +. 1e-6)
-        | _ -> ())
-      | _ -> ())
-    fig.Figure.points
+        | None -> ())
+      | None -> ())
+    (quick_points "ilp")
 
 let test_sharing_quick_shape () =
-  let fig = Suite.sharing ~seeds:[ 1; 2 ] ~n_apps_list:[ 1; 3 ] () in
   List.iter
-    (fun p ->
+    (fun (x, cells) ->
       match
-        ( List.assoc_opt "No sharing" p.Figure.cells,
-          List.assoc_opt "CSE sharing" p.Figure.cells )
+        (List.assoc_opt "No sharing" cells, List.assoc_opt "CSE sharing" cells)
       with
-      | ( Some { Figure.mean_cost = Some unshared; _ },
-          Some { Figure.mean_cost = Some shared; _ } ) ->
+      | Some unshared, Some shared ->
         Alcotest.(check bool)
-          (Printf.sprintf "sharing <= unshared + one chassis at x=%.0f"
-             p.Figure.x)
+          (Printf.sprintf "sharing <= unshared + one chassis at x=%.0f" x)
           true
           (shared <= unshared +. 8000.0)
       | _ -> ())
-    fig.Figure.points
+    (quick_points "sharing")
 
 let test_rewrite_quick_shape () =
-  let fig = Suite.rewrite ~seeds:[ 1; 2 ] ~ns:[ 8; 12 ] () in
   List.iter
-    (fun p ->
+    (fun (x, cells) ->
       match
-        ( List.assoc_opt "Left-deep" p.Figure.cells,
-          List.assoc_opt "Hill-climbed" p.Figure.cells )
+        (List.assoc_opt "Left-deep" cells, List.assoc_opt "Hill-climbed" cells)
       with
-      | ( Some { Figure.mean_cost = Some worst; _ },
-          Some { Figure.mean_cost = Some best; _ } ) ->
+      | Some worst, Some best ->
         Alcotest.(check bool)
-          (Printf.sprintf "hill-climbed <= left-deep at N=%.0f" p.Figure.x)
+          (Printf.sprintf "hill-climbed <= left-deep at N=%.0f" x)
           true
           (best <= worst +. 1e-6)
       | _ -> ())
-    fig.Figure.points
+    (quick_points "rewrite")
 
 let test_replication_flat () =
   let fig =
@@ -217,13 +242,6 @@ let test_par_map_order () =
   Alcotest.(check (list int)) "more workers than cells" [ 9 ]
     (Par_sweep.map ~jobs:8 (fun x -> x * x) [ 3 ]);
   Alcotest.(check (list int)) "empty" [] (Par_sweep.map ~jobs:4 Fun.id [])
-
-let test_par_map_seeded_jobs_invariant () =
-  let f rng x = x + Insp.Prng.int_range rng 0 1_000_000 in
-  let xs = List.init 9 Fun.id in
-  let a = Par_sweep.map_seeded ~jobs:1 ~seed:42 f xs in
-  let b = Par_sweep.map_seeded ~jobs:3 ~seed:42 f xs in
-  Alcotest.(check (list int)) "per-cell streams are jobs-invariant" a b
 
 let test_par_map_raises_lowest_failure () =
   let boom i = if i mod 3 = 0 then failwith (string_of_int i) else i in
@@ -276,7 +294,7 @@ let test_run_by_id_jobs_invariant () =
   Alcotest.(check (list string)) "merged tree rows identical" rows1 rows4
 
 let test_simcheck_sustains () =
-  let s = Suite.sim_validation ~seeds:[ 1 ] ~ns:[ 20 ] () in
+  let s = Option.get (Suite.run_by_id ~quick:true "simcheck") in
   Alcotest.(check bool) "table rendered" true (contains s "simcheck");
   Alcotest.(check bool) "no failures" true (not (contains s "NO"))
 
@@ -306,8 +324,6 @@ let () =
       ( "par_sweep",
         [
           Alcotest.test_case "map keeps order" `Quick test_par_map_order;
-          Alcotest.test_case "map_seeded jobs-invariant" `Quick
-            test_par_map_seeded_jobs_invariant;
           Alcotest.test_case "lowest failure raised" `Quick
             test_par_map_raises_lowest_failure;
           Alcotest.test_case "metrics merged canonically" `Quick

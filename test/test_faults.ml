@@ -3,7 +3,7 @@
    checker-feasible, every displaced operator is placed exactly once,
    cost accounting ties), K-failure redundancy, byte-identical fault
    journals, infeasibility detection on overloaded post-crash
-   platforms, and the serve-side crash/eviction path. *)
+   platforms, and serve's malformed-stream handling. *)
 
 module Scenario = Insp.Fault_scenario
 module Engine = Insp.Fault_engine
@@ -158,13 +158,26 @@ let test_overload_detected () =
 (* ------------------------------------------------------------------ *)
 (* Redundancy                                                          *)
 
+(* The resilience oracle: every k-subset of processors, and whether
+   migration-only repair survives its failure. *)
+let subsets ~k n =
+  let rec go lo k =
+    if k = 0 then [ [] ]
+    else if lo >= n then []
+    else List.map (fun s -> lo :: s) (go (lo + 1) (k - 1)) @ go (lo + 1) k
+  in
+  go 0 k
+
+let survives app platform alloc ~failed =
+  Result.is_ok (Repair.run ~allow_rebuy:false app platform alloc ~failed)
+
 let test_subsets () =
-  Alcotest.(check int) "C(5,2)" 10 (List.length (Redundancy.subsets ~k:2 5));
-  Alcotest.(check int) "C(4,0)" 1 (List.length (Redundancy.subsets ~k:0 4));
-  Alcotest.(check int) "C(3,4)" 0 (List.length (Redundancy.subsets ~k:4 3));
+  Alcotest.(check int) "C(5,2)" 10 (List.length (subsets ~k:2 5));
+  Alcotest.(check int) "C(4,0)" 1 (List.length (subsets ~k:0 4));
+  Alcotest.(check int) "C(3,4)" 0 (List.length (subsets ~k:4 3));
   List.iter
     (fun s -> Alcotest.(check int) "subset size" 2 (List.length s))
-    (Redundancy.subsets ~k:2 5)
+    (subsets ~k:2 5)
 
 let test_harden_k1_survives_all () =
   match solved ~seed:1 () with
@@ -178,13 +191,14 @@ let test_harden_k1_survives_all () =
     | Ok hd ->
       let n = Insp.Alloc.n_procs hd.Redundancy.alloc in
       List.iter
-        (fun v ->
+        (fun failed ->
           Alcotest.(check bool)
-            (Printf.sprintf "survives crash of proc %d" v)
+            (Printf.sprintf "survives crash of procs %s"
+               (String.concat "," (List.map string_of_int failed)))
             true
-            (Redundancy.survives inst.Insp.Instance.app
-               inst.Insp.Instance.platform hd.Redundancy.alloc ~failed:[ v ]))
-        (List.init n Fun.id);
+            (survives inst.Insp.Instance.app inst.Insp.Instance.platform
+               hd.Redundancy.alloc ~failed))
+        (subsets ~k:1 n);
       Alcotest.(check bool) "cost >= base" true
         (hd.Redundancy.cost >= hd.Redundancy.base_cost -. 1e-6))
 
@@ -258,7 +272,7 @@ let test_runtime_disruption_baseline () =
       = base.Insp.Runtime.results_completed)
 
 (* ------------------------------------------------------------------ *)
-(* Serve: unknown departures and crash/evict/readmit                   *)
+(* Serve: unknown departures                                          *)
 
 let serve_state () =
   let params =
@@ -295,37 +309,6 @@ let test_unknown_departure_journaled () =
   in
   Alcotest.(check bool) "journaled" true
     (contains jsonl "serve_unknown_depart")
-
-let test_serve_crash_evicts_and_readmits () =
-  let t1 = serve_state () in
-  let live_before = Serve.n_live t1 in
-  let lost = 24 in
-  let outcome = Serve.crash t1 ~procs_lost:lost in
-  Alcotest.(check bool) "evicted ascending" true
-    (let rec sorted = function
-       | a :: (b :: _ as rest) -> a < b && sorted rest
-       | _ -> true
-     in
-     sorted outcome.Serve.evicted);
-  Alcotest.(check bool) "readmitted subset of evicted" true
-    (List.for_all
-       (fun a -> List.mem a outcome.Serve.evicted)
-       outcome.Serve.readmitted);
-  Alcotest.(check bool) "budget respected after crash" true
-    (Serve.residual_procs t1 ~tenant:0 >= 0);
-  Alcotest.(check bool) "live count consistent" true
-    (Serve.n_live t1
-    = live_before - List.length outcome.Serve.evicted
-      + List.length outcome.Serve.readmitted);
-  (* determinism: same prefix, same crash, same outcome *)
-  let t2 = serve_state () in
-  let outcome2 = Serve.crash t2 ~procs_lost:lost in
-  Alcotest.(check bool) "deterministic outcome" true (outcome = outcome2);
-  Alcotest.(check string) "deterministic state" (Serve.dump_state t1)
-    (Serve.dump_state t2);
-  Alcotest.check_raises "negative procs_lost"
-    (Invalid_argument "Serve.crash: negative procs_lost") (fun () ->
-      ignore (Serve.crash t1 ~procs_lost:(-1)))
 
 let () =
   Alcotest.run "faults"
@@ -365,7 +348,5 @@ let () =
             test_unknown_departure_raises;
           Alcotest.test_case "unknown departure journaled" `Quick
             test_unknown_departure_journaled;
-          Alcotest.test_case "crash evicts and readmits" `Quick
-            test_serve_crash_evicts_and_readmits;
         ] );
     ]

@@ -38,7 +38,7 @@ let test_builder_acquire_and_add () =
     Alcotest.(check bool) "add n1" true (Builder.try_add b gid 1);
     Alcotest.(check (list int)) "two members" [ 0; 1 ] (Builder.members b gid)
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "not done yet" false (Builder.all_assigned b)
+  Alcotest.(check (list int)) "not done yet" [ 2; 3 ] (Builder.unassigned b)
 
 let test_builder_sell_releases () =
   let app, platform = tiny_env () in
@@ -118,7 +118,7 @@ let heuristic_outcomes_complete =
       List.for_all
         (fun (_, r) ->
           match r with
-          | Ok (o : Solve.outcome) -> Alloc.n_operators_assigned o.alloc = n
+          | Ok (o : Solve.outcome) -> Helpers.n_assigned o.alloc = n
           | Error _ -> true)
         (Solve.run_all ~seed:3 inst.Insp.Instance.app
            inst.Insp.Instance.platform))

@@ -155,8 +155,9 @@ let test_paper_ranking_on_average () =
   Alcotest.(check bool) "Random worst" true (mean "random" >= mean "objavail")
 
 let test_simcheck_report () =
-  let s = Suite.sim_validation ~seeds:[ 2 ] ~ns:[ 30 ] () in
-  Alcotest.(check bool) "rendered" true (contains s "achieved")
+  match Suite.run_by_id ~quick:true ~seed:2 "simcheck" with
+  | Some s -> Alcotest.(check bool) "rendered" true (contains s "achieved")
+  | None -> Alcotest.fail "simcheck unknown"
 
 let () =
   Alcotest.run "integration"

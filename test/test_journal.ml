@@ -83,13 +83,15 @@ let test_event_json_golden () =
        (Journal.Note { key = "msg"; value = {|a "b"\c|} }));
   check "manifest field order"
     {|{"ev":"manifest","seed":7,"config":"fnv1a:00ff","heuristic":"sbu","args":{"n":"12"}}|}
-    (Journal.manifest_to_json
+    (let j = Journal.create () in
+     Journal.set_manifest j
        {
          Journal.m_seed = 7;
          m_config_hash = "fnv1a:00ff";
          m_heuristic = "sbu";
          m_args = [ ("n", "12") ];
-       })
+       };
+     String.trim (Journal.to_jsonl j))
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: the `journal verify` contract                         *)

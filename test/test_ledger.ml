@@ -21,9 +21,23 @@ module MW = Insp.Multi_workload
 
 let qtest = Helpers.qtest
 
-let cfg ?(cpu = 4) ?(nic = 4) () =
-  let c = Catalog.dell_2008 in
-  { Catalog.cpu = (Catalog.cpus c).(cpu); nic = (Catalog.nics c).(nic) }
+let cfg = Helpers.cfg
+
+(* Live processor ids, ascending: [to_alloc] gives their number, and
+   ids are handed out densely and never reused. *)
+let proc_ids t =
+  let n = Alloc.n_procs (Ledger.to_alloc t) in
+  let rec go u k acc =
+    if k = n then List.rev acc
+    else if Ledger.mem_proc t u then go (u + 1) (k + 1) (u :: acc)
+    else go (u + 1) k acc
+  in
+  go 0 0 []
+
+let shuffle rng l =
+  let arr = Array.of_list l in
+  let n = Array.length arr in
+  List.map (fun i -> arr.(i)) (Prng.sample_without_replacement rng n n)
 
 let tiny_env () = (Helpers.tiny_app (), Helpers.tiny_platform ())
 
@@ -115,7 +129,7 @@ let assert_consistent g platform t =
   let oracle = Check.check_graph g platform (Ledger.to_alloc t) in
   (* Translate ledger processor ids to the dense indices [to_alloc]
      assigned them. *)
-  let ids = Ledger.proc_ids t in
+  let ids = proc_ids t in
   let index = Array.make (List.fold_left max 0 ids + 1) (-1) in
   List.iteri (fun idx id -> index.(id) <- idx) ids;
   let tr u = if u >= 0 && u < Array.length index && index.(u) >= 0 then index.(u) else u in
@@ -151,43 +165,44 @@ let assert_consistent g platform t =
 (* ------------------------------------------------------------------ *)
 (* Randomized edit-sequence consistency vs the oracle                  *)
 
-let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~n_types ~n_servers ~configs =
-  let live = Ledger.proc_ids t in
+(* A random starting ledger, replayed from a plan of [n_procs] empty
+   processors with random configurations and random download entries:
+   one entry in ten names a nonexistent server (Not_held plus NIC load
+   without card/link load, the asymmetry the oracle encodes), and a
+   second server for the same object is a Duplicate_download. *)
+let random_start g platform rng ~n_procs ~n_types ~n_servers ~configs =
+  let proc _ =
+    let config = Prng.choose_list rng configs in
+    let downloads =
+      List.init (Prng.int rng 4) (fun _ ->
+          let obj = Prng.int rng n_types in
+          let server =
+            if Prng.int rng 10 = 0 then n_servers else Prng.int rng n_servers
+          in
+          (obj, server))
+    in
+    { Alloc.config; operators = []; downloads }
+  in
+  Ledger.of_alloc g platform (Alloc.make (Array.init n_procs proc))
+
+(* One random edit through the placement entry points: buy, sell,
+   assign, merge or reconfigure. *)
+let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~configs =
+  let live = proc_ids t in
   let unassigned =
     List.filter (fun i -> Ledger.assignment t i = None) (List.init n_ops Fun.id)
-  in
-  let assigned =
-    List.filter (fun i -> Ledger.assignment t i <> None) (List.init n_ops Fun.id)
   in
   match Prng.int rng 10 with
   | 0 when List.length live < max_procs ->
     ignore (Ledger.add_proc t (Prng.choose_list rng configs))
   | 1 when live <> [] -> Ledger.remove_proc t (Prng.choose_list rng live)
-  | (2 | 3 | 4) when live <> [] && unassigned <> [] ->
+  | (2 | 3 | 4 | 5 | 6 | 7) when live <> [] && unassigned <> [] ->
     Ledger.add_operator t (Prng.choose_list rng live)
       (Prng.choose_list rng unassigned)
-  | 5 when assigned <> [] ->
-    Ledger.remove_operator t (Prng.choose_list rng assigned)
-  | (6 | 7) when live <> [] ->
-    let u = Prng.choose_list rng live in
-    let obj = Prng.int rng n_types in
-    (* One edit in ten aims at a nonexistent server: Not_held plus NIC
-       load without card/link load, the asymmetry the oracle encodes. *)
-    let server =
-      if Prng.int rng 10 = 0 then n_servers else Prng.int rng n_servers
-    in
-    Ledger.add_download t u ~obj ~server
-  | 8 when live <> [] ->
-    let u = Prng.choose_list rng live in
-    (match Ledger.downloads_of t u with
-    | [] -> ()
-    | dls ->
-      let k, l = Prng.choose_list rng dls in
-      Ledger.remove_download t u ~obj:k ~server:l)
-  | 9 when List.length live >= 2 -> (
-    match Prng.shuffle_list rng live with
+  | (8 | 9) when List.length live >= 2 -> (
+    match shuffle rng live with
     | winner :: loser :: _ ->
-      if Prng.bool rng then Ledger.merge t ~winner ~loser
+      if Prng.int rng 2 = 0 then Ledger.merge t ~winner ~loser
       else begin
         (* always a different configuration, so the edit is observable *)
         let current = Catalog.label (Ledger.config t winner) in
@@ -199,7 +214,6 @@ let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~n_types ~n_servers ~configs
       end
     | _ -> ())
   | _ -> ()
-
 
 (* Probing predicts the commit, at every step of a random edit
    sequence: [probe_add] of a random unassigned node onto a random
@@ -214,7 +228,7 @@ let check_probes g platform ~seed =
   let n_types = Objects.count g.Graph.objects in
   let n_servers = Servers.n_servers platform.Platform.servers in
   let configs = Catalog.configs platform.Platform.catalog in
-  let t = Ledger.create g platform in
+  let t = random_start g platform rng ~n_procs:4 ~n_types ~n_servers ~configs in
   let same_demand what (a : Demand.t) (b : Demand.t) =
     List.iter
       (fun (field, x, y) ->
@@ -239,20 +253,20 @@ let check_probes g platform ~seed =
             expected f)
       before
   in
-  for _ = 1 to 4 do
-    ignore (Ledger.add_proc t (Prng.choose_list rng configs))
-  done;
   for _ = 1 to 120 do
-    apply_random_edit ~max_procs:8 t rng ~n_ops ~n_types ~n_servers ~configs;
+    apply_random_edit ~max_procs:8 t rng ~n_ops ~configs;
     (* keep groups many and small: at least four processors, at most
        half the nodes placed *)
-    if Ledger.n_procs t < 4 then ignore (Ledger.add_proc t (Prng.choose_list rng configs));
+    if List.length (proc_ids t) < 4 then
+      ignore (Ledger.add_proc t (Prng.choose_list rng configs));
     let assigned =
       List.filter (fun i -> Ledger.assignment t i <> None) (List.init n_ops Fun.id)
     in
-    if 2 * List.length assigned > n_ops then
-      Ledger.remove_operator t (Prng.choose_list rng assigned);
-    let live = Ledger.proc_ids t in
+    (if 2 * List.length assigned > n_ops then
+       match Ledger.assignment t (Prng.choose_list rng assigned) with
+       | Some u -> Ledger.remove_proc t u
+       | None -> ());
+    let live = proc_ids t in
     let unassigned =
       List.filter (fun i -> Ledger.assignment t i = None) (List.init n_ops Fun.id)
     in
@@ -264,12 +278,12 @@ let check_probes g platform ~seed =
       same_demand "probe_add" probe.Ledger.demand (Ledger.demand t u);
       same_flows u probe before
     end;
-    (match Prng.shuffle_list rng (Ledger.proc_ids t) with
+    (match shuffle rng (proc_ids t) with
     | winner :: loser :: _ ->
       (* the merge, committed on a replica whose ids are the live ids'
          ranks *)
       let probe = Ledger.probe_merge t ~winner ~loser in
-      let ids = Ledger.proc_ids t in
+      let ids = proc_ids t in
       let rank u = List.length (List.filter (fun v -> v < u) ids) in
       let copy = Ledger.of_alloc g platform (Ledger.to_alloc t) in
       Ledger.merge copy ~winner:(rank winner) ~loser:(rank loser);
@@ -313,7 +327,7 @@ let test_of_alloc_matches_oracle () =
   in
   let t = Ledger.of_alloc (Graph.of_app app) platform alloc in
   assert_consistent (Graph.of_app app) platform t;
-  Alcotest.(check int) "two procs" 2 (Ledger.n_procs t);
+  Alcotest.(check (list int)) "two procs" [ 0; 1 ] (proc_ids t);
   let d = Ledger.demand t 0 and d' = Demand.of_group (Graph.of_app app) [ 0; 1 ] in
   Helpers.alco_float "compute" d'.Demand.compute d.Demand.compute;
   Helpers.alco_float "download" d'.Demand.download d.Demand.download;
@@ -340,24 +354,34 @@ let test_of_alloc_matches_oracle () =
 
 let test_exact_zero_after_undo () =
   let app, platform = tiny_env () in
-  let t = Ledger.create (Graph.of_app app) platform in
-  let u = Ledger.add_proc t (cfg ()) in
-  List.iter (fun i -> Ledger.add_operator t u i) [ 0; 1; 2; 3 ];
-  List.iter
-    (fun (k, l) -> Ledger.add_download t u ~obj:k ~server:l)
-    [ (0, 0); (1, 0); (2, 1) ];
-  List.iter
-    (fun (k, l) -> Ledger.remove_download t u ~obj:k ~server:l)
-    [ (0, 0); (1, 0); (2, 1) ];
-  List.iter (fun i -> Ledger.remove_operator t i) [ 0; 1; 2; 3 ];
-  (* Strict equality on purpose: the empty group must reset to exact
-     zero, not to accumulated float residue. *)
-  Alcotest.(check bool) "compute is exact zero" true
+  let g = Graph.of_app app in
+  (* P0 hosts the root, P1 the rest with the whole download plan.
+     Merging P1 into P0 makes every edge internal, and selling P0 then
+     empties every card: the aggregates must reset to exact zero, not
+     to accumulated float residue (strict equality on purpose). *)
+  let t =
+    Ledger.of_alloc g platform
+      (Alloc.make
+         [|
+           { Alloc.config = cfg (); operators = [ 0 ]; downloads = [] };
+           {
+             Alloc.config = cfg ();
+             operators = [ 1; 2; 3 ];
+             downloads = [ (0, 0); (1, 0); (2, 1) ];
+           };
+         |])
+  in
+  Ledger.merge t ~winner:0 ~loser:1;
+  let d = Ledger.demand t 0 in
+  Alcotest.(check bool) "comm is exact zero" true
     (* lint: allow f1 — exact-zero reset is the property under test *)
-    (Ledger.compute_load t u = 0.0);
-  (* lint: allow f1 — exact-zero reset is the property under test *)
-  Alcotest.(check bool) "nic is exact zero" true (Ledger.nic_load t u = 0.0);
-  assert_consistent (Graph.of_app app) platform t
+    (d.Demand.comm_in = 0.0 && d.Demand.comm_out = 0.0);
+  assert_consistent g platform t;
+  Ledger.remove_proc t 0;
+  Alcotest.(check bool) "cards are exact zero" true
+    (* lint: allow f1 — exact-zero reset is the property under test *)
+    (Ledger.card_load t 0 = 0.0 && Ledger.card_load t 1 = 0.0);
+  assert_consistent g platform t
 
 let test_probe_add_predicts_commit () =
   let app, platform = tiny_env () in
@@ -412,6 +436,7 @@ let test_stream_follows_fastest_consumer () =
   in
   let t = Ledger.create (Dag.graph dag) (Helpers.tiny_platform ()) in
   let u = Ledger.add_proc t (cfg ()) and v = Ledger.add_proc t (cfg ()) in
+  let w = Ledger.add_proc t (cfg ()) in
   Ledger.add_operator t u p;
   let expect what ~flow ~comm_out =
     List.iter
@@ -427,41 +452,14 @@ let test_stream_follows_fastest_consumer () =
   expect "unassigned" ~flow:0.0 ~comm_out:30.0;
   Ledger.add_operator t v c1;
   expect "rate 1 joins" ~flow:10.0 ~comm_out:30.0;
-  Ledger.add_operator t v c2;
+  Ledger.add_operator t w c2;
+  expect "rate 2 on a third processor" ~flow:10.0 ~comm_out:30.0;
+  Ledger.merge t ~winner:v ~loser:w;
   expect "rate 2 joins" ~flow:20.0 ~comm_out:20.0;
-  Ledger.remove_operator t c2;
-  expect "rate 2 leaves" ~flow:10.0 ~comm_out:30.0;
-  Ledger.remove_operator t c1;
-  expect "rate 1 leaves" ~flow:0.0 ~comm_out:30.0;
+  Ledger.remove_proc t v;
+  Alcotest.(check (float 0.0)) "both leave: producer comm_out" 30.0
+    (Ledger.demand t u).Demand.comm_out;
   assert_consistent (Dag.graph dag) (Helpers.tiny_platform ()) t
-
-let test_violations_touching_anchored () =
-  let app, platform = tiny_env () in
-  let t = Ledger.create (Graph.of_app app) platform in
-  let u = Ledger.add_proc t (cfg ()) in
-  Ledger.add_operator t u 1;
-  (* n1 needs o0 and o1: no plan yet -> two missing downloads. *)
-  Ledger.add_download t u ~obj:0 ~server:5;
-  (* invalid server *)
-  let vs = Ledger.violations_touching t [ u ] in
-  let has pred = List.exists pred vs in
-  Alcotest.(check bool) "not held" true
-    (has (function
-      | Check.Not_held { object_type = 0; server = 5; _ } -> true
-      | _ -> false));
-  Alcotest.(check bool) "missing o1" true
-    (has (function
-      | Check.Missing_download { object_type = 1; _ } -> true
-      | _ -> false));
-  (* Same object from a second (valid) server: duplicate. *)
-  Ledger.add_download t u ~obj:0 ~server:0;
-  Alcotest.(check bool) "duplicate" true
-    (List.exists
-       (function
-         | Check.Duplicate_download { object_type = 0; _ } -> true
-         | _ -> false)
-       (Ledger.violations_touching t [ u ]));
-  assert_consistent (Graph.of_app app) platform t
 
 let test_merge_consistent () =
   let app, platform = tiny_env () in
@@ -485,12 +483,13 @@ let check_edits g platform rng =
   let n_types = Objects.count g.Graph.objects in
   let n_servers = Servers.n_servers platform.Platform.servers in
   let configs = Catalog.configs platform.Platform.catalog in
-  let t = Ledger.create g platform in
-  for _ = 1 to 3 + Prng.int rng 3 do
-    ignore (Ledger.add_proc t (Prng.choose_list rng configs))
-  done;
+  let t =
+    random_start g platform rng ~n_procs:(3 + Prng.int rng 3) ~n_types
+      ~n_servers ~configs
+  in
+  assert_consistent g platform t;
   for _ = 1 to 30 do
-    apply_random_edit t rng ~n_ops ~n_types ~n_servers ~configs;
+    apply_random_edit t rng ~n_ops ~configs;
     assert_consistent g platform t
   done
 
@@ -518,12 +517,11 @@ let observe t u =
       (fun v ->
         let f = Ledger.pair_flow t u v in
         if v = u || Float.compare f 0.0 = 0 then None else Some (v, f))
-      (Ledger.proc_ids t)
+      (proc_ids t)
   in
-  ( (Catalog.label (Ledger.config t u), Ledger.operators_of t u,
-     Ledger.downloads_of t u),
+  ( (Catalog.label (Ledger.config t u), Ledger.operators_of t u),
     [ d.Demand.compute; d.Demand.download; d.Demand.comm_in;
-      d.Demand.comm_out; Ledger.nic_load t u ],
+      d.Demand.comm_out ],
     flows )
 
 (* probe_merge of [winner] with every other live processor: pair flows
@@ -546,7 +544,7 @@ let check_probe_merge t winner =
                    winner loser v f expected))
           flows
       end)
-    (Ledger.proc_ids t)
+    (proc_ids t)
 
 (* Long mixed edit sequences on 500-operator trees: after every step the
    ledger agrees with the oracle, probe_merge lists its pair flows in
@@ -563,15 +561,17 @@ let test_long_edit_sequences () =
       let n_types = Objects.count (App.objects app) in
       let n_servers = Servers.n_servers platform.Platform.servers in
       let configs = Catalog.configs platform.Platform.catalog in
-      let t = Ledger.create (Graph.of_app app) platform in
+      let t =
+        random_start (Graph.of_app app) platform rng ~n_procs:8 ~n_types
+          ~n_servers ~configs
+      in
       for step = 1 to 1200 do
         let before =
           List.map
             (fun u -> (u, Ledger.generation t u, observe t u))
-            (Ledger.proc_ids t)
+            (proc_ids t)
         in
-        apply_random_edit ~max_procs:24 t rng ~n_ops ~n_types ~n_servers
-          ~configs;
+        apply_random_edit ~max_procs:24 t rng ~n_ops ~configs;
         assert_consistent (Graph.of_app app) platform t;
         List.iter
           (fun (u, generation, seen) ->
@@ -583,7 +583,7 @@ let test_long_edit_sequences () =
                   step u bumped changed
             end)
           before;
-        match Ledger.proc_ids t with
+        match proc_ids t with
         | [] -> ()
         | live -> check_probe_merge t (Prng.choose_list rng live)
       done)
@@ -600,8 +600,6 @@ let () =
             test_exact_zero_after_undo;
           Alcotest.test_case "probe predicts commit" `Quick
             test_probe_add_predicts_commit;
-          Alcotest.test_case "violations_touching" `Quick
-            test_violations_touching_anchored;
           Alcotest.test_case "merge" `Quick test_merge_consistent;
           Alcotest.test_case "stream follows its fastest consumer" `Quick
             test_stream_follows_fastest_consumer;

@@ -10,8 +10,21 @@ module Driver = Insp_lint.Driver
 
 let render f = Format.asprintf "%a" Rule.pp_text f
 
+let rec mkdirs path =
+  if path <> "." && path <> "/" && not (Sys.file_exists path) then begin
+    mkdirs (Filename.dirname path);
+    Sys.mkdir path 0o755
+  end
+
+(* Lint [src] as if it were the repo file [file]: the source is written
+   under lint_fixtures/ next to an empty interface (so P2 stays quiet)
+   and linted under its repo name, which drives rule scoping. *)
 let lint ?(file = "lib/fixture.ml") src =
-  List.map render (Engine.lint_source ~file src)
+  let path = Filename.concat "lint_fixtures" file in
+  mkdirs (Filename.dirname path);
+  Out_channel.with_open_text path (fun oc -> output_string oc src);
+  Out_channel.with_open_text (path ^ "i") (fun _ -> ());
+  List.map render (Engine.lint_file ~display:file path)
 
 let check_reports name expected actual =
   Alcotest.(check (list string)) name expected actual
@@ -506,27 +519,51 @@ let cheapest p configs = List.find_opt p configs
 (* ------------------------------------------------------------------ *)
 (* Baseline round-trip                                                 *)
 
+(* Lint a one-file tree through the driver, with an optional
+   baseline; the exit code tells whether new findings remain. *)
+let run_driver ?baseline ?(update_baseline = false) roots =
+  Driver.run
+    {
+      Driver.format = Driver.Text;
+      baseline;
+      update_baseline;
+      roots;
+      only = None;
+      deep = false;
+      cmt_root = ".";
+      allow_stale = false;
+    }
+
 let test_baseline () =
   let f =
     { Rule.rule = Rule.P1; file = "lib/x.ml"; line = 3; col = 4; message = "m" }
   in
   Alcotest.(check string) "baseline key" "P1 lib/x.ml:3:4" (Rule.baseline_key f);
-  let path = write_fixture "lint.baseline" "# header\n\nP1 lib/x.ml:3:4 legacy\n" in
-  let keys = Driver.load_baseline path in
-  Alcotest.(check (list string)) "keys parsed" [ "P1 lib/x.ml:3:4" ] keys;
-  check_reports "grandfathered finding filtered" []
-    (List.map render (Driver.apply_baseline ~keys [ f ]));
-  let moved = { f with Rule.line = 9 } in
-  check_reports "a new site is not grandfathered"
-    [ "lib/x.ml:9:4: [P1] m" ]
-    (List.map render (Driver.apply_baseline ~keys [ f; moved ]));
-  Alcotest.(check (list string)) "missing baseline file is empty" []
-    (Driver.load_baseline "does_not_exist.baseline")
+  let root = "baseline_fixtures" in
+  mkdirs root;
+  let write body =
+    Out_channel.with_open_text (Filename.concat root "x.ml") (fun oc ->
+        output_string oc body);
+    Out_channel.with_open_text (Filename.concat root "x.mli") (fun _ -> ())
+  in
+  write "let first l = List.hd l\n";
+  let baseline = write_fixture "lint.baseline" "" in
+  Alcotest.(check int) "a new finding fails" 1 (run_driver ~baseline [ root ]);
+  Alcotest.(check int) "update writes the baseline" 0
+    (run_driver ~baseline ~update_baseline:true [ root ]);
+  Alcotest.(check int) "grandfathered finding filtered" 0
+    (run_driver ~baseline [ root ]);
+  write "\nlet first l = List.hd l\n";
+  Alcotest.(check int) "a new site is not grandfathered" 1
+    (run_driver ~baseline [ root ]);
+  Alcotest.(check int) "missing baseline file is empty" 1
+    (run_driver ~baseline:"does_not_exist.baseline" [ root ])
 
 let test_normalize () =
   Alcotest.(check string) "dots dropped" "lib/x.ml"
-    (Driver.normalize "../lib/./x.ml");
-  Alcotest.(check string) "idempotent" "lib/x.ml" (Driver.normalize "lib/x.ml")
+    (Insp_lint.Cmt_loader.normalize "../lib/./x.ml");
+  Alcotest.(check string) "idempotent" "lib/x.ml"
+    (Insp_lint.Cmt_loader.normalize "lib/x.ml")
 
 (* ------------------------------------------------------------------ *)
 (* Deep pass (DESIGN.md §14): T1-T3 over compiled typedtree fixtures   *)
@@ -545,12 +582,6 @@ let rec rm_rf path =
       Sys.rmdir path
     end
     else Sys.remove path
-
-let rec mkdirs path =
-  if path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdirs (Filename.dirname path);
-    Sys.mkdir path 0o755
-  end
 
 (* Write [files] (repo-shaped relative path, source) under a fresh case
    directory and compile each in order with ocamlc -bin-annot, so the
@@ -751,13 +782,17 @@ let test_t2_suppressed () =
        ])
 
 (* T3: dead exports. *)
+let t3_message id =
+  Printf.sprintf
+    "[T3] %s is exported by the .mli but no non-test compilation unit \
+     references it: delete it or drop it from the interface; a test oracle \
+     that needs the module's internals keeps an allow-t3 comment naming its \
+     test (DESIGN.md §14)"
+    id
+
 let test_t3_positive_and_suppressed () =
   check_reports "only the genuinely dead, unsuppressed export is flagged"
-    [
-      "lib/util/dead.mli:2:0: [T3] Dead.unused is exported by the .mli but \
-       referenced by no other compilation unit: narrow the interface, or \
-       keep it with (* lint: allow t3 *) and a reason";
-    ]
+    [ "lib/util/dead.mli:2:0: " ^ t3_message "Dead.unused" ]
     (deep_reports "t3_dead"
        [
          ( "lib/util/dead.mli",
@@ -770,6 +805,35 @@ let test_t3_positive_and_suppressed () =
          ("lib/util/consumer.ml", "let apply x = Dead.used x\n");
        ])
 
+(* Which referrers keep an export alive: another lib unit (also through
+   a [let module] alias), a bin/ or bench/ unit — but not a test/ unit. *)
+let test_t3_referrers () =
+  check_reports "an export only a test references is dead"
+    [ "lib/util/api.mli:5:0: " ^ t3_message "Api.test_only" ]
+    (deep_reports "t3_referrers"
+       [
+         ( "lib/util/api.mli",
+           "val lib_used : int -> int\n\
+            val alias_used : int -> int\n\
+            val bin_used : int -> int\n\
+            val bench_used : int -> int\n\
+            val test_only : int -> int\n" );
+         ( "lib/util/api.ml",
+           "let lib_used x = x\n\
+            let alias_used x = x\n\
+            let bin_used x = x\n\
+            let bench_used x = x\n\
+            let test_only x = x\n" );
+         ( "lib/util/user.ml",
+           "let direct x = Api.lib_used x\n\
+            let aliased x =\n\
+           \  let module A = Api in\n\
+           \  A.alias_used x\n" );
+         ("bin/main.ml", "let () = ignore (Api.bin_used 1)\n");
+         ("bench/b.ml", "let () = ignore (Api.bench_used 1)\n");
+         ("test/t.ml", "let () = ignore (Api.test_only 1)\n");
+       ])
+
 let test_deep_deterministic () =
   (* Two independent compiles and analyses of the same universe must
      render byte-identically. *)
@@ -779,9 +843,9 @@ let test_deep_deterministic () =
   Alcotest.(check (list string)) "byte-identical across runs" a b
 
 (* ------------------------------------------------------------------ *)
-(* Effects: the lattice and its witnesses                              *)
+(* Effects: touched state and nondeterminism witnesses              *)
 
-let levels_files =
+let summaries_files =
   [
     ( "lib/mapping/levels.ml",
       "let pure_fn x = x + 1\n\
@@ -792,45 +856,50 @@ let levels_files =
        let cell = ref 0\n\
        let escape () = cell := 1\n\
        let noisy () = Random.int 3\n\
-       let printer () = print_endline \"hi\"\n\
        let chain () = escape (); pure_fn 2\n\
        let sched () = noisy ()\n" );
   ]
 
-let test_effect_levels () =
-  let cg = build_universe "levels" levels_files in
+let test_effect_summaries () =
+  let cg = build_universe "summaries" summaries_files in
   let eff = Effects.analyze cg in
-  let level id =
+  let summary id =
     match Effects.summary eff id with
-    | Some s -> Effects.level_name s.Effects.s_level
-    | None -> "missing"
+    | Some s -> s
+    | None -> Alcotest.failf "%s has no summary" id
   in
-  Alcotest.(check string) "pure" "pure" (level "Levels.pure_fn");
-  Alcotest.(check string) "mutates-local" "mutates-local"
-    (level "Levels.local_mut");
-  Alcotest.(check string) "mutates-escaping" "mutates-escaping"
-    (level "Levels.escape");
-  Alcotest.(check string) "nondet" "nondet" (level "Levels.noisy");
-  Alcotest.(check string) "io" "io" (level "Levels.printer");
-  Alcotest.(check string) "escape propagates to callers" "mutates-escaping"
-    (level "Levels.chain");
-  Alcotest.(check string) "nondet propagates to callers" "nondet"
-    (level "Levels.sched");
+  let touched id =
+    List.map
+      (fun (t : Effects.touch) -> (t.Effects.g, t.Effects.t_write, t.Effects.via))
+      (summary id).Effects.touched
+  in
+  let nondet id = Option.is_some (summary id).Effects.nondet in
+  Alcotest.(check bool) "pure touches nothing" true
+    (touched "Levels.pure_fn" = [] && not (nondet "Levels.pure_fn"));
+  Alcotest.(check bool) "local mutation touches no global" true
+    (touched "Levels.local_mut" = []);
+  Alcotest.(check bool) "escaping write" true
+    (touched "Levels.escape" = [ ("Levels.cell", true, []) ]);
+  Alcotest.(check bool) "the write propagates to callers" true
+    (touched "Levels.chain" = [ ("Levels.cell", true, [ "Levels.escape" ]) ]);
+  Alcotest.(check bool) "nondet" true (nondet "Levels.noisy");
   (* the witness names the primitive and the chain *)
-  (match Effects.summary eff "Levels.sched" with
-  | Some { Effects.nondet = Some w; _ } ->
+  (match (summary "Levels.sched").Effects.nondet with
+  | Some w ->
     Alcotest.(check string) "witness primitive" "Random.int" w.Effects.w_label;
     Alcotest.(check (list string)) "witness chain" [ "Levels.noisy" ]
       w.Effects.w_via
-  | _ -> Alcotest.fail "Levels.sched has no nondet witness");
+  | None -> Alcotest.fail "Levels.sched has no nondet witness");
   (* the graph records the mutable definition *)
-  (match Callgraph.find cg "Levels.cell" with
+  match
+    List.find_opt
+      (fun (d : Callgraph.decl) -> d.Callgraph.id = "Levels.cell")
+      cg.Callgraph.decls
+  with
   | Some d ->
     Alcotest.(check (option string)) "cell is a ref" (Some "ref")
       d.Callgraph.mutable_def
-  | None -> Alcotest.fail "Levels.cell not in the graph");
-  Alcotest.(check bool) "lattice order" true
-    (Effects.compare_level Effects.Pure Effects.Io < 0)
+  | None -> Alcotest.fail "Levels.cell not in the graph"
 
 (* ------------------------------------------------------------------ *)
 (* Cmt loader: discovery, pairing, fixture-dir hygiene                 *)
@@ -842,8 +911,6 @@ let test_loader_pairing () =
         ("lib/util/paired.ml", "let v = 1\nlet internal = 2\n");
       ]
   in
-  let files = Cmt_loader.find_files root in
-  Alcotest.(check int) "one .cmt and one .cmti" 2 (List.length files);
   let loaded = Cmt_loader.load ~src_root:root ~root () in
   (match loaded.Cmt_loader.units with
   | [ u ] ->
@@ -858,17 +925,20 @@ let test_loader_pairing () =
     Alcotest.failf "expected one merged unit, got %d" (List.length us));
   Alcotest.(check (list string)) "no staleness on a fresh build" []
     loaded.Cmt_loader.stale;
-  (* a *_fixtures subtree inside the root is invisible *)
+  (* a *_fixtures subtree inside the root is invisible: another unit's
+     typedtree copied there does not join the universe *)
+  let other =
+    compile_universe "loader_other" [ ("lib/util/other.ml", "let w = 2\n") ]
+  in
   let junk = Filename.concat root "junk_fixtures" in
   mkdirs junk;
-  (match files with
-  | cmt :: _ ->
-    let data = In_channel.with_open_bin cmt In_channel.input_all in
-    Out_channel.with_open_bin (Filename.concat junk "copy.cmt") (fun oc ->
-        output_string oc data)
-  | [] -> ());
-  Alcotest.(check int) "fixture dirs are skipped" 2
-    (List.length (Cmt_loader.find_files root))
+  let cmt = Filename.concat other "lib/util/other.cmt" in
+  Out_channel.with_open_bin (Filename.concat junk "other.cmt") (fun oc ->
+      output_string oc (In_channel.with_open_bin cmt In_channel.input_all));
+  Alcotest.(check (list string)) "fixture dirs are skipped" [ "Paired" ]
+    (List.map
+       (fun (u : Cmt_loader.unit_info) -> u.Cmt_loader.name)
+       (Cmt_loader.load ~src_root:root ~root ()).Cmt_loader.units)
 
 let test_loader_missing () =
   match Cmt_loader.load ~root:"no_such_dir_anywhere" () with
@@ -883,7 +953,7 @@ let test_loader_missing () =
 let test_json_golden () =
   Alcotest.(check string) "canonical json finding"
     {|{"rule":"T1","file":"lib/a.ml","line":5,"col":2,"message":"m \"q\""}|}
-    (Rule.to_json
+    (Format.asprintf "%a" Rule.pp_json
        {
          Rule.rule = Rule.T1;
          file = "lib/a.ml";
@@ -891,9 +961,8 @@ let test_json_golden () =
          col = 2;
          message = {|m "q"|};
        });
-  Alcotest.(check string) "pp_json agrees"
-    (Rule.to_json
-       { Rule.rule = Rule.D1; file = "f.ml"; line = 1; col = 0; message = "x" })
+  Alcotest.(check string) "one object per finding"
+    {|{"rule":"D1","file":"f.ml","line":1,"col":0,"message":"x"}|}
     (Format.asprintf "%a" Rule.pp_json
        { Rule.rule = Rule.D1; file = "f.ml"; line = 1; col = 0; message = "x" })
 
@@ -920,10 +989,8 @@ let test_repo_lint_clean () =
   let roots = List.filter Sys.file_exists repo_roots in
   Alcotest.(check bool) "repo roots visible from the test sandbox" true
     (roots <> []);
-  let findings = Driver.lint_roots roots in
-  let keys = Driver.load_baseline "../lint.baseline" in
-  check_reports "repo is lint-clean (modulo baseline)" []
-    (List.map render (Driver.apply_baseline ~keys findings))
+  Alcotest.(check int) "repo is lint-clean (modulo baseline)" 0
+    (run_driver ~baseline:"../lint.baseline" roots)
 
 (* Deep-pass counterpart of [test_repo_lint_clean]: the repo's own
    typedtrees must be T1/T2/T3-clean modulo the committed baseline.
@@ -931,29 +998,32 @@ let test_repo_lint_clean () =
    under ".."), the check is skipped rather than failed — the dune
    runtest lint rule still covers it. *)
 let test_repo_deep_clean () =
-  match Cmt_loader.load ~src_root:".." ~root:".." () with
+  match Cmt_loader.load ~root:".." () with
   | exception Cmt_loader.Cmt_error _ -> ()
-  | loaded ->
-    let cg =
-      Callgraph.build
-        ~read_source:(fun f ->
-          let p = Filename.concat ".." f in
-          if Sys.file_exists p then
-            Some (In_channel.with_open_text p In_channel.input_all)
-          else None)
-        loaded
+  | _ ->
+    (* from the build root, as the runtest rule runs it: the deep pass
+       reads suppression comments from the recorded source paths *)
+    let cwd = Sys.getcwd () in
+    Sys.chdir "..";
+    let code =
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          Driver.run
+            {
+              Driver.format = Driver.Text;
+              baseline = Some "lint.baseline";
+              update_baseline = false;
+              roots =
+                List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ];
+              only = None;
+              deep = true;
+              cmt_root = ".";
+              allow_stale = true;
+            })
     in
-    let in_repo f =
-      List.exists
-        (fun r -> String.starts_with ~prefix:(r ^ "/") f)
-        [ "lib"; "bin"; "bench"; "test" ]
-    in
-    let findings =
-      Deep.analyze cg |> List.filter (fun f -> in_repo f.Rule.file)
-    in
-    let keys = Driver.load_baseline "../lint.baseline" in
-    check_reports "repo typedtrees are deep-clean (modulo baseline)" []
-      (List.map render (Driver.apply_baseline ~keys findings))
+    Alcotest.(check int) "repo typedtrees are deep-clean (modulo baseline)" 0
+      code
 
 (* The shipped baseline must stay empty for lib/mapping and
    lib/heuristics: those directories pass with no baseline at all. *)
@@ -1057,9 +1127,14 @@ let () =
         [
           Alcotest.test_case "positive and suppressed" `Quick
             test_t3_positive_and_suppressed;
+          Alcotest.test_case "test referrers do not count" `Quick
+            test_t3_referrers;
         ] );
       ( "effects",
-        [ Alcotest.test_case "lattice levels" `Quick test_effect_levels ] );
+        [
+          Alcotest.test_case "summaries and witnesses" `Quick
+            test_effect_summaries;
+        ] );
       ( "deep",
         [
           Alcotest.test_case "deterministic output" `Quick

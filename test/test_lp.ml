@@ -151,7 +151,7 @@ let lp_random_feasible =
           |> List.mapi (fun j v -> p.Simplex.objective.(j) *. v)
           |> List.fold_left ( +. ) 0.0
         in
-        Simplex.check_feasible p s.Simplex.values
+        Oracles.lp_feasible p s.Simplex.values
         && s.Simplex.objective_value <= obj_x0 +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
@@ -167,11 +167,11 @@ let test_milp_knapsack () =
       maximize = true;
     }
   in
-  let r = Milp.solve { Milp.problem = p; integer_vars = [ 0; 1 ] } in
-  match r.Milp.solution with
+  let r = Oracles.milp_solve { Milp.problem = p; integer_vars = [ 0; 1 ] } in
+  match r.Oracles.solution with
   | Some s ->
     Helpers.alco_float "objective" 8.0 s.Simplex.objective_value;
-    Alcotest.(check bool) "proven" true (r.Milp.status = Milp.Proven)
+    Alcotest.(check bool) "proven" true r.Oracles.proven
   | None -> Alcotest.fail "expected solution"
 
 let test_milp_integrality () =
@@ -187,7 +187,7 @@ let test_milp_integrality () =
   (match Milp.relaxation_bound t with
   | Some b -> Helpers.alco_float "relaxation" 1.5 b
   | None -> Alcotest.fail "relaxation should be optimal");
-  match (Milp.solve t).Milp.solution with
+  match (Oracles.milp_solve t).Oracles.solution with
   | Some s -> Helpers.alco_float "integral" 1.0 s.Simplex.values.(0)
   | None -> Alcotest.fail "expected solution"
 
@@ -200,9 +200,9 @@ let test_milp_infeasible_integer () =
       maximize = false;
     }
   in
-  let r = Milp.solve { Milp.problem = p; integer_vars = [ 0 ] } in
-  Alcotest.(check bool) "no solution" true (r.Milp.solution = None);
-  Alcotest.(check bool) "proven" true (r.Milp.status = Milp.Proven)
+  let r = Oracles.milp_solve { Milp.problem = p; integer_vars = [ 0 ] } in
+  Alcotest.(check bool) "no solution" true (r.Oracles.solution = None);
+  Alcotest.(check bool) "proven" true r.Oracles.proven
 
 let milp_solution_is_integral =
   qtest ~count:100 "MILP solutions are integral and feasible" lp_gen
@@ -218,11 +218,11 @@ let milp_solution_is_integral =
       in
       let p = { p with Simplex.constraints = p.Simplex.constraints @ bounds } in
       let t = { Milp.problem = p; integer_vars = List.init n Fun.id } in
-      let r = Milp.solve ~node_limit:5000 t in
-      match r.Milp.solution with
+      let r = Oracles.milp_solve ~node_limit:5000 t in
+      match r.Oracles.solution with
       | None -> true
       | Some s ->
-        Simplex.check_feasible p s.Simplex.values
+        Oracles.lp_feasible p s.Simplex.values
         && Array.for_all
              (fun v -> Float.abs (v -. Float.round v) < 1e-5)
              s.Simplex.values)
@@ -240,7 +240,7 @@ let test_ilp_tiny () =
   (match Ilp_model.lower_bound model with
   | Some b -> Alcotest.(check bool) "bound positive" true (b > 0.0)
   | None -> Alcotest.fail "relaxation should be feasible");
-  match Ilp_model.solve ~node_limit:5000 model with
+  match Oracles.ilp_solve ~node_limit:5000 model with
   | Some (n_procs, groups) ->
     Alcotest.(check bool) "few procs" true (n_procs >= 1 && n_procs <= 3);
     let all = Array.to_list groups |> List.concat |> List.sort compare in
@@ -295,8 +295,11 @@ let exact_respects_lower_bound =
       match Exact.solve ~node_limit:300_000 inst.Instance.app inst.Instance.platform with
       | Error _ -> true
       | Ok r ->
-        r.Exact.n_procs
-        >= Exact.lower_bound_procs inst.Instance.app inst.Instance.platform)
+        (* homogeneous: every processor costs the cheapest config *)
+        r.Exact.cost
+        >= Insp.Cost.lower_bound_cost inst.Instance.app
+             inst.Instance.platform.Insp.Platform.catalog
+           -. 1e-6)
 
 let test_exact_matches_ilp_on_small () =
   (* Cross-validate the two exact methods on a handful of tiny
@@ -313,7 +316,7 @@ let test_exact_matches_ilp_on_small () =
         let model =
           Ilp_model.build inst.Instance.app inst.Instance.platform ~max_procs:4
         in
-        Option.map fst (Ilp_model.solve ~node_limit:20_000 model)
+        Option.map fst (Oracles.ilp_solve ~node_limit:20_000 model)
       in
       match (exact, ilp) with
       | Some a, Some b ->

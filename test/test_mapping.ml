@@ -11,9 +11,7 @@ module App = Insp.App
 
 let qtest = Helpers.qtest
 
-let cfg ?(cpu = 4) ?(nic = 4) () =
-  let c = Catalog.dell_2008 in
-  { Catalog.cpu = (Catalog.cpus c).(cpu); nic = (Catalog.nics c).(nic) }
+let cfg = Helpers.cfg
 
 (* One-processor allocation of the tiny app: everything on a best
    processor, objects from S0 (o0, o1) and S1 (o2). *)
@@ -53,7 +51,7 @@ let test_alloc_accessors () =
   Alcotest.(check (option int)) "n3 on P1" (Some 1) (Alloc.assignment a 3);
   Alcotest.(check (option int)) "unknown" None (Alloc.assignment a 9);
   Alcotest.(check (list int)) "ops of P1" [ 2; 3 ] (Alloc.operators_of a 1);
-  Alcotest.(check int) "assigned" 4 (Alloc.n_operators_assigned a);
+  Alcotest.(check int) "assigned" 4 (Helpers.n_assigned a);
   Alcotest.(check (list (triple int int int))) "all downloads"
     [ (0, 0, 0); (0, 1, 0); (1, 0, 1); (1, 2, 1) ]
     (Alloc.all_downloads a)
@@ -103,10 +101,11 @@ let test_alloc_updates () =
     (Alloc.proc a' 1).Alloc.config.Catalog.cpu.Catalog.speed;
   Helpers.alco_float "P0 unchanged" 46880.0
     (Alloc.proc a' 0).Alloc.config.Catalog.cpu.Catalog.speed;
-  let a'' = Alloc.with_downloads a [| [ (0, 1); (1, 0) ]; [ (0, 0); (2, 1) ] |] in
-  Alcotest.(check (list (pair int int))) "downloads replaced"
-    [ (0, 1); (1, 0) ]
-    (Alloc.downloads_of a'' 0)
+  let a'' = Alloc.with_configs a [| cfg ~cpu:0 ~nic:0 (); cfg ~cpu:1 () |] in
+  Helpers.alco_float "P0 replaced" 11720.0
+    (Alloc.proc a'' 0).Alloc.config.Catalog.cpu.Catalog.speed;
+  Alcotest.(check (list (pair int int))) "downloads kept"
+    (Alloc.downloads_of a 0) (Alloc.downloads_of a'' 0)
 
 (* ------------------------------------------------------------------ *)
 (* Demand                                                              *)
@@ -440,7 +439,7 @@ let test_pp_violation_golden () =
   List.iter
     (fun (v, expected) ->
       Alcotest.(check string) expected expected
-        (Format.asprintf "%a" Check.pp_violation v))
+        (Check.explain [ v ]))
     golden;
   Alcotest.(check string) "explain feasible" "feasible" (Check.explain []);
   Alcotest.(check string) "explain joins lines"

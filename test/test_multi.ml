@@ -45,7 +45,6 @@ let test_builder_basic () =
   (* a feeds c (rate 2.0) and a sink at 0.5 -> max 2.0 *)
   Helpers.alco_float "a rate is max of consumers" 2.0 (Dag.node dag a).Dag.rate;
   Alcotest.(check (list int)) "consumers of a" [ c ] (consumers dag a);
-  Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ());
   let g = Dag.graph dag in
   Alcotest.(check (list int)) "a downloads o0 and o1" [ 0; 1 ] (Insp.Graph.leaves g a);
   Alcotest.(check (list int)) "o2 users" [ c ]
@@ -72,7 +71,6 @@ let test_of_apps () =
   let dag = Dag.of_apps [ app; app ] in
   Alcotest.(check int) "nodes duplicated" 8 (Dag.n_nodes dag);
   Alcotest.(check int) "two roots" 2 (n_roots dag);
-  Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ());
   (* work/output copied from the tree model *)
   let r0 = (Dag.graph dag).Insp.Graph.roots.(0) in
   Helpers.alco_float "rho" (App.rho app) (Insp.Graph.rate (Dag.graph dag) r0);
@@ -86,8 +84,12 @@ let test_cse_identical_apps_collapse () =
   let dag = Cse.share_apps [ app; app; app ] in
   (* Identical trees share every node. *)
   Alcotest.(check int) "fully shared" (App.n_operators app) (Dag.n_nodes dag);
-  Alcotest.(check int) "three sinks" 3 (n_roots dag);
-  Alcotest.(check bool) "validates" true (Dag.validate dag = Ok ())
+  Alcotest.(check int) "three sinks" 3 (n_roots dag)
+
+(* Hash-cons one application per (tree, rho) over a common catalog. *)
+let share ~objects ~alpha ~trees () =
+  Cse.share_apps
+    (List.map (fun (tree, rho) -> App.make ~rho ~tree ~objects ~alpha ()) trees)
 
 let test_cse_commutative () =
   (* (o0 + o1) and (o1 + o0) are the same computation. *)
@@ -95,7 +97,7 @@ let test_cse_commutative () =
   let t2 = Optree.of_spec ~n_object_types:2 (Optree.Op (Optree.Obj 1, Optree.Obj 0)) in
   let objects = Objects.uniform_freq ~sizes:[| 5.0; 6.0 |] ~freq:0.5 in
   let dag =
-    Cse.share ~objects ~alpha:1.0 ~trees:[ (t1, 1.0); (t2, 2.0) ] ()
+    share ~objects ~alpha:1.0 ~trees:[ (t1, 1.0); (t2, 2.0) ] ()
   in
   Alcotest.(check int) "one shared node" 1 (Dag.n_nodes dag);
   (* the shared node must run at the faster consumer's rate *)
@@ -105,7 +107,7 @@ let test_cse_distinct_stay_distinct () =
   let t1 = Optree.of_spec ~n_object_types:2 (Optree.Op (Optree.Obj 0, Optree.Obj 0)) in
   let t2 = Optree.of_spec ~n_object_types:2 (Optree.Op (Optree.Obj 1, Optree.Obj 1)) in
   let objects = Objects.uniform_freq ~sizes:[| 5.0; 6.0 |] ~freq:0.5 in
-  let dag = Cse.share ~objects ~alpha:1.0 ~trees:[ (t1, 1.0); (t2, 1.0) ] () in
+  let dag = share ~objects ~alpha:1.0 ~trees:[ (t1, 1.0); (t2, 1.0) ] () in
   Alcotest.(check int) "two nodes" 2 (Dag.n_nodes dag)
 
 let cse_never_grows =
@@ -124,8 +126,7 @@ let cse_preserves_roots =
     (fun (seed, n_apps) ->
       let apps, _ = MW.instance ~seed ~n_apps ~n_operators:15 in
       let dag = Cse.share_apps apps in
-      Dag.validate dag = Ok ()
-      && n_roots dag = n_apps)
+      n_roots dag = n_apps)
 
 (* ------------------------------------------------------------------ *)
 (* Dag_check                                                           *)
@@ -139,9 +140,7 @@ let two_proc_dag () =
   let dag = Dag.finish b ~objects:(objects3 ()) ~alpha:1.0 ~roots:[ (c, 1.0) ] () in
   (dag, a, c)
 
-let cfg ?(cpu = 4) ?(nic = 4) () =
-  let c = Insp.Catalog.dell_2008 in
-  { Insp.Catalog.cpu = (Insp.Catalog.cpus c).(cpu); nic = (Insp.Catalog.nics c).(nic) }
+let cfg = Helpers.cfg
 
 (* The all-pairs constraint (5) oracle: for every processor pair, list
    both processors' outgoing streams from scratch — one per (producer,
@@ -316,7 +315,7 @@ let oracle_proc_demand dag alloc u =
   in
   let download =
     List.fold_left
-      (fun acc k -> acc +. Objects.rate (Dag.objects dag) k)
+      (fun acc k -> acc +. Objects.rate (Dag.graph dag).Insp.Graph.objects k)
       0.0 objects
   in
   let comm_in, _ =
@@ -733,33 +732,17 @@ let correlated_trees_valid =
   qtest ~count:60 "correlated trees are valid and sized"
     QCheck.(triple (int_range 0 1000) (int_range 1 5) (int_range 4 40))
     (fun (seed, n_apps, n) ->
-      let trees =
-        MW.correlated_trees (Prng.create seed) ~n_apps ~n_operators:n
-          ~n_object_types:15 ()
-      in
-      List.length trees = n_apps
-      && List.for_all
-           (fun t ->
-             Optree.validate t = Ok () && Optree.n_operators t = n)
-           trees)
+      (* [Optree.of_spec] re-validates every generated tree *)
+      let apps, _ = MW.instance ~seed ~n_apps ~n_operators:n in
+      List.length apps = n_apps
+      && List.for_all (fun a -> App.n_operators a = n) apps)
 
 let test_correlated_share_more_than_independent () =
-  (* With share_prob 1.0 vs 0.0, the hash-consed DAG must be smaller. *)
-  let mk prob seed =
-    let rng = Prng.create seed in
-    let trees =
-      MW.correlated_trees rng ~n_apps:3 ~n_operators:21 ~n_object_types:15
-        ~share_prob:prob ()
-    in
-    let objects =
-      Objects.uniform_freq ~sizes:(Array.make 15 10.0) ~freq:0.5
-    in
-    let dag =
-      Cse.share ~objects ~alpha:1.0 ~trees:(List.map (fun t -> (t, 1.0)) trees) ()
-    in
-    Dag.n_nodes dag
-  in
-  let shared = mk 1.0 7 and independent = mk 0.0 7 in
+  (* The generator's shared sub-expression pool must make the
+     hash-consed DAG smaller than the same applications unshared. *)
+  let apps, _ = MW.instance ~seed:7 ~n_apps:3 ~n_operators:21 in
+  let shared = Dag.n_nodes (Cse.share_apps apps)
+  and independent = Dag.n_nodes (Dag.of_apps apps) in
   Alcotest.(check bool)
     (Printf.sprintf "more sharing -> smaller DAG (%d < %d)" shared independent)
     true (shared < independent)

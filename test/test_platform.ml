@@ -13,8 +13,10 @@ let qtest = Helpers.qtest
 
 let test_table1_constants () =
   let c = Catalog.dell_2008 in
-  Helpers.alco_float "chassis" 7548.0 (Catalog.chassis_cost c);
-  let cpus = Catalog.cpus c and nics = Catalog.nics c in
+  (* the cheapest configuration carries no CPU or NIC upgrade *)
+  Helpers.alco_float "chassis" 7548.0
+    (Catalog.config_cost c (Catalog.cheapest c));
+  let cpus, nics = Helpers.catalog_options c in
   Alcotest.(check int) "5 cpu options" 5 (Array.length cpus);
   Alcotest.(check int) "5 nic options" 5 (Array.length nics);
   Helpers.alco_float "slowest cpu" 11720.0 cpus.(0).Catalog.speed;
@@ -86,16 +88,12 @@ let test_homogeneous () =
       ignore (Catalog.homogeneous Catalog.dell_2008 ~cpu_index:9 ~nic_index:0))
 
 let test_catalog_validation () =
-  Alcotest.check_raises "decreasing speed"
-    (Invalid_argument "Catalog.make: CPU capacities must increase") (fun () ->
-      ignore
-        (Catalog.make ~chassis_cost:1.0
-           ~cpus:
-             [|
-               { Catalog.speed = 2.0; cpu_cost = 0.0 };
-               { Catalog.speed = 1.0; cpu_cost = 1.0 };
-             |]
-           ~nics:[| { Catalog.bandwidth = 1.0; nic_cost = 0.0 } |]))
+  Alcotest.check_raises "nic index out of range"
+    (Invalid_argument "Catalog.homogeneous: nic_index out of range") (fun () ->
+      ignore (Catalog.homogeneous Catalog.dell_2008 ~cpu_index:0 ~nic_index:5));
+  Alcotest.check_raises "negative cpu index"
+    (Invalid_argument "Catalog.homogeneous: cpu_index out of range") (fun () ->
+      ignore (Catalog.homogeneous Catalog.dell_2008 ~cpu_index:(-1) ~nic_index:0))
 
 (* ------------------------------------------------------------------ *)
 (* Servers                                                             *)

@@ -14,26 +14,37 @@ let chain4 () =
   (* ((o0 . o1) . o2) . o3 — the classic left-deep chain. *)
   Optree.left_deep ~n_operators:3 ~objects:[| 2; 1; 0; 3 |]
 
+(* The rotations one hill-climbing step scores: with one step, no
+   restarts and every shape infeasible, [optimize] evaluates the start
+   and each of its neighbours, and moves nowhere. *)
+let neighbors t =
+  let seen = ref [] in
+  let evaluate t' =
+    if t' != t then seen := t' :: !seen;
+    None
+  in
+  ignore (Rewrite.optimize (Prng.create 0) ~evaluate ~steps:1 ~restarts:0 t);
+  List.rev !seen
+
 let test_leaf_multiset () =
   let t = chain4 () in
   Alcotest.(check (list int)) "sorted with duplicates" [ 0; 1; 2; 3 ]
-    (Rewrite.leaf_multiset t);
+    (Oracles.leaf_multiset t);
   let t2 =
     Optree.of_spec ~n_object_types:2
       Optree.(Op (Op (Obj 1, Obj 1), Obj 0))
   in
   Alcotest.(check (list int)) "duplicates kept" [ 0; 1; 1 ]
-    (Rewrite.leaf_multiset t2)
+    (Oracles.leaf_multiset t2)
 
 let test_neighbors_preserve_leaves () =
   let t = chain4 () in
-  let ns = Rewrite.neighbors t in
+  let ns = neighbors t in
   Alcotest.(check bool) "has rotations" true (List.length ns >= 2);
   List.iter
     (fun t' ->
       Alcotest.(check (list int)) "leaf multiset preserved"
-        (Rewrite.leaf_multiset t) (Rewrite.leaf_multiset t');
-      Alcotest.(check bool) "valid" true (Optree.validate t' = Ok ());
+        (Oracles.leaf_multiset t) (Oracles.leaf_multiset t');
       Alcotest.(check int) "operator count preserved" (Optree.n_operators t)
         (Optree.n_operators t'))
     ns
@@ -48,9 +59,9 @@ let neighbors_preserve_multiset =
       in
       List.for_all
         (fun t' ->
-          Rewrite.leaf_multiset t' = Rewrite.leaf_multiset t
-          && Optree.validate t' = Ok ())
-        (Rewrite.neighbors t))
+          Oracles.leaf_multiset t' = Oracles.leaf_multiset t
+          && Optree.n_operators t' = Optree.n_operators t)
+        (neighbors t))
 
 let test_balanced_and_left_deep () =
   let t =
@@ -58,10 +69,10 @@ let test_balanced_and_left_deep () =
   in
   let b = Rewrite.balanced_of t in
   let l = Rewrite.left_deep_of t in
-  Alcotest.(check (list int)) "balanced leaves" (Rewrite.leaf_multiset t)
-    (Rewrite.leaf_multiset b);
-  Alcotest.(check (list int)) "left-deep leaves" (Rewrite.leaf_multiset t)
-    (Rewrite.leaf_multiset l);
+  Alcotest.(check (list int)) "balanced leaves" (Oracles.leaf_multiset t)
+    (Oracles.leaf_multiset b);
+  Alcotest.(check (list int)) "left-deep leaves" (Oracles.leaf_multiset t)
+    (Oracles.leaf_multiset l);
   Alcotest.(check int) "left-deep height" (Optree.n_operators l - 1)
     (Optree.height l);
   Alcotest.(check bool) "balanced shallower" true
@@ -69,21 +80,21 @@ let test_balanced_and_left_deep () =
 
 let test_enumerate_counts () =
   (* Distinct leaves: #shapes = (2n-3)!! — 3 leaves -> 3, 4 leaves -> 15. *)
-  let shapes3 = Rewrite.enumerate ~n_object_types:3 ~leaves:[ 0; 1; 2 ] in
+  let shapes3 = Oracles.enumerate_shapes ~n_object_types:3 ~leaves:[ 0; 1; 2 ] in
   Alcotest.(check int) "3 distinct leaves" 3 (List.length shapes3);
-  let shapes4 = Rewrite.enumerate ~n_object_types:4 ~leaves:[ 0; 1; 2; 3 ] in
+  let shapes4 = Oracles.enumerate_shapes ~n_object_types:4 ~leaves:[ 0; 1; 2; 3 ] in
   Alcotest.(check int) "4 distinct leaves" 15 (List.length shapes4);
   (* Identical leaves collapse shapes: 3 equal leaves -> 1 shape. *)
-  let same3 = Rewrite.enumerate ~n_object_types:1 ~leaves:[ 0; 0; 0 ] in
+  let same3 = Oracles.enumerate_shapes ~n_object_types:1 ~leaves:[ 0; 0; 0 ] in
   Alcotest.(check int) "3 equal leaves" 1 (List.length same3)
 
 let test_enumerate_all_valid () =
   List.iter
     (fun t ->
-      Alcotest.(check bool) "valid" true (Optree.validate t = Ok ());
+      Alcotest.(check int) "operators" 3 (Optree.n_operators t);
       Alcotest.(check (list int)) "leaves" [ 0; 1; 1; 2 ]
-        (Rewrite.leaf_multiset t))
-    (Rewrite.enumerate ~n_object_types:3 ~leaves:[ 0; 1; 1; 2 ])
+        (Oracles.leaf_multiset t))
+    (Oracles.enumerate_shapes ~n_object_types:3 ~leaves:[ 0; 1; 1; 2 ])
 
 (* The work model is shape-sensitive: balanced minimises total work
    among shapes for alpha > 1 (convexity), left-deep maximises it. *)
@@ -116,7 +127,7 @@ let test_optimize_improves () =
   let evaluate tree = Some (total_work tree 1.5) in
   let best, cost = Rewrite.optimize (Prng.create 1) ~evaluate t in
   Alcotest.(check (list int)) "equivalent computation"
-    (Rewrite.leaf_multiset t) (Rewrite.leaf_multiset best);
+    (Oracles.leaf_multiset t) (Oracles.leaf_multiset best);
   match (cost, evaluate t) with
   | Some c, Some c0 -> Alcotest.(check bool) "improved or equal" true (c <= c0)
   | _ -> Alcotest.fail "evaluation failed"
@@ -128,7 +139,7 @@ let test_optimize_matches_enumeration_on_small () =
   in
   let evaluate tree = Some (total_work tree 1.6) in
   let exhaustive =
-    Rewrite.enumerate ~n_object_types:5 ~leaves:(Rewrite.leaf_multiset t)
+    Oracles.enumerate_shapes ~n_object_types:5 ~leaves:(Oracles.leaf_multiset t)
     |> List.filter_map evaluate
     |> List.fold_left Float.min infinity
   in

@@ -56,9 +56,11 @@ let test_stream_well_formed () =
     (Hashtbl.length arrival_tick);
   Alcotest.(check int) "every app departs" s.Stream.n_apps
     (Hashtbl.length departed);
+  let time = function
+    | Stream.Arrival { t; _ } | Stream.Departure { t; _ } -> t
+  in
   let rec sorted = function
-    | a :: (b :: _ as rest) ->
-      Stream.time a <= Stream.time b && sorted rest
+    | a :: (b :: _ as rest) -> time a <= time b && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "events time-sorted" true (sorted events)
@@ -118,13 +120,20 @@ let test_residual_never_negative_reopt () =
 (* ------------------------------------------------------------------ *)
 (* Admit-then-depart restore                                           *)
 
+(* The resource part of [Serve.dump_state]: live applications and
+   residuals, without the tenant accounts. *)
+let dump_resources t =
+  String.split_on_char '\n' (Serve.dump_state t)
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"account " l))
+  |> String.concat "\n"
+
 let test_admit_depart_restores () =
   (* Generous capacity so the probe application is certainly admitted. *)
   let p = params ~proc_budget:10_000 ~card_scale:1.0 () in
   let t = Serve.create p in
   let events = Stream.events (spec ~n_apps:40 ()) in
   List.iteri (fun i e -> if i < 50 then Serve.handle t e) events;
-  let before = Serve.dump_resources t in
+  let before = dump_resources t in
   let live_before = Serve.n_live t in
   Serve.handle t
     (Stream.Arrival
@@ -133,7 +142,7 @@ let test_admit_depart_restores () =
     (Serve.n_live t);
   Serve.handle t (Stream.Departure { app = 99_999; t = 10_001 });
   Alcotest.(check string) "resources restored byte-identically" before
-    (Serve.dump_resources t)
+    (dump_resources t)
 
 (* ------------------------------------------------------------------ *)
 (* Journal and dump determinism                                        *)

@@ -108,8 +108,11 @@ let with_frequency_keeps_structure =
            (0.1 *. Objects.size (App.objects inst'.Instance.app) 0))
 
 let test_generate_batch () =
-  let config = Config.make ~n_operators:10 () in
-  let batch = Instance.generate_batch config ~seeds:[ 1; 2; 3 ] in
+  let batch =
+    List.map
+      (fun seed -> Instance.generate (Config.make ~n_operators:10 ~seed ()))
+      [ 1; 2; 3 ]
+  in
   Alcotest.(check int) "three instances" 3 (List.length batch);
   let seeds =
     List.map (fun i -> i.Instance.config.Config.seed) batch
