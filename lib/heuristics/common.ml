@@ -95,9 +95,12 @@ let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
   in
   grow [ op ] !collapse_rounds
 
-let round_budget b =
+let round_limit b =
   let n = Graph.n_nodes (Builder.graph b) in
-  let left = ref ((n * n) + 16) in
+  (n * n) + 16
+
+let round_budget b =
+  let left = ref (round_limit b) in
   fun () ->
     decr left;
     !left > 0
@@ -105,19 +108,27 @@ let round_budget b =
 let not_converged =
   Error "placement did not converge (grouping fallback oscillates)"
 
+(* One work order over every operator, sorted once: a grouping sell can
+   release operators that were placed before the call, so the order
+   covers them too.  Each round seeds with its first unassigned element
+   and fills walking all of it ([fill] skips assigned operators), which
+   probes exactly what re-sorting the unassigned pool every round
+   would. *)
 let place_rest b =
   let g = Builder.graph b in
+  let order = by_work_desc g (List.init (Graph.n_nodes g) Fun.id) in
   let spend = round_budget b in
   let rec loop () =
-    match by_work_desc g (Builder.unassigned b) with
-    | [] -> Ok b
-    | heaviest :: _ ->
+    (* lint: allow p3 — one O(n) scan per round, like the fill walk *)
+    match List.find_opt (fun i -> Builder.assignment b i = None) order with
+    | None -> Ok b
+    | Some heaviest ->
       if not (spend ()) then not_converged
       else (
         match acquire_with_grouping b ~style:`Best heaviest with
         | Error e -> Error e
         | Ok gid ->
-          fill b gid (by_work_desc g (Builder.unassigned b));
+          fill b gid order;
           loop ())
   in
   loop ()

@@ -40,6 +40,11 @@ val round_budget : Builder.t -> unit -> bool
     [n² + 16] rounds over [b]'s [n]-node view, and each call spends one
     round, [false] once the budget is exhausted. *)
 
+val round_limit : Builder.t -> int
+(** [n² + 16]: the rounds of a {!round_budget}, for a loop that counts
+    its own rounds — round [k] (from 1) is within the budget exactly
+    when [k < round_limit b]. *)
+
 val not_converged : ('a, string) result
 (** The failure of a loop that exhausted its {!round_budget}. *)
 

@@ -8,14 +8,6 @@ module Journal = Insp_obs.Journal
 
 let run_graph g platform alloc =
   let catalog = platform.Platform.catalog in
-  (* Catalog.cheapest_satisfying rebuilds and sorts the config list on
-     every call; the list is invariant across processors, so build it
-     once for the whole pass. *)
-  let configs = Catalog.configs catalog in
-  let cheapest_satisfying ~speed ~bandwidth =
-    (* lint: allow p3 — catalog scan is bounded by the config count *)
-    List.find_opt (fun c -> Catalog.fits c ~speed ~bandwidth) configs
-  in
   let n = Alloc.n_procs alloc in
   (* A processor's demand and download rate depend only on its operator
      group and download plan, never on any configuration, so the
@@ -32,7 +24,10 @@ let run_graph g platform alloc =
       Check.proc_download_rate g alloc u
       +. d.Demand.comm_in +. d.Demand.comm_out
     in
-    match cheapest_satisfying ~speed:d.Demand.compute ~bandwidth:nic_load with
+    match
+      Catalog.cheapest_satisfying catalog ~speed:d.Demand.compute
+        ~bandwidth:nic_load
+    with
     | Some config ->
       Obs.incr "heur.downgrade.fitted";
       if Obs.journaling () then begin

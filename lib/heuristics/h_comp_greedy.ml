@@ -25,22 +25,13 @@ let run _rng g platform =
   let b = Builder.create g platform in
   let n = Graph.n_nodes g in
   (* Each operator's probe compute term, the same float expression
-     Ledger.probe_add adds, prefetched into a float array so the
-     comparator stays unboxed ([Float.compare] on float-array reads
-     compiles to a primitive comparison).  The order is total, so the
-     merge sort of [Array.stable_sort] gives the same permutation as a
-     heap sort with about half the comparisons. *)
+     Ledger.probe_add adds; App.make's validation keeps it >= 0, so the
+     rank order is a radix sort of these floats. *)
   let { Graph.rates; rate_stride; work; _ } = g in
   let load = Array.init n (fun i -> rates.(i * rate_stride) *. work.(i)) in
-  let perm = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      let c = Float.compare load.(b) load.(a) in
-      if c <> 0 then c else Int.compare a b)
-    perm;
+  let rank = Rank.descending load in
   (* pos_work.(pos) is the compute term of the operator at that rank *)
-  let pos_work = Array.map (fun i -> load.(i)) perm in
-  let rank = Rank.of_order perm in
+  let pos_work = Array.init n (fun pos -> load.(Rank.element rank pos)) in
   let alive i = Builder.assignment b i = None in
   let first_fit c speed from =
     if from >= n then n

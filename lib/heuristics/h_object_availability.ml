@@ -2,6 +2,11 @@ module Graph = Insp_tree.Graph
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 
+(* The al-operators' work order and their object sets are static, so
+   they are built once per run; each [pack_object] round filters the
+   order instead of re-sorting the unassigned pool.  The order is total
+   (ties by id), so the filtered list is the one a per-round sort would
+   give. *)
 let run _rng g platform =
   let b = Builder.create g platform in
   let n = Graph.n_nodes g in
@@ -15,16 +20,19 @@ let run _rng g platform =
         if c <> 0 then c else compare a b)
       used_objects
   in
-  let needs_object i k = List.mem k (Common.object_set g i) in
+  let object_sets = Array.init n (Common.object_set g) in
+  let al_by_work =
+    Common.by_work_desc g
+      (List.filter (fun i -> object_sets.(i) <> []) (List.init n Fun.id))
+  in
   let spend = Common.round_budget b in
   let rec pack_object k =
     if not (spend ()) then Common.not_converged
     else
     let pending =
       List.filter
-        (fun i -> Graph.leaves g i <> [] && needs_object i k)
-        (Builder.unassigned b)
-      |> Common.by_work_desc g
+        (fun i -> Builder.assignment b i = None && List.mem k object_sets.(i))
+        al_by_work
     in
     match pending with
     | [] -> Ok ()

@@ -185,8 +185,21 @@ let run rules _rng g platform =
     (* Operators whose consumers could not be absorbed anywhere get
        fresh processors, producers first so each can join a producer's
        group; loop until the pool drains. *)
-    let spend = Common.round_budget b in
-    let rec place () =
+    (* [step] counts the rounds against the round budget, which grants
+       those below [Common.round_limit b].  A step is a function of the
+       builder's state alone, in which processor ids matter only by
+       their order: the ledger (hosts, configs, loads, flows), the
+       acquisition order (ascending ids) and the next id the arena
+       hands out (above every live one).  So once the state at a step
+       equals, up to renumbering ids by rank, the state at an earlier
+       step, the loop repeats that stretch forever and could only end by
+       spending its budget: it fails as the budget would, at once.
+       Brent's cycle finding: [saved] is the state's key at the last
+       power-of-two step, and every later step compares its key with
+       it.  Saving starts at the first power of two from the node count
+       on, so a loop that converges sooner (the loops seen need a few
+       dozen steps at most) builds no keys. *)
+    let rec place step saved =
       (* A grouping sell can release operators placed earlier in the
          order, so each step rescans it from the front. *)
       (* lint: allow p3 — one O(n) scan per step, within the budget *)
@@ -195,23 +208,34 @@ let run rules _rng g platform =
         consolidate b;
         Ok b
       | Some op ->
-        if not (spend ()) then Common.not_converged
-        else if
-          List.exists
-            (fun gid -> Builder.try_add b gid op)
-            (producer_groups rules b op)
-        then begin
-          (match (rules, Builder.assignment b op) with
-          | Tree, Some gid -> ignore (absorb_consumers b gid)
-          | Tree, None -> assert false (* try_add just placed op *)
-          | Dag, _ -> ());
-          place ()
-        end
+        let checkpoint =
+          step >= Graph.n_nodes g && step land (step - 1) = 0
+        in
+        let key =
+          if checkpoint || Option.is_some saved then
+            Some (Ledger.state_key (Builder.ledger b))
+          else None
+        in
+        if step >= Common.round_limit b || (Option.is_some saved && key = saved)
+        then Common.not_converged
         else
-          match Common.acquire_with_grouping b ~style:`Best op with
-          | Ok gid ->
-            ignore (absorb_consumers b gid);
-            place ()
-          | Error e -> Error e
+          let saved = if checkpoint then key else saved in
+          if
+            List.exists
+              (fun gid -> Builder.try_add b gid op)
+              (producer_groups rules b op)
+          then begin
+            (match (rules, Builder.assignment b op) with
+            | Tree, Some gid -> ignore (absorb_consumers b gid)
+            | Tree, None -> assert false (* try_add just placed op *)
+            | Dag, _ -> ());
+            place (step + 1) saved
+          end
+          else
+            match Common.acquire_with_grouping b ~style:`Best op with
+            | Ok gid ->
+              ignore (absorb_consumers b gid);
+              place (step + 1) saved
+            | Error e -> Error e
     in
-    place ()
+    place 1 None

@@ -205,28 +205,39 @@ let sophisticated_core st =
       (fun k ->
         List.iter
           (fun u ->
-            let best =
-              Servers.providers st.servers k
-              |> List.filter (fun l -> can_provide st l u k)
-              |> List.sort (fun a b ->
-                     let key l =
-                       Float.min st.card_left.(l) st.link_left.(l).(u)
-                     in
-                     let c = compare (key b) (key a) in
-                     if c <> 0 then c else compare a b)
-            in
-            match best with
-            | l :: _ ->
-              note_download u k l ~rule:"ratio" ~candidates:(fun () -> best);
-              assign_need u k l
-            | [] ->
+            (* The provider with the most bandwidth left towards [u],
+               ties to the lower id: one pass over the servers in id
+               order.  The full ranking is built only for the journal. *)
+            let best = ref (-1) and best_key = ref 0.0 in
+            for l = 0 to Servers.n_servers st.servers - 1 do
+              if can_provide st l u k then begin
+                let kl = Float.min st.card_left.(l) st.link_left.(l).(u) in
+                if !best < 0 || Float.compare kl !best_key > 0 then begin
+                  best := l;
+                  best_key := kl
+                end
+              end
+            done;
+            match !best with
+            | -1 ->
               let msg =
                 Printf.sprintf
                   "no server has bandwidth left to provide o%d to processor %d"
                   k u
               in
               note_failed u k msg;
-              raise (Failed msg))
+              raise (Failed msg)
+            | l ->
+              note_download u k l ~rule:"ratio" ~candidates:(fun () ->
+                  let key l =
+                    Float.min st.card_left.(l) st.link_left.(l).(u)
+                  in
+                  Servers.providers st.servers k
+                  |> List.filter (fun l -> can_provide st l u k)
+                  |> List.sort (fun a b ->
+                         let c = compare (key b) (key a) in
+                         if c <> 0 then c else compare a b));
+              assign_need u k l)
           (needing k))
       ordered;
     Ok (finish st)

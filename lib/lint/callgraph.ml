@@ -80,7 +80,7 @@ let rec flatten_path p =
    convention as the parsetree engine. *)
 let strip_stdlib = function "Stdlib" :: rest when rest <> [] -> rest | segs -> segs
 
-let default_read path =
+let read_file path =
   if not (Sys.file_exists path) then None
   else
     let ic = open_in_bin path in
@@ -594,7 +594,13 @@ let exports_of_unit uni (u : Cmt_loader.unit_info) =
 
 (* ------------------------------------------------------------------ *)
 
-let build ?(read_source = default_read) (loaded : Cmt_loader.t) =
+let build (loaded : Cmt_loader.t) =
+  let read_source file =
+    read_file
+      (if Filename.is_relative file then
+         Filename.concat loaded.Cmt_loader.src_root file
+       else file)
+  in
   let uni =
     {
       by_unit = Hashtbl.create 128;

@@ -80,8 +80,7 @@ type t = { decls : decl list; exports : export list }
 
 val node_id : unit_name:string -> string -> string
 
-val build : ?read_source:(string -> string option) -> Cmt_loader.t -> t
-(** Build the graph.  [read_source] fetches a repo-relative source for
-    comment-suppression scanning (defaults to reading the file from the
-    current directory; returning [None] just disables comment
-    directives for that file). *)
+val build : Cmt_loader.t -> t
+(** Build the graph.  Comment suppressions are read from each recorded
+    source under the loader's [src_root]; a source missing there just
+    has no comment directives. *)

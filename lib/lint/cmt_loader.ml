@@ -18,12 +18,19 @@ type unit_info = {
   intf : Typedtree.signature option;
 }
 
-type t = { units : unit_info list; stale : string list }
+type t = { units : unit_info list; stale : string list; src_root : string }
 
 let normalize path =
   String.split_on_char '/' path
   |> List.filter (fun s -> s <> "" && s <> "." && s <> "..")
   |> String.concat "/"
+
+(* Dune records sources relative to the workspace root, the parent of
+   [_build]; a typedtree tree compiled in place records them relative
+   to itself. *)
+let source_root root =
+  let build = Filename.dirname root in
+  if Filename.basename build = "_build" then Filename.dirname build else root
 
 (* The test suite compiles deliberately racy/nondeterministic scratch
    universes under [*_fixtures] directories; they are not part of any
@@ -64,7 +71,8 @@ let read path =
 
 let mtime path = try Some (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> None
 
-let load ?(src_root = ".") ~root () =
+let load ?src_root ~root () =
+  let src_root = Option.value src_root ~default:(source_root root) in
   let files = find_files root in
   if files = [] then
     raise
@@ -136,4 +144,4 @@ let load ?(src_root = ".") ~root () =
     List.sort String.compare !names
     |> List.filter_map (fun n -> Hashtbl.find_opt tbl n)
   in
-  { units; stale = List.sort_uniq String.compare !stale }
+  { units; stale = List.sort_uniq String.compare !stale; src_root }

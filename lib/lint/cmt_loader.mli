@@ -28,6 +28,7 @@ type t = {
   stale : string list;
       (** sources strictly newer than their typedtree — the build is out
           of date and findings would point at vanished code *)
+  src_root : string;  (** where the recorded source paths resolve *)
 }
 
 val normalize : string -> string
@@ -35,7 +36,15 @@ val normalize : string -> string
     ["lib/x.ml"].  Findings and the baseline key on paths in this
     form. *)
 
+val source_root : string -> string
+(** The directory the sources recorded in the typedtrees under a root
+    are relative to: the workspace root for a dune build context
+    ([R/_build/default] gives [R]), else the root itself (a tree
+    compiled in place). *)
+
 val load : ?src_root:string -> root:string -> unit -> t
-(** Read every typedtree under [root].  [src_root] (default ["."]) is
-    where sources are checked for staleness; a missing source (e.g. a
-    generated [.ml-gen] seen from the repo root) is simply not checked. *)
+(** Read every typedtree under [root].  [src_root] (default
+    [source_root root]) is where recorded sources resolve: where they
+    are checked for staleness and where {!Callgraph.build} reads them.
+    A missing source (e.g. a generated [.ml-gen]) is simply not
+    checked. *)

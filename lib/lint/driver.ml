@@ -60,7 +60,35 @@ let collect roots =
   in
   List.fold_left walk [] roots |> List.rev
 
-let lint_roots ?only roots =
+(* [path] against the cwd, with "." and ".." segments resolved. *)
+let absolute path =
+  (if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path
+   else path)
+  |> String.split_on_char '/'
+  |> List.fold_left
+       (fun up seg ->
+         match (seg, up) with
+         | ("" | "."), _ -> up
+         | "..", _ :: rest -> rest
+         | "..", [] -> []
+         | _ -> seg :: up)
+       []
+  |> List.rev |> String.concat "/" |> ( ^ ) "/"
+
+(* The repo-relative form of a path, as findings, roots and the
+   baseline spell it: an absolute path beneath the cmt root's source
+   root relative to it, any other path minus its "." and ".."
+   segments. *)
+let relative_to cmt_root =
+  let base = absolute (Cmt_loader.source_root cmt_root) ^ "/" in
+  fun path ->
+    let p = absolute path in
+    if Filename.is_relative path || not (String.starts_with ~prefix:base p)
+    then Cmt_loader.normalize path
+    else String.sub p (String.length base) (String.length p - String.length base)
+
+let lint_roots ?only ?(cmt_root = ".") roots =
+  let relative = relative_to cmt_root in
   let files = collect roots in
   let files =
     match only with
@@ -68,12 +96,12 @@ let lint_roots ?only roots =
     | Some allow ->
       List.filter
         (fun f ->
-          let f = Cmt_loader.normalize f in
+          let f = relative f in
           List.exists (fun e -> selects e f) allow)
         files
   in
   List.concat_map
-    (fun path -> Engine.lint_file ~display:(Cmt_loader.normalize path) path)
+    (fun path -> Engine.lint_file ~display:(relative path) path)
     files
   |> List.sort Rule.compare_finding
 
@@ -95,7 +123,7 @@ let deep_findings cfg =
               (String.concat ", " stale)))
     | _ -> ());
     let in_roots =
-      let roots = List.map Cmt_loader.normalize cfg.roots in
+      let roots = List.map (relative_to cfg.cmt_root) cfg.roots in
       fun file -> List.exists (fun r -> selects r file) roots
     in
     let selected file =
@@ -164,7 +192,7 @@ let print_findings fmt findings =
 
 let run cfg =
   let all () =
-    let shallow = lint_roots ?only:cfg.only cfg.roots in
+    let shallow = lint_roots ?only:cfg.only ~cmt_root:cfg.cmt_root cfg.roots in
     let deep = deep_findings cfg in
     List.sort Rule.compare_finding (shallow @ deep)
   in

@@ -2,10 +2,13 @@
     [insp_lint] — everything between {!Engine.lint_file} /
     {!Deep.analyze} and the process exit code.
 
-    Paths in findings are normalized to repo-relative form (leading
-    ["./"]/["../"] segments dropped), so the committed baseline and the
-    reports agree whether the driver runs from the repo root, from
-    dune's sandbox, or from [_build/default/test]. *)
+    Paths in findings are normalized to repo-relative form: an absolute
+    path beneath the cmt root's {!Cmt_loader.source_root} relative to
+    it (so absolute roots give the same findings as relative ones), any
+    other with its ["."]/[".."] segments dropped.  The committed baseline
+    and the reports thus agree whether the driver runs from the repo
+    root, from dune's sandbox, from [_build/default/test], or from
+    elsewhere with absolute paths. *)
 
 type format = Text | Csv | Json
 
@@ -34,8 +37,11 @@ val paths_of_porcelain : string list -> string list
     untracked directories stay as one entry selecting their subtree.
     Sorted, deduplicated. *)
 
-val lint_roots : ?only:string list -> string list -> Rule.finding list
-(** Collect and lint; findings carry normalized paths and are sorted. *)
+val lint_roots :
+  ?only:string list -> ?cmt_root:string -> string list -> Rule.finding list
+(** Collect and lint; findings carry normalized paths (absolute ones
+    relative to the source root of [cmt_root], default ["."]) and are
+    sorted. *)
 
 val run : config -> int
 (** Lint (both passes when [deep]), print new findings on stdout in the

@@ -615,6 +615,45 @@ let merge t ~winner ~loser =
   List.iter (fun i -> add_operator t winner i) moved;
   Obs.prof_exit ()
 
+(* Everything a probe or commit reads, serialized: each operator's host,
+   then per live processor in id order its config, loads, link entries
+   and rows (need counts, download plan, flows with their edge counts
+   and both weights; members are the hosts), then the server cards.
+   Processor ids are written as their rank among the live ones. *)
+let state_key t =
+  let live = Arena.live_ids t.arena in
+  let rank = Array.make (Array.length t.procs) (-1) in
+  List.iteri (fun r u -> rank.(u) <- r) live;
+  let b = Buffer.create 4096 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let row r ~key =
+    int r.len;
+    for p = r.off to r.off + r.len - 1 do
+      int (key r.s.key.(p));
+      int r.s.aux.(p)
+    done
+  in
+  Array.iter (fun u -> int (if u < 0 then -1 else rank.(u))) t.host;
+  List.iter
+    (fun u ->
+      let c = t.configs.(u) and p = t.procs.(u) in
+      List.iter float
+        [ c.cpu.speed; c.cpu.cpu_cost; c.nic.bandwidth; c.nic.nic_cost ];
+      Array.iter float p.loads;
+      Array.iter int p.link_entries;
+      row p.needs ~key:Fun.id;
+      row p.dls ~key:Fun.id;
+      row p.flows ~key:(fun v -> rank.(v));
+      for q = p.flows.off to p.flows.off + p.flows.len - 1 do
+        float p.flows.s.fa.(q);
+        float p.flows.s.fb.(q)
+      done)
+    live;
+  Array.iter float t.card_load;
+  Array.iter int t.card_entries;
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Demand queries and probes                                           *)
 

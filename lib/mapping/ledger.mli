@@ -67,6 +67,15 @@ val generation : t -> proc_id -> int
     exactly while the stamps are unchanged (the candidate-queue
     invalidation protocol, DESIGN.md §16). *)
 
+val state_key : t -> string
+(** The whole state probes and commits read — hosts, configs, loads,
+    need counts, download plans, pair flows with both weights, server
+    cards — as a string, with processor ids written as their rank among
+    the live ones.  Two ledgers over the same view with equal keys
+    answer every probe alike up to that renumbering, and as ids are
+    never reused, each hands out its next id above all its live ones.
+    O(size of the state). *)
+
 val add_operator : t -> proc_id -> int -> unit
 (** O(degree).  Raises [Invalid_argument] if already assigned. *)
 

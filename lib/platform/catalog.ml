@@ -2,7 +2,12 @@ type cpu = { speed : float; cpu_cost : float }
 type nic = { bandwidth : float; nic_cost : float }
 type config = { cpu : cpu; nic : nic }
 
-type t = { chassis_cost : float; cpus : cpu array; nics : nic array }
+type t = {
+  chassis_cost : float;
+  cpus : cpu array;
+  nics : nic array;
+  configs : config list;
+}
 
 let check_sorted name capacity cost options =
   let n = Array.length options in
@@ -14,11 +19,31 @@ let check_sorted name capacity cost options =
       invalid_arg ("Catalog.make: " ^ name ^ " costs must increase")
   done
 
+let config_cost_of chassis_cost config =
+  chassis_cost +. config.cpu.cpu_cost +. config.nic.nic_cost
+
+(* [configs]: every CPU x NIC combination, sorted once, here: cost, then
+   speed. *)
+let build chassis_cost cpus nics =
+  let all = ref [] in
+  Array.iter
+    (fun cpu -> Array.iter (fun nic -> all := { cpu; nic } :: !all) nics)
+    cpus;
+  let cost = config_cost_of chassis_cost in
+  let configs =
+    List.sort
+      (fun a b ->
+        let c = compare (cost a) (cost b) in
+        if c <> 0 then c else compare a.cpu.speed b.cpu.speed)
+      !all
+  in
+  { chassis_cost; cpus; nics; configs }
+
 let make ~chassis_cost ~cpus ~nics =
   if chassis_cost < 0.0 then invalid_arg "Catalog.make: negative chassis cost";
   check_sorted "CPU" (fun c -> c.speed) (fun c -> c.cpu_cost) cpus;
   check_sorted "NIC" (fun c -> c.bandwidth) (fun c -> c.nic_cost) nics;
-  { chassis_cost; cpus = Array.copy cpus; nics = Array.copy nics }
+  build chassis_cost (Array.copy cpus) (Array.copy nics)
 
 (* Paper Table 1.  Speeds: GHz x 1000 -> Mops/s.  Bandwidths:
    Gbps x 125 -> MB/s.  Costs are the upgrade price over the $7,548
@@ -47,16 +72,11 @@ let homogeneous t ~cpu_index ~nic_index =
     invalid_arg "Catalog.homogeneous: cpu_index out of range";
   if nic_index < 0 || nic_index >= Array.length t.nics then
     invalid_arg "Catalog.homogeneous: nic_index out of range";
-  {
-    chassis_cost = t.chassis_cost;
-    cpus = [| t.cpus.(cpu_index) |];
-    nics = [| t.nics.(nic_index) |];
-  }
+  build t.chassis_cost [| t.cpus.(cpu_index) |] [| t.nics.(nic_index) |]
 
 let is_homogeneous t = Array.length t.cpus = 1 && Array.length t.nics = 1
 
-let config_cost t config =
-  t.chassis_cost +. config.cpu.cpu_cost +. config.nic.nic_cost
+let config_cost t config = config_cost_of t.chassis_cost config
 
 let best t =
   {
@@ -66,22 +86,12 @@ let best t =
 
 let cheapest t = { cpu = t.cpus.(0); nic = t.nics.(0) }
 
-let configs t =
-  let all = ref [] in
-  Array.iter
-    (fun cpu -> Array.iter (fun nic -> all := { cpu; nic } :: !all) t.nics)
-    t.cpus;
-  List.sort
-    (fun a b ->
-      let c = compare (config_cost t a) (config_cost t b) in
-      if c <> 0 then c else compare a.cpu.speed b.cpu.speed)
-    !all
-
-let fits config ~speed ~bandwidth =
-  config.cpu.speed >= speed && config.nic.bandwidth >= bandwidth
+let configs t = t.configs
 
 let cheapest_satisfying t ~speed ~bandwidth =
-  List.find_opt (fun c -> fits c ~speed ~bandwidth) (configs t)
+  List.find_opt
+    (fun c -> c.cpu.speed >= speed && c.nic.bandwidth >= bandwidth)
+    t.configs
 
 let label c = Printf.sprintf "cpu%.0f/nic%.0f" c.cpu.speed c.nic.bandwidth
 

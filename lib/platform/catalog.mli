@@ -16,6 +16,11 @@ type config = { cpu : cpu; nic : nic }
 
 type t
 
+(* lint: allow t3 — input of test/test_platform.ml configs = from-scratch sort *)
+val make : chassis_cost:float -> cpus:cpu array -> nics:nic array -> t
+(** Options must be non-empty, sorted strictly increasing in capacity,
+    and strictly increasing in cost. *)
+
 val dell_2008 : t
 (** The exact Table 1 catalog. *)
 
@@ -36,15 +41,12 @@ val cheapest : t -> config
 
 val configs : t -> config list
 (** All CPU x NIC combinations, sorted by increasing cost (ties: slower
-    CPU first). *)
+    CPU first).  Sorted once, when the catalog is built. *)
 
 val cheapest_satisfying : t -> speed:float -> bandwidth:float -> config option
 (** Least-cost configuration with [cpu.speed >= speed] and
     [nic.bandwidth >= bandwidth]; [None] when even {!best} does not
     qualify. *)
-
-val fits : config -> speed:float -> bandwidth:float -> bool
-(** Capacity test used both by provisioning and by downgrading. *)
 
 val label : config -> string
 (** Compact stable identifier, e.g. ["cpu11720/nic125"] — used by the

@@ -158,3 +158,124 @@ let enumerate_shapes ~n_object_types ~leaves =
       r
   in
   shapes (List.sort compare leaves) |> List.map (Optree.of_spec ~n_object_types)
+
+(* ------------------------------------------------------------------ *)
+(* Placement loops that re-sort their candidates every round           *)
+
+(* The placement loops whose production versions sort each static
+   order once per run and filter it every round: here every round
+   rebuilds the unassigned pool and re-sorts it, and Object-Grouping's
+   comparator recomputes popularity sums and object sets on every
+   comparison.  Production must commit exactly what these commit. *)
+
+module Builder = Insp.Builder
+module Common = Insp_heuristics.Common
+module Graph = Insp.Graph
+
+let object_set g i = List.sort_uniq compare (Graph.leaves g i)
+
+let by_work_desc g ops =
+  let work = g.Graph.work in
+  List.sort
+    (fun a b ->
+      let c = compare work.(b) work.(a) in
+      if c <> 0 then c else compare a b)
+    ops
+
+let resort_place_rest b =
+  let g = Builder.graph b in
+  let spend = Common.round_budget b in
+  let rec loop () =
+    match by_work_desc g (Builder.unassigned b) with
+    | [] -> Ok b
+    | heaviest :: _ ->
+      if not (spend ()) then Common.not_converged
+      else (
+        match Common.acquire_with_grouping b ~style:`Best heaviest with
+        | Error e -> Error e
+        | Ok gid ->
+          Common.fill b gid (by_work_desc g (Builder.unassigned b));
+          loop ())
+  in
+  loop ()
+
+let resort_object_grouping _rng g platform =
+  let b = Builder.create g platform in
+  let is_al i = Graph.leaves g i <> [] in
+  let pop = Array.make (Insp.Objects.count g.Graph.objects) 0 in
+  for i = 0 to Graph.n_nodes g - 1 do
+    List.iter (fun k -> pop.(k) <- pop.(k) + 1) (object_set g i)
+  done;
+  let popularity_sum i =
+    List.fold_left (fun acc k -> acc +. float_of_int pop.(k)) 0.0
+      (object_set g i)
+  in
+  let shares_object a i =
+    List.exists (fun k -> List.mem k (object_set g i)) (object_set g a)
+  in
+  let by_popularity_desc ops =
+    List.sort
+      (fun a b ->
+        let c = compare (popularity_sum b) (popularity_sum a) in
+        if c <> 0 then c else compare a b)
+      ops
+  in
+  let spend = Common.round_budget b in
+  let rec rounds () =
+    if not (spend ()) then Common.not_converged
+    else
+      match List.filter is_al (Builder.unassigned b) |> by_popularity_desc with
+      | [] -> resort_place_rest b
+      | first :: others -> (
+        match Common.acquire_with_grouping b ~style:`Best first with
+        | Error e -> Error e
+        | Ok gid ->
+          Common.fill b gid
+            (by_popularity_desc (List.filter (shares_object first) others));
+          Common.fill b gid
+            (by_work_desc g
+               (List.filter (fun i -> not (is_al i)) (Builder.unassigned b)));
+          rounds ())
+  in
+  rounds ()
+
+let resort_object_availability _rng g platform =
+  let b = Builder.create g platform in
+  let n = Graph.n_nodes g in
+  let servers = platform.Insp.Platform.servers in
+  let by_availability_asc =
+    List.sort
+      (fun a b ->
+        let c =
+          compare
+            (Insp.Servers.availability servers a)
+            (Insp.Servers.availability servers b)
+        in
+        if c <> 0 then c else compare a b)
+      (Graph.distinct_objects g (List.init n Fun.id))
+  in
+  let spend = Common.round_budget b in
+  let rec pack_object k =
+    if not (spend ()) then Common.not_converged
+    else
+      let pending =
+        List.filter
+          (fun i -> Graph.leaves g i <> [] && List.mem k (object_set g i))
+          (Builder.unassigned b)
+        |> by_work_desc g
+      in
+      match pending with
+      | [] -> Ok ()
+      | first :: others -> (
+        match Common.acquire_with_grouping b ~style:`Best first with
+        | Error e -> Error e
+        | Ok gid ->
+          Common.fill b gid others;
+          pack_object k)
+  in
+  let rec objects = function
+    | [] -> resort_place_rest b
+    | k :: rest -> (
+      match pack_object k with Error e -> Error e | Ok () -> objects rest)
+  in
+  objects by_availability_asc

@@ -617,14 +617,7 @@ let compile_universe case files =
 
 let build_universe case files =
   let root = compile_universe case files in
-  let loaded = Cmt_loader.load ~src_root:root ~root () in
-  Callgraph.build
-    ~read_source:(fun f ->
-      let p = Filename.concat root f in
-      if Sys.file_exists p then
-        Some (In_channel.with_open_text p In_channel.input_all)
-      else None)
-    loaded
+  Callgraph.build (Cmt_loader.load ~root ())
 
 let deep_reports case files =
   List.map render (Deep.analyze (build_universe case files))
@@ -1025,6 +1018,68 @@ let test_repo_deep_clean () =
     Alcotest.(check int) "repo typedtrees are deep-clean (modulo baseline)" 0
       code
 
+(* Absolute roots must give the findings relative roots give: a
+   fixture universe linted once from inside with [.] roots and once
+   from the test directory with absolute ones, every finding written to
+   a baseline file per run.  The universe has a T1 race, a race waived
+   by a comment the deep pass must read through the source root, and
+   (not compiled) a wall-clock read in lib/obs/clock.ml, where D3 is
+   sanctioned. *)
+let test_absolute_roots () =
+  let root =
+    compile_universe "abs_roots"
+      (racy_files
+      @ [
+          ( "lib/mapping/quiet_race.ml",
+            "let hits = ref 0\n\
+             let run () =\n\
+             \  (* lint: allow t1 — joined before any read *)\n\
+             \  let d = Domain.spawn (fun () -> hits := !hits + 1) in\n\
+             \  Domain.join d\n" );
+        ])
+  in
+  let root = Filename.concat (Sys.getcwd ()) root in
+  mkdirs (Filename.concat root "lib/obs");
+  Out_channel.with_open_text (Filename.concat root "lib/obs/clock.ml")
+    (fun oc -> output_string oc "let now () = Unix.gettimeofday ()\n");
+  let findings ~cmt_root roots name =
+    let baseline = Filename.concat root name in
+    let code =
+      Driver.run
+        {
+          Driver.format = Driver.Text;
+          baseline = Some baseline;
+          update_baseline = true;
+          roots;
+          only = None;
+          deep = true;
+          cmt_root;
+          allow_stale = true;
+        }
+    in
+    Alcotest.(check int) (name ^ " written") 0 code;
+    In_channel.with_open_text baseline In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let cwd = Sys.getcwd () in
+  Sys.chdir root;
+  let relative =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () -> findings ~cmt_root:"." [ "lib" ] "relative.baseline")
+  in
+  let keys =
+    List.map (fun l -> String.sub l 0 (String.index l ':')) relative
+    |> List.filter (fun k -> k.[0] = 'T' || String.starts_with ~prefix:"D3" k)
+  in
+  Alcotest.(check (list string))
+    "relative roots: the one unwaived race, no D3" [ "T1 lib/mapping/leak.ml" ]
+    keys;
+  Alcotest.(check (list string))
+    "absolute roots give the same findings" relative
+    (findings ~cmt_root:root [ Filename.concat root "lib" ] "absolute.baseline")
+
 (* The shipped baseline must stay empty for lib/mapping and
    lib/heuristics: those directories pass with no baseline at all. *)
 let test_mapping_heuristics_clean_without_baseline () =
@@ -1151,6 +1206,8 @@ let () =
           Alcotest.test_case "path normalization" `Quick test_normalize;
           Alcotest.test_case "json golden" `Quick test_json_golden;
           Alcotest.test_case "porcelain paths" `Quick test_porcelain;
+          Alcotest.test_case "absolute roots = relative roots" `Quick
+            test_absolute_roots;
         ] );
       ( "integration",
         [

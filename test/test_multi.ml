@@ -633,6 +633,35 @@ let test_sbu_seed_rules () =
   | Error f -> Alcotest.fail (Dag_place.failure_message f)
   | Ok o -> Alcotest.(check int) "DAG rules group it with the root" 1 o.Dag_place.n_procs
 
+(* A set whose leftover loop cycles: from step 12 on, the same four
+   operators are released and placed again with the same states, ids
+   renumbered.  The loop must fail as the round budget would, long
+   before spending it: fewer probes than the budget's n² rounds, where
+   every round probes at least once. *)
+let test_place_cycle_exits () =
+  let apps, platform =
+    Insp.Multi_workload.instance ~seed:18037 ~n_apps:6 ~n_operators:60
+  in
+  let dag = Insp.Cse.share_apps apps in
+  let n = Insp.Graph.n_nodes (Dag.graph dag) in
+  let outcome, recorder =
+    Insp.Obs.with_sink (fun () -> Dag_place.run dag platform)
+  in
+  (match outcome with
+  | Ok _ -> Alcotest.fail "the cycling set must not place"
+  | Error f ->
+    Alcotest.(check string) "the budget's failure"
+      "placement failed: placement did not converge"
+      (Dag_place.failure_message f));
+  let probes =
+    Option.value ~default:0
+      (Insp.Obs_metrics.counter recorder.Insp.Obs.metrics "heur.probe")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes, fewer than n^2 = %d" probes (n * n))
+    true
+    (probes < n * n)
+
 (* ------------------------------------------------------------------ *)
 (* DAG execution (Dag.simulate)                                        *)
 
@@ -793,6 +822,8 @@ let () =
           Alcotest.test_case "six heuristics on shared DAGs" `Slow
             test_six_heuristics_on_dags;
           Alcotest.test_case "SBU seed rules" `Quick test_sbu_seed_rules;
+          Alcotest.test_case "cycling leftover loop exits" `Quick
+            test_place_cycle_exits;
         ] );
       ( "dag_runtime",
         [

@@ -62,7 +62,9 @@ let cheapest_satisfying_is_optimal =
     (fun (speed, bandwidth) ->
       let c = Catalog.dell_2008 in
       let brute =
-        List.filter (fun cfg -> Catalog.fits cfg ~speed ~bandwidth)
+        List.filter
+          (fun (cfg : Catalog.config) ->
+            cfg.cpu.speed >= speed && cfg.nic.bandwidth >= bandwidth)
           (Catalog.configs c)
         |> List.map (Catalog.config_cost c)
         |> function [] -> None | l -> Some (List.fold_left Float.min infinity l)
@@ -72,6 +74,57 @@ let cheapest_satisfying_is_optimal =
       | Some cfg, Some cost ->
         Helpers.float_eq (Catalog.config_cost c cfg) cost
       | _ -> false)
+
+(* [Catalog.configs] is sorted when the catalog is built; it must equal
+   a from-scratch sort by (cost, speed) of every CPU x NIC combination,
+   for random catalogs and each of their homogeneous restrictions.
+   Prices are small integers so cost ties between combinations are
+   common. *)
+let configs_match_fresh_sort =
+  let increasing rng len =
+    let acc = ref 0 in
+    Array.init len (fun _ ->
+        acc := !acc + 1 + Prng.int rng 3;
+        float_of_int !acc)
+  in
+  qtest "configs = from-scratch (cost, speed) sort" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n_cpus = 1 + Prng.int rng 5 and n_nics = 1 + Prng.int rng 5 in
+      let speeds = increasing rng n_cpus and cpu_costs = increasing rng n_cpus in
+      let bws = increasing rng n_nics and nic_costs = increasing rng n_nics in
+      let cpus =
+        Array.init n_cpus (fun i ->
+            { Catalog.speed = speeds.(i); cpu_cost = cpu_costs.(i) })
+      and nics =
+        Array.init n_nics (fun i ->
+            { Catalog.bandwidth = bws.(i); nic_cost = nic_costs.(i) })
+      in
+      let chassis_cost = float_of_int (Prng.int rng 10) in
+      let fresh cpus nics =
+        let cost (c : Catalog.config) =
+          chassis_cost +. c.cpu.cpu_cost +. c.nic.nic_cost
+        in
+        Array.to_list cpus
+        |> List.concat_map (fun cpu ->
+               Array.to_list nics
+               |> List.map (fun nic -> { Catalog.cpu; nic }))
+        |> List.sort (fun a b ->
+               let c = Float.compare (cost a) (cost b) in
+               if c <> 0 then c
+               else Float.compare a.Catalog.cpu.speed b.Catalog.cpu.speed)
+      in
+      let catalog = Catalog.make ~chassis_cost ~cpus ~nics in
+      Catalog.configs catalog = fresh cpus nics
+      && List.for_all
+           (fun cpu_index ->
+             List.for_all
+               (fun nic_index ->
+                 Catalog.configs
+                   (Catalog.homogeneous catalog ~cpu_index ~nic_index)
+                 = fresh [| cpus.(cpu_index) |] [| nics.(nic_index) |])
+               (List.init n_nics Fun.id))
+           (List.init n_cpus Fun.id))
 
 let test_homogeneous () =
   let c = Catalog.homogeneous Catalog.dell_2008 ~cpu_index:2 ~nic_index:1 in
@@ -185,6 +238,7 @@ let () =
           Alcotest.test_case "homogeneous" `Quick test_homogeneous;
           Alcotest.test_case "validation" `Quick test_catalog_validation;
           cheapest_satisfying_is_optimal;
+          configs_match_fresh_sort;
         ] );
       ( "servers",
         [

@@ -121,10 +121,22 @@ let test_comp_queue_equivalence () =
       agree (Printf.sprintf "sell case %d" k) inst)
     (sell_instances ())
 
+(* Each application's rho scaled apart, so a CSE view of the set has
+   nodes whose consumers impose different rates. *)
+let mixed_rates apps =
+  List.mapi
+    (fun k a ->
+      Insp.App.make
+        ~rho:(Insp.App.rho a *. (1.0 +. (0.35 *. float_of_int k)))
+        ~base_work:(Insp.App.base_work a)
+        ~work_factor:(Insp.App.work_factor a) ~tree:(Insp.App.tree a)
+        ~objects:(Insp.App.objects a) ~alpha:(Insp.App.alpha a) ())
+    apps
+
 (* The same oracle on shared DAGs whose applications demand different
    rates: the fast-forward's monotone order is [rate·work], not work, so
    a node's rank follows the rate its consumers impose.  CSE views of
-   correlated sets, each application's rho scaled apart. *)
+   correlated sets. *)
 let test_comp_scan_mixed_rates () =
   let comp = comp () and scan = scan () in
   let ran = ref 0 in
@@ -134,18 +146,7 @@ let test_comp_scan_mixed_rates () =
         let apps, platform =
           Insp.Multi_workload.instance ~seed ~n_apps ~n_operators
         in
-        let dag =
-          Insp.Cse.share_apps
-            (List.mapi
-               (fun k a ->
-                 Insp.App.make
-                   ~rho:(Insp.App.rho a *. (1.0 +. (0.35 *. float_of_int k)))
-                   ~base_work:(Insp.App.base_work a)
-                   ~work_factor:(Insp.App.work_factor a) ~tree:(Insp.App.tree a)
-                   ~objects:(Insp.App.objects a) ~alpha:(Insp.App.alpha a) ())
-               apps)
-        in
-        let g = Insp.Dag.graph dag in
+        let g = Insp.Dag.graph (Insp.Cse.share_apps (mixed_rates apps)) in
         let render h =
           render_outcome (Insp.Solve.run_graph ~seed:1 h g platform)
         in
@@ -158,6 +159,96 @@ let test_comp_scan_mixed_rates () =
       [ (2, 15); (3, 15); (2, 60); (3, 60) ]
   done;
   Alcotest.(check bool) "some mixed-rate DAGs solve" true (!ran > 0)
+
+(* Object-Grouping, Object-Availability and their Comp-Greedy tail
+   against the loops that re-sort every round (test/oracles.ml), on
+   paper instances up to N=100 at alpha 0.9 and 1.7, where the grouping
+   fallback sells processors and resurrects operators placed earlier
+   (at 0.9 also operators placed before the tail started), and on
+   mixed-rate CSE DAGs.  [sells] counts the cases where the oracle side
+   sold, so the resurrection path is known to be exercised. *)
+let static_order_pairs () =
+  let heuristic key =
+    match Insp.Solve.find key with
+    | Some h -> h
+    | None -> Alcotest.failf "%s heuristic missing" key
+  in
+  let oracle key placer =
+    Insp.Solve.make ~name:(key ^ " (re-sort)") ~key ~randomized:false placer
+  in
+  [
+    ( heuristic "objgroup",
+      oracle "objgroup" Oracles.resort_object_grouping );
+    ( heuristic "objavail",
+      oracle "objavail" Oracles.resort_object_availability );
+    ( Insp.Solve.make ~name:"place_rest" ~key:"rest" ~randomized:false
+        (fun _ g platform -> Common.place_rest (Builder.create g platform)),
+      oracle "rest" (fun _ g platform ->
+          Oracles.resort_place_rest (Builder.create g platform)) );
+  ]
+
+let sold f =
+  let outcome, recorder = Insp.Obs.with_sink f in
+  ( outcome,
+    Option.value ~default:0
+      (Insp.Obs_metrics.counter recorder.Insp.Obs.metrics "heur.sell")
+    > 0 )
+
+let test_static_orders_vs_resort () =
+  let pairs = static_order_pairs () in
+  let sells = Array.make (List.length pairs) 0 in
+  List.iter
+    (fun (n, alpha) ->
+      for seed = 1 to 12 do
+        let inst =
+          Insp.Instance.generate
+            (Insp.Config.make ~alpha ~seed ~n_operators:n ())
+        in
+        List.iteri
+          (fun k ((h : Insp.Solve.heuristic), oracle) ->
+            let expected, sold_any =
+              sold (fun () ->
+                  Insp.Solve.run ~seed:1 oracle inst.Insp.Instance.app
+                    inst.Insp.Instance.platform)
+            in
+            if sold_any then sells.(k) <- sells.(k) + 1;
+            Alcotest.(check string)
+              (Printf.sprintf "N=%d alpha %g seed %d: %s = re-sort oracle" n
+                 alpha seed h.Insp.Solve.key)
+              (render_outcome expected) (run_outcome h inst))
+          pairs
+      done)
+    (List.concat_map
+       (fun n -> [ (n, 0.9); (n, 1.7) ])
+       [ 20; 40; 60; 80; 100 ]);
+  Array.iteri
+    (fun k count ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %d sells on some instance" k)
+        true (count > 0))
+    sells
+
+let test_static_orders_mixed_rates () =
+  let pairs = static_order_pairs () in
+  for seed = 0 to 7 do
+    List.iter
+      (fun (n_apps, n_operators) ->
+        let apps, platform =
+          Insp.Multi_workload.instance ~seed ~n_apps ~n_operators
+        in
+        let g = Insp.Dag.graph (Insp.Cse.share_apps (mixed_rates apps)) in
+        List.iter
+          (fun ((h : Insp.Solve.heuristic), oracle) ->
+            let render h =
+              render_outcome (Insp.Solve.run_graph ~seed:1 h g platform)
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d, %d apps x %d ops: %s = re-sort oracle"
+                 seed n_apps n_operators h.Insp.Solve.key)
+              (render oracle) (render h))
+          pairs)
+      [ (2, 15); (3, 15); (2, 60); (3, 60) ]
+  done
 
 (* Every heuristic's solution on every corpus instance, one line per
    (instance, heuristic), against test/solutions.golden: a refactor of
@@ -237,7 +328,10 @@ let test_rank_walker_vs_scan () =
     let order =
       Array.of_list (Insp.Prng.sample_without_replacement rng n n)
     in
-    let rank = Rank.of_order order in
+    (* keys that rank [order] exactly *)
+    let key = Array.make n 0.0 in
+    Array.iteri (fun pos i -> key.(i) <- float_of_int (n - pos)) order;
+    let rank = Rank.descending key in
     Array.iteri
       (fun pos i -> Alcotest.(check int) "element" i (Rank.element rank pos))
       order;
@@ -265,6 +359,35 @@ let test_rank_walker_vs_scan () =
           Rank.reset rank
         end
     done
+  done
+
+(* The radix order against the comparator sort it replaces, on random
+   keys drawn from a small pool so ties are common: zeros of both signs,
+   subnormals, the extremes of the float range and ordinary loads. *)
+let test_rank_descending_vs_sort () =
+  let rng = Insp.Prng.create 23 in
+  let pool =
+    [| 0.0; -0.0; 5e-324; 1e-310; Float.min_float; 1e-300; 0.5; 1.0; 1.5;
+       2.0; 3.0; 1e12; 1e300; Float.max_float; infinity |]
+  in
+  for trial = 0 to 299 do
+    let n = Insp.Prng.int rng (if trial < 200 then 40 else 3000) in
+    let key =
+      Array.init n (fun _ ->
+          if Insp.Prng.int rng 4 = 0 then 1e6 *. Insp.Prng.float rng
+          else pool.(Insp.Prng.int rng (Array.length pool)))
+    in
+    let expected = Array.init n Fun.id in
+    Array.stable_sort
+      (fun a b ->
+        let c = Float.compare key.(b) key.(a) in
+        if c <> 0 then c else Int.compare a b)
+      expected;
+    let rank = Rank.descending key in
+    Alcotest.(check (array int))
+      (Printf.sprintf "trial %d (n=%d): radix = comparator sort" trial n)
+      expected
+      (Array.init n (Rank.element rank))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -317,6 +440,10 @@ let () =
             test_scale_preset_solves;
           Alcotest.test_case "comp: queue = scan on mixed-rate DAGs" `Quick
             test_comp_scan_mixed_rates;
+          Alcotest.test_case "static orders = re-sort oracles, with sells"
+            `Slow test_static_orders_vs_resort;
+          Alcotest.test_case "static orders = re-sort oracles on mixed-rate \
+                              DAGs" `Quick test_static_orders_mixed_rates;
         ] );
       ( "golden",
         [
@@ -329,6 +456,8 @@ let () =
         [
           Alcotest.test_case "first = linear scan under deaths and resets"
             `Quick test_rank_walker_vs_scan;
+          Alcotest.test_case "descending = comparator sort" `Quick
+            test_rank_descending_vs_sort;
         ] );
       ( "workload",
         [
