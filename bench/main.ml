@@ -54,13 +54,6 @@ let run_experiment ~quick ~jobs id =
    experiment, for trend tracking across commits. *)
 let bench_json ~quick results =
   let b = Buffer.create 4096 in
-  let esc s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"insp-bench-v1\",\n";
   Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
@@ -69,8 +62,8 @@ let bench_json ~quick results =
     (fun i (id, wall_s, (recorder : Insp.Obs.t)) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\n    {\"id\": \"%s\", \"wall_s\": %.3f" (esc id)
-           wall_s);
+        (Printf.sprintf "\n    {\"id\": %s, \"wall_s\": %.3f"
+           (Insp.Obs_jsonc.string id) wall_s);
       let snapshot = Insp.Obs_metrics.snapshot recorder.Insp.Obs.metrics in
       let fields kind select =
         let entries = List.filter_map select snapshot in
@@ -79,7 +72,8 @@ let bench_json ~quick results =
           List.iteri
             (fun j (name, v) ->
               if j > 0 then Buffer.add_string b ", ";
-              Buffer.add_string b (Printf.sprintf "\"%s\": %s" (esc name) v))
+              Buffer.add_string b
+                (Printf.sprintf "%s: %s" (Insp.Obs_jsonc.string name) v))
             entries;
           Buffer.add_char b '}'
         end

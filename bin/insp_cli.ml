@@ -104,6 +104,21 @@ let write_prof base recorder =
     "wrote allocation profile to %s.{report,csv,alloc.folded,time.folded}@."
     base
 
+(* Write the requested Chrome trace, metrics CSV and allocation profile
+   of a filled sink. *)
+let export_obs ~trace ~metrics ~profile recorder =
+  Option.iter
+    (fun path ->
+      Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
+      Format.printf "wrote Chrome trace to %s@." path)
+    trace;
+  Option.iter
+    (fun path ->
+      Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
+      Format.printf "wrote metrics CSV to %s@." path)
+    metrics;
+  Option.iter (fun base -> write_prof base recorder) profile
+
 (* Run [f] under a fresh observability sink when an export was requested;
    otherwise the engines' instrumentation stays a no-op. *)
 let with_obs ~trace ~metrics ?(profile = None) f =
@@ -112,19 +127,27 @@ let with_obs ~trace ~metrics ?(profile = None) f =
     let code, recorder =
       Insp.Obs.with_sink ~profile:(profile <> None) f
     in
-    Option.iter
-      (fun path ->
-        Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-        Format.printf "wrote Chrome trace to %s@." path)
-      trace;
-    Option.iter
-      (fun path ->
-        Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-        Format.printf "wrote metrics CSV to %s@." path)
-      metrics;
-    Option.iter (fun base -> write_prof base recorder) profile;
+    export_obs ~trace ~metrics ~profile recorder;
     code
   end
+
+(* Continue with the heuristic named [key], or report it unknown and
+   exit 2. *)
+let find_heuristic key k =
+  match Insp.Solve.find key with
+  | Some h -> k h
+  | None ->
+    prerr_endline ("unknown heuristic: " ^ key);
+    exit_unknown_name
+
+(* [find_heuristic], where ["all"] names every heuristic. *)
+let find_heuristics key k =
+  if key = "all" then k Insp.Solve.all
+  else find_heuristic key (fun h -> k [ h ])
+
+(* Commands that run one heuristic read ["all"] (the default) as the
+   paper's best performer. *)
+let single_key key = if key = "all" then "sbu" else key
 
 (* ------------------------------------------------------------------ *)
 (* Decision journal helpers                                            *)
@@ -147,54 +170,47 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Run every requested heuristic under a journaling sink and return the
-   outcomes plus the canonical JSONL (manifest first).  The manifest
+(* Run the heuristics [hs] under a journaling sink and return the
+   outcomes plus the recorder, whose journal carries a manifest.  The manifest
    makes the journal self-describing: same file, years later, still
    names the instance it explains. *)
-let journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth () =
+let journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth hs =
   let cfg = Insp.Config.make ~n_operators:n ~alpha ~sizes ~freq ~seed () in
-  let heuristics =
-    if heuristic = "all" then Some Insp.Solve.all
-    else Option.map (fun h -> [ h ]) (Insp.Solve.find heuristic)
+  let inst = Insp.Instance.generate cfg in
+  let results, recorder =
+    Insp.Obs.with_sink ~journal:true ~journal_depth:depth (fun () ->
+        List.map
+          (fun (h : Insp.Solve.heuristic) ->
+            ( h,
+              Insp.Solve.run ~seed h inst.Insp.Instance.app
+                inst.Insp.Instance.platform ))
+          hs)
   in
-  match heuristics with
-  | None -> None
-  | Some hs ->
-    let inst = Insp.Instance.generate cfg in
-    let results, recorder =
-      Insp.Obs.with_sink ~journal:true ~journal_depth:depth (fun () ->
-          List.map
-            (fun (h : Insp.Solve.heuristic) ->
-              ( h,
-                Insp.Solve.run ~seed h inst.Insp.Instance.app
-                  inst.Insp.Instance.platform ))
-            hs)
-    in
-    Journal.set_manifest recorder.Insp.Obs.journal
-      {
-        Journal.m_seed = seed;
-        m_config_hash =
-          Journal.hash_hex (Format.asprintf "%a" Insp.Config.pp cfg);
-        m_heuristic = heuristic;
-        m_args =
-          [
-            ("n", string_of_int n);
-            ("alpha", Printf.sprintf "%g" alpha);
-            ( "sizes",
-              match sizes with
-              | Insp.Config.Small -> "small"
-              | Insp.Config.Large -> "large"
-              | Insp.Config.Custom_sizes (lo, hi) ->
-                Printf.sprintf "custom(%g..%g)" lo hi );
-            ( "freq",
-              match freq with
-              | Insp.Config.High -> "high"
-              | Insp.Config.Low -> "low"
-              | Insp.Config.Custom f -> Printf.sprintf "%g" f );
-            ("journal-depth", string_of_int depth);
-          ];
-      };
-    Some (results, recorder)
+  Journal.set_manifest recorder.Insp.Obs.journal
+    {
+      Journal.m_seed = seed;
+      m_config_hash =
+        Journal.hash_hex (Format.asprintf "%a" Insp.Config.pp cfg);
+      m_heuristic = heuristic;
+      m_args =
+        [
+          ("n", string_of_int n);
+          ("alpha", Printf.sprintf "%g" alpha);
+          ( "sizes",
+            match sizes with
+            | Insp.Config.Small -> "small"
+            | Insp.Config.Large -> "large"
+            | Insp.Config.Custom_sizes (lo, hi) ->
+              Printf.sprintf "custom(%g..%g)" lo hi );
+          ( "freq",
+            match freq with
+            | Insp.Config.High -> "high"
+            | Insp.Config.Low -> "low"
+            | Insp.Config.Custom f -> Printf.sprintf "%g" f );
+          ("journal-depth", string_of_int depth);
+        ];
+    };
+  (results, recorder)
 
 let solve_exit_code results =
   if List.exists (fun (_, r) -> Result.is_ok r) results then 0
@@ -209,6 +225,34 @@ let print_divergence (d : Journal.divergence) =
   side "<" d.Journal.div_left;
   side ">" d.Journal.div_right;
   Format.printf "first divergence at line %d@." d.Journal.div_line
+
+let write_journal path recorder =
+  let journal = recorder.Insp.Obs.journal in
+  Insp.Obs_export.save path (Journal.to_jsonl journal);
+  Format.printf "wrote decision journal to %s (%d events)@." path
+    (Journal.length journal)
+
+(* [--verify] of a command whose [once ()] runs it under a journaling
+   sink: run it again and require the journal, then the [part] that
+   [render] prints, to equal the first run's byte for byte.  Exit 0 if
+   they do, 1 at the first divergence. *)
+let verify_rerun ~cmd ~part ~render once (first, recorder) =
+  let jsonl r = Journal.to_jsonl r.Insp.Obs.journal in
+  let second, recorder2 = once () in
+  let failed what d =
+    Format.printf "%s verify: FAILED (%s)@." cmd what;
+    print_divergence d;
+    exit_infeasible
+  in
+  match Journal.diff (jsonl recorder) (jsonl recorder2) with
+  | Some d -> failed "journal" d
+  | None -> (
+    match Journal.diff (render first) (render second) with
+    | Some d -> failed part d
+    | None ->
+      Format.printf "%s verify: OK (%d journal events, byte-identical)@." cmd
+        (Journal.length recorder.Insp.Obs.journal);
+      0)
 
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
@@ -316,34 +360,21 @@ let solve_cmd =
       Insp.Dot.save (Insp.Dot.of_app inst.Insp.Instance.app) path;
       Format.printf "wrote %s@." path
     | None -> ());
+    find_heuristics heuristic @@ fun hs ->
     let results =
-      if heuristic = "all" then
-        Some
-          (Insp.Solve.run_all ~seed inst.Insp.Instance.app
-             inst.Insp.Instance.platform)
-      else
-        Option.map
-          (fun h ->
-            [
-              ( h,
-                Insp.Solve.run ~seed h inst.Insp.Instance.app
-                  inst.Insp.Instance.platform );
-            ])
-          (Insp.Solve.find heuristic)
+      List.map
+        (fun h ->
+          ( h,
+            Insp.Solve.run ~seed h inst.Insp.Instance.app
+              inst.Insp.Instance.platform ))
+        hs
     in
-    match results with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ heuristic);
-      exit_unknown_name
-    | Some results ->
-      print_outcomes inst results verbose;
-      (* Scale-preset runs skip the simulator/LP diagnostics: a DES pass
-         over a 10k-operator allocation allocates ~1000x the solve
-         itself and would drown the allocation profile `make prof` is
-         after. *)
-      if Insp.Obs.enabled () && not scale then obs_diagnostics inst results;
-      if List.exists (fun (_, r) -> Result.is_ok r) results then 0
-      else exit_infeasible
+    print_outcomes inst results verbose;
+    (* Scale-preset runs skip the simulator/LP diagnostics: a DES pass
+       over a 10k-operator allocation allocates ~1000x the solve itself
+       and would drown the allocation profile `make prof` is after. *)
+    if Insp.Obs.enabled () && not scale then obs_diagnostics inst results;
+    solve_exit_code results
   in
   let term =
     Term.(
@@ -367,27 +398,21 @@ let simulate_cmd =
   let run n alpha sizes freq seed heuristic horizon trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let inst = make_instance n alpha sizes freq seed in
-    let key = if heuristic = "all" then "sbu" else heuristic in
-    match Insp.Solve.find key with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ key);
-      exit_unknown_name
-    | Some h -> (
-      match
-        Insp.Solve.run ~seed h inst.Insp.Instance.app
-          inst.Insp.Instance.platform
-      with
-      | Error f ->
-        prerr_endline (Insp.Solve.failure_message f);
-        exit_infeasible
-      | Ok o ->
-        Format.printf "%s found %d processors for $%.0f@." h.name o.n_procs
-          o.cost;
-        let report = Insp.simulate ~horizon inst o.alloc in
-        Format.printf "%a@." Insp.Runtime.pp_report report;
-        Format.printf "sustains target: %b@."
-          (Insp.Runtime.sustains_target report);
-        0)
+    find_heuristic (single_key heuristic) @@ fun h ->
+    match
+      Insp.Solve.run ~seed h inst.Insp.Instance.app inst.Insp.Instance.platform
+    with
+    | Error f ->
+      prerr_endline (Insp.Solve.failure_message f);
+      exit_infeasible
+    | Ok o ->
+      Format.printf "%s found %d processors for $%.0f@." h.name o.n_procs
+        o.cost;
+      let report = Insp.simulate ~horizon inst o.alloc in
+      Format.printf "%a@." Insp.Runtime.pp_report report;
+      Format.printf "sustains target: %b@."
+        (Insp.Runtime.sustains_target report);
+      0
   in
   let term =
     Term.(
@@ -715,97 +740,59 @@ let serve_cmd =
   in
   let run seed apps tenants tenancy proc_budget card_scale resale reopt
       heuristic journal_out dump_out verify trace metrics profile =
-    let key = if heuristic = "all" then "sbu" else heuristic in
-    match Insp.Solve.find key with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ key);
-      exit_unknown_name
-    | Some h ->
-      let spec =
-        Insp.Serve_stream.make ~n_apps:apps ~n_tenants:tenants ~seed ()
+    let key = single_key heuristic in
+    find_heuristic key @@ fun h ->
+    let spec =
+      Insp.Serve_stream.make ~n_apps:apps ~n_tenants:tenants ~seed ()
+    in
+    let params =
+      Insp.Serve.make_params
+        ~base:(Insp.Config.make ~n_operators:60 ~seed ())
+        ~tenancy ~n_tenants:tenants ~proc_budget ~card_scale ~heuristic:h
+        ~resale ~reoptimize:reopt ()
+    in
+    let events = Insp.Serve_stream.events spec in
+    let once () =
+      let state, recorder =
+        Insp.Obs.with_sink ~journal:true ~profile:(profile <> None)
+          (fun () -> Insp.Serve.run params events)
       in
-      let params =
-        Insp.Serve.make_params
-          ~base:(Insp.Config.make ~n_operators:60 ~seed ())
-          ~tenancy ~n_tenants:tenants ~proc_budget ~card_scale ~heuristic:h
-          ~resale ~reoptimize:reopt ()
-      in
-      let events = Insp.Serve_stream.events spec in
-      let once () =
-        let state, recorder =
-          Insp.Obs.with_sink ~journal:true ~profile:(profile <> None)
-            (fun () -> Insp.Serve.run params events)
-        in
-        Journal.set_manifest recorder.Insp.Obs.journal
-          {
-            Journal.m_seed = seed;
-            m_config_hash =
-              Journal.hash_hex
-                (Format.asprintf "%a" Insp.Config.pp params.Insp.Serve.base);
-            m_heuristic = key;
-            m_args =
-              [
-                ("apps", string_of_int apps);
-                ("tenants", string_of_int tenants);
-                ("tenancy", Insp.Serve.tenancy_label tenancy);
-                ("proc-budget", string_of_int proc_budget);
-                ("card-scale", Printf.sprintf "%g" card_scale);
-                ("resale", Printf.sprintf "%g" resale);
-                ("reopt", string_of_bool reopt);
-              ];
-          };
-        (state, recorder)
-      in
-      let state, recorder = once () in
-      let jsonl = Journal.to_jsonl recorder.Insp.Obs.journal in
-      let dump = Insp.Serve.dump_state state in
-      let verify_code =
-        if not verify then 0
-        else begin
-          let state2, recorder2 = once () in
-          let jsonl2 = Journal.to_jsonl recorder2.Insp.Obs.journal in
-          match Journal.diff jsonl jsonl2 with
-          | Some d ->
-            Format.printf "serve verify: FAILED (journal)@.";
-            print_divergence d;
-            exit_infeasible
-          | None -> (
-            match Journal.diff dump (Insp.Serve.dump_state state2) with
-            | Some d ->
-              Format.printf "serve verify: FAILED (state dump)@.";
-              print_divergence d;
-              exit_infeasible
-            | None ->
-              Format.printf
-                "serve verify: OK (%d journal events, byte-identical)@."
-                (Journal.length recorder.Insp.Obs.journal);
-              0)
-        end
-      in
-      print_serve_summary state;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path jsonl;
-          Format.printf "wrote decision journal to %s (%d events)@." path
-            (Journal.length recorder.Insp.Obs.journal))
-        journal_out;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path dump;
-          Format.printf "wrote state dump to %s@." path)
-        dump_out;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-          Format.printf "wrote Chrome trace to %s@." path)
-        trace;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-          Format.printf "wrote metrics CSV to %s@." path)
-        metrics;
-      Option.iter (fun base -> write_prof base recorder) profile;
-      verify_code
+      Journal.set_manifest recorder.Insp.Obs.journal
+        {
+          Journal.m_seed = seed;
+          m_config_hash =
+            Journal.hash_hex
+              (Format.asprintf "%a" Insp.Config.pp params.Insp.Serve.base);
+          m_heuristic = key;
+          m_args =
+            [
+              ("apps", string_of_int apps);
+              ("tenants", string_of_int tenants);
+              ("tenancy", Insp.Serve.tenancy_label tenancy);
+              ("proc-budget", string_of_int proc_budget);
+              ("card-scale", Printf.sprintf "%g" card_scale);
+              ("resale", Printf.sprintf "%g" resale);
+              ("reopt", string_of_bool reopt);
+            ];
+        };
+      (state, recorder)
+    in
+    let ((state, recorder) as run) = once () in
+    let verify_code =
+      if verify then
+        verify_rerun ~cmd:"serve" ~part:"state dump"
+          ~render:Insp.Serve.dump_state once run
+      else 0
+    in
+    print_serve_summary state;
+    Option.iter (fun path -> write_journal path recorder) journal_out;
+    Option.iter
+      (fun path ->
+        Insp.Obs_export.save path (Insp.Serve.dump_state state);
+        Format.printf "wrote state dump to %s@." path)
+      dump_out;
+    export_obs ~trace ~metrics ~profile recorder;
+    verify_code
   in
   let term =
     Term.(
@@ -915,139 +902,101 @@ let faults_cmd =
   in
   let run seed n alpha sizes freq events mean_burst no_measure max_procs
       no_rebuy harden_k heuristic journal_out verify trace metrics profile =
-    let key = if heuristic = "all" then "sbu" else heuristic in
-    match Insp.Solve.find key with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ key);
-      exit_unknown_name
-    | Some h -> (
-      let inst = make_instance n alpha sizes freq seed in
-      match Insp.Solve.run ~seed h inst.Insp.Instance.app inst.Insp.Instance.platform with
-      | Error f ->
-        prerr_endline ("initial solve failed: " ^ Insp.Solve.failure_message f);
+    let key = single_key heuristic in
+    find_heuristic key @@ fun h ->
+    let inst = make_instance n alpha sizes freq seed in
+    match
+      Insp.Solve.run ~seed h inst.Insp.Instance.app inst.Insp.Instance.platform
+    with
+    | Error f ->
+      prerr_endline ("initial solve failed: " ^ Insp.Solve.failure_message f);
+      exit_infeasible
+    | Ok o -> (
+      let hardened =
+        match harden_k with
+        | None -> Ok None
+        | Some k ->
+          Result.map
+            (fun hd -> Some hd)
+            (Insp.Redundancy.harden ~k inst.Insp.Instance.app
+               inst.Insp.Instance.platform o.Insp.Solve.alloc)
+      in
+      match hardened with
+      | Error msg ->
+        prerr_endline ("harden failed: " ^ msg);
         exit_infeasible
-      | Ok o -> (
-        let hardened =
-          match harden_k with
-          | None -> Ok None
-          | Some k ->
-            Result.map
-              (fun hd -> Some hd)
-              (Insp.Redundancy.harden ~k inst.Insp.Instance.app
-                 inst.Insp.Instance.platform o.Insp.Solve.alloc)
+      | Ok hardened ->
+        let base_alloc =
+          match hardened with
+          | Some hd -> hd.Insp.Redundancy.alloc
+          | None -> o.Insp.Solve.alloc
         in
-        match hardened with
-        | Error msg ->
-          prerr_endline ("harden failed: " ^ msg);
-          exit_infeasible
-        | Ok hardened ->
-          let base_alloc =
-            match hardened with
-            | Some hd -> hd.Insp.Redundancy.alloc
-            | None -> o.Insp.Solve.alloc
+        let timeline =
+          Insp.Fault_scenario.generate
+            (Insp.Fault_scenario.make ~seed ~n_events:events ~mean_burst ())
+        in
+        let spec =
+          Insp.Fault_engine.make_spec ?max_procs
+            ~allow_rebuy:(not no_rebuy) ~measure:(not no_measure)
+            ~heuristic:h ()
+        in
+        let once () =
+          let report, recorder =
+            Insp.Obs.with_sink ~journal:true ~profile:(profile <> None)
+              (fun () ->
+                Insp.Fault_engine.run spec inst.Insp.Instance.app
+                  inst.Insp.Instance.platform base_alloc timeline)
           in
-          let timeline =
-            Insp.Fault_scenario.generate
-              (Insp.Fault_scenario.make ~seed ~n_events:events ~mean_burst ())
-          in
-          let spec =
-            Insp.Fault_engine.make_spec ?max_procs
-              ~allow_rebuy:(not no_rebuy) ~measure:(not no_measure)
-              ~heuristic:h ()
-          in
-          let once () =
-            let report, recorder =
-              Insp.Obs.with_sink ~journal:true ~profile:(profile <> None)
-                (fun () ->
-                  Insp.Fault_engine.run spec inst.Insp.Instance.app
-                    inst.Insp.Instance.platform base_alloc timeline)
-            in
-            Journal.set_manifest recorder.Insp.Obs.journal
-              {
-                Journal.m_seed = seed;
-                m_config_hash =
-                  Journal.hash_hex
-                    (Format.asprintf "%a" Insp.Config.pp
-                       (Insp.Config.make ~n_operators:n ~alpha ~sizes ~freq
-                          ~seed ()));
-                m_heuristic = key;
-                m_args =
-                  [
-                    ("events", string_of_int events);
-                    ("mean-burst", string_of_int mean_burst);
-                    ("measure", string_of_bool (not no_measure));
-                    ("rebuy", string_of_bool (not no_rebuy));
-                    ( "max-procs",
-                      match max_procs with
-                      | Some p -> string_of_int p
-                      | None -> "none" );
-                    ( "harden",
-                      match harden_k with
-                      | Some k -> string_of_int k
-                      | None -> "none" );
-                  ];
-              };
-            (report, recorder)
-          in
-          let report, recorder = once () in
-          let jsonl = Journal.to_jsonl recorder.Insp.Obs.journal in
-          let rendered = Format.asprintf "%a" Insp.Fault_engine.pp_report report in
-          let verify_code =
-            if not verify then 0
-            else begin
-              let report2, recorder2 = once () in
-              let jsonl2 = Journal.to_jsonl recorder2.Insp.Obs.journal in
-              match Journal.diff jsonl jsonl2 with
-              | Some d ->
-                Format.printf "faults verify: FAILED (journal)@.";
-                print_divergence d;
-                exit_infeasible
-              | None -> (
-                match
-                  Journal.diff rendered
-                    (Format.asprintf "%a" Insp.Fault_engine.pp_report report2)
-                with
-                | Some d ->
-                  Format.printf "faults verify: FAILED (report)@.";
-                  print_divergence d;
-                  exit_infeasible
-                | None ->
-                  Format.printf
-                    "faults verify: OK (%d journal events, byte-identical)@."
-                    (Journal.length recorder.Insp.Obs.journal);
-                  0)
-            end
-          in
-          print_fault_episodes report;
-          Format.printf "%a@." Insp.Fault_engine.pp_report report;
-          Option.iter
-            (fun (hd : Insp.Redundancy.hardened) ->
-              Format.printf
-                "hardened for K=%d: %d spare(s), cost $%.0f (base $%.0f)@."
-                hd.Insp.Redundancy.k hd.spares hd.cost hd.base_cost)
-            hardened;
-          Option.iter
-            (fun path ->
-              Insp.Obs_export.save path jsonl;
-              Format.printf "wrote decision journal to %s (%d events)@." path
-                (Journal.length recorder.Insp.Obs.journal))
-            journal_out;
-          Option.iter
-            (fun path ->
-              Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-              Format.printf "wrote Chrome trace to %s@." path)
-            trace;
-          Option.iter
-            (fun path ->
-              Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-              Format.printf "wrote metrics CSV to %s@." path)
-            metrics;
-          Option.iter (fun base -> write_prof base recorder) profile;
-          if verify_code <> 0 then verify_code
-          else
-            match report.Insp.Fault_engine.infeasible_at with
-            | Some _ -> exit_infeasible
-            | None -> 0))
+          Journal.set_manifest recorder.Insp.Obs.journal
+            {
+              Journal.m_seed = seed;
+              m_config_hash =
+                Journal.hash_hex
+                  (Format.asprintf "%a" Insp.Config.pp
+                     (Insp.Config.make ~n_operators:n ~alpha ~sizes ~freq
+                        ~seed ()));
+              m_heuristic = key;
+              m_args =
+                [
+                  ("events", string_of_int events);
+                  ("mean-burst", string_of_int mean_burst);
+                  ("measure", string_of_bool (not no_measure));
+                  ("rebuy", string_of_bool (not no_rebuy));
+                  ( "max-procs",
+                    match max_procs with
+                    | Some p -> string_of_int p
+                    | None -> "none" );
+                  ( "harden",
+                    match harden_k with
+                    | Some k -> string_of_int k
+                    | None -> "none" );
+                ];
+            };
+          (report, recorder)
+        in
+        let ((report, recorder) as run) = once () in
+        let verify_code =
+          if verify then
+            verify_rerun ~cmd:"faults" ~part:"report"
+              ~render:(Format.asprintf "%a" Insp.Fault_engine.pp_report)
+              once run
+          else 0
+        in
+        print_fault_episodes report;
+        Format.printf "%a@." Insp.Fault_engine.pp_report report;
+        Option.iter
+          (fun (hd : Insp.Redundancy.hardened) ->
+            Format.printf
+              "hardened for K=%d: %d spare(s), cost $%.0f (base $%.0f)@."
+              hd.Insp.Redundancy.k hd.spares hd.cost hd.base_cost)
+          hardened;
+        Option.iter (fun path -> write_journal path recorder) journal_out;
+        export_obs ~trace ~metrics ~profile recorder;
+        if verify_code <> 0 then verify_code
+        else
+          match report.Insp.Fault_engine.infeasible_at with
+          | Some _ -> exit_infeasible
+          | None -> 0)
   in
   let term =
     Term.(
@@ -1096,25 +1045,13 @@ let journal_dump_cmd =
           ~doc:"Decision journal destination (canonical JSONL).")
   in
   let run n alpha sizes freq seed heuristic depth out trace metrics =
-    match journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth () with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ heuristic);
-      exit_unknown_name
-    | Some (results, recorder) ->
-      Insp.Obs_export.save out (Journal.to_jsonl recorder.Insp.Obs.journal);
-      Format.printf "wrote decision journal to %s (%d events)@." out
-        (Journal.length recorder.Insp.Obs.journal);
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-          Format.printf "wrote Chrome trace to %s@." path)
-        trace;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-          Format.printf "wrote metrics CSV to %s@." path)
-        metrics;
-      solve_exit_code results
+    find_heuristics heuristic @@ fun hs ->
+    let results, recorder =
+      journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth hs
+    in
+    write_journal out recorder;
+    export_obs ~trace ~metrics ~profile:None recorder;
+    solve_exit_code results
   in
   let term =
     Term.(
@@ -1159,29 +1096,24 @@ let journal_diff_cmd =
 
 let journal_verify_cmd =
   let run n alpha sizes freq seed heuristic depth =
+    find_heuristics heuristic @@ fun hs ->
     let once () =
-      Option.map
-        (fun (results, recorder) ->
-          (results, Journal.to_jsonl recorder.Insp.Obs.journal))
-        (journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth ())
+      let results, recorder =
+        journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth hs
+      in
+      (results, Journal.to_jsonl recorder.Insp.Obs.journal)
     in
-    match once () with
+    let results, first = once () in
+    let _, second = once () in
+    match Journal.diff first second with
     | None ->
-      prerr_endline ("unknown heuristic: " ^ heuristic);
-      exit_unknown_name
-    | Some (results, first) -> (
-      match once () with
-      | None -> exit_unknown_name
-      | Some (_, second) -> (
-        match Journal.diff first second with
-        | None ->
-          Format.printf "journal verify: OK (%d lines, byte-identical)@."
-            (List.length (String.split_on_char '\n' first) - 1);
-          solve_exit_code results
-        | Some d ->
-          Format.printf "journal verify: FAILED@.";
-          print_divergence d;
-          exit_infeasible))
+      Format.printf "journal verify: OK (%d lines, byte-identical)@."
+        (List.length (String.split_on_char '\n' first) - 1);
+      solve_exit_code results
+    | Some d ->
+      Format.printf "journal verify: FAILED@.";
+      print_divergence d;
+      exit_infeasible
   in
   let term =
     Term.(
@@ -1211,25 +1143,21 @@ let explain_cmd =
   let run n alpha sizes freq seed heuristic depth proc =
     (* "all" would interleave six pipelines; explain one heuristic's
        choice — default to the paper's best performer. *)
-    let heuristic = if heuristic = "all" then "sbu" else heuristic in
-    match journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth () with
-    | None ->
-      prerr_endline ("unknown heuristic: " ^ heuristic);
-      exit_unknown_name
-    | Some (_, recorder) -> (
-      let events = Journal.events recorder.Insp.Obs.journal in
-      match Journal.explain ~proc events with
-      | [] ->
-        Format.printf
-          "no decision chain for processor %d (infeasible run or index out \
-           of range)@."
-          proc;
-        exit_infeasible
-      | chain ->
-        List.iter
-          (fun ev -> print_endline (Journal.event_to_json ev))
-          chain;
-        0)
+    let heuristic = single_key heuristic in
+    find_heuristic heuristic @@ fun h ->
+    let _, recorder =
+      journaled_solve ~n ~alpha ~sizes ~freq ~seed ~heuristic ~depth [ h ]
+    in
+    match Journal.explain ~proc (Journal.events recorder.Insp.Obs.journal) with
+    | [] ->
+      Format.printf
+        "no decision chain for processor %d (infeasible run or index out of \
+         range)@."
+        proc;
+      exit_infeasible
+    | chain ->
+      List.iter (fun ev -> print_endline (Journal.event_to_json ev)) chain;
+      0
   in
   let term =
     Term.(

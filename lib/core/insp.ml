@@ -122,6 +122,6 @@ let solve ?(seed = 0) (inst : Instance.t) =
          first rest)
 
 (** Validate then execute a mapping in the discrete-event runtime. *)
-let simulate ?window ?horizon ?warmup (inst : Instance.t) alloc =
-  Runtime.run ?window ?horizon ?warmup inst.Instance.app
+let simulate ?horizon ?warmup (inst : Instance.t) alloc =
+  Runtime.run ?horizon ?warmup inst.Instance.app
     inst.Instance.platform alloc

@@ -123,7 +123,6 @@ val solve :
     outcome. *)
 
 val simulate :
-  ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
   Instance.t ->

@@ -1,9 +1,6 @@
 module Obs = Insp_obs.Obs
-module Prng = Insp_util.Prng
 
 let jobs_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 1)
-
-let default_jobs () = Domain.DLS.get jobs_key
 
 let with_jobs n f =
   if n < 1 then invalid_arg "Par_sweep.with_jobs: jobs < 1";
@@ -11,15 +8,10 @@ let with_jobs n f =
   Domain.DLS.set jobs_key n;
   Fun.protect ~finally:(fun () -> Domain.DLS.set jobs_key prev) f
 
-let map ?jobs f items =
-  let jobs =
-    match jobs with
-    | Some j -> if j < 1 then invalid_arg "Par_sweep.map: jobs < 1" else j
-    | None -> default_jobs ()
-  in
+let map f items =
   let items = Array.of_list items in
   let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
+  let jobs = max 1 (min (Domain.DLS.get jobs_key) n) in
   (* Every cell runs under its own fresh sink regardless of [jobs]:
      sequential and parallel runs record the exact same metrics and
      frame tree, and workers never share a registry or a tree. *)

@@ -1,8 +1,9 @@
 (** Deterministic domain-parallel sweep runner.
 
     Experiment sweeps decompose into independent (configuration, seed)
-    cells.  {!map} runs those cells across [jobs] {!Domain} workers
-    while guaranteeing output {e identical} to a sequential run:
+    cells.  {!map} runs those cells across the [jobs] {!Domain} workers
+    that {!with_jobs} sets, while guaranteeing output {e identical} to
+    a sequential run:
 
     - {b static partition} — cell [i] belongs to worker [i mod jobs];
       no work stealing, no scheduling dependence;
@@ -24,11 +25,11 @@ val with_jobs : int -> (unit -> 'a) -> 'a
     reaches sweep internals without threading a parameter through every
     experiment builder.  Raises [Invalid_argument] if [n < 1]. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] is [List.map f items], computed by [jobs]
-    domains (clamped to the number of items).  [f] must be safe to run
+val map : ('a -> 'b) -> 'a list -> 'b list
+(** [map f items] is [List.map f items], computed by as many domains
+    as the enclosing {!with_jobs} set (1 outside it), clamped to the
+    number of items.  [f] must be safe to run
     on a fresh domain and must not depend on ambient mutable state
     other than the observability sink.  If any cell raises, all workers
     are still joined and the lowest-indexed cell's exception is
-    re-raised.  [jobs] defaults to the count {!with_jobs} set (1
-    outside it). *)
+    re-raised. *)

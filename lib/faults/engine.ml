@@ -10,32 +10,33 @@ module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
 type spec = {
-  detect_s : float;
-  migrate_s : float;
-  provision_s : float;
   max_procs : int option;
   allow_rebuy : bool;
   measure : bool;
-  slice_s : float;
   heuristic : Solve.heuristic;
 }
+
+(* Repair downtime: detection latency per repair, plus a charge per
+   migrated operator and per rebought processor (seconds). *)
+let detect_s = 1.0
+let migrate_s = 0.5
+let provision_s = 5.0
+
+(* Post-restoration DES observation window of a measured capacity
+   fault (seconds). *)
+let slice_s = 10.0
 
 let default_heuristic =
   match Solve.find "sbu" with
   | Some h -> h
   | None -> invalid_arg "Faults.Engine: sbu heuristic missing"
 
-let make_spec ?(detect_s = 1.0) ?(migrate_s = 0.5) ?(provision_s = 5.0)
-    ?max_procs ?(allow_rebuy = true) ?(measure = true) ?(slice_s = 10.0)
-    ?heuristic () =
-  if detect_s < 0.0 || migrate_s < 0.0 || provision_s < 0.0 then
-    invalid_arg "Engine.make_spec: negative delay";
-  if slice_s <= 0.0 then invalid_arg "Engine.make_spec: slice_s <= 0";
+let make_spec ?max_procs ?(allow_rebuy = true) ?(measure = true) ?heuristic ()
+    =
   let heuristic =
     match heuristic with Some h -> h | None -> default_heuristic
   in
-  { detect_s; migrate_s; provision_s; max_procs; allow_rebuy; measure;
-    slice_s; heuristic }
+  { max_procs; allow_rebuy; measure; heuristic }
 
 type episode = {
   ep_t : float;
@@ -153,9 +154,9 @@ let run spec app0 platform alloc0 timeline =
     | Ok o ->
       alloc := o.Repair.alloc;
       let downtime =
-        spec.detect_s
-        +. (spec.migrate_s *. float_of_int o.Repair.migrations)
-        +. (spec.provision_s *. float_of_int o.Repair.rebuys)
+        detect_s
+        +. (migrate_s *. float_of_int o.Repair.migrations)
+        +. (provision_s *. float_of_int o.Repair.rebuys)
       in
       if Obs.journaling () then
         Obs.event
@@ -200,9 +201,7 @@ let run spec app0 platform alloc0 timeline =
       | Ok o ->
         alloc := o.Solve.alloc;
         let moved = App.n_operators !app in
-        let downtime =
-          spec.detect_s +. (spec.migrate_s *. float_of_int moved)
-        in
+        let downtime = detect_s +. (migrate_s *. float_of_int moved) in
         let cost = o.Solve.cost -. old_cost in
         if Obs.journaling () then
           Obs.event
@@ -236,7 +235,7 @@ let run spec app0 platform alloc0 timeline =
         | None -> (None, None)
         | Some (scope, d_factor, duration) ->
           let settle = 4.0 in
-          let horizon = settle +. duration +. spec.slice_s in
+          let horizon = settle +. duration +. slice_s in
           let d =
             { Runtime.d_scope = scope; d_from = settle;
               d_until = settle +. duration; d_factor }

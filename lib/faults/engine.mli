@@ -23,30 +23,24 @@
     journals. *)
 
 type spec = {
-  detect_s : float;  (** failure-detection latency charged per repair *)
-  migrate_s : float;  (** downtime charged per migrated operator *)
-  provision_s : float;  (** downtime charged per rebought processor *)
   max_procs : int option;  (** cap on the repaired processor count *)
   allow_rebuy : bool;  (** false = migration-only repair *)
   measure : bool;  (** false skips the DES replay of capacity faults *)
-  slice_s : float;  (** post-restoration DES observation window (s) *)
   heuristic : Insp_heuristics.Solve.heuristic;  (** for rho redeploys *)
 }
 
 val make_spec :
-  ?detect_s:float ->
-  ?migrate_s:float ->
-  ?provision_s:float ->
   ?max_procs:int ->
   ?allow_rebuy:bool ->
   ?measure:bool ->
-  ?slice_s:float ->
   ?heuristic:Insp_heuristics.Solve.heuristic ->
   unit ->
   spec
-(** Defaults: detect 1 s, migrate 0.5 s/op, provision 5 s/proc, no
-    processor cap, rebuy allowed, DES measurement on with a 10 s
-    observation window, Subtree-bottom-up for redeploys. *)
+(** Defaults: no processor cap, rebuy allowed, DES measurement on,
+    Subtree-bottom-up for redeploys.  The delays are constants: a
+    repair's downtime is 1 s of detection plus 0.5 s per migrated
+    operator plus 5 s per rebought processor, and a measured capacity
+    fault is observed for 10 s after its restoration. *)
 
 type episode = {
   ep_t : float;

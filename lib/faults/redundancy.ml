@@ -38,9 +38,11 @@ type hardened = {
   cost : float;
 }
 
-let harden ?(k = 1) ?(max_spares = 8) app platform alloc =
+(* Spares bought before [harden] gives up. *)
+let max_spares = 8
+
+let harden ?(k = 1) app platform alloc =
   if k < 0 then invalid_arg "Redundancy.harden: k < 0";
-  if max_spares < 0 then invalid_arg "Redundancy.harden: max_spares < 0";
   let catalog = platform.Platform.catalog in
   let base_cost = Cost.of_alloc catalog alloc in
   let all_survive a = first_failing app platform a ~k = None in
@@ -74,6 +76,5 @@ let harden ?(k = 1) ?(max_spares = 8) app platform alloc =
     Obs.incr ~by:spares "faults.redundancy.spares";
     Ok { alloc = !best; k; spares; base_cost; cost = Cost.of_alloc catalog !best }
 
-let frontier ?(k_max = 1) ?max_spares app platform alloc =
-  List.init (k_max + 1) (fun k ->
-      (k, harden ~k ?max_spares app platform alloc))
+let frontier ?(k_max = 1) app platform alloc =
+  List.init (k_max + 1) (fun k -> (k, harden ~k app platform alloc))

@@ -20,18 +20,16 @@ type hardened = {
 
 val harden :
   ?k:int ->
-  ?max_spares:int ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   (hardened, string) result
-(** [harden app platform alloc] (defaults [k = 1], [max_spares = 8]).
-    [Error] when the property is still violated after [max_spares]
-    spares.  [k = 0] verifies plain feasibility and buys nothing. *)
+(** [harden app platform alloc] (default [k = 1]).  [Error] when the
+    property is still violated after 8 spares.  [k = 0] verifies plain
+    feasibility and buys nothing. *)
 
 val frontier :
   ?k_max:int ->
-  ?max_spares:int ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->

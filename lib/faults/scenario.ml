@@ -14,7 +14,6 @@ type spec = {
   seed : int;
   horizon : float;
   n_events : int;
-  n_servers : int;
   mean_burst : int;
   crash_w : int;
   degrade_w : int;
@@ -23,21 +22,24 @@ type spec = {
   rho_w : int;
 }
 
-let make ?(horizon = 200.0) ?(n_events = 12) ?(n_servers = 6)
-    ?(mean_burst = 1) ?(crash_w = 4) ?(degrade_w = 2) ?(outage_w = 1)
-    ?(jitter_w = 2) ?(rho_w = 1) ~seed () =
+let make ?(horizon = 200.0) ?(n_events = 12) ?(mean_burst = 1) ?(crash_w = 4)
+    ?(degrade_w = 2) ?(outage_w = 1) ?(jitter_w = 2) ?(rho_w = 1) ~seed () =
   if horizon <= 0.0 then invalid_arg "Scenario.make: horizon <= 0";
   if n_events < 0 then invalid_arg "Scenario.make: n_events < 0";
-  if n_servers < 1 then invalid_arg "Scenario.make: n_servers < 1";
   if mean_burst < 1 then invalid_arg "Scenario.make: mean_burst < 1";
   if crash_w < 0 || degrade_w < 0 || outage_w < 0 || jitter_w < 0 || rho_w < 0
   then invalid_arg "Scenario.make: negative weight";
   if crash_w + degrade_w + outage_w + jitter_w + rho_w = 0 then
     invalid_arg "Scenario.make: all weights zero";
   {
-    seed; horizon; n_events; n_servers; mean_burst; crash_w; degrade_w;
-    outage_w; jitter_w; rho_w;
+    seed; horizon; n_events; mean_burst; crash_w; degrade_w; outage_w;
+    jitter_w; rho_w;
   }
+
+(* Server-outage draws are bounded by the paper platform's six data
+   servers (PAPER.md §1); the engine reduces them modulo the actual
+   server count. *)
+let n_servers = 6
 
 (* Fault kinds are drawn by integer weight in a fixed order, so the
    timeline is a pure function of the spec.  Victim / link endpoints
@@ -63,7 +65,7 @@ let draw_fault spec rng =
     `Degrade
       (Server_outage
          {
-           server = Prng.int rng spec.n_servers;
+           server = Prng.int rng n_servers;
            duration = Prng.float_range rng 2.0 8.0;
          })
   else if k < spec.crash_w + spec.degrade_w + spec.outage_w + spec.jitter_w

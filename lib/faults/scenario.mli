@@ -28,7 +28,6 @@ type spec = {
   seed : int;
   horizon : float;  (** mean timeline extent (s) *)
   n_events : int;  (** scheduled events; crash bursts may expand them *)
-  n_servers : int;  (** bound for server-outage draws *)
   mean_burst : int;  (** crash burst sizes, see {!Insp_serve.Stream.burst_size} *)
   crash_w : int;  (** integer draw weights, fixed order *)
   degrade_w : int;
@@ -40,7 +39,6 @@ type spec = {
 val make :
   ?horizon:float ->
   ?n_events:int ->
-  ?n_servers:int ->
   ?mean_burst:int ->
   ?crash_w:int ->
   ?degrade_w:int ->
@@ -50,9 +48,9 @@ val make :
   seed:int ->
   unit ->
   spec
-(** Defaults: horizon 200 s, 12 events over 6 servers, no bursts,
-    weights crash 4 / degrade 2 / outage 1 / jitter 2 / rho 1.
-    Validates ranges. *)
+(** Defaults: horizon 200 s, 12 events, no bursts, weights crash 4 /
+    degrade 2 / outage 1 / jitter 2 / rho 1.  Server-outage draws range
+    over 6 servers, the paper platform's count.  Validates ranges. *)
 
 val generate : spec -> timed list
 (** The timeline, ascending in [at] (ties keep draw order). *)

@@ -71,8 +71,8 @@ let read path =
 
 let mtime path = try Some (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> None
 
-let load ?src_root ~root () =
-  let src_root = Option.value src_root ~default:(source_root root) in
+let load ~root () =
+  let src_root = source_root root in
   let files = find_files root in
   if files = [] then
     raise

@@ -42,9 +42,9 @@ val source_root : string -> string
     ([R/_build/default] gives [R]), else the root itself (a tree
     compiled in place). *)
 
-val load : ?src_root:string -> root:string -> unit -> t
-(** Read every typedtree under [root].  [src_root] (default
-    [source_root root]) is where recorded sources resolve: where they
-    are checked for staleness and where {!Callgraph.build} reads them.
+val load : root:string -> unit -> t
+(** Read every typedtree under [root].  Recorded sources resolve under
+    [source_root root]: that is where they are checked for staleness
+    and where {!Callgraph.build} reads them.
     A missing source (e.g. a generated [.ml-gen]) is simply not
     checked. *)

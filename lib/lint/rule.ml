@@ -93,18 +93,12 @@ let pp_text ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" f.file f.line f.col (id f.rule)
     f.message
 
-let csv_escape s =
-  let needs_quote =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') s
-  in
-  if not needs_quote then s
-  else "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-
 let csv_header = "rule,file,line,col,message"
 
 let pp_csv ppf f =
-  Format.fprintf ppf "%s,%s,%d,%d,%s" (id f.rule) (csv_escape f.file) f.line
-    f.col (csv_escape f.message)
+  Format.fprintf ppf "%s,%s,%d,%d,%s" (id f.rule)
+    (Insp_util.Csv.quote f.file) f.line f.col
+    (Insp_util.Csv.quote f.message)
 
 (* One canonical-JSON object per finding (Obs.Jsonc escaping and field
    order), so CI and editors can consume reports line-by-line without

@@ -20,7 +20,7 @@ type result = {
 
 let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
 
-let solve ?(node_limit = 2_000_000) ?max_groups app platform =
+let solve ?(node_limit = 2_000_000) app platform =
   let catalog = platform.Platform.catalog in
   if not (Catalog.is_homogeneous catalog) then
     Error "Exact.solve: platform must be homogeneous (CONSTR-HOM)"
@@ -31,7 +31,6 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
     let tree = App.tree app and graph = Insp_tree.Graph.of_app app in
     let n = App.n_operators app in
     let order = Array.of_list (Optree.preorder tree) in
-    let max_groups = match max_groups with Some m -> m | None -> n in
     let rho = App.rho app in
     (* Suffix sums of remaining work along the assignment order, for the
        compute-based bound. *)
@@ -39,7 +38,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
     for pos = n - 1 downto 0 do
       remaining.(pos) <- remaining.(pos + 1) +. (rho *. App.work app order.(pos))
     done;
-    let groups = Array.make max_groups [] in
+    let groups = Array.make n [] in
     let assign = Array.make n (-1) in
     let best : result option ref = ref None in
     let nodes = ref 0 in
@@ -60,7 +59,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
       Demand.fits config (Demand.of_group graph candidate)
       &&
       let ok = ref true in
-      for other = 0 to max_groups - 1 do
+      for other = 0 to n - 1 do
         if other <> gid && groups.(other) <> [] then
           if
             flow_between candidate groups.(other)
@@ -103,7 +102,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
         end
     in
     let best_procs () =
-      match !best with Some b -> b.n_procs | None -> max_groups + 1
+      match !best with Some b -> b.n_procs | None -> n + 1
     in
     let rec dfs pos n_used =
       if !nodes >= node_limit then truncated := true
@@ -129,7 +128,7 @@ let solve ?(node_limit = 2_000_000) ?max_groups app platform =
               end
             done;
             if
-              n_used < max_groups
+              n_used < n
               && n_used + 1 < best_procs ()
               && fits_with op n_used
             then begin

@@ -20,10 +20,9 @@ type result = {
 
 val solve :
   ?node_limit:int ->
-  ?max_groups:int ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   (result, string) Stdlib.result
-(** [node_limit] defaults to 2_000_000; [max_groups] defaults to the
-    number of operators.  Errors when the platform is not homogeneous or
+(** [node_limit] defaults to 2_000_000.  At most one group per
+    operator is opened.  Errors when the platform is not homogeneous or
     no feasible solution exists within the limits. *)

@@ -244,12 +244,12 @@ let of_apps apps =
       graph = view nodes ~objects ~roots ~consumers;
     }
 
-let simulate ?window ?horizon ?warmup ?disruptions t platform alloc =
+let simulate ?horizon ?warmup ?disruptions t platform alloc =
   let rho = t.nodes.(0).rate in
   Array.iter
     (fun n ->
       if Float.abs (n.rate -. rho) > 1e-9 then
         invalid_arg "Dag.simulate: mixed node rates are not supported")
     t.nodes;
-  Insp_sim.Runtime.run_graph ?window ?horizon ?warmup ?disruptions t.graph
-    platform alloc
+  Insp_sim.Runtime.run_graph ?horizon ?warmup ?disruptions t.graph platform
+    alloc

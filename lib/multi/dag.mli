@@ -77,7 +77,6 @@ val of_apps : Insp_tree.App.t list -> t
 (** {2 Execution} *)
 
 val simulate :
-  ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
   ?disruptions:Insp_sim.Runtime.disruption list ->

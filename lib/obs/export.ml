@@ -11,21 +11,6 @@ let fmt_float v = Printf.sprintf "%.6g" v
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  then begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-  else s
-
 (* Deterministic percentile estimate over fixed histogram buckets:
    find the bucket holding the p-th observation (target rank p% of n)
    and interpolate linearly between its edges (the lower edge of the
@@ -62,7 +47,7 @@ let metrics_csv (o : Obs.t) =
   let buf = Buffer.create 1024 in
   let row kind name value =
     Buffer.add_string buf
-      (Printf.sprintf "%s,%s,%s\n" kind (csv_escape name) value)
+      (Printf.sprintf "%s,%s,%s\n" kind (Insp_util.Csv.quote name) value)
   in
   Buffer.add_string buf (metrics_csv_header ^ "\n");
   List.iter
@@ -215,7 +200,7 @@ let prof_csv (o : Obs.t) =
       (fun (r : Prof.row) ->
         Buffer.add_string buf
           (Printf.sprintf "%s,%d,%d,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%d,%d,%d,%d\n"
-             (csv_escape r.Prof.path) r.Prof.depth r.Prof.count
+             (Insp_util.Csv.quote r.Prof.path) r.Prof.depth r.Prof.count
              r.Prof.self_minor r.Prof.cum_minor r.Prof.self_promoted
              r.Prof.cum_promoted r.Prof.self_major r.Prof.cum_major
              r.Prof.self_minor_collections r.Prof.cum_minor_collections

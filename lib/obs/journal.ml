@@ -41,7 +41,6 @@ type event =
   | Merge_groups of { winner : int; loser : int; upgrade : string option }
   | Reject_merge of { winner : int; loser : int; reject : reject }
   | Sell of { gid : int }
-  | Reconfig of { gid : int; config : string }
   | Download of {
       group : int;
       object_type : int;
@@ -93,7 +92,6 @@ type event =
     }
   | Repair_infeasible of { t : float; reason : string }
   | Truncated of { category : string }
-  | Note of { key : string; value : string }
 
 type t = {
   mutable on : bool;
@@ -106,8 +104,8 @@ type t = {
 
 let default_depth = 200
 
-let create ?(depth = default_depth) () =
-  { on = false; depth; events = []; n_events = 0; manifest = None;
+let create () =
+  { on = false; depth = default_depth; events = []; n_events = 0; manifest = None;
     bounded = [] }
 
 let recording t = t.on
@@ -232,8 +230,6 @@ let event_to_json ev =
         ("reject", Jsonc.string (reject_label reject));
       ]
   | Sell { gid } -> tag "sell" [ ("gid", Jsonc.int gid) ]
-  | Reconfig { gid; config } ->
-    tag "reconfig" [ ("gid", Jsonc.int gid); ("config", Jsonc.string config) ]
   | Download { group; object_type; server; rule; candidates } ->
     tag "download"
       [
@@ -380,8 +376,6 @@ let event_to_json ev =
       [ ("t", Jsonc.float t); ("reason", Jsonc.string reason) ]
   | Truncated { category } ->
     tag "truncated" [ ("category", Jsonc.string category) ]
-  | Note { key; value } ->
-    tag "note" [ ("key", Jsonc.string key); ("value", Jsonc.string value) ]
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
@@ -489,8 +483,7 @@ let explain ~proc evs =
           | Acquire { gid; _ }
           | Add_op { gid; _ }
           | Reject_add { gid; _ }
-          | Sell { gid }
-          | Reconfig { gid; _ } ->
+          | Sell { gid } ->
             tracked gid
           | Merge_groups { winner; loser; _ }
           | Reject_merge { winner; loser; _ } ->

@@ -38,7 +38,6 @@ type event =
   | Merge_groups of { winner : int; loser : int; upgrade : string option }
   | Reject_merge of { winner : int; loser : int; reject : reject }
   | Sell of { gid : int }
-  | Reconfig of { gid : int; config : string }
   | Download of {
       group : int;
       object_type : int;
@@ -100,15 +99,15 @@ type event =
   | Truncated of { category : string }
       (** depth cap hit for a bounded category; subsequent events of the
           category are dropped *)
-  | Note of { key : string; value : string }
 
 type t
 
 val default_depth : int
 (** Default per-category cap for {!record_bounded} (200). *)
 
-val create : ?depth:int -> unit -> t
-(** A fresh journal, disabled (not recording) until {!enable}d. *)
+val create : unit -> t
+(** A fresh journal, disabled (not recording) until {!enable}d, with
+    the {!default_depth} cap. *)
 
 val enable : ?depth:int -> t -> unit
 

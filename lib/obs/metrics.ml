@@ -28,10 +28,12 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 32; names = [] }
 
-(* Values observed before the first bucket edge would silently vanish
-   without the implicit overflow bucket; edges cover the small-count
-   regimes the engines record (probe batches, pivots, group sizes). *)
-let default_edges = [| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 500.0 |]
+(* The bucket edges of every histogram, so any two registries merge
+   bucket-wise.  Values observed past the last edge would silently
+   vanish without the implicit overflow bucket; edges cover the
+   small-count regimes the engines record (probe batches, pivots, group
+   sizes). *)
+let edges = [| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 500.0 |]
 
 let register t name metric =
   Hashtbl.replace t.tbl name metric;
@@ -58,21 +60,12 @@ let bucket_of edges v =
   let rec find i = if i >= n || v <= edges.(i) then i else find (i + 1) in
   find 0
 
-let observe ?edges t name v =
+let observe t name v =
   let h =
     match Hashtbl.find_opt t.tbl name with
     | Some (Histogram h) -> h
     | Some (Counter _ | Gauge _) -> kind_error name
     | None ->
-      let edges =
-        match edges with Some e -> Array.copy e | None -> default_edges
-      in
-      if Array.length edges = 0 then
-        invalid_arg "Metrics.observe: empty bucket edges";
-      for i = 1 to Array.length edges - 1 do
-        if edges.(i) <= edges.(i - 1) then
-          invalid_arg "Metrics.observe: bucket edges must be ascending"
-      done;
       let h =
         {
           edges;
@@ -110,21 +103,13 @@ let merge ~into src =
       | Some (Histogram h) -> (
         match Hashtbl.find_opt into.tbl name with
         | Some (Histogram h') ->
-          if h'.edges <> h.edges then
-            invalid_arg ("Metrics.merge: histogram edges mismatch for " ^ name);
           Array.iteri (fun i c -> h'.counts.(i) <- h'.counts.(i) + c) h.counts;
           h'.observations <- h'.observations + h.observations;
           h'.sum <- h'.sum +. h.sum
         | Some (Counter _ | Gauge _) -> kind_error name
         | None ->
           register into name
-            (Histogram
-               {
-                 edges = Array.copy h.edges;
-                 counts = Array.copy h.counts;
-                 observations = h.observations;
-                 sum = h.sum;
-               })))
+            (Histogram { h with counts = Array.copy h.counts })))
     (List.rev src.names)
 
 let snapshot t =

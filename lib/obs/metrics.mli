@@ -31,11 +31,9 @@ val incr : ?by:int -> t -> string -> unit
 val set_gauge : t -> string -> float -> unit
 (** Record the latest value of a gauge. *)
 
-val observe : ?edges:float array -> t -> string -> float -> unit
-(** Add one observation to a histogram.  [edges] is consulted only on
-    the histogram's first observation and must be strictly ascending
-    and non-empty; it defaults to 1, 2, 5, 10, 20, 50, 100, 500 (plus
-    overflow). *)
+val observe : t -> string -> float -> unit
+(** Add one observation to a histogram.  Every histogram has the same
+    edges: 1, 2, 5, 10, 20, 50, 100, 500 (plus overflow). *)
 
 val counter : t -> string -> int option
 
@@ -44,8 +42,7 @@ val merge : into:t -> t -> unit
     [src]'s insertion order: counters add (registering at 0 if absent,
     so name order is preserved), gauges overwrite (last writer wins, as
     in sequential execution), histograms add bucket-wise.  Raises
-    [Invalid_argument] on a kind mismatch or on histograms with
-    different edges.  [src] is not modified. *)
+    [Invalid_argument] on a kind mismatch.  [src] is not modified. *)
 
 val snapshot : t -> (string * value) list
 (** All metrics, in insertion order. *)

@@ -90,10 +90,10 @@ let gauge name v =
   | None -> ()
   | Some s -> Metrics.set_gauge s.metrics name v
 
-let observe ?edges name v =
+let observe name v =
   match active () with
   | None -> ()
-  | Some s -> Metrics.observe ?edges s.metrics name v
+  | Some s -> Metrics.observe s.metrics name v
 
 let mark name =
   match active () with

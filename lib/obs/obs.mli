@@ -55,7 +55,7 @@ val add : string -> int -> unit
 (** [add name n] = [incr ~by:n name]. *)
 
 val gauge : string -> float -> unit
-val observe : ?edges:float array -> string -> float -> unit
+val observe : string -> float -> unit
 
 val mark : string -> unit
 (** Count an instant event under the current frame (see {!Prof.mark}). *)

@@ -6,10 +6,13 @@ type spec = {
   n_tenants : int;
   min_operators : int;
   max_operators : int;
-  mean_gap : int;
-  mean_lifetime : int;
   mean_burst : int;
 }
+
+(* Arrival gaps are uniform over [0, 2*mean_gap) logical ticks and
+   lifetimes over [1, 2*mean_lifetime]. *)
+let mean_gap = 2
+let mean_lifetime = 90
 
 let default =
   {
@@ -18,25 +21,19 @@ let default =
     n_tenants = 4;
     min_operators = 6;
     max_operators = 24;
-    mean_gap = 2;
-    mean_lifetime = 90;
     mean_burst = 1;
   }
 
 let make ?(n_apps = default.n_apps) ?(n_tenants = default.n_tenants)
     ?(min_operators = default.min_operators)
-    ?(max_operators = default.max_operators) ?(mean_gap = default.mean_gap)
-    ?(mean_lifetime = default.mean_lifetime)
+    ?(max_operators = default.max_operators)
     ?(mean_burst = default.mean_burst) ~seed () =
   if n_apps < 0 then invalid_arg "Stream.make: n_apps < 0";
   if n_tenants < 1 then invalid_arg "Stream.make: n_tenants < 1";
   if min_operators < 1 || max_operators < min_operators then
     invalid_arg "Stream.make: bad operator range";
-  if mean_gap < 0 || mean_lifetime < 1 then
-    invalid_arg "Stream.make: bad timing parameters";
   if mean_burst < 1 then invalid_arg "Stream.make: mean_burst < 1";
-  { seed; n_apps; n_tenants; min_operators; max_operators; mean_gap;
-    mean_lifetime; mean_burst }
+  { seed; n_apps; n_tenants; min_operators; max_operators; mean_burst }
 
 (* Correlated-burst size: uniform over [1, 2*mean - 1], so the mean is
    [mean] and a mean of 1 degenerates to the constant 1.  Shared with
@@ -82,14 +79,14 @@ let events spec =
       else begin
         if spec.mean_burst > 1 then
           in_burst := burst_size rng ~mean:spec.mean_burst - 1;
-        if spec.mean_gap = 0 then 0 else Prng.int rng (2 * spec.mean_gap)
+        Prng.int rng (2 * mean_gap)
       end
     in
     let tenant = Prng.int rng spec.n_tenants in
     let n_operators =
       Prng.int_range rng spec.min_operators spec.max_operators
     in
-    let lifetime = 1 + Prng.int rng (2 * spec.mean_lifetime) in
+    let lifetime = 1 + Prng.int rng (2 * mean_lifetime) in
     let app_seed = Prng.int rng 1_000_000 in
     now := !now + gap;
     acc :=

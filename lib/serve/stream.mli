@@ -12,10 +12,6 @@ type spec = {
   n_tenants : int;
   min_operators : int;  (** inclusive *)
   max_operators : int;  (** inclusive *)
-  mean_gap : int;
-      (** arrival gaps are uniform over [0, 2*mean_gap) logical ticks *)
-  mean_lifetime : int;
-      (** lifetimes are uniform over [1, 2*mean_lifetime] ticks *)
   mean_burst : int;
       (** correlated arrivals: burst sizes are uniform over
           [1, 2*mean_burst - 1], and in-burst applications arrive at
@@ -28,14 +24,14 @@ val make :
   ?n_tenants:int ->
   ?min_operators:int ->
   ?max_operators:int ->
-  ?mean_gap:int ->
-  ?mean_lifetime:int ->
   ?mean_burst:int ->
   seed:int ->
   unit ->
   spec
-(** Defaults: 1000 applications, 4 tenants, 6–24 operators, mean gap
-    2, mean lifetime 90, no bursts; validates ranges. *)
+(** Defaults: 1000 applications, 4 tenants, 6–24 operators, no bursts;
+    validates ranges.  Timing is fixed: arrival gaps are uniform over
+    [0, 4) logical ticks (mean 2) and lifetimes over [1, 180] ticks
+    (mean 90). *)
 
 val burst_size : Insp_util.Prng.t -> mean:int -> int
 (** One correlated-burst size draw: uniform over [1, 2*mean - 1] (a

@@ -55,16 +55,11 @@ type flows = {
 
 let epsilon = 1e-9
 
-let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
-    alloc =
+let run_impl ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform alloc =
   (* The pipeline needs enough results in flight to cover its depth in
      processor hops, otherwise the work-ahead bound (not a resource)
      throttles throughput. *)
-  let window =
-    match window with
-    | Some w -> w
-    | None -> max 8 (2 * Alloc.n_procs alloc)
-  in
+  let window = max 8 (2 * Alloc.n_procs alloc) in
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
   let { Graph.roots; work; output; objects; _ } = g in
@@ -630,13 +625,12 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform
   end;
   report
 
-let run_graph ?window ?horizon ?warmup ?disruptions g platform alloc =
+let run_graph ?horizon ?warmup ?disruptions g platform alloc =
   Obs.span "sim.run" (fun () ->
-      run_impl ?window ?horizon ?warmup ?disruptions g platform alloc)
+      run_impl ?horizon ?warmup ?disruptions g platform alloc)
 
-let run ?window ?horizon ?warmup ?disruptions app platform alloc =
-  run_graph ?window ?horizon ?warmup ?disruptions (Graph.of_app app) platform
-    alloc
+let run ?horizon ?warmup ?disruptions app platform alloc =
+  run_graph ?horizon ?warmup ?disruptions (Graph.of_app app) platform alloc
 
 let pp_report ppf r =
   Format.fprintf ppf

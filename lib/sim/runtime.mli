@@ -80,7 +80,6 @@ type disruption = {
 }
 
 val run :
-  ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
   ?disruptions:disruption list ->
@@ -88,11 +87,12 @@ val run :
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   report
-(** [window] bounds the pipeline work-ahead (results in flight beyond
-    the last root completion); the default scales with the number of
-    processors ([max 8 (2 * n_procs)]) so the bound never throttles a
-    deep pipeline.  [horizon] (default 80 simulated seconds) and
-    [warmup] (default a quarter of the horizon) frame the measurement.
+(** The pipeline work-ahead (results in flight beyond the last root
+    completion) is bounded by a window of [max 8 (2 * n_procs)]
+    results, which scales with the number of processors so the bound
+    never throttles a deep pipeline.  [horizon] (default 80 simulated
+    seconds) and [warmup] (default a quarter of the horizon) frame the
+    measurement.
     [disruptions] (default none) injects capacity faults mid-run; see
     {!disruption}.  Requires every operator assigned (checker-valid
     structure); capacity violations are allowed and simply show up as
@@ -101,7 +101,6 @@ val run :
 (** {1 Operator graphs} *)
 
 val run_graph :
-  ?window:int ->
   ?horizon:float ->
   ?warmup:float ->
   ?disruptions:disruption list ->

@@ -4,9 +4,7 @@ type t = {
   mutable gen : int array;  (* per-id generation stamp *)
 }
 
-let create ?(capacity = 16) () =
-  let capacity = max 1 capacity in
-  { next = 0; live = Array.make capacity false; gen = Array.make capacity 0 }
+let create () = { next = 0; live = Array.make 16 false; gen = Array.make 16 0 }
 
 let ensure t id =
   let cap = Array.length t.live in

@@ -15,7 +15,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
+(** An empty arena; its per-id arrays start at 16 slots and double as
+    ids are allocated. *)
 
 val alloc : t -> int
 (** Fresh id, one greater than the previous allocation (dense preorder:

@@ -12,5 +12,9 @@ val add_floats : t -> float list -> unit
 (** Appends a row of floats formatted with ["%.6g"]; NaN renders empty. *)
 
 val to_string : t -> string
-(** Serialises header plus rows, quoting fields that contain commas,
-    quotes or newlines. *)
+(** Serialises header plus rows, each field through {!quote}. *)
+
+val quote : string -> string
+(** One CSV field: unchanged unless it contains a comma, a double quote,
+    [\n] or [\r], else wrapped in double quotes with each inner double
+    quote doubled (RFC 4180). *)

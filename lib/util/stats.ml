@@ -5,6 +5,6 @@ let mean = function
   | samples ->
     List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples)
 
-let approx_eq ?(rel = 1e-9) ?(abs = 1e-12) a b =
+let approx_eq a b =
   let d = Float.abs (a -. b) in
-  d <= abs || d <= rel *. Float.max (Float.abs a) (Float.abs b)
+  d <= 1e-12 || d <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)

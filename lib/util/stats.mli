@@ -8,9 +8,9 @@ val mean : float list -> float
     empty sample set fails loudly instead of reading as a zero cost. *)
 
 (* lint: allow t3 — the tolerance helper lint rule F1's message prescribes *)
-val approx_eq : ?rel:float -> ?abs:float -> float -> float -> bool
+val approx_eq : float -> float -> bool
 (** Tolerant float equality:
-    [|a - b| <= max (abs, rel * max |a| |b|)] with [rel = 1e-9] and
-    [abs = 1e-12] by default — the tolerance regime of the feasibility
-    checker (DESIGN.md §8).  This is the helper lint rule F1 points to
-    instead of [=]/[<>]/polymorphic [compare] on float data. *)
+    [|a - b| <= max (1e-12, 1e-9 * max |a| |b|)] — the tolerance
+    regime of the feasibility checker (DESIGN.md §8).  This is the
+    helper lint rule F1 points to instead of [=]/[<>]/polymorphic
+    [compare] on float data. *)

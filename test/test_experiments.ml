@@ -232,21 +232,23 @@ let test_replication_flat () =
 (* ------------------------------------------------------------------ *)
 (* Parallel sweeps                                                     *)
 
+let map_with jobs f xs = Par_sweep.with_jobs jobs (fun () -> Par_sweep.map f xs)
+
 let test_par_map_order () =
   let xs = List.init 17 Fun.id in
   let expect = List.map (fun x -> x * x) xs in
   Alcotest.(check (list int)) "sequential" expect
-    (Par_sweep.map ~jobs:1 (fun x -> x * x) xs);
+    (Par_sweep.map (fun x -> x * x) xs);
   Alcotest.(check (list int)) "parallel keeps order" expect
-    (Par_sweep.map ~jobs:4 (fun x -> x * x) xs);
+    (map_with 4 (fun x -> x * x) xs);
   Alcotest.(check (list int)) "more workers than cells" [ 9 ]
-    (Par_sweep.map ~jobs:8 (fun x -> x * x) [ 3 ]);
-  Alcotest.(check (list int)) "empty" [] (Par_sweep.map ~jobs:4 Fun.id [])
+    (map_with 8 (fun x -> x * x) [ 3 ]);
+  Alcotest.(check (list int)) "empty" [] (map_with 4 Fun.id [])
 
 let test_par_map_raises_lowest_failure () =
   let boom i = if i mod 3 = 0 then failwith (string_of_int i) else i in
   Alcotest.check_raises "lowest-indexed failure wins" (Failure "3") (fun () ->
-      ignore (Par_sweep.map ~jobs:4 boom (List.init 10 (fun i -> i + 1))))
+      ignore (map_with 4 boom (List.init 10 (fun i -> i + 1))))
 
 let test_par_map_merges_metrics () =
   (* Worker-side counters must be absorbed into the caller's sink, in
@@ -255,7 +257,7 @@ let test_par_map_merges_metrics () =
     let (), sink =
       Insp.Obs.with_sink (fun () ->
           ignore
-            (Par_sweep.map ~jobs
+            (map_with jobs
                (fun i ->
                  Insp.Obs.incr ~by:i "cell.work";
                  Insp.Obs.incr (Printf.sprintf "cell.%d" i))

@@ -155,6 +155,43 @@ let test_overload_detected () =
     Alcotest.(check bool) "infeasible detected" true
       (report.Engine.infeasible_at <> None)
 
+(* A repair's downtime is 1 s of detection plus 0.5 s per migrated
+   operator plus 5 s per rebought processor: crash each processor alone
+   and read the one episode.  The victims cover both repair kinds, so
+   every term is pinned. *)
+let test_crash_downtime () =
+  match solved ~seed:2 () with
+  | None -> Alcotest.fail "expected feasible instance"
+  | Some (inst, alloc) ->
+    let spec = Engine.make_spec ~measure:false () in
+    let episodes =
+      List.init (Insp.Alloc.n_procs alloc) (fun victim ->
+          let timeline =
+            [ { Scenario.at = 10.0; fault = Scenario.Proc_crash { victim } } ]
+          in
+          match
+            (Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform
+               alloc timeline)
+              .Engine.episodes
+          with
+          | [ ep ] -> ep
+          | eps ->
+            Alcotest.failf "victim %d: %d episodes" victim (List.length eps))
+    in
+    List.iter
+      (fun (ep : Engine.episode) ->
+        Helpers.alco_float ep.Engine.ep_label
+          (1.0
+          +. (0.5 *. float_of_int ep.Engine.ep_migrations)
+          +. (5.0 *. float_of_int ep.Engine.ep_rebuys))
+          ep.Engine.ep_downtime)
+      episodes;
+    let some p = List.exists p episodes in
+    Alcotest.(check bool) "some repair migrates" true
+      (some (fun ep -> ep.Engine.ep_migrations > 0));
+    Alcotest.(check bool) "some repair rebuys" true
+      (some (fun ep -> ep.Engine.ep_rebuys > 0))
+
 (* ------------------------------------------------------------------ *)
 (* Redundancy                                                          *)
 
@@ -327,6 +364,7 @@ let () =
           Alcotest.test_case "accounting ties" `Quick test_repair_accounting;
           Alcotest.test_case "validation" `Quick test_repair_validation;
           Alcotest.test_case "overload detected" `Quick test_overload_detected;
+          Alcotest.test_case "crash downtime" `Quick test_crash_downtime;
         ] );
       ( "redundancy",
         [

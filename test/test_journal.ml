@@ -77,10 +77,10 @@ let test_event_json_golden () =
             n_procs = Some 2;
             procs = [ (0, 0); (1, 3) ];
           }));
-  check "note escapes like any string"
-    {|{"ev":"note","key":"msg","value":"a \"b\"\\c"}|}
+  check "phase escapes like any string"
+    {|{"ev":"phase","heuristic":"msg","stage":"a \"b\"\\c"}|}
     (Journal.event_to_json
-       (Journal.Note { key = "msg"; value = {|a "b"\c|} }));
+       (Journal.Phase { heuristic = "msg"; stage = {|a "b"\c|} }));
   check "manifest field order"
     {|{"ev":"manifest","seed":7,"config":"fnv1a:00ff","heuristic":"sbu","args":{"n":"12"}}|}
     (let j = Journal.create () in
@@ -125,9 +125,10 @@ let test_verify_all_heuristics () =
 let sweep_jsonl jobs =
   jsonl (fun () ->
       ignore
-        (Insp.Par_sweep.map ~jobs
-           (fun seed -> solve_heuristic "sbu" ~n:12 ~seed ())
-           [ 1; 2; 3; 4; 5; 6 ]))
+        (Insp.Par_sweep.with_jobs jobs (fun () ->
+             Insp.Par_sweep.map
+               (fun seed -> solve_heuristic "sbu" ~n:12 ~seed ())
+               [ 1; 2; 3; 4; 5; 6 ])))
 
 let test_jobs_independent () =
   let sequential = sweep_jsonl 1 in
@@ -145,17 +146,17 @@ let test_jobs_independent () =
 let test_merge_order () =
   let a = Journal.create () in
   Journal.enable a;
-  Journal.record a (Journal.Note { key = "cell"; value = "0" });
+  Journal.record a (Journal.Phase { heuristic = "cell"; stage = "0" });
   let b = Journal.create () in
   Journal.enable b;
-  Journal.record b (Journal.Note { key = "cell"; value = "1" });
-  Journal.record b (Journal.Note { key = "cell"; value = "1b" });
+  Journal.record b (Journal.Phase { heuristic = "cell"; stage = "1" });
+  Journal.record b (Journal.Phase { heuristic = "cell"; stage = "1b" });
   Journal.merge ~into:a b;
   Alcotest.(check (list string))
     "events appended in order" [ "0"; "1"; "1b" ]
     (List.map
        (function
-         | Journal.Note { value; _ } -> value
+         | Journal.Phase { stage; _ } -> stage
          | _ -> Alcotest.fail "unexpected event")
        (Journal.events a));
   Alcotest.(check int) "length merged" 3 (Journal.length a)

@@ -16,11 +16,35 @@ let rec mkdirs path =
     Sys.mkdir path 0o755
   end
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* Every fixture corpus lives in one fresh temporary directory, removed
+   at exit, so running the suite leaves the working directory as it
+   found it.  The corpora keep their [*_fixtures] names: the cmt
+   loader's skip rule keys on that suffix. *)
+let fixture_root = Filename.temp_dir "insp_lint" ""
+
+let () = at_exit (fun () -> rm_rf fixture_root)
+
+let fixtures name = Filename.concat fixture_root name
+
+(* Run [f] with [dir] as the working directory. *)
+let in_dir dir f =
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
+
 (* Lint [src] as if it were the repo file [file]: the source is written
    under lint_fixtures/ next to an empty interface (so P2 stays quiet)
    and linted under its repo name, which drives rule scoping. *)
 let lint ?(file = "lib/fixture.ml") src =
-  let path = Filename.concat "lint_fixtures" file in
+  let path = Filename.concat (fixtures "lint_fixtures") file in
   mkdirs (Filename.dirname path);
   Out_channel.with_open_text path (fun oc -> output_string oc src);
   Out_channel.with_open_text (path ^ "i") (fun _ -> ());
@@ -52,6 +76,17 @@ let test_pp_csv_golden () =
          line = 3;
          col = 4;
          message = "compare on, well, floats";
+       });
+  Alcotest.(check string)
+    "a carriage return is quoted (RFC 4180)"
+    "F1,lib/x.ml,3,4,\"a\rb\""
+    (Format.asprintf "%a" Rule.pp_csv
+       {
+         Rule.rule = Rule.F1;
+         file = "lib/x.ml";
+         line = 3;
+         col = 4;
+         message = "a\rb";
        });
   Alcotest.(check string) "csv header" "rule,file,line,col,message" Rule.csv_header
 
@@ -438,7 +473,7 @@ let test_p1_suppressed () =
 (* ------------------------------------------------------------------ *)
 (* P2: missing interface files                                         *)
 
-let fixture_dir = "p2_fixtures"
+let fixture_dir = fixtures "p2_fixtures"
 
 let write_fixture name content =
   if not (Sys.file_exists fixture_dir) then Sys.mkdir fixture_dir 0o755;
@@ -539,6 +574,9 @@ let test_baseline () =
     { Rule.rule = Rule.P1; file = "lib/x.ml"; line = 3; col = 4; message = "m" }
   in
   Alcotest.(check string) "baseline key" "P1 lib/x.ml:3:4" (Rule.baseline_key f);
+  (* [Driver.run] lints a relative root from inside the fixture root,
+     as `make lint` does from the repo root *)
+  in_dir fixture_root @@ fun () ->
   let root = "baseline_fixtures" in
   mkdirs root;
   let write body =
@@ -573,15 +611,7 @@ module Callgraph = Insp_lint.Callgraph
 module Effects = Insp_lint.Effects
 module Deep = Insp_lint.Deep
 
-let deep_dir = "deep_fixtures"
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+let deep_dir = fixtures "deep_fixtures"
 
 (* Write [files] (repo-shaped relative path, source) under a fresh case
    directory and compile each in order with ocamlc -bin-annot, so the
@@ -602,11 +632,7 @@ let compile_universe case files =
     |> List.map (fun d -> "-I " ^ d)
     |> String.concat " "
   in
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
-  Fun.protect
-    ~finally:(fun () -> Sys.chdir cwd)
-    (fun () ->
+  in_dir root (fun () ->
       List.iter
         (fun (rel, _) ->
           let cmd = Printf.sprintf "ocamlc -bin-annot -w -a %s -c %s" incl rel in
@@ -904,7 +930,7 @@ let test_loader_pairing () =
         ("lib/util/paired.ml", "let v = 1\nlet internal = 2\n");
       ]
   in
-  let loaded = Cmt_loader.load ~src_root:root ~root () in
+  let loaded = Cmt_loader.load ~root () in
   (match loaded.Cmt_loader.units with
   | [ u ] ->
     Alcotest.(check string) "unit name" "Paired" u.Cmt_loader.name;
@@ -931,7 +957,7 @@ let test_loader_pairing () =
   Alcotest.(check (list string)) "fixture dirs are skipped" [ "Paired" ]
     (List.map
        (fun (u : Cmt_loader.unit_info) -> u.Cmt_loader.name)
-       (Cmt_loader.load ~src_root:root ~root ()).Cmt_loader.units)
+       (Cmt_loader.load ~root ()).Cmt_loader.units)
 
 let test_loader_missing () =
   match Cmt_loader.load ~root:"no_such_dir_anywhere" () with
@@ -996,12 +1022,8 @@ let test_repo_deep_clean () =
   | _ ->
     (* from the build root, as the runtest rule runs it: the deep pass
        reads suppression comments from the recorded source paths *)
-    let cwd = Sys.getcwd () in
-    Sys.chdir "..";
     let code =
-      Fun.protect
-        ~finally:(fun () -> Sys.chdir cwd)
-        (fun () ->
+      in_dir ".." (fun () ->
           Driver.run
             {
               Driver.format = Driver.Text;
@@ -1038,7 +1060,6 @@ let test_absolute_roots () =
              \  Domain.join d\n" );
         ])
   in
-  let root = Filename.concat (Sys.getcwd ()) root in
   mkdirs (Filename.concat root "lib/obs");
   Out_channel.with_open_text (Filename.concat root "lib/obs/clock.ml")
     (fun oc -> output_string oc "let now () = Unix.gettimeofday ()\n");
@@ -1062,12 +1083,8 @@ let test_absolute_roots () =
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
   let relative =
-    Fun.protect
-      ~finally:(fun () -> Sys.chdir cwd)
-      (fun () -> findings ~cmt_root:"." [ "lib" ] "relative.baseline")
+    in_dir root (fun () -> findings ~cmt_root:"." [ "lib" ] "relative.baseline")
   in
   let keys =
     List.map (fun l -> String.sub l 0 (String.index l ':')) relative

@@ -151,18 +151,17 @@ let test_tree_time_columns () =
 let test_histogram_bucket_edges () =
   let (), r =
     Obs.with_sink (fun () ->
-        List.iter
-          (Obs.observe ~edges:[| 1.0; 2.0; 5.0 |] "h")
-          [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ])
+        List.iter (Obs.observe "h") [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0; 600.0 ])
   in
   match Metrics.snapshot r.Obs.metrics with
   | [ ("h", Metrics.Histogram_v h) ] ->
-    (* Bucket rule is [v <= edge], first match: edge-exact observations
-       land in their own bucket, strictly-greater ones spill over. *)
-    Alcotest.(check (array int)) "bucket counts" [| 2; 2; 1; 1 |]
+    (* Bucket rule is [v <= edge], first match, over the edges 1, 2, 5,
+       10, 20, 50, 100, 500: edge-exact observations land in their own
+       bucket, strictly-greater ones spill over. *)
+    Alcotest.(check (array int)) "bucket counts" [| 2; 2; 1; 1; 0; 0; 0; 0; 1 |]
       h.Metrics.counts;
-    Alcotest.(check int) "observations" 6 h.Metrics.observations;
-    Helpers.alco_float "sum" 17.0 h.Metrics.sum
+    Alcotest.(check int) "observations" 7 h.Metrics.observations;
+    Helpers.alco_float "sum" 617.0 h.Metrics.sum
   | _ -> Alcotest.fail "expected exactly one histogram"
 
 (* The linear-interpolation rule behind the p50/p90/p99 exporter rows: ranks inside a bucket interpolate between
@@ -171,24 +170,20 @@ let test_histogram_bucket_edges () =
 let test_percentile_interpolation () =
   let (), r =
     Obs.with_sink (fun () ->
-        List.iter
-          (Obs.observe ~edges:[| 1.0; 2.0; 5.0 |] "h")
-          [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ])
+        List.iter (Obs.observe "h") [ 0.5; 1.0; 1.5; 2.0; 5.0; 600.0 ])
   in
   let rows = String.split_on_char '\n' (Export.metrics_csv r) in
   let row name = List.mem ("histogram,h." ^ name) rows in
   Alcotest.(check bool) "p50 interpolates" true (row "p50,1.5");
-  Alcotest.(check bool) "p90 pins to last edge" true (row "p90,5");
-  Alcotest.(check bool) "p99 pins to last edge" true (row "p99,5")
+  Alcotest.(check bool) "p90 pins to last edge" true (row "p90,500");
+  Alcotest.(check bool) "p99 pins to last edge" true (row "p99,500")
 
-let test_histogram_rejects_bad_edges () =
+let test_histogram_rejects_kind_mix () =
   let raises f =
     match Obs.with_sink f with
     | exception Invalid_argument _ -> true
     | _ -> false
   in
-  Alcotest.(check bool) "descending edges rejected" true
-    (raises (fun () -> Obs.observe ~edges:[| 2.0; 1.0 |] "h" 0.5));
   Alcotest.(check bool) "kind mismatch rejected" true
     (raises (fun () ->
          Obs.incr "mixed";
@@ -210,12 +205,6 @@ let test_merge_conflicts_rejected () =
     | exception Invalid_argument _ -> true
     | () -> false
   in
-  let h_coarse = filled (fun () -> Obs.observe ~edges:[| 1.0; 2.0 |] "h" 0.5) in
-  let h_fine =
-    filled (fun () -> Obs.observe ~edges:[| 1.0; 2.0; 5.0 |] "h" 0.5)
-  in
-  Alcotest.(check bool) "histogram edge mismatch rejected" true
-    (merge_raises h_coarse h_fine);
   let counter = filled (fun () -> Obs.incr "m") in
   let gauge = filled (fun () -> Obs.gauge "m" 1.0) in
   Alcotest.(check bool) "counter/gauge kind mismatch rejected" true
@@ -238,7 +227,7 @@ let test_metrics_csv_golden () =
         Obs.incr "alpha";
         Obs.incr ~by:2 "alpha";
         Obs.gauge "g" 1.5;
-        Obs.observe ~edges:[| 1.0; 2.0 |] "h" 0.5;
+        Obs.observe "h" 0.5;
         Obs.observe "h" 2.0;
         Obs.observe "h" 9.0)
   in
@@ -248,12 +237,18 @@ let test_metrics_csv_golden () =
      gauge,g,1.5\n\
      histogram,h.le.1,1\n\
      histogram,h.le.2,1\n\
-     histogram,h.overflow,1\n\
+     histogram,h.le.5,0\n\
+     histogram,h.le.10,1\n\
+     histogram,h.le.20,0\n\
+     histogram,h.le.50,0\n\
+     histogram,h.le.100,0\n\
+     histogram,h.le.500,0\n\
+     histogram,h.overflow,0\n\
      histogram,h.count,3\n\
      histogram,h.sum,11.5\n\
      histogram,h.p50,1.5\n\
-     histogram,h.p90,2\n\
-     histogram,h.p99,2\n"
+     histogram,h.p90,8.5\n\
+     histogram,h.p99,9.85\n"
     (Export.metrics_csv r)
 
 (* ------------------------------------------------------------------ *)
@@ -722,8 +717,8 @@ let () =
             test_histogram_bucket_edges;
           Alcotest.test_case "percentile interpolation" `Quick
             test_percentile_interpolation;
-          Alcotest.test_case "rejects bad edges and kind mixes" `Quick
-            test_histogram_rejects_bad_edges;
+          Alcotest.test_case "rejects kind mixes" `Quick
+            test_histogram_rejects_kind_mix;
           Alcotest.test_case "merge rejects conflicting registries" `Quick
             test_merge_conflicts_rejected;
         ] );
