@@ -51,7 +51,7 @@ let place b ~allow_rebuy ~max_procs op =
       in
       if not (allow_rebuy && under_budget) then None
       else
-        match Builder.cheapest_hosting b ~members:[ op ] () with
+        match Builder.cheapest_hosting b ~members:[ op ] with
         | None -> None
         | Some config -> (
           match Builder.acquire b ~config ~members:[ op ] with

@@ -99,15 +99,13 @@ type flows = { b : t; members : int list; mutable acc : (group_id * float) list 
    graph edge can carry flow, so only those are visited.  On a tree,
    the closures' sizes and the boxed floats are what
    test/alloc_counts.golden pins. *)
-let candidate_flows t ~members ~ignore_groups =
+let candidate_flows t ~members =
   let st = { b = t; members; acc = [] } in
   (* lint: allow p3 — the delta assoc list holds the O(degree) groups
      adjacent to [members], never all live groups *)
   let bump v w =
-    if not (List.mem v ignore_groups) then begin
-      let prev = Option.value ~default:0.0 (List.assoc_opt v st.acc) in
-      st.acc <- (v, prev +. w) :: List.remove_assoc v st.acc
-    end
+    let prev = Option.value ~default:0.0 (List.assoc_opt v st.acc) in
+    st.acc <- (v, prev +. w) :: List.remove_assoc v st.acc
   [@@lint.allow "p3"]
   in
   List.iter
@@ -143,12 +141,12 @@ let candidate_flows t ~members ~ignore_groups =
    do around the ledger calls would otherwise surface as anonymous
    phase self-allocation in prof reports (DESIGN.md §17). *)
 
-let can_host t ~config ~members ?(ignore_groups = []) () =
+let can_host t ~config ~members =
   Obs.prof_enter "ledger.probe_host";
   let d = Demand.of_group t.graph members in
   let ok, reject =
     verdict_of (Demand.fits config d) (fun () ->
-        flows_ok t (candidate_flows t ~members ~ignore_groups))
+        flows_ok t (candidate_flows t ~members))
   in
   if Obs.journaling () then
     Obs.event (Journal.Probe { kind = Journal.Host; ops = members; ok; reject });
@@ -156,12 +154,12 @@ let can_host t ~config ~members ?(ignore_groups = []) () =
   Obs.prof_exit ();
   r
 
-let cheapest_hosting t ~members ?(ignore_groups = []) () =
+let cheapest_hosting t ~members =
   Obs.prof_enter "ledger.catalog_scan";
   (* Demand and flows are config-independent: compute them once and scan
      the catalog with the cheap capacity test only. *)
   let d = Demand.of_group t.graph members in
-  let flows_fit = flows_ok t (candidate_flows t ~members ~ignore_groups) in
+  let flows_fit = flows_ok t (candidate_flows t ~members) in
   let found =
     if not flows_fit then None
     else
@@ -191,7 +189,7 @@ let acquire t ~config ~members =
       if Ledger.assignment t.ledger i <> None then
         invalid_arg "Builder.acquire: operator already assigned")
     members;
-  if not (can_host t ~config ~members ()) then
+  if not (can_host t ~config ~members) then
     Error
       (Printf.sprintf "cannot host operators {%s} on the requested processor"
          (String.concat ", " (List.map string_of_int members)))

@@ -45,28 +45,25 @@ val assignment : t -> int -> group_id option
 val unassigned : t -> int list
 (** Operators not yet placed, increasing id order. *)
 
-val can_host :
-  t ->
-  config:Insp_platform.Catalog.config ->
-  members:int list ->
-  ?ignore_groups:group_id list ->
-  unit ->
-  bool
-(** Would a processor with [config] hosting exactly [members] satisfy its
-    compute and NIC capacity and keep every link flow towards the other
-    live groups (minus [ignore_groups]) within [proc_link]? *)
+val leq : float -> float -> bool
+(** [leq value capacity]: [value] is within [capacity] up to the
+    tolerance every capacity test of the builder applies (relative and
+    absolute [1e-9]).  A placer that screens candidates before probing
+    them uses it to reach the probe's verdict. *)
 
 val cheapest_hosting :
-  t -> members:int list -> ?ignore_groups:group_id list -> unit ->
-  Insp_platform.Catalog.config option
-(** Cheapest catalog configuration passing {!can_host}; [None] if even
+  t -> members:int list -> Insp_platform.Catalog.config option
+(** Cheapest catalog configuration on which a processor hosting exactly
+    [members] satisfies its compute and NIC capacity and keeps every
+    link flow towards the live groups within [proc_link]; [None] if even
     the best configuration fails. *)
 
 val acquire :
   t -> config:Insp_platform.Catalog.config -> members:int list ->
   (group_id, string) result
 (** Buys a new processor for [members] (all currently unassigned).
-    Fails without mutating when {!can_host} rejects. *)
+    Fails without mutating when [config] cannot host them under the
+    test of {!cheapest_hosting}. *)
 
 val try_add : t -> group_id -> int -> bool
 (** Attempts to place one unassigned operator on an existing group,

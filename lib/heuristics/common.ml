@@ -20,20 +20,25 @@ let fill b gid candidates =
 
 let best_config b = Catalog.best (Builder.platform b).Platform.catalog
 
+let no_host members =
+  Error
+    (Printf.sprintf "no processor can host operators {%s}"
+       (String.concat ", " (List.map string_of_int members)))
+
+(* [Builder.acquire] probes the configuration it buys, so a `Best
+   purchase is one probe; only `Cheapest scans the catalog first. *)
 let acquire_for b ~style members =
-  let config =
-    match style with
-    | `Best ->
-      let c = best_config b in
-      if Builder.can_host b ~config:c ~members () then Some c else None
-    | `Cheapest -> Builder.cheapest_hosting b ~members ()
+  let buy config =
+    match Builder.acquire b ~config ~members with
+    | Ok _ as bought -> bought
+    | Error _ -> no_host members
   in
-  match config with
-  | Some config -> Builder.acquire b ~config ~members
-  | None ->
-    Error
-      (Printf.sprintf "no processor can host operators {%s}"
-         (String.concat ", " (List.map string_of_int members)))
+  match style with
+  | `Best -> buy (best_config b)
+  | `Cheapest -> (
+    match Builder.cheapest_hosting b ~members with
+    | Some config -> buy config
+    | None -> no_host members)
 
 (* Most communication-demanding neighbour (over graph edges) of a
    member set, excluding the members themselves: an edge weighs its

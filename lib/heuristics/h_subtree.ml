@@ -1,5 +1,6 @@
 module Graph = Insp_tree.Graph
 module Ledger = Insp_mapping.Ledger
+module Catalog = Insp_platform.Catalog
 
 type rules = Tree | Dag
 
@@ -110,28 +111,66 @@ let producer_groups rules b op =
 (* Final consolidation ("possibly returning some processors"): fold
    small groups into others, smallest first.  Each loser tries the
    groups it exchanges a stream with before the rest, both in
-   acquisition order, so communication stays internal. *)
+   acquisition order, so communication stays internal; after each merge
+   the sweep restarts.
+
+   Per-group state lives in slot arrays built once, in acquisition
+   order: id, member count, compute load and CPU speed.  A merge drops
+   the loser's slot and re-reads the winner's count and load (no other
+   group's load or speed changes); the count comes from the member
+   list, which the ledger builds once per membership change and
+   [Builder.finalize] shares.  Most candidate pairs overflow the
+   winner's CPU, which is the first test [Builder.try_absorb] makes and
+   rejects without mutating; testing it here first skips those pairs,
+   and the adjacency of a pair is read only when it passes.  The pairs
+   left are probed in the same order, so the first merge, and every
+   placement, is the one the unfiltered sweep makes. *)
 let consolidate b =
   let ledger = Builder.ledger b in
+  let ids = Array.of_list (Builder.group_ids b) in
+  let size = Array.map (fun gid -> List.length (Builder.members b gid)) ids in
+  let load = Array.map (Ledger.compute_load ledger) ids in
+  let speed =
+    Array.map (fun gid -> (Builder.config b gid).Catalog.cpu.Catalog.speed) ids
+  in
+  let n = ref (Array.length ids) in
+  let drop l =
+    let close a = Array.blit a (l + 1) a l (!n - l - 1) in
+    close ids;
+    close size;
+    close load;
+    close speed;
+    decr n
+  in
+  let absorb l w =
+    Builder.try_absorb b ids.(w) ids.(l)
+    && begin
+         size.(w) <- List.length (Builder.members b ids.(w));
+         load.(w) <- Ledger.compute_load ledger ids.(w);
+         drop l;
+         true
+       end
+  in
+  (* Winners whose CPU can take [l]'s load: the adjacent ones are tried
+     as the scan meets them, the others after it, in order. *)
+  let merge l =
+    let rec scan w rest =
+      if w = !n then List.exists (absorb l) (List.rev rest)
+      else if w = l || not (Builder.leq (load.(w) +. load.(l)) speed.(w)) then
+        scan (w + 1) rest
+      else if Ledger.pair_flow ledger ids.(l) ids.(w) > 0.0 then
+        absorb l w || scan (w + 1) rest
+      else scan (w + 1) (w :: rest)
+    in
+    scan 0 []
+  in
   let rec pass () =
     let by_size =
-      sort_by
-        (fun gid -> List.length (Builder.members b gid))
-        compare (Builder.group_ids b)
+      List.stable_sort
+        (fun x y -> Int.compare size.(x) size.(y))
+        (List.init !n Fun.id)
     in
-    let merged =
-      List.exists
-        (fun loser ->
-          Ledger.mem_proc ledger loser
-          &&
-          let adj, rest =
-            List.filter (fun gid -> gid <> loser) (Builder.group_ids b)
-            |> List.partition (fun gid -> Ledger.pair_flow ledger loser gid > 0.0)
-          in
-          List.exists (fun winner -> Builder.try_absorb b winner loser) (adj @ rest))
-        by_size
-    in
-    if merged then pass ()
+    if List.exists merge by_size then pass ()
   in
   pass ()
 

@@ -40,3 +40,12 @@ val run :
   Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   (Builder.t, string) result
+
+(* lint: allow t3 — oracle hook for test/test_heuristics.ml consolidate = list-based sweep *)
+val consolidate : Builder.t -> unit
+(** The final consolidation {!run} ends with: until no merge succeeds,
+    each group, fewest members first (ties in acquisition order), tries
+    to be absorbed ({!Builder.try_absorb}) by the groups it exchanges a
+    stream with, then by the others, each in acquisition order, and the
+    sweep restarts after every merge.  Candidates whose merged compute
+    load overflows the winner's CPU are skipped without a probe. *)

@@ -16,7 +16,7 @@ type state = {
   servers : Servers.t;
   card_left : float array;  (* per server *)
   link_left : float array array;  (* server x group *)
-  needs : (int * int) list ref;  (* (group, object) still unassigned *)
+  needs : (int * int) list;  (* (group, object), each once *)
   chosen : (int * int) list array;  (* result under construction *)
 }
 
@@ -39,7 +39,7 @@ let init g platform ~groups =
     link_left =
       Array.init n_servers (fun _ ->
           Array.make (Array.length groups) platform.Platform.server_link);
-    needs = ref needs;
+    needs;
     chosen = Array.make (Array.length groups) [];
   }
 
@@ -53,8 +53,7 @@ let assign st u k l =
   let rate = st.rate k in
   st.card_left.(l) <- st.card_left.(l) -. rate;
   st.link_left.(l).(u) <- st.link_left.(l).(u) -. rate;
-  st.chosen.(u) <- (k, l) :: st.chosen.(u);
-  st.needs := List.filter (fun need -> need <> (u, k)) !(st.needs)
+  st.chosen.(u) <- (k, l) :: st.chosen.(u)
 
 let finish st = Array.map (List.sort compare) st.chosen
 
@@ -77,10 +76,10 @@ let note_failed u k reason =
 
 let random_graph rng g platform ~groups =
   let st = init g platform ~groups in
-  let rec loop () =
-    match !(st.needs) with
+  (* Needs are served in list order, each once. *)
+  let rec loop = function
     | [] -> Ok (finish st)
-    | (u, k) :: _ -> (
+    | (u, k) :: pending -> (
       let capable =
         List.filter (fun l -> can_provide st l u k)
           (Servers.providers st.servers k)
@@ -96,9 +95,9 @@ let random_graph rng g platform ~groups =
         let l = Prng.choose_list rng capable in
         note_download u k l ~rule:"random" ~candidates:(fun () -> capable);
         assign st u k l;
-        loop ())
+        loop pending)
   in
-  loop ()
+  loop st.needs
 
 (* The three rules each visit "the groups still needing object k".  The
    legacy implementation rescanned (and on every assignment re-filtered)
@@ -111,7 +110,7 @@ let random_graph rng g platform ~groups =
    is unchanged. *)
 let sophisticated_core st =
   let exception Failed of string in
-  let all_needs = !(st.needs) in
+  let all_needs = st.needs in
   let objects_in_needs = List.sort_uniq compare (List.map snd all_needs) in
   let bucket : (int, int list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -137,10 +136,7 @@ let sophisticated_core st =
       (Option.value ~default:[] (Hashtbl.find_opt bucket k))
   in
   let assign_need u k l =
-    let rate = st.rate k in
-    st.card_left.(l) <- st.card_left.(l) -. rate;
-    st.link_left.(l).(u) <- st.link_left.(l).(u) -. rate;
-    st.chosen.(u) <- (k, l) :: st.chosen.(u);
+    assign st u k l;
     Hashtbl.replace assigned (u, k) ();
     Hashtbl.replace pending_count k (n_pending k - 1)
   in

@@ -2,57 +2,49 @@ module App = Insp_tree.App
 module Optree = Insp_tree.Optree
 module Objects = Insp_tree.Objects
 
-(* Canonical form of a computation: an object type, or the sorted list
-   of its inputs' canonical forms (commutativity = order-insensitivity;
-   the binary tree shape itself is preserved, so this is hash-consing of
-   equal subtrees, not full associative reassociation — see
-   Insp_rewrite for shape changes). *)
-type key = Leaf of int | Combine of key list
-
-let rec compare_key a b =
-  match (a, b) with
-  | Leaf x, Leaf y -> compare x y
-  | Leaf _, Combine _ -> -1
-  | Combine _, Leaf _ -> 1
-  | Combine xs, Combine ys -> List.compare compare_key xs ys
-
+(* Hash-consing on input codes.  A computation's canonical form is an
+   object type, or the multiset of its inputs' canonical forms
+   (commutativity = order-insensitivity; the binary tree shape itself
+   is preserved, so this is hash-consing of equal subtrees, not full
+   associative reassociation — see Insp_rewrite for shape changes).
+   Every distinct operator form is interned once, so its DAG id names
+   it: an input's code is [-(k+1)] for object leaf [k] and the DAG id
+   of an operator child, and an operator's key is the sorted list of
+   its input codes.  Equal keys are exactly equal forms, and a key
+   costs O(fan-in) to hash and compare, not O(subtree). *)
 let share ~objects ~alpha ?(base_work = 0.0) ?(work_factor = 1.0) ~trees () =
   (match trees with
   | [] -> invalid_arg "Cse.share: no applications"
   | _ -> ());
   let n_object_types = Objects.count objects in
   let builder = Dag.create_builder ~n_object_types in
-  let table : (key, int) Hashtbl.t = Hashtbl.create 64 in
-  let intern key inputs =
-    match Hashtbl.find_opt table key with
-    | Some id -> id
-    | None ->
-      let id = Dag.add_node builder ~inputs in
-      Hashtbl.replace table key id;
-      id
-  in
+  let table : (int list, int) Hashtbl.t = Hashtbl.create 64 in
   let share_tree tree =
     (* Bottom-up: children interned before parents. *)
-    let node_key = Hashtbl.create 32 in
-    let node_id = Hashtbl.create 32 in
+    let node_id = Array.make (Optree.n_operators tree) (-1) in
     List.iter
       (fun op ->
-        let leaf_inputs =
-          List.map (fun k -> (Leaf k, Dag.Object k)) (Optree.leaves tree op)
+        let leaves = Optree.leaves tree op
+        and children = Optree.children tree op in
+        let key =
+          List.map (fun k -> -(k + 1)) leaves
+          @ List.map (fun c -> node_id.(c)) children
+          |> List.sort Int.compare
         in
-        let child_inputs =
-          List.map
-            (fun c ->
-              (Hashtbl.find node_key c, Dag.Node (Hashtbl.find node_id c)))
-            (Optree.children tree op)
-        in
-        let all = leaf_inputs @ child_inputs in
-        let key = Combine (List.sort compare_key (List.map fst all)) in
-        let id = intern key (List.map snd all) in
-        Hashtbl.replace node_key op key;
-        Hashtbl.replace node_id op id)
+        node_id.(op) <-
+          (match Hashtbl.find_opt table key with
+          | Some id -> id
+          | None ->
+            let id =
+              Dag.add_node builder
+                ~inputs:
+                  (List.map (fun k -> Dag.Object k) leaves
+                  @ List.map (fun c -> Dag.Node node_id.(c)) children)
+            in
+            Hashtbl.replace table key id;
+            id))
       (Optree.postorder tree);
-    Hashtbl.find node_id (Optree.root tree)
+    node_id.(Optree.root tree)
   in
   let roots =
     List.map (fun (tree, rho) -> (share_tree tree, rho)) trees

@@ -7,7 +7,10 @@
     its type, an operator by the multiset of its inputs' canonical
     forms.  Hash-consing every subtree across all applications yields a
     DAG in which each distinct computation appears once; a shared node
-    runs at the fastest consumer's rate. *)
+    runs at the fastest consumer's rate.  The hash-consing keys are
+    input codes, not whole forms: an operator is keyed by the sorted
+    codes of its inputs, [-(k+1)] for object leaf [k] and the DAG id of
+    an operator child, so a key costs O(fan-in) to hash and compare. *)
 
 val share_apps : Insp_tree.App.t list -> Dag.t
 (** Convenience wrapper: extracts the catalog, alpha, work constants and

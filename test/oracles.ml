@@ -279,3 +279,41 @@ let resort_object_availability _rng g platform =
       match pack_object k with Error e -> Error e | Ok () -> objects rest)
   in
   objects by_availability_asc
+
+(* ------------------------------------------------------------------ *)
+(* Subtree-Bottom-Up consolidation that probes every pair              *)
+
+(* The final consolidation as lists: every pass re-sorts the live groups
+   by member count and, for each loser, partitions all other groups by
+   adjacency and probes each with [Builder.try_absorb], whose own
+   compute test rejects most of them.  Production screens those pairs
+   out before probing and must leave the same state. *)
+let list_consolidate b =
+  let ledger = Builder.ledger b in
+  let sort_by key cmp ids =
+    List.map (fun g -> (key g, g)) ids
+    |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
+    |> List.map snd
+  in
+  let rec pass () =
+    let by_size =
+      sort_by
+        (fun gid -> List.length (Builder.members b gid))
+        compare (Builder.group_ids b)
+    in
+    let merged =
+      List.exists
+        (fun loser ->
+          Insp.Ledger.mem_proc ledger loser
+          &&
+          let adj, rest =
+            List.filter (fun gid -> gid <> loser) (Builder.group_ids b)
+            |> List.partition (fun gid ->
+                   Insp.Ledger.pair_flow ledger loser gid > 0.0)
+          in
+          List.exists (fun winner -> Builder.try_absorb b winner loser) (adj @ rest))
+        by_size
+    in
+    if merged then pass ()
+  in
+  pass ()

@@ -74,12 +74,63 @@ let test_builder_rejects_pair_flow () =
   (match Builder.acquire b ~config:best ~members:[ 2; 3 ] with
   | Ok _ -> Alcotest.fail "should reject: edge n2->n0 exceeds the link"
   | Error _ -> ());
-  (* But placing all four together is fine (the heavy edge becomes
-     internal); the overlapping group must be excluded from the
-     pair-flow check. *)
+  (* But placing all four together is fine: each heavy edge becomes
+     internal as its operator joins g1. *)
   Alcotest.(check bool) "co-located ok" true
-    (Builder.can_host b ~config:best ~members:[ 0; 1; 2; 3 ]
-       ~ignore_groups:[ g1 ] ())
+    (Builder.try_add b g1 2 && Builder.try_add b g1 3);
+  Alcotest.(check (list int)) "all on g1" [ 0; 1; 2; 3 ] (Builder.members b g1)
+
+(* ------------------------------------------------------------------ *)
+(* Consolidation = the list-based sweep                                *)
+
+(* A builder state to consolidate: operators in id order, each joining
+   a random group or, half the time and whenever that fails, buying a
+   processor of a random configuration for itself (left unassigned when
+   none can host it alone).  Replaying a seed rebuilds the same state. *)
+let random_groups seed g platform =
+  let b = Builder.create g platform in
+  let rng = Prng.create seed in
+  let configs = Array.of_list (Catalog.configs platform.Platform.catalog) in
+  for op = 0 to Insp.Graph.n_nodes g - 1 do
+    let ids = Builder.group_ids b in
+    let joined =
+      ids <> [] && Prng.int rng 2 = 0
+      && Builder.try_add b (Prng.choose_list rng ids) op
+    in
+    if not joined then
+      ignore
+        (Builder.acquire b ~config:(Prng.choose rng configs) ~members:[ op ])
+  done;
+  b
+
+(* Production consolidation and the oracle, each on its own replay of
+   the same state, leave equal ledgers and acquisition orders. *)
+let consolidates_like_oracle seed g platform =
+  let run consolidate =
+    let b = random_groups seed g platform in
+    consolidate b;
+    (Insp.Ledger.state_key (Builder.ledger b), Builder.group_ids b)
+  in
+  run Insp_heuristics.H_subtree.consolidate = run Oracles.list_consolidate
+
+let consolidate_tree_equiv =
+  qtest ~count:100 "consolidate = list-based sweep (trees)"
+    QCheck.(pair small_nat Helpers.small_instance_gen)
+    (fun (seed, inst) ->
+      consolidates_like_oracle seed
+        (Insp.Graph.of_app inst.Insp.Instance.app)
+        inst.Insp.Instance.platform)
+
+let consolidate_dag_equiv =
+  qtest ~count:40 "consolidate = list-based sweep (CSE sets)"
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, set) ->
+      let apps, platform =
+        Insp.Multi_workload.instance ~seed:set ~n_apps:3 ~n_operators:20
+      in
+      consolidates_like_oracle seed
+        (Insp.Dag.graph (Insp.Cse.share_apps apps))
+        platform)
 
 let test_builder_finalize_incomplete () =
   let app, platform = tiny_env () in
@@ -387,6 +438,7 @@ let () =
           Alcotest.test_case "upgrade variants" `Quick
             test_builder_upgrade_variants;
         ] );
+      ("consolidate", [ consolidate_tree_equiv; consolidate_dag_equiv ]);
       ( "heuristics",
         [
           Alcotest.test_case "registry" `Quick test_find_heuristics;

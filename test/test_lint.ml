@@ -1002,38 +1002,61 @@ let test_porcelain () =
 (* ------------------------------------------------------------------ *)
 (* Integration: the repo itself is lint-clean                          *)
 
-let repo_roots = [ "../lib"; "../bin"; "../bench"; "../test" ]
+(* The checkout the integration cases lint: the nearest directory from
+   the cwd up that holds both lint.baseline and lib/.  That is the repo
+   root when the executable runs from a checkout, and [_build/default]
+   under [dune runtest], where the test's deps copy both. *)
+let repo_root () =
+  let rec up dir =
+    if
+      Sys.file_exists (Filename.concat dir "lint.baseline")
+      && Sys.file_exists (Filename.concat dir "lib")
+    then dir
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.fail "no lint.baseline and lib/ above the cwd"
+      else up parent
+  in
+  up (Sys.getcwd ())
+
+let existing dirs = List.filter Sys.file_exists dirs
 
 let test_repo_lint_clean () =
-  let roots = List.filter Sys.file_exists repo_roots in
-  Alcotest.(check bool) "repo roots visible from the test sandbox" true
-    (roots <> []);
-  Alcotest.(check int) "repo is lint-clean (modulo baseline)" 0
-    (run_driver ~baseline:"../lint.baseline" roots)
+  in_dir (repo_root ()) (fun () ->
+      let roots = existing [ "lib"; "bin"; "bench"; "test" ] in
+      Alcotest.(check bool) "repo roots visible from the test sandbox" true
+        (roots <> []);
+      Alcotest.(check int) "repo is lint-clean (modulo baseline)" 0
+        (run_driver ~baseline:"lint.baseline" roots))
 
 (* Deep-pass counterpart of [test_repo_lint_clean]: the repo's own
    typedtrees must be T1/T2/T3-clean modulo the committed baseline.
-   When the test runs without a surrounding build universe (no .cmt
-   under ".."), the check is skipped rather than failed — the dune
-   runtest lint rule still covers it. *)
+   The typedtrees are those of [_build/default] in a checkout, and the
+   root's own under [dune runtest].  When the test runs without a
+   surrounding build universe (no .cmt there), the check is skipped
+   rather than failed — the dune runtest lint rule still covers it. *)
 let test_repo_deep_clean () =
-  match Cmt_loader.load ~root:".." () with
+  let root = repo_root () in
+  let cmt_root =
+    if Sys.file_exists (Filename.concat root "_build/default") then
+      "_build/default"
+    else "."
+  in
+  match Cmt_loader.load ~root:(Filename.concat root cmt_root) () with
   | exception Cmt_loader.Cmt_error _ -> ()
   | _ ->
-    (* from the build root, as the runtest rule runs it: the deep pass
-       reads suppression comments from the recorded source paths *)
+    (* from the repo root, as `make lint-deep` runs it *)
     let code =
-      in_dir ".." (fun () ->
+      in_dir root (fun () ->
           Driver.run
             {
               Driver.format = Driver.Text;
               baseline = Some "lint.baseline";
               update_baseline = false;
-              roots =
-                List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ];
+              roots = existing [ "lib"; "bin"; "bench"; "test" ];
               only = None;
               deep = true;
-              cmt_root = ".";
+              cmt_root;
               allow_stale = true;
             })
     in
@@ -1100,12 +1123,11 @@ let test_absolute_roots () =
 (* The shipped baseline must stay empty for lib/mapping and
    lib/heuristics: those directories pass with no baseline at all. *)
 let test_mapping_heuristics_clean_without_baseline () =
-  let roots =
-    List.filter Sys.file_exists [ "../lib/mapping"; "../lib/heuristics" ]
-  in
-  Alcotest.(check bool) "mapping/heuristics visible" true (roots <> []);
-  check_reports "clean with an empty baseline" []
-    (List.map render (Driver.lint_roots roots))
+  in_dir (repo_root ()) (fun () ->
+      let roots = existing [ "lib/mapping"; "lib/heuristics" ] in
+      Alcotest.(check bool) "mapping/heuristics visible" true (roots <> []);
+      check_reports "clean with an empty baseline" []
+        (List.map render (Driver.lint_roots roots)))
 
 let () =
   Alcotest.run "lint"
