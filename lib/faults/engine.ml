@@ -145,8 +145,7 @@ let run spec app0 platform alloc0 timeline =
   in
   let crash at victim =
     incr n_crashes;
-    Obs.incr "faults.crash";
-    if Obs.journaling () then Obs.event (Journal.Fault_crash { t = at; victim });
+    if Obs.decide Journal.Crashed then Obs.event (Journal.Fault_crash { t = at; victim });
     match
       Repair.run ?max_procs:spec.max_procs ~allow_rebuy:spec.allow_rebuy !app
         platform !alloc ~failed:[ victim ]
@@ -184,9 +183,8 @@ let run spec app0 platform alloc0 timeline =
   in
   let rho_shift at factor =
     incr n_rho;
-    Obs.incr "faults.rho";
     let rho = rho0 *. factor in
-    if Obs.journaling () then
+    if Obs.decide Journal.Rho_shifted then
       Obs.event (Journal.Fault_rho { t = at; factor; rho });
     app :=
       App.make ~rho ~base_work:(App.base_work !app)
@@ -224,9 +222,8 @@ let run spec app0 platform alloc0 timeline =
   in
   let capacity at fault factor duration =
     incr n_capacity;
-    Obs.incr "faults.capacity";
     let label = Scenario.scope_label fault in
-    if Obs.journaling () then
+    if Obs.decide Journal.Capacity_changed then
       Obs.event (Journal.Fault_capacity { t = at; scope = label; factor; duration });
     let dip, recovery =
       if not spec.measure then (None, None)

@@ -6,14 +6,13 @@ module Ledger = Insp_mapping.Ledger
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
-(* Every feasibility probe reports to the observability sink: a total
-   ("heur.probe") plus its outcome ("heur.probe.hit"/".miss"), so probe
-   complexity and ledger acceptance rates are visible per run
-   (DESIGN.md §10).  With no sink installed these are no-ops. *)
-let count_probe ok =
-  Obs.incr "heur.probe";
-  Obs.incr (if ok then "heur.probe.hit" else "heur.probe.miss");
-  ok
+(* Every feasibility probe reports to the observability sink as one
+   decision (DESIGN.md §10): a verdict alone counts "heur.probe" plus its
+   outcome ("heur.probe.hit"/".miss"); a verdict that decides an add or
+   a merge also counts that outcome, so probe complexity and ledger
+   acceptance rates are visible per run.  With no sink installed these
+   are no-ops. *)
+let probed ok = if ok then Journal.Probe_ok else Journal.Probe_rejected
 
 (* Probe verdict with the rejection reason, preserving the original
    short-circuit order (demand first, flows only when demand fits) so
@@ -148,11 +147,10 @@ let can_host t ~config ~members =
     verdict_of (Demand.fits config d) (fun () ->
         flows_ok t (candidate_flows t ~members))
   in
-  if Obs.journaling () then
+  if Obs.decide (probed ok) then
     Obs.event (Journal.Probe { kind = Journal.Host; ops = members; ok; reject });
-  let r = count_probe ok in
   Obs.prof_exit ();
-  r
+  ok
 
 let cheapest_hosting t ~members =
   Obs.prof_enter "ledger.catalog_scan";
@@ -168,7 +166,7 @@ let cheapest_hosting t ~members =
         (fun cfg -> Demand.fits cfg d)
         (Catalog.configs t.platform.Platform.catalog)
   in
-  if Obs.journaling () then begin
+  if Obs.decide (probed (found <> None)) then begin
     let reject =
       if found <> None then None
       else if not flows_fit then Some Journal.Link_exceeded
@@ -179,7 +177,6 @@ let cheapest_hosting t ~members =
          { kind = Journal.Catalog_scan; ops = members; ok = found <> None;
            reject })
   end;
-  ignore (count_probe (found <> None));
   Obs.prof_exit ();
   found
 
@@ -198,21 +195,12 @@ let acquire t ~config ~members =
     let gid = Ledger.add_proc t.ledger config in
     List.iter (fun i -> Ledger.add_operator t.ledger gid i) members;
     t.order <- gid :: t.order;
-    Obs.incr "heur.acquire";
-    if Obs.journaling () then
+    if Obs.decide Journal.Acquired then
       Obs.event
         (Journal.Acquire { gid; config = Catalog.label config; members });
     Obs.prof_exit ();
     Ok gid
   end
-
-let count_try_add ok =
-  Obs.incr (if ok then "heur.try_add.ok" else "heur.try_add.reject");
-  ok
-
-let count_absorb ok =
-  Obs.incr (if ok then "heur.absorb.ok" else "heur.absorb.reject");
-  ok
 
 let try_add t gid op =
   if Ledger.assignment t.ledger op <> None then
@@ -221,28 +209,20 @@ let try_add t gid op =
   Obs.prof_enter "ledger.try_add";
   let probe = Ledger.probe_add t.ledger gid op in
   let ok, reject = probe_verdict t (Ledger.config t.ledger gid) probe in
-  ignore (count_probe ok);
-  if Obs.journaling () then
+  if Obs.decide (if ok then Journal.Added else Journal.Add_rejected) then
     Obs.event
       (match reject with
       | None -> Journal.Add_op { gid; op; upgrade = None }
       | Some reject -> Journal.Reject_add { gid; op; reject });
-  let r =
-    if ok then begin
-      Ledger.add_operator t.ledger gid op;
-      count_try_add true
-    end
-    else count_try_add false
-  in
+  if ok then Ledger.add_operator t.ledger gid op;
   Obs.prof_exit ();
-  r
+  ok
 
 let sell t gid =
   check_live t gid;
   Ledger.remove_proc t.ledger gid;
   t.order <- List.filter (fun id -> id <> gid) t.order;
-  Obs.incr "heur.sell";
-  if Obs.journaling () then Obs.event (Journal.Sell { gid })
+  if Obs.decide Journal.Sold then Obs.event (Journal.Sell { gid })
 
 let try_absorb t winner loser =
   if winner = loser then invalid_arg "Builder.try_absorb: same group";
@@ -262,42 +242,31 @@ let try_absorb t winner loser =
     then (false, Some Journal.Demand_exceeded)
     else probe_verdict t config (Ledger.probe_merge t.ledger ~winner ~loser)
   in
-  ignore (count_probe ok);
-  if Obs.journaling () then
+  if Obs.decide (if ok then Journal.Merged else Journal.Merge_rejected) then
     Obs.event
       (match reject with
       | None -> Journal.Merge_groups { winner; loser; upgrade = None }
       | Some reject -> Journal.Reject_merge { winner; loser; reject });
-  let r =
-    if ok then begin
-      Ledger.merge t.ledger ~winner ~loser;
-      t.order <- List.filter (fun id -> id <> loser) t.order;
-      count_absorb true
-    end
-    else count_absorb false
-  in
+  if ok then begin
+    Ledger.merge t.ledger ~winner ~loser;
+    t.order <- List.filter (fun id -> id <> loser) t.order
+  end;
   Obs.prof_exit ();
-  r
+  ok
 
-(* Returns the cheapest hosting configuration plus the rejection reason
-   when there is none (for the journal). *)
+(* The cheapest configuration hosting the probed group, or the reason
+   there is none (for the journal); the caller counts the decision. *)
 let cheapest_for t probe =
-  let flows_fit = flows_ok t probe.Ledger.pair_flows in
-  let found =
-    if not flows_fit then None
-    else
+  if not (flows_ok t probe.Ledger.pair_flows) then Error Journal.Link_exceeded
+  else
+    match
       (* lint: allow p3 — catalog scan is bounded by the config count *)
       List.find_opt
         (fun cfg -> Demand.fits cfg probe.Ledger.demand)
         (Catalog.configs t.platform.Platform.catalog)
-  in
-  ignore (count_probe (found <> None));
-  let reject =
-    if found <> None then None
-    else if not flows_fit then Some Journal.Link_exceeded
-    else Some Journal.No_config
-  in
-  (found, reject)
+    with
+    | Some cfg -> Ok cfg
+    | None -> Error Journal.No_config
 
 let try_add_upgrade t gid op =
   if Ledger.assignment t.ledger op <> None then
@@ -305,20 +274,17 @@ let try_add_upgrade t gid op =
   check_live t gid;
   let probe = Ledger.probe_add t.ledger gid op in
   match cheapest_for t probe with
-  | None, reject ->
-    if Obs.journaling () then begin
-      match reject with
-      | Some reject -> Obs.event (Journal.Reject_add { gid; op; reject })
-      | None -> ()
-    end;
-    count_try_add false
-  | Some cfg, _ ->
+  | Error reject ->
+    if Obs.decide Journal.Add_rejected then
+      Obs.event (Journal.Reject_add { gid; op; reject });
+    false
+  | Ok cfg ->
     Ledger.add_operator t.ledger gid op;
     Ledger.set_config t.ledger gid cfg;
-    if Obs.journaling () then
+    if Obs.decide Journal.Added then
       Obs.event
         (Journal.Add_op { gid; op; upgrade = Some (Catalog.label cfg) });
-    count_try_add true
+    true
 
 let try_absorb_upgrade t winner loser =
   if winner = loser then invalid_arg "Builder.try_absorb_upgrade: same group";
@@ -326,22 +292,19 @@ let try_absorb_upgrade t winner loser =
   check_live t loser;
   let probe = Ledger.probe_merge t.ledger ~winner ~loser in
   match cheapest_for t probe with
-  | None, reject ->
-    if Obs.journaling () then begin
-      match reject with
-      | Some reject -> Obs.event (Journal.Reject_merge { winner; loser; reject })
-      | None -> ()
-    end;
-    count_absorb false
-  | Some cfg, _ ->
+  | Error reject ->
+    if Obs.decide Journal.Merge_rejected then
+      Obs.event (Journal.Reject_merge { winner; loser; reject });
+    false
+  | Ok cfg ->
     Ledger.merge t.ledger ~winner ~loser;
     Ledger.set_config t.ledger winner cfg;
     t.order <- List.filter (fun id -> id <> loser) t.order;
-    if Obs.journaling () then
+    if Obs.decide Journal.Merged then
       Obs.event
         (Journal.Merge_groups
            { winner; loser; upgrade = Some (Catalog.label cfg) });
-    count_absorb true
+    true
 
 let finalize t =
   if not (all_assigned t) then

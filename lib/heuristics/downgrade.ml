@@ -41,8 +41,7 @@ let run_graph g platform alloc =
       chosen.(u) <- config
     | None ->
       (* keep the provisioned config; checker will flag *)
-      Obs.incr "heur.downgrade.stuck";
-      if Obs.journaling () then
+      if Obs.decide Journal.Stuck then
         Obs.event
           (Journal.Downgrade_stuck
              { proc = u; config = Catalog.label chosen.(u) })

@@ -60,21 +60,16 @@ let failure_message = function
   | Validation m -> "validation failed: " ^ m
 
 let run_graph ?(seed = 0) heuristic g platform =
-  (* One span per pipeline stage; the counter pair records the overall
-     outcome so sweep-level failure rates show up in metric exports. *)
-  let count result =
-    Obs.incr
-      (match result with Ok _ -> "heur.solve.ok" | Error _ -> "heur.solve.fail");
-    result
-  in
-  (* Journal guard computed once: [phase]/[failed] cost nothing when the
-     installed sink is not journaling. *)
+  (* One span per pipeline stage; the Solved/Solve_failed decision
+     counts the overall outcome so sweep-level failure rates show up in
+     metric exports.  Journal guard computed once: [phase] costs nothing
+     when the installed sink is not journaling. *)
   let jn = Obs.journaling () in
   let phase stage =
     if jn then Obs.event (Journal.Phase { heuristic = heuristic.key; stage })
   in
-  let failed status =
-    if jn then
+  let failed status failure =
+    if Obs.decide Journal.Solve_failed then
       Obs.event
         (Journal.Outcome
            {
@@ -83,20 +78,17 @@ let run_graph ?(seed = 0) heuristic g platform =
              cost = None;
              n_procs = None;
              procs = [];
-           })
+           });
+    Error failure
   in
   Obs.span ("solve." ^ heuristic.key) (fun () ->
       let rng = Prng.create seed in
       phase "placement";
       match Obs.span "placement" (fun () -> heuristic.place rng g platform) with
-      | Error msg ->
-        failed "placement_failed";
-        count (Error (Placement msg))
+      | Error msg -> failed "placement_failed" (Placement msg)
       | Ok builder -> (
         match Builder.finalize builder with
-        | Error msg ->
-          failed "placement_failed";
-          count (Error (Placement msg))
+        | Error msg -> failed "placement_failed" (Placement msg)
         | Ok (groups, configs) -> (
           phase "server_select";
           let selection =
@@ -106,9 +98,7 @@ let run_graph ?(seed = 0) heuristic g platform =
                 else Server_select.sophisticated_graph g platform ~groups)
           in
           match selection with
-          | Error msg ->
-            failed "server_select_failed";
-            count (Error (Server_selection msg))
+          | Error msg -> failed "server_select_failed" (Server_selection msg)
           | Ok downloads -> (
             let alloc = Alloc.of_groups ~configs ~groups ~downloads in
             phase "downgrade";
@@ -120,7 +110,7 @@ let run_graph ?(seed = 0) heuristic g platform =
             | [] ->
               let cost = Cost.of_alloc platform.Platform.catalog alloc in
               let n_procs = Alloc.n_procs alloc in
-              if jn then
+              if Obs.decide Journal.Solved then
                 (* [finalize] lists groups in acquisition order, which is
                    the processor index order of [Alloc.of_groups] — so
                    processor [i] came from builder group [group_ids.(i)],
@@ -137,10 +127,9 @@ let run_graph ?(seed = 0) heuristic g platform =
                            (fun i gid -> (i, gid))
                            (Builder.group_ids builder);
                      });
-              count (Ok { alloc; cost; n_procs })
+              Ok { alloc; cost; n_procs }
             | violations ->
-              failed "infeasible";
-              count (Error (Validation (Check.explain violations)))))))
+              failed "infeasible" (Validation (Check.explain violations))))))
 
 let run ?seed heuristic app platform =
   run_graph ?seed heuristic (Graph.of_app app) platform

@@ -93,6 +93,54 @@ type event =
   | Repair_infeasible of { t : float; reason : string }
   | Truncated of { category : string }
 
+type decision =
+  | Probe_ok
+  | Probe_rejected
+  | Acquired
+  | Added
+  | Add_rejected
+  | Merged
+  | Merge_rejected
+  | Sold
+  | Stuck
+  | Solved
+  | Solve_failed
+  | Crashed
+  | Rho_shifted
+  | Capacity_changed
+  | Arrived
+  | Admitted
+  | Rejected_placement
+  | Rejected_proc_budget
+  | Rejected_ledger
+  | Departed
+  | Departed_unknown
+
+(* Constant lists: returning one allocates nothing.  A probe's verdict
+   comes before the add/merge outcome it decides. *)
+let counters = function
+  | Probe_ok -> [ "heur.probe"; "heur.probe.hit" ]
+  | Probe_rejected -> [ "heur.probe"; "heur.probe.miss" ]
+  | Acquired -> [ "heur.acquire" ]
+  | Added -> [ "heur.probe"; "heur.probe.hit"; "heur.try_add.ok" ]
+  | Add_rejected -> [ "heur.probe"; "heur.probe.miss"; "heur.try_add.reject" ]
+  | Merged -> [ "heur.probe"; "heur.probe.hit"; "heur.absorb.ok" ]
+  | Merge_rejected -> [ "heur.probe"; "heur.probe.miss"; "heur.absorb.reject" ]
+  | Sold -> [ "heur.sell" ]
+  | Stuck -> [ "heur.downgrade.stuck" ]
+  | Solved -> [ "heur.solve.ok" ]
+  | Solve_failed -> [ "heur.solve.fail" ]
+  | Crashed -> [ "faults.crash" ]
+  | Rho_shifted -> [ "faults.rho" ]
+  | Capacity_changed -> [ "faults.capacity" ]
+  | Arrived -> [ "serve.arrival" ]
+  | Admitted -> [ "serve.admit" ]
+  | Rejected_placement -> [ "serve.reject"; "serve.reject.placement" ]
+  | Rejected_proc_budget -> [ "serve.reject"; "serve.reject.proc_budget" ]
+  | Rejected_ledger -> [ "serve.reject"; "serve.reject.ledger" ]
+  | Departed -> [ "serve.depart" ]
+  | Departed_unknown -> [ "serve.depart.unknown" ]
+
 type t = {
   mutable on : bool;
   mutable depth : int;

@@ -100,6 +100,37 @@ type event =
       (** depth cap hit for a bounded category; subsequent events of the
           category are dropped *)
 
+(** A counted decision: one call to {!Obs.decide} bumps its
+    {!counters} and, when journaling, is followed by the one event that
+    records it. *)
+type decision =
+  | Probe_ok  (** {!Probe} with [ok] *)
+  | Probe_rejected  (** {!Probe} without [ok] *)
+  | Acquired  (** {!Acquire} *)
+  | Added  (** {!Add_op}: a probe that hit and its add *)
+  | Add_rejected  (** {!Reject_add}: a probe that missed *)
+  | Merged  (** {!Merge_groups} *)
+  | Merge_rejected  (** {!Reject_merge} *)
+  | Sold  (** {!Sell} *)
+  | Stuck  (** {!Downgrade_stuck} *)
+  | Solved  (** {!Outcome} with status ["feasible"] *)
+  | Solve_failed  (** any other {!Outcome} *)
+  | Crashed  (** {!Fault_crash} *)
+  | Rho_shifted  (** {!Fault_rho} *)
+  | Capacity_changed  (** {!Fault_capacity} *)
+  | Arrived  (** {!Serve_arrival} *)
+  | Admitted  (** {!Serve_admit} *)
+  | Rejected_placement  (** {!Serve_reject}, reason ["placement"] *)
+  | Rejected_proc_budget  (** {!Serve_reject}, reason ["proc_budget"] *)
+  | Rejected_ledger  (** {!Serve_reject}, reason ["ledger"] *)
+  | Departed  (** {!Serve_depart} *)
+  | Departed_unknown  (** {!Serve_unknown_depart} *)
+
+val counters : decision -> string list
+(** The one table of counter names: the metrics a decision bumps, in
+    bump order (a metrics snapshot lists counters in the order they
+    were first bumped). *)
+
 type t
 
 val default_depth : int

@@ -139,9 +139,25 @@ let prof_exit () =
 
 (* --- journal entry points --- *)
 
-(* Engines guard event construction with [if Obs.journaling () then ...]
+(* Engines guard event construction with [if Obs.decide d then ...]
+   (or [if Obs.journaling () then ...] for events that count nothing),
    so the no-sink (and sink-without-journal) cost is one DLS read and a
-   match — same zero-cost contract as the metric entry points. *)
+   match — same zero-cost contract as the metric entry points.  The
+   counters are bumped by a top-level loop over [Journal.counters d], a
+   constant list, so no closure is allocated either. *)
+let rec bump_each m = function
+  | [] -> ()
+  | name :: rest ->
+    Metrics.incr m name;
+    bump_each m rest
+
+let decide d =
+  match active () with
+  | None -> false
+  | Some s ->
+    bump_each s.metrics (Journal.counters d);
+    Journal.recording s.journal
+
 let journaling () =
   match active () with
   | None -> false

@@ -87,10 +87,17 @@ val prof_exit : unit -> unit
 
 (** {1 Journal entry points}
 
-    Call sites guard event construction with
-    [if Obs.journaling () then Obs.event (...)] so that with no sink —
-    or a sink that is not journaling — the cost is one domain-local
-    read, with no event allocation. *)
+    A decision site makes one call,
+    [if Obs.decide D then Obs.event (...)]: {!decide} bumps the
+    decision's {!Journal.counters} and says whether to record its
+    event, so the event is built only when journaling.  With no sink
+    the cost is one domain-local read, with no allocation.  Events that
+    count nothing (phases, download choices, repair steps) guard with
+    [if Obs.journaling () then Obs.event (...)]. *)
+
+val decide : Journal.decision -> bool
+(** Bump the decision's counters; [true] when the installed sink is
+    recording decision events. *)
 
 val journaling : unit -> bool
 (** The installed sink, if any, is recording decision events. *)

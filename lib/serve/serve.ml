@@ -184,6 +184,11 @@ let reject_label = function
   | R_proc_budget -> "proc_budget"
   | R_ledger -> "ledger"
 
+let reject_decision = function
+  | R_placement -> Journal.Rejected_placement
+  | R_proc_budget -> Journal.Rejected_proc_budget
+  | R_ledger -> Journal.Rejected_ledger
+
 let instance_for t ~n_operators ~app_seed =
   (* Per-application workload drawn from the service's base template;
      the generated per-instance platform is discarded — applications
@@ -328,8 +333,7 @@ let handle t event =
       invalid_arg "Serve.handle: tenant outside the configured range";
     if Imap.mem app t.live then invalid_arg "Serve.handle: duplicate arrival";
     t.seen <- Iset.add app t.seen;
-    Obs.incr "serve.arrival";
-    if Obs.journaling () then
+    if Obs.decide Journal.Arrived then
       Obs.event
         (Journal.Serve_arrival { app; tenant; ops = n_operators; t = tick });
     (match try_admit t ~tenant ~n_operators ~app_seed with
@@ -338,17 +342,14 @@ let handle t event =
       let acct = t.accounts.(tenant) in
       acct.admitted <- acct.admitted + 1;
       acct.purchased <- acct.purchased +. adm.a_cost;
-      Obs.incr "serve.admit";
-      if Obs.journaling () then
+      if Obs.decide Journal.Admitted then
         Obs.event
           (Journal.Serve_admit
              { app; tenant; cost = adm.a_cost; n_procs = adm.a_n_procs })
     | Error reason ->
       let acct = t.accounts.(tenant) in
       acct.rejected <- acct.rejected + 1;
-      Obs.incr "serve.reject";
-      Obs.incr ("serve.reject." ^ reject_label reason);
-      if Obs.journaling () then
+      if Obs.decide (reject_decision reason) then
         Obs.event
           (Journal.Serve_reject { app; tenant; reason = reject_label reason }))
   | Stream.Departure { app; t = tick } -> (
@@ -358,8 +359,7 @@ let handle t event =
          stream artefact; one for an id that never arrived is a
          malformed stream and must not be silently swallowed. *)
       if not (Iset.mem app t.seen) then begin
-        Obs.incr "serve.depart.unknown";
-        if Obs.journaling () then
+        if Obs.decide Journal.Departed_unknown then
           Obs.event (Journal.Serve_unknown_depart { app; t = tick });
         raise (Unknown_departure { app; t = tick })
       end
@@ -369,8 +369,7 @@ let handle t event =
       let acct = t.accounts.(a.a_tenant) in
       acct.departed <- acct.departed + 1;
       acct.refunded <- acct.refunded +. refund;
-      Obs.incr "serve.depart";
-      if Obs.journaling () then
+      if Obs.decide Journal.Departed then
         Obs.event (Journal.Serve_depart { app; tenant = a.a_tenant; refund });
       if t.params.reoptimize then reoptimize_tenant t ~tenant:a.a_tenant)
 
