@@ -51,12 +51,9 @@ let place b ~allow_rebuy ~max_procs op =
       in
       if not (allow_rebuy && under_budget) then None
       else
-        match Builder.cheapest_hosting b ~members:[ op ] with
-        | None -> None
-        | Some config -> (
-          match Builder.acquire b ~config ~members:[ op ] with
-          | Ok gid -> Some (`Buy (gid, config))
-          | Error _ -> None))
+        match Builder.acquire_cheapest b ~members:[ op ] with
+        | Ok gid -> Some (`Buy (gid, Builder.config b gid))
+        | Error _ -> None)
 
 let validate_failed n_procs failed =
   let failed = List.sort_uniq compare failed in

@@ -1,5 +1,4 @@
 module Prng = Insp_util.Prng
-module Stream = Insp_serve.Stream
 
 type fault =
   | Proc_crash of { victim : int }
@@ -79,6 +78,11 @@ let draw_fault spec rng =
          })
   else `Degrade (Rho_demand { factor = Prng.float_range rng 0.5 2.0 })
 
+(* Correlated-burst size: uniform over [1, 2*mean - 1], so the mean is
+   [mean] and a mean of 1 degenerates to the constant 1 without a
+   draw. *)
+let burst_size rng ~mean = if mean = 1 then 1 else 1 + Prng.int rng ((2 * mean) - 1)
+
 let generate spec =
   let rng = Prng.create spec.seed in
   (* Uniform gaps with mean [horizon / (n_events + 1)] keep the bulk of
@@ -92,9 +96,8 @@ let generate spec =
     match draw_fault spec rng with
     | `Crash ->
       (* Correlated failures: a rack loss takes several processors at
-         the same instant.  Burst sizing is shared with the arrival
-         stream generator. *)
-      let b = Stream.burst_size rng ~mean:spec.mean_burst in
+         the same instant. *)
+      let b = burst_size rng ~mean:spec.mean_burst in
       for _ = 1 to b do
         acc :=
           { at = !now; fault = Proc_crash { victim = Prng.int rng 1_000_000 } }

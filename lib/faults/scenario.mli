@@ -1,12 +1,11 @@
 (** Deterministic, seed-driven fault scenario generator.
 
     A scenario is a typed timeline of infrastructure faults — processor
-    crashes (possibly in correlated bursts, sharing the burst-size draw
-    with {!Insp_serve.Stream}), link degradations, data-server outages,
-    network-card bandwidth jitter and diurnal demand (rho) shifts — as
-    a pure function of its {!spec}: one PRNG, a fixed draw order per
-    event, ascending times by construction.  Two calls to {!generate}
-    with equal specs return equal timelines. *)
+    crashes (possibly in correlated bursts), link degradations,
+    data-server outages, network-card bandwidth jitter and diurnal
+    demand (rho) shifts — as a pure function of its {!spec}: one PRNG, a
+    fixed draw order per event, ascending times by construction.  Two
+    calls to {!generate} with equal specs return equal timelines. *)
 
 type fault =
   | Proc_crash of { victim : int }
@@ -28,7 +27,9 @@ type spec = {
   seed : int;
   horizon : float;  (** mean timeline extent (s) *)
   n_events : int;  (** scheduled events; crash bursts may expand them *)
-  mean_burst : int;  (** crash burst sizes, see {!Insp_serve.Stream.burst_size} *)
+  mean_burst : int;
+      (** crash burst sizes are uniform over [1, 2*mean_burst - 1]; 1
+          makes every crash independent and draws nothing *)
   crash_w : int;  (** integer draw weights, fixed order *)
   degrade_w : int;
   outage_w : int;

@@ -14,38 +14,29 @@ module Journal = Insp_obs.Journal
    are no-ops. *)
 let probed ok = if ok then Journal.Probe_ok else Journal.Probe_rejected
 
-(* Probe verdict with the rejection reason, preserving the original
-   short-circuit order (demand first, flows only when demand fits) so
-   probe counts and work done are unchanged.  [flows] is a thunk because
-   some call sites compute pairwise flows lazily. *)
-let verdict_of fits_demand flows_ok' =
-  if not fits_demand then (false, Some Journal.Demand_exceeded)
-  else if not (flows_ok' ()) then (false, Some Journal.Link_exceeded)
-  else (true, None)
-
 type group_id = int
 
 (* Groups live in the ledger: one ledger processor per group.  The
-   builder only adds the acquisition order and the probe/commit
-   discipline on top.  All feasibility probes are incremental —
-   O(degree) per probed operator — instead of recomputing
+   builder only adds the probe/commit discipline on top; ledger ids are
+   handed out in increasing order and never reused, so the ascending
+   live ids are the acquisition order.  All feasibility probes are
+   incremental — O(degree) per probed operator — instead of recomputing
    [Demand.of_group] (O(|group|²)) and pairwise flows against every
    group (O(P·|group|)) per probe. *)
 type t = {
   graph : Graph.t;
   platform : Platform.t;
   ledger : Ledger.t;
-  mutable order : group_id list;  (* acquisition order, reversed *)
 }
 
 let create graph platform =
-  { graph; platform; ledger = Ledger.create graph platform; order = [] }
+  { graph; platform; ledger = Ledger.create graph platform }
 
 let graph t = t.graph
 let platform t = t.platform
 let ledger t = t.ledger
 
-let group_ids t = List.rev t.order
+let group_ids t = Ledger.proc_ids t.ledger
 
 let check_live t gid =
   if not (Ledger.mem_proc t.ledger gid) then
@@ -80,7 +71,8 @@ let rec flows_ok t = function
   | [] -> true
   | (_, f) :: rest -> leq f t.platform.Platform.proc_link && flows_ok t rest
 
-(* [verdict_of] for a ledger probe, without the flows thunk. *)
+(* Probe verdict with the rejection reason: demand first, flows only
+   when demand fits. *)
 let probe_verdict t config (probe : Ledger.probe) =
   if not (Demand.fits config probe.Ledger.demand) then
     (false, Some Journal.Demand_exceeded)
@@ -140,67 +132,73 @@ let candidate_flows t ~members =
    do around the ledger calls would otherwise surface as anonymous
    phase self-allocation in prof reports (DESIGN.md §17). *)
 
-let can_host t ~config ~members =
-  Obs.prof_enter "ledger.probe_host";
-  let d = Demand.of_group t.graph members in
-  let ok, reject =
-    verdict_of (Demand.fits config d) (fun () ->
-        flows_ok t (candidate_flows t ~members))
-  in
-  if Obs.decide (probed ok) then
-    Obs.event (Journal.Probe { kind = Journal.Host; ops = members; ok; reject });
-  Obs.prof_exit ();
-  ok
+(* The first configuration of [configs] (the catalog, cheapest first,
+   so bounded by the config count) that meets [demand]. *)
+let rec first_fit demand = function
+  | [] -> Error Journal.No_config
+  | cfg :: rest -> if Demand.fits cfg demand then Ok cfg else first_fit demand rest
 
-let cheapest_hosting t ~members =
-  Obs.prof_enter "ledger.catalog_scan";
-  (* Demand and flows are config-independent: compute them once and scan
-     the catalog with the cheap capacity test only. *)
-  let d = Demand.of_group t.graph members in
-  let flows_fit = flows_ok t (candidate_flows t ~members) in
-  let found =
-    if not flows_fit then None
-    else
-      (* lint: allow p3 — catalog scan is bounded by the config count *)
-      List.find_opt
-        (fun cfg -> Demand.fits cfg d)
-        (Catalog.configs t.platform.Platform.catalog)
-  in
-  if Obs.decide (probed (found <> None)) then begin
-    let reject =
-      if found <> None then None
-      else if not flows_fit then Some Journal.Link_exceeded
-      else Some Journal.No_config
-    in
-    Obs.event
-      (Journal.Probe
-         { kind = Journal.Catalog_scan; ops = members; ok = found <> None;
-           reject })
-  end;
-  Obs.prof_exit ();
-  found
+let cheapest_config t demand =
+  first_fit demand (Catalog.configs t.platform.Platform.catalog)
 
-let acquire t ~config ~members =
+let check_unassigned t members =
   List.iter
     (fun i ->
       if Ledger.assignment t.ledger i <> None then
         invalid_arg "Builder.acquire: operator already assigned")
-    members;
-  if not (can_host t ~config ~members) then
+    members
+
+(* A purchase probe asks whether a new processor can host [members]:
+   [acquire] tests a given configuration, demand first and flows only
+   when demand fits (a "host" probe); [acquire_cheapest] tests the
+   config-independent flows first, then scans the catalog for the
+   cheapest configuration that fits (a "catalog" probe).  [purchase]
+   counts and journals the verdict, closes the probe's profiler frame
+   and buys on success: one probe and one decision per purchase. *)
+let purchase t ~kind ~members verdict =
+  let ok = Result.is_ok verdict in
+  if Obs.decide (probed ok) then
+    Obs.event
+      (Journal.Probe
+         { kind; ops = members; ok;
+           reject = (match verdict with Ok _ -> None | Error r -> Some r) });
+  Obs.prof_exit ();
+  match verdict with
+  | Error _ ->
     Error
-      (Printf.sprintf "cannot host operators {%s} on the requested processor"
-         (String.concat ", " (List.map string_of_int members)))
-  else begin
+      (Printf.sprintf "cannot host operators {%s} on %s"
+         (String.concat ", " (List.map string_of_int members))
+         (match kind with
+         | Journal.Host -> "the requested processor"
+         | Journal.Catalog_scan -> "any catalog configuration"))
+  | Ok config ->
     Obs.prof_enter "ledger.acquire";
     let gid = Ledger.add_proc t.ledger config in
     List.iter (fun i -> Ledger.add_operator t.ledger gid i) members;
-    t.order <- gid :: t.order;
     if Obs.decide Journal.Acquired then
       Obs.event
         (Journal.Acquire { gid; config = Catalog.label config; members });
     Obs.prof_exit ();
     Ok gid
-  end
+
+let acquire t ~config ~members =
+  check_unassigned t members;
+  Obs.prof_enter "ledger.probe_host";
+  let d = Demand.of_group t.graph members in
+  purchase t ~kind:Journal.Host ~members
+    (if not (Demand.fits config d) then Error Journal.Demand_exceeded
+     else if not (flows_ok t (candidate_flows t ~members)) then
+       Error Journal.Link_exceeded
+     else Ok config)
+
+let acquire_cheapest t ~members =
+  check_unassigned t members;
+  Obs.prof_enter "ledger.catalog_scan";
+  let d = Demand.of_group t.graph members in
+  purchase t ~kind:Journal.Catalog_scan ~members
+    (if not (flows_ok t (candidate_flows t ~members)) then
+       Error Journal.Link_exceeded
+     else cheapest_config t d)
 
 let try_add t gid op =
   if Ledger.assignment t.ledger op <> None then
@@ -221,7 +219,6 @@ let try_add t gid op =
 let sell t gid =
   check_live t gid;
   Ledger.remove_proc t.ledger gid;
-  t.order <- List.filter (fun id -> id <> gid) t.order;
   if Obs.decide Journal.Sold then Obs.event (Journal.Sell { gid })
 
 let try_absorb t winner loser =
@@ -247,10 +244,7 @@ let try_absorb t winner loser =
       (match reject with
       | None -> Journal.Merge_groups { winner; loser; upgrade = None }
       | Some reject -> Journal.Reject_merge { winner; loser; reject });
-  if ok then begin
-    Ledger.merge t.ledger ~winner ~loser;
-    t.order <- List.filter (fun id -> id <> loser) t.order
-  end;
+  if ok then Ledger.merge t.ledger ~winner ~loser;
   Obs.prof_exit ();
   ok
 
@@ -258,15 +252,7 @@ let try_absorb t winner loser =
    there is none (for the journal); the caller counts the decision. *)
 let cheapest_for t probe =
   if not (flows_ok t probe.Ledger.pair_flows) then Error Journal.Link_exceeded
-  else
-    match
-      (* lint: allow p3 — catalog scan is bounded by the config count *)
-      List.find_opt
-        (fun cfg -> Demand.fits cfg probe.Ledger.demand)
-        (Catalog.configs t.platform.Platform.catalog)
-    with
-    | Some cfg -> Ok cfg
-    | None -> Error Journal.No_config
+  else cheapest_config t probe.Ledger.demand
 
 let try_add_upgrade t gid op =
   if Ledger.assignment t.ledger op <> None then
@@ -299,7 +285,6 @@ let try_absorb_upgrade t winner loser =
   | Ok cfg ->
     Ledger.merge t.ledger ~winner ~loser;
     Ledger.set_config t.ledger winner cfg;
-    t.order <- List.filter (fun id -> id <> loser) t.order;
     if Obs.decide Journal.Merged then
       Obs.event
         (Journal.Merge_groups

@@ -19,7 +19,15 @@
     demand from scratch.  Pair flows (constraint (5)) are only checked
     where the mutation changes them; unchanged pairs stay feasible by
     construction, so the decisions are the same as checking every
-    group. *)
+    group.  Group ids are the ledger's processor ids, handed out in
+    increasing order and never reused, so the ascending live ids are the
+    acquisition order.
+
+    Every probe is one counted decision ({!Insp_obs.Obs.decide}): a
+    purchase probe counts [heur.probe] and its hit or miss, and an add
+    or merge probe also counts the outcome it decides
+    ([heur.try_add.*], [heur.absorb.*]), with one journal event per
+    decision when journaling. *)
 
 type t
 
@@ -37,7 +45,7 @@ val ledger : t -> Insp_mapping.Ledger.t
     diagnostics and consistency tests; mutate through the builder. *)
 
 val group_ids : t -> group_id list
-(** Live groups, in acquisition order. *)
+(** Live groups, in acquisition order ({!Insp_mapping.Ledger.proc_ids}). *)
 
 val members : t -> group_id -> int list
 val config : t -> group_id -> Insp_platform.Catalog.config
@@ -51,19 +59,19 @@ val leq : float -> float -> bool
     absolute [1e-9]).  A placer that screens candidates before probing
     them uses it to reach the probe's verdict. *)
 
-val cheapest_hosting :
-  t -> members:int list -> Insp_platform.Catalog.config option
-(** Cheapest catalog configuration on which a processor hosting exactly
-    [members] satisfies its compute and NIC capacity and keeps every
-    link flow towards the live groups within [proc_link]; [None] if even
-    the best configuration fails. *)
-
 val acquire :
   t -> config:Insp_platform.Catalog.config -> members:int list ->
   (group_id, string) result
 (** Buys a new processor for [members] (all currently unassigned).
-    Fails without mutating when [config] cannot host them under the
-    test of {!cheapest_hosting}. *)
+    Fails without mutating when [config] cannot host them: the
+    processor hosting exactly [members] must satisfy its compute and NIC
+    capacity, and every link flow towards the live groups must stay
+    within [proc_link]. *)
+
+val acquire_cheapest : t -> members:int list -> (group_id, string) result
+(** Like {!acquire} on the cheapest catalog configuration that can host
+    [members], found by the same single probe that admits the purchase;
+    fails without mutating when even the best configuration cannot. *)
 
 val try_add : t -> group_id -> int -> bool
 (** Attempts to place one unassigned operator on an existing group,

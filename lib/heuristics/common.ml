@@ -25,20 +25,15 @@ let no_host members =
     (Printf.sprintf "no processor can host operators {%s}"
        (String.concat ", " (List.map string_of_int members)))
 
-(* [Builder.acquire] probes the configuration it buys, so a `Best
-   purchase is one probe; only `Cheapest scans the catalog first. *)
+(* Either purchase is one probe: `Best probes the best configuration,
+   `Cheapest scans the catalog in the probe that buys. *)
 let acquire_for b ~style members =
-  let buy config =
-    match Builder.acquire b ~config ~members with
-    | Ok _ as bought -> bought
-    | Error _ -> no_host members
+  let bought =
+    match style with
+    | `Best -> Builder.acquire b ~config:(best_config b) ~members
+    | `Cheapest -> Builder.acquire_cheapest b ~members
   in
-  match style with
-  | `Best -> buy (best_config b)
-  | `Cheapest -> (
-    match Builder.cheapest_hosting b ~members with
-    | Some config -> buy config
-    | None -> no_host members)
+  match bought with Ok _ -> bought | Error _ -> no_host members
 
 (* Most communication-demanding neighbour (over graph edges) of a
    member set, excluding the members themselves: an edge weighs its

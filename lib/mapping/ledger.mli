@@ -50,6 +50,10 @@ val remove_proc : t -> proc_id -> unit
 (** Releases all hosted operators and download entries, then deletes the
     processor. *)
 
+val proc_ids : t -> proc_id list
+(** Live processors, ascending.  Ids are handed out in increasing order
+    and never reused, so this is also their creation order. *)
+
 val mem_proc : t -> proc_id -> bool
 val config : t -> proc_id -> Insp_platform.Catalog.config
 val set_config : t -> proc_id -> Insp_platform.Catalog.config -> unit

@@ -6,7 +6,6 @@ type spec = {
   n_tenants : int;
   min_operators : int;
   max_operators : int;
-  mean_burst : int;
 }
 
 (* Arrival gaps are uniform over [0, 2*mean_gap) logical ticks and
@@ -21,26 +20,16 @@ let default =
     n_tenants = 4;
     min_operators = 6;
     max_operators = 24;
-    mean_burst = 1;
   }
 
 let make ?(n_apps = default.n_apps) ?(n_tenants = default.n_tenants)
     ?(min_operators = default.min_operators)
-    ?(max_operators = default.max_operators)
-    ?(mean_burst = default.mean_burst) ~seed () =
+    ?(max_operators = default.max_operators) ~seed () =
   if n_apps < 0 then invalid_arg "Stream.make: n_apps < 0";
   if n_tenants < 1 then invalid_arg "Stream.make: n_tenants < 1";
   if min_operators < 1 || max_operators < min_operators then
     invalid_arg "Stream.make: bad operator range";
-  if mean_burst < 1 then invalid_arg "Stream.make: mean_burst < 1";
-  { seed; n_apps; n_tenants; min_operators; max_operators; mean_burst }
-
-(* Correlated-burst size: uniform over [1, 2*mean - 1], so the mean is
-   [mean] and a mean of 1 degenerates to the constant 1.  Shared with
-   the fault-timeline generator (crash bursts). *)
-let burst_size rng ~mean =
-  if mean < 1 then invalid_arg "Stream.burst_size: mean < 1";
-  if mean = 1 then 1 else 1 + Prng.int rng ((2 * mean) - 1)
+  { seed; n_apps; n_tenants; min_operators; max_operators }
 
 type event =
   | Arrival of {
@@ -63,25 +52,11 @@ let events spec =
   let rng = Prng.create spec.seed in
   let now = ref 0 in
   let acc = ref [] in
-  (* Applications still to arrive in the current burst (beyond the one
-     being drawn).  With [mean_burst = 1] no burst draw ever happens and
-     the stream is byte-identical to the pre-burst generator. *)
-  let in_burst = ref 0 in
   for app = 0 to spec.n_apps - 1 do
     (* One fixed draw order per application keeps the stream stable:
        inserting an application shifts later ones wholesale instead of
        scrambling their parameters. *)
-    let gap =
-      if !in_burst > 0 then begin
-        decr in_burst;
-        0
-      end
-      else begin
-        if spec.mean_burst > 1 then
-          in_burst := burst_size rng ~mean:spec.mean_burst - 1;
-        Prng.int rng (2 * mean_gap)
-      end
-    in
+    let gap = Prng.int rng (2 * mean_gap) in
     let tenant = Prng.int rng spec.n_tenants in
     let n_operators =
       Prng.int_range rng spec.min_operators spec.max_operators

@@ -12,11 +12,6 @@ type spec = {
   n_tenants : int;
   min_operators : int;  (** inclusive *)
   max_operators : int;  (** inclusive *)
-  mean_burst : int;
-      (** correlated arrivals: burst sizes are uniform over
-          [1, 2*mean_burst - 1], and in-burst applications arrive at
-          the same tick.  1 (the default) disables bursts and draws
-          nothing, keeping legacy streams byte-identical. *)
 }
 
 val make :
@@ -24,19 +19,13 @@ val make :
   ?n_tenants:int ->
   ?min_operators:int ->
   ?max_operators:int ->
-  ?mean_burst:int ->
   seed:int ->
   unit ->
   spec
-(** Defaults: 1000 applications, 4 tenants, 6–24 operators, no bursts;
-    validates ranges.  Timing is fixed: arrival gaps are uniform over
+(** Defaults: 1000 applications, 4 tenants, 6–24 operators; validates
+    ranges.  Timing is fixed: arrival gaps are uniform over
     [0, 4) logical ticks (mean 2) and lifetimes over [1, 180] ticks
     (mean 90). *)
-
-val burst_size : Insp_util.Prng.t -> mean:int -> int
-(** One correlated-burst size draw: uniform over [1, 2*mean - 1] (a
-    mean of 1 returns 1 without consuming randomness).  Shared with the
-    fault-timeline generator's crash bursts. *)
 
 type event =
   | Arrival of {

@@ -48,26 +48,37 @@ let test_scenario_sorted () =
   Alcotest.(check bool) "times ascending" true (ascending events);
   Alcotest.(check bool) "non-empty" true (events <> [])
 
-let test_burst_size () =
-  let rng = Insp.Prng.create 1 in
-  for _ = 1 to 200 do
-    Alcotest.(check int) "mean 1 is always 1" 1 (Stream.burst_size rng ~mean:1)
-  done;
-  for _ = 1 to 200 do
-    let b = Stream.burst_size rng ~mean:4 in
-    Alcotest.(check bool) "within [1, 2*mean-1]" true (b >= 1 && b <= 7)
-  done;
-  Alcotest.check_raises "mean 0 rejected"
-    (Invalid_argument "Stream.burst_size: mean < 1") (fun () ->
-      ignore (Stream.burst_size rng ~mean:0))
+(* Burst sizes seen through a crash-only timeline: the crashes of one
+   burst share their instant, so each run of equal times is one burst. *)
+let burst_sizes ~mean_burst =
+  let events =
+    Scenario.generate
+      (Scenario.make ~seed:1 ~n_events:200 ~mean_burst ~crash_w:1
+         ~degrade_w:0 ~outage_w:0 ~jitter_w:0 ~rho_w:0 ())
+  in
+  let rec runs acc = function
+    | [] -> List.rev acc
+    | { Scenario.at; _ } :: rest ->
+      let rec count n = function
+        | { Scenario.at = a; _ } :: more when Float.equal a at -> count (n + 1) more
+        | more -> (n, more)
+      in
+      let n, more = count 1 rest in
+      runs (n :: acc) more
+  in
+  runs [] events
 
-let test_stream_burst_spec_compatible () =
-  (* mean_burst = 1 must leave the legacy arrival stream untouched. *)
-  let plain = Stream.events (Stream.make ~n_apps:60 ~seed:5 ()) in
-  let burst1 = Stream.events (Stream.make ~n_apps:60 ~seed:5 ~mean_burst:1 ()) in
-  Alcotest.(check bool) "byte-identical event stream" true (plain = burst1);
-  let bursty = Stream.events (Stream.make ~n_apps:60 ~seed:5 ~mean_burst:4 ()) in
-  Alcotest.(check bool) "bursty stream differs" true (plain <> bursty)
+let test_burst_size () =
+  Alcotest.(check (list int)) "mean 1 is always 1" (List.init 200 (fun _ -> 1))
+    (burst_sizes ~mean_burst:1);
+  let sizes = burst_sizes ~mean_burst:4 in
+  Alcotest.(check int) "one burst per scheduled event" 200 (List.length sizes);
+  Alcotest.(check bool) "within [1, 2*mean-1]" true
+    (List.for_all (fun b -> b >= 1 && b <= 7) sizes);
+  Alcotest.(check bool) "bursts do occur" true (List.exists (fun b -> b > 1) sizes);
+  Alcotest.check_raises "mean 0 rejected"
+    (Invalid_argument "Scenario.make: mean_burst < 1") (fun () ->
+      ignore (Scenario.make ~seed:1 ~mean_burst:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Repair invariants                                                   *)
@@ -355,8 +366,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
           Alcotest.test_case "sorted" `Quick test_scenario_sorted;
           Alcotest.test_case "burst size" `Quick test_burst_size;
-          Alcotest.test_case "stream burst compatibility" `Quick
-            test_stream_burst_spec_compatible;
         ] );
       ( "repair",
         [

@@ -40,6 +40,27 @@ let test_builder_acquire_and_add () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check (list int)) "not done yet" [ 2; 3 ] (Builder.unassigned b)
 
+(* A `Cheapest purchase is one probe: the catalog scan that picks the
+   configuration also admits the purchase, so it is neither re-probed
+   nor counted twice. *)
+let test_builder_cheapest_one_probe () =
+  let app, platform = tiny_env () in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
+  let bought, r =
+    Insp.Obs.with_sink ~journal:true (fun () ->
+        Builder.acquire_cheapest b ~members:[ 0; 1 ])
+  in
+  let gid = match bought with Ok gid -> gid | Error e -> Alcotest.fail e in
+  Alcotest.(check (list int)) "members" [ 0; 1 ] (Builder.members b gid);
+  let probes =
+    List.filter
+      (function Insp.Obs_journal.Probe _ -> true | _ -> false)
+      (Insp.Obs_journal.events r.Insp.Obs.journal)
+  in
+  Alcotest.(check int) "one probe event" 1 (List.length probes);
+  Alcotest.(check (option int)) "heur.probe" (Some 1)
+    (Insp.Obs_metrics.counter r.Insp.Obs.metrics "heur.probe")
+
 let test_builder_sell_releases () =
   let app, platform = tiny_env () in
   let b = Builder.create (Insp.Graph.of_app app) platform in
@@ -429,6 +450,8 @@ let () =
       ( "builder",
         [
           Alcotest.test_case "acquire/add" `Quick test_builder_acquire_and_add;
+          Alcotest.test_case "cheapest purchase probes once" `Quick
+            test_builder_cheapest_one_probe;
           Alcotest.test_case "sell releases" `Quick test_builder_sell_releases;
           Alcotest.test_case "absorb" `Quick test_builder_absorb;
           Alcotest.test_case "pair-flow rejection" `Quick

@@ -2,10 +2,13 @@
    byte-identity of repeated runs (the `journal verify` contract) for
    every heuristic, --jobs independence of Par_sweep-merged journals,
    the first-divergence diff on a seed change (golden), the explain
-   chain behind one processor, and the per-category depth bound. *)
+   chain behind one processor, the per-category depth bound, and that
+   every decision counter equals the number of journaled events of the
+   decisions that bump it. *)
 
 module Obs = Insp.Obs
 module Journal = Insp.Obs_journal
+module Metrics = Insp.Obs_metrics
 module Jsonc = Insp.Obs_jsonc
 
 let jsonl ?depth f =
@@ -279,6 +282,151 @@ let test_depth_bound () =
             | _ -> false)
           events))
 
+(* ------------------------------------------------------------------ *)
+(* Counters equal the journal                                          *)
+
+(* The decision behind each event.  The match is total with no
+   wildcard, so a new event has to say here whether it is a counted
+   decision. *)
+let decision_of : Journal.event -> Journal.decision option = function
+  | Journal.Probe { ok; _ } ->
+    Some (if ok then Journal.Probe_ok else Journal.Probe_rejected)
+  | Acquire _ -> Some Acquired
+  | Add_op _ -> Some Added
+  | Reject_add _ -> Some Add_rejected
+  | Merge_groups _ -> Some Merged
+  | Reject_merge _ -> Some Merge_rejected
+  | Sell _ -> Some Sold
+  | Downgrade_stuck _ -> Some Stuck
+  | Outcome { status; _ } ->
+    Some (if status = "feasible" then Journal.Solved else Journal.Solve_failed)
+  | Fault_crash _ -> Some Crashed
+  | Fault_rho _ -> Some Rho_shifted
+  | Fault_capacity _ -> Some Capacity_changed
+  | Serve_arrival _ -> Some Arrived
+  | Serve_admit _ -> Some Admitted
+  | Serve_reject { reason; _ } -> (
+    match reason with
+    | "placement" -> Some Rejected_placement
+    | "proc_budget" -> Some Rejected_proc_budget
+    | "ledger" -> Some Rejected_ledger
+    | other -> Alcotest.failf "unknown serve reject reason %S" other)
+  | Serve_depart _ -> Some Departed
+  | Serve_unknown_depart _ -> Some Departed_unknown
+  | Phase _ | Download _ | Download_failed _ | Downgrade _ | Exact_incumbent _
+  | Sim_dispatch _ | Sim_flow_start _ | Sim_flow_done _ | Repair_migrate _
+  | Repair_rebuy _ | Repair_done _ | Repair_infeasible _ | Truncated _ ->
+    None
+
+let all_decisions =
+  Journal.
+    [
+      Probe_ok; Probe_rejected; Acquired; Added; Add_rejected; Merged;
+      Merge_rejected; Sold; Stuck; Solved; Solve_failed; Crashed; Rho_shifted;
+      Capacity_changed; Arrived; Admitted; Rejected_placement;
+      Rejected_proc_budget; Rejected_ledger; Departed; Departed_unknown;
+    ]
+
+(* For each counter some decision bumps (restricted to names starting
+   with one of [prefixes]), the run's metric equals the number of its
+   journaled events whose decision lists that counter. *)
+let check_counters_equal_journal ~what ?(prefixes = [ "" ]) (r : Obs.t) =
+  let from_journal = Hashtbl.create 32 in
+  List.iter
+    (fun ev ->
+      match decision_of ev with
+      | None -> ()
+      | Some d ->
+        List.iter
+          (fun name ->
+            let n = Option.value ~default:0 (Hashtbl.find_opt from_journal name) in
+            Hashtbl.replace from_journal name (n + 1))
+          (Journal.counters d))
+    (Journal.events r.Obs.journal);
+  Alcotest.(check bool) (what ^ ": decisions journaled") true
+    (Hashtbl.length from_journal > 0);
+  let names =
+    List.sort_uniq compare (List.concat_map Journal.counters all_decisions)
+  in
+  List.iter
+    (fun name ->
+      if List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+      then
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s" what name)
+          (Option.value ~default:0 (Hashtbl.find_opt from_journal name))
+          (Option.value ~default:0 (Metrics.counter r.Obs.metrics name)))
+    names
+
+let journaled f = snd (Obs.with_sink ~journal:true f)
+
+let test_counters_solve () =
+  let r =
+    journaled (fun () ->
+        List.iter
+          (fun (n, alpha, seed) ->
+            let inst = Helpers.instance ~n ~alpha ~seed () in
+            ignore
+              (Insp.Solve.run_all ~seed inst.Insp.Instance.app
+                 inst.Insp.Instance.platform))
+          (List.concat_map
+             (fun n ->
+               List.concat_map
+                 (fun alpha -> List.init 5 (fun s -> (n, alpha, s + 1)))
+                 [ 0.9; 1.7 ])
+             [ 20; 40; 60 ]))
+  in
+  check_counters_equal_journal ~what:"30 paper instances" r
+
+let test_counters_dag () =
+  let r =
+    journaled (fun () ->
+        for seed = 0 to 9 do
+          let apps, platform =
+            Insp.Multi_workload.instance ~seed ~n_apps:(2 + (seed mod 4))
+              ~n_operators:30
+          in
+          ignore (Insp.Dag_place.run (Insp.Cse.share_apps apps) platform)
+        done)
+  in
+  check_counters_equal_journal ~what:"10 CSE sets" r
+
+(* Serve and faults run their solves under journal-suppressed sinks whose
+   metrics still merge up, so only their own counters are compared. *)
+let test_counters_serve_faults () =
+  let serve =
+    journaled (fun () ->
+        let params =
+          Insp.Serve.make_params
+            ~base:(Insp.Config.make ~n_operators:60 ~seed:3 ())
+            ~proc_budget:48 ~card_scale:0.08 ~reoptimize:true ()
+        in
+        ignore
+          (Insp.Serve.run params
+             (Insp.Serve_stream.events
+                (Insp.Serve_stream.make ~n_apps:60 ~seed:3 ()))))
+  in
+  check_counters_equal_journal ~what:"serve" ~prefixes:[ "serve." ] serve;
+  let faults =
+    journaled (fun () ->
+        List.iter
+          (fun seed ->
+            let inst = Helpers.instance ~n:20 ~seed () in
+            let app = inst.Insp.Instance.app
+            and platform = inst.Insp.Instance.platform in
+            match Insp.Solve.run ~seed (Option.get (Insp.Solve.find "sbu")) app platform with
+            | Error _ -> ()
+            | Ok o ->
+              ignore
+                (Insp.Fault_engine.run
+                   (Insp.Fault_engine.make_spec ~measure:false ())
+                   app platform o.Insp.Solve.alloc
+                   (Insp.Fault_scenario.generate
+                      (Insp.Fault_scenario.make ~seed ~n_events:10 ~mean_burst:2 ()))))
+          [ 1; 2; 3 ])
+  in
+  check_counters_equal_journal ~what:"faults" ~prefixes:[ "faults." ] faults
+
 let () =
   Alcotest.run "journal"
     [
@@ -311,4 +459,11 @@ let () =
         ] );
       ( "depth",
         [ Alcotest.test_case "per-category bound" `Quick test_depth_bound ] );
+      ( "counters",
+        [
+          Alcotest.test_case "30 paper instances" `Quick test_counters_solve;
+          Alcotest.test_case "10 CSE sets" `Quick test_counters_dag;
+          Alcotest.test_case "serve and faults" `Quick
+            test_counters_serve_faults;
+        ] );
     ]

@@ -619,18 +619,20 @@ let test_prof_commit_path_attribution () =
     Alcotest.failf "ledger.* self minor words per operator: %.1f (cap %.0f)"
       per_op ledger_words_per_operator_cap
 
-(* With no sink installed the profiling entry points must not allocate:
-   both loops below pay the identical constant cost of the bracketing
-   [Gc.minor_words] reads inside [allocated_minor_words], so the two
-   measurements are equal exactly when the 10k guarded calls allocate
-   nothing.  Audited with Prof's own primitive. *)
+(* With no sink installed the profiling entry points and the decision
+   entry point must not allocate: both loops below pay the identical
+   constant cost of the bracketing [Gc.minor_words] reads inside
+   [allocated_minor_words], so the two measurements are equal exactly
+   when the 10k guarded calls allocate nothing.  Audited with Prof's own
+   primitive. *)
 let test_prof_disabled_zero_alloc () =
   Alcotest.(check bool) "no sink" false (Obs.enabled ());
   let body () =
     for _ = 1 to 10_000 do
       Obs.prof_enter "audit";
       Obs.prof_exit ();
-      ignore (Obs.span "audit" (fun () -> 0))
+      ignore (Obs.span "audit" (fun () -> 0));
+      if Obs.decide Insp.Obs_journal.Added then Alcotest.fail "journaling"
     done
   in
   (* Warm-up: first calls may fault in DLS state. *)
@@ -642,13 +644,19 @@ let test_prof_disabled_zero_alloc () =
       "disabled profiling calls allocated %.0f words over 10k iterations"
       (guarded -. empty)
 
-(* Under a sink a counter hit allocates nothing, with or without [~by]:
-   1000 increments of an already registered counter measure the same
-   as the empty-thunk calibration. *)
+(* Under a sink a counter hit allocates nothing, with or without [~by],
+   nor does a decision bumping its registered counters: 1000 increments
+   of already registered counters measure the same as the empty-thunk
+   calibration. *)
 let test_incr_zero_alloc () =
   let (), _ =
     Obs.with_sink (fun () ->
         Obs.incr "audit";
+        let decide () =
+          for _ = 1 to 1000 do
+            ignore (Obs.decide Insp.Obs_journal.Added)
+          done
+        in
         let bump () =
           for _ = 1 to 1000 do
             Obs.incr "audit"
@@ -661,14 +669,16 @@ let test_incr_zero_alloc () =
         (* warm-up, then the measured runs *)
         bump ();
         bump_by ();
+        decide ();
         let empty = Prof.allocated_minor_words (fun () -> ()) in
         List.iter
           (fun (what, body) ->
             let words = Prof.allocated_minor_words body in
             if Float.compare words empty <> 0 then
-              Alcotest.failf "1000 Obs.incr%s allocated %.0f words" what
+              Alcotest.failf "1000 %s allocated %.0f words" what
                 (words -. empty))
-          [ ("", bump); (" ~by", bump_by) ])
+          [ ("Obs.incr", bump); ("Obs.incr ~by", bump_by);
+            ("Obs.decide", decide) ])
   in
   ()
 
