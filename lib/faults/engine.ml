@@ -145,7 +145,8 @@ let run spec app0 platform alloc0 timeline =
   in
   let crash at victim =
     incr n_crashes;
-    if Obs.decide Journal.Crashed then Obs.event (Journal.Fault_crash { t = at; victim });
+    if Obs.decide Journal.Crashed then
+      Obs.event (Journal.Fault_crash { t = at; victim });
     match
       Repair.run ?max_procs:spec.max_procs ~allow_rebuy:spec.allow_rebuy !app
         platform !alloc ~failed:[ victim ]

@@ -81,7 +81,8 @@ let draw_fault spec rng =
 (* Correlated-burst size: uniform over [1, 2*mean - 1], so the mean is
    [mean] and a mean of 1 degenerates to the constant 1 without a
    draw. *)
-let burst_size rng ~mean = if mean = 1 then 1 else 1 + Prng.int rng ((2 * mean) - 1)
+let burst_size rng ~mean =
+  if mean = 1 then 1 else 1 + Prng.int rng ((2 * mean) - 1)
 
 let generate spec =
   let rng = Prng.create spec.seed in

@@ -136,7 +136,8 @@ let candidate_flows t ~members =
    so bounded by the config count) that meets [demand]. *)
 let rec first_fit demand = function
   | [] -> Error Journal.No_config
-  | cfg :: rest -> if Demand.fits cfg demand then Ok cfg else first_fit demand rest
+  | cfg :: rest ->
+    if Demand.fits cfg demand then Ok cfg else first_fit demand rest
 
 let cheapest_config t demand =
   first_fit demand (Catalog.configs t.platform.Platform.catalog)

@@ -94,27 +94,10 @@ type event =
   | Truncated of { category : string }
 
 type decision =
-  | Probe_ok
-  | Probe_rejected
-  | Acquired
-  | Added
-  | Add_rejected
-  | Merged
-  | Merge_rejected
-  | Sold
-  | Stuck
-  | Solved
-  | Solve_failed
-  | Crashed
-  | Rho_shifted
-  | Capacity_changed
-  | Arrived
-  | Admitted
-  | Rejected_placement
-  | Rejected_proc_budget
-  | Rejected_ledger
-  | Departed
-  | Departed_unknown
+  | Probe_ok | Probe_rejected | Acquired | Added | Add_rejected | Merged
+  | Merge_rejected | Sold | Stuck | Solved | Solve_failed | Crashed
+  | Rho_shifted | Capacity_changed | Arrived | Admitted | Rejected_placement
+  | Rejected_proc_budget | Rejected_ledger | Departed | Departed_unknown
 
 (* Constant lists: returning one allocates nothing.  A probe's verdict
    comes before the add/merge outcome it decides. *)

@@ -140,11 +140,10 @@ let prof_exit () =
 (* --- journal entry points --- *)
 
 (* Engines guard event construction with [if Obs.decide d then ...]
-   (or [if Obs.journaling () then ...] for events that count nothing),
-   so the no-sink (and sink-without-journal) cost is one DLS read and a
-   match — same zero-cost contract as the metric entry points.  The
-   counters are bumped by a top-level loop over [Journal.counters d], a
-   constant list, so no closure is allocated either. *)
+   (or [if Obs.journaling () then ...] for events that count nothing):
+   with no sink, or no journal, that costs one DLS read and a match.
+   [decide] bumps through a top-level loop over a constant list, so it
+   allocates no closure either. *)
 let rec bump_each m = function
   | [] -> ()
   | name :: rest ->

@@ -60,7 +60,8 @@ let burst_sizes ~mean_burst =
     | [] -> List.rev acc
     | { Scenario.at; _ } :: rest ->
       let rec count n = function
-        | { Scenario.at = a; _ } :: more when Float.equal a at -> count (n + 1) more
+        | { Scenario.at = a; _ } :: more when Float.equal a at ->
+          count (n + 1) more
         | more -> (n, more)
       in
       let n, more = count 1 rest in
@@ -75,7 +76,8 @@ let test_burst_size () =
   Alcotest.(check int) "one burst per scheduled event" 200 (List.length sizes);
   Alcotest.(check bool) "within [1, 2*mean-1]" true
     (List.for_all (fun b -> b >= 1 && b <= 7) sizes);
-  Alcotest.(check bool) "bursts do occur" true (List.exists (fun b -> b > 1) sizes);
+  Alcotest.(check bool) "bursts do occur" true
+    (List.exists (fun b -> b > 1) sizes);
   Alcotest.check_raises "mean 0 rejected"
     (Invalid_argument "Scenario.make: mean_burst < 1") (fun () ->
       ignore (Scenario.make ~seed:1 ~mean_burst:0 ()))

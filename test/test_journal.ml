@@ -339,8 +339,8 @@ let check_counters_equal_journal ~what ?(prefixes = [ "" ]) (r : Obs.t) =
       | Some d ->
         List.iter
           (fun name ->
-            let n = Option.value ~default:0 (Hashtbl.find_opt from_journal name) in
-            Hashtbl.replace from_journal name (n + 1))
+            let n = Hashtbl.find_opt from_journal name in
+            Hashtbl.replace from_journal name (Option.value ~default:0 n + 1))
           (Journal.counters d))
     (Journal.events r.Obs.journal);
   Alcotest.(check bool) (what ^ ": decisions journaled") true
@@ -414,7 +414,8 @@ let test_counters_serve_faults () =
             let inst = Helpers.instance ~n:20 ~seed () in
             let app = inst.Insp.Instance.app
             and platform = inst.Insp.Instance.platform in
-            match Insp.Solve.run ~seed (Option.get (Insp.Solve.find "sbu")) app platform with
+            let sbu = Option.get (Insp.Solve.find "sbu") in
+            match Insp.Solve.run ~seed sbu app platform with
             | Error _ -> ()
             | Ok o ->
               ignore
@@ -422,7 +423,8 @@ let test_counters_serve_faults () =
                    (Insp.Fault_engine.make_spec ~measure:false ())
                    app platform o.Insp.Solve.alloc
                    (Insp.Fault_scenario.generate
-                      (Insp.Fault_scenario.make ~seed ~n_events:10 ~mean_burst:2 ()))))
+                      (Insp.Fault_scenario.make ~seed ~n_events:10
+                         ~mean_burst:2 ()))))
           [ 1; 2; 3 ])
   in
   check_counters_equal_journal ~what:"faults" ~prefixes:[ "faults." ] faults
