@@ -1,4 +1,5 @@
 module Graph = Insp_tree.Graph
+module Ledger = Insp_mapping.Ledger
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 
@@ -108,6 +109,48 @@ let round_budget b =
 let not_converged =
   Error "placement did not converge (grouping fallback oscillates)"
 
+(* A deterministic loop's rounds: the budget's, plus an exit on a
+   repeated state.  A round is a function of the builder's state alone
+   (and of inputs fixed until [restart]), in which processor ids matter
+   only by their order: the ledger (hosts, configs, loads, flows), the
+   acquisition order (ascending ids) and the next id the arena hands
+   out (above every live one).  So once the state at a round equals, up
+   to renumbering ids by rank, the state at an earlier round, the loop
+   repeats that stretch forever and could only end by spending its
+   budget: it fails as the budget would, at once.  Brent's cycle
+   finding: [saved] is the state's key at the last power-of-two round,
+   and every later round compares its key with it.  Saving starts at
+   the first power of two from the node count on, so a loop that
+   converges sooner (the loops seen need a few dozen rounds at most)
+   builds no keys. *)
+type rounds = {
+  b : Builder.t;
+  mutable round : int;
+  mutable saved : string option;
+}
+
+let rounds b = { b; round = 1; saved = None }
+
+let next_round r =
+  let round = r.round in
+  let checkpoint =
+    round >= Graph.n_nodes (Builder.graph r.b) && round land (round - 1) = 0
+  in
+  let key =
+    if checkpoint || Option.is_some r.saved then
+      Some (Ledger.state_key (Builder.ledger r.b))
+    else None
+  in
+  if round >= round_limit r.b || (Option.is_some r.saved && key = r.saved) then
+    false
+  else begin
+    if checkpoint then r.saved <- key;
+    r.round <- round + 1;
+    true
+  end
+
+let restart r = r.saved <- None
+
 (* One work order over every operator, sorted once: a grouping sell can
    release operators that were placed before the call, so the order
    covers them too.  Each round seeds with its first unassigned element
@@ -117,13 +160,13 @@ let not_converged =
 let place_rest b =
   let g = Builder.graph b in
   let order = by_work_desc g (List.init (Graph.n_nodes g) Fun.id) in
-  let spend = round_budget b in
+  let rounds = rounds b in
   let rec loop () =
     (* lint: allow p3 — one O(n) scan per round, like the fill walk *)
     match List.find_opt (fun i -> Builder.assignment b i = None) order with
     | None -> Ok b
     | Some heaviest ->
-      if not (spend ()) then not_converged
+      if not (next_round rounds) then not_converged
       else (
         match acquire_with_grouping b ~style:`Best heaviest with
         | Error e -> Error e

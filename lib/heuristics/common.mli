@@ -38,15 +38,34 @@ val round_budget : Builder.t -> unit -> bool
     operators, so every placement loop that buys through it is bounded
     to guarantee termination: [round_budget b] is a fresh budget of
     [n² + 16] rounds over [b]'s [n]-node view, and each call spends one
-    round, [false] once the budget is exhausted. *)
+    round, [false] once the budget is exhausted.  For a loop whose
+    rounds also read a random stream (Random); the deterministic loops
+    use {!rounds}. *)
 
-val round_limit : Builder.t -> int
-(** [n² + 16]: the rounds of a {!round_budget}, for a loop that counts
-    its own rounds — round [k] (from 1) is within the budget exactly
-    when [k < round_limit b]. *)
+type rounds
+(** The rounds of a deterministic placement loop: a {!round_budget}
+    that also ends the loop once the builder's state repeats. *)
+
+val rounds : Builder.t -> rounds
+(** A fresh {!round_budget}'s worth of rounds over [b], for a loop whose
+    round is a function of [b]'s state alone (and of inputs fixed until
+    {!restart}). *)
+
+val next_round : rounds -> bool
+(** Spends one round: [false] once the budget is exhausted, or when
+    the builder's state ({!Insp_mapping.Ledger.state_key}, ids
+    renumbered by rank) equals its state at an earlier round, from
+    which the loop would cycle until the budget ran out.  Brent's cycle
+    finding, with keys built only from round [n] on. *)
+
+val restart : rounds -> unit
+(** Forgets the states seen: the loop's rounds now read other fixed
+    inputs (Object-Availability's next object).  The budget spent
+    stays spent. *)
 
 val not_converged : ('a, string) result
-(** The failure of a loop that exhausted its {!round_budget}. *)
+(** The failure of a loop that exhausted its {!round_budget} or
+    {!rounds}. *)
 
 val place_rest : Builder.t -> (Builder.t, string) result
 (** Places every operator still unassigned Comp-Greedy style: buy a

@@ -61,11 +61,11 @@ let run _rng g platform =
       end
     done
   in
-  let spend = Common.round_budget b in
+  let rounds = Common.rounds b in
   let rec loop () =
     let p = Rank.first rank ~alive 0 in
     if p >= n then Ok b
-    else if not (spend ()) then Common.not_converged
+    else if not (Common.next_round rounds) then Common.not_converged
     else begin
       let sold = ref false in
       let on_release _ = sold := true in

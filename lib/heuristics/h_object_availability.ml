@@ -25,9 +25,9 @@ let run _rng g platform =
     Common.by_work_desc g
       (List.filter (fun i -> object_sets.(i) <> []) (List.init n Fun.id))
   in
-  let spend = Common.round_budget b in
+  let rounds = Common.rounds b in
   let rec pack_object k =
-    if not (spend ()) then Common.not_converged
+    if not (Common.next_round rounds) then Common.not_converged
     else
     let pending =
       List.filter
@@ -46,6 +46,9 @@ let run _rng g platform =
   let rec objects = function
     | [] -> Common.place_rest b
     | k :: rest -> (
+      (* a round reads its object too: states seen packing another one
+         do not repeat this loop's *)
+      Common.restart rounds;
       match pack_object k with Error e -> Error e | Ok () -> objects rest)
   in
   objects by_availability_asc

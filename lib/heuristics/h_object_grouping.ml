@@ -35,9 +35,9 @@ let run _rng g platform =
   let shares_object a i =
     List.exists (fun k -> List.mem k object_sets.(i)) object_sets.(a)
   in
-  let spend = Common.round_budget b in
+  let budget = Common.rounds b in
   let rec rounds () =
-    if not (spend ()) then Common.not_converged
+    if not (Common.next_round budget) then Common.not_converged
     else
     let al_pending =
       List.filter (fun i -> Builder.assignment b i = None) al_by_popularity

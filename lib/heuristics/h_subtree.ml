@@ -115,64 +115,153 @@ let producer_groups rules b op =
    the sweep restarts.
 
    Per-group state lives in slot arrays built once, in acquisition
-   order: id, member count, compute load and CPU speed.  A merge drops
+   order: id, member count, compute load and CPU speed.  A merge kills
    the loser's slot and re-reads the winner's count and load (no other
    group's load or speed changes); the count comes from the member
    list, which the ledger builds once per membership change and
-   [Builder.finalize] shares.  Most candidate pairs overflow the
-   winner's CPU, which is the first test [Builder.try_absorb] makes and
-   rejects without mutating; testing it here first skips those pairs,
-   and the adjacency of a pair is read only when it passes.  The pairs
-   left are probed in the same order, so the first merge, and every
-   placement, is the one the unfiltered sweep makes. *)
+   [Builder.finalize] shares.  Three structures, allocated once, keep a
+   sweep from touching groups that cannot merge:
+   - [order]: the live slots, fewest members first, ties in slot order
+     (what a stable sort by size gives), sorted once; a merge deletes
+     the loser and moves the winner right to its new rank;
+   - the loser's adjacent winners come from its ledger flow row
+     ([Ledger.neighbours], ascending ids, so slot order);
+   - [slack]: a max segment tree over the slots of each group's spare
+     CPU, which lists, in slot order, the winners that may take the
+     loser's load.  The spare CPU is computed with twice the tolerance
+     [Builder.leq] grants, a margin far above the subtraction's
+     rounding, so it lists every winner [leq] accepts.
+   Most candidate pairs overflow the winner's CPU, which is the first
+   test [Builder.try_absorb] makes and rejects without mutating; each
+   listed winner takes that test here, with [Builder.leq], and only the
+   pairs it passes are probed.  A rejected probe mutates nothing, so
+   trying the adjacent winners first and the others after probes the
+   pairs in the order the full sweep does, and the first merge of every
+   sweep, hence every placement, is the one the unfiltered sweep
+   makes. *)
 let consolidate b =
   let ledger = Builder.ledger b in
   let ids = Array.of_list (Builder.group_ids b) in
+  let n = Array.length ids in
+  let slot_of =
+    Array.make (if n = 0 then 0 else ids.(n - 1) + 1) (-1)
+  in
+  Array.iteri (fun s gid -> slot_of.(gid) <- s) ids;
   let size = Array.map (fun gid -> List.length (Builder.members b gid)) ids in
   let load = Array.map (Ledger.compute_load ledger) ids in
   let speed =
     Array.map (fun gid -> (Builder.config b gid).Catalog.cpu.Catalog.speed) ids
   in
-  let n = ref (Array.length ids) in
-  let drop l =
-    let close a = Array.blit a (l + 1) a l (!n - l - 1) in
-    close ids;
-    close size;
-    close load;
-    close speed;
-    decr n
+  let before x y = size.(x) < size.(y) || (size.(x) = size.(y) && x < y) in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun x y -> Int.compare size.(x) size.(y)) order;
+  (* the live slots are [order.(!head)] to [order.(n - 1)] *)
+  let head = ref 0 in
+  let cap = ref 1 in
+  while !cap < n do
+    cap := 2 * !cap
+  done;
+  let cap = !cap in
+  (* leaf [cap + s] holds slot [s]'s spare CPU, an inner node the
+     largest below it; dead and unused slots hold [neg_infinity] *)
+  let slack = Array.make (2 * cap) Float.neg_infinity in
+  let set s x =
+    let i = ref (cap + s) in
+    slack.(!i) <- x;
+    while !i > 1 do
+      i := !i lsr 1;
+      slack.(!i) <- Float.max slack.(2 * !i) slack.(2 * !i + 1)
+    done
   in
+  let spare s = (speed.(s) *. (1.0 +. 2e-9)) +. 2e-9 -. load.(s) in
+  for s = 0 to n - 1 do
+    set s (spare s)
+  done;
+  (* The first slot from [s] on whose spare CPU reaches [x], [n] when
+     none: climb while the subtree is short of [x], moving to the next
+     subtree on the right, then descend to its leftmost leaf that
+     reaches it. *)
+  let next_fit x s =
+    if s >= n then n
+    else begin
+      let i = ref (cap + s) in
+      while !i > 0 && slack.(!i) < x do
+        while !i land 1 = 1 do
+          i := !i lsr 1
+        done;
+        if !i > 0 then incr i
+      done;
+      if !i = 0 then n
+      else begin
+        while !i < cap do
+          i := 2 * !i;
+          if slack.(!i) < x then incr i
+        done;
+        !i - cap
+      end
+    end
+  in
+  (* [x]'s position in [order] *)
+  let rank x =
+    let lo = ref !head and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if before order.(mid) x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  (* Shifts are explicit stores, not [Array.blit]: a statically typed
+     int store needs no write barrier.  A loser leaves by shifting the
+     slots before it, which its sweep has just visited, over it. *)
+  let remove x =
+    for q = rank x downto !head + 1 do
+      order.(q) <- order.(q - 1)
+    done;
+    incr head
+  in
+  (* [x]'s member count rose to [m]: it moves right, past the slots now
+     ranked before it. *)
+  let grow x m =
+    let p = ref (rank x) in
+    size.(x) <- m;
+    while !p + 1 < n && before order.(!p + 1) x do
+      order.(!p) <- order.(!p + 1);
+      incr p
+    done;
+    order.(!p) <- x
+  in
+  let fits l w = Builder.leq (load.(w) +. load.(l)) speed.(w) in
+  let adjacent l w = Ledger.pair_flow ledger ids.(l) ids.(w) > 0.0 in
   let absorb l w =
     Builder.try_absorb b ids.(w) ids.(l)
     && begin
-         size.(w) <- List.length (Builder.members b ids.(w));
+         remove l;
+         grow w (List.length (Builder.members b ids.(w)));
          load.(w) <- Ledger.compute_load ledger ids.(w);
-         drop l;
+         set l Float.neg_infinity;
+         set w (spare w);
          true
        end
   in
-  (* Winners whose CPU can take [l]'s load: the adjacent ones are tried
-     as the scan meets them, the others after it, in order. *)
+  let rec adjacent_winners l = function
+    | [] -> false
+    | gid :: rest ->
+      let w = slot_of.(gid) in
+      (fits l w && adjacent l w && absorb l w) || adjacent_winners l rest
+  in
+  let rec other_winners l w =
+    w < n
+    && ((w <> l && fits l w && (not (adjacent l w)) && absorb l w)
+       || other_winners l (next_fit load.(l) (w + 1)))
+  in
   let merge l =
-    let rec scan w rest =
-      if w = !n then List.exists (absorb l) (List.rev rest)
-      else if w = l || not (Builder.leq (load.(w) +. load.(l)) speed.(w)) then
-        scan (w + 1) rest
-      else if Ledger.pair_flow ledger ids.(l) ids.(w) > 0.0 then
-        absorb l w || scan (w + 1) rest
-      else scan (w + 1) (w :: rest)
-    in
-    scan 0 []
+    adjacent_winners l (Ledger.neighbours ledger ids.(l))
+    || other_winners l (next_fit load.(l) 0)
   in
-  let rec pass () =
-    let by_size =
-      List.stable_sort
-        (fun x y -> Int.compare size.(x) size.(y))
-        (List.init !n Fun.id)
-    in
-    if List.exists merge by_size then pass ()
-  in
-  pass ()
+  let rec sweep k = k < n && (merge order.(k) || sweep (k + 1)) in
+  while sweep !head do
+    ()
+  done
 
 let run rules _rng g platform =
   let b = Builder.create g platform in
@@ -224,21 +313,10 @@ let run rules _rng g platform =
     (* Operators whose consumers could not be absorbed anywhere get
        fresh processors, producers first so each can join a producer's
        group; loop until the pool drains. *)
-    (* [step] counts the rounds against the round budget, which grants
-       those below [Common.round_limit b].  A step is a function of the
-       builder's state alone, in which processor ids matter only by
-       their order: the ledger (hosts, configs, loads, flows), the
-       acquisition order (ascending ids) and the next id the arena
-       hands out (above every live one).  So once the state at a step
-       equals, up to renumbering ids by rank, the state at an earlier
-       step, the loop repeats that stretch forever and could only end by
-       spending its budget: it fails as the budget would, at once.
-       Brent's cycle finding: [saved] is the state's key at the last
-       power-of-two step, and every later step compares its key with
-       it.  Saving starts at the first power of two from the node count
-       on, so a loop that converges sooner (the loops seen need a few
-       dozen steps at most) builds no keys. *)
-    let rec place step saved =
+    (* Each step is a round of one {!Common.rounds}: the loop fails as
+       its budget would once the builder's state repeats. *)
+    let rounds = Common.rounds b in
+    let rec place () =
       (* A grouping sell can release operators placed earlier in the
          order, so each step rescans it from the front. *)
       (* lint: allow p3 — one O(n) scan per step, within the budget *)
@@ -247,34 +325,23 @@ let run rules _rng g platform =
         consolidate b;
         Ok b
       | Some op ->
-        let checkpoint =
-          step >= Graph.n_nodes g && step land (step - 1) = 0
-        in
-        let key =
-          if checkpoint || Option.is_some saved then
-            Some (Ledger.state_key (Builder.ledger b))
-          else None
-        in
-        if step >= Common.round_limit b || (Option.is_some saved && key = saved)
-        then Common.not_converged
+        if not (Common.next_round rounds) then Common.not_converged
+        else if
+          List.exists
+            (fun gid -> Builder.try_add b gid op)
+            (producer_groups rules b op)
+        then begin
+          (match (rules, Builder.assignment b op) with
+          | Tree, Some gid -> ignore (absorb_consumers b gid)
+          | Tree, None -> assert false (* try_add just placed op *)
+          | Dag, _ -> ());
+          place ()
+        end
         else
-          let saved = if checkpoint then key else saved in
-          if
-            List.exists
-              (fun gid -> Builder.try_add b gid op)
-              (producer_groups rules b op)
-          then begin
-            (match (rules, Builder.assignment b op) with
-            | Tree, Some gid -> ignore (absorb_consumers b gid)
-            | Tree, None -> assert false (* try_add just placed op *)
-            | Dag, _ -> ());
-            place (step + 1) saved
-          end
-          else
-            match Common.acquire_with_grouping b ~style:`Best op with
-            | Ok gid ->
-              ignore (absorb_consumers b gid);
-              place (step + 1) saved
-            | Error e -> Error e
+          match Common.acquire_with_grouping b ~style:`Best op with
+          | Ok gid ->
+            ignore (absorb_consumers b gid);
+            place ()
+          | Error e -> Error e
     in
-    place 1 None
+    place ()

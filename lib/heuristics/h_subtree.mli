@@ -48,4 +48,9 @@ val consolidate : Builder.t -> unit
     to be absorbed ({!Builder.try_absorb}) by the groups it exchanges a
     stream with, then by the others, each in acquisition order, and the
     sweep restarts after every merge.  Candidates whose merged compute
-    load overflows the winner's CPU are skipped without a probe. *)
+    load overflows the winner's CPU are skipped without a probe.  The
+    size order is built once and updated on each merge; the adjacent
+    winners are read from the loser's ledger flow row
+    ({!Insp_mapping.Ledger.neighbours}) and the others from a spare-CPU
+    index over the groups, so a sweep reaches only the candidates that
+    can fit. *)

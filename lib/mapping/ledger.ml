@@ -354,6 +354,8 @@ let pair_flow t u v =
   let p = search r v min_int in
   if at r p v then r.s.fa.(p) +. r.s.fb.(p) else 0.0
 
+let neighbours t u = keys (proc t u).flows
+
 (* ------------------------------------------------------------------ *)
 (* Streams                                                             *)
 

@@ -102,6 +102,12 @@ val card_load : t -> int -> float
 
 val pair_flow : t -> proc_id -> proc_id -> float
 
+val neighbours : t -> proc_id -> proc_id list
+(** The processors [u] exchanges a stream with — those hosting a
+    producer or a consumer of one of [u]'s operators — ascending.
+    Every processor whose {!pair_flow} with [u] is non-zero is listed.
+    O(their number). *)
+
 val probe_add : t -> proc_id -> int -> probe
 (** Would-be state after assigning one unassigned operator.  O(degree);
     does not mutate. *)

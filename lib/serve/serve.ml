@@ -57,6 +57,7 @@ type admitted = {
   a_tenant : int;
   a_ops : int;
   a_seed : int;
+  a_app : Insp_tree.App.t;  (* built at admission, re-solved on re-optimization *)
   a_cost : float;
   a_n_procs : int;
   a_card_use : (int * float) list;  (* per-server download load, sorted *)
@@ -234,6 +235,7 @@ let try_admit t ~tenant ~n_operators ~app_seed =
             a_tenant = tenant;
             a_ops = n_operators;
             a_seed = app_seed;
+            a_app = app;
             a_cost = o.Solve.cost;
             a_n_procs = o.Solve.n_procs;
             a_card_use = card_use_of ledger ~n_servers;
@@ -276,8 +278,7 @@ let reoptimize_tenant t ~tenant =
   in
   List.iter
     (fun (id, a) ->
-      let inst = instance_for t ~n_operators:a.a_ops ~app_seed:a.a_seed in
-      let app = inst.Instance.app in
+      let app = a.a_app in
       let platform = residual_platform ~excluding:id t ~tenant in
       match solve_quietly t app platform ~seed:a.a_seed with
       | Error _ -> ()

@@ -281,15 +281,24 @@ let resort_object_availability _rng g platform =
   objects by_availability_asc
 
 (* ------------------------------------------------------------------ *)
-(* Subtree-Bottom-Up consolidation that probes every pair              *)
+(* Subtree-Bottom-Up consolidation as full scans                       *)
 
 (* The final consolidation as lists: every pass re-sorts the live groups
-   by member count and, for each loser, partitions all other groups by
-   adjacency and probes each with [Builder.try_absorb], whose own
-   compute test rejects most of them.  Production screens those pairs
-   out before probing and must leave the same state. *)
+   by member count and, for each loser, filters all other groups by the
+   absorb's first test (the merged compute load within the winner's
+   CPU, which rejects a pair without mutating), partitions the rest by
+   adjacency and probes each with [Builder.try_absorb].  Production
+   reaches the same candidates through a maintained order, the ledger's
+   flow rows and a spare-CPU index, and must make the same probes in
+   the same order. *)
 let list_consolidate b =
   let ledger = Builder.ledger b in
+  let fits loser gid =
+    Builder.leq
+      (Insp.Ledger.compute_load ledger gid
+      +. Insp.Ledger.compute_load ledger loser)
+      (Builder.config b gid).Insp.Catalog.cpu.Insp.Catalog.speed
+  in
   let sort_by key cmp ids =
     List.map (fun g -> (key g, g)) ids
     |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
@@ -307,7 +316,9 @@ let list_consolidate b =
           Insp.Ledger.mem_proc ledger loser
           &&
           let adj, rest =
-            List.filter (fun gid -> gid <> loser) (Builder.group_ids b)
+            List.filter
+              (fun gid -> gid <> loser && fits loser gid)
+              (Builder.group_ids b)
             |> List.partition (fun gid ->
                    Insp.Ledger.pair_flow ledger loser gid > 0.0)
           in

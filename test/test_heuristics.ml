@@ -125,12 +125,15 @@ let random_groups seed g platform =
   b
 
 (* Production consolidation and the oracle, each on its own replay of
-   the same state, leave equal ledgers and acquisition orders. *)
+   the same state, journal the same merge probes in the same order and
+   leave equal ledgers and acquisition orders. *)
 let consolidates_like_oracle seed g platform =
   let run consolidate =
     let b = random_groups seed g platform in
-    consolidate b;
-    (Insp.Ledger.state_key (Builder.ledger b), Builder.group_ids b)
+    let (), r = Insp.Obs.with_sink ~journal:true (fun () -> consolidate b) in
+    ( Insp.Obs_journal.events r.Insp.Obs.journal,
+      Insp.Ledger.state_key (Builder.ledger b),
+      Builder.group_ids b )
   in
   run Insp_heuristics.H_subtree.consolidate = run Oracles.list_consolidate
 
@@ -152,6 +155,89 @@ let consolidate_dag_equiv =
       consolidates_like_oracle seed
         (Insp.Dag.graph (Insp.Cse.share_apps apps))
         platform)
+
+(* A merge whose load fills the winner's CPU exactly: {n1} (30 Mops/s)
+   and {n3} (10) on 40 Mops/s processors exchange no stream, so the
+   spare-CPU index alone finds {n3} for loser {n1}, and must list a
+   winner with no slack to spare. *)
+let test_consolidate_exact_fit () =
+  let app = Helpers.tiny_app () in
+  let catalog =
+    Catalog.make ~chassis_cost:1.0
+      ~cpus:[| { Catalog.speed = 40.0; cpu_cost = 1.0 } |]
+      ~nics:[| { Catalog.bandwidth = 1000.0; nic_cost = 1.0 } |]
+  in
+  let platform =
+    Platform.make ~catalog ~servers:(Helpers.tiny_platform ()).Platform.servers ()
+  in
+  let b = Builder.create (Insp.Graph.of_app app) platform in
+  let config = Catalog.best catalog in
+  ignore (Result.get_ok (Builder.acquire b ~config ~members:[ 1 ]));
+  let g3 = Result.get_ok (Builder.acquire b ~config ~members:[ 3 ]) in
+  Insp_heuristics.H_subtree.consolidate b;
+  Alcotest.(check (list int)) "one group left" [ g3 ] (Builder.group_ids b);
+  Alcotest.(check (list int)) "both operators on it" [ 1; 3 ]
+    (Builder.members b g3)
+
+(* Hundreds of groups: scale trees of 2k-5k operators and 6 x 60 CSE
+   sets, the size multi_shared places. *)
+let consolidate_large_equiv =
+  qtest ~count:6 "consolidate = list-based sweep (hundreds of groups)"
+    QCheck.(pair small_nat (int_range 2000 5000))
+    (fun (seed, n) ->
+      let inst =
+        Insp.Instance.generate (Insp.Config.scale ~seed ~n_operators:n ())
+      in
+      let apps, platform =
+        Insp.Multi_workload.instance ~seed ~n_apps:6 ~n_operators:60
+      in
+      consolidates_like_oracle seed
+        (Insp.Graph.of_app inst.Insp.Instance.app)
+        inst.Insp.Instance.platform
+      && consolidates_like_oracle seed
+           (Insp.Dag.graph (Insp.Cse.share_apps apps))
+           platform)
+
+(* Two paper instances (N=100 and N=80, alpha 1.5) on which Comp-Greedy
+   and Object-Availability reach an already-seen ledger state within a
+   few rounds and would cycle until the n^2 + 16 round budget ran out.
+   They must fail as the budget would, long before spending it: fewer
+   probes than the budget's n^2 rounds, where every round probes at
+   least once. *)
+let test_repeated_state_exits () =
+  List.iter
+    (fun (n, seed) ->
+      let inst =
+        Insp.Instance.generate
+          (Insp.Config.make ~n_operators:n ~alpha:1.5 ~seed ())
+      in
+      List.iter
+        (fun key ->
+          let what = Printf.sprintf "%s on N=%d seed %d" key n seed in
+          let outcome, r =
+            Insp.Obs.with_sink (fun () ->
+                Solve.run ~seed (Option.get (Solve.find key))
+                  inst.Insp.Instance.app inst.Insp.Instance.platform)
+          in
+          (match outcome with
+          | Ok _ -> Alcotest.failf "%s: the cycling loop must not place" what
+          | Error f ->
+            Alcotest.(check string)
+              (what ^ ": the budget's failure")
+              "placement failed: placement did not converge (grouping \
+               fallback oscillates)"
+              (Solve.failure_message f));
+          let probes =
+            Option.value ~default:0
+              (Insp.Obs_metrics.counter r.Insp.Obs.metrics "heur.probe")
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d probes, fewer than n^2 = %d" what probes
+               (n * n))
+            true
+            (probes < n * n))
+        [ "comp"; "objavail" ])
+    [ (100, 100115); (80, 101095) ]
 
 let test_builder_finalize_incomplete () =
   let app, platform = tiny_env () in
@@ -461,7 +547,13 @@ let () =
           Alcotest.test_case "upgrade variants" `Quick
             test_builder_upgrade_variants;
         ] );
-      ("consolidate", [ consolidate_tree_equiv; consolidate_dag_equiv ]);
+      ( "consolidate",
+        [
+          Alcotest.test_case "exact fit" `Quick test_consolidate_exact_fit;
+          consolidate_tree_equiv;
+          consolidate_dag_equiv;
+          consolidate_large_equiv;
+        ] );
       ( "heuristics",
         [
           Alcotest.test_case "registry" `Quick test_find_heuristics;
@@ -472,6 +564,8 @@ let () =
           heuristic_cost_matches_alloc;
           deterministic_heuristics_stable;
           random_heuristic_reproducible;
+          Alcotest.test_case "repeated state exits the loop" `Quick
+            test_repeated_state_exits;
         ] );
       ( "server_selection",
         [

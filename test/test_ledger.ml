@@ -509,6 +509,58 @@ let ledger_matches_oracle =
        with Failure msg -> QCheck.Test.fail_report msg);
       true)
 
+(* [Ledger.neighbours] against the graph: the hosts of the producers
+   and consumers of each processor's operators, other than itself,
+   ascending, after every edit of a random sequence. *)
+let check_neighbours g platform rng =
+  let n_ops = Graph.n_nodes g in
+  let configs = Catalog.configs platform.Platform.catalog in
+  let t =
+    random_start g platform rng ~n_procs:(3 + Prng.int rng 6)
+      ~n_types:(Objects.count g.Graph.objects)
+      ~n_servers:(Servers.n_servers platform.Platform.servers) ~configs
+  in
+  let expected u =
+    List.concat_map
+      (fun i ->
+        Graph.producers g i
+        @ List.init (Graph.n_consumers g i) (Graph.consumer g i))
+      (Ledger.operators_of t u)
+    |> List.filter_map (fun j ->
+           match Ledger.assignment t j with
+           | Some v when v <> u -> Some v
+           | Some _ | None -> None)
+    |> List.sort_uniq Int.compare
+  in
+  for step = 0 to 60 do
+    if step > 0 then apply_random_edit ~max_procs:12 t rng ~n_ops ~configs;
+    List.iter
+      (fun u ->
+        let got = Ledger.neighbours t u and want = expected u in
+        if got <> want then
+          failwith
+            (Printf.sprintf "step %d: neighbours of %d are [%s], not [%s]" step
+               u
+               (String.concat "; " (List.map string_of_int got))
+               (String.concat "; " (List.map string_of_int want))))
+      (proc_ids t)
+  done
+
+let neighbours_match_graph =
+  qtest ~count:60 "neighbours = hosts of the graph neighbours"
+    Helpers.instance_case (fun case ->
+      let inst = Helpers.instance_of_case case in
+      let seed, n_idx, _ = case in
+      let rng = Prng.create (seed + 104729) in
+      (try
+         check_neighbours (Graph.of_app inst.Insp.Instance.app)
+           inst.Insp.Instance.platform rng;
+         let g, platform = cse_dag ~seed ~n:[| 5; 10; 15; 20 |].(n_idx) in
+         check_neighbours g platform rng;
+         check_neighbours (Dag.graph (mixed_dag ())) (Helpers.tiny_platform ()) rng
+       with Failure msg -> QCheck.Test.fail_report msg);
+      true)
+
 (* Everything a caller can observe about one live processor. *)
 let observe t u =
   let d = Ledger.demand t u in
@@ -607,6 +659,7 @@ let () =
       ( "random",
         [
           ledger_matches_oracle;
+          neighbours_match_graph;
           Alcotest.test_case "long edit sequences" `Quick
             test_long_edit_sequences;
         ] );

@@ -288,6 +288,27 @@ let test_scale_preset_solves () =
       (Helpers.n_assigned o.Insp.Solve.alloc)
   | Error f -> Alcotest.fail (Insp.Solve.failure_message f)
 
+(* Subtree-Bottom-Up on the 30k scale tree, where its consolidation
+   folds thousands of groups: cost and processor count as the sweep
+   that probes every pair left them. *)
+let test_scale_sbu_30k () =
+  let inst =
+    match
+      Insp.Instance.generate_checked (Insp.Config.scale ~n_operators:30_000 ())
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail (Insp.Instance.gen_error_message e)
+  in
+  match
+    Insp.Solve.run ~seed:1
+      (Option.get (Insp.Solve.find "sbu"))
+      inst.Insp.Instance.app inst.Insp.Instance.platform
+  with
+  | Ok o ->
+    Alcotest.(check (float 0.0)) "cost" 17695437.0 o.Insp.Solve.cost;
+    Alcotest.(check int) "processors" 1404 o.Insp.Solve.n_procs
+  | Error f -> Alcotest.fail (Insp.Solve.failure_message f)
+
 (* ------------------------------------------------------------------ *)
 (* Arena id discipline                                                 *)
 
@@ -438,6 +459,8 @@ let () =
             test_comp_queue_equivalence;
           Alcotest.test_case "scale preset solves at 2k" `Quick
             test_scale_preset_solves;
+          Alcotest.test_case "sbu at 30k: cost and processors" `Quick
+            test_scale_sbu_30k;
           Alcotest.test_case "comp: queue = scan on mixed-rate DAGs" `Quick
             test_comp_scan_mixed_rates;
           Alcotest.test_case "static orders = re-sort oracles, with sells"
