@@ -816,34 +816,43 @@ let () =
     if ids = [] then Insp.Suite.all_ids @ [ "catalog" ] else ids
   in
   let results = List.filter_map (run_experiment ~quick ~jobs) ids in
+  (* Thunks, run left to right: a list literal's elements are evaluated
+     right to left, which would run the rows in reverse order. *)
   let results =
     results
-    @ [
-        journal_overhead_entry ~quick ();
-        serve_entry ~quick ();
-        faults_repair_entry ~quick ();
-        faults_frontier_entry ~quick ();
-        lint_entry ~quick ();
-        probe_throughput_entry ~quick ();
-        scale_entry ~n:10_000 ~heuristic:"comp" ~budget_s:1.0 "scale.10k" ();
-        (* runs under --quick too, so its hard wall gate is part of the
-           committed BENCH_insp.json; ~1.5x headroom over the measured
-           solve for VM phase noise *)
-        scale_entry ~n:100_000 ~heuristic:"comp" ~budget_s:0.6 "scale.100k" ();
-        (* Subtree-Bottom-Up, the paper's best heuristic: 5x the
-           Comp-Greedy row's wall budget; 42.99M minor words measured,
-           +2% *)
-        scale_entry ~n:100_000 ~heuristic:"sbu" ~budget_s:3.0
-          ~budget_words:43_846_000.0 "scale.100k.sbu" ();
-        (* minor words are deterministic, so the hard alloc gate belongs
-           in the committed BENCH_insp.json; 10.03M measured with
-           rank-walker seeds, ~1.35x headroom *)
-        alloc_entry ~n:100_000 ~budget_words:13_550_000.0 "alloc.100k" ();
-        alloc_serve_entry ~quick ();
-        alloc_multi_entry ();
-        sim_scale_entry ();
-        sim_dag_entry ();
-      ]
+    @ List.map
+        (fun row -> row ())
+        [
+          journal_overhead_entry ~quick;
+          serve_entry ~quick;
+          faults_repair_entry ~quick;
+          faults_frontier_entry ~quick;
+          lint_entry ~quick;
+          probe_throughput_entry ~quick;
+          scale_entry ~n:10_000 ~heuristic:"comp" ~budget_s:1.0 "scale.10k";
+          (* runs under --quick too, so its hard wall gate is part of the
+             committed BENCH_insp.json; ~1.5x headroom over the measured
+             solve for VM phase noise *)
+          scale_entry ~n:100_000 ~heuristic:"comp" ~budget_s:0.6 "scale.100k";
+          (* Subtree-Bottom-Up, the paper's best heuristic: 5x the
+             Comp-Greedy row's wall budget; 42.99M minor words measured,
+             +2% *)
+          scale_entry ~n:100_000 ~heuristic:"sbu" ~budget_s:3.0
+            ~budget_words:43_846_000.0 "scale.100k.sbu";
+          (* Random, whose pick reads an index over the unassigned ids:
+             5x the Comp-Greedy row's wall budget; 60.47M minor words
+             measured, +2% *)
+          scale_entry ~n:100_000 ~heuristic:"random" ~budget_s:3.0
+            ~budget_words:61_681_000.0 "scale.100k.random";
+          (* minor words are deterministic, so the hard alloc gate belongs
+             in the committed BENCH_insp.json; 10.03M measured with
+             rank-walker seeds, ~1.35x headroom *)
+          alloc_entry ~n:100_000 ~budget_words:13_550_000.0 "alloc.100k";
+          alloc_serve_entry ~quick;
+          alloc_multi_entry;
+          sim_scale_entry;
+          sim_dag_entry;
+        ]
   in
   (match json_file with
   | Some file ->

@@ -91,8 +91,14 @@ let run ?max_procs ?(allow_rebuy = true) app platform alloc ~failed =
           Builder.acquire b ~config:p.Alloc.config ~members:p.Alloc.operators
         with
         | Ok _ -> ()
-        | Error msg ->
-          survivors_ok := Some (Printf.sprintf "survivor %d re-acquire: %s" u msg)
+        | Error _ ->
+          survivors_ok :=
+            Some
+              (Printf.sprintf
+                 "survivor %d re-acquire: cannot host operators {%s} on the \
+                  requested processor"
+                 u
+                 (String.concat ", " (List.map string_of_int p.Alloc.operators)))
       end
     done;
     match !survivors_ok with

@@ -152,10 +152,12 @@ let check_unassigned t members =
 (* A purchase probe asks whether a new processor can host [members]:
    [acquire] tests a given configuration, demand first and flows only
    when demand fits (a "host" probe); [acquire_cheapest] tests the
-   config-independent flows first, then scans the catalog for the
-   cheapest configuration that fits (a "catalog" probe).  [purchase]
-   counts and journals the verdict, closes the probe's profiler frame
-   and buys on success: one probe and one decision per purchase. *)
+   config-independent flows first, then computes the group's demand and
+   scans the catalog for the cheapest configuration that fits (a
+   "catalog" probe).  [purchase] counts and journals the verdict, closes
+   the probe's profiler frame and buys on success: one probe and one
+   decision per purchase.  A refusal returns the journaled reason; the
+   caller words it if it reaches the user. *)
 let purchase t ~kind ~members verdict =
   let ok = Result.is_ok verdict in
   if Obs.decide (probed ok) then
@@ -165,13 +167,7 @@ let purchase t ~kind ~members verdict =
            reject = (match verdict with Ok _ -> None | Error r -> Some r) });
   Obs.prof_exit ();
   match verdict with
-  | Error _ ->
-    Error
-      (Printf.sprintf "cannot host operators {%s} on %s"
-         (String.concat ", " (List.map string_of_int members))
-         (match kind with
-         | Journal.Host -> "the requested processor"
-         | Journal.Catalog_scan -> "any catalog configuration"))
+  | Error _ as e -> e
   | Ok config ->
     Obs.prof_enter "ledger.acquire";
     let gid = Ledger.add_proc t.ledger config in
@@ -185,9 +181,9 @@ let purchase t ~kind ~members verdict =
 let acquire t ~config ~members =
   check_unassigned t members;
   Obs.prof_enter "ledger.probe_host";
-  let d = Demand.of_group t.graph members in
   purchase t ~kind:Journal.Host ~members
-    (if not (Demand.fits config d) then Error Journal.Demand_exceeded
+    (if not (Demand.fits config (Demand.of_group t.graph members)) then
+       Error Journal.Demand_exceeded
      else if not (flows_ok t (candidate_flows t ~members)) then
        Error Journal.Link_exceeded
      else Ok config)
@@ -195,19 +191,26 @@ let acquire t ~config ~members =
 let acquire_cheapest t ~members =
   check_unassigned t members;
   Obs.prof_enter "ledger.catalog_scan";
-  let d = Demand.of_group t.graph members in
   purchase t ~kind:Journal.Catalog_scan ~members
     (if not (flows_ok t (candidate_flows t ~members)) then
        Error Journal.Link_exceeded
-     else cheapest_config t d)
+     else cheapest_config t (Demand.of_group t.graph members))
 
 let try_add t gid op =
   if Ledger.assignment t.ledger op <> None then
     invalid_arg "Builder.try_add: operator already assigned";
   check_live t gid;
   Obs.prof_enter "ledger.try_add";
-  let probe = Ledger.probe_add t.ledger gid op in
-  let ok, reject = probe_verdict t (Ledger.config t.ledger gid) probe in
+  let ok, reject =
+    (* The probe tests the would-be compute load first, and most
+       candidates fail there: answer those from the group's load and the
+       operator's compute term alone, without the probe, with the same
+       verdict. *)
+    if not (Ledger.add_fits_cpu t.ledger gid op) then
+      (false, Some Journal.Demand_exceeded)
+    else
+      probe_verdict t (Ledger.config t.ledger gid) (Ledger.probe_add t.ledger gid op)
+  in
   if Obs.decide (if ok then Journal.Added else Journal.Add_rejected) then
     Obs.event
       (match reject with
@@ -227,18 +230,15 @@ let try_absorb t winner loser =
   check_live t winner;
   check_live t loser;
   Obs.prof_enter "ledger.try_absorb";
-  let config = Ledger.config t.ledger winner in
   let ok, reject =
     (* The probe tests the merged compute load first, and most
        consolidation candidates fail there: answer those from the two
        loads alone, without the merge probe, with the same verdict. *)
-    if
-      not
-        (leq
-           (Ledger.compute_load t.ledger winner +. Ledger.compute_load t.ledger loser)
-           config.Catalog.cpu.Catalog.speed)
-    then (false, Some Journal.Demand_exceeded)
-    else probe_verdict t config (Ledger.probe_merge t.ledger ~winner ~loser)
+    if not (Ledger.merge_fits_cpu t.ledger ~winner ~loser) then
+      (false, Some Journal.Demand_exceeded)
+    else
+      probe_verdict t (Ledger.config t.ledger winner)
+        (Ledger.probe_merge t.ledger ~winner ~loser)
   in
   if Obs.decide (if ok then Journal.Merged else Journal.Merge_rejected) then
     Obs.event

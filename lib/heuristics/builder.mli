@@ -61,22 +61,28 @@ val leq : float -> float -> bool
 
 val acquire :
   t -> config:Insp_platform.Catalog.config -> members:int list ->
-  (group_id, string) result
+  (group_id, Insp_obs.Journal.reject) result
 (** Buys a new processor for [members] (all currently unassigned).
     Fails without mutating when [config] cannot host them: the
     processor hosting exactly [members] must satisfy its compute and NIC
     capacity, and every link flow towards the live groups must stay
-    within [proc_link]. *)
+    within [proc_link].  The error is the journaled reason; a caller
+    whose failure reaches the user words it. *)
 
-val acquire_cheapest : t -> members:int list -> (group_id, string) result
+val acquire_cheapest :
+  t -> members:int list -> (group_id, Insp_obs.Journal.reject) result
 (** Like {!acquire} on the cheapest catalog configuration that can host
     [members], found by the same single probe that admits the purchase;
-    fails without mutating when even the best configuration cannot. *)
+    fails without mutating when even the best configuration cannot.  The
+    link test comes first and needs no demand: a purchase it refuses
+    never computes the group's demand. *)
 
 val try_add : t -> group_id -> int -> bool
 (** Attempts to place one unassigned operator on an existing group,
     keeping the group's configuration.  Returns [false] (no mutation)
-    when it does not fit. *)
+    when it does not fit.  An operator whose compute term alone
+    overflows the group's remaining CPU is rejected without the add
+    probe, with the probe's counters and journal event. *)
 
 val try_absorb : t -> group_id -> group_id -> bool
 (** [try_absorb t winner loser] moves every operator of [loser] onto

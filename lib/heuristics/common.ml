@@ -29,12 +29,9 @@ let no_host members =
 (* Either purchase is one probe: `Best probes the best configuration,
    `Cheapest scans the catalog in the probe that buys. *)
 let acquire_for b ~style members =
-  let bought =
-    match style with
-    | `Best -> Builder.acquire b ~config:(best_config b) ~members
-    | `Cheapest -> Builder.acquire_cheapest b ~members
-  in
-  match bought with Ok _ -> bought | Error _ -> no_host members
+  match style with
+  | `Best -> Builder.acquire b ~config:(best_config b) ~members
+  | `Cheapest -> Builder.acquire_cheapest b ~members
 
 (* Most communication-demanding neighbour (over graph edges) of a
    member set, excluding the members themselves: an edge weighs its
@@ -80,11 +77,11 @@ let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
   let rec grow members rounds =
     match acquire_for b ~style members with
     | Ok gid -> Ok gid
-    | Error e ->
-      if rounds <= 0 then Error e
+    | Error _ ->
+      if rounds <= 0 then no_host members
       else (
         match heaviest_outside_neighbor g members with
-        | None -> Error e
+        | None -> no_host members
         | Some neighbor ->
           (match Builder.assignment b neighbor with
           | Some gid ->

@@ -14,10 +14,16 @@ val fill : Builder.t -> Builder.group_id -> int list -> unit
     candidate, in order. *)
 
 val acquire_for :
-  Builder.t -> style:style -> int list -> (Builder.group_id, string) result
+  Builder.t -> style:style -> int list ->
+  (Builder.group_id, Insp_obs.Journal.reject) result
 (** Buys one processor of the requested style for the given unassigned
-    operators; fails without mutating when no configuration can host
-    them. *)
+    operators; fails without mutating, with the journaled reason, when
+    no configuration can host them.  A caller whose failure ends the
+    placement words it with {!no_host}. *)
+
+val no_host : int list -> ('a, string) result
+(** The failure of a placement that could buy no processor for these
+    operators: ["no processor can host operators {…}"]. *)
 
 val acquire_with_grouping :
   ?on_release:(int -> unit) ->

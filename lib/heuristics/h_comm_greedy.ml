@@ -20,26 +20,26 @@ let edges_by_weight_desc g =
         if c <> 0 then c else compare ca cb)
     !edges
 
+(* A purchase for one operator that ends the placement when it fails. *)
+let buy_single b ~style op =
+  match Common.acquire_for b ~style [ op ] with
+  | Ok _ -> Ok ()
+  | Error _ -> Common.no_host [ op ]
+
 let place_pair b i p =
   match Common.acquire_for b ~style:`Cheapest [ i; p ] with
   | Ok _ -> Ok ()
   | Error _ -> (
-    match Common.acquire_for b ~style:`Best [ i ] with
-    | Error e -> Error e
-    | Ok _ -> (
-      match Common.acquire_for b ~style:`Best [ p ] with
-      | Error e -> Error e
-      | Ok _ -> Ok ()))
+    match buy_single b ~style:`Best i with
+    | Error _ as e -> e
+    | Ok () -> buy_single b ~style:`Best p)
 
 (* "Attempts to accommodate the other operator as well": in the
    constructive setting the host processor may be exchanged for a larger
    model that fits both. *)
 let place_single_next_to b ~host ~op =
   if Builder.try_add_upgrade b host op then Ok ()
-  else
-    match Common.acquire_for b ~style:`Best [ op ] with
-    | Ok _ -> Ok ()
-    | Error e -> Error e
+  else buy_single b ~style:`Best op
 
 (* Ablation knob: disable the merge sweeps to measure the paper's
    literal one-pass edge processing.  Not thread-safe. *)
@@ -91,6 +91,13 @@ let merge_sweeps b edges =
   in
   sweep (Graph.n_nodes (Builder.graph b))
 
+let rec place_each b = function
+  | [] -> Ok b
+  | op :: rest -> (
+    match buy_single b ~style:`Cheapest op with
+    | Error _ as e -> e
+    | Ok () -> place_each b rest)
+
 let run _rng g platform =
   let b = Builder.create g platform in
   let rec handle = function
@@ -116,14 +123,4 @@ let run _rng g platform =
   | Ok () -> (
     if !merge_sweeps_enabled then merge_sweeps b edges;
     (* Only a single-operator graph has no edges; place any leftover. *)
-    match Builder.unassigned b with
-    | [] -> Ok b
-    | leftover -> (
-      let rec place = function
-        | [] -> Ok b
-        | op :: rest -> (
-          match Common.acquire_for b ~style:`Cheapest [ op ] with
-          | Ok _ -> place rest
-          | Error e -> Error e)
-      in
-      match place leftover with Ok b -> Ok b | Error e -> Error e))
+    place_each b (Builder.unassigned b))

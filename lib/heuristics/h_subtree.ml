@@ -280,7 +280,10 @@ let run rules _rng g platform =
     | op :: rest ->
       let acquired =
         match rules with
-        | Tree -> Common.acquire_for b ~style:`Best [ op ]
+        | Tree -> (
+          match Common.acquire_for b ~style:`Best [ op ] with
+          | Ok _ as bought -> bought
+          | Error _ -> Common.no_host [ op ])
         | Dag -> Common.acquire_with_grouping b ~style:`Best op
       in
       Result.bind acquired (fun _ -> seed rest)

@@ -667,6 +667,23 @@ let demand t u = demand_of (proc t u).loads
 
 let compute_load t u = (proc t u).loads.(compute_)
 
+let tolerance = 1e-9
+
+(* The compute half of [Demand.fits] on [u]'s configuration, the same
+   comparison, computed here so the load never leaves the module as a
+   boxed float. *)
+let[@inline] fits_cpu t u load =
+  load <= (t.configs.(u).Catalog.cpu.Catalog.speed *. (1.0 +. tolerance)) +. tolerance
+
+(* [probe_add] adds [1.0 *. (rate *. work)], the same float as
+   [rate *. work]; [probe_merge] adds the two loads. *)
+let add_fits_cpu t u i =
+  fits_cpu t u ((proc t u).loads.(compute_) +. (rate t i *. t.work.(i)))
+
+let merge_fits_cpu t ~winner ~loser =
+  fits_cpu t winner
+    ((proc t winner).loads.(compute_) +. (proc t loser).loads.(compute_))
+
 let card_load t l =
   if not (valid_server t l) then invalid_arg "Ledger.card_load: bad server";
   t.card_load.(l)
@@ -798,7 +815,6 @@ let probe_merge t ~winner ~loser =
 (* ------------------------------------------------------------------ *)
 (* Violations                                                          *)
 
-let tolerance = 1e-9
 let exceeds load capacity = load > (capacity *. (1.0 +. tolerance)) +. tolerance
 
 (* Violations anchored at one processor: structural download checks plus

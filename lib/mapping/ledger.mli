@@ -94,6 +94,16 @@ val demand : t -> proc_id -> Demand.t
 
 val compute_load : t -> proc_id -> float
 
+val add_fits_cpu : t -> proc_id -> int -> bool
+(** Whether {!probe_add}[ t u i]'s demand passes the compute half of
+    {!Demand.fits} on [u]'s configuration: the same float and the same
+    comparison, from [u]'s load and [i]'s compute term alone.  O(1);
+    allocates nothing, so a caller can screen a probe with it. *)
+
+val merge_fits_cpu : t -> winner:proc_id -> loser:proc_id -> bool
+(** Likewise for {!probe_merge}: the two compute loads against
+    [winner]'s configuration. *)
+
 val card_load : t -> int -> float
 (** Aggregate planned download load (MB/s) against one server's card.
     This is the per-server footprint a multi-tenant service must reclaim

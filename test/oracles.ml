@@ -182,6 +182,26 @@ let by_work_desc g ops =
       if c <> 0 then c else compare a b)
     ops
 
+(* Random with its pool as a list: every round rebuilds the increasing
+   list of unassigned operators and draws from it with
+   [Prng.choose_list].  Production draws the element of the same rank
+   from an index over the unassigned ids. *)
+let list_random rng g platform =
+  let b = Builder.create g platform in
+  let spend = Common.round_budget b in
+  let rec loop () =
+    match Builder.unassigned b with
+    | [] -> Ok b
+    | pending ->
+      if not (spend ()) then Common.not_converged
+      else (
+        let op = Insp.Prng.choose_list rng pending in
+        match Common.acquire_with_grouping b ~style:`Cheapest op with
+        | Ok _ -> loop ()
+        | Error e -> Error e)
+  in
+  loop ()
+
 let resort_place_rest b =
   let g = Builder.graph b in
   let spend = Common.round_budget b in

@@ -37,7 +37,7 @@ let test_builder_acquire_and_add () =
       (Builder.assignment b 0);
     Alcotest.(check bool) "add n1" true (Builder.try_add b gid 1);
     Alcotest.(check (list int)) "two members" [ 0; 1 ] (Builder.members b gid)
-  | Error e -> Alcotest.fail e);
+  | Error _ -> Alcotest.fail "acquire refused");
   Alcotest.(check (list int)) "not done yet" [ 2; 3 ] (Builder.unassigned b)
 
 (* A `Cheapest purchase is one probe: the catalog scan that picks the
@@ -50,7 +50,9 @@ let test_builder_cheapest_one_probe () =
     Insp.Obs.with_sink ~journal:true (fun () ->
         Builder.acquire_cheapest b ~members:[ 0; 1 ])
   in
-  let gid = match bought with Ok gid -> gid | Error e -> Alcotest.fail e in
+  let gid =
+    match bought with Ok gid -> gid | Error _ -> Alcotest.fail "acquire refused"
+  in
   Alcotest.(check (list int)) "members" [ 0; 1 ] (Builder.members b gid);
   let probes =
     List.filter
@@ -94,12 +96,228 @@ let test_builder_rejects_pair_flow () =
   let g1 = Result.get_ok (Builder.acquire b ~config:best ~members:[ 0; 1 ]) in
   (match Builder.acquire b ~config:best ~members:[ 2; 3 ] with
   | Ok _ -> Alcotest.fail "should reject: edge n2->n0 exceeds the link"
-  | Error _ -> ());
+  | Error reject ->
+    Alcotest.(check bool) "refused on the link" true
+      (reject = Insp.Obs_journal.Link_exceeded));
   (* But placing all four together is fine: each heavy edge becomes
      internal as its operator joins g1. *)
   Alcotest.(check bool) "co-located ok" true
     (Builder.try_add b g1 2 && Builder.try_add b g1 3);
   Alcotest.(check (list int)) "all on g1" [ 0; 1; 2; 3 ] (Builder.members b g1)
+
+(* ------------------------------------------------------------------ *)
+(* try_add's compute screen = the full probe                           *)
+
+module J = Insp.Obs_journal
+
+(* The builder mutations of a placement journal, in order. *)
+let mutations events =
+  List.filter
+    (function
+      | J.Acquire _ | J.Add_op _ | J.Merge_groups _ | J.Sell _ -> true
+      | _ -> false)
+    events
+
+(* The state after the first [k] mutations, replayed onto a fresh
+   builder (each replayed decision must take again). *)
+let replay g platform muts k =
+  let b = Builder.create g platform in
+  let config label =
+    List.find
+      (fun c -> Catalog.label c = label)
+      (Catalog.configs platform.Platform.catalog)
+  in
+  List.iteri
+    (fun idx ev ->
+      if idx < k then
+        let took =
+          match ev with
+          | J.Acquire { gid; config = label; members } ->
+            Builder.acquire b ~config:(config label) ~members = Ok gid
+          | J.Add_op { gid; op; upgrade = None } -> Builder.try_add b gid op
+          | J.Add_op { gid; op; upgrade = Some _ } ->
+            Builder.try_add_upgrade b gid op
+          | J.Merge_groups { winner; loser; upgrade = None } ->
+            Builder.try_absorb b winner loser
+          | J.Merge_groups { winner; loser; upgrade = Some _ } ->
+            Builder.try_absorb_upgrade b winner loser
+          | J.Sell { gid } ->
+            Builder.sell b gid;
+            true
+          | _ -> true
+        in
+        if not took then Alcotest.failf "replay diverged at mutation %d" idx)
+    muts;
+  b
+
+(* What the full probe decides for [op] on [gid]: its demand against the
+   group's configuration, then every changed pair flow against the
+   processor link. *)
+let full_probe_reject b gid op =
+  let probe = Insp.Ledger.probe_add (Builder.ledger b) gid op in
+  let link = (Builder.platform b).Platform.proc_link in
+  if not (Demand.fits (Builder.config b gid) probe.Insp.Ledger.demand) then
+    Some J.Demand_exceeded
+  else if
+    not (List.for_all (fun (_, f) -> Builder.leq f link) probe.Insp.Ledger.pair_flows)
+  then Some J.Link_exceeded
+  else None
+
+(* At every mid-run state of a placement, every (live group, unassigned
+   operator) pair: [try_add] takes exactly when the full probe accepts,
+   journals the probe's reason when it refuses, and a refusal leaves the
+   ledger as it was.  Counts the verdicts by reason into [seen]. *)
+let screen_matches_probe seen what g platform muts =
+  for k = 0 to List.length muts do
+    let b = ref (replay g platform muts k) in
+    List.iter
+      (fun gid ->
+        List.iter
+          (fun op ->
+            let expected = full_probe_reject !b gid op in
+            Hashtbl.replace seen expected
+              (1 + Option.value ~default:0 (Hashtbl.find_opt seen expected));
+            let before = Insp.Ledger.state_key (Builder.ledger !b) in
+            let took, r =
+              Insp.Obs.with_sink ~journal:true (fun () ->
+                  Builder.try_add !b gid op)
+            in
+            let where = Printf.sprintf "%s, state %d, op %d on %d" what k op gid in
+            match (expected, took, J.events r.Insp.Obs.journal) with
+            | None, true, [ J.Add_op { gid = g'; op = o'; upgrade = None } ]
+              when g' = gid && o' = op ->
+              b := replay g platform muts k
+            | Some reason, false, [ J.Reject_add { gid = g'; op = o'; reject } ]
+              when g' = gid && o' = op && reject = reason ->
+              if Insp.Ledger.state_key (Builder.ledger !b) <> before then
+                Alcotest.failf "%s: the refusal changed the ledger" where
+            | _ -> Alcotest.failf "%s: try_add disagrees with the probe" where)
+          (Builder.unassigned !b))
+      (Builder.group_ids !b)
+  done
+
+let test_try_add_screen () =
+  let seen = Hashtbl.create 3 in
+  List.iter
+    (fun (n, alpha, sizes, seed) ->
+      let inst = Helpers.instance ~n ~alpha ~sizes ~seed () in
+      let g = Insp.Graph.of_app inst.Insp.Instance.app in
+      let platform = inst.Insp.Instance.platform in
+      List.iter
+        (fun (h : Solve.heuristic) ->
+          let (_ : (Builder.t, string) result), r =
+            Insp.Obs.with_sink ~journal:true (fun () ->
+                h.Solve.place (Prng.create seed) g platform)
+          in
+          let what = Printf.sprintf "%s on N=%d a=%g seed %d" h.Solve.key n alpha seed in
+          screen_matches_probe seen what g platform
+            (mutations (J.events r.Insp.Obs.journal)))
+        Solve.all)
+    [ (12, 0.9, Insp.Config.Small, 1); (20, 1.7, Insp.Config.Small, 4);
+      (20, 1.5, Insp.Config.Large, 3) ];
+  List.iter
+    (fun (what, reason) ->
+      Alcotest.(check bool) (what ^ " seen") true (Hashtbl.mem seen reason))
+    [ ("a take", None); ("a compute refusal", Some J.Demand_exceeded);
+      ("a link refusal", Some J.Link_exceeded) ]
+
+(* ------------------------------------------------------------------ *)
+(* Random = the list-based pick                                        *)
+
+(* One placement under a journaling sink: its JSONL journal, the final
+   ledger state or the failure, and its grouping sells. *)
+let journaled_place place seed g platform =
+  let placed, r =
+    Insp.Obs.with_sink ~journal:true (fun () ->
+        place (Prng.create seed) g platform)
+  in
+  ( J.to_jsonl r.Insp.Obs.journal,
+    Result.map (fun b -> Insp.Ledger.state_key (Builder.ledger b)) placed,
+    List.length
+      (List.filter
+         (function J.Sell _ -> true | _ -> false)
+         (J.events r.Insp.Obs.journal)) )
+
+(* 30 paper instances (N 60/100, alpha 0.9/1.5/1.7, seeds 1-5; 15 of
+   them sell during grouping, two until their round budget runs out)
+   and a 2,000-operator scale tree. *)
+let test_random_like_oracle () =
+  let paper =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun alpha ->
+            List.init 5 (fun i ->
+                ( Printf.sprintf "N=%d a=%g seed %d" n alpha (i + 1),
+                  i + 1,
+                  Helpers.instance ~n ~alpha ~seed:(i + 1) () )))
+          [ 0.9; 1.5; 1.7 ])
+      [ 60; 100 ]
+  in
+  let scale =
+    ("scale N=2000", 1, Insp.Instance.generate (Insp.Config.scale ~n_operators:2000 ()))
+  in
+  let selling = ref 0 in
+  List.iter
+    (fun (what, seed, inst) ->
+      let g = Insp.Graph.of_app inst.Insp.Instance.app in
+      let platform = inst.Insp.Instance.platform in
+      let journal, final, sells =
+        journaled_place Insp_heuristics.H_random.run seed g platform
+      in
+      let journal', final', _ = journaled_place Oracles.list_random seed g platform in
+      Alcotest.(check string) (what ^ ": journal") journal' journal;
+      Alcotest.(check (result string string)) (what ^ ": outcome") final' final;
+      if sells > 0 then incr selling)
+    (paper @ [ scale ]);
+  Alcotest.(check int) "runs that sell" 15 !selling
+
+(* ------------------------------------------------------------------ *)
+(* Failure texts                                                       *)
+
+(* The tiny application on processors of 1 Mops/s: no operator fits
+   anywhere, alone or grouped. *)
+let unplaceable_env () =
+  let catalog =
+    Catalog.make ~chassis_cost:1.0
+      ~cpus:[| { Catalog.speed = 1.0; cpu_cost = 1.0 } |]
+      ~nics:[| { Catalog.bandwidth = 1000.0; nic_cost = 1.0 } |]
+  in
+  ( Helpers.tiny_app (),
+    Platform.make ~catalog ~servers:(Helpers.tiny_platform ()).Platform.servers () )
+
+let test_failure_texts () =
+  let app, platform = unplaceable_env () in
+  List.iter
+    (fun (key, text) ->
+      match Solve.run ~seed:1 (Option.get (Solve.find key)) app platform with
+      | Ok _ -> Alcotest.failf "%s placed an unplaceable instance" key
+      | Error f -> Alcotest.(check string) key text (Solve.failure_message f))
+    [
+      ("random", "placement failed: no processor can host operators {3, 2, 0, 1}");
+      ("comp", "placement failed: no processor can host operators {3, 1, 2, 0}");
+      ("comm", "placement failed: no processor can host operators {2}");
+    ];
+  (* A survivor whose own processor cannot host its operators again. *)
+  let inst = Helpers.instance ~n:20 ~seed:1 () in
+  let cheapest = Catalog.cheapest inst.Insp.Instance.platform.Platform.catalog in
+  let alloc =
+    Alloc.make
+      [|
+        { Alloc.config = cheapest; operators = List.init 19 Fun.id; downloads = [] };
+        { Alloc.config = cheapest; operators = [ 19 ]; downloads = [] };
+      |]
+  in
+  match
+    Insp.Fault_repair.run inst.Insp.Instance.app inst.Insp.Instance.platform
+      alloc ~failed:[ 1 ]
+  with
+  | Ok _ -> Alcotest.fail "the survivor must not fit"
+  | Error msg ->
+    Alcotest.(check string) "repair"
+      "survivor 0 re-acquire: cannot host operators {0, 1, 2, 3, 4, 5, 6, 7, \
+       8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18} on the requested processor"
+      msg
 
 (* ------------------------------------------------------------------ *)
 (* Consolidation = the list-based sweep                                *)
@@ -547,6 +765,12 @@ let () =
           Alcotest.test_case "upgrade variants" `Quick
             test_builder_upgrade_variants;
         ] );
+      ( "screen",
+          [ Alcotest.test_case "try_add = full probe" `Quick test_try_add_screen ] );
+      ( "random",
+          [ Alcotest.test_case "Random = list-based pick" `Quick test_random_like_oracle ] );
+      ( "failures",
+          [ Alcotest.test_case "failure texts" `Quick test_failure_texts ] );
       ( "consolidate",
         [
           Alcotest.test_case "exact fit" `Quick test_consolidate_exact_fit;
