@@ -321,6 +321,110 @@ let test_runtime_disruption_baseline () =
       (Array.length base.Insp.Runtime.root_completions
       = base.Insp.Runtime.results_completed)
 
+(* Fixed timelines against test/fault_journals.golden, each as its JSONL
+   journal, episodes and [pp_report]: a crash burst whose repairs rebuy,
+   a rho shift that forces a redeploy, measured capacity faults, and
+   migration-only crashes until one is irreparable.  The
+   golden also pins every single-crash [Repair.run] outcome (migrations,
+   rebuys, downgrades, exact cost bits) and a [Redundancy.harden ~k:1]
+   summary.  A refactor of the fault layer must leave it unchanged. *)
+let test_fault_journals_golden () =
+  let buf = Buffer.create (16 * 1024) in
+  let at t fault = { Scenario.at = t; fault } in
+  let timeline name ~seed ?(n = 20) ?(alpha = 0.9) spec events =
+    match solved ~n ~alpha ~seed () with
+    | None -> Printf.bprintf buf "== %s: initial solve failed\n" name
+    | Some (inst, alloc) ->
+      let report, recorder =
+        Obs.with_sink ~journal:true (fun () ->
+            Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform
+              alloc events)
+      in
+      Printf.bprintf buf "== %s\n%s" name (Journal.to_jsonl recorder.Obs.journal);
+      List.iter
+        (fun (ep : Engine.episode) ->
+          let opt = function Some x -> Printf.sprintf "%h" x | None -> "-" in
+          Printf.bprintf buf
+            "episode %s t=%h downtime=%h cost=%h migrations=%d rebuys=%d \
+             dip=%s recovery=%s\n"
+            ep.Engine.ep_label ep.Engine.ep_t ep.Engine.ep_downtime
+            ep.Engine.ep_cost ep.Engine.ep_migrations ep.Engine.ep_rebuys
+            (opt ep.Engine.ep_dip) (opt ep.Engine.ep_recovery))
+        report.Engine.episodes;
+      Printf.bprintf buf "%s\n" (Format.asprintf "%a" Engine.pp_report report)
+  in
+  let repairs inst alloc =
+    for victim = 0 to Insp.Alloc.n_procs alloc - 1 do
+      match
+        Repair.run inst.Insp.Instance.app inst.Insp.Instance.platform alloc
+          ~failed:[ victim ]
+      with
+      | Error msg -> Printf.bprintf buf "%d error %S\n" victim msg
+      | Ok r ->
+        Printf.bprintf buf
+          "%d migrations=%d rebuys=%d downgrades=%d before=%h after=%h \
+           realloc=%h\n"
+          victim r.Repair.migrations r.Repair.rebuys r.Repair.downgrades
+          r.Repair.cost_before r.Repair.cost_after r.Repair.realloc_cost
+    done
+  in
+  timeline "crash burst" ~seed:2
+    (Engine.make_spec ~measure:false ())
+    (List.map
+       (fun victim -> at 10.0 (Scenario.Proc_crash { victim }))
+       [ 0; 3; 5 ]
+    @ [ at 20.0 (Scenario.Proc_crash { victim = 1 }) ]);
+  timeline "rho redeploy" ~seed:1
+    (Engine.make_spec ~measure:false ())
+    [
+      at 5.0 (Scenario.Rho_demand { factor = 0.5 });
+      at 10.0 (Scenario.Rho_demand { factor = 1.7 });
+      at 15.0 (Scenario.Proc_crash { victim = 2 });
+      at 20.0 (Scenario.Rho_demand { factor = 1.0 });
+    ];
+  timeline "capacity" ~seed:3 (Engine.make_spec ())
+    [
+      at 5.0 (Scenario.Link_degrade { a = 0; b = 1; factor = 0.2; duration = 6.0 });
+      at 10.0 (Scenario.Server_outage { server = 0; duration = 3.0 });
+      at 15.0 (Scenario.Card_jitter { proc = 1; factor = 0.5; duration = 4.0 });
+    ];
+  timeline "migration-only overload" ~seed:1 ~n:60
+    (Engine.make_spec ~allow_rebuy:false ~measure:false ())
+    (List.init 8 (fun i ->
+         at (float_of_int i) (Scenario.Proc_crash { victim = 0 })));
+  (* With a top-of-catalog spare appended, the displaced operators land
+     on the spare and the downgrade step shrinks it. *)
+  let with_spare inst alloc =
+    let best = Insp.Catalog.best inst.Insp.Instance.platform.Insp.Platform.catalog in
+    Insp.Alloc.make
+      (Array.append (Insp.Alloc.procs alloc)
+         [| { Insp.Alloc.config = best; operators = []; downloads = [] } |])
+  in
+  List.iter
+    (fun (name, spare) ->
+      match solved ~seed:2 () with
+      | None -> Printf.bprintf buf "== %s: initial solve failed\n" name
+      | Some (inst, alloc) ->
+        let alloc = if spare then with_spare inst alloc else alloc in
+        Printf.bprintf buf "== %s\n" name;
+        repairs inst alloc)
+    [ ("repairs", false); ("repairs with a spare", true) ];
+  (match solved ~seed:1 () with
+  | None -> Buffer.add_string buf "== harden: initial solve failed\n"
+  | Some (inst, alloc) -> (
+    match
+      Redundancy.harden ~k:1 inst.Insp.Instance.app inst.Insp.Instance.platform
+        alloc
+    with
+    | Error msg -> Printf.bprintf buf "== harden k=1 error %S\n" msg
+    | Ok hd ->
+      Printf.bprintf buf "== harden k=%d spares=%d base=%h cost=%h procs=%d\n"
+        hd.Redundancy.k hd.Redundancy.spares hd.Redundancy.base_cost
+        hd.Redundancy.cost
+        (Insp.Alloc.n_procs hd.Redundancy.alloc)));
+  Helpers.check_golden ~what:"fault timelines" "fault_journals.golden"
+    (Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* Serve: unknown departures                                          *)
 
@@ -390,6 +494,8 @@ let () =
             test_engine_journal_byte_identity;
           Alcotest.test_case "runtime disruption baseline" `Quick
             test_runtime_disruption_baseline;
+          Alcotest.test_case "fault journals golden" `Quick
+            test_fault_journals_golden;
         ] );
       ( "serve",
         [
