@@ -559,11 +559,10 @@ let faults_repair_entry ~quick () =
   line "fault repair loop (crash/repair cycles, no DES)";
   let n_events = if quick then 60 else 500 in
   let inst = fixed_instance ~n:40 () in
+  let g = Insp.Graph.of_app inst.Insp.Instance.app in
   let alloc =
     match
-      Insp.Solve.run ~seed:1
-        (Option.get (Insp.Solve.find "sbu"))
-        inst.Insp.Instance.app inst.Insp.Instance.platform
+      Insp.Solve.run_graph ~seed:1 Insp.Solve.sbu g inst.Insp.Instance.platform
     with
     | Ok o -> o.Insp.Solve.alloc
     | Error f -> failwith (Insp.Solve.failure_message f)
@@ -578,8 +577,7 @@ let faults_repair_entry ~quick () =
   let t0 = Unix.gettimeofday () in
   let report, recorder =
     Insp.Obs.with_sink (fun () ->
-        Insp.Fault_engine.run spec inst.Insp.Instance.app
-          inst.Insp.Instance.platform alloc timeline)
+        Insp.Fault_engine.run spec g inst.Insp.Instance.platform alloc timeline)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let total_mig =
@@ -602,11 +600,10 @@ let faults_frontier_entry ~quick () =
   line "redundancy frontier (K=1 hardening)";
   let n = if quick then 20 else 40 in
   let inst = fixed_instance ~n () in
+  let g = Insp.Graph.of_app inst.Insp.Instance.app in
   let alloc =
     match
-      Insp.Solve.run ~seed:1
-        (Option.get (Insp.Solve.find "sbu"))
-        inst.Insp.Instance.app inst.Insp.Instance.platform
+      Insp.Solve.run_graph ~seed:1 Insp.Solve.sbu g inst.Insp.Instance.platform
     with
     | Ok o -> o.Insp.Solve.alloc
     | Error f -> failwith (Insp.Solve.failure_message f)
@@ -615,8 +612,7 @@ let faults_frontier_entry ~quick () =
   let hardened, recorder =
     Insp.Obs.with_sink (fun () ->
         match
-          Insp.Redundancy.harden ~k:1 inst.Insp.Instance.app
-            inst.Insp.Instance.platform alloc
+          Insp.Redundancy.harden ~k:1 g inst.Insp.Instance.platform alloc
         with
         | Ok hd ->
           Insp.Obs.gauge "faults.frontier.base_cost" hd.Insp.Redundancy.base_cost;
@@ -690,9 +686,8 @@ let bench_tests () =
   let sim_alloc =
     let inst = fixed_instance ~n:30 () in
     match
-      Insp.Solve.run ~seed:1
-        (Option.get (Insp.Solve.find "sbu"))
-        inst.Insp.Instance.app inst.Insp.Instance.platform
+      Insp.Solve.run ~seed:1 Insp.Solve.sbu inst.Insp.Instance.app
+        inst.Insp.Instance.platform
     with
     | Ok o -> (inst, o.Insp.Solve.alloc)
     | Error f -> failwith (Insp.Solve.failure_message f)
@@ -734,9 +729,8 @@ let bench_tests () =
                  ~alpha:1.4 ()
              in
              match
-               Insp.Solve.run ~seed:1
-                 (Option.get (Insp.Solve.find "sbu"))
-                 app inst.Insp.Instance.platform
+               Insp.Solve.run ~seed:1 Insp.Solve.sbu app
+                 inst.Insp.Instance.platform
              with
              | Ok o -> Some o.Insp.Solve.cost
              | Error _ -> None

@@ -586,13 +586,12 @@ let rewrite_cmd =
     in
     let platform = inst.Insp.Instance.platform in
     let objects = Insp.App.objects inst.Insp.Instance.app in
-    let sbu = Option.get (Insp.Solve.find "sbu") in
     let evaluate tree =
       let app =
         Insp.App.make ~base_work:8000.0 ~work_factor:0.19 ~tree ~objects
           ~alpha ()
       in
-      match Insp.Solve.run ~seed sbu app platform with
+      match Insp.Solve.run ~seed Insp.Solve.sbu app platform with
       | Ok o -> Some o.Insp.Solve.cost
       | Error _ -> None
     in
@@ -905,9 +904,8 @@ let faults_cmd =
     let key = single_key heuristic in
     find_heuristic key @@ fun h ->
     let inst = make_instance n alpha sizes freq seed in
-    match
-      Insp.Solve.run ~seed h inst.Insp.Instance.app inst.Insp.Instance.platform
-    with
+    let g = Insp.Graph.of_app inst.Insp.Instance.app in
+    match Insp.Solve.run_graph ~seed h g inst.Insp.Instance.platform with
     | Error f ->
       prerr_endline ("initial solve failed: " ^ Insp.Solve.failure_message f);
       exit_infeasible
@@ -918,8 +916,8 @@ let faults_cmd =
         | Some k ->
           Result.map
             (fun hd -> Some hd)
-            (Insp.Redundancy.harden ~k inst.Insp.Instance.app
-               inst.Insp.Instance.platform o.Insp.Solve.alloc)
+            (Insp.Redundancy.harden ~k g inst.Insp.Instance.platform
+               o.Insp.Solve.alloc)
       in
       match hardened with
       | Error msg ->
@@ -944,8 +942,8 @@ let faults_cmd =
           let report, recorder =
             Insp.Obs.with_sink ~journal:true ~profile:(profile <> None)
               (fun () ->
-                Insp.Fault_engine.run spec inst.Insp.Instance.app
-                  inst.Insp.Instance.platform base_alloc timeline)
+                Insp.Fault_engine.run spec g inst.Insp.Instance.platform
+                  base_alloc timeline)
           in
           Journal.set_manifest recorder.Insp.Obs.journal
             {

@@ -1,11 +1,11 @@
 module Config = Insp_workload.Config
+module Graph = Insp_tree.Graph
 module Instance = Insp_workload.Instance
 module Solve = Insp_heuristics.Solve
 module Builder = Insp_heuristics.Builder
 module Common = Insp_heuristics.Common
 module H_comm_greedy = Insp_heuristics.H_comm_greedy
 module Server_select = Insp_heuristics.Server_select
-module Downgrade = Insp_heuristics.Downgrade
 module Alloc = Insp_mapping.Alloc
 module Check = Insp_mapping.Check
 module Cost = Insp_mapping.Cost
@@ -15,8 +15,6 @@ module Stats = Insp_util.Stats
 module Prng = Insp_util.Prng
 
 let default_seeds = [ 1; 2; 3; 4; 5 ]
-
-let find_h key = List.find (fun h -> h.Solve.key = key) Solve.all
 
 let mean_and_successes runs =
   let ok = List.filter_map Fun.id runs in
@@ -92,7 +90,6 @@ let grouping_rounds ?(seeds = default_seeds) ?(ns = [ 60; 100; 140 ]) () =
         ("cost (8 rounds)", Table.Right);
       ]
   in
-  let sbu = find_h "sbu" in
   List.iter
     (fun n ->
       let run rounds seed =
@@ -100,7 +97,9 @@ let grouping_rounds ?(seeds = default_seeds) ?(ns = [ 60; 100; 140 ]) () =
           Instance.generate (Config.make ~n_operators:n ~alpha:0.9 ~seed ())
         in
         Common.with_collapse_rounds rounds (fun () ->
-            match Solve.run ~seed sbu inst.Instance.app inst.Instance.platform with
+            match
+              Solve.run ~seed Solve.sbu inst.Instance.app inst.Instance.platform
+            with
             | Ok o -> Some o.Solve.cost
             | Error _ -> None)
       in
@@ -129,7 +128,7 @@ let merge_sweeps ?(seeds = default_seeds)
         ("saving", Table.Right);
       ]
   in
-  let comm = find_h "comm" in
+  let comm = List.find (fun h -> h.Solve.key = "comm") Solve.all in
   List.iter
     (fun (n, sizes) ->
       let size_name =
@@ -267,23 +266,20 @@ let server_selection ?(seeds = default_seeds)
         ("3-loop cost", Table.Right);
       ]
   in
-  let sbu = find_h "sbu" in
-  let variant select seed inst =
-    let app = inst.Instance.app and platform = inst.Instance.platform in
-    match sbu.Solve.run (Prng.create seed) app platform with
+  (* SBU placement, then the pipeline's tail under the given selection;
+     random selection draws from its own PRNG. *)
+  let variant selection seed inst =
+    let g = Graph.of_app inst.Instance.app in
+    let platform = inst.Instance.platform in
+    match Solve.sbu.Solve.place (Prng.create seed) g platform with
     | Error _ -> None
     | Ok builder -> (
-      match Builder.finalize builder with
-      | Error _ -> None
-      | Ok (groups, configs) -> (
-        match select app platform groups with
-        | Error _ -> None
-        | Ok downloads -> (
-          let alloc = Alloc.of_groups ~configs ~groups ~downloads in
-          let alloc = Downgrade.run app platform alloc in
-          match Check.check app platform alloc with
-          | [] -> Some (Cost.of_alloc platform.Platform.catalog alloc)
-          | _ -> None)))
+      match
+        Solve.finish ~key:Solve.sbu.Solve.key selection (Prng.create 99) g
+          platform builder
+      with
+      | Ok o -> Some o.Solve.cost
+      | Error _ -> None)
   in
   List.iter
     (fun (n, sizes) ->
@@ -294,21 +290,15 @@ let server_selection ?(seeds = default_seeds)
         | Config.Custom_sizes (lo, hi) -> Printf.sprintf "custom(%g..%g)" lo hi
       in
       let config = Config.make ~n_operators:n ~alpha:0.9 ~sizes () in
-      let runs select =
+      let runs selection =
         List.map
           (fun seed ->
             let inst = Instance.generate { config with Config.seed } in
-            variant select seed inst)
+            variant selection seed inst)
           seeds
       in
-      let rnd =
-        runs (fun app platform groups ->
-            Server_select.random (Prng.create 99) app platform ~groups)
-      in
-      let soph =
-        runs (fun app platform groups ->
-            Server_select.sophisticated app platform ~groups)
-      in
+      let rnd = runs Solve.Random_servers in
+      let soph = runs Solve.Three_loop in
       let m_r, s_r = mean_and_successes rnd in
       let m_s, s_s = mean_and_successes soph in
       Table.add_row table [ string_of_int n; size_name; s_r; m_r; s_s; m_s ])

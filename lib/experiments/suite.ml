@@ -1,13 +1,12 @@
 module Config = Insp_workload.Config
 module Instance = Insp_workload.Instance
+module Graph = Insp_tree.Graph
 module Solve = Insp_heuristics.Solve
 module Exact = Insp_lp.Exact
 module Cost = Insp_mapping.Cost
 module Runtime = Insp_sim.Runtime
 module Table = Insp_util.Table
 module Obs = Insp_obs.Obs
-
-let default_seeds = [ 1; 2; 3; 4; 5 ]
 
 let heuristic_names = List.map (fun h -> h.Solve.name) Solve.all
 
@@ -72,12 +71,12 @@ let sweep_n ~id ~title ~seeds ~ns ~config_of =
 
 let default_ns = [ 20; 40; 60; 80; 100; 120; 140 ]
 
-let fig2a ?(seeds = default_seeds) ?(ns = default_ns) () =
+let fig2a ?(seeds = Ablations.default_seeds) ?(ns = default_ns) () =
   sweep_n ~id:"fig2a"
     ~title:"cost vs N (alpha=0.9, high frequency, small objects)" ~seeds ~ns
     ~config_of:(fun n -> Config.make ~n_operators:n ~alpha:0.9 ())
 
-let fig2b ?(seeds = default_seeds) ?(ns = default_ns) () =
+let fig2b ?(seeds = Ablations.default_seeds) ?(ns = default_ns) () =
   sweep_n ~id:"fig2b"
     ~title:"cost vs N (alpha=1.7, high frequency, small objects)" ~seeds ~ns
     ~config_of:(fun n -> Config.make ~n_operators:n ~alpha:1.7 ())
@@ -85,7 +84,8 @@ let fig2b ?(seeds = default_seeds) ?(ns = default_ns) () =
 let default_alphas =
   [ 0.5; 0.8; 1.1; 1.3; 1.5; 1.6; 1.7; 1.8; 1.9; 2.0; 2.2; 2.5 ]
 
-let fig3 ?(seeds = default_seeds) ?(alphas = default_alphas) ?(n = 60) () =
+let fig3 ?(seeds = Ablations.default_seeds) ?(alphas = default_alphas) ?(n = 60)
+    () =
   let points =
     List.map
       (fun alpha ->
@@ -110,7 +110,7 @@ let fig3 ?(seeds = default_seeds) ?(alphas = default_alphas) ?(n = 60) () =
       ];
   }
 
-let large_objects ?(seeds = default_seeds)
+let large_objects ?(seeds = Ablations.default_seeds)
     ?(ns = [ 10; 20; 30; 40; 45; 50; 60 ]) () =
   sweep_n ~id:"large"
     ~title:"cost vs N (large objects 450-530 MB, alpha=0.9, rho=0.1)" ~seeds
@@ -118,14 +118,14 @@ let large_objects ?(seeds = default_seeds)
     ~config_of:(fun n ->
       Config.make ~n_operators:n ~alpha:0.9 ~sizes:Config.Large ())
 
-let low_frequency ?(seeds = default_seeds) ?(ns = default_ns) () =
+let low_frequency ?(seeds = Ablations.default_seeds) ?(ns = default_ns) () =
   sweep_n ~id:"lowfreq"
     ~title:"cost vs N (alpha=0.9, LOW frequency 1/50s, small objects)" ~seeds
     ~ns
     ~config_of:(fun n ->
       Config.make ~n_operators:n ~alpha:0.9 ~freq:Config.Low ())
 
-let rate_sweep ?(seeds = default_seeds)
+let rate_sweep ?(seeds = Ablations.default_seeds)
     ?(periods = [ 2.0; 5.0; 10.0; 20.0; 50.0 ]) ?(n = 60) () =
   let base = Config.make ~n_operators:n ~alpha:0.9 () in
   let points =
@@ -158,7 +158,8 @@ let rate_sweep ?(seeds = default_seeds)
 let homogeneous_instance config =
   Instance.homogeneous (Instance.generate config) ~cpu_index:4 ~nic_index:3
 
-let ilp_compare ?(seeds = default_seeds) ?(ns = [ 5; 8; 11; 14; 17; 20 ]) () =
+let ilp_compare ?(seeds = Ablations.default_seeds)
+    ?(ns = [ 5; 8; 11; 14; 17; 20 ]) () =
   let points =
     List.map
       (fun n ->
@@ -215,8 +216,8 @@ let ilp_compare ?(seeds = default_seeds) ?(ns = [ 5; 8; 11; 14; 17; 20 ]) () =
       ];
   }
 
-let rewrite ?(seeds = default_seeds) ?(ns = [ 8; 12; 16; 20 ]) ?(alpha = 1.4)
-    () =
+let rewrite ?(seeds = Ablations.default_seeds) ?(ns = [ 8; 12; 16; 20 ])
+    ?(alpha = 1.4) () =
   let module Rewrite = Insp_rewrite.Rewrite in
   let module App = Insp_tree.App in
   let module Prng = Insp_util.Prng in
@@ -284,8 +285,8 @@ let rewrite ?(seeds = default_seeds) ?(ns = [ 8; 12; 16; 20 ]) ?(alpha = 1.4)
       ];
   }
 
-let sharing ?(seeds = default_seeds) ?(n_apps_list = [ 1; 2; 3; 4; 5 ])
-    ?(n = 30) () =
+let sharing ?(seeds = Ablations.default_seeds)
+    ?(n_apps_list = [ 1; 2; 3; 4; 5 ]) ?(n = 30) () =
   let module MW = Insp_multi.Multi_workload in
   let module Dag = Insp_multi.Dag in
   let module Cse = Insp_multi.Cse in
@@ -446,25 +447,25 @@ let faults_resilience ?(seeds = [ 1; 2; 3 ]) ?(n = 40) ?(n_events = 10) () =
   let module Scenario = Insp_faults.Scenario in
   let module Engine = Insp_faults.Engine in
   let module Redundancy = Insp_faults.Redundancy in
-  let sbu = List.find (fun h -> h.Solve.key = "sbu") Solve.all in
   let runs =
     Par_sweep.map
       (fun seed ->
         let config = Config.make ~n_operators:n ~alpha:0.9 ~seed () in
         let inst = Instance.generate config in
-        match Solve.run ~seed sbu inst.Instance.app inst.Instance.platform with
+        let g = Graph.of_app inst.Instance.app in
+        match Solve.run_graph ~seed Solve.sbu g inst.Instance.platform with
         | Error _ -> (seed, None)
         | Ok o ->
           let timeline =
             Scenario.generate (Scenario.make ~seed ~n_events ~mean_burst:2 ())
           in
           let report =
-            Engine.run (Engine.make_spec ()) inst.Instance.app
-              inst.Instance.platform o.Solve.alloc timeline
+            Engine.run (Engine.make_spec ()) g inst.Instance.platform
+              o.Solve.alloc timeline
           in
           let frontier =
-            Redundancy.frontier ~k_max:2 inst.Instance.app
-              inst.Instance.platform o.Solve.alloc
+            Redundancy.frontier ~k_max:2 g inst.Instance.platform
+              o.Solve.alloc
           in
           (seed, Some (o, report, frontier)))
       seeds

@@ -28,7 +28,7 @@ val run_by_id : ?quick:bool -> ?seed:int -> ?jobs:int -> string -> string option
 (** Rendered experiment output; [quick] shrinks seeds and sweep points
     (used by tests).  [seed] (default 1) is the base of the consecutive
     seed list ([seed .. seed+4], or [seed .. seed+1] when quick), so the
-    default reproduces {!default_seeds}.  [jobs] (default 1) is the
+    default reproduces {!Ablations.default_seeds}.  [jobs] (default 1) is the
     {!Par_sweep} worker count — the rendered output and merged metrics
     are identical for every value.  Runs under an [experiment.<id>]
     observability span.  [None] for an unknown id. *)

@@ -1,4 +1,4 @@
-module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 module Alloc = Insp_mapping.Alloc
@@ -26,16 +26,8 @@ let provision_s = 5.0
    fault (seconds). *)
 let slice_s = 10.0
 
-let default_heuristic =
-  match Solve.find "sbu" with
-  | Some h -> h
-  | None -> invalid_arg "Faults.Engine: sbu heuristic missing"
-
-let make_spec ?max_procs ?(allow_rebuy = true) ?(measure = true) ?heuristic ()
-    =
-  let heuristic =
-    match heuristic with Some h -> h | None -> default_heuristic
-  in
+let make_spec ?max_procs ?(allow_rebuy = true) ?(measure = true)
+    ?(heuristic = Solve.sbu) () =
   { max_procs; allow_rebuy; measure; heuristic }
 
 type episode = {
@@ -61,11 +53,6 @@ type report = {
   n_capacity : int;
   n_rho : int;
 }
-
-let quietly f =
-  let r, sink = Obs.with_sink ~journal:false f in
-  Obs.absorb sink;
-  r
 
 let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
 
@@ -130,10 +117,13 @@ let dip_and_recovery ~rho ~from_t ~until_t ~horizon times =
   in
   (dip, find (max 0 (int_of_float (Float.ceil (until_t /. w)))))
 
-let run spec app0 platform alloc0 timeline =
+(* The target throughput of a view: the rate of its first root. *)
+let target_rate g = Graph.rate g g.Graph.roots.(0)
+
+let run spec g0 platform alloc0 timeline =
   let catalog = platform.Platform.catalog in
-  let rho0 = App.rho app0 in
-  let app = ref app0 in
+  let rho0 = target_rate g0 in
+  let g = ref g0 in
   let alloc = ref alloc0 in
   let episodes = ref [] in
   let infeasible_at = ref None in
@@ -143,82 +133,61 @@ let run spec app0 platform alloc0 timeline =
     { ep_t = at; ep_label = label; ep_downtime = 0.0; ep_cost = 0.0;
       ep_migrations = 0; ep_rebuys = 0; ep_dip = None; ep_recovery = None }
   in
+  (* A repair or redeploy done at [at]: its downtime, journal record and
+     episode. *)
+  let repaired at label next ~cost ~migrations ~rebuys =
+    alloc := next;
+    let downtime =
+      detect_s
+      +. (migrate_s *. float_of_int migrations)
+      +. (provision_s *. float_of_int rebuys)
+    in
+    if Obs.journaling () then
+      Obs.event
+        (Journal.Repair_done { t = at; cost; migrations; rebuys; downtime });
+    push
+      { (blank at label) with ep_downtime = downtime; ep_cost = cost;
+        ep_migrations = migrations; ep_rebuys = rebuys }
+  in
+  let infeasible at reason =
+    if Obs.journaling () then
+      Obs.event (Journal.Repair_infeasible { t = at; reason });
+    infeasible_at := Some at
+  in
   let crash at victim =
     incr n_crashes;
     if Obs.decide Journal.Crashed then
       Obs.event (Journal.Fault_crash { t = at; victim });
     match
-      Repair.run ?max_procs:spec.max_procs ~allow_rebuy:spec.allow_rebuy !app
+      Repair.run ?max_procs:spec.max_procs ~allow_rebuy:spec.allow_rebuy !g
         platform !alloc ~failed:[ victim ]
     with
     | Ok o ->
-      alloc := o.Repair.alloc;
-      let downtime =
-        detect_s
-        +. (migrate_s *. float_of_int o.Repair.migrations)
-        +. (provision_s *. float_of_int o.Repair.rebuys)
-      in
-      if Obs.journaling () then
-        Obs.event
-          (Journal.Repair_done
-             {
-               t = at;
-               cost = o.Repair.realloc_cost;
-               migrations = o.Repair.migrations;
-               rebuys = o.Repair.rebuys;
-               downtime;
-             });
-      push
-        {
-          (blank at (Printf.sprintf "crash:%d" victim)) with
-          ep_downtime = downtime;
-          ep_cost = o.Repair.realloc_cost;
-          ep_migrations = o.Repair.migrations;
-          ep_rebuys = o.Repair.rebuys;
-        }
-    | Error reason ->
-      if Obs.journaling () then
-        Obs.event
-          (Journal.Repair_infeasible { t = at; reason = one_line reason });
-      infeasible_at := Some at
+      repaired at (Printf.sprintf "crash:%d" victim) o.Repair.alloc
+        ~cost:o.Repair.realloc_cost ~migrations:o.Repair.migrations
+        ~rebuys:o.Repair.rebuys
+    | Error reason -> infeasible at (one_line reason)
   in
   let rho_shift at factor =
     incr n_rho;
     let rho = rho0 *. factor in
     if Obs.decide Journal.Rho_shifted then
       Obs.event (Journal.Fault_rho { t = at; factor; rho });
-    app :=
-      App.make ~rho ~base_work:(App.base_work !app)
-        ~work_factor:(App.work_factor !app) ~tree:(App.tree !app)
-        ~objects:(App.objects !app) ~alpha:(App.alpha !app) ();
-    if Check.check !app platform !alloc = [] then push (blank at "rho")
+    g := Graph.scale_rates g0 factor;
+    if Check.check_graph !g platform !alloc = [] then push (blank at "rho")
     else begin
       (* The deployed mapping no longer sustains the new demand: redeploy
          from scratch (sell old, buy new) with the spec's heuristic. *)
       let old_cost = Cost.of_alloc catalog !alloc in
-      match quietly (fun () -> Solve.run ~seed:0 spec.heuristic !app platform) with
+      match
+        Obs.quietly (fun () ->
+            Solve.run_graph ~seed:0 spec.heuristic !g platform)
+      with
       | Ok o ->
-        alloc := o.Solve.alloc;
-        let moved = App.n_operators !app in
-        let downtime = detect_s +. (migrate_s *. float_of_int moved) in
-        let cost = o.Solve.cost -. old_cost in
-        if Obs.journaling () then
-          Obs.event
-            (Journal.Repair_done
-               { t = at; cost; migrations = moved; rebuys = 0; downtime });
-        push
-          {
-            (blank at "rho:redeploy") with
-            ep_downtime = downtime;
-            ep_cost = cost;
-            ep_migrations = moved;
-          }
-      | Error f ->
-        if Obs.journaling () then
-          Obs.event
-            (Journal.Repair_infeasible
-               { t = at; reason = Solve.failure_message f });
-        infeasible_at := Some at
+        repaired at "rho:redeploy" o.Solve.alloc
+          ~cost:(o.Solve.cost -. old_cost) ~migrations:(Graph.n_nodes !g)
+          ~rebuys:0
+      | Error f -> infeasible at (Solve.failure_message f)
     end
   in
   let capacity at fault factor duration =
@@ -239,10 +208,11 @@ let run spec app0 platform alloc0 timeline =
               d_until = settle +. duration; d_factor }
           in
           let rep =
-            quietly (fun () ->
-                Runtime.run ~horizon ~disruptions:[ d ] !app platform !alloc)
+            Obs.quietly (fun () ->
+                Runtime.run_graph ~horizon ~disruptions:[ d ] !g platform
+                  !alloc)
           in
-          dip_and_recovery ~rho:(App.rho !app) ~from_t:settle
+          dip_and_recovery ~rho:(target_rate !g) ~from_t:settle
             ~until_t:(settle +. duration) ~horizon
             rep.Runtime.root_completions
     in

@@ -11,10 +11,10 @@
       {!Insp_sim.Runtime.disruption} windows, measuring the throughput
       dip and the recovery time from the raw root-completion
       timestamps.
-    - {b Demand shifts} ([Rho_demand]) rebuild the application at
-      [factor] x the original rho; if the deployed mapping no longer
-      passes the constraint checker the engine redeploys from scratch
-      with the spec's heuristic.
+    - {b Demand shifts} ([Rho_demand]) scale the view's rates to
+      [factor] x the original ({!Insp_tree.Graph.scale_rates}); if the
+      deployed mapping no longer passes the constraint checker the
+      engine redeploys from scratch with the spec's heuristic.
 
     Every decision is journaled ([Fault_crash], [Fault_capacity],
     [Fault_rho], [Repair_migrate], [Repair_rebuy], [Repair_done],
@@ -73,13 +73,14 @@ type report = {
 
 val run :
   spec ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   Scenario.timed list ->
   report
-(** Walk the timeline in order.  Raw generator indices are reduced
-    modulo the current processor / server count at each event.  The
-    walk stops at the first irreparable fault. *)
+(** Walk the timeline in order; rho is the rate of the view's first
+    root.  Raw generator indices are reduced modulo the current
+    processor / server count at each event.  The walk stops at the
+    first irreparable fault. *)
 
 val pp_report : Format.formatter -> report -> unit

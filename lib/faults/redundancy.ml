@@ -15,14 +15,14 @@ let subsets ~k n =
   if k < 0 then invalid_arg "Redundancy.subsets: k < 0";
   go 0 k
 
-let survives app platform alloc ~failed =
-  match Repair.run ~allow_rebuy:false app platform alloc ~failed with
+let survives g platform alloc ~failed =
+  match Repair.run ~allow_rebuy:false g platform alloc ~failed with
   | Ok _ -> true
   | Error _ -> false
 
-let first_failing app platform alloc ~k =
+let first_failing g platform alloc ~k =
   List.find_opt
-    (fun failed -> not (survives app platform alloc ~failed))
+    (fun failed -> not (survives g platform alloc ~failed))
     (subsets ~k (Alloc.n_procs alloc))
 
 let with_spare alloc config =
@@ -41,11 +41,11 @@ type hardened = {
 (* Spares bought before [harden] gives up. *)
 let max_spares = 8
 
-let harden ?(k = 1) app platform alloc =
+let harden ?(k = 1) g platform alloc =
   if k < 0 then invalid_arg "Redundancy.harden: k < 0";
   let catalog = platform.Platform.catalog in
   let base_cost = Cost.of_alloc catalog alloc in
-  let all_survive a = first_failing app platform a ~k = None in
+  let all_survive a = first_failing g platform a ~k = None in
   (* Grow with top-of-catalog spares until every k-failure is
      repairable by migration alone... *)
   let rec grow a spares =
@@ -76,5 +76,5 @@ let harden ?(k = 1) app platform alloc =
     Obs.incr ~by:spares "faults.redundancy.spares";
     Ok { alloc = !best; k; spares; base_cost; cost = Cost.of_alloc catalog !best }
 
-let frontier ?(k_max = 1) app platform alloc =
-  List.init (k_max + 1) (fun k -> (k, harden ~k app platform alloc))
+let frontier ?(k_max = 1) g platform alloc =
+  List.init (k_max + 1) (fun k -> (k, harden ~k g platform alloc))

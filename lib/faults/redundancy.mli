@@ -20,17 +20,17 @@ type hardened = {
 
 val harden :
   ?k:int ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   (hardened, string) result
-(** [harden app platform alloc] (default [k = 1]).  [Error] when the
+(** [harden g platform alloc] (default [k = 1]).  [Error] when the
     property is still violated after 8 spares.  [k = 0] verifies plain
     feasibility and buys nothing. *)
 
 val frontier :
   ?k_max:int ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   (int * (hardened, string) result) list

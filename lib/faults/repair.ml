@@ -1,12 +1,11 @@
-module App = Insp_tree.App
+module Graph = Insp_tree.Graph
 module Platform = Insp_platform.Platform
 module Catalog = Insp_platform.Catalog
 module Alloc = Insp_mapping.Alloc
-module Check = Insp_mapping.Check
 module Cost = Insp_mapping.Cost
 module Builder = Insp_heuristics.Builder
-module Server_select = Insp_heuristics.Server_select
-module Downgrade = Insp_heuristics.Downgrade
+module Solve = Insp_heuristics.Solve
+module Prng = Insp_util.Prng
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
@@ -29,19 +28,14 @@ type action =
    a freshly bought replacement processor. *)
 let place b ~allow_rebuy ~max_procs op =
   let gids = Builder.group_ids b in
-  let rec try_plain = function
+  let rec first fits = function
     | [] -> None
-    | g :: rest -> if Builder.try_add b g op then Some (`Mig g) else try_plain rest
+    | gid :: rest -> if fits b gid op then Some (`Mig gid) else first fits rest
   in
-  let rec try_upgrade = function
-    | [] -> None
-    | g :: rest ->
-      if Builder.try_add_upgrade b g op then Some (`Mig g) else try_upgrade rest
-  in
-  match try_plain gids with
+  match first Builder.try_add gids with
   | Some _ as r -> r
   | None -> (
-    match try_upgrade gids with
+    match first Builder.try_add_upgrade gids with
     | Some _ as r -> r
     | None ->
       let under_budget =
@@ -64,7 +58,7 @@ let validate_failed n_procs failed =
     failed;
   failed
 
-let run ?max_procs ?(allow_rebuy = true) app platform alloc ~failed =
+let run ?max_procs ?(allow_rebuy = true) g platform alloc ~failed =
   let n_procs = Alloc.n_procs alloc in
   let failed = validate_failed n_procs failed in
   let is_failed u = List.mem u failed in
@@ -77,96 +71,80 @@ let run ?max_procs ?(allow_rebuy = true) app platform alloc ~failed =
   (* Rebuild the placement on the nominal platform: survivors keep
      their processors (re-acquired in index order, so group ids are
      deterministic), then each displaced operator is re-placed in
-     ascending id order.  The builder's probe/ledger chatter runs under
-     a journal-suppressed sink — only the Repair_* decisions below are
-     journaled, mirroring the Serve solve_quietly pattern. *)
+     ascending id order.  The builder's probe/ledger chatter runs
+     quietly — only the Repair_* decisions below are journaled. *)
   let work () =
-    let b = Builder.create (Insp_tree.Graph.of_app app) platform in
-    let actions = ref [] in
-    let survivors_ok = ref None in
-    for u = 0 to n_procs - 1 do
-      if !survivors_ok = None && not (is_failed u) then begin
+    let b = Builder.create g platform in
+    let rec reacquire u =
+      if u = n_procs then Ok ()
+      else if is_failed u then reacquire (u + 1)
+      else
         let p = Alloc.proc alloc u in
         match
           Builder.acquire b ~config:p.Alloc.config ~members:p.Alloc.operators
         with
-        | Ok _ -> ()
+        | Ok _ -> reacquire (u + 1)
         | Error _ ->
-          survivors_ok :=
-            Some
-              (Printf.sprintf
-                 "survivor %d re-acquire: cannot host operators {%s} on the \
-                  requested processor"
-                 u
-                 (String.concat ", " (List.map string_of_int p.Alloc.operators)))
-      end
-    done;
-    match !survivors_ok with
-    | Some msg -> Error msg
-    | None ->
-      let displaced =
-        List.concat_map (fun u -> Alloc.operators_of alloc u) failed
-        |> List.sort compare
-      in
-      let from_proc =
-        let tbl = Array.make (App.n_operators app) (-1) in
-        List.iter
-          (fun u -> List.iter (fun op -> tbl.(op) <- u) (Alloc.operators_of alloc u))
-          failed;
-        tbl
-      in
-      let rec place_all = function
-        | [] -> Ok ()
-        | op :: rest -> (
-          match place b ~allow_rebuy ~max_procs op with
-          | Some (`Mig g) ->
-            actions :=
-              A_migrate { op; from_proc = from_proc.(op); to_group = g }
-              :: !actions;
-            place_all rest
-          | Some (`Buy (g, config)) ->
-            actions := A_rebuy { group = g; config; op } :: !actions;
-            place_all rest
-          | None ->
-            Error
-              (Printf.sprintf
-                 "no residual capacity for operator %d (rebuy %s)" op
-                 (if allow_rebuy then "exhausted" else "disabled")))
-      in
-      match place_all displaced with
-      | Error _ as e -> e
-      | Ok () -> (
-        match Builder.finalize b with
-        | Error msg -> Error ("finalize: " ^ msg)
-        | Ok (groups, configs) -> (
-          match Server_select.sophisticated app platform ~groups with
-          | Error msg -> Error ("server selection: " ^ msg)
-          | Ok downloads ->
-            let raw = Alloc.of_groups ~configs ~groups ~downloads in
-            let final = Downgrade.run app platform raw in
-            let downgrades = ref 0 in
-            for u = 0 to Alloc.n_procs final - 1 do
-              if
-                Catalog.label (Alloc.proc raw u).Alloc.config
-                <> Catalog.label (Alloc.proc final u).Alloc.config
-              then incr downgrades
-            done;
-            (match Check.check app platform final with
-            | [] -> Ok (final, List.rev !actions, !downgrades)
-            | violations ->
-              Error ("repaired mapping infeasible:\n" ^ Check.explain violations))))
+          Error
+            (Printf.sprintf
+               "survivor %d re-acquire: cannot host operators {%s} on the \
+                requested processor"
+               u
+               (String.concat ", " (List.map string_of_int p.Alloc.operators)))
+    in
+    Result.bind (reacquire 0) @@ fun () ->
+    let displaced =
+      List.concat_map (fun u -> Alloc.operators_of alloc u) failed
+      |> List.sort compare
+    in
+    let from_proc = Array.make (Graph.n_nodes g) (-1) in
+    List.iter
+      (fun u ->
+        List.iter (fun op -> from_proc.(op) <- u) (Alloc.operators_of alloc u))
+      failed;
+    let rec place_all actions = function
+      | [] -> Ok (List.rev actions)
+      | op :: rest -> (
+        match place b ~allow_rebuy ~max_procs op with
+        | Some (`Mig gid) ->
+          let a = A_migrate { op; from_proc = from_proc.(op); to_group = gid } in
+          place_all (a :: actions) rest
+        | Some (`Buy (gid, config)) ->
+          place_all (A_rebuy { group = gid; config; op } :: actions) rest
+        | None ->
+          Error
+            (Printf.sprintf "no residual capacity for operator %d (rebuy %s)" op
+               (if allow_rebuy then "exhausted" else "disabled")))
+    in
+    Result.bind (place_all [] displaced) @@ fun actions ->
+    (* Three-loop selection draws nothing from the PRNG. *)
+    match
+      Solve.finish ~key:"repair" Solve.Three_loop (Prng.create 0) g platform b
+    with
+    | Error (Solve.Placement msg) -> Error ("finalize: " ^ msg)
+    | Error (Solve.Server_selection msg) -> Error ("server selection: " ^ msg)
+    | Error (Solve.Validation msg) ->
+      Error ("repaired mapping infeasible:\n" ^ msg)
+    | Ok o ->
+      (* Processor [u] came from the builder's [u]-th live group. *)
+      let downgrades = ref 0 in
+      List.iteri
+        (fun u gid ->
+          if
+            Catalog.label (Builder.config b gid)
+            <> Catalog.label (Alloc.proc o.Solve.alloc u).Alloc.config
+          then incr downgrades)
+        (Builder.group_ids b);
+      Ok (o, actions, !downgrades)
   in
-  let result, sink = Obs.with_sink ~journal:false work in
-  Obs.absorb sink;
-  match result with
+  match Obs.quietly work with
   | Error _ as e ->
     Obs.incr "faults.repair.infeasible";
     e
-  | Ok (final, actions, downgrades) ->
+  | Ok (o, actions, downgrades) ->
     let migrations = ref 0 and rebuys = ref 0 in
     List.iter
-      (fun a ->
-        match a with
+      (function
         | A_migrate { op; from_proc; to_group } ->
           incr migrations;
           if Obs.journaling () then
@@ -181,13 +159,12 @@ let run ?max_procs ?(allow_rebuy = true) app platform alloc ~failed =
     Obs.incr "faults.repair.ok";
     Obs.incr ~by:!migrations "faults.repair.migrations";
     Obs.incr ~by:!rebuys "faults.repair.rebuys";
-    let cost_after = Cost.of_alloc catalog final in
     Ok
       {
-        alloc = final;
+        alloc = o.Solve.alloc;
         cost_before;
-        cost_after;
-        realloc_cost = cost_after -. (cost_before -. failed_cost);
+        cost_after = o.Solve.cost;
+        realloc_cost = o.Solve.cost -. (cost_before -. failed_cost);
         migrations = !migrations;
         rebuys = !rebuys;
         downgrades;

@@ -8,9 +8,9 @@
     onto a surviving processor (as-is, then allowing a configuration
     upgrade), and only then, when permitted, by buying a replacement
     processor ("rebuy").  The repaired mapping goes through the same
-    server-selection / downgrade / checker pipeline as a fresh solve,
-    so an [Ok] outcome always satisfies the paper's constraints
-    (1)–(5).
+    server-selection / downgrade / checker tail as a fresh solve
+    ({!Insp_heuristics.Solve.finish}, three-loop selection), so an [Ok]
+    outcome always satisfies the paper's constraints (1)–(5).
 
     An overloaded post-crash platform is reported as [Error] with the
     checker's explanation — never silently degraded.
@@ -36,12 +36,12 @@ type outcome = {
 val run :
   ?max_procs:int ->
   ?allow_rebuy:bool ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   failed:int list ->
   (outcome, string) result
-(** [run app platform alloc ~failed] repairs [alloc] after losing the
+(** [run g platform alloc ~failed] repairs [alloc] after losing the
     processors in [failed] (indices into [alloc], deduplicated; raises
     [Invalid_argument] out of range).  [?allow_rebuy] (default [true])
     permits buying replacements; [?max_procs] caps the repaired

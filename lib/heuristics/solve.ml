@@ -27,13 +27,16 @@ let make ~name ~key ~randomized place =
     randomized;
   }
 
+let sbu =
+  make ~name:"Subtree-bottom-up" ~key:"sbu" ~randomized:false
+    (H_subtree.run H_subtree.Tree)
+
 let all =
   [
     make ~name:"Random" ~key:"random" ~randomized:true H_random.run;
     make ~name:"Comp-Greedy" ~key:"comp" ~randomized:false H_comp_greedy.run;
     make ~name:"Comm-Greedy" ~key:"comm" ~randomized:false H_comm_greedy.run;
-    make ~name:"Subtree-bottom-up" ~key:"sbu" ~randomized:false
-      (H_subtree.run H_subtree.Tree);
+    sbu;
     make ~name:"Object-Grouping" ~key:"objgroup" ~randomized:false
       H_object_grouping.run;
     make ~name:"Object-Availability" ~key:"objavail" ~randomized:false
@@ -59,77 +62,88 @@ let failure_message = function
   | Server_selection m -> "server selection failed: " ^ m
   | Validation m -> "validation failed: " ^ m
 
-let run_graph ?(seed = 0) heuristic g platform =
-  (* One span per pipeline stage; the Solved/Solve_failed decision
-     counts the overall outcome so sweep-level failure rates show up in
-     metric exports.  Journal guard computed once: [phase] costs nothing
-     when the installed sink is not journaling. *)
+type selection = Random_servers | Three_loop
+
+(* Called with all its arguments: a closure built inside the solve span
+   would count against its allocation. *)
+let phase jn key stage =
+  if jn then Obs.event (Journal.Phase { heuristic = key; stage })
+
+(* One span per pipeline stage, each announced by a phase event.  The
+   journal guard is read once: [phase] costs nothing when the installed
+   sink is not journaling. *)
+let finish ~key selection rng g platform builder =
   let jn = Obs.journaling () in
-  let phase stage =
-    if jn then Obs.event (Journal.Phase { heuristic = heuristic.key; stage })
-  in
-  let failed status failure =
-    if Obs.decide Journal.Solve_failed then
-      Obs.event
-        (Journal.Outcome
-           {
-             heuristic = heuristic.key;
-             status;
-             cost = None;
-             n_procs = None;
-             procs = [];
-           });
-    Error failure
-  in
-  Obs.span ("solve." ^ heuristic.key) (fun () ->
-      let rng = Prng.create seed in
-      phase "placement";
-      match Obs.span "placement" (fun () -> heuristic.place rng g platform) with
-      | Error msg -> failed "placement_failed" (Placement msg)
-      | Ok builder -> (
-        match Builder.finalize builder with
-        | Error msg -> failed "placement_failed" (Placement msg)
-        | Ok (groups, configs) -> (
-          phase "server_select";
-          let selection =
-            Obs.span "server_select" (fun () ->
-                if heuristic.randomized then
-                  Server_select.random_graph rng g platform ~groups
-                else Server_select.sophisticated_graph g platform ~groups)
-          in
+  match Builder.finalize builder with
+  | Error msg -> Error (Placement msg)
+  | Ok (groups, configs) -> (
+    phase jn key "server_select";
+    let selected =
+      Obs.span "server_select" (fun () ->
           match selection with
-          | Error msg -> failed "server_select_failed" (Server_selection msg)
-          | Ok downloads -> (
-            let alloc = Alloc.of_groups ~configs ~groups ~downloads in
-            phase "downgrade";
-            let alloc =
-              Obs.span "downgrade" (fun () -> Downgrade.run_graph g platform alloc)
-            in
-            phase "check";
-            match Obs.span "check" (fun () -> Check.check_graph g platform alloc) with
-            | [] ->
-              let cost = Cost.of_alloc platform.Platform.catalog alloc in
-              let n_procs = Alloc.n_procs alloc in
-              if Obs.decide Journal.Solved then
-                (* [finalize] lists groups in acquisition order, which is
-                   the processor index order of [Alloc.of_groups] — so
-                   processor [i] came from builder group [group_ids.(i)],
-                   the link [explain] follows back into builder events. *)
-                Obs.event
-                  (Journal.Outcome
-                     {
-                       heuristic = heuristic.key;
-                       status = "feasible";
-                       cost = Some cost;
-                       n_procs = Some n_procs;
-                       procs =
-                         List.mapi
-                           (fun i gid -> (i, gid))
-                           (Builder.group_ids builder);
-                     });
-              Ok { alloc; cost; n_procs }
-            | violations ->
-              failed "infeasible" (Validation (Check.explain violations))))))
+          | Random_servers -> Server_select.random_graph rng g platform ~groups
+          | Three_loop -> Server_select.sophisticated_graph g platform ~groups)
+    in
+    match selected with
+    | Error msg -> Error (Server_selection msg)
+    | Ok downloads -> (
+      let alloc = Alloc.of_groups ~configs ~groups ~downloads in
+      phase jn key "downgrade";
+      let alloc =
+        Obs.span "downgrade" (fun () -> Downgrade.run_graph g platform alloc)
+      in
+      phase jn key "check";
+      match Obs.span "check" (fun () -> Check.check_graph g platform alloc) with
+      | [] ->
+        let cost = Cost.of_alloc platform.Platform.catalog alloc in
+        Ok { alloc; cost; n_procs = Alloc.n_procs alloc }
+      | violations -> Error (Validation (Check.explain violations))))
+
+let failure_status = function
+  | Placement _ -> "placement_failed"
+  | Server_selection _ -> "server_select_failed"
+  | Validation _ -> "infeasible"
+
+let run_graph ?(seed = 0) heuristic g platform =
+  (* The Solved/Solve_failed decision counts the overall outcome, so
+     sweep-level failure rates show up in metric exports. *)
+  let key = heuristic.key in
+  Obs.span ("solve." ^ key) (fun () ->
+      let rng = Prng.create seed in
+      phase (Obs.journaling ()) key "placement";
+      let result =
+        match Obs.span "placement" (fun () -> heuristic.place rng g platform) with
+        | Error msg -> Error (Placement msg)
+        | Ok builder -> (
+          let selection =
+            if heuristic.randomized then Random_servers else Three_loop
+          in
+          match finish ~key selection rng g platform builder with
+          | Error _ as failed -> failed
+          | Ok o as solved ->
+            if Obs.decide Journal.Solved then
+              (* [finalize] lists groups in acquisition order, which is
+                 the processor index order of [Alloc.of_groups] — so
+                 processor [i] came from builder group [group_ids.(i)],
+                 the link [explain] follows back into builder events. *)
+              Obs.event
+                (Journal.Outcome
+                   { heuristic = key; status = "feasible"; cost = Some o.cost;
+                     n_procs = Some o.n_procs;
+                     procs =
+                       List.mapi (fun i gid -> (i, gid))
+                         (Builder.group_ids builder) });
+            solved)
+      in
+      (match result with
+      | Ok _ -> ()
+      | Error f ->
+        if Obs.decide Journal.Solve_failed then
+          Obs.event
+            (Journal.Outcome
+               { heuristic = key; status = failure_status f; cost = None;
+                 n_procs = None; procs = [] }));
+      result)
 
 let run ?seed heuristic app platform =
   run_graph ?seed heuristic (Graph.of_app app) platform

@@ -34,6 +34,11 @@ type heuristic = private {
 
 val make : name:string -> key:string -> randomized:bool -> placer -> heuristic
 
+val sbu : heuristic
+(** Subtree-bottom-up, the paper's best heuristic and the default of
+    every caller that solves with one heuristic: the element of {!all}
+    keyed ["sbu"]. *)
+
 val all : heuristic list
 (** The paper's six heuristics, in the paper's order: Random,
     Comp-Greedy, Comm-Greedy, Subtree-bottom-up, Object-Grouping,
@@ -56,6 +61,24 @@ type failure =
           but the checker rejected the allocation *)
 
 val failure_message : failure -> string
+
+type selection =
+  | Random_servers  (** a random holder per object, drawn from the PRNG *)
+  | Three_loop  (** the paper's three-loop selection, deterministic *)
+
+val finish :
+  key:string ->
+  selection ->
+  Insp_util.Prng.t ->
+  Insp_tree.Graph.t ->
+  Insp_platform.Platform.t ->
+  Builder.t ->
+  (outcome, failure) result
+(** The pipeline after placement: finalize, server selection (the PRNG
+    feeds [Random_servers] only), downgrade and the checker, each stage
+    under its span and [Phase] event keyed [key].  A finalize failure is
+    a [Placement] failure.  Counts no [Solved]/[Solve_failed] decision:
+    {!run_graph} does, around it. *)
 
 val run_graph :
   ?seed:int ->

@@ -76,6 +76,11 @@ let absorb r =
        tree shares the object and has nothing to fold *)
     if not (s.prof == r.prof) then Prof.merge ~into:s.prof r.prof
 
+let quietly f =
+  let result, sink = with_sink ~journal:false f in
+  absorb sink;
+  result
+
 (* --- guarded instrumentation entry points --- *)
 
 let incr ?by name =

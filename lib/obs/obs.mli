@@ -48,6 +48,11 @@ val absorb : t -> unit
     counts, times and GC deltas — is folded in at the roots with
     {!Prof.merge}; its trace ring is not carried over. *)
 
+val quietly : (unit -> 'a) -> 'a
+(** [quietly f] runs [f] under a journal-suppressed {!with_sink} and
+    {!absorb}s that sink: [f]'s metrics and frames count, its decision
+    events are dropped (a solver under serve admission, a repair). *)
+
 (** {1 Guarded entry points} — no-ops when no sink is installed. *)
 
 val incr : ?by:int -> string -> unit

@@ -1,6 +1,4 @@
-module Prng = Insp_util.Prng
 module Graph = Insp_tree.Graph
-module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 module Ledger = Insp_mapping.Ledger
@@ -32,22 +30,14 @@ type params = {
   reoptimize : bool;
 }
 
-let default_heuristic () =
-  match Solve.find "sbu" with
-  | Some h -> h
-  | None -> invalid_arg "Serve: sbu heuristic missing from the registry"
-
 let make_params ?(base = Config.default) ?(tenancy = Shared) ?(n_tenants = 4)
-    ?(proc_budget = 96) ?(card_scale = 1.0) ?heuristic ?(resale = 0.5)
-    ?(reoptimize = false) () =
+    ?(proc_budget = 96) ?(card_scale = 1.0) ?(heuristic = Solve.sbu)
+    ?(resale = 0.5) ?(reoptimize = false) () =
   if n_tenants < 1 then invalid_arg "Serve.make_params: n_tenants < 1";
   if proc_budget < 1 then invalid_arg "Serve.make_params: proc_budget < 1";
   if card_scale <= 0.0 then invalid_arg "Serve.make_params: card_scale <= 0";
   if resale < 0.0 || resale > 1.0 then
     invalid_arg "Serve.make_params: resale outside [0, 1]";
-  let heuristic =
-    match heuristic with Some h -> h | None -> default_heuristic ()
-  in
   {
     base; tenancy; n_tenants; proc_budget; card_scale; heuristic; resale;
     reoptimize;
@@ -57,7 +47,7 @@ type admitted = {
   a_tenant : int;
   a_ops : int;
   a_seed : int;
-  a_app : Insp_tree.App.t;  (* built at admission, re-solved on re-optimization *)
+  a_graph : Graph.t;  (* built at admission, re-solved on re-optimization *)
   a_cost : float;
   a_n_procs : int;
   a_card_use : (int * float) list;  (* per-server download load, sorted *)
@@ -196,27 +186,22 @@ let instance_for t ~n_operators ~app_seed =
      share the service platform. *)
   Instance.generate { t.params.base with Config.n_operators; seed = app_seed }
 
-(* The inner solver runs under a journal-suppressed sink: its metrics
-   merge up, but its per-decision events would drown the serve-level
-   journal (and tie its bytes to solver internals). *)
-let solve_quietly t app platform ~seed =
-  let result, sink =
-    Obs.with_sink ~journal:false (fun () ->
-        Solve.run ~seed t.params.heuristic app platform)
-  in
-  Obs.absorb sink;
-  result
-
 let card_use_of ledger ~n_servers =
   List.filter
     (fun (_, x) -> x > 0.0)
     (List.init n_servers (fun l -> (l, Ledger.card_load ledger l)))
 
+(* The inner solver runs quietly: its metrics merge up, but its
+   per-decision events would drown the serve-level journal (and tie its
+   bytes to solver internals). *)
 let try_admit t ~tenant ~n_operators ~app_seed =
   let inst = instance_for t ~n_operators ~app_seed in
-  let app = inst.Instance.app in
+  let g = Graph.of_app inst.Instance.app in
   let platform = residual_platform t ~tenant in
-  match solve_quietly t app platform ~seed:app_seed with
+  match
+    Obs.quietly (fun () ->
+        Solve.run_graph ~seed:app_seed t.params.heuristic g platform)
+  with
   | Error _ -> Error R_placement
   | Ok o ->
     if o.Solve.n_procs > residual_procs t ~tenant then Error R_proc_budget
@@ -225,7 +210,7 @@ let try_admit t ~tenant ~n_operators ~app_seed =
          ledger against the residual platform and require a clean
          violation set.  The solver has validated already, so this is
          the service trusting the ledger, not the solver. *)
-      let ledger = Ledger.of_alloc (Graph.of_app app) platform o.Solve.alloc in
+      let ledger = Ledger.of_alloc g platform o.Solve.alloc in
       match Ledger.violations ledger with
       | _ :: _ -> Error R_ledger
       | [] ->
@@ -235,7 +220,7 @@ let try_admit t ~tenant ~n_operators ~app_seed =
             a_tenant = tenant;
             a_ops = n_operators;
             a_seed = app_seed;
-            a_app = app;
+            a_graph = g;
             a_cost = o.Solve.cost;
             a_n_procs = o.Solve.n_procs;
             a_card_use = card_use_of ledger ~n_servers;
@@ -278,9 +263,12 @@ let reoptimize_tenant t ~tenant =
   in
   List.iter
     (fun (id, a) ->
-      let app = a.a_app in
       let platform = residual_platform ~excluding:id t ~tenant in
-      match solve_quietly t app platform ~seed:a.a_seed with
+      match
+        Obs.quietly (fun () ->
+            Solve.run_graph ~seed:a.a_seed t.params.heuristic a.a_graph
+              platform)
+      with
       | Error _ -> ()
       | Ok o ->
         let cheaper = o.Solve.cost +. 1e-9 < a.a_cost in
@@ -289,7 +277,7 @@ let reoptimize_tenant t ~tenant =
           (cheaper || same_cost)
           && o.Solve.n_procs <= residual_procs ~excluding:id t ~tenant
         then begin
-          let ledger = Ledger.of_alloc (Graph.of_app app) platform o.Solve.alloc in
+          let ledger = Ledger.of_alloc a.a_graph platform o.Solve.alloc in
           match Ledger.violations ledger with
           | _ :: _ -> ()
           | [] ->

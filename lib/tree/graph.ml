@@ -46,6 +46,9 @@ let make ~rates ~work ~output ~producers ~consumers ~leaves ~roots ~objects =
         };
   }
 
+let scale_rates g factor =
+  { g with rates = Array.map (fun r -> r *. factor) g.rates }
+
 let n_nodes g = Array.length g.work
 
 (* A tree's accessors read its node records directly: one call per

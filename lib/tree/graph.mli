@@ -48,6 +48,11 @@ val make :
 (** A view over per-node arrays, shared, never written.
     [consumers.(i)] must be ascending and duplicate-free. *)
 
+val scale_rates : t -> float -> t
+(** [scale_rates g f]: the view with every node's rate multiplied by
+    [f], sharing every other array.  On a tree's view it gives the rates
+    of [of_app (App.make ~rho:(App.rho app *. f) ...)] bit for bit. *)
+
 val n_nodes : t -> int
 
 val producers : t -> int -> int list

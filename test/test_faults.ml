@@ -14,17 +14,15 @@ module Stream = Insp.Serve_stream
 module Obs = Insp.Obs
 module Journal = Insp.Obs_journal
 
-let sbu =
-  match Insp.Solve.find "sbu" with
-  | Some h -> h
-  | None -> Alcotest.fail "sbu heuristic missing"
-
+(* A deployed mapping: the instance, its operator-graph view (what the
+   fault layer reads) and the Subtree-bottom-up allocation. *)
 let solved ?(n = 20) ?(alpha = 0.9) ~seed () =
   let inst = Helpers.instance ~n ~alpha ~seed () in
+  let g = Insp.Graph.of_app inst.Insp.Instance.app in
   match
-    Insp.Solve.run ~seed sbu inst.Insp.Instance.app inst.Insp.Instance.platform
+    Insp.Solve.run_graph ~seed Insp.Solve.sbu g inst.Insp.Instance.platform
   with
-  | Ok o -> Some (inst, o.Insp.Solve.alloc)
+  | Ok o -> Some (inst, g, o.Insp.Solve.alloc)
   | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -89,9 +87,9 @@ let test_repair_property =
   Helpers.qtest ~count:40 "single-crash repair is feasible and complete"
     Helpers.instance_case (fun case ->
       let inst = Helpers.instance_of_case case in
+      let g = Insp.Graph.of_app inst.Insp.Instance.app in
       match
-        Insp.Solve.run ~seed:1 sbu inst.Insp.Instance.app
-          inst.Insp.Instance.platform
+        Insp.Solve.run_graph ~seed:1 Insp.Solve.sbu g inst.Insp.Instance.platform
       with
       | Error _ -> true (* nothing deployed, nothing to repair *)
       | Ok o ->
@@ -100,7 +98,7 @@ let test_repair_property =
         List.for_all
           (fun victim ->
             match
-              Repair.run inst.Insp.Instance.app inst.Insp.Instance.platform
+              Repair.run g inst.Insp.Instance.platform
                 alloc ~failed:[ victim ]
             with
             | Error _ ->
@@ -118,12 +116,12 @@ let test_repair_property =
 let test_repair_accounting () =
   match solved ~seed:2 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     let catalog = inst.Insp.Instance.platform.Insp.Platform.catalog in
     let n = Insp.Alloc.n_procs alloc in
     for victim = 0 to n - 1 do
       match
-        Repair.run inst.Insp.Instance.app inst.Insp.Instance.platform alloc
+        Repair.run g inst.Insp.Instance.platform alloc
           ~failed:[ victim ]
       with
       | Error _ -> ()
@@ -140,12 +138,12 @@ let test_repair_accounting () =
 let test_repair_validation () =
   match solved ~seed:2 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     Alcotest.check_raises "out-of-range victim"
       (Invalid_argument "Repair.run: failed processor index out of range")
       (fun () ->
         ignore
-          (Repair.run inst.Insp.Instance.app inst.Insp.Instance.platform alloc
+          (Repair.run g inst.Insp.Instance.platform alloc
              ~failed:[ Insp.Alloc.n_procs alloc ]))
 
 let test_overload_detected () =
@@ -153,7 +151,7 @@ let test_overload_detected () =
      report infeasible — never silently degrade below rho. *)
   match solved ~n:60 ~seed:1 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     let n = Insp.Alloc.n_procs alloc in
     let timeline =
       List.init n (fun i ->
@@ -162,7 +160,7 @@ let test_overload_detected () =
     in
     let spec = Engine.make_spec ~allow_rebuy:false ~measure:false () in
     let report =
-      Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform alloc
+      Engine.run spec g inst.Insp.Instance.platform alloc
         timeline
     in
     Alcotest.(check bool) "infeasible detected" true
@@ -175,7 +173,7 @@ let test_overload_detected () =
 let test_crash_downtime () =
   match solved ~seed:2 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     let spec = Engine.make_spec ~measure:false () in
     let episodes =
       List.init (Insp.Alloc.n_procs alloc) (fun victim ->
@@ -183,7 +181,7 @@ let test_crash_downtime () =
             [ { Scenario.at = 10.0; fault = Scenario.Proc_crash { victim } } ]
           in
           match
-            (Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform
+            (Engine.run spec g inst.Insp.Instance.platform
                alloc timeline)
               .Engine.episodes
           with
@@ -218,8 +216,8 @@ let subsets ~k n =
   in
   go 0 k
 
-let survives app platform alloc ~failed =
-  Result.is_ok (Repair.run ~allow_rebuy:false app platform alloc ~failed)
+let survives g platform alloc ~failed =
+  Result.is_ok (Repair.run ~allow_rebuy:false g platform alloc ~failed)
 
 let test_subsets () =
   Alcotest.(check int) "C(5,2)" 10 (List.length (subsets ~k:2 5));
@@ -232,9 +230,9 @@ let test_subsets () =
 let test_harden_k1_survives_all () =
   match solved ~seed:1 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) -> (
+  | Some (inst, g, alloc) -> (
     match
-      Redundancy.harden ~k:1 inst.Insp.Instance.app inst.Insp.Instance.platform
+      Redundancy.harden ~k:1 g inst.Insp.Instance.platform
         alloc
     with
     | Error msg -> Alcotest.fail ("harden failed: " ^ msg)
@@ -246,7 +244,7 @@ let test_harden_k1_survives_all () =
             (Printf.sprintf "survives crash of procs %s"
                (String.concat "," (List.map string_of_int failed)))
             true
-            (survives inst.Insp.Instance.app inst.Insp.Instance.platform
+            (survives g inst.Insp.Instance.platform
                hd.Redundancy.alloc ~failed))
         (subsets ~k:1 n);
       Alcotest.(check bool) "cost >= base" true
@@ -255,9 +253,9 @@ let test_harden_k1_survives_all () =
 let test_frontier_monotone () =
   match solved ~seed:4 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) -> (
+  | Some (inst, g, alloc) -> (
     match
-      Redundancy.frontier ~k_max:1 inst.Insp.Instance.app
+      Redundancy.frontier ~k_max:1 g
         inst.Insp.Instance.platform alloc
     with
     | [ (0, Ok h0); (1, Ok h1) ] ->
@@ -272,13 +270,13 @@ let test_frontier_monotone () =
 let engine_run ~seed () =
   match solved ~seed () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     let timeline =
       Scenario.generate (Scenario.make ~seed ~n_events:8 ~mean_burst:2 ())
     in
     let spec = Engine.make_spec () in
     Obs.with_sink ~journal:true (fun () ->
-        Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform
+        Engine.run spec g inst.Insp.Instance.platform
           alloc timeline)
 
 let test_engine_journal_byte_identity () =
@@ -296,9 +294,9 @@ let test_engine_journal_byte_identity () =
 let test_runtime_disruption_baseline () =
   match solved ~seed:3 () with
   | None -> Alcotest.fail "expected feasible instance"
-  | Some (inst, alloc) ->
+  | Some (inst, g, alloc) ->
     let run ?disruptions () =
-      Insp.Runtime.run ?disruptions ~horizon:30.0 inst.Insp.Instance.app
+      Insp.Runtime.run_graph ?disruptions ~horizon:30.0 g
         inst.Insp.Instance.platform alloc
     in
     let base = run () in
@@ -321,6 +319,61 @@ let test_runtime_disruption_baseline () =
       (Array.length base.Insp.Runtime.root_completions
       = base.Insp.Runtime.results_completed)
 
+(* The engine's rho shift scales the view's rates: on paper instances,
+   the scaled view must read as the view of the application rebuilt at
+   the scaled rho, bit for bit in rates, work and output, and the
+   checker must give equal verdicts on a deployed mapping. *)
+let test_scale_rates_matches_rebuilt_app () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let checked = ref 0 and violated = ref 0 in
+  List.iter
+    (fun (n, alpha, seed) ->
+      match solved ~n ~alpha ~seed () with
+      | None -> ()
+      | Some (inst, g, alloc) ->
+        let app = inst.Insp.Instance.app
+        and platform = inst.Insp.Instance.platform in
+        List.iter
+          (fun f ->
+            let label =
+              Printf.sprintf "n=%d alpha=%g seed=%d f=%g" n alpha seed f
+            in
+            let scaled = Insp.Graph.scale_rates g f in
+            let rebuilt =
+              Insp.Graph.of_app
+                (Insp.App.make
+                   ~rho:(Insp.App.rho app *. f)
+                   ~base_work:(Insp.App.base_work app)
+                   ~work_factor:(Insp.App.work_factor app)
+                   ~tree:(Insp.App.tree app) ~objects:(Insp.App.objects app)
+                   ~alpha:(Insp.App.alpha app) ())
+            in
+            let rates v =
+              bits (Array.init (Insp.Graph.n_nodes v) (Insp.Graph.rate v))
+            in
+            Alcotest.(check (array int64)) (label ^ " rates") (rates rebuilt)
+              (rates scaled);
+            Alcotest.(check (array int64)) (label ^ " work")
+              (bits rebuilt.Insp.Graph.work) (bits scaled.Insp.Graph.work);
+            Alcotest.(check (array int64)) (label ^ " output")
+              (bits rebuilt.Insp.Graph.output) (bits scaled.Insp.Graph.output);
+            let verdict = Insp.Check.check_graph scaled platform alloc in
+            Alcotest.(check bool) (label ^ " verdict") true
+              (Insp.Check.check_graph rebuilt platform alloc = verdict);
+            incr checked;
+            if verdict <> [] then incr violated)
+          [ 0.5; 1.0; 1.7 ])
+    (List.concat_map
+       (fun n ->
+         List.concat_map
+           (fun alpha -> List.map (fun seed -> (n, alpha, seed)) [ 1; 2 ])
+           [ 0.9; 1.5; 1.7 ])
+       [ 20; 60; 100 ]);
+  (* Both verdicts occur: the sweep is not vacuous. *)
+  Alcotest.(check bool) "some mappings checked" true (!checked > 0);
+  Alcotest.(check bool) "some scaled demand violated" true
+    (!violated > 0 && !violated < !checked)
+
 (* Fixed timelines against test/fault_journals.golden, each as its JSONL
    journal, episodes and [pp_report]: a crash burst whose repairs rebuy,
    a rho shift that forces a redeploy, measured capacity faults, and
@@ -331,14 +384,13 @@ let test_runtime_disruption_baseline () =
 let test_fault_journals_golden () =
   let buf = Buffer.create (16 * 1024) in
   let at t fault = { Scenario.at = t; fault } in
-  let timeline name ~seed ?(n = 20) ?(alpha = 0.9) spec events =
-    match solved ~n ~alpha ~seed () with
+  let timeline name ~seed ?(n = 20) spec events =
+    match solved ~n ~seed () with
     | None -> Printf.bprintf buf "== %s: initial solve failed\n" name
-    | Some (inst, alloc) ->
+    | Some (inst, g, alloc) ->
       let report, recorder =
         Obs.with_sink ~journal:true (fun () ->
-            Engine.run spec inst.Insp.Instance.app inst.Insp.Instance.platform
-              alloc events)
+            Engine.run spec g inst.Insp.Instance.platform alloc events)
       in
       Printf.bprintf buf "== %s\n%s" name (Journal.to_jsonl recorder.Obs.journal);
       List.iter
@@ -353,11 +405,10 @@ let test_fault_journals_golden () =
         report.Engine.episodes;
       Printf.bprintf buf "%s\n" (Format.asprintf "%a" Engine.pp_report report)
   in
-  let repairs inst alloc =
+  let repairs inst g alloc =
     for victim = 0 to Insp.Alloc.n_procs alloc - 1 do
       match
-        Repair.run inst.Insp.Instance.app inst.Insp.Instance.platform alloc
-          ~failed:[ victim ]
+        Repair.run g inst.Insp.Instance.platform alloc ~failed:[ victim ]
       with
       | Error msg -> Printf.bprintf buf "%d error %S\n" victim msg
       | Ok r ->
@@ -404,17 +455,16 @@ let test_fault_journals_golden () =
     (fun (name, spare) ->
       match solved ~seed:2 () with
       | None -> Printf.bprintf buf "== %s: initial solve failed\n" name
-      | Some (inst, alloc) ->
+      | Some (inst, g, alloc) ->
         let alloc = if spare then with_spare inst alloc else alloc in
         Printf.bprintf buf "== %s\n" name;
-        repairs inst alloc)
+        repairs inst g alloc)
     [ ("repairs", false); ("repairs with a spare", true) ];
   (match solved ~seed:1 () with
   | None -> Buffer.add_string buf "== harden: initial solve failed\n"
-  | Some (inst, alloc) -> (
+  | Some (inst, g, alloc) -> (
     match
-      Redundancy.harden ~k:1 inst.Insp.Instance.app inst.Insp.Instance.platform
-        alloc
+      Redundancy.harden ~k:1 g inst.Insp.Instance.platform alloc
     with
     | Error msg -> Printf.bprintf buf "== harden k=1 error %S\n" msg
     | Ok hd ->
@@ -496,6 +546,8 @@ let () =
             test_runtime_disruption_baseline;
           Alcotest.test_case "fault journals golden" `Quick
             test_fault_journals_golden;
+          Alcotest.test_case "scaled rates match a rebuilt app" `Quick
+            test_scale_rates_matches_rebuilt_app;
         ] );
       ( "serve",
         [

@@ -309,8 +309,9 @@ let test_failure_texts () =
       |]
   in
   match
-    Insp.Fault_repair.run inst.Insp.Instance.app inst.Insp.Instance.platform
-      alloc ~failed:[ 1 ]
+    Insp.Fault_repair.run
+      (Insp.Graph.of_app inst.Insp.Instance.app)
+      inst.Insp.Instance.platform alloc ~failed:[ 1 ]
   with
   | Ok _ -> Alcotest.fail "the survivor must not fit"
   | Error msg ->
@@ -546,6 +547,8 @@ let random_heuristic_reproducible =
 let test_find_heuristics () =
   Alcotest.(check int) "six heuristics" 6 (List.length Solve.all);
   Alcotest.(check bool) "find by key" true (Solve.find "sbu" <> None);
+  Alcotest.(check bool) "sbu is the registry's entry" true
+    (Option.get (Solve.find "sbu") == Solve.sbu);
   Alcotest.(check bool) "find by name" true
     (Solve.find "subtree-bottom-up" <> None);
   Alcotest.(check bool) "unknown" true (Solve.find "nope" = None)

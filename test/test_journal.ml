@@ -412,16 +412,15 @@ let test_counters_serve_faults () =
         List.iter
           (fun seed ->
             let inst = Helpers.instance ~n:20 ~seed () in
-            let app = inst.Insp.Instance.app
+            let g = Insp.Graph.of_app inst.Insp.Instance.app
             and platform = inst.Insp.Instance.platform in
-            let sbu = Option.get (Insp.Solve.find "sbu") in
-            match Insp.Solve.run ~seed sbu app platform with
+            match Insp.Solve.run_graph ~seed Insp.Solve.sbu g platform with
             | Error _ -> ()
             | Ok o ->
               ignore
                 (Insp.Fault_engine.run
                    (Insp.Fault_engine.make_spec ~measure:false ())
-                   app platform o.Insp.Solve.alloc
+                   g platform o.Insp.Solve.alloc
                    (Insp.Fault_scenario.generate
                       (Insp.Fault_scenario.make ~seed ~n_events:10
                          ~mean_burst:2 ()))))
