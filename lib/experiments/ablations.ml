@@ -131,12 +131,7 @@ let merge_sweeps ?(seeds = default_seeds)
   let comm = List.find (fun h -> h.Solve.key = "comm") Solve.all in
   List.iter
     (fun (n, sizes) ->
-      let size_name =
-        match sizes with
-        | Config.Small -> "small"
-        | Config.Large -> "large"
-        | Config.Custom_sizes (lo, hi) -> Printf.sprintf "custom(%g..%g)" lo hi
-      in
+      let size_name = Config.size_name sizes in
       let run enabled seed =
         let inst =
           Instance.generate
@@ -250,21 +245,26 @@ let downgrade_step ?(seeds = default_seeds) ?(ns = [ 60 ]) () =
 (* ------------------------------------------------------------------ *)
 (* Server selection                                                    *)
 
-let server_selection ?(seeds = default_seeds)
-    ?(cases = [ (60, Config.Small); (40, Config.Large) ]) () =
+(* Failing stages, "placement/selection/validation". *)
+let stage_counts runs =
+  let count p = List.length (List.filter p runs) in
+  Printf.sprintf "%d/%d/%d"
+    (count (function Error (Solve.Placement _) -> true | _ -> false))
+    (count (function Error (Solve.Server_selection _) -> true | _ -> false))
+    (count (function Error (Solve.Validation _) -> true | _ -> false))
+
+(* One row per case: operators, object sizes, servers, seeds. *)
+let server_selection cases =
   let table =
     Table.create
       ~title:
         "[ablation] server selection under SBU placement: random vs \
-         three-loop"
-      [
-        ("N", Table.Right);
-        ("sizes", Table.Left);
-        ("random ok", Table.Right);
-        ("random cost", Table.Right);
-        ("3-loop ok", Table.Right);
-        ("3-loop cost", Table.Right);
-      ]
+         three-loop (fails: placement/selection/validation)"
+      (("N", Table.Right) :: ("sizes", Table.Left)
+      :: List.map
+           (fun h -> (h, Table.Right))
+           [ "servers"; "random ok"; "random cost"; "random fails"; "3-loop ok";
+             "3-loop cost"; "3-loop fails"; "only random ok"; "only 3-loop ok" ])
   in
   (* SBU placement, then the pipeline's tail under the given selection;
      random selection draws from its own PRNG. *)
@@ -272,24 +272,16 @@ let server_selection ?(seeds = default_seeds)
     let g = Graph.of_app inst.Instance.app in
     let platform = inst.Instance.platform in
     match Solve.sbu.Solve.place (Prng.create seed) g platform with
-    | Error _ -> None
-    | Ok builder -> (
-      match
-        Solve.finish ~key:Solve.sbu.Solve.key selection (Prng.create 99) g
-          platform builder
-      with
-      | Ok o -> Some o.Solve.cost
-      | Error _ -> None)
+    | Error msg -> Error (Solve.Placement msg)
+    | Ok builder ->
+      Solve.finish ~key:Solve.sbu.Solve.key selection (Prng.create 99) g
+        platform builder
   in
+  let cost = function Ok o -> Some o.Solve.cost | Error _ -> None in
   List.iter
-    (fun (n, sizes) ->
-      let size_name =
-        match sizes with
-        | Config.Small -> "small"
-        | Config.Large -> "large"
-        | Config.Custom_sizes (lo, hi) -> Printf.sprintf "custom(%g..%g)" lo hi
-      in
-      let config = Config.make ~n_operators:n ~alpha:0.9 ~sizes () in
+    (fun (n, sizes, n_servers, seeds) ->
+      let size_name = Config.size_name sizes in
+      let config = Config.make ~n_operators:n ~alpha:0.9 ~sizes ~n_servers () in
       let runs selection =
         List.map
           (fun seed ->
@@ -299,9 +291,19 @@ let server_selection ?(seeds = default_seeds)
       in
       let rnd = runs Solve.Random_servers in
       let soph = runs Solve.Three_loop in
-      let m_r, s_r = mean_and_successes rnd in
-      let m_s, s_s = mean_and_successes soph in
-      Table.add_row table [ string_of_int n; size_name; s_r; m_r; s_s; m_s ])
+      let m_r, s_r = mean_and_successes (List.map cost rnd) in
+      let m_s, s_s = mean_and_successes (List.map cost soph) in
+      let only ok other =
+        List.fold_left2
+          (fun n a b -> if Result.is_ok a && Result.is_error b then n + 1 else n)
+          0 ok other
+      in
+      Table.add_row table
+        [
+          string_of_int n; size_name; string_of_int n_servers;
+          s_r; m_r; stage_counts rnd; s_s; m_s; stage_counts soph;
+          string_of_int (only rnd soph); string_of_int (only soph rnd);
+        ])
     cases;
   Table.render table
 
@@ -329,5 +331,15 @@ let all =
     ( "ablation-selection",
       fun ~quick ->
         let seeds = if quick then [ 1; 2 ] else default_seeds in
-        server_selection ~seeds () );
+        (* The paper's six servers rarely contend; two servers holding
+           large objects make the server cards bind, where the rules
+           differ (seeds 1-40, 1-10 quick). *)
+        let contended = List.init (if quick then 10 else 40) succ in
+        server_selection
+          [
+            (60, Config.Small, 6, seeds);
+            (40, Config.Large, 6, seeds);
+            (20, Config.Large, 2, contended);
+            (40, Config.Large, 2, contended);
+          ] );
   ]

@@ -6,7 +6,7 @@ module Demand = Insp_mapping.Demand
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
 
-let run_graph g platform alloc =
+let run_measured m platform alloc =
   let catalog = platform.Platform.catalog in
   let n = Alloc.n_procs alloc in
   (* A processor's demand and download rate depend only on its operator
@@ -16,14 +16,10 @@ let run_graph g platform alloc =
      instead of one O(procs) copy per step.  Journal events and counters
      fire in the same per-processor order as the stepwise version. *)
   let chosen = Array.init n (fun u -> (Alloc.proc alloc u).Alloc.config) in
-  let demands = Check.proc_demands g alloc in
   for u = 0 to n - 1 do
     Obs.incr "heur.downgrade.step";
-    let d = demands.(u) in
-    let nic_load =
-      Check.proc_download_rate g alloc u
-      +. d.Demand.comm_in +. d.Demand.comm_out
-    in
+    let d = m.Check.demands.(u) in
+    let nic_load = m.Check.plan_rates.(u) +. d.Demand.comm_in +. d.Demand.comm_out in
     match
       Catalog.cheapest_satisfying catalog ~speed:d.Demand.compute
         ~bandwidth:nic_load
@@ -49,4 +45,4 @@ let run_graph g platform alloc =
   Alloc.with_configs alloc chosen
 
 let run app platform alloc =
-  run_graph (Insp_tree.Graph.of_app app) platform alloc
+  run_measured (Check.measure (Insp_tree.Graph.of_app app) alloc) platform alloc

@@ -11,11 +11,11 @@ val run :
 (** Never changes the operator assignment or the download plan; never
     increases cost; preserves feasibility. *)
 
-val run_graph :
-  Insp_tree.Graph.t ->
+val run_measured :
+  Insp_mapping.Check.measurement ->
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   Insp_mapping.Alloc.t
-(** {!run} on an operator graph whose node [i] is the allocation's
-    operator [i]: the DAG placer's downgrade, with the same demands as
-    {!Insp_mapping.Check.check_graph}. *)
+(** {!run} on an operator graph (a tree or a DAG) whose node [i] is the
+    allocation's operator [i], given its [Check.measure g alloc]: the
+    demands and plan download rates it reads, which are the check's. *)

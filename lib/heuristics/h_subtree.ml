@@ -47,25 +47,23 @@ let depths g order =
     (List.rev order);
   depth
 
-(* Each sort key computed once per group, not per comparison; the
-   stable sort keeps the order of the direct comparator. *)
-let sort_by key cmp ids =
-  List.map (fun g -> (key g, g)) ids
-  |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb)
-  |> List.map snd
-
 (* One merge pass over a processor group, in the paper's spirit: "the
    heuristic first tries to allocate as many parent operators of the
    currently assigned operators to this processor".  An unassigned
    consumer is added directly; a consumer already sitting on another
    processor drags its whole processor in (returning it to the store on
-   success).  Returns true when the group changed. *)
-let absorb_consumers b gid =
+   success).  Returns true when the group changed.  A group with a slot
+   in [deep] (the merge rounds' key: its deepest member) has the slot
+   raised to the depth of every node that joins. *)
+let absorb_consumers b ~depth ~deep gid =
   let g = Builder.graph b in
+  let raise_to d = if gid < Array.length deep && d > deep.(gid) then deep.(gid) <- d in
   let absorbs c =
     match Builder.assignment b c with
-    | None -> Builder.try_add b gid c
-    | Some other -> other <> gid && Builder.try_absorb b gid other
+    | None -> Builder.try_add b gid c && (raise_to depth.(c); true)
+    | Some other ->
+      other <> gid && Builder.try_absorb b gid other
+      && (if other < Array.length deep then raise_to deep.(other); true)
   in
   let rec consumers m k =
     k < Graph.n_consumers g m
@@ -293,20 +291,27 @@ let run rules _rng g platform =
   | Ok () ->
     (* Bottom-up merge rounds: visit processors deepest-member-first and
        let each absorb the consumers of its operators; repeat while any
-       processor still grows (a merge can unlock further merges). *)
-    let deepest_member gid =
-      List.fold_left (fun acc m -> max acc depth.(m)) 0 (Builder.members b gid)
-    in
+       processor still grows (a merge can unlock further merges).  Rounds
+       acquire nothing and only add members, so each group's deepest
+       member, read once into [deep] and raised as members join, stays
+       exact. *)
+    let ids = Builder.group_ids b in
+    let deep = Array.make (1 + List.fold_left max (-1) ids) 0 in
+    List.iter
+      (fun gid -> List.iter (fun m -> deep.(gid) <- max deep.(gid) depth.(m)) (Builder.members b gid))
+      ids;
     let rec merge_rounds () =
       let by_depth =
-        sort_by deepest_member (fun da db -> compare db da) (Builder.group_ids b)
+        List.stable_sort
+          (fun a b -> Int.compare deep.(b) deep.(a))
+          (Builder.group_ids b)
       in
       let changed =
         List.fold_left
           (fun acc gid ->
             (* A group can have been absorbed earlier in this round. *)
             if Ledger.mem_proc (Builder.ledger b) gid then
-              absorb_consumers b gid || acc
+              absorb_consumers b ~depth ~deep gid || acc
             else acc)
           false by_depth
       in
@@ -335,7 +340,7 @@ let run rules _rng g platform =
             (producer_groups rules b op)
         then begin
           (match (rules, Builder.assignment b op) with
-          | Tree, Some gid -> ignore (absorb_consumers b gid)
+          | Tree, Some gid -> ignore (absorb_consumers b ~depth ~deep:[||] gid)
           | Tree, None -> assert false (* try_add just placed op *)
           | Dag, _ -> ());
           place ()
@@ -343,7 +348,7 @@ let run rules _rng g platform =
         else
           match Common.acquire_with_grouping b ~style:`Best op with
           | Ok gid ->
-            ignore (absorb_consumers b gid);
+            ignore (absorb_consumers b ~depth ~deep:[||] gid);
             place ()
           | Error e -> Error e
     in

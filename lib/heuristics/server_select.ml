@@ -10,237 +10,215 @@ type plan = (int * int) list array
 
 let tolerance = 1e-9
 
-(* Mutable capacity state during selection. *)
+(* Selection state, all flat.  Need [e] is object type [need_type.(e)]
+   for group [need_group.(e)]: one per distinct type a group's nodes
+   read, group by group, types ascending within a group (the rows of
+   [Graph.object_rows]).  [server.(e)] is the server chosen for it;
+   [link_left.(l * n_groups + u)] is what is left of the link from
+   server [l] to group [u]. *)
 type state = {
-  rate : int -> float;
   servers : Servers.t;
-  card_left : float array;  (* per server *)
-  link_left : float array array;  (* server x group *)
-  needs : (int * int) list;  (* (group, object), each once *)
-  chosen : (int * int) list array;  (* result under construction *)
+  n_groups : int;
+  rate : float array;  (* per object type *)
+  need_group : int array;
+  need_type : int array;
+  server : int array;
+  card_left : float array;
+  link_left : float array;
 }
 
-(* The downloads to source: one (group, object type) per distinct
-   object type a group's operators read, groups in order. *)
 let init g platform ~groups =
-  let needs =
-    Array.to_list
-      (Array.mapi
-         (fun u ops -> List.map (fun k -> (u, k)) (Graph.distinct_objects g ops))
-         groups)
-    |> List.concat
-  in
-  let servers = platform.Platform.servers in
+  let n_groups = Array.length groups in
+  let hosts = Array.make (Graph.n_nodes g) (-1) in
+  Array.iteri (fun u -> List.iter (fun i -> hosts.(i) <- u)) groups;
+  let row, need_type = Graph.object_rows g hosts n_groups in
+  let need_group = Array.make (Array.length need_type) 0 in
+  for u = 0 to n_groups - 1 do
+    Array.fill need_group row.(u) (row.(u + 1) - row.(u)) u
+  done;
+  let servers = platform.Platform.servers and objects = g.Graph.objects in
   let n_servers = Servers.n_servers servers in
   {
-    rate = Objects.rate g.Graph.objects;
     servers;
-    card_left = Array.init n_servers (fun l -> Servers.card servers l);
-    link_left =
-      Array.init n_servers (fun _ ->
-          Array.make (Array.length groups) platform.Platform.server_link);
-    needs;
-    chosen = Array.make (Array.length groups) [];
+    n_groups;
+    rate = Array.init (Objects.count objects) (Objects.rate objects);
+    need_group;
+    need_type;
+    server = Array.make (Array.length need_type) (-1);
+    card_left = Array.init n_servers (Servers.card servers);
+    link_left = Array.make (n_servers * n_groups) platform.Platform.server_link;
   }
 
+let[@inline] link st l u = (l * st.n_groups) + u
+
 let can_provide st l u k =
-  let rate = st.rate k in
   Servers.holds st.servers l k
-  && st.card_left.(l) +. tolerance >= rate
-  && st.link_left.(l).(u) +. tolerance >= rate
+  && st.card_left.(l) +. tolerance >= st.rate.(k)
+  && st.link_left.(link st l u) +. tolerance >= st.rate.(k)
 
-let assign st u k l =
-  let rate = st.rate k in
-  st.card_left.(l) <- st.card_left.(l) -. rate;
-  st.link_left.(l).(u) <- st.link_left.(l).(u) -. rate;
-  st.chosen.(u) <- (k, l) :: st.chosen.(u)
+(* Bandwidth left from server [l] towards group [u]. *)
+let[@inline] headroom st u l = Float.min st.card_left.(l) st.link_left.(link st l u)
 
-let finish st = Array.map (List.sort compare) st.chosen
+let assign st e u k l =
+  st.card_left.(l) <- st.card_left.(l) -. st.rate.(k);
+  st.link_left.(link st l u) <- st.link_left.(link st l u) -. st.rate.(k);
+  st.server.(e) <- l
 
-(* One Download event per committed (group, object) pair, tagged with
-   the rule that chose the server and the candidate set it chose from;
-   one Download_failed when a rule proves the need unservable.  Guarded:
-   with no journaling sink neither the event nor the candidate list is
-   built. *)
-let note_download u k l ~rule ~candidates =
-  if Obs.journaling () then
-    Obs.event
-      (Journal.Download
-         { group = u; object_type = k; server = l; rule;
-           candidates = candidates () })
+(* Each group's plan in ascending object order: consing the needs from
+   the last leaves every group's list sorted. *)
+let finish st =
+  let plan = Array.make st.n_groups [] in
+  for e = Array.length st.need_type - 1 downto 0 do
+    let u = st.need_group.(e) in
+    plan.(u) <- (st.need_type.(e), st.server.(e)) :: plan.(u)
+  done;
+  plan
+
+(* The capable providers of [k] towards [u], in server order. *)
+let capable st u k =
+  let acc = ref [] in
+  for l = Servers.n_servers st.servers - 1 downto 0 do
+    if can_provide st l u k then acc := l :: !acc
+  done;
+  !acc
+
+(* One Download event per committed need, tagged with the rule that
+   chose the server and the candidate set it chose from; one
+   Download_failed when a rule proves the need unservable.  Callers
+   test [Obs.journaling ()] before building a candidate list. *)
+let note_download u k l ~rule candidates =
+  Obs.event
+    (Journal.Download { group = u; object_type = k; server = l; rule; candidates })
 
 let note_failed u k reason =
   if Obs.journaling () then
-    Obs.event
-      (Journal.Download_failed { object_type = k; group = Some u; reason })
+    Obs.event (Journal.Download_failed { object_type = k; group = Some u; reason })
 
+(* Needs are served in order: group by group, objects ascending. *)
 let random_graph rng g platform ~groups =
-  let st = init g platform ~groups in
-  (* Needs are served in list order, each once. *)
-  let rec loop = function
-    | [] -> Ok (finish st)
-    | (u, k) :: pending -> (
-      let capable =
-        List.filter (fun l -> can_provide st l u k)
-          (Servers.providers st.servers k)
-      in
-      match capable with
+  let st = init g platform ~groups and jn = Obs.journaling () in
+  let rec serve e =
+    if e >= Array.length st.need_type then Ok (finish st)
+    else
+      let u = st.need_group.(e) and k = st.need_type.(e) in
+      match capable st u k with
       | [] ->
-        let msg =
-          Printf.sprintf "no server can still provide o%d to processor %d" k u
-        in
+        let msg = Printf.sprintf "no server can still provide o%d to processor %d" k u in
         note_failed u k msg;
         Error msg
-      | _ ->
-        let l = Prng.choose_list rng capable in
-        note_download u k l ~rule:"random" ~candidates:(fun () -> capable);
-        assign st u k l;
-        loop pending)
+      | providers ->
+        let l = Prng.choose_list rng providers in
+        if jn then note_download u k l ~rule:"random" providers;
+        assign st e u k l;
+        serve (e + 1)
   in
-  loop st.needs
+  serve 0
 
-(* The three rules each visit "the groups still needing object k".  The
-   legacy implementation rescanned (and on every assignment re-filtered)
-   the whole needs list, turning selection into O(needs²); here the
-   needs are bucketed per object once, assignment flips an
-   assigned-flag, and a rule visit filters one bucket by the flags —
-   every pending entry is touched O(1) times per rule.  Bucket order is
-   the needs-list order restricted to the object, exactly what the
-   legacy List.filter produced, so the visit order — and the journal —
-   is unchanged. *)
-let sophisticated_core st =
+(* The three rules each visit "the needs of object k not yet served":
+   one counting pass files the needs per object ([bucket.(start.(k)) ..
+   bucket.(start.(k + 1) - 1)], in need order, so in group order), and a
+   visit filters one bucket by the assigned flags.  An assignment inside
+   a visit flags only the need being visited, so filtering as the visit
+   goes equals filtering the bucket up front. *)
+let sophisticated_graph g platform ~groups =
+  let st = init g platform ~groups in
   let exception Failed of string in
-  let all_needs = st.needs in
-  let objects_in_needs = List.sort_uniq compare (List.map snd all_needs) in
-  let bucket : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (u, k) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt bucket k) in
-      Hashtbl.replace bucket k (u :: prev))
-    all_needs;
-  List.iter
-    (fun k -> Hashtbl.replace bucket k (List.rev (Hashtbl.find bucket k)))
-    objects_in_needs;
-  let assigned : (int * int, unit) Hashtbl.t =
-    Hashtbl.create (List.length all_needs)
+  let jn = Obs.journaling () in
+  let n_types = Array.length st.rate and n_needs = Array.length st.need_type in
+  let start = Array.make (n_types + 1) 0 in
+  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) st.need_type;
+  for k = 0 to n_types - 1 do
+    start.(k + 1) <- start.(k + 1) + start.(k)
+  done;
+  let bucket = Array.make n_needs 0 and fill = Array.sub start 0 n_types in
+  Array.iteri
+    (fun e k ->
+      bucket.(fill.(k)) <- e;
+      fill.(k) <- fill.(k) + 1)
+    st.need_type;
+  let assigned = Array.make n_needs false in
+  let pending = Array.init n_types (fun k -> start.(k + 1) - start.(k)) in
+  let serve e u k l =
+    assign st e u k l;
+    assigned.(e) <- true;
+    pending.(k) <- pending.(k) - 1
   in
-  let pending_count : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace pending_count k (List.length (Hashtbl.find bucket k)))
-    objects_in_needs;
-  let n_pending k = Option.value ~default:0 (Hashtbl.find_opt pending_count k) in
-  let needing k =
-    List.filter
-      (fun u -> not (Hashtbl.mem assigned (u, k)))
-      (Option.value ~default:[] (Hashtbl.find_opt bucket k))
+  let visit k f =
+    for x = start.(k) to start.(k + 1) - 1 do
+      let e = bucket.(x) in
+      if not assigned.(e) then f e st.need_group.(e)
+    done
   in
-  let assign_need u k l =
-    assign st u k l;
-    Hashtbl.replace assigned (u, k) ();
-    Hashtbl.replace pending_count k (n_pending k - 1)
+  let fail u k msg =
+    note_failed u k msg;
+    raise (Failed msg)
+  in
+  (* Serve every pending need of [k] from [l] that it can take; with
+     [strict], one it cannot take fails the selection. *)
+  let from_server rule ~strict (k, l) =
+    visit k (fun e u ->
+        if can_provide st l u k then begin
+          if jn then note_download u k l ~rule [ l ];
+          serve e u k l
+        end
+        else if strict then
+          fail u k
+            (Printf.sprintf
+               "exclusive server S%d cannot sustain all downloads of o%d" l k))
   in
   try
     (* Loop 1: forced downloads of single-server objects. *)
-    List.iter
-      (fun (k, l) ->
-        List.iter
-          (fun u ->
-            if can_provide st l u k then begin
-              note_download u k l ~rule:"exclusive" ~candidates:(fun () -> [ l ]);
-              assign_need u k l
-            end
-            else
-              let msg =
-                Printf.sprintf
-                  "exclusive server S%d cannot sustain all downloads of o%d" l k
-              in
-              note_failed u k msg;
-              raise (Failed msg))
-          (needing k))
-      (Servers.exclusive_objects st.servers);
+    List.iter (from_server "exclusive" ~strict:true) (Servers.exclusive_objects st.servers);
     (* Loop 2: saturate single-object servers. *)
     List.iter
       (fun l ->
         match Servers.objects_on st.servers l with
-        | [ k ] ->
-          List.iter
-            (fun u ->
-              if can_provide st l u k then begin
-                note_download u k l ~rule:"single_object"
-                  ~candidates:(fun () -> [ l ]);
-                assign_need u k l
-              end)
-            (needing k)
+        | [ k ] -> from_server "single_object" ~strict:false (k, l)
         | _ -> ())
       (Servers.single_object_servers st.servers);
-    (* Loop 3: remaining needs, objects in decreasing nbP / nbS. *)
-    let remaining_objects =
-      List.filter (fun k -> n_pending k > 0) objects_in_needs
+    (* Loop 3: remaining needs, objects in decreasing nbP / nbS, ties to
+       the lower id, every ratio taken before any need is served.  Links
+       are per processor, so nbS counts the providers by card alone. *)
+    let ratio =
+      Array.init n_types (fun k ->
+          let nb_s = ref 0 in
+          for l = 0 to Servers.n_servers st.servers - 1 do
+            if Servers.holds st.servers l k && st.card_left.(l) +. tolerance >= st.rate.(k)
+            then incr nb_s
+          done;
+          if !nb_s = 0 then infinity else float_of_int pending.(k) /. float_of_int !nb_s)
     in
-    let ratio k =
-      let nb_p = n_pending k in
-      let nb_s =
-        (* Links are per processor, so judge a server's ability by its
-           remaining card capacity. *)
-        List.length
-          (List.filter
-             (fun l -> st.card_left.(l) +. tolerance >= st.rate k)
-             (Servers.providers st.servers k))
-      in
-      if nb_s = 0 then infinity else float_of_int nb_p /. float_of_int nb_s
-    in
-    let ordered =
-      List.map (fun k -> (k, ratio k)) remaining_objects
-      |> List.sort (fun (a, ra) (b, rb) ->
-             let c = compare rb ra in
-             if c <> 0 then c else compare a b)
-      |> List.map fst
-    in
-    List.iter
-      (fun k ->
-        List.iter
-          (fun u ->
-            (* The provider with the most bandwidth left towards [u],
-               ties to the lower id: one pass over the servers in id
-               order.  The full ranking is built only for the journal. *)
-            let best = ref (-1) and best_key = ref 0.0 in
-            for l = 0 to Servers.n_servers st.servers - 1 do
-              if can_provide st l u k then begin
-                let kl = Float.min st.card_left.(l) st.link_left.(l).(u) in
-                if !best < 0 || Float.compare kl !best_key > 0 then begin
-                  best := l;
-                  best_key := kl
-                end
-              end
-            done;
-            match !best with
-            | -1 ->
-              let msg =
-                Printf.sprintf
-                  "no server has bandwidth left to provide o%d to processor %d"
-                  k u
-              in
-              note_failed u k msg;
-              raise (Failed msg)
-            | l ->
-              note_download u k l ~rule:"ratio" ~candidates:(fun () ->
-                  let key l =
-                    Float.min st.card_left.(l) st.link_left.(l).(u)
-                  in
-                  Servers.providers st.servers k
-                  |> List.filter (fun l -> can_provide st l u k)
-                  |> List.sort (fun a b ->
-                         let c = compare (key b) (key a) in
-                         if c <> 0 then c else compare a b));
-              assign_need u k l)
-          (needing k))
-      ordered;
+    List.filter (fun k -> pending.(k) > 0) (List.init n_types Fun.id)
+    |> List.sort (fun a b ->
+           let c = Float.compare ratio.(b) ratio.(a) in
+           if c <> 0 then c else Int.compare a b)
+    |> List.iter (fun k ->
+           visit k (fun e u ->
+               (* The provider with the most bandwidth left towards [u],
+                  ties to the lower id, by one pass over the servers;
+                  the full ranking is built only for the journal. *)
+               let best = ref (-1) in
+               for l = 0 to Servers.n_servers st.servers - 1 do
+                 if
+                   can_provide st l u k
+                   && (!best < 0
+                      || Float.compare (headroom st u l) (headroom st u !best) > 0)
+                 then best := l
+               done;
+               if !best < 0 then
+                 fail u k
+                   (Printf.sprintf
+                      "no server has bandwidth left to provide o%d to processor %d" k u);
+               if jn then
+                 note_download u k !best ~rule:"ratio"
+                   (List.sort
+                      (fun a b ->
+                        let c = Float.compare (headroom st u b) (headroom st u a) in
+                        if c <> 0 then c else Int.compare a b)
+                      (capable st u k));
+               serve e u k !best));
     Ok (finish st)
   with Failed msg -> Error msg
-
-let sophisticated_graph g platform ~groups =
-  sophisticated_core (init g platform ~groups)
 
 let random rng app platform ~groups =
   random_graph rng (Graph.of_app app) platform ~groups

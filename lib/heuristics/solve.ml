@@ -89,11 +89,19 @@ let finish ~key selection rng g platform builder =
     | Ok downloads -> (
       let alloc = Alloc.of_groups ~configs ~groups ~downloads in
       phase jn key "downgrade";
-      let alloc =
-        Obs.span "downgrade" (fun () -> Downgrade.run_graph g platform alloc)
+      (* Measured once: downgrade changes only configurations, which the
+         measurement does not read.  The check's closure holds the pair,
+         which keeps it as small as before the sharing. *)
+      let ((_, alloc) as measured) =
+        Obs.span "downgrade" (fun () ->
+            let m = Check.measure g alloc in
+            (m, Downgrade.run_measured m platform alloc))
       in
       phase jn key "check";
-      match Obs.span "check" (fun () -> Check.check_graph g platform alloc) with
+      match
+        Obs.span "check" (fun () ->
+            Check.check_measured (fst measured) g platform (snd measured))
+      with
       | [] ->
         let cost = Cost.of_alloc platform.Platform.catalog alloc in
         Ok { alloc; cost; n_procs = Alloc.n_procs alloc }

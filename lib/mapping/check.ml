@@ -34,24 +34,6 @@ let exceeds load capacity = load > capacity *. (1.0 +. tolerance) +. tolerance
 let plan_rate objects k =
   if k >= 0 && k < Objects.count objects then Objects.rate objects k else 0.0
 
-(* Every processor's distinct needed object types, ascending: [stamp.(k)
-   = u] marks the types already collected for [u]. *)
-let distinct_objects g alloc =
-  let stamp = Array.make (Objects.count g.Graph.objects) (-1) in
-  let needed = Array.make (Alloc.n_procs alloc) [] in
-  for u = 0 to Alloc.n_procs alloc - 1 do
-    let acc = ref [] in
-    let mark k =
-      if stamp.(k) <> u then begin
-        stamp.(k) <- u;
-        acc := k :: !acc
-      end
-    in
-    List.iter (fun i -> List.iter mark (Graph.leaves g i)) (Alloc.operators_of alloc u);
-    needed.(u) <- List.sort Int.compare !acc
-  done;
-  needed
-
 (* Streams.  Node [j]'s output reaches processor [v] as one stream, at
    the fastest rate of [j]'s consumers on [v], charged at the first of
    them in id order, in its first input slot reading [j].  The sweeps
@@ -89,37 +71,38 @@ let[@inline] charged_rate g hosts ~unshared ps k j v u c =
     stream_rate g hosts ~unshared j u c
   else 0.0
 
-let rec comm_in_of g hosts ~unshared sums u c ps k = function
-  | [] -> ()
-  | j :: rest ->
-    let r = charged_rate g hosts ~unshared ps k j (host hosts j) u c in
-    if r > 0.0 then sums.(u) <- sums.(u) +. (r *. g.Graph.output.(j));
-    comm_in_of g hosts ~unshared sums u c ps (k + 1) rest
-
-(* [f u v c j] for every stream charged at consumer [c] on [u] from an
-   assigned producer [j] on [v]. *)
+(* [f u v c j] for every stream charged at consumer [c] on [u] from a
+   producer [j] on [v], [v = -1] when [j] is unassigned. *)
 let rec streams_into g hosts ~unshared f u c ps k = function
   | [] -> ()
   | j :: rest ->
     let v = host hosts j in
-    if v >= 0 && charged_rate g hosts ~unshared ps k j v u c > 0.0 then f u v c j;
+    if charged_rate g hosts ~unshared ps k j v u c > 0.0 then f u v c j;
     streams_into g hosts ~unshared f u c ps (k + 1) rest
 
-(* Placeholder for [demands]' result array; every slot is overwritten. *)
-let no_demand = { Demand.compute = 0.0; download = 0.0; comm_in = 0.0; comm_out = 0.0 }
+type measurement = {
+  need_start : int array;
+  needed : int array;
+  demands : Demand.t array;
+  plan_rates : float array;
+}
 
-let demands g alloc ~needed_of =
+let measure g alloc =
   let { Graph.rates; rate_stride; work; output; objects; _ } = g in
   let n_procs = Alloc.n_procs alloc in
+  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
+  let need_start, needed = Graph.object_rows g hosts n_procs in
   let compute = Array.make n_procs 0.0 in
   let comm_in = Array.make n_procs 0.0 and comm_out = Array.make n_procs 0.0 in
-  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
+  let charge u _ c j =
+    comm_in.(u) <- comm_in.(u) +. (stream_rate g hosts ~unshared j u c *. output.(j))
+  in
   for i = 0 to Graph.n_nodes g - 1 do
     let u = host hosts i in
     if u >= 0 then begin
       compute.(u) <- compute.(u) +. (rates.(i * rate_stride) *. work.(i));
       let ps = Graph.producers g i in
-      comm_in_of g hosts ~unshared comm_in u i ps 0 ps;
+      streams_into g hosts ~unshared charge u i ps 0 ps;
       (* destinations in the order [i]'s ascending consumers first
          reach them; an unassigned consumer is its own stream *)
       for k = 0 to Graph.n_consumers g i - 1 do
@@ -132,28 +115,23 @@ let demands g alloc ~needed_of =
       done
     end
   done;
-  let demand = Array.make n_procs no_demand in
+  let demand u =
+    let download = ref 0.0 in
+    for x = need_start.(u) to need_start.(u + 1) - 1 do
+      download := !download +. Objects.rate objects needed.(x)
+    done;
+    { Demand.compute = compute.(u); download = !download; comm_in = comm_in.(u);
+      comm_out = comm_out.(u) }
+  in
+  let plan_rates = Array.make n_procs 0.0 in
   for u = 0 to n_procs - 1 do
-    demand.(u) <-
-      {
-        Demand.compute = compute.(u);
-        download =
-          List.fold_left (fun acc k -> acc +. Objects.rate objects k) 0.0 needed_of.(u);
-        comm_in = comm_in.(u);
-        comm_out = comm_out.(u);
-      }
+    List.iter
+      (fun (k, _) -> plan_rates.(u) <- plan_rates.(u) +. plan_rate objects k)
+      (Alloc.downloads_of alloc u)
   done;
-  demand
+  { need_start; needed; demands = Array.init n_procs demand; plan_rates }
 
-let proc_demands g alloc = demands g alloc ~needed_of:(distinct_objects g alloc)
-
-let proc_download_rate g alloc u =
-  List.fold_left
-    (fun acc (k, _) -> acc +. plan_rate g.Graph.objects k)
-    0.0
-    (Alloc.downloads_of alloc u)
-
-let structural_violations g platform alloc ~needed_of =
+let structural_violations g platform alloc m =
   let servers = platform.Platform.servers in
   let n_types = Objects.count g.Graph.objects in
   let need_stamp = Array.make n_types (-1) in
@@ -165,15 +143,16 @@ let structural_violations g platform alloc ~needed_of =
     if Alloc.host alloc i < 0 then add (Unassigned_operator i)
   done;
   for u = 0 to Alloc.n_procs alloc - 1 do
-    let needed = needed_of.(u) in
     let planned = Alloc.downloads_of alloc u in
-    List.iter (fun k -> need_stamp.(k) <- u) needed;
+    for x = m.need_start.(u) to m.need_start.(u + 1) - 1 do
+      need_stamp.(m.needed.(x)) <- u
+    done;
     List.iter (fun (k, _) -> if k >= 0 && k < n_types then plan_stamp.(k) <- u) planned;
-    List.iter
-      (fun k ->
-        if not (stamped plan_stamp u k) then
-          add (Missing_download { proc = u; object_type = k }))
-      needed;
+    for x = m.need_start.(u) to m.need_start.(u + 1) - 1 do
+      let k = m.needed.(x) in
+      if not (stamped plan_stamp u k) then
+        add (Missing_download { proc = u; object_type = k })
+    done;
     List.iter
       (fun (k, l) ->
         if not (stamped need_stamp u k) then
@@ -205,21 +184,20 @@ let structural_violations g platform alloc ~needed_of =
   List.rev !acc
 
 (* Constraint (5), per processor pair, in one sweep over the charged
-   streams instead of probing all O(procs^2) pairs.  The sweep lists
-   each consumer host's incoming streams in (consumer id, input slot)
-   order; the host's flow from each neighbour [v] is then summed in
-   that order into row [u] of a CSR table sorted by [v].  The
-   transposed table lists each processor's outgoing flows by ascending
-   destination, so merging row [a] with column [a] visits the pairs
-   [(a, b)], [b > a], in ascending order and sums [into (a, b) +. into
-   (b, a)].  Pairs no stream crosses carry zero flow and can never
-   exceed the non-negative capacity. *)
+   streams instead of probing all O(procs^2) pairs.  A stream charged at
+   a consumer on [u] from a producer on [v] belongs to the pair [(a, b)],
+   [a = min u v < b]; a counting sort files the streams by [a], keeping
+   the sweep's (consumer id, input slot) order within each row.  Row [a]
+   then sums, per neighbour [b], the flow into [a] from [b] and the flow
+   into [b] from [a], each in that order, and the pair's load is their
+   sum.  The row's violations are reported by ascending [b].  Pairs no
+   stream crosses carry zero flow and can never exceed the non-negative
+   capacity. *)
 let proc_link_violations g platform alloc add =
   let output = g.Graph.output in
   let n_procs = Alloc.n_procs alloc in
-  let hosts = Alloc.hosts alloc in
+  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
   let sweep f =
-    let unshared = Graph.unshared g in
     for c = 0 to Graph.n_nodes g - 1 do
       let u = host hosts c in
       if u >= 0 then begin
@@ -229,86 +207,77 @@ let proc_link_violations g platform alloc add =
     done
   in
   let row = Array.make (n_procs + 1) 0 in
-  sweep (fun u _ _ _ -> row.(u + 1) <- row.(u + 1) + 1);
-  for u = 0 to n_procs - 1 do
-    row.(u + 1) <- row.(u + 1) + row.(u)
+  sweep (fun u v _ _ -> if v >= 0 then row.(min u v + 1) <- row.(min u v + 1) + 1);
+  for a = 0 to n_procs - 1 do
+    row.(a + 1) <- row.(a + 1) + row.(a)
   done;
-  let m = max 1 row.(n_procs) in
-  let edge_v = Array.make m 0 and edge_w = Array.make m 0.0 in
+  (* [peer.(x)] is [b] for a stream into [a], [lnot b] for one into [b] *)
+  let peer = Array.make row.(n_procs) 0 and flow = Array.make row.(n_procs) 0.0 in
   let fill = Array.sub row 0 n_procs in
   sweep (fun u v c j ->
-      edge_v.(fill.(u)) <- v;
-      edge_w.(fill.(u)) <-
-        stream_rate g hosts ~unshared:(Graph.unshared g) j u c *. output.(j);
-      fill.(u) <- fill.(u) + 1);
-  (* Aggregate each host's edges into its sorted row. *)
-  let start = Array.make (n_procs + 1) 0 in
-  let dst = Array.make m 0 and out_w = Array.make m 0.0 in
-  let stamp = Array.make n_procs (-1) and into = Array.make n_procs 0.0 in
-  let k = ref 0 in
-  for u = 0 to n_procs - 1 do
-    start.(u) <- !k;
-    for e = row.(u) to row.(u + 1) - 1 do
-      let v = edge_v.(e) in
-      if stamp.(v) <> u then begin
-        stamp.(v) <- u;
-        into.(v) <- 0.0;
-        let x = ref !k in
-        while !x > start.(u) && dst.(!x - 1) > v do
-          dst.(!x) <- dst.(!x - 1);
-          decr x
-        done;
-        dst.(!x) <- v;
-        incr k
-      end;
-      into.(v) <- into.(v) +. edge_w.(e)
-    done;
-    for e = start.(u) to !k - 1 do
-      out_w.(e) <- into.(dst.(e))
-    done
-  done;
-  start.(n_procs) <- !k;
-  let col = Array.make (n_procs + 1) 0 in
-  for e = 0 to !k - 1 do
-    col.(dst.(e) + 1) <- col.(dst.(e) + 1) + 1
-  done;
-  for v = 0 to n_procs - 1 do
-    col.(v + 1) <- col.(v + 1) + col.(v)
-  done;
-  Array.blit col 0 fill 0 n_procs;
-  let src = Array.make m 0 and in_w = Array.make m 0.0 in
-  for u = 0 to n_procs - 1 do
-    for e = start.(u) to start.(u + 1) - 1 do
-      let v = dst.(e) in
-      src.(fill.(v)) <- u;
-      in_w.(fill.(v)) <- out_w.(e);
-      fill.(v) <- fill.(v) + 1
-    done
-  done;
+      if v >= 0 then begin
+        let a = min u v in
+        let x = fill.(a) in
+        peer.(x) <- (if a = u then v else lnot u);
+        flow.(x) <- stream_rate g hosts ~unshared j u c *. output.(j);
+        fill.(a) <- x + 1
+      end);
+  let stamp = Array.make n_procs (-1) in
+  let into_a = Array.make n_procs 0.0 and into_b = Array.make n_procs 0.0 in
   let capacity = platform.Platform.proc_link in
   for a = 0 to n_procs - 1 do
-    let o = ref start.(a) and c = ref col.(a) in
-    while !o < start.(a + 1) && dst.(!o) < a do incr o done;
-    while !c < col.(a + 1) && src.(!c) < a do incr c done;
-    while !o < start.(a + 1) || !c < col.(a + 1) do
-      let bo = if !o < start.(a + 1) then dst.(!o) else max_int in
-      let bc = if !c < col.(a + 1) then src.(!c) else max_int in
-      let b = min bo bc in
-      let fo = if bo = b then out_w.(!o) else 0.0 in
-      let fc = if bc = b then in_w.(!c) else 0.0 in
-      if bo = b then incr o;
-      if bc = b then incr c;
-      let load = fo +. fc in
-      if exceeds load capacity then
-        add (Proc_link_overload { proc_a = a; proc_b = b; load; capacity })
-    done
+    for x = row.(a) to row.(a + 1) - 1 do
+      let p = peer.(x) in
+      let b = if p >= 0 then p else lnot p in
+      if stamp.(b) <> a then begin
+        stamp.(b) <- a;
+        into_a.(b) <- 0.0;
+        into_b.(b) <- 0.0
+      end;
+      if p >= 0 then into_a.(b) <- into_a.(b) +. flow.(x)
+      else into_b.(b) <- into_b.(b) +. flow.(x)
+    done;
+    (* Each neighbour once: the stamp moves past [a] as it is judged. *)
+    let over = ref [] in
+    for x = row.(a) to row.(a + 1) - 1 do
+      let p = peer.(x) in
+      let b = if p >= 0 then p else lnot p in
+      if stamp.(b) = a then begin
+        stamp.(b) <- n_procs;
+        let load = into_a.(b) +. into_b.(b) in
+        if exceeds load capacity then over := (b, load) :: !over
+      end
+    done;
+    if !over <> [] then
+      List.iter
+        (fun (b, load) ->
+          add (Proc_link_overload { proc_a = a; proc_b = b; load; capacity }))
+        (List.sort (fun (b, _) (b', _) -> Int.compare b b') !over)
   done
 
-let capacity_violations g platform alloc ~needed_of =
+(* An upper bound on every pair's constraint (5) load: the sum of the two
+   largest comm_in demands.  A pair's load adds the flow into each end
+   from the other, and each flow sums, in order, a subset of the
+   non-negative terms of that end's comm_in; rounding is monotone, so
+   neither flow exceeds its comm_in, and the load not their sum.  When
+   the bound fits, no pair can be reported and the sweep is skipped. *)
+let comm_in_pair_bound m =
+  let top = ref 0.0 and second = ref 0.0 in
+  Array.iter
+    (fun d ->
+      let x = d.Demand.comm_in in
+      if x > !top then begin
+        second := !top;
+        top := x
+      end
+      else if x > !second then second := x)
+    m.demands;
+  !top +. !second
+
+let capacity_violations g platform alloc m =
   let servers = platform.Platform.servers in
-  let objects = g.Graph.objects in
+  let n_servers = Servers.n_servers servers in
   let n_procs = Alloc.n_procs alloc in
-  let demand = demands g alloc ~needed_of in
   let acc = ref [] in
   let add v = acc := v :: !acc in
   (* Constraints (1) and (2), per processor.  The NIC download term uses
@@ -316,31 +285,35 @@ let capacity_violations g platform alloc ~needed_of =
      object set once the plan is structurally valid. *)
   for u = 0 to n_procs - 1 do
     let p = Alloc.proc alloc u in
-    let d = demand.(u) in
+    let d = m.demands.(u) in
     let config = p.Alloc.config in
     if exceeds d.Demand.compute config.cpu.speed then
       add
         (Compute_overload
            { proc = u; load = d.Demand.compute; capacity = config.cpu.speed });
-    let nic_load =
-      proc_download_rate g alloc u +. d.Demand.comm_in +. d.Demand.comm_out
-    in
+    let nic_load = m.plan_rates.(u) +. d.Demand.comm_in +. d.Demand.comm_out in
     if exceeds nic_load config.nic.bandwidth then
       add
         (Nic_overload
            { proc = u; load = nic_load; capacity = config.nic.bandwidth })
   done;
   (* Constraints (3) and (4), per server (and per server-processor
-     link). *)
-  for l = 0 to Servers.n_servers servers - 1 do
+     link): one pass over the plans sums each link's load in plan order
+     into [link.(l * n_procs + u)]; entries naming no server load
+     nothing. *)
+  let link = Array.make (n_servers * n_procs) 0.0 in
+  for u = 0 to n_procs - 1 do
+    List.iter
+      (fun (k, l) ->
+        if l >= 0 && l < n_servers then
+          link.((l * n_procs) + u) <-
+            link.((l * n_procs) + u) +. plan_rate g.Graph.objects k)
+      (Alloc.downloads_of alloc u)
+  done;
+  for l = 0 to n_servers - 1 do
     let total = ref 0.0 in
     for u = 0 to n_procs - 1 do
-      let link_load =
-        List.fold_left
-          (fun acc (k, l') -> if l' = l then acc +. plan_rate objects k else acc)
-          0.0
-          (Alloc.downloads_of alloc u)
-      in
+      let link_load = link.((l * n_procs) + u) in
       total := !total +. link_load;
       if exceeds link_load platform.Platform.server_link then
         add
@@ -357,13 +330,16 @@ let capacity_violations g platform alloc ~needed_of =
         (Server_card_overload
            { server = l; load = !total; capacity = Servers.card servers l })
   done;
-  proc_link_violations g platform alloc add;
+  if exceeds (comm_in_pair_bound m) platform.Platform.proc_link then
+    proc_link_violations g platform alloc add;
   List.rev !acc
 
+let check_measured m g platform alloc =
+  structural_violations g platform alloc m
+  @ capacity_violations g platform alloc m
+
 let check_graph g platform alloc =
-  let needed_of = distinct_objects g alloc in
-  structural_violations g platform alloc ~needed_of
-  @ capacity_violations g platform alloc ~needed_of
+  check_measured (measure g alloc) g platform alloc
 
 let check app platform alloc = check_graph (Graph.of_app app) platform alloc
 

@@ -62,14 +62,22 @@ val check_graph :
 (** {!check} on an operator graph whose node [i] is the allocation's
     operator [i]: the DAG checker. *)
 
-val proc_demands : Insp_tree.Graph.t -> Alloc.t -> Demand.t array
-(** Demand of every processor's node group, indexed by processor, in
-    one linear sweep over the nodes.  On a tree, bit-identical to
-    {!Demand.of_group} on each group. *)
+type measurement = private {
+  need_start : int array;
+  needed : int array;
+      (** processor [u]'s distinct needed object types, ascending:
+          [needed.(need_start.(u)) .. needed.(need_start.(u + 1) - 1)] *)
+  demands : Demand.t array;  (** on a tree, {!Demand.of_group} bit for bit *)
+  plan_rates : float array;  (** MB/s of the downloads each plan lists *)
+}
+(** What the downgrade step and the check read of every processor.  It
+    reads no configuration, so it holds for [Alloc.with_configs alloc cs]. *)
 
-val proc_download_rate : Insp_tree.Graph.t -> Alloc.t -> int -> float
-(** MB/s of basic-object downloads entering processor [u] according to
-    its download plan. *)
+val measure : Insp_tree.Graph.t -> Alloc.t -> measurement
+
+val check_measured :
+  measurement -> Insp_tree.Graph.t -> Insp_platform.Platform.t -> Alloc.t -> violation list
+(** {!check_graph} given the allocation's measurement. *)
 
 val explain : violation list -> string
 (** Multi-line human-readable report ("feasible" when empty). *)

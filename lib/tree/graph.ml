@@ -107,3 +107,47 @@ let leaves g i =
 
 let distinct_objects g nodes =
   List.concat_map (leaves g) nodes |> List.sort_uniq Int.compare
+
+(* Two sweeps over the nodes in id order (the node arrays read
+   sequentially) lay out every row's leaves; each row is then deduplicated
+   by per-type stamps and insertion-sorted in place, compacting as it goes. *)
+let object_rows g hosts n =
+  let n_hosted = min (n_nodes g) (Array.length hosts) in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n_hosted - 1 do
+    let u = hosts.(i) in
+    if u >= 0 then start.(u + 1) <- start.(u + 1) + List.length (leaves g i)
+  done;
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u + 1) + start.(u)
+  done;
+  let types = Array.make start.(n) 0 and fill = Array.sub start 0 n in
+  let rec put u = function
+    | [] -> ()
+    | k :: ks ->
+      types.(fill.(u)) <- k;
+      fill.(u) <- fill.(u) + 1;
+      put u ks
+  in
+  for i = 0 to n_hosted - 1 do
+    if hosts.(i) >= 0 then put hosts.(i) (leaves g i)
+  done;
+  let stamp = Array.make (Objects.count g.objects) (-1) and top = ref 0 in
+  for u = 0 to n - 1 do
+    let first = !top in
+    for r = start.(u) to start.(u + 1) - 1 do
+      let k = types.(r) and x = ref !top in
+      if stamp.(k) <> u then begin
+        stamp.(k) <- u;
+        while !x > first && types.(!x - 1) > k do
+          types.(!x) <- types.(!x - 1);
+          decr x
+        done;
+        types.(!x) <- k;
+        incr top
+      end
+    done;
+    start.(u) <- first
+  done;
+  start.(n) <- !top;
+  (start, Array.sub types 0 !top)

@@ -91,3 +91,10 @@ val leaves : t -> int -> int list
 
 val distinct_objects : t -> int list -> int list
 (** Distinct object types the given nodes download, ascending. *)
+
+val object_rows : t -> int array -> int -> int array * int array
+(** [object_rows g hosts n]: for every row [u < n], the distinct object
+    types downloaded by the nodes [i] with [hosts.(i) = u], ascending,
+    as one flat table [(start, types)]: row [u] is [types.(start.(u))
+    .. types.(start.(u + 1) - 1)].  A node beyond [hosts] or with a
+    negative entry is in no row. *)

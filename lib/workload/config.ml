@@ -85,15 +85,14 @@ let frequency = function
     if f <= 0.0 then invalid_arg "Config.frequency: non-positive frequency";
     f
 
+let size_name = function
+  | Small -> "small"
+  | Large -> "large"
+  | Custom_sizes (lo, hi) -> Printf.sprintf "custom(%g..%g)" lo hi
+
 let pp ppf t =
-  let size_name =
-    match t.sizes with
-    | Small -> "small"
-    | Large -> "large"
-    | Custom_sizes (lo, hi) -> Printf.sprintf "custom(%g..%g)" lo hi
-  in
   Format.fprintf ppf
     "N=%d alpha=%.2f sizes=%s freq=%.3f/s rho=%.2f objects=%d servers=%d \
      copies=%d..%d seed=%d"
-    t.n_operators t.alpha size_name (frequency t.freq) t.rho t.n_object_types
+    t.n_operators t.alpha (size_name t.sizes) (frequency t.freq) t.rho t.n_object_types
     t.n_servers t.min_copies t.max_copies t.seed

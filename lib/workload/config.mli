@@ -62,6 +62,9 @@ val size_range : size_regime -> float * float
 (** Raises [Invalid_argument] on a [Custom_sizes] range with [lo <= 0]
     or [hi < lo]. *)
 
+val size_name : size_regime -> string
+(** ["small"], ["large"] or ["custom(lo..hi)"]. *)
+
 val frequency : freq_regime -> float
 
 val pp : Format.formatter -> t -> unit

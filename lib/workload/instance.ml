@@ -42,6 +42,11 @@ let generate (config : Config.t) =
 
 type gen_error =
   | Operator_count_out_of_range of { requested : int; limit : int }
+  | Replication_out_of_range of {
+      min_copies : int;
+      max_copies : int;
+      n_servers : int;
+    }
   | Operator_exceeds_catalog of {
       operator : int;
       work : float;
@@ -54,6 +59,11 @@ let gen_error_message = function
   | Operator_count_out_of_range { requested; limit } ->
     Printf.sprintf "operator count %d outside the generatable range [1, %d]"
       requested limit
+  | Replication_out_of_range { min_copies; max_copies; n_servers } ->
+    Printf.sprintf
+      "replication range [%d, %d] copies per object type does not fit %d \
+       server(s): it must lie within [1, n_servers]"
+      min_copies max_copies n_servers
   | Operator_exceeds_catalog { operator; work; nic; cpu_limit; nic_limit } ->
     Printf.sprintf
       "operator n%d alone (%.1f Mops/s compute, %.1f MB/s NIC) exceeds the \
@@ -63,10 +73,13 @@ let gen_error_message = function
 
 let generate_checked (config : Config.t) =
   let limit = Sys.max_array_length - 1 in
+  let { Config.min_copies; max_copies; n_servers; _ } = config in
   if config.Config.n_operators < 1 || config.Config.n_operators > limit then
     Error
       (Operator_count_out_of_range
          { requested = config.Config.n_operators; limit })
+  else if min_copies < 1 || max_copies < min_copies || max_copies > n_servers
+  then Error (Replication_out_of_range { min_copies; max_copies; n_servers })
   else begin
     let t = generate config in
     let best = Catalog.best t.platform.Platform.catalog in

@@ -15,6 +15,14 @@ type gen_error =
   | Operator_count_out_of_range of { requested : int; limit : int }
       (** [n_operators] outside [1, limit] — the generator's arrays
           cannot represent the tree *)
+  | Replication_out_of_range of {
+      min_copies : int;
+      max_copies : int;
+      n_servers : int;
+    }
+      (** copies per object type outside [1, n_servers], or an empty
+          range: the servers cannot hold the requested replicas (e.g.
+          the default [max_copies = 2] on one server) *)
   | Operator_exceeds_catalog of {
       operator : int;
       work : float;

@@ -348,3 +348,207 @@ let list_consolidate b =
     if merged then pass ()
   in
   pass ()
+
+(* ------------------------------------------------------------------ *)
+(* Server selection over lists and hash tables                          *)
+
+(* Both selection rules as they were written before the flat tables:
+   the needs as a list of (group, object) pairs, buckets and assigned
+   flags in [Hashtbl]s, plans sorted by polymorphic compare.  Production
+   must choose, journal and fail exactly as these do. *)
+
+module Objects = Insp.Objects
+module Servers = Insp.Servers
+module Obs = Insp.Obs
+module J = Insp.Obs_journal
+
+type select_state = {
+  rate : int -> float;
+  servers : Servers.t;
+  card_left : float array;
+  link_left : float array array;
+  needs : (int * int) list;
+  chosen : (int * int) list array;
+}
+
+let select_init g (platform : Insp.Platform.t) ~groups =
+  let needs =
+    Array.to_list
+      (Array.mapi
+         (fun u ops -> List.map (fun k -> (u, k)) (Graph.distinct_objects g ops))
+         groups)
+    |> List.concat
+  in
+  let servers = platform.Insp.Platform.servers in
+  let n_servers = Servers.n_servers servers in
+  {
+    rate = Objects.rate g.Graph.objects;
+    servers;
+    card_left = Array.init n_servers (fun l -> Servers.card servers l);
+    link_left =
+      Array.init n_servers (fun _ ->
+          Array.make (Array.length groups) platform.Insp.Platform.server_link);
+    needs;
+    chosen = Array.make (Array.length groups) [];
+  }
+
+let select_tolerance = 1e-9
+
+let can_provide st l u k =
+  let rate = st.rate k in
+  Servers.holds st.servers l k
+  && st.card_left.(l) +. select_tolerance >= rate
+  && st.link_left.(l).(u) +. select_tolerance >= rate
+
+let select_assign st u k l =
+  let rate = st.rate k in
+  st.card_left.(l) <- st.card_left.(l) -. rate;
+  st.link_left.(l).(u) <- st.link_left.(l).(u) -. rate;
+  st.chosen.(u) <- (k, l) :: st.chosen.(u)
+
+let select_finish st = Array.map (List.sort compare) st.chosen
+
+let note_download u k l ~rule ~candidates =
+  if Obs.journaling () then
+    Obs.event
+      (J.Download
+         { group = u; object_type = k; server = l; rule; candidates = candidates () })
+
+let note_failed u k reason =
+  if Obs.journaling () then
+    Obs.event (J.Download_failed { object_type = k; group = Some u; reason })
+
+let list_random_servers rng g platform ~groups =
+  let st = select_init g platform ~groups in
+  let rec loop = function
+    | [] -> Ok (select_finish st)
+    | (u, k) :: pending -> (
+      let capable =
+        List.filter (fun l -> can_provide st l u k) (Servers.providers st.servers k)
+      in
+      match capable with
+      | [] ->
+        let msg =
+          Printf.sprintf "no server can still provide o%d to processor %d" k u
+        in
+        note_failed u k msg;
+        Error msg
+      | _ ->
+        let l = Insp.Prng.choose_list rng capable in
+        note_download u k l ~rule:"random" ~candidates:(fun () -> capable);
+        select_assign st u k l;
+        loop pending)
+  in
+  loop st.needs
+
+let list_three_loop g platform ~groups =
+  let st = select_init g platform ~groups in
+  let exception Failed of string in
+  let all_needs = st.needs in
+  let objects_in_needs = List.sort_uniq compare (List.map snd all_needs) in
+  let bucket : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (u, k) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt bucket k) in
+      Hashtbl.replace bucket k (u :: prev))
+    all_needs;
+  List.iter
+    (fun k -> Hashtbl.replace bucket k (List.rev (Hashtbl.find bucket k)))
+    objects_in_needs;
+  let assigned : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let pending_count : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun k -> Hashtbl.replace pending_count k (List.length (Hashtbl.find bucket k)))
+    objects_in_needs;
+  let n_pending k = Option.value ~default:0 (Hashtbl.find_opt pending_count k) in
+  let needing k =
+    List.filter
+      (fun u -> not (Hashtbl.mem assigned (u, k)))
+      (Option.value ~default:[] (Hashtbl.find_opt bucket k))
+  in
+  let assign_need u k l =
+    select_assign st u k l;
+    Hashtbl.replace assigned (u, k) ();
+    Hashtbl.replace pending_count k (n_pending k - 1)
+  in
+  try
+    (* Loop 1: forced downloads of single-server objects. *)
+    List.iter
+      (fun (k, l) ->
+        List.iter
+          (fun u ->
+            if can_provide st l u k then begin
+              note_download u k l ~rule:"exclusive" ~candidates:(fun () -> [ l ]);
+              assign_need u k l
+            end
+            else
+              let msg =
+                Printf.sprintf
+                  "exclusive server S%d cannot sustain all downloads of o%d" l k
+              in
+              note_failed u k msg;
+              raise (Failed msg))
+          (needing k))
+      (Servers.exclusive_objects st.servers);
+    (* Loop 2: saturate single-object servers. *)
+    List.iter
+      (fun l ->
+        match Servers.objects_on st.servers l with
+        | [ k ] ->
+          List.iter
+            (fun u ->
+              if can_provide st l u k then begin
+                note_download u k l ~rule:"single_object"
+                  ~candidates:(fun () -> [ l ]);
+                assign_need u k l
+              end)
+            (needing k)
+        | _ -> ())
+      (Servers.single_object_servers st.servers);
+    (* Loop 3: remaining needs, objects in decreasing nbP / nbS. *)
+    let ratio k =
+      let nb_p = n_pending k in
+      let nb_s =
+        List.length
+          (List.filter
+             (fun l -> st.card_left.(l) +. select_tolerance >= st.rate k)
+             (Servers.providers st.servers k))
+      in
+      if nb_s = 0 then infinity else float_of_int nb_p /. float_of_int nb_s
+    in
+    let ordered =
+      List.filter (fun k -> n_pending k > 0) objects_in_needs
+      |> List.map (fun k -> (k, ratio k))
+      |> List.sort (fun (a, ra) (b, rb) ->
+             let c = compare rb ra in
+             if c <> 0 then c else compare a b)
+      |> List.map fst
+    in
+    List.iter
+      (fun k ->
+        List.iter
+          (fun u ->
+            let key l = Float.min st.card_left.(l) st.link_left.(l).(u) in
+            let ranked =
+              Servers.providers st.servers k
+              |> List.filter (fun l -> can_provide st l u k)
+              |> List.sort (fun a b ->
+                     let c = compare (key b) (key a) in
+                     if c <> 0 then c else compare a b)
+            in
+            match ranked with
+            | [] ->
+              let msg =
+                Printf.sprintf
+                  "no server has bandwidth left to provide o%d to processor %d"
+                  k u
+              in
+              note_failed u k msg;
+              raise (Failed msg)
+            | l :: _ ->
+              note_download u k l ~rule:"ratio" ~candidates:(fun () -> ranked);
+              assign_need u k l)
+          (needing k))
+      ordered;
+    Ok (select_finish st)
+  with Failed msg -> Error msg

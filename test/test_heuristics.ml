@@ -645,6 +645,169 @@ let selection_respects_capacities =
               (Check.check app platform alloc))))
 
 (* ------------------------------------------------------------------ *)
+(* Flat selection = the list/Hashtbl oracle                            *)
+
+(* One selection under a journaling sink: its plans or failure text and
+   its JSONL journal. *)
+let journaled_select select =
+  let plan, r = Insp.Obs.with_sink ~journal:true select in
+  (plan, J.to_jsonl r.Insp.Obs.journal)
+
+let plan_t = Alcotest.(result (array (list (pair int int))) string)
+
+(* The contention cells of the server-selection ablation: large objects
+   on two servers, where the server cards bind. *)
+let contended ~n ~seed =
+  Insp.Instance.generate
+    (Insp.Config.make ~n_operators:n ~alpha:0.9 ~sizes:Insp.Config.Large
+       ~n_servers:2 ~seed ())
+
+(* Both rules, flat and oracle, on the groups [place] leaves: equal plans
+   or failure texts and equal journals.  Counts the failures of each
+   rule, so the corpus is seen to reach them. *)
+let select_like_oracle ~what ~seed ~fails place g platform =
+  match place (Prng.create seed) g platform with
+  | Error _ -> ()
+  | Ok b -> (
+    match Builder.finalize b with
+    | Error _ -> ()
+    | Ok (groups, _) ->
+      List.iteri
+        (fun i (rule, flat, oracle) ->
+          let plan, journal = journaled_select flat in
+          let plan', journal' = journaled_select oracle in
+          let what = Printf.sprintf "%s, %s" what rule in
+          Alcotest.check plan_t (what ^ ": plans") plan' plan;
+          Alcotest.(check string) (what ^ ": journal") journal' journal;
+          if Result.is_error plan then fails.(i) <- fails.(i) + 1)
+        [
+          ( "three-loop",
+            (fun () -> Server_select.sophisticated_graph g platform ~groups),
+            fun () -> Oracles.list_three_loop g platform ~groups );
+          ( "random",
+            (fun () ->
+              Server_select.random_graph (Prng.create seed) g platform ~groups),
+            fun () ->
+              Oracles.list_random_servers (Prng.create seed) g platform ~groups
+          );
+        ])
+
+(* All six heuristics' placements on the paper grid (N 20-100, alpha
+   0.9/1.5/1.7, seed 1), SBU on 20 CSE-shared Multi_workload sets and on
+   the 80 contention instances. *)
+let test_select_like_oracle () =
+  let fails = [| 0; 0 |] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun alpha ->
+          let inst = Helpers.instance ~n ~alpha ~seed:1 () in
+          let g = Insp.Graph.of_app inst.Insp.Instance.app in
+          List.iter
+            (fun h ->
+              select_like_oracle ~fails ~seed:1
+                ~what:(Printf.sprintf "N=%d a=%g %s" n alpha h.Solve.key)
+                h.Solve.place g inst.Insp.Instance.platform)
+            Solve.all)
+        [ 0.9; 1.5; 1.7 ])
+    [ 20; 40; 60; 80; 100 ];
+  for seed = 1 to 20 do
+    let apps, platform =
+      Insp.Multi_workload.instance ~seed ~n_apps:(2 + (seed mod 3)) ~n_operators:20
+    in
+    select_like_oracle ~fails ~seed
+      ~what:(Printf.sprintf "CSE set %d" seed)
+      (Insp_heuristics.H_subtree.run Insp_heuristics.H_subtree.Dag)
+      (Insp.Dag.graph (Insp.Cse.share_apps apps))
+      platform
+  done;
+  List.iter
+    (fun n ->
+      for seed = 1 to 40 do
+        let inst = contended ~n ~seed in
+        select_like_oracle ~fails ~seed
+          ~what:(Printf.sprintf "contended N=%d seed %d" n seed)
+          Solve.sbu.Solve.place
+          (Insp.Graph.of_app inst.Insp.Instance.app)
+          inst.Insp.Instance.platform
+      done)
+    [ 20; 40 ];
+  Alcotest.(check bool) "three-loop failures seen" true (fails.(0) > 0);
+  Alcotest.(check bool) "random failures seen" true (fails.(1) > 0)
+
+(* One contention instance per outcome class of the server-selection
+   ablation (N=40, large objects, two servers), SBU placement and each
+   rule through [Solve.finish], random drawing from seed 99. *)
+let test_selection_outcome_classes () =
+  let run seed selection =
+    let inst = contended ~n:40 ~seed in
+    let g = Insp.Graph.of_app inst.Insp.Instance.app in
+    let platform = inst.Insp.Instance.platform in
+    match Solve.sbu.Solve.place (Prng.create seed) g platform with
+    | Error m -> "placement failed: " ^ m
+    | Ok b -> (
+      match
+        Solve.finish ~key:Solve.sbu.Solve.key selection (Prng.create 99) g
+          platform b
+      with
+      | Ok o -> Printf.sprintf "ok $%.0f" o.Solve.cost
+      | Error f -> Solve.failure_message f)
+  in
+  List.iter
+    (fun (seed, what, random, three_loop) ->
+      Alcotest.(check string) (what ^ ": random") random
+        (run seed Solve.Random_servers);
+      Alcotest.(check string) (what ^ ": three-loop") three_loop
+        (run seed Solve.Three_loop))
+    [
+      (1, "both succeed", "ok $78083", "ok $78083");
+      ( 6,
+        "only three-loop succeeds",
+        "server selection failed: no server can still provide o13 to \
+         processor 5",
+        "ok $91630" );
+      ( 9,
+        "only random succeeds",
+        "ok $81282",
+        "server selection failed: no server has bandwidth left to provide \
+         o10 to processor 1" );
+      ( 2,
+        "both fail at selection",
+        "server selection failed: no server can still provide o12 to \
+         processor 1",
+        "server selection failed: no server has bandwidth left to provide \
+         o10 to processor 4" );
+      ( 10,
+        "placement fails",
+        "placement failed: no processor can host operators {8}",
+        "placement failed: no processor can host operators {8}" );
+    ]
+
+(* Downgrade changes only configurations, and the measurement reads none,
+   so one measurement serves the downgrade and the check. *)
+let test_measure_ignores_configs () =
+  List.iter
+    (fun seed ->
+      let inst = Helpers.instance ~n:60 ~alpha:1.5 ~seed () in
+      let g = Insp.Graph.of_app inst.Insp.Instance.app in
+      let platform = inst.Insp.Instance.platform in
+      List.iter
+        (fun h ->
+          match Solve.run_graph ~seed h g platform with
+          | Error _ -> ()
+          | Ok o ->
+            let a = o.Solve.alloc in
+            let cs =
+              Array.make (Alloc.n_procs a) (Catalog.best platform.Platform.catalog)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d %s" seed h.Solve.key)
+              true
+              (Check.measure g (Alloc.with_configs a cs) = Check.measure g a))
+        Solve.all)
+    [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Downgrade                                                           *)
 
 let downgrade_preserves_feasibility_and_cost =
@@ -803,6 +966,11 @@ let () =
           Alcotest.test_case "random selection valid" `Quick
             test_random_selection_valid;
           selection_respects_capacities;
+          Alcotest.test_case "flat = list oracle" `Quick test_select_like_oracle;
+          Alcotest.test_case "ablation outcome classes" `Quick
+            test_selection_outcome_classes;
+          Alcotest.test_case "measure ignores configurations" `Quick
+            test_measure_ignores_configs;
         ] );
       ( "downgrade",
         [

@@ -379,6 +379,27 @@ let test_check_proc_link_overload () =
        (function Check.Proc_link_overload _ -> true | _ -> false)
        (Check.check app platform (tiny_alloc_two ())))
 
+(* P0 = {n0, n3} and P1 = {n1, n2}: 80 MB/s flow into P0 and 10 MB/s into
+   P1, so neither end's comm_in exceeds an 85 MB/s link while the pair's
+   load (90) does.  The check's screen must add both ends. *)
+let test_check_proc_link_both_ends () =
+  let app, platform = tiny_env () in
+  let platform = { platform with Platform.proc_link = 85.0 } in
+  let alloc =
+    Alloc.make
+      [|
+        { Alloc.config = cfg (); operators = [ 0; 3 ]; downloads = [ (0, 0) ] };
+        {
+          Alloc.config = cfg ();
+          operators = [ 1; 2 ];
+          downloads = [ (0, 0); (1, 0); (2, 1) ];
+        };
+      |]
+  in
+  Alcotest.(check string) "the pair's load"
+    "link P0<->P1 overload: 90.0 > 85.0 MB/s"
+    (Check.explain (Check.check app platform alloc))
+
 let test_check_duplicate_download () =
   let app, platform = tiny_env () in
   (* o0 is held by both servers: downloading it twice used to pass the
@@ -405,7 +426,7 @@ let test_check_duplicate_download () =
      deduplicated download term by one extra o0 stream (5 MB/s). *)
   let d = Demand.of_group (Insp.Graph.of_app app) [ 0; 1; 2; 3 ] in
   Helpers.alco_float "double-counted NIC" (d.Demand.download +. 5.0)
-    (Check.proc_download_rate (Insp.Graph.of_app app) alloc 0)
+    (Check.measure (Insp.Graph.of_app app) alloc).Check.plan_rates.(0)
 
 (* One golden string per violation constructor: the renderings are part
    of the CLI/diagnostic surface. *)
@@ -686,6 +707,8 @@ let () =
             test_check_server_link_overload;
           Alcotest.test_case "proc link overload" `Quick
             test_check_proc_link_overload;
+          Alcotest.test_case "proc link loaded from both ends" `Quick
+            test_check_proc_link_both_ends;
           Alcotest.test_case "duplicate download" `Quick
             test_check_duplicate_download;
           Alcotest.test_case "pp_violation golden" `Quick

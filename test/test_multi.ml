@@ -227,7 +227,7 @@ let test_dag_check_stream_dedup () =
     (Check.explain (Dag_check.check dag platform alloc));
   (* one stream at the fastest consuming rate: 30 MB * max(1,2) = 60 *)
   Helpers.alco_float "dedup at max rate" 60.0 (pair_flow dag alloc 0 1);
-  let d = (Check.proc_demands (Dag.graph dag) alloc).(0) in
+  let d = (Check.measure (Dag.graph dag) alloc).Check.demands.(0) in
   Helpers.alco_float "comm_out deduped" 60.0 d.Demand.comm_out;
   (* conservative group demand counts both consumers *)
   let g = Demand.of_group (Dag.graph dag) [ a ] in
@@ -249,7 +249,7 @@ let test_dag_check_rate_weighted_compute () =
       |]
   in
   ignore a;
-  let d = (Check.proc_demands (Dag.graph dag) alloc).(0) in
+  let d = (Check.measure (Dag.graph dag) alloc).Check.demands.(0) in
   (* w_a = 30, w_c = 70, rates 1 -> 100 Mops/s *)
   Helpers.alco_float "compute" 100.0 d.Demand.compute;
   Alcotest.(check string) "fits cheapest" "feasible"
@@ -348,7 +348,7 @@ let oracle_proc_demand dag alloc u =
   { Demand.compute; download; comm_in; comm_out }
 
 let check_demands_bits what dag alloc =
-  let demands = Check.proc_demands (Dag.graph dag) alloc in
+  let demands = (Check.measure (Dag.graph dag) alloc).Check.demands in
   Array.iteri
     (fun u (d : Demand.t) ->
       let e = oracle_proc_demand dag alloc u in
@@ -406,7 +406,7 @@ let test_dag_demand_mixed_rates () =
       |]
   in
   check_demands_bits "mixed rates" dag alloc;
-  let d = Check.proc_demands (Dag.graph dag) alloc in
+  let d = (Check.measure (Dag.graph dag) alloc).Check.demands in
   (* a's output is 30 MB: 30 * 2 to P1, 30 * 0.5 to P2 *)
   Helpers.alco_float "P0 comm_out" 75.0 d.(0).Demand.comm_out;
   Helpers.alco_float "P1 comm_in" 60.0 d.(1).Demand.comm_in;

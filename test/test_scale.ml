@@ -425,6 +425,27 @@ let test_generate_checked_rejects () =
   | Error e ->
     Alcotest.failf "wrong error: %s" (Insp.Instance.gen_error_message e)
   | Ok _ -> Alcotest.fail "zero operators must be rejected");
+  (* The default two copies per object type cannot fit one server. *)
+  (match
+     Insp.Instance.generate_checked
+       (Insp.Config.make ~n_operators:20 ~n_servers:1 ())
+   with
+  | Error (Insp.Instance.Replication_out_of_range _ as e) ->
+    Alcotest.(check string) "replication message"
+      "replication range [1, 2] copies per object type does not fit 1 \
+       server(s): it must lie within [1, n_servers]"
+      (Insp.Instance.gen_error_message e)
+  | Error e ->
+    Alcotest.failf "wrong error: %s" (Insp.Instance.gen_error_message e)
+  | Ok _ -> Alcotest.fail "two copies on one server must be rejected");
+  (match
+     Insp.Instance.generate_checked
+       (Insp.Config.make ~n_operators:20 ~n_servers:1 ~max_copies:1 ())
+   with
+  | Ok _ -> ()
+  | Error e ->
+    Alcotest.failf "one copy on one server rejected: %s"
+      (Insp.Instance.gen_error_message e));
   (* Paper-sized objects on a very large tree concentrate the whole
      stream on the root: no catalog machine can host it, which the
      generator must report as a typed error instead of a guaranteed
