@@ -552,3 +552,144 @@ let list_three_loop g platform ~groups =
       ordered;
     Ok (select_finish st)
   with Failed msg -> Error msg
+
+(* ------------------------------------------------------------------ *)
+(* Exact branch and bound with its own feasibility model              *)
+
+(* The exact solver as it was written before it searched with the
+   ledger: operator groups as lists, each candidate's demand summed from
+   scratch with [Demand.of_group], and constraint (5) checked against
+   every other group with a tree-only flow sum ([rho] times the output
+   of each child whose parent is across), rejected above
+   [proc_link + 1e-9].  Production must find what this finds. *)
+
+module App = Insp.App
+module Alloc = Insp.Alloc
+module Catalog = Insp.Catalog
+module Check = Insp.Check
+module Demand = Insp.Demand
+module Platform = Insp.Platform
+
+type exact_result = {
+  n_procs : int;
+  cost : float;
+  alloc : Alloc.t;
+  proven : bool;
+  nodes : int;
+}
+
+let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
+
+let exact_solve ?(node_limit = 2_000_000) app platform =
+  let catalog = platform.Platform.catalog in
+  if not (Catalog.is_homogeneous catalog) then
+    Error "Exact.solve: platform must be homogeneous (CONSTR-HOM)"
+  else begin
+    let config = Catalog.cheapest catalog in
+    let speed = config.Catalog.cpu.Catalog.speed in
+    let proc_cost = Catalog.config_cost catalog config in
+    let tree = App.tree app and graph = Graph.of_app app in
+    let n = App.n_operators app in
+    let order = Array.of_list (Optree.preorder tree) in
+    let rho = App.rho app in
+    (* Suffix sums of remaining work along the assignment order, for the
+       compute-based bound. *)
+    let remaining = Array.make (n + 1) 0.0 in
+    for pos = n - 1 downto 0 do
+      remaining.(pos) <- remaining.(pos + 1) +. (rho *. App.work app order.(pos))
+    done;
+    let groups = Array.make n [] in
+    let best : exact_result option ref = ref None in
+    let nodes = ref 0 in
+    let truncated = ref false in
+    let flow_between g h =
+      let one_way src =
+        List.fold_left
+          (fun acc i ->
+            match Optree.parent tree i with
+            | Some p when List.mem p h -> acc +. (rho *. App.output_size app i)
+            | Some _ | None -> acc)
+          0.0 src
+      in
+      one_way g +. one_way h
+    in
+    let fits_with op gid =
+      let candidate = op :: groups.(gid) in
+      Demand.fits config (Demand.of_group graph candidate)
+      &&
+      let ok = ref true in
+      for other = 0 to n - 1 do
+        if other <> gid && groups.(other) <> [] then
+          if
+            flow_between candidate groups.(other)
+            > platform.Platform.proc_link +. 1e-9
+          then ok := false
+      done;
+      !ok
+    in
+    let try_complete n_used =
+      let live = Array.sub groups 0 n_used in
+      match Insp.Server_select.sophisticated app platform ~groups:live with
+      | Error _ -> ()
+      | Ok downloads ->
+        let alloc =
+          Alloc.of_groups
+            ~configs:(Array.make n_used config)
+            ~groups:live ~downloads
+        in
+        if Check.check app platform alloc = [] then begin
+          let cost = float_of_int n_used *. proc_cost in
+          match !best with
+          | Some b when b.cost <= cost -> ()
+          | _ ->
+            best :=
+              Some
+                {
+                  n_procs = n_used;
+                  cost;
+                  alloc;
+                  proven = false;
+                  nodes = !nodes;
+                }
+        end
+    in
+    let best_procs () =
+      match !best with Some b -> b.n_procs | None -> n + 1
+    in
+    let rec dfs pos n_used =
+      if !nodes >= node_limit then truncated := true
+      else begin
+        incr nodes;
+        if pos = n then try_complete n_used
+        else begin
+          let bound = n_used + max 0 (ceil_div remaining.(pos) speed - n_used) in
+          if bound < best_procs () then begin
+            let op = order.(pos) in
+            (* Existing groups first, then (canonically) one new group. *)
+            for gid = 0 to n_used - 1 do
+              if best_procs () > n_used && fits_with op gid then begin
+                groups.(gid) <- op :: groups.(gid);
+                dfs (pos + 1) n_used;
+                groups.(gid) <- List.tl groups.(gid)
+              end
+            done;
+            if
+              n_used < n
+              && n_used + 1 < best_procs ()
+              && fits_with op n_used
+            then begin
+              groups.(n_used) <- [ op ];
+              dfs (pos + 1) (n_used + 1);
+              groups.(n_used) <- []
+            end
+          end
+        end
+      end
+    in
+    dfs 0 0;
+    match !best with
+    | None ->
+      if !truncated then Error "Exact.solve: node limit reached, no solution"
+      else Error "Exact.solve: no feasible solution exists"
+    | Some b -> Ok { b with proven = not !truncated; nodes = !nodes }
+  end
