@@ -709,7 +709,8 @@ let bench_tests () =
     Test.make ~name:"ilp: exact B&B, N=10 homogeneous"
       (Staged.stage (fun () ->
            ignore
-             (Insp.Exact.solve ~node_limit:200_000 ilp_inst.Insp.Instance.app
+             (Insp.Exact.solve ~node_limit:200_000
+                (Insp.Graph.of_app ilp_inst.Insp.Instance.app)
                 ilp_inst.Insp.Instance.platform)));
     Test.make ~name:"sharing: CSE + DAG placement, 3 apps of N=20"
       (Staged.stage (fun () ->

@@ -502,7 +502,9 @@ let exact_cmd =
     in
     let exact_code =
       match
-        Insp.Exact.solve inst.Insp.Instance.app inst.Insp.Instance.platform
+        Insp.Exact.solve
+          (Insp.Graph.of_app inst.Insp.Instance.app)
+          inst.Insp.Instance.platform
       with
       | Ok r ->
         Format.printf

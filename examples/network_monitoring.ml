@@ -45,7 +45,7 @@ let () =
   let platform = Insp.Platform.make ~catalog ~servers () in
 
   (* Exact optimum (the role CPLEX plays in the paper). *)
-  (match Insp.Exact.solve app platform with
+  (match Insp.Exact.solve (Insp.Graph.of_app app) platform with
   | Ok r ->
     Format.printf "exact optimum: %d processors ($%.0f), %s@."
       r.Insp.Exact.n_procs r.cost

@@ -174,11 +174,11 @@ let ilp_compare ?(seeds = Ablations.default_seeds)
               let catalog =
                 inst.Instance.platform.Insp_platform.Platform.catalog
               in
-              let bound = Cost.lower_bound_cost inst.Instance.app catalog in
+              let g = Graph.of_app inst.Instance.app in
+              let bound = Cost.lower_bound_cost g catalog in
               let exact =
                 match
-                  Exact.solve ~node_limit:400_000 inst.Instance.app
-                    inst.Instance.platform
+                  Exact.solve ~node_limit:400_000 g inst.Instance.platform
                 with
                 | Ok r -> Some r.Exact.cost
                 | Error _ -> None

@@ -1,11 +1,11 @@
-module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Alloc = Insp_mapping.Alloc
 module Check = Insp_mapping.Check
-module Cost = Insp_mapping.Cost
 module Demand = Insp_mapping.Demand
+module Ledger = Insp_mapping.Ledger
+module Builder = Insp_heuristics.Builder
 module Server_select = Insp_heuristics.Server_select
 module Obs = Insp_obs.Obs
 module Journal = Insp_obs.Journal
@@ -20,7 +20,26 @@ type result = {
 
 let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
 
-let solve ?(node_limit = 2_000_000) app platform =
+(* Preorder from the roots over producers in slot order, each node at
+   its first visit; on a tree, Optree.preorder. *)
+let preorder g =
+  let n = Graph.n_nodes g in
+  let seen = Array.make n false and order = Array.make n 0 and k = ref 0 in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      order.(!k) <- i;
+      incr k;
+      List.iter visit (Graph.producers g i)
+    end
+  in
+  Array.iter visit g.Graph.roots;
+  for i = 0 to n - 1 do
+    visit i
+  done;
+  order
+
+let solve ?(node_limit = 2_000_000) g platform =
   let catalog = platform.Platform.catalog in
   if not (Catalog.is_homogeneous catalog) then
     Error "Exact.solve: platform must be homogeneous (CONSTR-HOM)"
@@ -28,77 +47,50 @@ let solve ?(node_limit = 2_000_000) app platform =
     let config = Catalog.cheapest catalog in
     let speed = config.Catalog.cpu.Catalog.speed in
     let proc_cost = Catalog.config_cost catalog config in
-    let tree = App.tree app and graph = Insp_tree.Graph.of_app app in
-    let n = App.n_operators app in
-    let order = Array.of_list (Optree.preorder tree) in
-    let rho = App.rho app in
+    let proc_link = platform.Platform.proc_link in
+    let n = Graph.n_nodes g in
+    let order = preorder g in
     (* Suffix sums of remaining work along the assignment order, for the
        compute-based bound. *)
     let remaining = Array.make (n + 1) 0.0 in
     for pos = n - 1 downto 0 do
-      remaining.(pos) <- remaining.(pos + 1) +. (rho *. App.work app order.(pos))
+      remaining.(pos) <-
+        remaining.(pos + 1) +. (Graph.rate g order.(pos) *. g.Graph.work.(order.(pos)))
     done;
-    let groups = Array.make n [] in
-    let assign = Array.make n (-1) in
+    (* Processor u is group u; the open groups are 0 .. n_used - 1. *)
+    let ledger = Ledger.create g platform in
+    for _ = 1 to n do
+      ignore (Ledger.add_proc ledger config)
+    done;
     let best : result option ref = ref None in
     let nodes = ref 0 in
     let truncated = ref false in
-    let flow_between g h =
-      let one_way src =
-        List.fold_left
-          (fun acc i ->
-            match Optree.parent tree i with
-            | Some p when List.mem p h -> acc +. (rho *. App.output_size app i)
-            | Some _ | None -> acc)
-          0.0 src
-      in
-      one_way g +. one_way h
-    in
-    let fits_with op gid =
-      let candidate = op :: groups.(gid) in
-      Demand.fits config (Demand.of_group graph candidate)
+    let fits op u =
+      Ledger.add_fits_cpu ledger u op
       &&
-      let ok = ref true in
-      for other = 0 to n - 1 do
-        if other <> gid && groups.(other) <> [] then
-          if
-            flow_between candidate groups.(other)
-            > platform.Platform.proc_link +. 1e-9
-          then ok := false
-      done;
-      !ok
+      let p = Ledger.probe_add ledger u op in
+      Demand.fits config p.Ledger.demand
+      && List.for_all (fun (_, f) -> Builder.leq f proc_link) p.Ledger.pair_flows
     in
     let try_complete n_used =
-      let live = Array.sub groups 0 n_used in
-      match
-        Server_select.sophisticated app platform ~groups:live
-      with
+      let groups = Array.init n_used (Ledger.operators_of ledger) in
+      match Server_select.sophisticated_graph g platform ~groups with
       | Error _ -> ()
       | Ok downloads ->
         let alloc =
-          Alloc.of_groups
-            ~configs:(Array.make n_used config)
-            ~groups:live ~downloads
+          Alloc.of_groups ~configs:(Array.make n_used config) ~groups ~downloads
         in
-        if Check.check app platform alloc = [] then begin
+        if Check.check_graph g platform alloc = [] then begin
           let cost = float_of_int n_used *. proc_cost in
           match !best with
           | Some b when b.cost <= cost -> ()
           | _ ->
-            Obs.mark "lp.exact.incumbent";
             Obs.gauge "lp.exact.incumbent" (float_of_int n_used);
             if Obs.journaling () then
               Obs.event_bounded ~category:"lp"
                 (Journal.Exact_incumbent { n_procs = n_used; nodes = !nodes });
             best :=
-              Some
-                {
-                  n_procs = n_used;
-                  cost;
-                  alloc;
-                  proven = false;
-                  nodes = !nodes;
-                }
+              Some { n_procs = n_used; cost; alloc; proven = false; nodes = !nodes }
         end
     in
     let best_procs () =
@@ -117,27 +109,17 @@ let solve ?(node_limit = 2_000_000) app platform =
           if bound >= best_procs () then Obs.incr "lp.exact.pruned"
           else begin
             let op = order.(pos) in
+            let branch u n_used =
+              Ledger.add_operator ledger u op;
+              dfs (pos + 1) n_used;
+              Ledger.remove_operator ledger u op
+            in
             (* Existing groups first, then (canonically) one new group. *)
-            for gid = 0 to n_used - 1 do
-              if best_procs () > n_used && fits_with op gid then begin
-                groups.(gid) <- op :: groups.(gid);
-                assign.(op) <- gid;
-                dfs (pos + 1) n_used;
-                groups.(gid) <- List.tl groups.(gid);
-                assign.(op) <- -1
-              end
+            for u = 0 to n_used - 1 do
+              if best_procs () > n_used && fits op u then branch u n_used
             done;
-            if
-              n_used < n
-              && n_used + 1 < best_procs ()
-              && fits_with op n_used
-            then begin
-              groups.(n_used) <- [ op ];
-              assign.(op) <- n_used;
-              dfs (pos + 1) (n_used + 1);
-              groups.(n_used) <- [];
-              assign.(op) <- -1
-            end
+            if n_used < n && n_used + 1 < best_procs () && fits op n_used then
+              branch n_used (n_used + 1)
           end
         end
       end

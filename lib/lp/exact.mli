@@ -2,13 +2,20 @@
     operator-mapping problem — the role CPLEX plays in the paper's §5
     comparison, restricted as the paper is to small instances.
 
-    The search assigns operators in preorder, each either to an existing
-    group or to one fresh group (canonical first-fit ordering removes
-    processor symmetry).  A group must satisfy its compute and NIC
-    capacity ({!Insp_mapping.Demand}) and the pairwise link constraint
-    at every step; complete assignments additionally go through server
-    selection and the full constraint checker before being accepted.
-    The bound is [groups_used + ceil(remaining_work / speed)]. *)
+    The search reads an operator-graph view ({!Insp_tree.Graph}): one
+    tree, or a DAG shared by several applications.  It assigns
+    operators in preorder from the roots (producers in slot order), each
+    either to an existing group or to one fresh group (canonical
+    first-fit ordering removes processor symmetry).  The groups are the
+    processors of one {!Insp_mapping.Ledger}, which answers every
+    candidate with a probe: the group's compute and NIC capacity
+    ({!Insp_mapping.Demand.fits}) and the link constraint on every pair
+    flow the placement changes, under the tolerance of the heuristics'
+    own tests ({!Insp_heuristics.Builder.leq}).  Backtracking undoes a
+    placement with {!Insp_mapping.Ledger.remove_operator}.  Complete
+    assignments additionally go through server selection and the full
+    constraint checker before being accepted.  The bound is
+    [groups_used + ceil(remaining_work / speed)]. *)
 
 type result = {
   n_procs : int;
@@ -20,9 +27,10 @@ type result = {
 
 val solve :
   ?node_limit:int ->
-  Insp_tree.App.t ->
+  Insp_tree.Graph.t ->
   Insp_platform.Platform.t ->
   (result, string) Stdlib.result
-(** [node_limit] defaults to 2_000_000.  At most one group per
-    operator is opened.  Errors when the platform is not homogeneous or
-    no feasible solution exists within the limits. *)
+(** A tree passes [Graph.of_app app], a DAG [Dag.graph dag].
+    [node_limit] defaults to 2_000_000.  At most one group per operator
+    is opened.  Errors when the platform is not homogeneous or no
+    feasible solution exists within the limits. *)

@@ -546,6 +546,15 @@ let detach t u i ~remaining =
   bump t u;
   Obs.prof_exit ()
 
+let remove_operator t u i =
+  check_live t u;
+  if t.host.(i) <> u then
+    invalid_arg "Ledger.remove_operator: operator not on this processor";
+  let p = t.procs.(u) in
+  delete p.members (search p.members i min_int);
+  p.ops_fresh <- false;
+  detach t u i ~remaining:p.members.len
+
 (* Detaches every member, ascending, and empties the row. *)
 let detach_all t u =
   let m = t.procs.(u).members in

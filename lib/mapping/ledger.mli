@@ -11,7 +11,7 @@
     producer's consumers.  An unassigned neighbour counts as its own
     stream at its own rate.  On a tree every stream has one consumer, so
     its float operations are those of the tree edges.  Mutations
-    ({!add_operator}, {!merge}, {!remove_proc}, …) cost
+    ({!add_operator}, {!remove_operator}, {!merge}, {!remove_proc}, …) cost
     O(degree) row edits, times the out-degree of the producers on a
     DAG, where the from-scratch path recomputes O(|group|²) sums per
     probe.  The state is flat sorted rows edited in place (DESIGN.md
@@ -82,6 +82,12 @@ val state_key : t -> string
 
 val add_operator : t -> proc_id -> int -> unit
 (** O(degree).  Raises [Invalid_argument] if already assigned. *)
+
+val remove_operator : t -> proc_id -> int -> unit
+(** Unassigns an operator hosted on the processor, undoing
+    {!add_operator}: O(degree).  A processor left empty carries exactly
+    zero load.  Raises [Invalid_argument] if the operator is not on the
+    processor. *)
 
 val merge : t -> winner:proc_id -> loser:proc_id -> unit
 (** Moves every operator of [loser] onto [winner] and deletes [loser].

@@ -98,7 +98,7 @@ let test_exact_consistency_homogeneous () =
       ~cpu_index:4 ~nic_index:3
   in
   let app = inst.Instance.app and platform = inst.Instance.platform in
-  match Exact.solve app platform with
+  match Exact.solve (Insp.Graph.of_app app) platform with
   | Error e -> Alcotest.fail e
   | Ok exact -> (
     Alcotest.(check string) "exact validates" "feasible"

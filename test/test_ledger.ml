@@ -186,13 +186,13 @@ let random_start g platform rng ~n_procs ~n_types ~n_servers ~configs =
   Ledger.of_alloc g platform (Alloc.make (Array.init n_procs proc))
 
 (* One random edit through the placement entry points: buy, sell,
-   assign, merge or reconfigure. *)
+   assign, unassign, merge or reconfigure. *)
 let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~configs =
   let live = proc_ids t in
-  let unassigned =
-    List.filter (fun i -> Ledger.assignment t i = None) (List.init n_ops Fun.id)
+  let unassigned, assigned =
+    List.partition (fun i -> Ledger.assignment t i = None) (List.init n_ops Fun.id)
   in
-  match Prng.int rng 10 with
+  match Prng.int rng 12 with
   | 0 when List.length live < max_procs ->
     ignore (Ledger.add_proc t (Prng.choose_list rng configs))
   | 1 when live <> [] -> Ledger.remove_proc t (Prng.choose_list rng live)
@@ -213,6 +213,9 @@ let apply_random_edit ?(max_procs = 6) t rng ~n_ops ~configs =
         | others -> Ledger.set_config t winner (Prng.choose_list rng others)
       end
     | _ -> ())
+  | (10 | 11) when assigned <> [] ->
+    let i = Prng.choose_list rng assigned in
+    Ledger.remove_operator t (Option.get (Ledger.assignment t i)) i
   | _ -> ()
 
 (* Probing predicts the commit, at every step of a random edit

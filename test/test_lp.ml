@@ -9,6 +9,7 @@ module Solve = Insp.Solve
 module Check = Insp.Check
 module Instance = Insp.Instance
 module Config = Insp.Config
+module Graph = Insp.Graph
 
 let qtest = Helpers.qtest
 
@@ -256,7 +257,7 @@ let test_ilp_requires_homogeneous () =
 
 let test_exact_requires_homogeneous () =
   let inst = Helpers.instance ~n:5 ~seed:3 () in
-  match Exact.solve inst.Instance.app inst.Instance.platform with
+  match Exact.solve (Graph.of_app inst.Instance.app) inst.Instance.platform with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "heterogeneous platform must be rejected"
 
@@ -269,7 +270,8 @@ let exact_beats_heuristics =
   qtest ~count:25 "exact optimum <= every heuristic (homogeneous)" exact_gen
     (fun (seed, n) ->
       let inst = homog (Helpers.instance ~n ~seed ()) in
-      match Exact.solve ~node_limit:300_000 inst.Instance.app inst.Instance.platform with
+      match Exact.solve ~node_limit:300_000 (Graph.of_app inst.Instance.app)
+          inst.Instance.platform with
       | Error _ -> true (* infeasible or truncated: nothing to compare *)
       | Ok r ->
         (not r.Exact.proven)
@@ -284,7 +286,8 @@ let exact_solution_feasible =
   qtest ~count:25 "exact solutions pass the checker" exact_gen
     (fun (seed, n) ->
       let inst = homog (Helpers.instance ~n ~seed ()) in
-      match Exact.solve ~node_limit:300_000 inst.Instance.app inst.Instance.platform with
+      match Exact.solve ~node_limit:300_000 (Graph.of_app inst.Instance.app)
+          inst.Instance.platform with
       | Error _ -> true
       | Ok r ->
         Check.check inst.Instance.app inst.Instance.platform r.Exact.alloc = [])
@@ -292,12 +295,13 @@ let exact_solution_feasible =
 let exact_respects_lower_bound =
   qtest ~count:25 "exact >= quick lower bound" exact_gen (fun (seed, n) ->
       let inst = homog (Helpers.instance ~n ~seed ()) in
-      match Exact.solve ~node_limit:300_000 inst.Instance.app inst.Instance.platform with
+      match Exact.solve ~node_limit:300_000 (Graph.of_app inst.Instance.app)
+          inst.Instance.platform with
       | Error _ -> true
       | Ok r ->
         (* homogeneous: every processor costs the cheapest config *)
         r.Exact.cost
-        >= Insp.Cost.lower_bound_cost inst.Instance.app
+        >= Insp.Cost.lower_bound_cost (Graph.of_app inst.Instance.app)
              inst.Instance.platform.Insp.Platform.catalog
            -. 1e-6)
 
@@ -308,7 +312,7 @@ let test_exact_matches_ilp_on_small () =
     (fun seed ->
       let inst = homog (Helpers.instance ~n:5 ~seed ()) in
       let exact =
-        match Exact.solve inst.Instance.app inst.Instance.platform with
+        match Exact.solve (Graph.of_app inst.Instance.app) inst.Instance.platform with
         | Ok r -> Some r.Exact.n_procs
         | Error _ -> None
       in
@@ -326,6 +330,80 @@ let test_exact_matches_ilp_on_small () =
           true (b <= a)
       | _ -> ())
     [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* Exact on the ledger = the from-scratch oracle                       *)
+
+let agree label (oracle : (Oracles.exact_result, string) result)
+    (ledger : (Exact.result, string) result) =
+  match (oracle, ledger) with
+  | Error a, Error b -> Alcotest.(check string) (label ^ " error") a b
+  | Ok o, Ok r ->
+    Alcotest.(check int) (label ^ " n_procs") o.Oracles.n_procs r.Exact.n_procs;
+    Alcotest.(check (float 0.0)) (label ^ " cost") o.Oracles.cost r.Exact.cost;
+    Alcotest.(check bool) (label ^ " proven") o.Oracles.proven r.Exact.proven;
+    Alcotest.(check int) (label ^ " nodes") o.Oracles.nodes r.Exact.nodes;
+    Alcotest.(check string) (label ^ " alloc")
+      (Format.asprintf "%a" Insp.Alloc.pp o.Oracles.alloc)
+      (Format.asprintf "%a" Insp.Alloc.pp r.Exact.alloc)
+  | Ok _, Error e -> Alcotest.failf "%s: oracle solved, ledger search: %s" label e
+  | Error e, Ok _ -> Alcotest.failf "%s: ledger search solved, oracle: %s" label e
+
+let agree_on ~node_limit label inst =
+  let app = inst.Instance.app and platform = inst.Instance.platform in
+  agree label
+    (Oracles.exact_solve ~node_limit app platform)
+    (Exact.solve ~node_limit (Graph.of_app app) platform)
+
+(* The E8 instances (Suite's ilp experiment): alpha 0.9 on the fastest
+   CPU and the 1250 MB/s NIC. *)
+let test_exact_oracle_e8 () =
+  for n = 5 to 20 do
+    for seed = 1 to 5 do
+      homog
+        (Instance.generate (Config.make ~n_operators:n ~alpha:0.9 ~seed ()))
+      |> agree_on ~node_limit:400_000 (Printf.sprintf "N=%d seed %d" n seed)
+    done
+  done
+
+(* The generator of the exact properties above, every N on seeds 0-99. *)
+let test_exact_oracle_small () =
+  for seed = 0 to 99 do
+    for n = 3 to 12 do
+      homog (Helpers.instance ~n ~seed ())
+      |> agree_on ~node_limit:300_000 (Printf.sprintf "N=%d seed %d" n seed)
+    done
+  done
+
+(* Shared DAGs: two correlated 5-operator applications through CSE, on
+   the homogeneous catalog E8 uses. *)
+let test_exact_on_dags () =
+  let compared = ref 0 in
+  for seed = 1 to 5 do
+    let apps, platform =
+      Insp.Multi_workload.instance ~seed ~n_apps:2 ~n_operators:5
+    in
+    let platform = Insp.Platform.homogeneous platform ~cpu_index:4 ~nic_index:3 in
+    let dag = Insp.Cse.share_apps apps in
+    let g = Insp.Dag.graph dag in
+    match Exact.solve g platform with
+    | Error e -> Alcotest.failf "seed %d: %s" seed e
+    | Ok r -> (
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: exact validates" seed)
+        "feasible"
+        (Check.explain (Check.check_graph g platform r.Exact.alloc));
+      match Insp.Dag_place.run dag platform with
+      | Ok o when r.Exact.proven ->
+        incr compared;
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: exact (%.0f) <= Dag_place (%.0f)" seed
+             r.Exact.cost o.Solve.cost)
+          true
+          (r.Exact.cost <= o.Solve.cost +. 1e-6)
+      | Ok _ | Error _ -> ())
+  done;
+  Alcotest.(check int) "every seed compared" 5 !compared
 
 let () =
   Alcotest.run "lp"
@@ -360,5 +438,10 @@ let () =
           exact_beats_heuristics;
           exact_solution_feasible;
           exact_respects_lower_bound;
+          Alcotest.test_case "ledger search = oracle on E8" `Quick
+            test_exact_oracle_e8;
+          Alcotest.test_case "ledger search = oracle, N 3-12" `Quick
+            test_exact_oracle_small;
+          Alcotest.test_case "exact on shared DAGs" `Quick test_exact_on_dags;
         ] );
     ]

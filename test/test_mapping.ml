@@ -489,7 +489,9 @@ let lower_bound_sound =
     Helpers.small_instance_gen (fun inst ->
       let app = inst.Insp.Instance.app in
       let platform = inst.Insp.Instance.platform in
-      let lb = Cost.lower_bound_cost app platform.Platform.catalog in
+      let lb =
+        Cost.lower_bound_cost (Insp.Graph.of_app app) platform.Platform.catalog
+      in
       List.for_all
         (fun (_, r) ->
           match r with
