@@ -62,6 +62,7 @@ val leaves : t -> int -> int list
 val al_operators : t -> int list
 (** In increasing id order. *)
 
+(* lint: allow t3 — oracle for test/test_tree.ml preorder ids and test/oracles.ml exact_solve *)
 val preorder : t -> int list
 (** Root first. *)
 
