@@ -94,8 +94,6 @@ let text_report (o : Obs.t) =
     let indent = String.make (2 * (r.Prof.depth - 1)) ' ' in
     Buffer.add_string buf
       (match r.Prof.kind with
-      | Prof.Mark ->
-        Printf.sprintf "%s@%-24s x%d\n" indent r.Prof.name r.Prof.count
       | Prof.Fine ->
         Printf.sprintf "%s%-25s x%d\n" indent r.Prof.name r.Prof.count
       | Prof.Span ->
@@ -234,8 +232,7 @@ let prof_folded_time = folded (fun r -> r.Prof.self_us)
 let json_ts v = Printf.sprintf "%.3f" v
 
 (* The JSON Array Format of the trace_event spec: one "X" (complete)
-   event per span and one "i" (instant) event per mark in the tree's
-   trace ring, and a final "C" (counter) event per counter so headline
+   event per span in the tree's trace ring, and a final "C" (counter) event per counter so headline
    totals show up as tracks. *)
 let chrome_trace (o : Obs.t) =
   let buf = Buffer.create 4096 in
@@ -260,21 +257,12 @@ let chrome_trace (o : Obs.t) =
       let args =
         Printf.sprintf "\"args\":{\"path\":%s}" (Jsonc.string r.Prof.path)
       in
-      match r.Prof.kind with
-      | Prof.Span | Prof.Fine ->
-        event
-          [
-            str "name" r.Prof.name; str "cat" "span"; str "ph" "X";
-            num "ts" (json_ts start_us); num "dur" (json_ts dur_us);
-            num "pid" "0"; num "tid" "0"; args;
-          ]
-      | Prof.Mark ->
-        event
-          [
-            str "name" r.Prof.name; str "cat" "mark"; str "ph" "i";
-            num "ts" (json_ts start_us); num "pid" "0"; num "tid" "0";
-            str "s" "t"; args;
-          ]);
+      event
+        [
+          str "name" r.Prof.name; str "cat" "span"; str "ph" "X";
+          num "ts" (json_ts start_us); num "dur" (json_ts dur_us);
+          num "pid" "0"; num "tid" "0"; args;
+        ]);
   List.iter
     (fun (name, v) ->
       match v with

@@ -17,7 +17,7 @@ val metrics_csv : Obs.t -> string
 
 val text_report : Obs.t -> string
 (** The frame tree depth-first, parents before children (count and
-    cumulative ms per span, count per mark or fine frame), followed by
+    cumulative ms per span, count per fine frame), followed by
     counters, gauges and histograms (each with p50/p90/p99).  Empty
     sections are omitted. *)
 
@@ -47,8 +47,7 @@ val prof_folded_time : Obs.t -> string
 
 val chrome_trace : Obs.t -> string
 (** Chrome [trace_event] JSON Array Format: one ["X"] complete event
-    per span and one ["i"] instant event per mark among the latest
-    4096 completions (the trace ring), then one ["C"] counter event per
+    per span among the latest 4096 completions (the trace ring), then one ["C"] counter event per
     counter.  Load in [chrome://tracing] or Perfetto. *)
 
 val save : string -> string -> unit

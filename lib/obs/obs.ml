@@ -100,11 +100,6 @@ let observe name v =
   | None -> ()
   | Some s -> Metrics.observe s.metrics name v
 
-let mark name =
-  match active () with
-  | None -> ()
-  | Some s -> Prof.mark s.prof name
-
 let span name f =
   match active () with
   | None -> f ()

@@ -11,7 +11,7 @@
 
     Determinism contract: recorded {e values} (counters, gauges,
     histogram counts, frame paths and counts) are deterministic for a
-    deterministic computation; span {e durations} and mark timestamps
+    deterministic computation; span {e durations} and timestamps
     are timing-only and must never feed back into results.  Profiled
     minor-word deltas ({!Prof}) are deterministic; promoted/major words
     and collection counts are not (minor-heap phase at run start). *)
@@ -61,9 +61,6 @@ val add : string -> int -> unit
 
 val gauge : string -> float -> unit
 val observe : string -> float -> unit
-
-val mark : string -> unit
-(** Count an instant event under the current frame (see {!Prof.mark}). *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a timed frame of the sink's tree;

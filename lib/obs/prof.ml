@@ -1,4 +1,4 @@
-(* The frame tree: the one recorder behind Obs.span, Obs.mark and the
+(* The frame tree: the one recorder behind Obs.span and the
    profiler entry points (DESIGN.md §10, §17).
 
    Structure-of-arrays on both axes, matching the arena idiom of
@@ -16,7 +16,7 @@
    bookkeeping words and the clock's boxed floats therefore land in the
    parent frame's self figures, never in the measured frame.
 
-   Span and mark completions also go to a trace ring of at most
+   Span completions also go to a trace ring of at most
    [trace_capacity] entries for the Chrome exporter.  The ring starts
    small and doubles while below capacity, so a tree that records a
    handful of spans (one per serve admission) stays cheap; at capacity
@@ -26,7 +26,7 @@
    bench/ (lint rule D7); engines must route attribution through
    Obs.prof_enter/prof_exit. *)
 
-type kind = Fine | Span | Mark
+type kind = Fine | Span
 
 type row = {
   name : string;
@@ -275,7 +275,7 @@ let open_frame t name kind =
   if t.depth = Array.length t.f_row then grow_stack t;
   let k = t.depth in
   t.f_row.(k) <- id;
-  t.f_span.(k) <- (match kind with Span -> true | Fine | Mark -> false);
+  t.f_span.(k) <- (match kind with Span -> true | Fine -> false);
   t.f_child_us.(k) <- 0.0;
   if t.gc then begin
     t.f_child_minor.(k) <- 0.0;
@@ -403,15 +403,6 @@ let exit t =
     else if k > 0 then
       t.f_child_us.(k - 1) <- t.f_child_us.(k - 1) +. t.f_child_us.(k)
   end
-
-let mark t name =
-  let now = Clock.elapsed_us () in
-  let id = intern t (top t) name Mark in
-  t.r_count.(id) <- t.r_count.(id) + 1;
-  let slot = ring_slot t in
-  t.ring_row.(slot) <- id;
-  t.ring_start.(slot) <- now;
-  t.ring_dur.(slot) <- 0.0
 
 let depth t = t.depth
 

@@ -3,8 +3,8 @@
     A [t] is a mutable call tree keyed on frame names: one row per
     distinct path, carrying the completed-frame count, self and
     cumulative wall time and — on a profiling tree — GC deltas.  It is
-    the only recorder behind [Obs.span]/[Obs.mark]; every span export
-    reads it.  Three row kinds:
+    the only recorder behind [Obs.span]; every span export
+    reads it.  Two row kinds:
 
     - {b span} rows ([enter_span]) read [Clock.elapsed_us] on both
       edges; on a profiling tree they also snapshot [Gc.quick_stat]
@@ -12,14 +12,13 @@
     - {b fine} rows ([enter]) read only [Gc.minor_words] — a few words
       of profiler overhead per frame — and are what the ledger commit
       path opens around every mutation.  They are untimed and only
-      opened on profiling trees;
-    - {b mark} rows ([mark]) are zero-duration rows with a count.
+      opened on profiling trees.
 
     Time and detailed GC deltas of a span attribute to the nearest
     enclosing span: fine frames pass their children's accumulators
     through to their parent untouched.
 
-    Span and mark completions also land in a trace ring of fixed
+    Span completions also land in a trace ring of fixed
     capacity (4096): the latest completions, each a row id,
     a start and a duration.  The recorder's size depends on the number
     of distinct paths, never on the number of completed frames.
@@ -32,7 +31,7 @@
 
 type t
 
-type kind = Fine | Span | Mark
+type kind = Fine | Span
 
 type row = {
   name : string;
@@ -40,7 +39,7 @@ type row = {
   path : string;  (** '/'-joined frame names from the root *)
   depth : int;  (** 1 for root frames *)
   kind : kind;
-  count : int;  (** completed frames (or marks) at this path *)
+  count : int;  (** completed frames at this path *)
   self_us : float;
   cum_us : float;
       (** wall time (timing-only): self excludes the nearest timed
@@ -84,10 +83,6 @@ val exit : t -> unit
     clock and records a trace entry.  A no-op on an empty stack, so an
     unbalanced [exit] cannot raise out of instrumented code. *)
 
-val mark : t -> string -> unit
-(** Count an instant event under the current frame and record it in
-    the trace ring with zero duration. *)
-
 val depth : t -> int
 (** Current open-frame count (0 when idle). *)
 
@@ -106,7 +101,7 @@ val totals : t -> totals
 
 val iter_trace : t -> (int -> float -> float -> unit) -> unit
 (** [iter_trace t f] calls [f row start_us dur_us] on the latest
-    [min completions trace_capacity] span and mark completions, oldest
+    [min completions trace_capacity] span completions, oldest
     first; [row] indexes {!rows}. *)
 
 val merge : into:t -> t -> unit

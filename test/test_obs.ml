@@ -9,15 +9,15 @@ module Metrics = Insp.Obs_metrics
 module Prof = Insp.Obs_prof
 module Export = Insp.Obs_export
 
-(* A deterministic instrumented workload mixing nested spans, marks,
-   counters, gauges and histograms. *)
+(* A deterministic instrumented workload mixing nested spans, counters,
+   gauges and histograms. *)
 let workload () =
   Obs.span "outer" (fun () ->
       for i = 1 to 5 do
         Obs.incr "n";
         Obs.span "inner" (fun () ->
             Obs.observe "h" (float_of_int (3 * i));
-            Obs.mark "tick")
+            Obs.span "tick" ignore)
       done;
       Obs.span "tail" (fun () -> Obs.incr ~by:4 "n"));
   Obs.gauge "g" 2.5
@@ -29,10 +29,7 @@ let tree_rows (r : Obs.t) =
     (fun (row : Prof.row) ->
       Printf.sprintf "%s d%d x%d%s" row.Prof.path row.Prof.depth
         row.Prof.count
-        (match row.Prof.kind with
-        | Prof.Mark -> " mark"
-        | Prof.Fine -> " fine"
-        | Prof.Span -> ""))
+        (match row.Prof.kind with Prof.Fine -> " fine" | Prof.Span -> ""))
     (Prof.rows r.Obs.prof)
 
 (* ------------------------------------------------------------------ *)
@@ -44,7 +41,6 @@ let test_disabled_noop () =
   Obs.incr "x";
   Obs.gauge "y" 1.0;
   Obs.observe "z" 2.0;
-  Obs.mark "m";
   Alcotest.(check int) "span passes through" 7 (Obs.span "s" (fun () -> 7));
   Alcotest.(check bool) "still no sink" false (Obs.enabled ())
 
@@ -77,11 +73,11 @@ let test_registry_deterministic () =
   Alcotest.(check (list string)) "identical tree rows" (tree_rows a)
     (tree_rows b);
   (* One row per path, in first-enter order: parents precede children,
-     and a mark is a counted row of its own. *)
+     and a repeated leaf is one counted row. *)
   Alcotest.(check (list string))
     "tree structure"
     [
-      "outer d1 x1"; "outer/inner d2 x5"; "outer/inner/tick d3 x5 mark";
+      "outer d1 x1"; "outer/inner d2 x5"; "outer/inner/tick d3 x5";
       "outer/tail d2 x1";
     ]
     (tree_rows a);
@@ -89,8 +85,8 @@ let test_registry_deterministic () =
 
 (* Time is a tree column: on a nested workload every span's cumulative
    time is its self time plus the cumulative time of its nearest timed
-   descendants — fine frames pass their children's time through, and
-   marks and fine frames carry none of their own. *)
+   descendants — fine frames pass their children's time through and
+   carry none of their own. *)
 let test_tree_time_columns () =
   let busy () = ignore (Sys.opaque_identity (List.init 2000 Fun.id)) in
   let (), r =
@@ -101,7 +97,7 @@ let test_tree_time_columns () =
               Obs.span "b" (fun () ->
                   busy ();
                   Obs.span "c" busy;
-                  Obs.mark "m");
+                  Obs.span "m" ignore);
               Obs.prof_enter "fine";
               Obs.span "d" busy;
               busy ();
@@ -117,14 +113,14 @@ let test_tree_time_columns () =
            else
              match row.Prof.kind with
              | Prof.Fine -> timed_below c
-             | Prof.Span | Prof.Mark -> row.Prof.cum_us)
+             | Prof.Span -> row.Prof.cum_us)
          rows)
   in
   let tol = 1e-6 in
   Alcotest.(check (list string))
     "rows"
     [
-      "a d1 x3"; "a/b d2 x3"; "a/b/c d3 x3"; "a/b/m d3 x3 mark";
+      "a d1 x3"; "a/b d2 x3"; "a/b/c d3 x3"; "a/b/m d3 x3";
       "a/fine d2 x3 fine"; "a/fine/d d3 x3";
     ]
     (tree_rows r);
@@ -140,7 +136,7 @@ let test_tree_time_columns () =
         then
           Alcotest.failf "%s: cum %g <> self + children %g" row.Prof.path
             row.Prof.cum_us want
-      | Prof.Fine | Prof.Mark ->
+      | Prof.Fine ->
         Helpers.alco_float (row.Prof.path ^ " self") 0.0 row.Prof.self_us;
         Helpers.alco_float (row.Prof.path ^ " cum") 0.0 row.Prof.cum_us)
     rows
@@ -415,11 +411,6 @@ let test_chrome_trace_wellformed () =
           (match field ev "args" with
           | Some args when str_field args "path" <> None -> ()
           | _ -> Alcotest.fail "span without args.path")
-        | Some "i" ->
-          Hashtbl.replace seen "i" ();
-          numeric "ts";
-          Alcotest.(check (option string)) "instant scope" (Some "t")
-            (str_field ev "s")
         | Some "C" ->
           Hashtbl.replace seen "C" ();
           numeric "ts";
@@ -436,12 +427,12 @@ let test_chrome_trace_wellformed () =
         Alcotest.(check bool)
           (Printf.sprintf "emits %S events" ph)
           true (Hashtbl.mem seen ph))
-      [ "X"; "i"; "C" ]
+      [ "X"; "C" ]
   | _ -> Alcotest.fail "trace is not a JSON array"
 
 (* More completions than the trace ring holds: the trace stays
-   well-formed and keeps exactly the latest [trace_capacity] spans and
-   marks, the tree's counts stay exact, and the recorder does not grow
+   well-formed and keeps exactly the latest [trace_capacity] spans,
+   the tree's counts stay exact, and the recorder does not grow
    with further completions. *)
 let test_chrome_trace_ring_bounded () =
   let cap = 4096 (* the recorder's trace ring capacity *) in
@@ -450,7 +441,7 @@ let test_chrome_trace_ring_bounded () =
       Obs.with_sink (fun () ->
           Obs.span "first" ignore;
           for i = 1 to completions do
-            if i mod 2 = 0 then Obs.mark "m" else Obs.span "s" ignore
+            Obs.span (if i mod 2 = 0 then "m" else "s") ignore
           done)
     in
     r
@@ -466,18 +457,18 @@ let test_chrome_trace_ring_bounded () =
     let timeline =
       List.filter
         (fun ev ->
-          match str_field ev "ph" with Some ("X" | "i") -> true | _ -> false)
+          match str_field ev "ph" with Some "X" -> true | _ -> false)
         events
     in
     Alcotest.(check int) "exactly capacity events" cap (List.length timeline);
     Alcotest.(check int) "oldest completion dropped" 0 (named "first");
     Alcotest.(check int) "latest spans kept" (cap / 2) (named "s");
-    Alcotest.(check int) "latest marks kept" (cap / 2) (named "m")
+    Alcotest.(check int) "latest spans kept" (cap / 2) (named "m")
   | _ -> Alcotest.fail "trace is not a JSON array");
   Alcotest.(check (list string))
     "row counts exact"
     [ "first d1 x1"; Printf.sprintf "s d1 x%d" (cap / 2);
-      Printf.sprintf "m d1 x%d mark" (cap / 2) ]
+      Printf.sprintf "m d1 x%d" (cap / 2) ]
     (tree_rows r);
   let size r = Obj.reachable_words (Obj.repr r.Obs.prof) in
   Alcotest.(check int) "recorder size independent of completions" (size r)
@@ -486,14 +477,14 @@ let test_chrome_trace_ring_bounded () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace escaping                                                *)
 
-(* Span and mark names flow into JSON string positions; a quote or
+(* Span names flow into JSON string positions; a quote or
    backslash in a name must survive the round trip (shared Jsonc
    escaping, DESIGN.md §12). *)
 let test_chrome_trace_escaping () =
   let hostile = {|a "quoted\name|} ^ "\twith\ncontrols" in
   let (), r =
     Obs.with_sink (fun () ->
-        Obs.span hostile (fun () -> Obs.mark hostile);
+        Obs.span hostile ignore;
         Obs.incr hostile)
   in
   let trace = Export.chrome_trace r in
