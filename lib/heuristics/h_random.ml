@@ -44,22 +44,51 @@ let kth p k =
   done;
   !pos
 
-(* A grouping sell releases its operators; a purchase assigns exactly
-   the bought group's members.  Nothing else changes the pool. *)
+(* One round: draw an operator and buy for it.  A grouping sell
+   releases its operators; a purchase assigns exactly the bought
+   group's members.  Nothing else changes the pool. *)
+let draw rng b pending on_release =
+  let op = kth pending (Prng.int rng pending.count) in
+  let bought = Common.acquire_with_grouping ~on_release b ~style:`Cheapest op in
+  (match bought with
+  | Ok gid -> List.iter (fun i -> update pending i (-1)) (Builder.members b gid)
+  | Error _ -> ());
+  bought
+
+(* The rounds from round n on.  A round whose pool holds one operator
+   draws it whatever the stream says, so a stretch of such rounds is a
+   deterministic loop: once its state repeats ({!Common.next_round}),
+   it would cycle until the budget ran out, and it fails at once.  The
+   cycle seen is two groups trading one neighbour: on the paper
+   instance N=100, alpha 0.9, seed 2, operator 33 moves between {0, 33}
+   and {33, 36}, each purchase selling the other group. *)
+let rec watched rng b pending on_release spend watch =
+  if pending.count = 0 then Ok b
+  else if not (spend ()) then Common.not_converged
+  else if pending.count = 1 && not (Common.next_round watch) then
+    Common.not_converged
+  else begin
+    if pending.count > 1 then Common.restart watch;
+    match draw rng b pending on_release with
+    | Ok _ -> watched rng b pending on_release spend watch
+    | Error _ as e -> e
+  end
+
+(* A run needs more than n rounds only when it sells, so one that sells
+   nothing never builds the watch. *)
 let run rng g platform =
   let b = Builder.create g platform in
   let pending = pool (Graph.n_nodes g) in
   let on_release op = update pending op 1 in
   let spend = Common.round_budget b in
-  let rec loop () =
+  let rec loop round =
     if pending.count = 0 then Ok b
+    else if round = Array.length pending.sums - 1 then
+      watched rng b pending on_release spend (Common.rounds b)
     else if not (spend ()) then Common.not_converged
     else
-      let op = kth pending (Prng.int rng pending.count) in
-      match Common.acquire_with_grouping ~on_release b ~style:`Cheapest op with
-      | Ok gid ->
-        List.iter (fun i -> update pending i (-1)) (Builder.members b gid);
-        loop ()
+      match draw rng b pending on_release with
+      | Ok _ -> loop (round + 1)
       | Error _ as e -> e
   in
-  loop ()
+  loop 0

@@ -185,22 +185,29 @@ let by_work_desc g ops =
 (* Random with its pool as a list: every round rebuilds the increasing
    list of unassigned operators and draws from it with
    [Prng.choose_list].  Production draws the element of the same rank
-   from an index over the unassigned ids. *)
+   from an index over the unassigned ids.  From round n on, a repeated
+   state among rounds with one operator left (forced draws) fails the
+   run. *)
 let list_random rng g platform =
   let b = Builder.create g platform in
   let spend = Common.round_budget b in
-  let rec loop () =
+  let watch = Common.rounds b in
+  let rec loop round =
     match Builder.unassigned b with
     | [] -> Ok b
     | pending ->
+      let forced = List.length pending = 1 and watching = round >= Graph.n_nodes g in
       if not (spend ()) then Common.not_converged
+      else if watching && forced && not (Common.next_round watch) then
+        Common.not_converged
       else (
+        if not forced then Common.restart watch;
         let op = Insp.Prng.choose_list rng pending in
         match Common.acquire_with_grouping b ~style:`Cheapest op with
-        | Ok _ -> loop ()
+        | Ok _ -> loop (round + 1)
         | Error e -> Error e)
   in
-  loop ()
+  loop 0
 
 let resort_place_rest b =
   let g = Builder.graph b in
