@@ -55,13 +55,11 @@ let draw rng b pending on_release =
   | Error _ -> ());
   bought
 
-(* The rounds from round n on.  A round whose pool holds one operator
-   draws it whatever the stream says, so a stretch of such rounds is a
-   deterministic loop: once its state repeats ({!Common.next_round}),
-   it would cycle until the budget ran out, and it fails at once.  The
-   cycle seen is two groups trading one neighbour: on the paper
-   instance N=100, alpha 0.9, seed 2, operator 33 moves between {0, 33}
-   and {33, 36}, each purchase selling the other group. *)
+(* The rounds from round n on, which only a run that sells reaches.  A
+   round whose pool holds one operator draws it whatever the stream
+   says, so a stretch of such rounds is deterministic: once its state
+   repeats ({!Common.next_round}) it fails as the budget would, at once.
+   Seen: two groups trading one neighbour (paper N=100, alpha 0.9, seed 2). *)
 let rec watched rng b pending on_release spend watch =
   if pending.count = 0 then Ok b
   else if not (spend ()) then Common.not_converged
@@ -74,8 +72,6 @@ let rec watched rng b pending on_release spend watch =
     | Error _ as e -> e
   end
 
-(* A run needs more than n rounds only when it sells, so one that sells
-   nothing never builds the watch. *)
 let run rng g platform =
   let b = Builder.create g platform in
   let pending = pool (Graph.n_nodes g) in

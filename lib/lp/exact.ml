@@ -24,20 +24,16 @@ let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
    its first visit; on a tree, Optree.preorder. *)
 let preorder g =
   let n = Graph.n_nodes g in
-  let seen = Array.make n false and order = Array.make n 0 and k = ref 0 in
+  let seen = Array.make n false and order = ref [] in
   let rec visit i =
     if not seen.(i) then begin
       seen.(i) <- true;
-      order.(!k) <- i;
-      incr k;
+      order := i :: !order;
       List.iter visit (Graph.producers g i)
     end
   in
-  Array.iter visit g.Graph.roots;
-  for i = 0 to n - 1 do
-    visit i
-  done;
-  order
+  List.iter visit (Array.to_list g.Graph.roots @ List.init n Fun.id);
+  Array.of_list (List.rev !order)
 
 let solve ?(node_limit = 2_000_000) g platform =
   let catalog = platform.Platform.catalog in

@@ -2,19 +2,16 @@
     operator-mapping problem — the role CPLEX plays in the paper's §5
     comparison, restricted as the paper is to small instances.
 
-    The search reads an operator-graph view ({!Insp_tree.Graph}): one
-    tree, or a DAG shared by several applications.  It assigns
-    operators in preorder from the roots (producers in slot order), each
-    either to an existing group or to one fresh group (canonical
+    The search reads an operator-graph view ({!Insp_tree.Graph}), a tree
+    or a shared DAG, and assigns operators in preorder from the roots,
+    each either to an existing group or to one fresh group (canonical
     first-fit ordering removes processor symmetry).  The groups are the
-    processors of one {!Insp_mapping.Ledger}, which answers every
-    candidate with a probe: the group's compute and NIC capacity
-    ({!Insp_mapping.Demand.fits}) and the link constraint on every pair
-    flow the placement changes, under the tolerance of the heuristics'
-    own tests ({!Insp_heuristics.Builder.leq}).  Backtracking undoes a
-    placement with {!Insp_mapping.Ledger.remove_operator}.  Complete
-    assignments additionally go through server selection and the full
-    constraint checker before being accepted.  The bound is
+    processors of one {!Insp_mapping.Ledger}: a candidate must pass the
+    ledger's probe under the heuristics' own capacity and link tests,
+    and backtracking undoes it with
+    {!Insp_mapping.Ledger.remove_operator}.  Complete assignments
+    additionally go through server selection and the full constraint
+    checker before being accepted.  The bound is
     [groups_used + ceil(remaining_work / speed)]. *)
 
 type result = {
