@@ -563,8 +563,8 @@ let list_three_loop g platform ~groups =
 (* ------------------------------------------------------------------ *)
 (* Exact branch and bound with its own feasibility model              *)
 
-(* The exact solver as it was written before it searched with the
-   ledger: operator groups as lists, each candidate's demand summed from
+(* The exact search with a from-scratch feasibility model: operator
+   groups as lists, each candidate's demand summed from
    scratch with [Demand.of_group], and constraint (5) checked against
    every other group with a tree-only flow sum ([rho] times the output
    of each child whose parent is across), rejected above
@@ -611,13 +611,8 @@ let exact_solve ?(node_limit = 2_000_000) app platform =
     let best : exact_result option ref = ref None in
     let nodes = ref 0 in
     let truncated = ref false in
-    (* The solver summed [one_way g +. one_way h] with both halves
-       testing parents against [h]: the edges from [g] into [h] plus the
-       edges inside [h], never those from [h] into [g].  That rejected
-       feasible groups and left missed flows to the final check, so the
-       search still only returned valid mappings, but it explored a
-       different tree on 10 of the 1,080 instances of test_lp's
-       agreement corpora (same optimum on all 10). *)
+    (* Both directions: the edges from [g] into [h] and from [h] into
+       [g]. *)
     let flow_between g h =
       let one_way src dst =
         List.fold_left
