@@ -232,8 +232,8 @@ let prof_folded_time = folded (fun r -> r.Prof.self_us)
 let json_ts v = Printf.sprintf "%.3f" v
 
 (* The JSON Array Format of the trace_event spec: one "X" (complete)
-   event per span in the tree's trace ring, and a final "C" (counter) event per counter so headline
-   totals show up as tracks. *)
+   event per span in the tree's trace ring, and a final "C" (counter)
+   event per counter so headline totals show up as tracks. *)
 let chrome_trace (o : Obs.t) =
   let buf = Buffer.create 4096 in
   let first = ref true in

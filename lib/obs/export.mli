@@ -47,8 +47,9 @@ val prof_folded_time : Obs.t -> string
 
 val chrome_trace : Obs.t -> string
 (** Chrome [trace_event] JSON Array Format: one ["X"] complete event
-    per span among the latest 4096 completions (the trace ring), then one ["C"] counter event per
-    counter.  Load in [chrome://tracing] or Perfetto. *)
+    per span among the latest 4096 completions (the trace ring), then
+    one ["C"] counter event per counter.  Load in [chrome://tracing] or
+    Perfetto. *)
 
 val save : string -> string -> unit
 (** [save path contents] writes [contents] to [path]. *)

@@ -1,5 +1,5 @@
-(* The frame tree: the one recorder behind Obs.span and the
-   profiler entry points (DESIGN.md §10, §17).
+(* The frame tree: the one recorder behind Obs.span and the profiler
+   entry points (DESIGN.md §10, §17).
 
    Structure-of-arrays on both axes, matching the arena idiom of
    DESIGN.md §16: the frame stack and the row table are parallel

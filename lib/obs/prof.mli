@@ -3,8 +3,8 @@
     A [t] is a mutable call tree keyed on frame names: one row per
     distinct path, carrying the completed-frame count, self and
     cumulative wall time and — on a profiling tree — GC deltas.  It is
-    the only recorder behind [Obs.span]; every span export
-    reads it.  Two row kinds:
+    the only recorder behind [Obs.span]; every span export reads it.
+    Two row kinds:
 
     - {b span} rows ([enter_span]) read [Clock.elapsed_us] on both
       edges; on a profiling tree they also snapshot [Gc.quick_stat]
