@@ -21,7 +21,7 @@ type result = {
 let ceil_div x y = int_of_float (Float.ceil (x /. y -. 1e-9))
 
 (* Preorder from the roots over producers in slot order, each node at
-   its first visit; on a tree, Optree.preorder. *)
+   its first visit; on a tree, the ids in order. *)
 let preorder g =
   let n = Graph.n_nodes g in
   let seen = Array.make n false and order = ref [] in
