@@ -165,22 +165,22 @@ let merge_sweeps ?(seeds = default_seeds)
 
 (* Re-run the pipeline without the downgrade and compare. *)
 let solve_without_downgrade h seed app platform =
-  let rng = Prng.create seed in
-  match h.Solve.run rng app platform with
+  let rng = Prng.create seed and g = Graph.of_app app in
+  match h.Solve.place rng g platform with
   | Error _ -> None
   | Ok builder -> (
     match Builder.finalize builder with
     | Error _ -> None
     | Ok (groups, configs) -> (
       let selection =
-        if h.Solve.randomized then Server_select.random rng app platform ~groups
-        else Server_select.sophisticated app platform ~groups
+        if h.Solve.randomized then Server_select.random_graph rng g platform ~groups
+        else Server_select.sophisticated_graph g platform ~groups
       in
       match selection with
       | Error _ -> None
       | Ok downloads -> (
         let alloc = Alloc.of_groups ~configs ~groups ~downloads in
-        match Check.check app platform alloc with
+        match Check.check_graph g platform alloc with
         | [] -> Some (Cost.of_alloc platform.Platform.catalog alloc)
         | _ -> None)))
 

@@ -102,18 +102,18 @@ let candidate_flows t ~members =
   List.iter
     (fun m ->
       (* a producer's stream, charged at its fastest member consumer *)
-      List.iter
-        (fun j ->
-          let g = st.b.graph in
-          match Ledger.assignment st.b.ledger j with
+      let g = st.b.graph and led = st.b.ledger in
+      for k = 0 to Graph.n_producers g m - 1 do
+        let j = Graph.producer g m k in
+        if not (Graph.read_before g m j k) then
+          match Ledger.assignment led j with
           | Some v
             when Graph.n_consumers g j = 1
                  || Graph.fastest g j (fun c -> List.mem c st.members) = m ->
             bump v (Graph.rate g m *. g.Graph.output.(j))
-          | Some _ | None -> ())
-        (Graph.distinct_producers st.b.graph m);
+          | Some _ | None -> ()
+      done;
       (* [m]'s stream to a group, charged at its fastest consumer there *)
-      let g = st.b.graph and led = st.b.ledger in
       for k = 0 to Graph.n_consumers g m - 1 do
         let c = Graph.consumer g m k in
         match Ledger.assignment led c with

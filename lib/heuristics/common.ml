@@ -46,9 +46,10 @@ let heaviest_outside_neighbor g members =
   in
   List.iter
     (fun m ->
-      List.iter
-        (fun j -> if not (in_set j) then consider j (Graph.rate g m *. g.Graph.output.(j)))
-        (Graph.producers g m);
+      for k = 0 to Graph.n_producers g m - 1 do
+        let j = Graph.producer g m k in
+        if not (in_set j) then consider j (Graph.rate g m *. g.Graph.output.(j))
+      done;
       for k = 0 to Graph.n_consumers g m - 1 do
         let c = Graph.consumer g m k in
         if not (in_set c) then consider c (Graph.rate g c *. g.Graph.output.(m))
@@ -172,5 +173,3 @@ let place_rest b =
           loop ())
   in
   loop ()
-
-let object_set g i = List.sort_uniq compare (Graph.leaves g i)

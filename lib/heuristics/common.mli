@@ -79,9 +79,6 @@ val place_rest : Builder.t -> (Builder.t, string) result
     fallback, fill it in the same order, repeat, within one
     {!round_budget}. *)
 
-val object_set : Insp_tree.Graph.t -> int -> int list
-(** Distinct object types operator [i] downloads. *)
-
 val with_collapse_rounds : int -> (unit -> 'a) -> 'a
 (** Run a thunk with the grouping fallback limited to the given number
     of rounds (1 = the paper's single pairing step; default 8).  For the

@@ -2,8 +2,8 @@ module Graph = Insp_tree.Graph
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 
-(* The al-operators' work order and their object sets are static, so
-   they are built once per run; each [pack_object] round filters the
+(* The al-operators' work order is static, so it is built once per
+   run; each [pack_object] round filters the
    order instead of re-sorting the unassigned pool.  The order is total
    (ties by id), so the filtered list is the one a per-round sort would
    give. *)
@@ -20,10 +20,9 @@ let run _rng g platform =
         if c <> 0 then c else compare a b)
       used_objects
   in
-  let object_sets = Array.init n (Common.object_set g) in
   let al_by_work =
     Common.by_work_desc g
-      (List.filter (fun i -> object_sets.(i) <> []) (List.init n Fun.id))
+      (List.filter (fun i -> Graph.n_leaves g i > 0) (List.init n Fun.id))
   in
   let rounds = Common.rounds b in
   let rec pack_object k =
@@ -31,7 +30,9 @@ let run _rng g platform =
     else
     let pending =
       List.filter
-        (fun i -> Builder.assignment b i = None && List.mem k object_sets.(i))
+        (fun i ->
+          Builder.assignment b i = None
+          && Graph.object_before g i k (Graph.n_leaves g i))
         al_by_work
     in
     match pending with

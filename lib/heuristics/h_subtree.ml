@@ -12,23 +12,25 @@ type rules = Tree | Dag
 let postorder g =
   let seen = Array.make (Graph.n_nodes g) false in
   let out = ref [] in
+  (* a frame [(i, k)]: [i] with its producers before slot [k] walked *)
   let rec walk = function
     | [] -> ()
-    | (i, []) :: rest ->
+    | (i, k) :: rest when k = Graph.n_producers g i ->
       out := i :: !out;
       walk rest
-    | (i, j :: js) :: rest ->
-      if seen.(j) then walk ((i, js) :: rest)
+    | (i, k) :: rest ->
+      let j = Graph.producer g i k in
+      if seen.(j) then walk ((i, k + 1) :: rest)
       else begin
         seen.(j) <- true;
-        walk ((j, Graph.producers g j) :: (i, js) :: rest)
+        walk ((j, 0) :: (i, k + 1) :: rest)
       end
   in
   Array.iter
     (fun r ->
       if not seen.(r) then begin
         seen.(r) <- true;
-        walk [ (r, Graph.producers g r) ]
+        walk [ (r, 0) ]
       end)
     g.Graph.roots;
   List.rev !out
@@ -41,9 +43,10 @@ let depths g order =
   let depth = Array.make (Graph.n_nodes g) 0 in
   List.iter
     (fun i ->
-      List.iter
-        (fun j -> depth.(j) <- max depth.(j) (depth.(i) + 1))
-        (Graph.producers g i))
+      for k = 0 to Graph.n_producers g i - 1 do
+        let j = Graph.producer g i k in
+        depth.(j) <- max depth.(j) (depth.(i) + 1)
+      done)
     (List.rev order);
   depth
 
@@ -88,7 +91,7 @@ let producer_groups rules b op =
         Option.map
           (fun gid -> (gid, Graph.rate g op *. g.Graph.output.(j)))
           (Builder.assignment b j))
-      (Graph.producers g op)
+      (List.init (Graph.n_producers g op) (Graph.producer g op))
   in
   match rules with
   | Dag -> List.sort_uniq compare (List.map fst hosts)
@@ -267,7 +270,7 @@ let run rules _rng g platform =
   let depth = depths g order in
   (* Deepest al-operators first, so merging proceeds bottom-up. *)
   let al_ops =
-    List.filter (fun i -> Graph.leaves g i <> []) (List.init (Graph.n_nodes g) Fun.id)
+    List.filter (fun i -> Graph.n_leaves g i > 0) (List.init (Graph.n_nodes g) Fun.id)
     |> List.sort (fun x y ->
            let c = compare depth.(y) depth.(x) in
            if c <> 0 then c else compare x y)

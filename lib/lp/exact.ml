@@ -29,7 +29,9 @@ let preorder g =
     if not seen.(i) then begin
       seen.(i) <- true;
       order := i :: !order;
-      List.iter visit (Graph.producers g i)
+      for k = 0 to Graph.n_producers g i - 1 do
+        visit (Graph.producer g i k)
+      done
     end
   in
   List.iter visit (Array.to_list g.Graph.roots @ List.init n Fun.id);

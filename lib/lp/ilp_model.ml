@@ -1,5 +1,5 @@
 module App = Insp_tree.App
-module Optree = Insp_tree.Optree
+module Graph = Insp_tree.Graph
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
@@ -27,13 +27,11 @@ let build app platform ~max_procs =
   let speed = config.Catalog.cpu.Catalog.speed in
   let nic_bw = config.Catalog.nic.Catalog.bandwidth in
   let servers = platform.Platform.servers in
-  let tree = App.tree app in
+  let g = Graph.of_app app in
   let n = App.n_operators app in
   let u_max = max_procs in
   let rho = App.rho app in
-  let used_objects =
-    Optree.leaf_instances tree |> List.map snd |> List.sort_uniq compare
-  in
+  let used_objects = Graph.distinct_objects g (List.init n Fun.id) in
   let k_used = List.length used_objects in
   let obj_pos k =
     let rec find idx = function
@@ -93,11 +91,11 @@ let build app platform ~max_procs =
     r.(y_index u) <- -.speed;
     add r Simplex.Le 0.0
   done;
-  (* Crossing-indicator definitions for every non-root operator. *)
+  (* Crossing-indicator definitions for every non-root operator: its
+     one consumer is its parent. *)
   for i = 0 to n - 1 do
-    match Optree.parent tree i with
-    | None -> ()
-    | Some p ->
+    for k = 0 to Graph.n_consumers g i - 1 do
+      let p = Graph.consumer g i k in
       for u = 0 to u_max - 1 do
         (* a_{i,u} >= x_{i,u} - x_{p,u} *)
         let r = row () in
@@ -112,21 +110,20 @@ let build app platform ~max_procs =
         r.(b_index i u) <- -1.0;
         add r Simplex.Le 0.0
       done
+    done
   done;
   (* n_{u,k} >= x_{i,u} for every al-operator i needing k. *)
-  List.iter
-    (fun i ->
-      let needs = List.sort_uniq compare (Optree.leaves tree i) in
-      List.iter
-        (fun k ->
-          for u = 0 to u_max - 1 do
-            let r = row () in
-            r.(x_index i u) <- 1.0;
-            r.(n_index u k) <- -1.0;
-            add r Simplex.Le 0.0
-          done)
-        needs)
-    (Optree.al_operators tree);
+  for i = 0 to n - 1 do
+    List.iter
+      (fun k ->
+        for u = 0 to u_max - 1 do
+          let r = row () in
+          r.(x_index i u) <- 1.0;
+          r.(n_index u k) <- -1.0;
+          add r Simplex.Le 0.0
+        done)
+      (Graph.distinct_objects g [ i ])
+  done;
   (* Download split: sum_l d_{u,k,l} = n_{u,k}. *)
   for u = 0 to u_max - 1 do
     List.iter
@@ -144,12 +141,11 @@ let build app platform ~max_procs =
       (fun k -> r.(n_index u k) <- App.download_rate app k)
       used_objects;
     for i = 0 to n - 1 do
-      match Optree.parent tree i with
-      | None -> ()
-      | Some _ ->
+      if Graph.n_consumers g i > 0 then begin
         let w = rho *. App.output_size app i in
         r.(a_index i u) <- w;
         r.(b_index i u) <- w
+      end
     done;
     r.(y_index u) <- -.nic_bw;
     add r Simplex.Le 0.0

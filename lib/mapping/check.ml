@@ -49,8 +49,8 @@ let[@inline] host hosts i = if i < Array.length hosts then hosts.(i) else -1
    is charged, else [0.0]. *)
 let shared_rate g hosts j v c =
   let first = ref (-1) and r = ref 0.0 in
-  for k = 0 to Graph.n_consumers g j - 1 do
-    let c' = Graph.consumer g j k in
+  for x = g.Graph.cons_start.(j) to g.Graph.cons_start.(j + 1) - 1 do
+    let c' = g.Graph.cons.(x) in
     if host hosts c' = v then begin
       if !first < 0 then first := c';
       r := Float.max !r g.Graph.rates.(c' * g.Graph.rate_stride)
@@ -64,21 +64,22 @@ let[@inline] stream_rate g hosts ~unshared j v c =
   if unshared then g.Graph.rates.(c * g.Graph.rate_stride)
   else shared_rate g hosts j v c
 
-(* The rate of the stream from producer [j] on [v], read in slot [k] of
-   [ps], if consumer [c] on [u] is where it is charged, else [0.0]. *)
-let[@inline] charged_rate g hosts ~unshared ps k j v u c =
-  if v <> u && (k = 0 || not (Graph.read_before j ps k)) then
+(* The rate of the stream from producer [j] on [v], read at position [x]
+   of [c]'s producer row, if consumer [c] on [u] is where it is charged,
+   else [0.0]. *)
+let[@inline] charged_rate g hosts ~unshared x j v u c =
+  if v <> u && not (Graph.read_before g c j (x - g.Graph.prod_start.(c))) then
     stream_rate g hosts ~unshared j u c
   else 0.0
 
 (* [f u v c j] for every stream charged at consumer [c] on [u] from a
    producer [j] on [v], [v = -1] when [j] is unassigned. *)
-let rec streams_into g hosts ~unshared f u c ps k = function
-  | [] -> ()
-  | j :: rest ->
+let streams_into g hosts ~unshared f u c =
+  for x = g.Graph.prod_start.(c) to g.Graph.prod_start.(c + 1) - 1 do
+    let j = g.Graph.prod.(x) in
     let v = host hosts j in
-    if charged_rate g hosts ~unshared ps k j v u c > 0.0 then f u v c j;
-    streams_into g hosts ~unshared f u c ps (k + 1) rest
+    if charged_rate g hosts ~unshared x j v u c > 0.0 then f u v c j
+  done
 
 type measurement = {
   need_start : int array;
@@ -87,13 +88,17 @@ type measurement = {
   plan_rates : float array;
 }
 
+(* One sweep over the nodes in id order sums the loads and each row's
+   leaf count, from which [Graph.object_rows_counted] lays out the
+   needed objects. *)
 let measure g alloc =
-  let { Graph.rates; rate_stride; work; output; objects; _ } = g in
+  let { Graph.rates; rate_stride; work; output; objects; cons_start; cons;
+        leaf_start; _ } = g in
   let n_procs = Alloc.n_procs alloc in
-  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
-  let need_start, needed = Graph.object_rows g hosts n_procs in
+  let hosts = Alloc.hosts alloc and unshared = g.Graph.unshared in
   let compute = Array.make n_procs 0.0 in
   let comm_in = Array.make n_procs 0.0 and comm_out = Array.make n_procs 0.0 in
+  let leaf_count = Array.make (n_procs + 1) 0 in
   let charge u _ c j =
     comm_in.(u) <- comm_in.(u) +. (stream_rate g hosts ~unshared j u c *. output.(j))
   in
@@ -101,12 +106,13 @@ let measure g alloc =
     let u = host hosts i in
     if u >= 0 then begin
       compute.(u) <- compute.(u) +. (rates.(i * rate_stride) *. work.(i));
-      let ps = Graph.producers g i in
-      streams_into g hosts ~unshared charge u i ps 0 ps;
+      leaf_count.(u + 1) <-
+        leaf_count.(u + 1) + (leaf_start.(i + 1) - leaf_start.(i));
+      streams_into g hosts ~unshared charge u i;
       (* destinations in the order [i]'s ascending consumers first
          reach them; an unassigned consumer is its own stream *)
-      for k = 0 to Graph.n_consumers g i - 1 do
-        let c = Graph.consumer g i k in
+      for x = cons_start.(i) to cons_start.(i + 1) - 1 do
+        let c = cons.(x) in
         let v = host hosts c in
         if v <> u then begin
           let r = stream_rate g hosts ~unshared:(unshared || v < 0) i v c in
@@ -115,6 +121,9 @@ let measure g alloc =
       done
     end
   done;
+  let need_start, needed =
+    Graph.object_rows_counted g hosts n_procs leaf_count
+  in
   let demand u =
     let download = ref 0.0 in
     for x = need_start.(u) to need_start.(u + 1) - 1 do
@@ -196,14 +205,11 @@ let structural_violations g platform alloc m =
 let proc_link_violations g platform alloc add =
   let output = g.Graph.output in
   let n_procs = Alloc.n_procs alloc in
-  let hosts = Alloc.hosts alloc and unshared = Graph.unshared g in
+  let hosts = Alloc.hosts alloc and unshared = g.Graph.unshared in
   let sweep f =
     for c = 0 to Graph.n_nodes g - 1 do
       let u = host hosts c in
-      if u >= 0 then begin
-        let ps = Graph.producers g c in
-        streams_into g hosts ~unshared f u c ps 0 ps
-      end
+      if u >= 0 then streams_into g hosts ~unshared f u c
     done
   in
   let row = Array.make (n_procs + 1) 0 in

@@ -28,26 +28,25 @@ let of_group g group =
   (* one stream per outside producer, charged at the fastest member
      reading it, in its first slot there; on a tree, the closures' sizes
      are what test/alloc_counts.golden pins *)
-  let rec producers i ps k = function
-    | [] -> ()
-    | j :: rest ->
+  let producers i =
+    for x = g.Graph.prod_start.(i) to g.Graph.prod_start.(i + 1) - 1 do
+      let j = g.Graph.prod.(x) in
       if
         (not (in_group j))
-        && (not (Graph.read_before j ps k))
+        && (not (Graph.read_before g i j (x - g.Graph.prod_start.(i))))
         && (Graph.n_consumers g j = 1 || Graph.fastest g j in_group = i)
       then
         s.a_comm_in <-
-          s.a_comm_in +. (g.Graph.rates.(i * g.Graph.rate_stride) *. g.Graph.output.(j));
-      producers i ps (k + 1) rest
+          s.a_comm_in +. (g.Graph.rates.(i * g.Graph.rate_stride) *. g.Graph.output.(j))
+    done
   in
   List.iter
     (fun i ->
       let stride = g.Graph.rate_stride in
       s.a_compute <- s.a_compute +. (rates.(i * stride) *. work.(i));
-      let ps = Graph.producers g i in
-      producers i ps 0 ps;
-      for k = 0 to Graph.n_consumers g i - 1 do
-        let c = Graph.consumer g i k in
+      producers i;
+      for x = g.Graph.cons_start.(i) to g.Graph.cons_start.(i + 1) - 1 do
+        let c = g.Graph.cons.(x) in
         if not (in_group c) then
           s.a_comm_out <- s.a_comm_out +. (rates.(c * stride) *. output.(i))
       done)

@@ -237,7 +237,7 @@ let create g platform =
   let empty = new_proc ~ints ~floats ~n_servers (-1) in
   {
     g; platform; ints; floats; rate; empty;
-    unshared = Graph.unshared g;
+    unshared = g.Graph.unshared;
     rates = g.Graph.rates;
     stride = g.Graph.rate_stride;
     work = g.Graph.work;
@@ -364,32 +364,38 @@ let neighbours t u = keys (proc t u).flows
    when none.  O(out-degree).  [Graph.fastest] without its closure, so
    a commit allocates nothing. *)
 let top t j u ~skip =
-  let best = ref (-1) in
-  for k = 0 to Graph.n_consumers t.g j - 1 do
-    let c = Graph.consumer t.g j k in
+  let { Graph.cons_start; cons; _ } = t.g and best = ref (-1) in
+  for x = cons_start.(j) to cons_start.(j + 1) - 1 do
+    let c = cons.(x) in
     if c <> skip && t.host.(c) = u && (!best < 0 || rate t c > rate t !best) then
       best := c
   done;
   !best
 
-(* Whether one of [j]'s first [k] consumers is hosted on [u]: a stream
-   is charged at its first consumer on the destination. *)
-let rec hosted_before t j u k =
-  k > 0 && (t.host.(Graph.consumer t.g j (k - 1)) = u || hosted_before t j u (k - 1))
+(* Whether one of the consumers of [j] before position [x] of its row
+   is hosted on [u]: a stream is charged at its first consumer on the
+   destination. *)
+let rec hosted_before t j u x =
+  x > t.g.Graph.cons_start.(j)
+  && (t.host.(t.g.Graph.cons.(x - 1)) = u || hosted_before t j u (x - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Operator placement deltas                                           *)
 
-(* [f] on the distinct leaves of an operator, ascending.  A validated
-   tree gives an operator at most two leaves. *)
-let iter_leaves f t p q = function
-  | [] -> ()
-  | [ k ] -> f t p q k
-  | [ a; b ] ->
+(* [f] on the distinct leaves of operator [i], ascending.  A validated
+   tree or DAG gives a node at most two leaves. *)
+let iter_leaves f t p q i =
+  let { Graph.leaf_start; leaf; _ } = t.g in
+  let x = leaf_start.(i) in
+  match leaf_start.(i + 1) - x with
+  | 0 -> ()
+  | 1 -> f t p q leaf.(x)
+  | 2 ->
+    let a = leaf.(x) and b = leaf.(x + 1) in
     if a < b then (f t p q a; f t p q b)
     else if b < a then (f t p q b; f t p q a)
     else f t p q a
-  | ks -> List.iter (f t p q) (List.sort_uniq Int.compare ks)
+  | _ -> assert false (* arity checked at construction *)
 
 (* Needed-object edits: [p]'s needs row, the need rate in loads [q]. *)
 let add_need t p q k =
@@ -474,15 +480,9 @@ let consume t u p q i d j =
       else if grows then add_delta t v w
   end
 
-let rec consume_all t u p q i d ps k = function
-  | [] -> ()
-  | j :: rest ->
-    if k = 0 || not (Graph.read_before j ps k) then consume t u p q i d j;
-    consume_all t u p q i d ps (k + 1) rest
-
-(* [i] as the producer of its [k]-th consumer. *)
+(* [i] as the producer of the consumer at position [k] of its row. *)
 let produce t u p q i d k =
-  let c = Graph.consumer t.g i k in
+  let c = t.g.Graph.cons.(k) in
   let w = t.host.(c) and sign = float_of_int d in
   let out = t.output.(i) in
   if w < 0 then q.(comm_out_) <- q.(comm_out_) +. (sign *. (out *. rate t c))
@@ -506,14 +506,18 @@ let produce t u p q i d k =
 
 let shift t u p q i d =
   q.(compute_) <- q.(compute_) +. (float_of_int d *. (rate t i *. t.work.(i)));
-  let ps = Graph.producers t.g i in
-  consume_all t u p q i d ps 0 ps;
-  for k = 0 to Graph.n_consumers t.g i - 1 do
+  let { Graph.prod_start; prod; cons_start; _ } = t.g in
+  for x = prod_start.(i) to prod_start.(i + 1) - 1 do
+    let j = prod.(x) in
+    if not (Graph.read_before t.g i j (x - prod_start.(i))) then
+      consume t u p q i d j
+  done;
+  for k = cons_start.(i) to cons_start.(i + 1) - 1 do
     produce t u p q i d k
   done;
   iter_leaves
     (if q != p.loads then probe_need else if d > 0 then add_need else remove_need)
-    t p q (Graph.leaves t.g i)
+    t p q i
 
 let add_operator t u i =
   if t.host.(i) >= 0 then
@@ -723,12 +727,14 @@ let probe_add t u i =
    producer's host.  Collected from the loser's members into the probe
    scratch: the comm_in change into [would]'s comm_in, the pair-flow
    changes as deltas.  An unshared graph (every tree) has none. *)
-let rec overlap_from t ~winner ~loser c ps k = function
-  | [] -> ()
-  | j :: rest ->
+let overlap_from t ~winner ~loser c =
+  let { Graph.prod_start; prod; _ } = t.g in
+  for x = prod_start.(c) to prod_start.(c + 1) - 1 do
+    let j = prod.(x) in
     let v = t.host.(j) in
     if
-      v <> winner && v <> loser && (not (Graph.read_before j ps k))
+      v <> winner && v <> loser
+      && (not (Graph.read_before t.g c j (x - prod_start.(c))))
       && top t j loser ~skip:(-1) = c
     then begin
       let cw = top t j winner ~skip:(-1) in
@@ -739,8 +745,8 @@ let rec overlap_from t ~winner ~loser c ps k = function
         t.would.(comm_in_) <- t.would.(comm_in_) -. m;
         if v >= 0 then add_delta t v (-.m)
       end
-    end;
-    overlap_from t ~winner ~loser c ps (k + 1) rest
+    end
+  done
 
 let overlap t ~winner ~loser =
   t.would.(comm_in_) <- 0.0;
@@ -748,9 +754,7 @@ let overlap t ~winner ~loser =
   if not t.unshared then begin
     let m = t.procs.(loser).members in
     for y = m.off to m.off + m.len - 1 do
-      let c = m.s.key.(y) in
-      let ps = Graph.producers t.g c in
-      overlap_from t ~winner ~loser c ps 0 ps
+      overlap_from t ~winner ~loser m.s.key.(y)
     done
   end
 

@@ -22,25 +22,26 @@ let share ~objects ~alpha ?(base_work = 0.0) ?(work_factor = 1.0) ~trees () =
   let share_tree tree =
     (* Bottom-up: children interned before parents. *)
     let node_id = Array.make (Optree.n_operators tree) (-1) in
+    let { Optree.child_start; child; leaf_start; leaf; _ } = tree in
     List.iter
       (fun op ->
-        let leaves = Optree.leaves tree op
-        and children = Optree.children tree op in
-        let key =
-          List.map (fun k -> -(k + 1)) leaves
-          @ List.map (fun c -> node_id.(c)) children
-          |> List.sort Int.compare
-        in
+        (* inputs in slot order (leaves, then children) and their codes *)
+        let inputs = ref [] and codes = ref [] in
+        for x = child_start.(op + 1) - 1 downto child_start.(op) do
+          let id = node_id.(child.(x)) in
+          inputs := Dag.Node id :: !inputs;
+          codes := id :: !codes
+        done;
+        for x = leaf_start.(op + 1) - 1 downto leaf_start.(op) do
+          inputs := Dag.Object leaf.(x) :: !inputs;
+          codes := -(leaf.(x) + 1) :: !codes
+        done;
+        let key = List.sort Int.compare !codes in
         node_id.(op) <-
           (match Hashtbl.find_opt table key with
           | Some id -> id
           | None ->
-            let id =
-              Dag.add_node builder
-                ~inputs:
-                  (List.map (fun k -> Dag.Object k) leaves
-                  @ List.map (fun c -> Dag.Node node_id.(c)) children)
-            in
+            let id = Dag.add_node builder ~inputs:!inputs in
             Hashtbl.replace table key id;
             id))
       (Optree.postorder tree);

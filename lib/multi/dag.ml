@@ -18,7 +18,6 @@ type t = {
   objects : Objects.t;
   n_object_types : int;
   roots : (int * float) list;
-  consumers : int list array;
   graph : Graph.t;
 }
 
@@ -28,34 +27,60 @@ let inputs t i = t.nodes.(i).inputs
 let graph t = t.graph
 let topological t = List.init (n_nodes t) Fun.id
 
-let compute_consumers nodes =
-  let consumers = Array.make (Array.length nodes) [] in
-  Array.iter
-    (fun n ->
-      List.iter
-        (function
-          | Node j -> consumers.(j) <- n.id :: consumers.(j)
-          | Object _ -> ())
-        n.inputs)
-    nodes;
-  Array.map (List.sort_uniq compare) consumers
+(* Whether [j] is among the first [k] inputs: a node reading one
+   producer in two slots is one consumer of it. *)
+let rec reads_before j k = function
+  | Node j' :: rest -> k > 0 && (j' = j || reads_before j (k - 1) rest)
+  | Object _ :: rest -> k > 0 && reads_before j (k - 1) rest
+  | [] -> false
 
 (* The operator-graph view, built once with the DAG: node inputs split
-   into producers (slot order) and leaves, consumers ascending. *)
-let view nodes ~objects ~roots ~consumers =
-  let producers n =
-    List.filter_map (function Node j -> Some j | Object _ -> None) n.inputs
+   into producer rows (slot order) and leaf rows, then consumer rows,
+   ascending because the nodes are visited in id order.  A counting
+   pass sizes the rows; a second one fills them. *)
+let view nodes ~objects ~roots =
+  let n = Array.length nodes in
+  let prod_start = Array.make (n + 1) 0 and leaf_start = Array.make (n + 1) 0 in
+  let cons_start = Array.make (n + 1) 0 in
+  let rec count i ins k = function
+    | [] -> ()
+    | Object _ :: rest ->
+      leaf_start.(i + 1) <- leaf_start.(i + 1) + 1;
+      count i ins (k + 1) rest
+    | Node j :: rest ->
+      prod_start.(i + 1) <- prod_start.(i + 1) + 1;
+      if not (reads_before j k ins) then cons_start.(j + 1) <- cons_start.(j + 1) + 1;
+      count i ins (k + 1) rest
   in
-  let leaves n =
-    List.filter_map (function Object k -> Some k | Node _ -> None) n.inputs
+  Array.iteri (fun i nd -> count i nd.inputs 0 nd.inputs) nodes;
+  for i = 0 to n - 1 do
+    prod_start.(i + 1) <- prod_start.(i + 1) + prod_start.(i);
+    leaf_start.(i + 1) <- leaf_start.(i + 1) + leaf_start.(i);
+    cons_start.(i + 1) <- cons_start.(i + 1) + cons_start.(i)
+  done;
+  let prod = Array.make prod_start.(n) 0 and leaf = Array.make leaf_start.(n) 0 in
+  let cons = Array.make cons_start.(n) 0 and next = Array.sub cons_start 0 n in
+  let rec fill i ins px lx k = function
+    | [] -> ()
+    | Object o :: rest ->
+      leaf.(lx) <- o;
+      fill i ins px (lx + 1) (k + 1) rest
+    | Node j :: rest ->
+      prod.(px) <- j;
+      if not (reads_before j k ins) then begin
+        cons.(next.(j)) <- i;
+        next.(j) <- next.(j) + 1
+      end;
+      fill i ins (px + 1) lx (k + 1) rest
   in
+  Array.iteri
+    (fun i nd -> fill i nd.inputs prod_start.(i) leaf_start.(i) 0 nd.inputs)
+    nodes;
   Graph.make
     ~rates:(Array.map (fun n -> n.rate) nodes)
     ~work:(Array.map (fun n -> n.work) nodes)
     ~output:(Array.map (fun n -> n.output) nodes)
-    ~producers:(Array.map producers nodes)
-    ~consumers:(Array.map Array.of_list consumers)
-    ~leaves:(Array.map leaves nodes)
+    ~prod_start ~prod ~cons_start ~cons ~leaf_start ~leaf
     ~roots:(Array.of_list (List.map fst roots))
     ~objects
 
@@ -78,7 +103,8 @@ let validate t =
       then fail "node %d has an invalid or non-topological input" i
       else begin
         let consumer_rates =
-          List.map (fun j -> t.nodes.(j).rate) t.consumers.(i)
+          List.init (Graph.n_consumers t.graph i) (fun k ->
+              t.nodes.(Graph.consumer t.graph i k).rate)
         in
         let sink_rates =
           List.filter_map
@@ -173,15 +199,13 @@ let finish b ~objects ~alpha ?(base_work = 0.0) ?(work_factor = 1.0) ~roots () =
           output = output.(i);
         })
   in
-  let consumers = compute_consumers nodes in
   let t =
     {
       nodes;
       objects;
       n_object_types = b.b_n_object_types;
       roots;
-      consumers;
-      graph = view nodes ~objects ~roots ~consumers;
+      graph = view nodes ~objects ~roots;
     }
   in
   (match validate t with
@@ -201,30 +225,32 @@ let of_apps apps =
     List.iter
       (fun app ->
         let tree = App.tree app in
-        let mapping = Hashtbl.create 32 in
+        let { Optree.child_start; child; leaf_start; leaf; _ } = tree in
+        let mapping = Array.make (Optree.n_operators tree) (-1) in
         List.iter
           (fun op ->
             let id = !next in
             incr next;
-            Hashtbl.replace mapping op id;
-            let inputs =
-              List.map (fun k -> Object k) (Optree.leaves tree op)
-              @ List.map
-                  (fun c -> Node (Hashtbl.find mapping c))
-                  (Optree.children tree op)
-            in
+            mapping.(op) <- id;
+            (* leaves, then children, each in slot order *)
+            let inputs = ref [] in
+            for x = child_start.(op + 1) - 1 downto child_start.(op) do
+              inputs := Node mapping.(child.(x)) :: !inputs
+            done;
+            for x = leaf_start.(op + 1) - 1 downto leaf_start.(op) do
+              inputs := Object leaf.(x) :: !inputs
+            done;
             nodes.(id) <-
               Some
                 {
                   id;
-                  inputs;
+                  inputs = !inputs;
                   rate = App.rho app;
                   work = App.work app op;
                   output = App.output_size app op;
                 })
           (Optree.postorder tree);
-        roots :=
-          (Hashtbl.find mapping (Optree.root tree), App.rho app) :: !roots)
+        roots := (mapping.(Optree.root tree), App.rho app) :: !roots)
       apps;
     let nodes =
       Array.map
@@ -234,14 +260,12 @@ let of_apps apps =
         nodes
     in
     let objects = App.objects first and roots = List.rev !roots in
-    let consumers = compute_consumers nodes in
     {
       nodes;
       objects;
       n_object_types;
       roots;
-      consumers;
-      graph = view nodes ~objects ~roots ~consumers;
+      graph = view nodes ~objects ~roots;
     }
 
 let simulate ?horizon ?warmup ?disruptions t platform alloc =

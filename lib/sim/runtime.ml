@@ -62,7 +62,7 @@ let run_impl ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform alloc =
   let window = max 8 (2 * Alloc.n_procs alloc) in
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
-  let { Graph.roots; work; output; objects; _ } = g in
+  let { Graph.roots; work; output; objects; prod_start; prod; _ } = g in
   let n_ops = Graph.n_nodes g in
   let n_procs = Alloc.n_procs alloc in
   let proc_of = Array.make n_ops (-1) in
@@ -87,14 +87,11 @@ let run_impl ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform alloc =
      there.  Stream ids are dense, grouped by producer
      ([first_stream.(p)] up to [first_stream.(p + 1)]) and ascending by
      destination within a producer; a tree node has at most one. *)
-  let inputs =
-    Array.init n_ops (fun j -> Array.of_list (Graph.producers g j))
-  in
   let dests = Array.make n_ops [] in
   for j = 0 to n_ops - 1 do
-    let v = proc_of.(j) and ins = inputs.(j) in
-    for k = 0 to Array.length ins - 1 do
-      let p = ins.(k) in
+    let v = proc_of.(j) in
+    for x = prod_start.(j) to prod_start.(j + 1) - 1 do
+      let p = prod.(x) in
       if proc_of.(p) <> v && not (List.mem v dests.(p)) then
         dests.(p) <- v :: dests.(p)
     done
@@ -125,24 +122,23 @@ let run_impl ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform alloc =
     fill p first_stream.(p) dests.(p)
   done;
   (* arrived.(s) counts the results of stream [s] that have reached its
-     destination; in_stream.(j).(k) is the stream feeding j's k-th
-     input, or -1 when the producer is co-located. *)
+     destination; in_stream.(x) is the stream feeding the input at
+     position [x] of the producer rows, or -1 when the producer is
+     co-located. *)
   let arrived = Array.make n_streams 0 in
-  let in_stream = Array.make n_ops [||] in
+  let in_stream = Array.make (Array.length prod) (-1) in
   for j = 0 to n_ops - 1 do
-    let v = proc_of.(j) and ins = inputs.(j) in
-    let ss = Array.make (Array.length ins) (-1) in
-    for k = 0 to Array.length ins - 1 do
-      let p = ins.(k) in
+    let v = proc_of.(j) in
+    for x = prod_start.(j) to prod_start.(j + 1) - 1 do
+      let p = prod.(x) in
       if proc_of.(p) <> v then begin
         let s = ref first_stream.(p) in
         while stream_dst.(!s) <> v do
           incr s
         done;
-        ss.(k) <- !s
+        in_stream.(x) <- !s
       end
-    done;
-    in_stream.(j) <- ss
+    done
   done;
   let computing = Array.make n_procs false in
   let busy_until_accum = Array.make n_procs 0.0 in
@@ -356,12 +352,11 @@ let run_impl ?(horizon = 80.0) ?warmup ?(disruptions = []) g platform alloc =
     let t = completed.(op) + 1 in
     t <= !root_floor + window
     &&
-    let ins = inputs.(op) and ss = in_stream.(op) in
-    let ok = ref true and k = ref 0 in
-    while !ok && !k < Array.length ins do
-      let s = ss.(!k) in
-      (ok := if s < 0 then completed.(ins.(!k)) >= t else arrived.(s) > t);
-      incr k
+    let ok = ref true and x = ref prod_start.(op) in
+    while !ok && !x < prod_start.(op + 1) do
+      let s = in_stream.(!x) in
+      (ok := if s < 0 then completed.(prod.(!x)) >= t else arrived.(s) > t);
+      incr x
     done;
     !ok
   in

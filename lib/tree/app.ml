@@ -20,23 +20,21 @@ let make ?(rho = 1.0) ?(base_work = 0.0) ?(work_factor = 1.0) ~tree ~objects
   let n = Optree.n_operators tree in
   let work = Array.make n 0.0 in
   let output = Array.make n 0.0 in
-  (* Postorder guarantees children are sized before their parent. *)
-  List.iter
-    (fun i ->
-      let leaf_mass =
-        List.fold_left
-          (fun acc k -> acc +. Objects.size objects k)
-          0.0 (Optree.leaves tree i)
-      in
-      let child_mass =
-        List.fold_left
-          (fun acc c -> acc +. output.(c))
-          0.0 (Optree.children tree i)
-      in
-      let input = leaf_mass +. child_mass in
-      work.(i) <- base_work +. (work_factor *. (input ** alpha));
-      output.(i) <- input)
-    (Optree.postorder tree);
+  (* Ids are in preorder, so a descending sweep sizes the children
+     before their parent. *)
+  let { Optree.child_start; child; leaf_start; leaf; _ } = tree in
+  for i = n - 1 downto 0 do
+    let leaf_mass = ref 0.0 and child_mass = ref 0.0 in
+    for x = leaf_start.(i) to leaf_start.(i + 1) - 1 do
+      leaf_mass := !leaf_mass +. Objects.size objects leaf.(x)
+    done;
+    for x = child_start.(i) to child_start.(i + 1) - 1 do
+      child_mass := !child_mass +. output.(child.(x))
+    done;
+    let input = !leaf_mass +. !child_mass in
+    work.(i) <- base_work +. (work_factor *. (input ** alpha));
+    output.(i) <- input
+  done;
   { tree; objects; alpha; rho; base_work; work_factor; work; output }
 
 let tree t = t.tree

@@ -1,12 +1,3 @@
-type links =
-  | Tree of Optree.node array
-  | Shared of {
-      producers : int list array;
-      consumers : int array array;
-      leaves : int list array;
-      unshared : bool;
-    }
-
 type t = {
   rates : float array;
   rate_stride : int;
@@ -14,84 +5,74 @@ type t = {
   output : float array;
   roots : int array;
   objects : Objects.t;
-  links : links;
+  prod_start : int array;
+  prod : int array;
+  cons_start : int array;
+  cons : int array;
+  leaf_start : int array;
+  leaf : int array;
+  unshared : bool;
 }
 
+(* Shared by every tree's view, never written. *)
+let tree_roots = [| 0 |]
+
 let of_app app =
+  let tree = App.tree app in
   {
     rates = [| App.rho app |];
     rate_stride = 0;
     work = App.works app;
     output = App.output_sizes app;
-    roots = [| Optree.root (App.tree app) |];
+    roots = tree_roots;
     objects = App.objects app;
-    links = Tree (Optree.nodes (App.tree app));
+    prod_start = tree.Optree.child_start;
+    prod = tree.Optree.child;
+    cons_start = tree.Optree.parent_start;
+    cons = tree.Optree.parent;
+    leaf_start = tree.Optree.leaf_start;
+    leaf = tree.Optree.leaf;
+    unshared = true;
   }
 
-let make ~rates ~work ~output ~producers ~consumers ~leaves ~roots ~objects =
-  {
-    rates;
-    rate_stride = 1;
-    work;
-    output;
-    roots;
-    objects;
-    links =
-      Shared
-        {
-          producers;
-          consumers;
-          leaves;
-          unshared = Array.for_all (fun cs -> Array.length cs <= 1) consumers;
-        };
-  }
+let make ~rates ~work ~output ~prod_start ~prod ~cons_start ~cons ~leaf_start
+    ~leaf ~roots ~objects =
+  let unshared = ref true in
+  for i = 0 to Array.length cons_start - 2 do
+    if cons_start.(i + 1) - cons_start.(i) > 1 then unshared := false
+  done;
+  { rates; rate_stride = 1; work; output; roots; objects; prod_start; prod;
+    cons_start; cons; leaf_start; leaf; unshared = !unshared }
 
 let scale_rates g factor =
   { g with rates = Array.map (fun r -> r *. factor) g.rates }
 
 let n_nodes g = Array.length g.work
-
-(* A tree's accessors read its node records directly: one call per
-   access, not one per field. *)
-let producers g i =
-  match g.links with
-  | Tree nodes -> nodes.(i).Optree.children
-  | Shared s -> s.producers.(i)
-
-let unshared g =
-  match g.links with Tree _ -> true | Shared s -> s.unshared
-
-let n_consumers g i =
-  match g.links with
-  | Tree nodes -> ( match nodes.(i).Optree.parent with Some _ -> 1 | None -> 0)
-  | Shared s -> Array.length s.consumers.(i)
-
-let consumer g i k =
-  match g.links with
-  | Tree nodes -> (
-    match nodes.(i).Optree.parent with
-    | Some p when k = 0 -> p
-    | Some _ | None -> invalid_arg "Graph.consumer: no such consumer")
-  | Shared s -> s.consumers.(i).(k)
-
+let n_producers g i = g.prod_start.(i + 1) - g.prod_start.(i)
+let producer g i k = g.prod.(g.prod_start.(i) + k)
+let n_consumers g i = g.cons_start.(i + 1) - g.cons_start.(i)
+let consumer g i k = g.cons.(g.cons_start.(i) + k)
+let n_leaves g i = g.leaf_start.(i + 1) - g.leaf_start.(i)
+let leaf g i k = g.leaf.(g.leaf_start.(i) + k)
 let rate g i = g.rates.(i * g.rate_stride)
 
-let rec read_before j ps k =
-  k > 0 && match ps with p :: ps -> p = j || read_before j ps (k - 1) | [] -> false
+(* Whether [v] is among [a.(x) .. a.(stop - 1)]: a top-level loop, so
+   a call allocates no closure. *)
+let rec mem_in (a : int array) v x stop =
+  x < stop && (a.(x) = v || mem_in a v (x + 1) stop)
 
-let rec repeats ps k = function
-  | [] -> false
-  | j :: rest -> read_before j ps k || repeats ps (k + 1) rest
+let read_before g i j k =
+  let s = g.prod_start.(i) in
+  mem_in g.prod j s (s + k)
 
-let distinct_producers g i =
-  let ps = producers g i in
-  if not (repeats ps 0 ps) then ps
-  else List.rev (List.fold_left (fun acc j -> if List.mem j acc then acc else j :: acc) [] ps)
+let object_before g i o k =
+  let s = g.leaf_start.(i) in
+  mem_in g.leaf o s (s + k)
 
 let fastest g j f =
   let best = ref (-1) in
-  for k = 0 to n_consumers g j - 1 do
-    let c = consumer g j k in
+  for x = g.cons_start.(j) to g.cons_start.(j + 1) - 1 do
+    let c = g.cons.(x) in
     if
       f c
       && (!best < 0
@@ -100,37 +81,35 @@ let fastest g j f =
   done;
   !best
 
-let leaves g i =
-  match g.links with
-  | Tree nodes -> nodes.(i).Optree.leaves
-  | Shared s -> s.leaves.(i)
+let rec leaves_onto g acc = function
+  | [] -> acc
+  | i :: rest ->
+    let acc = ref acc in
+    for x = g.leaf_start.(i) to g.leaf_start.(i + 1) - 1 do
+      acc := g.leaf.(x) :: !acc
+    done;
+    leaves_onto g !acc rest
 
-let distinct_objects g nodes =
-  List.concat_map (leaves g) nodes |> List.sort_uniq Int.compare
+let distinct_objects g nodes = List.sort_uniq Int.compare (leaves_onto g [] nodes)
 
-(* Two sweeps over the nodes in id order (the node arrays read
-   sequentially) lay out every row's leaves; each row is then deduplicated
-   by per-type stamps and insertion-sorted in place, compacting as it goes. *)
-let object_rows g hosts n =
+(* [count.(u + 1)] holds row [u]'s leaf count (repeats included) on
+   entry; one sweep over the nodes in id order (the leaf rows read
+   sequentially) lays the leaves out, then each row is deduplicated by
+   per-type stamps and insertion-sorted in place, compacting as it
+   goes. *)
+let object_rows_counted g hosts n start =
   let n_hosted = min (n_nodes g) (Array.length hosts) in
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to n_hosted - 1 do
-    let u = hosts.(i) in
-    if u >= 0 then start.(u + 1) <- start.(u + 1) + List.length (leaves g i)
-  done;
   for u = 0 to n - 1 do
     start.(u + 1) <- start.(u + 1) + start.(u)
   done;
   let types = Array.make start.(n) 0 and fill = Array.sub start 0 n in
-  let rec put u = function
-    | [] -> ()
-    | k :: ks ->
-      types.(fill.(u)) <- k;
-      fill.(u) <- fill.(u) + 1;
-      put u ks
-  in
   for i = 0 to n_hosted - 1 do
-    if hosts.(i) >= 0 then put hosts.(i) (leaves g i)
+    let u = hosts.(i) in
+    if u >= 0 then
+      for x = g.leaf_start.(i) to g.leaf_start.(i + 1) - 1 do
+        types.(fill.(u)) <- g.leaf.(x);
+        fill.(u) <- fill.(u) + 1
+      done
   done;
   let stamp = Array.make (Objects.count g.objects) (-1) and top = ref 0 in
   for u = 0 to n - 1 do
@@ -151,3 +130,13 @@ let object_rows g hosts n =
   done;
   start.(n) <- !top;
   (start, Array.sub types 0 !top)
+
+let object_rows g hosts n =
+  let n_hosted = min (n_nodes g) (Array.length hosts) in
+  let count = Array.make (n + 1) 0 in
+  for i = 0 to n_hosted - 1 do
+    let u = hosts.(i) in
+    if u >= 0 then
+      count.(u + 1) <- count.(u + 1) + (g.leaf_start.(i + 1) - g.leaf_start.(i))
+  done;
+  object_rows_counted g hosts n count

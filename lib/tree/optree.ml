@@ -3,14 +3,43 @@ type spec =
   | Op1 of spec
   | Op of spec * spec
 
-type node = {
-  id : int;
-  parent : int option;
-  children : int list;
-  leaves : int list;
+type t = {
+  n_object_types : int;
+  child_start : int array;
+  child : int array;
+  parent_start : int array;
+  parent : int array;
+  leaf_start : int array;
+  leaf : int array;
 }
 
-type t = { nodes : node array; n_object_types : int }
+(* Per-operator lists flattened into one row table: row [i] is
+   [flat.(start.(i)) .. flat.(start.(i + 1) - 1)], in list order. *)
+let csr lists =
+  let n = Array.length lists in
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    start.(i + 1) <- start.(i) + List.length lists.(i)
+  done;
+  let flat = Array.make start.(n) 0 in
+  let rec fill x = function
+    | [] -> ()
+    | v :: rest ->
+      flat.(x) <- v;
+      fill (x + 1) rest
+  in
+  for i = 0 to n - 1 do
+    fill start.(i) lists.(i)
+  done;
+  (start, flat)
+
+let pack ~n_object_types ~parent ~children ~leaves =
+  let child_start, child = csr children in
+  let parent_start, parent =
+    csr (Array.map (function Some p -> [ p ] | None -> []) parent)
+  in
+  let leaf_start, leaf = csr leaves in
+  { n_object_types; child_start; child; parent_start; parent; leaf_start; leaf }
 
 (* Ids are assigned in preorder: an operator gets the next free id, then
    its left subtree is numbered, then its right subtree. *)
@@ -30,7 +59,7 @@ let of_spec ~n_object_types spec =
       invalid_arg "Optree.of_spec: object type out of range";
     k
   in
-  (* Returns (children_ids, leaf_types) contribution of a child spec. *)
+  (* Pushes (id, parent, children, leaves) and returns the id. *)
   let rec build parent s =
     let id = fresh () in
     let sub_children = ref [] in
@@ -48,43 +77,48 @@ let of_spec ~n_object_types spec =
     | Op (a, b) ->
       handle_input a;
       handle_input b);
-    acc :=
-      {
-        id;
-        parent;
-        children = List.rev !sub_children;
-        leaves = List.rev !sub_leaves;
-      }
-      :: !acc;
+    acc := (id, parent, List.rev !sub_children, List.rev !sub_leaves) :: !acc;
     id
   in
   let root_id = build None spec in
   assert (root_id = 0);
-  let nodes =
-    match !acc with
-    | [] -> assert false (* build always pushes at least the root *)
-    | first :: _ -> Array.make !next first
-  in
-  List.iter (fun n -> nodes.(n.id) <- n) !acc;
-  { nodes; n_object_types }
+  let n = !next in
+  let parent = Array.make n None in
+  let children = Array.make n [] and leaves = Array.make n [] in
+  List.iter
+    (fun (id, p, cs, ls) ->
+      parent.(id) <- p;
+      children.(id) <- cs;
+      leaves.(id) <- ls)
+    !acc;
+  pack ~n_object_types ~parent ~children ~leaves
 
-let n_operators t = Array.length t.nodes
+let n_operators t = Array.length t.child_start - 1
 let n_object_types t = t.n_object_types
 let root _ = 0
-let nodes t = t.nodes
-let parent t i = t.nodes.(i).parent
-let children t i = t.nodes.(i).children
-let leaves t i = t.nodes.(i).leaves
+
+let slice start flat i =
+  List.init (start.(i + 1) - start.(i)) (fun k -> flat.(start.(i) + k))
+
+let parent t i =
+  if t.parent_start.(i + 1) > t.parent_start.(i) then
+    Some t.parent.(t.parent_start.(i))
+  else None
+
+let children t i = slice t.child_start t.child i
+let leaves t i = slice t.leaf_start t.leaf i
+
 let al_operators t =
-  Array.to_list t.nodes
-  |> List.filter_map (fun n -> if n.leaves <> [] then Some n.id else None)
+  List.filter
+    (fun i -> t.leaf_start.(i + 1) > t.leaf_start.(i))
+    (List.init (n_operators t) Fun.id)
 
 (* The traversals are iterative with an explicit stack: the recursive
    versions cost O(n · height) in list appends and risk stack overflow
    on the 100k-operator scale instances. *)
-let preorder_from t start =
+let preorder t =
   let acc = ref [] in
-  let stack = ref [ start ] in
+  let stack = ref [ 0 ] in
   let continue_ = ref true in
   while !continue_ do
     match !stack with
@@ -92,11 +126,12 @@ let preorder_from t start =
     | i :: rest ->
       acc := i :: !acc;
       (* children in order on top: the leftmost is processed first *)
-      stack := t.nodes.(i).children @ rest
+      stack := rest;
+      for x = t.child_start.(i + 1) - 1 downto t.child_start.(i) do
+        stack := t.child.(x) :: !stack
+      done
   done;
   List.rev !acc
-
-let preorder t = preorder_from t 0
 
 let postorder t =
   (* Reverse of a walk that emits each node before its children and
@@ -111,39 +146,47 @@ let postorder t =
     | [] -> continue_ := false
     | i :: rest ->
       acc := i :: !acc;
-      stack := List.rev_append t.nodes.(i).children rest
+      stack := rest;
+      for x = t.child_start.(i) to t.child_start.(i + 1) - 1 do
+        stack := t.child.(x) :: !stack
+      done
   done;
   !acc
 
-let depth t i =
-  let rec up acc = function
-    | None -> acc
-    | Some p -> up (acc + 1) (parent t p)
-  in
-  up 0 (parent t i)
-
+(* A parent's id precedes its children's (preorder), so one ascending
+   sweep settles every depth. *)
 let height t =
-  Array.fold_left (fun acc n -> max acc (depth t n.id)) 0 t.nodes
+  let n = n_operators t in
+  let depth = Array.make n 0 and h = ref 0 in
+  for i = 1 to n - 1 do
+    depth.(i) <- depth.(t.parent.(t.parent_start.(i))) + 1;
+    h := max !h depth.(i)
+  done;
+  !h
 
 let object_popularity t =
   let pop = Array.make t.n_object_types 0 in
-  Array.iter
-    (fun n ->
-      List.sort_uniq compare n.leaves
-      |> List.iter (fun k -> pop.(k) <- pop.(k) + 1))
-    t.nodes;
+  let stamp = Array.make t.n_object_types (-1) in
+  for i = 0 to n_operators t - 1 do
+    for x = t.leaf_start.(i) to t.leaf_start.(i + 1) - 1 do
+      let k = t.leaf.(x) in
+      if stamp.(k) <> i then begin
+        stamp.(k) <- i;
+        pop.(k) <- pop.(k) + 1
+      end
+    done
+  done;
   pop
 
 let leaf_instances t =
-  Array.to_list t.nodes
-  |> List.concat_map (fun n -> List.map (fun k -> (n.id, k)) n.leaves)
+  List.concat_map
+    (fun i -> List.map (fun k -> (i, k)) (leaves t i))
+    (List.init (n_operators t) Fun.id)
 
 let to_spec t =
   let rec build i =
-    let nd = t.nodes.(i) in
     let inputs =
-      List.map (fun k -> Obj k) nd.leaves
-      @ List.map build nd.children
+      List.map (fun k -> Obj k) (leaves t i) @ List.map build (children t i)
     in
     match inputs with
     | [ a ] -> Op1 a
@@ -152,23 +195,30 @@ let to_spec t =
   in
   build 0
 
+let rec any f x stop = x < stop && (f x || any f (x + 1) stop)
+
+(* Structure, then one walk from the root over the child rows that must
+   meet every id exactly once and in increasing order. *)
 let validate t =
-  let n = Array.length t.nodes in
+  let n = n_operators t in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec check i =
     if i >= n then Ok ()
     else begin
-      let nd = t.nodes.(i) in
-      if nd.id <> i then fail "node %d stores id %d" i nd.id
-      else if List.length nd.children + List.length nd.leaves > 2 then
-        fail "node %d has arity > 2" i
+      let c0 = t.child_start.(i) and c1 = t.child_start.(i + 1) in
+      let l0 = t.leaf_start.(i) and l1 = t.leaf_start.(i + 1) in
+      if c1 - c0 + (l1 - l0) > 2 then fail "node %d has arity > 2" i
       else if
-        List.exists (fun k -> k < 0 || k >= t.n_object_types) nd.leaves
+        any (fun x -> t.leaf.(x) < 0 || t.leaf.(x) >= t.n_object_types) l0 l1
       then fail "node %d references an unknown object type" i
       else if
-        List.exists
-          (fun c -> c < 0 || c >= n || t.nodes.(c).parent <> Some i)
-          nd.children
+        any
+          (fun x ->
+            let c = t.child.(x) in
+            c < 0 || c >= n
+            || t.parent_start.(c + 1) = t.parent_start.(c)
+            || t.parent.(t.parent_start.(c)) <> i)
+          c0 c1
       then fail "node %d has asymmetric child links" i
       else check (i + 1)
     end
@@ -177,11 +227,27 @@ let validate t =
   | Error _ as e -> e
   | Ok () ->
     if n = 0 then Error "empty tree"
-    else if t.nodes.(0).parent <> None then Error "root has a parent"
+    else if parent t 0 <> None then Error "root has a parent"
     else begin
-      let visited = List.sort_uniq compare (preorder t) in
-      if List.length visited <> n then
-        Error "tree is not fully reachable from the root"
+      let seen = Array.make n false and count = ref 0 and ordered = ref true in
+      let rec walk = function
+        | [] -> ()
+        | i :: rest when seen.(i) ->
+          ordered := false;
+          walk rest
+        | i :: rest ->
+          seen.(i) <- true;
+          if i <> !count then ordered := false;
+          incr count;
+          let stack = ref rest in
+          for x = t.child_start.(i + 1) - 1 downto t.child_start.(i) do
+            stack := t.child.(x) :: !stack
+          done;
+          walk !stack
+      in
+      walk [ 0 ];
+      if !count <> n then Error "tree is not fully reachable from the root"
+      else if not !ordered then Error "ids are not in preorder"
       else Ok ()
     end
 
@@ -194,12 +260,7 @@ let of_arrays ~n_object_types ~parent ~children ~leaves =
   if n = 0 then invalid_arg "Optree.of_arrays: empty tree";
   if Array.length children <> n || Array.length leaves <> n then
     invalid_arg "Optree.of_arrays: array lengths disagree";
-  let nodes =
-    Array.init n (fun id ->
-        { id; parent = parent.(id); children = children.(id);
-          leaves = leaves.(id) })
-  in
-  let t = { nodes; n_object_types } in
+  let t = pack ~n_object_types ~parent ~children ~leaves in
   match validate t with
   | Ok () -> t
   | Error e -> invalid_arg ("Optree.of_arrays: " ^ e)
@@ -221,14 +282,13 @@ let left_deep ~n_operators ~objects =
 
 let pp ppf t =
   let rec go indent i =
-    let nd = t.nodes.(i) in
+    let ls = leaves t i in
     Format.fprintf ppf "%sn%d" indent i;
-    if nd.leaves <> [] then
+    if ls <> [] then
       Format.fprintf ppf " [%s]"
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "o%d" k) nd.leaves));
+        (String.concat ", " (List.map (fun k -> Printf.sprintf "o%d" k) ls));
     Format.fprintf ppf "@ ";
-    List.iter (go (indent ^ "  ")) nd.children
+    List.iter (go (indent ^ "  ")) (children t i)
   in
   Format.fprintf ppf "@[<v>";
   go "" 0;

@@ -8,21 +8,34 @@
 
     Operators are identified by dense integer ids [0 .. n_operators-1];
     id assignment is in preorder from the root, so the root is always
-    operator [0]. *)
+    operator [0].  The structure is stored once, as the flat int rows of
+    {!t}: no per-operator record, so a {!Graph} view of the tree shares
+    them instead of copying. *)
 
 type spec =
   | Obj of int  (** a leaf: basic-object type index *)
   | Op1 of spec  (** unary operator *)
   | Op of spec * spec  (** binary operator *)
 
-type node = private {
-  id : int;
-  parent : int option;  (** [None] for the root *)
-  children : int list;  (** operator children ids (Ch(i)), <= 2 *)
-  leaves : int list;  (** basic-object type indices (Leaf(i)), <= 2 *)
+type t = private {
+  n_object_types : int;
+  child_start : int array;
+  child : int array;
+      (** operator children (Ch(i)) of [i], in input-slot order:
+          [child.(child_start.(i)) .. child.(child_start.(i + 1) - 1)] *)
+  parent_start : int array;
+  parent : int array;
+      (** the parent of [i], as a row of [parent_start] like [child]'s:
+          empty for the root, one entry for every other operator *)
+  leaf_start : int array;
+  leaf : int array;
+      (** basic-object type indices (Leaf(i)) of [i], in input-slot
+          order, rows of [leaf_start] *)
 }
-
-type t
+(** The structure as flat int rows, the layout {!Graph} reads: each
+    [_start] array has [n_operators + 1] entries, and row [i] is the
+    slice between [start.(i)] and [start.(i + 1)].  Read-only: callers
+    must not mutate the arrays. *)
 
 val of_spec : n_object_types:int -> spec -> t
 (** Builds a tree from a spec.  Raises [Invalid_argument] if the spec
@@ -38,7 +51,9 @@ val of_arrays :
 (** Builds a tree directly from per-operator arrays (index = operator
     id), for generators that assemble large trees without a recursive
     {!spec}.  Re-checks every structural invariant and raises
-    [Invalid_argument] on any violation (including non-preorder ids). *)
+    [Invalid_argument] on any violation: arity, object range, child and
+    parent links that disagree, an operator the root does not reach, or
+    ids out of preorder. *)
 
 val n_operators : t -> int
 
@@ -47,17 +62,11 @@ val n_object_types : t -> int
 val root : t -> int
 (** Always [0]. *)
 
-val nodes : t -> node array
-(** Every operator's node, indexed by id: the tree's own array, shared
-    so that hot loops read a node without a call per field.  Callers
-    must not mutate it. *)
-
 val parent : t -> int -> int option
 
-val children : t -> int -> int list
-
 val leaves : t -> int -> int list
-(** Object types the operator downloads directly (Leaf(i)). *)
+(** Object types the operator downloads directly (Leaf(i)): row [i] of
+    [leaf] as a list (allocates). *)
 
 val al_operators : t -> int list
 (** In increasing id order. *)

@@ -4,6 +4,18 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
 
+(* Operator [i]'s children, row [i] of the tree's [child] table. *)
+let children t i =
+  let s = t.Insp.Optree.child_start in
+  List.init (s.(i + 1) - s.(i)) (fun k -> t.Insp.Optree.child.(s.(i) + k))
+
+(* A node's producer and leaf rows of an operator-graph view, as lists
+   in slot order. *)
+let producers g i =
+  List.init (Insp.Graph.n_producers g i) (Insp.Graph.producer g i)
+
+let leaves g i = List.init (Insp.Graph.n_leaves g i) (Insp.Graph.leaf g i)
+
 (* A tiny hand-built application used by many mapping tests:
 
      n0
@@ -161,7 +173,7 @@ let pair_flow app alloc u v =
             if Insp.Alloc.host alloc j = other then
               acc +. (rho *. Insp.App.output_size app j)
             else acc)
-          acc (Insp.Optree.children tree i))
+          acc (children tree i))
       0.0
       (Insp.Alloc.operators_of alloc host)
   in

@@ -172,7 +172,7 @@ module Builder = Insp.Builder
 module Common = Insp_heuristics.Common
 module Graph = Insp.Graph
 
-let object_set g i = List.sort_uniq compare (Graph.leaves g i)
+let object_set g i = List.sort_uniq compare (Helpers.leaves g i)
 
 let by_work_desc g ops =
   let work = g.Graph.work in
@@ -228,7 +228,7 @@ let resort_place_rest b =
 
 let resort_object_grouping _rng g platform =
   let b = Builder.create g platform in
-  let is_al i = Graph.leaves g i <> [] in
+  let is_al i = Helpers.leaves g i <> [] in
   let pop = Array.make (Insp.Objects.count g.Graph.objects) 0 in
   for i = 0 to Graph.n_nodes g - 1 do
     List.iter (fun k -> pop.(k) <- pop.(k) + 1) (object_set g i)
@@ -287,7 +287,7 @@ let resort_object_availability _rng g platform =
     else
       let pending =
         List.filter
-          (fun i -> Graph.leaves g i <> [] && List.mem k (object_set g i))
+          (fun i -> Helpers.leaves g i <> [] && List.mem k (object_set g i))
           (Builder.unassigned b)
         |> by_work_desc g
       in

@@ -526,7 +526,7 @@ let check_neighbours g platform rng =
   let expected u =
     List.concat_map
       (fun i ->
-        Graph.producers g i
+        Helpers.producers g i
         @ List.init (Graph.n_consumers g i) (Graph.consumer g i))
       (Ledger.operators_of t u)
     |> List.filter_map (fun j ->

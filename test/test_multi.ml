@@ -46,9 +46,9 @@ let test_builder_basic () =
   Helpers.alco_float "a rate is max of consumers" 2.0 (Dag.node dag a).Dag.rate;
   Alcotest.(check (list int)) "consumers of a" [ c ] (consumers dag a);
   let g = Dag.graph dag in
-  Alcotest.(check (list int)) "a downloads o0 and o1" [ 0; 1 ] (Insp.Graph.leaves g a);
+  Alcotest.(check (list int)) "a downloads o0 and o1" [ 0; 1 ] (Helpers.leaves g a);
   Alcotest.(check (list int)) "o2 users" [ c ]
-    (List.filter (fun i -> List.mem 2 (Insp.Graph.leaves g i)) [ a; c ])
+    (List.filter (fun i -> List.mem 2 (Helpers.leaves g i)) [ a; c ])
 
 let test_builder_validation () =
   let b = Dag.create_builder ~n_object_types:1 in
@@ -127,6 +127,40 @@ let cse_preserves_roots =
       let apps, _ = MW.instance ~seed ~n_apps ~n_operators:15 in
       let dag = Cse.share_apps apps in
       n_roots dag = n_apps)
+
+(* The DAG's graph view against an oracle built from the node inputs:
+   producers are the [Node] inputs and leaves the [Object] inputs, each
+   in slot order, and consumers every node reading a producer, once,
+   ascending. *)
+let layout_matches dag =
+  let g = Dag.graph dag and n = Dag.n_nodes dag in
+  let readers = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter
+      (function
+        | Dag.Node j ->
+          if not (List.mem i readers.(j)) then readers.(j) <- i :: readers.(j)
+        | Dag.Object _ -> ())
+      (Dag.inputs dag i)
+  done;
+  Insp.Graph.n_nodes g = n
+  && g.Insp.Graph.unshared = Array.for_all (fun cs -> List.length cs <= 1) readers
+  && List.for_all
+       (fun i ->
+         let ins = Dag.inputs dag i in
+         Helpers.producers g i
+         = List.filter_map (function Dag.Node j -> Some j | Dag.Object _ -> None) ins
+         && Helpers.leaves g i
+            = List.filter_map (function Dag.Object k -> Some k | Dag.Node _ -> None) ins
+         && consumers dag i = readers.(i))
+       (List.init n Fun.id)
+
+let layout_dags =
+  qtest ~count:50 "flat rows = node inputs, CSE on and off"
+    QCheck.(pair (int_range 0 500) (int_range 1 4))
+    (fun (seed, n_apps) ->
+      let apps, _ = MW.instance ~seed ~n_apps ~n_operators:20 in
+      layout_matches (Dag.of_apps apps) && layout_matches (Cse.share_apps apps))
 
 (* ------------------------------------------------------------------ *)
 (* Dag_check                                                           *)
@@ -785,6 +819,7 @@ let () =
           Alcotest.test_case "builder validation" `Quick
             test_builder_validation;
           Alcotest.test_case "of_apps" `Quick test_of_apps;
+          layout_dags;
         ] );
       ( "cse",
         [

@@ -46,7 +46,7 @@ let test_preorder_ids () =
   Alcotest.(check (list int)) "preorder" [ 0; 1; 2; 3; 4 ] (Optree.preorder t);
   Alcotest.(check (list int)) "postorder" [ 2; 3; 1; 4; 0 ]
     (Optree.postorder t);
-  Alcotest.(check (list int)) "root children" [ 1; 4 ] (Optree.children t 0);
+  Alcotest.(check (list int)) "root children" [ 1; 4 ] (Helpers.children t 0);
   Alcotest.(check (option int)) "parent of 3" (Some 1) (Optree.parent t 3);
   Alcotest.(check (option int)) "root has no parent" None (Optree.parent t 0)
 
@@ -66,9 +66,9 @@ let test_depth_height_subtree () =
   Alcotest.(check int) "depth n2" 2 (depth t 2);
   Alcotest.(check int) "height" 2 (Optree.height t);
   (* preorder ids: a subtree is a contiguous id range *)
-  Alcotest.(check (list int)) "children of 1" [ 2; 3 ] (Optree.children t 1);
+  Alcotest.(check (list int)) "children of 1" [ 2; 3 ] (Helpers.children t 1);
   Alcotest.(check (list int)) "leaf op has no children" []
-    (Optree.children t 4)
+    (Helpers.children t 4)
 
 let test_popularity () =
   let t = fig1a_tree () in
@@ -99,8 +99,8 @@ let structurally_valid t =
   && List.for_all
        (fun i ->
          List.for_all (fun c -> c > i && Optree.parent t c = Some i)
-           (Optree.children t i)
-         && List.length (Optree.children t i) + List.length (Optree.leaves t i)
+           (Helpers.children t i)
+         && List.length (Helpers.children t i) + List.length (Optree.leaves t i)
             <= 2)
        (Optree.preorder t)
 
@@ -150,7 +150,7 @@ let gen_shape_binary =
       in
       List.for_all
         (fun i ->
-          List.length (Optree.children t i) + List.length (Optree.leaves t i)
+          List.length (Helpers.children t i) + List.length (Optree.leaves t i)
           = 2)
         (Optree.preorder t))
 
@@ -174,6 +174,168 @@ let gen_left_deep_valid =
              ~n_object_types:15)
       in
       structurally_valid t && List.length (Optree.al_operators t) = n)
+
+(* ------------------------------------------------------------------ *)
+(* Flat layout                                                         *)
+
+(* The oracle: a spec numbered in preorder by plain recursion into
+   per-operator parent, children and leaf lists, independent of the
+   tree's row tables. *)
+let oracle_lists spec =
+  let acc = ref [] and next = ref 0 in
+  let rec number parent s =
+    let id = !next in
+    incr next;
+    let inputs =
+      match s with Optree.Op1 a -> [ a ] | Op (a, b) -> [ a; b ] | Obj _ -> []
+    in
+    let children =
+      List.filter_map
+        (function Optree.Obj _ -> None | s' -> Some (number (Some id) s'))
+        inputs
+    in
+    let leaves = List.filter_map (function Optree.Obj k -> Some k | _ -> None) inputs in
+    acc := (id, parent, children, leaves) :: !acc;
+    id
+  in
+  ignore (number None spec);
+  let n = !next in
+  let parent = Array.make n None and children = Array.make n [] in
+  let leaves = Array.make n [] in
+  List.iter
+    (fun (i, p, cs, ls) ->
+      parent.(i) <- p;
+      children.(i) <- cs;
+      leaves.(i) <- ls)
+    !acc;
+  (parent, children, leaves)
+
+(* A random spec with [n] operators, two inputs each but a unary
+   operator now and then. *)
+let random_spec rng n =
+  let rec build n =
+    if n = 1 && Prng.int rng 4 = 0 then Optree.Op1 (Optree.Obj (Prng.int rng 6))
+    else begin
+      let left = Prng.int rng n in
+      let side m = if m = 0 then Optree.Obj (Prng.int rng 6) else build m in
+      let l = side left in
+      Optree.Op (l, side (n - 1 - left))
+    end
+  in
+  build n
+
+(* Every flat accessor of the tree and of its graph view equals the
+   oracle's lists. *)
+let layout_matches t (parent, children, leaves) =
+  let n = Array.length parent in
+  let objects = Objects.uniform_freq ~sizes:(Array.make 6 1.0) ~freq:1.0 in
+  let g = Insp.Graph.of_app (App.make ~tree:t ~objects ~alpha:1.0 ()) in
+  let row count get i = List.init (count g i) (get g i) in
+  Optree.n_operators t = n
+  && Insp.Graph.n_nodes g = n
+  && g.Insp.Graph.roots = [| 0 |]
+  && g.Insp.Graph.unshared
+  && List.for_all
+       (fun i ->
+         row Insp.Graph.n_producers Insp.Graph.producer i = children.(i)
+         && row Insp.Graph.n_consumers Insp.Graph.consumer i
+            = Option.to_list parent.(i)
+         && Helpers.leaves g i = leaves.(i)
+         && Helpers.children t i = children.(i)
+         && Optree.leaves t i = leaves.(i)
+         && Optree.parent t i = parent.(i))
+       (List.init n Fun.id)
+
+let layout_random_trees =
+  qtest "flat rows = oracle lists, N 1-200"
+    QCheck.(pair (int_range 0 5000) (int_range 1 200))
+    (fun (seed, n) ->
+      let spec = random_spec (Prng.create seed) n in
+      let ((parent, children, leaves) as lists) = oracle_lists spec in
+      layout_matches (Optree.of_spec ~n_object_types:6 spec) lists
+      && layout_matches
+           (Optree.of_arrays ~n_object_types:6 ~parent ~children ~leaves)
+           lists)
+
+let layout_generated_trees =
+  qtest "generated trees: flat rows = oracle lists" gen_params (fun (seed, n) ->
+      let t =
+        Generate.random_shape (Prng.create seed) ~n_operators:n
+          ~n_object_types:6
+      in
+      layout_matches t (oracle_lists (Optree.to_spec t)))
+
+let test_layout_fixed_shapes () =
+  let single = Optree.Op1 (Optree.Obj 2) in
+  Alcotest.(check bool) "single operator" true
+    (layout_matches (Optree.of_spec ~n_object_types:6 single)
+       (oracle_lists single));
+  List.iter
+    (fun n ->
+      let objects = Array.init (n + 1) (fun i -> i mod 6) in
+      let t = Optree.left_deep ~n_operators:n ~objects in
+      Alcotest.(check bool)
+        (Printf.sprintf "left-deep chain of %d" n)
+        true
+        (layout_matches t (oracle_lists (Optree.to_spec t))))
+    [ 1; 2; 200 ]
+
+let test_of_arrays_rejects () =
+  let build ~parent ~children ~leaves () =
+    ignore (Optree.of_arrays ~n_object_types:2 ~parent ~children ~leaves)
+  in
+  let rejects what msg ~parent ~children ~leaves =
+    Alcotest.check_raises what (Invalid_argument ("Optree.of_arrays: " ^ msg))
+      (build ~parent ~children ~leaves)
+  in
+  rejects "empty" "empty tree" ~parent:[||] ~children:[||] ~leaves:[||];
+  rejects "lengths" "array lengths disagree" ~parent:[| None |] ~children:[||]
+    ~leaves:[| [ 0 ] |];
+  rejects "arity" "node 0 has arity > 2" ~parent:[| None |] ~children:[| [] |]
+    ~leaves:[| [ 0; 1; 0 ] |];
+  rejects "object range" "node 0 references an unknown object type"
+    ~parent:[| None |] ~children:[| [] |] ~leaves:[| [ 2 ] |];
+  rejects "asymmetric" "node 0 has asymmetric child links"
+    ~parent:[| None; None |] ~children:[| [ 1 ]; [] |] ~leaves:[| []; [ 0 ] |];
+  rejects "root parent" "root has a parent" ~parent:[| Some 1; Some 0 |]
+    ~children:[| [ 1 ]; [ 0 ] |] ~leaves:[| []; [] |];
+  rejects "unreachable cycle" "tree is not fully reachable from the root"
+    ~parent:[| None; Some 2; Some 1 |] ~children:[| []; [ 2 ]; [ 1 ] |]
+    ~leaves:[| [ 0 ]; []; [] |];
+  rejects "unreachable operator" "tree is not fully reachable from the root"
+    ~parent:[| None; None |] ~children:[| []; [] |] ~leaves:[| [ 0 ]; [ 1 ] |];
+  rejects "not preorder" "ids are not in preorder"
+    ~parent:[| None; Some 2; Some 0 |] ~children:[| [ 2 ]; []; [ 1 ] |]
+    ~leaves:[| [ 0 ]; [ 0; 1 ]; [ 1 ] |];
+  rejects "child twice" "ids are not in preorder"
+    ~parent:[| None; Some 0 |] ~children:[| [ 1; 1 ]; [] |]
+    ~leaves:[| []; [ 0 ] |]
+
+(* [Graph.of_app] shares the tree's rows and the app's arrays: the same
+   few words at 1k and at 10k operators. *)
+let test_of_app_allocation () =
+  let app n =
+    let config = Insp.Config.make ~n_operators:n ~alpha:0.9 ~seed:1 () in
+    (Insp.Instance.generate config).Insp.Instance.app
+  in
+  (* every word allocated, in the minor heap or straight in the major
+     one, where an array too large for the minor heap goes *)
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let words a =
+    allocated (fun () -> ignore (Sys.opaque_identity (Insp.Graph.of_app a)))
+    -. allocated ignore
+  in
+  let a1 = app 1_000 and a10 = app 10_000 in
+  ignore (words a1);
+  let w1 = words a1 and w10 = words a10 in
+  Alcotest.(check (float 0.0)) "1k and 10k allocate alike" w1 w10;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words, a small constant" w1)
+    true (w1 <= 32.0)
 
 let gen_sizes_in_range =
   qtest "random_sizes in range"
@@ -311,6 +473,14 @@ let () =
             test_of_spec_validation;
           Alcotest.test_case "validate ok" `Quick test_validate_ok;
           Alcotest.test_case "left-deep" `Quick test_left_deep;
+          Alcotest.test_case "of_arrays rejects" `Quick test_of_arrays_rejects;
+        ] );
+      ( "layout",
+        [
+          layout_random_trees;
+          layout_generated_trees;
+          Alcotest.test_case "fixed shapes" `Quick test_layout_fixed_shapes;
+          Alcotest.test_case "of_app allocates O(1)" `Quick test_of_app_allocation;
         ] );
       ( "generate",
         [
